@@ -117,6 +117,9 @@ def cmd_evaluate(args) -> int:
     if stations != learner.n_agents:
         raise ConfigError(
             f"checkpoint expects {learner.n_agents} stations, scenario has {stations}")
+    if cfg.ess != learner.env_params:
+        raise ConfigError(
+            f"checkpoint was trained with battery {learner.env_params}, config has {cfg.ess}")
     seed = args.seed if args.seed is not None else 0
     _, rng_demand, _, _ = _seed_streams(seed)
     factory = _episode_factory(price, pv, demand, stations,

@@ -15,7 +15,10 @@ implicitly and is not traded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class ConstraintViolation(ValueError):
@@ -284,6 +287,23 @@ def profit(ev_supplies: list[float], trade: TradeOutcome, quote: PriceQuote) -> 
     )
 
 
+_STATION_FIELDS = ("battery_kwh", "urgent_demand", "regular_demand", "renewable",
+                   "ev_supply", "ess_control", "arrival_urgent", "arrival_regular")
+
+
+def _check_finite_station(i: int, state: StationState, action: StationAction,
+                          renewable: float, arrival: tuple[float, float]) -> None:
+    """Raise ConstraintViolation naming the first non-finite input of station ``i``."""
+    values = (state.battery_kwh, state.urgent_demand, state.regular_demand, renewable,
+              action.ev_supply, action.ess_control, arrival[0], arrival[1])
+    # One test on the sum covers the common case; NaN and inf both survive it.
+    if math.isfinite(sum(values)):
+        return
+    for name, value in zip(_STATION_FIELDS, values):
+        if not math.isfinite(value):
+            raise ConstraintViolation(f"station {i}: {name} {value} is not finite")
+
+
 def step(
     states: list[StationState],
     actions: list[StationAction],
@@ -307,6 +327,7 @@ def step(
     curtailed = [0.0] * n
     for i in range(n):
         st, act = states[i], actions[i]
+        _check_finite_station(i, st, act, renewables[i], next_arrivals[i])
         lo_supply = st.urgent_demand
         hi_supply = st.total_demand
         if act.ev_supply < lo_supply - _TOL or act.ev_supply > hi_supply + _TOL:
@@ -344,3 +365,147 @@ def step(
             )
         )
     return StepOutcome(next_states, trade, breakdown, curtailed, internal_flows)
+
+
+# -- array-native path ----------------------------------------------------
+#
+# The functions below compute exactly what ``step`` and its helpers compute,
+# for ``N`` independent rows of ``n`` stations at once, with the same float
+# operations in the same order, so their results agree bit for bit (pinned
+# by tests/test_batch.py).  Sums over stations are written as explicit
+# left-to-right loops for that reason: numpy's reductions sum pairwise.
+
+
+def _first_bad(bad: np.ndarray) -> tuple[int, ...]:
+    """Index of the first true entry of a boolean array."""
+    return tuple(int(v[0]) for v in np.nonzero(bad))
+
+
+def check_finite_batch(**fields: np.ndarray) -> None:
+    """Raise ConstraintViolation naming station and field of a non-finite value.
+
+    Every array is ``(rows, stations)``.
+    """
+    for name, values in fields.items():
+        bad = ~np.isfinite(values)
+        if bad.any():
+            r, i = _first_bad(bad)
+            raise ConstraintViolation(
+                f"station {i}: {name} {values[r, i]} is not finite (row {r})")
+
+
+def control_bounds_batch(battery: np.ndarray, renewable: np.ndarray, supply: np.ndarray,
+                         params: EssParams
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``curtail_renewable`` then ``ess_bounds`` over arrays, without raising.
+
+    Returns ``(internal_flow, lower, upper, feasible)``; where ``feasible``
+    is false ``ess_bounds`` would raise InfeasibleIntervalError.
+    """
+    raw = renewable - supply
+    headroom = (params.usable_max - params.leakage_beta * battery) + params.export_cap
+    flow = np.where(raw <= headroom, raw, headroom)
+    carried = params.leakage_beta * battery
+    lower = (params.capacity_min - carried) - flow
+    upper = (params.usable_max - carried) - flow
+    lower = np.where(lower < -params.export_cap, -params.export_cap, lower)
+    upper = np.where(upper > params.import_cap, params.import_cap, upper)
+    feasible = ~(lower > upper + _TOL)
+    upper = np.where(lower > upper, lower, upper)
+    return flow, lower, upper, feasible
+
+
+def step_batch(
+    battery: np.ndarray,
+    urgent: np.ndarray,
+    regular: np.ndarray,
+    supply: np.ndarray,
+    control: np.ndarray,
+    renewables,
+    quote: PriceQuote,
+    next_arrivals,
+    params: EssParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance ``N`` independent rows of ``n`` stations one slot, as ``step`` does.
+
+    ``battery``, ``urgent``, ``regular`` (the states) and ``supply``,
+    ``control`` (the actions) are ``(N, n)`` arrays.  ``renewables`` has
+    shape ``(n,)`` or ``(N, n)`` and ``next_arrivals`` is ``n`` pairs of
+    (urgent, regular) kWh shared by every row.  Every input is validated
+    once for the whole batch; a bad value raises the error ``step`` would
+    raise for its row.  Returns the next battery, urgent and regular demand
+    arrays and the ``(N,)`` total profit of each row.
+    """
+    if battery.ndim != 2:
+        raise ValueError(f"state arrays must be (rows, stations), got shape {battery.shape}")
+    renewables = np.broadcast_to(np.asarray(renewables, dtype=float), battery.shape)
+    arrivals = np.asarray(next_arrivals, dtype=float)
+    if arrivals.shape != (battery.shape[1], 2):
+        raise ValueError(f"next_arrivals must be {battery.shape[1]} (urgent, regular) pairs")
+    arr_urgent, arr_regular = arrivals[:, 0], arrivals[:, 1]
+    check_finite_batch(battery_kwh=battery, urgent_demand=urgent, regular_demand=regular,
+                       renewable=renewables, ev_supply=supply, ess_control=control,
+                       arrival_urgent=arr_urgent[None], arrival_regular=arr_regular[None])
+    bad = (urgent < 0.0) | (regular < 0.0)
+    if bad.any():
+        r, i = _first_bad(bad)
+        raise ConstraintViolation(
+            f"station {i}: negative demand ({urgent[r, i]}, {regular[r, i]}) (row {r})")
+    total_demand = urgent + regular
+    bad = (supply < urgent - _TOL) | (supply > total_demand + _TOL)
+    if bad.any():
+        r, i = _first_bad(bad)
+        raise ConstraintViolation(f"station {i}: ev_supply {supply[r, i]} outside "
+                                  f"[{urgent[r, i]}, {total_demand[r, i]}] (row {r})")
+    if (renewables < 0.0).any() or (supply < 0.0).any():
+        raise ValueError("renewable and ev_supply must be nonnegative")
+    flow, lower, upper, feasible = control_bounds_batch(battery, renewables, supply, params)
+    if not feasible.all():
+        r, i = _first_bad(~feasible)
+        raise InfeasibleIntervalError(
+            f"station {i}: empty control interval [{lower[r, i]}, {upper[r, i]}] (row {r})")
+    bad = (control < lower - _TOL) | (control > upper + _TOL)
+    if bad.any():
+        r, i = _first_bad(bad)
+        raise ConstraintViolation(f"station {i}: ess_control {control[r, i]} outside "
+                                  f"[{lower[r, i]}, {upper[r, i]}] (row {r})")
+    bad = (arr_urgent < 0.0) | (arr_regular < 0.0)
+    if bad.any():
+        i = _first_bad(bad)[0]
+        raise ConstraintViolation(
+            f"station {i}: negative arrivals ({arr_urgent[i]}, {arr_regular[i]})")
+
+    # Clearing, as clear_trades.
+    n = battery.shape[1]
+    charging = control > 0.0
+    discharging = control < 0.0
+    charge_total = np.zeros(len(battery))
+    discharge_total = np.zeros(len(battery))
+    for i in range(n):
+        charge_total = charge_total + np.where(charging[:, i], control[:, i], 0.0)
+        discharge_total = discharge_total + np.where(charging[:, i], 0.0, -control[:, i])
+    long_charge = charge_total > discharge_total
+    short = np.where(long_charge, discharge_total, charge_total)
+    long = np.where(long_charge, charge_total, discharge_total)
+    ratio = np.divide(short, long, out=np.zeros_like(long), where=long > 0.0)[:, None]
+    long_charge = long_charge[:, None]
+    matched_buy = np.where(charging, np.where(long_charge, ratio * control, control), 0.0)
+    utility_buy = np.where(charging & long_charge, control - matched_buy, 0.0)
+    matched_sell = np.where(discharging, np.where(long_charge, -control, ratio * -control), 0.0)
+    utility_sell = np.where(discharging & ~long_charge, -control - matched_sell, 0.0)
+
+    # Pricing, as profit.
+    station_profit = (supply * quote.ev - utility_buy * quote.utility
+                      + (matched_sell - matched_buy) * quote.trade
+                      + utility_sell * quote.buyback)
+    total_profit = np.zeros(len(battery))
+    for i in range(n):
+        total_profit = total_profit + station_profit[:, i]
+
+    # Dynamics, as the tail of step.
+    next_battery = params.leakage_beta * battery + control + flow
+    next_battery = np.minimum(np.maximum(next_battery, params.capacity_min), params.usable_max)
+    carryover = np.maximum(total_demand - supply, 0.0)
+    next_urgent = arr_urgent + carryover
+    next_regular = np.broadcast_to(arr_regular, battery.shape).copy()
+    return next_battery, next_urgent, next_regular, total_profit

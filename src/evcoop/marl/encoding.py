@@ -21,6 +21,8 @@ from ..core import (
     InfeasibleIntervalError,
     StationAction,
     StationState,
+    check_finite_batch,
+    control_bounds_batch,
     curtail_renewable,
     ess_bounds,
     soc,
@@ -76,6 +78,41 @@ def global_state(observations: np.ndarray) -> np.ndarray:
     return np.asarray(observations).reshape(-1)
 
 
+def linspace(lo: float, hi: float, m: int) -> list[float]:
+    """``np.linspace(lo, hi, m)`` for float endpoints, bit for bit, as a list.
+
+    numpy multiplies k by the step (or k / (m - 1) by the width when the
+    step is zero), adds lo, and puts hi exactly at the end.
+    """
+    width = hi - lo
+    if m == 1:
+        return [0.0 * width + lo]
+    step = width / (m - 1)
+    if step == 0:
+        levels = [(k / (m - 1)) * width + lo for k in range(m)]
+    else:
+        levels = [k * step + lo for k in range(m)]
+    levels[-1] = hi
+    return levels
+
+
+def linspace_rows(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """``linspace`` for every element of the endpoint arrays; adds a last axis of m.
+
+    ``np.linspace`` with array endpoints would switch every element to the
+    zero-step formula if any one had a zero step; this chooses per element.
+    """
+    k = np.arange(m, dtype=float)
+    lo, hi = lo[..., None], hi[..., None]
+    width = hi - lo
+    if m == 1:
+        return 0.0 * width + lo
+    step = width / (m - 1)
+    levels = np.where(step == 0, (k / (m - 1)) * width, k * step) + lo
+    levels[..., -1] = hi[..., 0]
+    return levels
+
+
 @dataclass(frozen=True)
 class ActionGrid:
     """Joint discretization of per-station supply and battery control.
@@ -109,24 +146,56 @@ class ActionGrid:
         tight export/import caps) has its block masked out; at least one
         block must survive.
         """
-        n = self.n_actions
-        supplies = np.zeros(n)
-        controls = np.zeros(n)
-        mask = np.zeros(n, dtype=bool)
-        for e, frac in enumerate(self.ev_fractions):
+        m = self.cs_levels
+        supplies: list[float] = []
+        controls: list[float] = []
+        mask: list[bool] = []
+        for frac in self.ev_fractions:
             supply = state.urgent_demand + frac * state.regular_demand
             flow, _ = curtail_renewable(renewable, supply, state.battery_kwh, params)
             try:
                 lo, hi = ess_bounds(state.battery_kwh, flow, params)
             except InfeasibleIntervalError:
+                supplies += [0.0] * m
+                controls += [0.0] * m
+                mask += [False] * m
                 continue
-            block = slice(e * self.cs_levels, (e + 1) * self.cs_levels)
-            supplies[block] = supply
-            controls[block] = np.linspace(lo, hi, self.cs_levels)
-            mask[block] = True
-        if not mask.any():
+            supplies += [supply] * m
+            controls += linspace(lo, hi, m)
+            mask += [True] * m
+        if not any(mask):
             raise InfeasibleActionError(
                 "no feasible action: every supply fraction leaves an empty control interval")
+        return np.array(supplies, dtype=float), np.array(controls, dtype=float), np.array(mask)
+
+    def decode_batch(self, battery: np.ndarray, urgent: np.ndarray, regular: np.ndarray,
+                     renewables, params: EssParams
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``decode_table`` for every station of ``(N, n)`` state arrays at once.
+
+        ``renewables`` has shape ``(n,)`` or ``(N, n)``.  Returns
+        ``(N, n, n_actions)`` supplies, controls and mask, equal bit for bit
+        to ``decode_table`` per station.  A station with no feasible block
+        gets an all-false mask row instead of an error; callers prune it.
+        """
+        renewables = np.broadcast_to(np.asarray(renewables, dtype=float), battery.shape)
+        check_finite_batch(battery_kwh=battery, urgent_demand=urgent,
+                           regular_demand=regular, renewable=renewables)
+        if (urgent < 0.0).any() or (regular < 0.0).any() or (renewables < 0.0).any():
+            raise ValueError("demand and renewable must be nonnegative")
+        shape = battery.shape + (self.n_actions,)
+        supplies = np.zeros(shape)
+        controls = np.zeros(shape)
+        mask = np.zeros(shape, dtype=bool)
+        m = self.cs_levels
+        for e, frac in enumerate(self.ev_fractions):
+            supply = urgent + frac * regular
+            _, lo, hi, feasible = control_bounds_batch(battery, renewables, supply, params)
+            block = slice(e * m, (e + 1) * m)
+            ok = feasible[..., None]
+            supplies[..., block] = np.where(ok, supply[..., None], 0.0)
+            controls[..., block] = np.where(ok, linspace_rows(lo, hi, m), 0.0)
+            mask[..., block] = ok
         return supplies, controls, mask
 
     def decode(self, index: int, state: StationState, renewable: float,

@@ -25,7 +25,7 @@ import numpy as np
 from ..core import EssParams, PriceQuote, StationAction, StationState, StepOutcome, step as env_step
 from ..data import Episode
 from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, no_grad, stack_cols
-from ..nn.checkpoint import load_checkpoint, save_checkpoint
+from ..nn.checkpoint import CheckpointError, read_checkpoint, restore_params, save_checkpoint
 from .encoding import OBS_DIM, ActionGrid, ObsScales, encode_observation, global_state
 from .replay import EpisodeRecord, ReplayBuffer
 
@@ -578,14 +578,8 @@ def save_learner(path, learner: LearnerState) -> None:
 
 def load_learner(path) -> LearnerState:
     """Rebuild a learner from a checkpoint; optimizer moments start fresh."""
-    # probe pass to learn the architecture before allocating real nets
-    probe = np.load(path, allow_pickle=False)
-    try:
-        meta = json.loads(str(probe["meta_json"]))
-    finally:
-        probe.close()
+    arrays, meta = read_checkpoint(path)
     if meta.get("kind") != "learner":
-        from ..nn.checkpoint import CheckpointError
         raise CheckpointError(f"{path} is not a learner checkpoint")
     config = TrainConfig(**meta["train_config"])
     grid = ActionGrid(ev_fractions=tuple(meta["grid"]["ev_fractions"]),
@@ -599,7 +593,7 @@ def load_learner(path) -> LearnerState:
         params[f"eval.{name}"] = p
     for name, p in learner.target_parameters().items():
         params[f"target.{name}"] = p
-    load_checkpoint(path, params)
+    restore_params(path, arrays, params)
     learner.train_steps = meta["counters"]["train_steps"]
     learner.episodes_done = meta["counters"]["episodes_done"]
     return learner

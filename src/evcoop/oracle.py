@@ -2,21 +2,23 @@
 
 The oracle enumerates the same discrete action grid the agents use, so its
 optimum is an exact upper bound on anything a policy over that grid can earn.
-Depth-first search shares slot prefixes; determinism comes from ascending
-index order with strict improvement, so ties keep the first sequence found.
+The search is breadth-first within a slot: all joint actions of a block of
+frontier rows advance in one array step (``core.step_batch``).  Blocks are
+expanded depth-first, so memory stays bounded and leaves arrive in ascending
+lexicographic order of their index sequences; a leaf replaces the best only
+on strict improvement, so ties keep the first sequence in that order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EssParams, PriceQuote, StationAction, StationState, step as env_step
+from .core import EssParams, PriceQuote, StationState, step as env_step, step_batch
 from .data import Episode
 from .marl.encoding import ActionGrid, InfeasibleActionError
 
@@ -76,52 +78,72 @@ def instance_fingerprint(instance: TinyInstance) -> str:
     return h.hexdigest()
 
 
-def _slot_options(grid: ActionGrid, states, renewables, params):
-    """Per-station (supplies, controls, feasible indices) for one slot."""
-    options = []
-    for i, state in enumerate(states):
-        supplies, controls, mask = grid.decode_table(state, renewables[i], params)
-        options.append((supplies, controls, np.flatnonzero(mask)))
-    return options
+# Child rows per ``step_batch`` call.  The search runs depth-first over
+# blocks of this many rows, so memory stays bounded at any enumeration size.
+_BLOCK_ROWS = 512
+
+
+def _state_arrays(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-row (battery, urgent, regular) arrays of a station state list."""
+    rows = np.array([[s.battery_kwh, s.urgent_demand, s.regular_demand] for s in states])
+    return rows[None, :, 0], rows[None, :, 1], rows[None, :, 2]
+
+
+def _advance(episode: Episode, params: EssParams, t: int, state, decoded, parents, picks):
+    """Step each ``parents`` row with its ``picks`` (N, n) grid indices at slot ``t``."""
+    supplies, controls, _ = decoded
+    cell = (parents[:, None], np.arange(picks.shape[1]), picks)
+    battery, urgent, regular = (a[parents] for a in state)
+    return step_batch(battery, urgent, regular, supplies[cell], controls[cell],
+                      episode.renewables[t], episode.quotes[t], episode.arrivals[t], params)
 
 
 def _search(episode: Episode, params: EssParams, grid: ActionGrid,
-            start_states, t_start: int, depth: int) -> tuple[float, tuple, int]:
-    """Best cumulative profit over ``depth`` slots from ``start_states``.
+            start, t_start: int, depth: int) -> tuple[float, tuple, int]:
+    """Best cumulative profit over ``depth`` slots from the one-row ``start`` state.
 
     Returns (profit, action index sequence, environment steps evaluated).
+    The module docstring gives the search order and the tie rule.
     Infeasible branches (empty mask under tight caps) are pruned.
     """
     n = episode.station_count
+    end = t_start + depth
     best_profit = -math.inf
     best_seq: tuple = ()
     nodes = 0
 
-    def recurse(t, states, acc, prefix):
+    def expand(t, state, acc, prefix):
+        # state: (battery, urgent, regular), each (rows, n); acc: (rows,);
+        # prefix: (rows, t - t_start, n) grid indices taken so far.
         nonlocal best_profit, best_seq, nodes
-        if t == t_start + depth:
-            if acc > best_profit:
-                best_profit = acc
-                best_seq = prefix
+        if t == end:
+            i = int(np.argmax(acc))
+            if acc[i] > best_profit:
+                best_profit = acc[i]
+                best_seq = tuple(tuple(slot) for slot in prefix[i].tolist())
             return
-        try:
-            options = _slot_options(grid, states, episode.renewables[t], params)
-        except InfeasibleActionError:
-            return
-        quote = episode.quotes[t]
-        renew = list(episode.renewables[t])
-        arrivals = list(episode.arrivals[t])
-        for combo in itertools.product(*(opt[2] for opt in options)):
-            actions = [
-                StationAction(ev_supply=options[i][0][a], ess_control=options[i][1][a])
-                for i, a in enumerate(combo)
-            ]
-            out = env_step(list(states), actions, renew, quote, arrivals, params)
-            nodes += 1
-            recurse(t + 1, out.next_states, acc + out.profit.total_profit,
-                    prefix + (tuple(int(a) for a in combo),))
+        decoded = grid.decode_batch(*state, episode.renewables[t], params)
+        mask = decoded[2]
+        counts = mask.sum(axis=2)                       # feasible actions per station
+        feasible = np.argsort(~mask, axis=2, kind="stable")  # their indices first, ascending
+        offsets = np.concatenate(([0], np.cumsum(counts.prod(axis=1))))
+        children = int(offsets[-1])
+        for lo in range(0, children, _BLOCK_ROWS):
+            # Children lo.. of the frontier, numbered row by row and within
+            # a row as mixed-radix digits over the stations, station 0 first.
+            child = np.arange(lo, min(lo + _BLOCK_ROWS, children))
+            parents = np.searchsorted(offsets, child, side="right") - 1
+            local = child - offsets[parents]
+            digits = np.empty((child.size, n), dtype=np.intp)
+            for i in reversed(range(n)):
+                local, digits[:, i] = np.divmod(local, counts[parents, i])
+            picks = feasible[parents[:, None], np.arange(n), digits]
+            *nxt, profit = _advance(episode, params, t, state, decoded, parents, picks)
+            nodes += child.size
+            expand(t + 1, nxt, acc[parents] + profit,
+                   np.concatenate((prefix[parents], picks[:, None, :]), axis=1))
 
-    recurse(t_start, list(start_states), 0.0, ())
+    expand(t_start, start, np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
     if not math.isfinite(best_profit):
         raise InfeasibleActionError("no feasible joint action sequence")
     return best_profit, best_seq, nodes
@@ -132,7 +154,7 @@ def brute_force(instance: TinyInstance) -> OracleResult:
     t0 = time.perf_counter()
     ep = instance.episode
     profit, seq, nodes = _search(ep, instance.params, instance.grid,
-                                 ep.initial_states, 0, ep.length)
+                                 _state_arrays(ep.initial_states), 0, ep.length)
     return OracleResult(profit=profit, actions=seq, nodes=nodes,
                         wall_time_s=time.perf_counter() - t0,
                         fingerprint=instance_fingerprint(instance))
@@ -145,22 +167,17 @@ def rolling_greedy(instance: TinyInstance, lookahead: int
         raise ValueError("lookahead must be >= 1")
     ep = instance.episode
     params, grid = instance.params, instance.grid
-    states = list(ep.initial_states)
+    state = _state_arrays(ep.initial_states)
     total = 0.0
     taken: list[tuple[int, ...]] = []
     for t in range(ep.length):
         depth = min(lookahead, ep.length - t)
-        _, seq, _ = _search(ep, params, grid, states, t, depth)
+        _, seq, _ = _search(ep, params, grid, state, t, depth)
         combo = seq[0]
-        options = _slot_options(grid, states, ep.renewables[t], params)
-        actions = [
-            StationAction(ev_supply=options[i][0][a], ess_control=options[i][1][a])
-            for i, a in enumerate(combo)
-        ]
-        out = env_step(states, actions, list(ep.renewables[t]), ep.quotes[t],
-                       list(ep.arrivals[t]), params)
-        total += out.profit.total_profit
-        states = list(out.next_states)
+        decoded = grid.decode_batch(*state, ep.renewables[t], params)
+        *state, profit = _advance(ep, params, t, state, decoded, np.zeros(1, dtype=np.intp),
+                                  np.array([combo]))
+        total += profit[0]
         taken.append(combo)
     return total, tuple(taken)
 

@@ -1,0 +1,461 @@
+"""The array-native market path and the blocked oracle against their scalar references.
+
+``step_batch`` and ``ActionGrid.decode_batch`` must agree with ``step`` and
+``decode_table`` bit for bit, and the blocked breadth-first oracle with the
+depth-first enumeration it replaced (kept here as ``_dfs_search``) in
+optimum, action sequence and node count.
+"""
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evcoop import oracle
+from evcoop.core import (
+    ConstraintViolation,
+    EssParams,
+    PriceQuote,
+    StationAction,
+    StationState,
+    step,
+    step_batch,
+)
+from evcoop.data import Episode
+from evcoop.marl import ActionGrid
+from evcoop.marl.encoding import InfeasibleActionError, linspace, linspace_rows
+
+
+def assert_bits(actual, expected):
+    """Equal as float64 bit patterns, so even the sign of a zero must agree."""
+    actual = np.ascontiguousarray(actual, dtype=np.float64)
+    expected = np.ascontiguousarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+# -- strategies -------------------------------------------------------------
+
+def edge_or(lo, hi):
+    """Either end of [lo, hi] or anything between."""
+    return st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
+
+
+@st.composite
+def ess_params(draw):
+    cap = draw(st.floats(20.0, 300.0))
+    caps = draw(st.sampled_from(["loose", "tight"]))
+    return EssParams(
+        capacity_max=cap,
+        soc_min=draw(st.floats(0.02, 0.3)),
+        soc_max=draw(st.floats(0.7, 1.0)),
+        leakage_beta=draw(st.sampled_from([1.0, 0.99, 0.95])),
+        export_cap=None if caps == "loose" else draw(st.floats(0.5, 30.0)),
+        import_cap=None if caps == "loose" else draw(st.floats(0.5, 30.0)),
+    )
+
+
+grids = st.builds(
+    ActionGrid,
+    ev_fractions=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                          min_size=1, max_size=3).map(tuple),
+    cs_levels=st.integers(1, 5),
+)
+
+
+@st.composite
+def state_block(draw, params, rows, stations):
+    """(battery, urgent, regular, renewable) arrays of shape (rows, stations)."""
+    shape = (rows, stations)
+
+    def block(strategy):
+        return np.array(draw(st.lists(strategy, min_size=rows * stations,
+                                      max_size=rows * stations))).reshape(shape)
+
+    battery = block(edge_or(params.capacity_min, params.usable_max))
+    urgent = block(edge_or(0.0, 20.0))
+    regular = block(edge_or(0.0, 40.0))
+    renewable = block(edge_or(0.0, 60.0))
+    return battery, urgent, regular, renewable
+
+
+@st.composite
+def quotes(draw):
+    u = draw(st.floats(0.03, 0.5))
+    return PriceQuote(utility=u, ev=u * draw(st.floats(1.01, 2.0)),
+                      trade=u * draw(st.floats(0.81, 0.99)), buyback=0.8 * u)
+
+
+def scalar_states(battery, urgent, regular, r):
+    return [StationState(battery[r, i], urgent[r, i], regular[r, i])
+            for i in range(battery.shape[1])]
+
+
+# -- linspace ---------------------------------------------------------------
+
+widths = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-300),
+                   st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e3, 1e3), widths, st.integers(1, 7))
+def test_linspace_matches_numpy(lo, width, m):
+    hi = lo + width
+    want = np.linspace(lo, hi, m)
+    assert_bits(linspace(lo, hi, m), want)
+    assert_bits(linspace_rows(np.array([lo, 1.0]), np.array([hi, 2.0]), m)[0], want)
+
+
+# -- decode_batch vs decode_table -------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), ess_params(), grids, st.integers(1, 4), st.integers(1, 3))
+def test_decode_batch_matches_decode_table(data, params, grid, rows, stations):
+    battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
+    supplies, controls, mask = grid.decode_batch(battery, urgent, regular, renewable, params)
+    assert supplies.shape == controls.shape == mask.shape == (rows, stations, grid.n_actions)
+    for r in range(rows):
+        for i, state in enumerate(scalar_states(battery, urgent, regular, r)):
+            try:
+                want = grid.decode_table(state, renewable[r, i], params)
+            except InfeasibleActionError:
+                assert not mask[r, i].any()
+                assert_bits(supplies[r, i], np.zeros(grid.n_actions))
+                assert_bits(controls[r, i], np.zeros(grid.n_actions))
+                continue
+            assert_bits(supplies[r, i], want[0])
+            assert_bits(controls[r, i], want[1])
+            np.testing.assert_array_equal(mask[r, i], want[2])
+
+
+def test_decode_batch_zero_width_interval_and_masked_block():
+    # Station 0: battery full, surplus renewable, export cap 5: after
+    # curtailment the only control is "sell 5" (a zero-width interval).
+    # Station 1: a 60 kWh deficit at full supply exceeds the import cap, so
+    # the full-supply block is masked while the zero-supply block survives.
+    params = EssParams(capacity_max=100.0, leakage_beta=1.0, export_cap=5.0, import_cap=5.0)
+    grid = ActionGrid(ev_fractions=(0.0, 1.0), cs_levels=3)
+    battery = np.array([[95.0, 5.0]])
+    urgent = np.array([[0.0, 0.0]])
+    regular = np.array([[0.0, 60.0]])
+    renewable = np.array([20.0, 0.0])
+    supplies, controls, mask = grid.decode_batch(battery, urgent, regular, renewable, params)
+    assert_bits(controls[0, 0], [-5.0] * 6)
+    assert mask[0, 1].tolist() == [True] * 3 + [False] * 3
+    for i in range(2):
+        want = grid.decode_table(StationState(battery[0, i], 0.0, regular[0, i]),
+                                 renewable[i], params)
+        assert_bits(supplies[0, i], want[0])
+        assert_bits(controls[0, i], want[1])
+
+
+# -- step_batch vs step -----------------------------------------------------
+
+ACTION_MODES = ("grid", "between", "zero", "charge", "discharge")
+
+
+@st.composite
+def feasible_actions(draw, grid, params, battery, urgent, regular, renewable):
+    """(supply, control) arrays, every station inside its feasible interval.
+
+    ``charge``/``discharge`` put every station at the top/bottom of its
+    interval, so a draw is all-charging or all-discharging whenever the
+    intervals allow it; ``zero`` holds the battery idle where zero is feasible.
+    """
+    mode = draw(st.sampled_from(ACTION_MODES))
+    supply = np.empty_like(battery)
+    control = np.empty_like(battery)
+    for r in range(battery.shape[0]):
+        for i, state in enumerate(scalar_states(battery, urgent, regular, r)):
+            try:
+                sup, ctl, mask = grid.decode_table(state, renewable[r, i], params)
+            except InfeasibleActionError:
+                return None
+            a = draw(st.sampled_from(np.flatnonzero(mask).tolist()))
+            block = slice(a - a % grid.cs_levels, a - a % grid.cs_levels + grid.cs_levels)
+            lo, hi = ctl[block][0], ctl[block][-1]
+            supply[r, i] = sup[a]
+            control[r, i] = {
+                "grid": ctl[a],
+                "between": lo + draw(st.floats(0.0, 1.0)) * (hi - lo),
+                "zero": min(max(0.0, lo), hi),
+                "charge": hi,
+                "discharge": lo,
+            }[mode]
+    return supply, control
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), ess_params(), grids, quotes(), st.integers(1, 3), st.integers(1, 10))
+def test_step_batch_matches_step(data, params, grid, quote, rows, stations):
+    battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
+    actions = data.draw(feasible_actions(grid, params, battery, urgent, regular, renewable))
+    if actions is None:
+        return                      # some station has no feasible action at all
+    supply, control = actions
+    arrivals = [tuple(data.draw(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0))))
+                for _ in range(stations)]
+    nb, nu, nr, total = step_batch(battery, urgent, regular, supply, control,
+                                   renewable, quote, arrivals, params)
+    for r in range(rows):
+        acts = [StationAction(supply[r, i], control[r, i]) for i in range(stations)]
+        out = step(scalar_states(battery, urgent, regular, r), acts, list(renewable[r]),
+                   quote, arrivals, params)
+        assert_bits(nb[r], [s.battery_kwh for s in out.next_states])
+        assert_bits(nu[r], [s.urgent_demand for s in out.next_states])
+        assert_bits(nr[r], [s.regular_demand for s in out.next_states])
+        assert_bits(total[r], out.profit.total_profit)
+
+
+def test_step_batch_all_charging_and_all_discharging_rows():
+    params = EssParams(capacity_max=100.0, leakage_beta=1.0)
+    quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
+    battery = np.full((3, 3), 50.0)
+    zeros = np.zeros((3, 3))
+    control = np.array([[10.0, 30.0, 5.0],      # everyone buys: all from the utility
+                        [-10.0, -30.0, -5.0],   # everyone sells: all to the utility
+                        [0.0, 0.0, 0.0]])       # idle
+    arrivals = [(0.0, 0.0)] * 3
+    _, _, _, total = step_batch(battery, zeros, zeros, zeros, control, zeros[0], quote,
+                                arrivals, params)
+    for r in range(3):
+        out = step(scalar_states(battery, zeros, zeros, r),
+                   [StationAction(0.0, c) for c in control[r]], [0.0] * 3, quote,
+                   arrivals, params)
+        assert_bits(total[r], out.profit.total_profit)
+    assert total.tolist() == pytest.approx([-4.5, 3.6, 0.0])
+
+
+@pytest.mark.parametrize("case", ["undersupply", "oversupply", "control", "arrival",
+                                  "empty interval"])
+def test_step_batch_rejects_what_step_rejects(case):
+    # Station 1 is bad, station 0 fine; in the batch only row 1 is bad.
+    params = EssParams(capacity_max=100.0, import_cap=5.0)
+    quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
+    battery, urgent, supply, control, arrival = 50.0, 5.0, 5.0, 0.0, (0.0, 0.0)
+    if case == "undersupply":
+        supply = 1.0
+    elif case == "oversupply":
+        supply = 11.0
+    elif case == "control":
+        control = 6.0                   # above the 5 kWh import cap
+    elif case == "arrival":
+        arrival = (-1.0, 0.0)
+    else:                               # a 500 kWh deficit the import cap cannot cover
+        battery, urgent, supply = 5.0, 500.0, 500.0
+    with pytest.raises(ConstraintViolation) as scalar:
+        step([StationState(50.0, 5.0, 5.0), StationState(battery, urgent, 5.0)],
+             [StationAction(5.0, 0.0), StationAction(supply, control)], [0.0, 0.0], quote,
+             [(0.0, 0.0), arrival], params)
+
+    def block(fine, bad):
+        return np.array([[fine, fine], [fine, bad]])
+
+    with pytest.raises(type(scalar.value), match="station 1"):
+        step_batch(block(50.0, battery), block(5.0, urgent), block(5.0, 5.0),
+                   block(5.0, supply), block(0.0, control), [0.0, 0.0], quote,
+                   [(0.0, 0.0), arrival], params)
+
+
+@pytest.mark.parametrize("field, where", [
+    ("battery_kwh", "battery"), ("urgent_demand", "urgent"), ("regular_demand", "regular"),
+    ("renewable", "renewable"), ("ev_supply", "supply"), ("ess_control", "control"),
+    ("arrival_urgent", "arrival"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_step_batch_rejects_non_finite_inputs(field, where, bad):
+    params = EssParams()
+    quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
+    arrays = {"battery": np.full((2, 2), 100.0), "urgent": np.zeros((2, 2)),
+              "regular": np.zeros((2, 2)), "supply": np.zeros((2, 2)),
+              "control": np.zeros((2, 2)), "renewable": np.zeros((2, 2))}
+    arrivals = np.zeros((2, 2))
+    if where == "arrival":
+        arrivals[1, 0] = bad
+    else:
+        arrays[where][1, 1] = bad
+    with pytest.raises(ConstraintViolation, match=f"station 1: {field}"):
+        step_batch(arrays["battery"], arrays["urgent"], arrays["regular"], arrays["supply"],
+                   arrays["control"], arrays["renewable"], quote, arrivals, params)
+
+
+def test_decode_batch_rejects_non_finite_state():
+    grid = ActionGrid()
+    battery = np.array([[100.0, math.nan]])
+    with pytest.raises(ConstraintViolation, match="station 1: battery_kwh"):
+        grid.decode_batch(battery, np.zeros((1, 2)), np.zeros((1, 2)), [0.0, 0.0], EssParams())
+
+
+# -- blocked breadth-first oracle vs the depth-first enumeration ------------
+
+def _dfs_search(episode, params, grid, start_states, t_start, depth, visited=None):
+    """The oracle's former depth-first search, on scalar ``step``/``decode_table``.
+
+    Appends each evaluated node, as a ``_node`` tuple, to ``visited`` if given.
+    """
+    best = [-math.inf, (), 0]
+
+    def options(states, renewables):
+        out = []
+        for i, state in enumerate(states):
+            supplies, controls, mask = grid.decode_table(state, renewables[i], params)
+            out.append((supplies, controls, np.flatnonzero(mask)))
+        return out
+
+    def recurse(t, states, acc, prefix):
+        if t == t_start + depth:
+            if acc > best[0]:
+                best[0], best[1] = acc, prefix
+            return
+        try:
+            opts = options(states, episode.renewables[t])
+        except InfeasibleActionError:
+            return
+        for combo in itertools.product(*(o[2] for o in opts)):
+            actions = [StationAction(opts[i][0][a], opts[i][1][a]) for i, a in enumerate(combo)]
+            out = step(list(states), actions, list(episode.renewables[t]), episode.quotes[t],
+                       list(episode.arrivals[t]), params)
+            best[2] += 1
+            if visited is not None:
+                visited.append(_node(t, [s.battery_kwh for s in states],
+                                     [s.urgent_demand for s in states],
+                                     [s.regular_demand for s in states],
+                                     [a.ev_supply for a in actions],
+                                     [a.ess_control for a in actions]))
+            recurse(t + 1, out.next_states, acc + out.profit.total_profit,
+                    prefix + (tuple(int(a) for a in combo),))
+
+    recurse(t_start, list(start_states), 0.0, ())
+    return best[0], best[1], best[2]
+
+
+def _node(t, *columns):
+    return (t,) + tuple(float(v) for column in columns for v in column)
+
+
+def _dfs_rolling_greedy(instance, lookahead):
+    ep, params, grid = instance.episode, instance.params, instance.grid
+    states = list(ep.initial_states)
+    total, taken = 0.0, []
+    for t in range(ep.length):
+        best, seq, _ = _dfs_search(ep, params, grid, states, t, min(lookahead, ep.length - t))
+        if best == -math.inf:
+            raise InfeasibleActionError("no feasible joint action sequence")
+        actions = [grid.decode(a, states[i], ep.renewables[t][i], params)
+                   for i, a in enumerate(seq[0])]
+        out = step(states, actions, list(ep.renewables[t]), ep.quotes[t],
+                   list(ep.arrivals[t]), params)
+        total += out.profit.total_profit
+        states = list(out.next_states)
+        taken.append(seq[0])
+    return total, tuple(taken)
+
+
+def _draws(count, seed):
+    """Tiny instances of one to three stations, sized to keep the DFS quick.
+
+    Every other one gets a battery of 4-12 kWh and import/export caps of a
+    few kWh, so masks differ from row to row and some branches are pruned.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [(2, 2), (1, 3), (3, 1), (2, 1)]
+    draws = []
+    for k in range(count):
+        inst = oracle.random_tiny_instance(rng, *shapes[k % len(shapes)])
+        if k % 2:
+            cap, export_cap, import_cap = rng.uniform((4.0, 0.5, 0.5), (12.0, 4.0, 4.0))
+            params = dataclasses.replace(inst.params, capacity_max=cap,
+                                         export_cap=export_cap, import_cap=import_cap)
+            states = tuple(dataclasses.replace(
+                s, battery_kwh=rng.uniform(params.capacity_min, params.usable_max))
+                for s in inst.episode.initial_states)
+            inst = dataclasses.replace(inst, params=params, episode=dataclasses.replace(
+                inst.episode, initial_states=states))
+        draws.append(inst)
+    return draws
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the marker of an InfeasibleActionError it raised."""
+    try:
+        return fn(*args)
+    except InfeasibleActionError:
+        return "infeasible"
+
+
+def _assert_same_as_dfs(inst):
+    ep = inst.episode
+    ref = _dfs_search(ep, inst.params, inst.grid, ep.initial_states, 0, ep.length)
+    exact = _outcome(oracle.brute_force, inst)
+    if ref[0] == -math.inf:
+        assert exact == "infeasible"
+        return
+    assert (exact.profit, exact.actions, exact.nodes) == ref
+    for lookahead in sorted({1, ep.length}):
+        assert _outcome(oracle.rolling_greedy, inst, lookahead) == \
+            _outcome(_dfs_rolling_greedy, inst, lookahead)
+
+
+def test_oracle_matches_depth_first_reference():
+    for inst in _draws(52, seed=5):
+        _assert_same_as_dfs(inst)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 40])
+def test_oracle_blocks_keep_lexicographic_ties(monkeypatch, block_rows):
+    # Blocks smaller than one parent's children, and blocks straddling
+    # parents, must still visit leaves in the depth-first order.
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+    for inst in _draws(8, seed=6):
+        _assert_same_as_dfs(inst)
+
+
+def test_oracle_evaluates_every_node_once(monkeypatch):
+    # The same (slot, state, action) nodes as the depth-first search, each
+    # as often, whatever the block size: no child dropped or duplicated.
+    visited = []
+    real = oracle.step_batch
+
+    def recording(battery, urgent, regular, supply, control, renewables, quote, *rest):
+        t = inst.episode.quotes.index(quote)
+        visited.extend(_node(t, *row) for row in zip(battery, urgent, regular, supply, control))
+        return real(battery, urgent, regular, supply, control, renewables, quote, *rest)
+
+    monkeypatch.setattr(oracle, "step_batch", recording)
+    for block_rows in (5, 64):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+        for inst in _draws(4, seed=7):
+            visited.clear()
+            oracle.brute_force(inst)
+            want = []
+            ep = inst.episode
+            _dfs_search(ep, inst.params, inst.grid, ep.initial_states, 0, ep.length, want)
+            assert sorted(visited) == sorted(want)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 512])
+def test_oracle_ties_keep_the_lexicographically_first_sequence(monkeypatch, block_rows):
+    # Two stations with 56 kWh above their floor each must serve 56 kWh of
+    # urgent demand in slot 1.  In slot 0, idling (1, 1) ties with station 0
+    # selling its charge to station 1 (0, 2) and the reverse (2, 0): the
+    # energy comes back in slot 1 and every price is a power of two, so the
+    # three totals are equal to the bit.  The first in lexicographic order
+    # must win, at any block size.
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+    params = EssParams(capacity_max=128.0, soc_min=0.0625, soc_max=0.9375, leakage_beta=1.0)
+    quote = PriceQuote(utility=0.125, ev=0.25, trade=0.09375, buyback=0.0625)
+    episode = Episode(quotes=(quote,) * 2, renewables=((0.0, 0.0),) * 2,
+                      arrivals=(((56.0, 0.0),) * 2, ((0.0, 0.0),) * 2),
+                      initial_states=(StationState(64.0, 0.0, 0.0),) * 2)
+    inst = oracle.TinyInstance(episode=episode, params=params,
+                               grid=ActionGrid(ev_fractions=(0.0,), cs_levels=3))
+    exact = oracle.brute_force(inst)
+    assert exact.actions == ((0, 2), (0, 0))
+    for tied in (((1, 1), (0, 0)), ((2, 0), (0, 0))):
+        assert oracle.replay_sequence(inst, tied)[0] == exact.profit == 28.0
+    ref = _dfs_search(episode, params, inst.grid, episode.initial_states, 0, 2)
+    assert (exact.profit, exact.actions, exact.nodes) == ref

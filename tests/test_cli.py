@@ -109,3 +109,23 @@ def test_evaluate_rejects_station_mismatch(trained, tmp_path):
     cfg.write_text(json.dumps({"scenario": {"mode": "synthetic", "station_count": 3,
                                             "horizon": 12}}))
     assert main(["evaluate", "--checkpoint", str(ck), "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, damage):
+    good = (trained / "out" / "double_qmix_seed0" / "checkpoint.npz").read_bytes()
+    ck = tmp_path / "checkpoint.npz"
+    ck.write_bytes(b"not a checkpoint at all" if damage == "garbage" else good[: len(good) // 2])
+    assert main(["evaluate", "--checkpoint", str(ck), "--out", str(tmp_path)]) == 3
+
+
+def test_evaluate_rejects_battery_mismatch(trained, tmp_path, capsys):
+    # The episode would be built with the config's battery but rolled out
+    # with the checkpoint's: refuse instead of mixing the two.
+    ck = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ess": {"capacity_max": 150.0}}))
+    assert main(["evaluate", "--checkpoint", str(ck), "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 1
+    assert "battery" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()

@@ -175,6 +175,34 @@ def test_step_rejects_negative_arrivals():
         step(states, [StationAction(0.0, 0.0)], [0.0], QUOTE, [(-1.0, 0.0)], p)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_rejects_non_finite_battery(bad):
+    # A NaN battery level used to pass validation and yield a NaN next state.
+    p = EssParams()
+    states = [StationState(100.0, 0.0, 0.0), StationState(bad, 0.0, 0.0)]
+    with pytest.raises(ConstraintViolation, match="station 1: battery_kwh"):
+        step(states, [StationAction(0.0, 0.0)] * 2, [0.0, 0.0], QUOTE, [(0.0, 0.0)] * 2, p)
+
+
+def test_step_rejects_non_finite_renewable():
+    # A NaN renewable used to surface as a misleading control-bounds error.
+    p = EssParams()
+    states = [StationState(100.0, 0.0, 0.0)]
+    with pytest.raises(ConstraintViolation, match="station 0: renewable nan is not finite"):
+        step(states, [StationAction(0.0, 0.0)], [math.nan], QUOTE, [(0.0, 0.0)], p)
+
+
+@pytest.mark.parametrize("field", ["ev_supply", "ess_control", "arrival_regular"])
+def test_step_rejects_non_finite_action_or_arrival(field):
+    p = EssParams()
+    states = [StationState(100.0, 0.0, 0.0)]
+    action = StationAction(math.nan if field == "ev_supply" else 0.0,
+                           math.inf if field == "ess_control" else 0.0)
+    arrival = (0.0, math.nan if field == "arrival_regular" else 0.0)
+    with pytest.raises(ConstraintViolation, match=f"station 0: {field}"):
+        step(states, [action], [0.0], QUOTE, [arrival], p)
+
+
 def test_step_length_mismatch():
     p = EssParams()
     with pytest.raises(ValueError):
