@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else load_config_dict({})
     overrides: dict = {}
@@ -255,17 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle",
                               help="enumerate tiny instances: exact optimum vs rolling greedy")
-    p_oracle.add_argument("--instances", type=int, default=10)
+    p_oracle.add_argument("--instances", type=_positive_int, default=10)
     p_oracle.add_argument("--seed", type=int)
-    p_oracle.add_argument("--lookahead", type=int,
+    p_oracle.add_argument("--lookahead", type=_positive_int,
                           help="greedy lookahead (default: full horizon)")
     p_oracle.add_argument("--out", help="write oracle_metrics.csv here")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized invariant checks on the market core")
-    p_fuzz.add_argument("--clearing", type=int, default=100_000)
-    p_fuzz.add_argument("--battery", type=int, default=100_000)
-    p_fuzz.add_argument("--profit", type=int, default=10_000)
+    p_fuzz.add_argument("--clearing", type=_positive_int, default=100_000)
+    p_fuzz.add_argument("--battery", type=_positive_int, default=100_000)
+    p_fuzz.add_argument("--profit", type=_positive_int, default=10_000)
     p_fuzz.add_argument("--seed", type=int)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="summarize completed runs into summary.csv + long.csv")
     p_cmp.add_argument("--runs", nargs="+", required=True,
                        help="metrics.csv files or directories to scan")
-    p_cmp.add_argument("--window", type=int, default=50,
+    p_cmp.add_argument("--window", type=_positive_int, default=50,
                        help="final-episode window for the aggregate (default 50)")
     p_cmp.add_argument("--out", help="output directory (default: current)")
     p_cmp.set_defaults(func=cmd_compare)

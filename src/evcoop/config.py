@@ -1,24 +1,31 @@
 """Run configuration: schema-validated JSON with every default resolved.
 
 An empty document is a complete configuration: it trains on the bundled
-two-station sample scenario with the stock station parameters (0.99 leakage,
-200 kWh capacity, 0.05/0.95 SOC window, 0.99 discount, the 0.0005/0.001
-learning-rate split).  ``resolved_dict`` echoes the fully-resolved form;
-loading that echo reproduces the identical RunConfig.
+two-station sample scenario.  Every default lives in one place, the field
+default of its dataclass (``ScenarioConfig`` and ``RunConfig`` here,
+``EssParams``, ``ActionGrid``, ``ObsScales``, ``TrainConfig``); ``DEFAULTS``
+and ``resolved_dict`` are derived from them, and the JSON schema is the only
+hand-written contract.  A section's JSON keys are its dataclass's field
+names, except the scenario's nested ``multipliers`` and ``demand`` objects.
+``resolved_dict`` echoes the fully-resolved form; loading that echo
+reproduces the identical RunConfig.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import jsonschema
 
 from .core import EssParams
 from .data import (
+    DEFAULT_MULTIPLIERS,
     DemandModel,
     PriceSeries,
     PvSeries,
@@ -51,97 +58,107 @@ _DEFAULT_PROFILE = (
     13.0, 13.0, 14.0, 16.0, 20.0, 26.0, 30.0, 28.0, 22.0, 16.0, 12.0, 9.0,
 )
 
-DEFAULTS: dict = {
-    "scenario": {
-        "mode": "sample",
-        "sample_name": "two_station_48h",
-        "price_csv": None,
-        "pv_csv": None,
-        "station_count": 2,
-        "horizon": 48,
-        "price_base": 0.10,
-        "price_swing": 0.06,
-        "price_noise_sigma": 0.004,
-        "pv_peak_kwh": 40.0,
-        "series_seed": 2024,
-        "multipliers": {"ev": 1.2, "trade": 0.9, "buyback": 0.8},
-        "demand": {
-            "profiles": [
-                list(_DEFAULT_PROFILE),
-                [round(0.75 * v, 4) for v in _DEFAULT_PROFILE],
-            ],
-            "noise_sigma": 3.0,
-            "urgent_fraction": 0.2,
-        },
-        "initial_soc": 0.5,
-    },
-    "ess": {
-        "capacity_max": 200.0,
-        "soc_min": 0.05,
-        "soc_max": 0.95,
-        "leakage_beta": 0.99,
-        "export_cap": None,
-        "import_cap": None,
-    },
-    "grid": {"ev_fractions": [0.0, 0.5, 1.0], "cs_levels": 5},
-    "scales": {
-        "demand_all": 100.0, "soc": 1.0, "urgent": 25.0,
-        "regular": 50.0, "renewable": 50.0, "price": 0.1,
-    },
-    "train": {
-        "episodes": 300,
-        "gamma": 0.99,
-        "lr_agent": 0.001,
-        "lr_mixer": 0.0005,
-        "epsilon_start": 1.0,
-        "epsilon_end": 0.05,
-        "epsilon_decay_frac": 0.5,
-        "target_period": 10,
-        "batch_episodes": 8,
-        "capacity": 256,
-        "reward_scale": 0.001,
-        "agent_loss_mode": "direct",
-        "hidden_dim": 64,
-        "embed_dim": 32,
-        "hyper_hidden": 64,
-        "debug_checks": False,
-    },
-    "algorithms": ["double_qmix"],
-    "seeds": [0],
-    "out_dir": "runs",
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    mode: str
-    sample_name: str
-    price_csv: str | None
-    pv_csv: str | None
-    station_count: int
-    horizon: int
-    price_base: float
-    price_swing: float
-    price_noise_sigma: float
-    pv_peak_kwh: float
-    series_seed: int
-    multipliers: tuple[float, float, float]  # (ev, trade, buyback)
-    demand_profiles: tuple[tuple[float, ...], ...]
-    demand_noise_sigma: float
-    urgent_fraction: float
-    initial_soc: float
+    mode: str = "sample"
+    sample_name: str = "two_station_48h"
+    price_csv: str | None = None
+    pv_csv: str | None = None
+    station_count: int = 2
+    horizon: int = 48
+    price_base: float = 0.10
+    price_swing: float = 0.06
+    price_noise_sigma: float = 0.004
+    pv_peak_kwh: float = 40.0
+    series_seed: int = 2024
+    multipliers: tuple[float, float, float] = DEFAULT_MULTIPLIERS  # (ev, trade, buyback)
+    demand_profiles: tuple[tuple[float, ...], ...] = (
+        _DEFAULT_PROFILE, tuple(round(0.75 * v, 4) for v in _DEFAULT_PROFILE))
+    demand_noise_sigma: float = 3.0
+    urgent_fraction: float = 0.2
+    initial_soc: float = 0.5
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: ScenarioConfig
-    ess: EssParams
-    grid: ActionGrid
-    scales: ObsScales
-    train: TrainConfig
-    algorithms: tuple[str, ...]
-    seeds: tuple[int, ...]
-    out_dir: str
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
+    ess: EssParams = field(default_factory=EssParams)
+    grid: ActionGrid = field(default_factory=ActionGrid)
+    scales: ObsScales = field(default_factory=ObsScales)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    algorithms: tuple[str, ...] = ("double_qmix",)
+    seeds: tuple[int, ...] = (0,)
+    out_dir: str = "runs"
+
+
+# The one hand-written mapping: the scenario's nested JSON objects and the
+# flat ScenarioConfig fields they hold.  Every other JSON key is a field name.
+_MULTIPLIER_KEYS = ("ev", "trade", "buyback")
+_DEMAND_FIELDS = {"profiles": "demand_profiles", "noise_sigma": "demand_noise_sigma",
+                  "urgent_fraction": "urgent_fraction"}
+
+
+def _scenario_to_json(flat: dict) -> dict:
+    out = dict(flat)
+    out["multipliers"] = dict(zip(_MULTIPLIER_KEYS, out["multipliers"]))
+    out["demand"] = {key: out.pop(name) for key, name in _DEMAND_FIELDS.items()}
+    return out
+
+
+def _scenario_from_json(doc: dict) -> dict:
+    flat = dict(doc)
+    flat["multipliers"] = tuple(flat["multipliers"][key] for key in _MULTIPLIER_KEYS)
+    demand = flat.pop("demand")
+    flat.update({name: demand[key] for key, name in _DEMAND_FIELDS.items()})
+    return flat
+
+
+def _to_json(value):
+    """Tuples become lists, recursively: a Draft-7 ``array`` rejects tuples."""
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _coerce(tp, value):
+    """``value`` as the field type ``tp``: numbers cast, arrays become tuples."""
+    if value is None:
+        return None
+    args = [a for a in get_args(tp) if a is not type(None)]
+    if get_origin(tp) is tuple:
+        return tuple(_coerce(args[0], v) for v in value)
+    if args:  # ``X | None``
+        return _coerce(args[0], value)
+    return tp(value) if tp in (bool, int, float, str) else value
+
+
+_field_types = functools.cache(get_type_hints)
+
+
+def _build(cls, values: dict):
+    """Construct the dataclass ``cls`` from ``values``, one coerced entry per field."""
+    hints = _field_types(cls)
+    return cls(**{f.name: _coerce(hints[f.name], values[f.name]) for f in fields(cls)})
+
+
+def _defaults(cls) -> dict:
+    """The JSON form of the field defaults of ``cls``, sections expanded.
+
+    Field defaults, not ``asdict`` of a default instance: EssParams turns its
+    None caps into 10x capacity, and a capacity override must still move them.
+    """
+    hints = _field_types(cls)
+    return {f.name: _defaults(hints[f.name]) if is_dataclass(hints[f.name])
+            else _to_json(f.default) for f in fields(cls)}
+
+
+# Section name -> dataclass, in RunConfig order.
+_SECTIONS = {name: tp for name, tp in _field_types(RunConfig).items() if is_dataclass(tp)}
+DEFAULTS: dict = _defaults(RunConfig)
+DEFAULTS["scenario"] = _scenario_to_json(DEFAULTS["scenario"])
 
 
 def _schema() -> dict:
@@ -189,52 +206,18 @@ def load_config_dict(document: dict) -> RunConfig:
         raise ConfigError(f"scenario.sample_name: unknown sample {sc['sample_name']!r} "
                           f"(available: {known})")
 
+    doc["scenario"] = _scenario_from_json(sc)
     try:
-        ess = EssParams(
-            capacity_max=float(doc["ess"]["capacity_max"]),
-            soc_min=float(doc["ess"]["soc_min"]),
-            soc_max=float(doc["ess"]["soc_max"]),
-            leakage_beta=float(doc["ess"]["leakage_beta"]),
-            export_cap=None if doc["ess"]["export_cap"] is None else float(doc["ess"]["export_cap"]),
-            import_cap=None if doc["ess"]["import_cap"] is None else float(doc["ess"]["import_cap"]),
-        )
-        grid = ActionGrid(
-            ev_fractions=tuple(float(f) for f in doc["grid"]["ev_fractions"]),
-            cs_levels=int(doc["grid"]["cs_levels"]),
-        )
-        scales = ObsScales(**{k: float(v) for k, v in doc["scales"].items()})
-        train = TrainConfig(**doc["train"])
+        sections = {name: _build(cls, doc[name]) for name, cls in _SECTIONS.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if not (ess.soc_min <= sc["initial_soc"] <= ess.soc_max):
+    ess, initial_soc = sections["ess"], sections["scenario"].initial_soc
+    if not (ess.soc_min <= initial_soc <= ess.soc_max):
         raise ConfigError(
-            f"scenario.initial_soc: {sc['initial_soc']} outside the SOC window "
+            f"scenario.initial_soc: {initial_soc} outside the SOC window "
             f"[{ess.soc_min}, {ess.soc_max}]")
-
-    scenario = ScenarioConfig(
-        mode=sc["mode"],
-        sample_name=sc["sample_name"],
-        price_csv=sc["price_csv"],
-        pv_csv=sc["pv_csv"],
-        station_count=int(sc["station_count"]),
-        horizon=int(sc["horizon"]),
-        price_base=float(sc["price_base"]),
-        price_swing=float(sc["price_swing"]),
-        price_noise_sigma=float(sc["price_noise_sigma"]),
-        pv_peak_kwh=float(sc["pv_peak_kwh"]),
-        series_seed=int(sc["series_seed"]),
-        multipliers=(float(mult["ev"]), float(mult["trade"]), float(mult["buyback"])),
-        demand_profiles=tuple(tuple(float(v) for v in p) for p in sc["demand"]["profiles"]),
-        demand_noise_sigma=float(sc["demand"]["noise_sigma"]),
-        urgent_fraction=float(sc["demand"]["urgent_fraction"]),
-        initial_soc=float(sc["initial_soc"]),
-    )
-    return RunConfig(
-        scenario=scenario, ess=ess, grid=grid, scales=scales, train=train,
-        algorithms=tuple(doc["algorithms"]), seeds=tuple(int(s) for s in doc["seeds"]),
-        out_dir=str(doc["out_dir"]),
-    )
+    return _build(RunConfig, {**doc, **sections})
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -252,75 +235,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 def resolved_dict(config: RunConfig) -> dict:
     """The full configuration as a plain dict; reloading it is the identity."""
-    sc = config.scenario
-    ess = config.ess
-    return {
-        "scenario": {
-            "mode": sc.mode,
-            "sample_name": sc.sample_name,
-            "price_csv": sc.price_csv,
-            "pv_csv": sc.pv_csv,
-            "station_count": sc.station_count,
-            "horizon": sc.horizon,
-            "price_base": sc.price_base,
-            "price_swing": sc.price_swing,
-            "price_noise_sigma": sc.price_noise_sigma,
-            "pv_peak_kwh": sc.pv_peak_kwh,
-            "series_seed": sc.series_seed,
-            "multipliers": {
-                "ev": sc.multipliers[0],
-                "trade": sc.multipliers[1],
-                "buyback": sc.multipliers[2],
-            },
-            "demand": {
-                "profiles": [list(p) for p in sc.demand_profiles],
-                "noise_sigma": sc.demand_noise_sigma,
-                "urgent_fraction": sc.urgent_fraction,
-            },
-            "initial_soc": sc.initial_soc,
-        },
-        "ess": {
-            "capacity_max": ess.capacity_max,
-            "soc_min": ess.soc_min,
-            "soc_max": ess.soc_max,
-            "leakage_beta": ess.leakage_beta,
-            "export_cap": ess.export_cap,
-            "import_cap": ess.import_cap,
-        },
-        "grid": {
-            "ev_fractions": list(config.grid.ev_fractions),
-            "cs_levels": config.grid.cs_levels,
-        },
-        "scales": {
-            "demand_all": config.scales.demand_all,
-            "soc": config.scales.soc,
-            "urgent": config.scales.urgent,
-            "regular": config.scales.regular,
-            "renewable": config.scales.renewable,
-            "price": config.scales.price,
-        },
-        "train": {
-            "episodes": config.train.episodes,
-            "gamma": config.train.gamma,
-            "lr_agent": config.train.lr_agent,
-            "lr_mixer": config.train.lr_mixer,
-            "epsilon_start": config.train.epsilon_start,
-            "epsilon_end": config.train.epsilon_end,
-            "epsilon_decay_frac": config.train.epsilon_decay_frac,
-            "target_period": config.train.target_period,
-            "batch_episodes": config.train.batch_episodes,
-            "capacity": config.train.capacity,
-            "reward_scale": config.train.reward_scale,
-            "agent_loss_mode": config.train.agent_loss_mode,
-            "hidden_dim": config.train.hidden_dim,
-            "embed_dim": config.train.embed_dim,
-            "hyper_hidden": config.train.hyper_hidden,
-            "debug_checks": config.train.debug_checks,
-        },
-        "algorithms": list(config.algorithms),
-        "seeds": list(config.seeds),
-        "out_dir": config.out_dir,
-    }
+    out = _to_json(asdict(config))
+    out["scenario"] = _scenario_to_json(out["scenario"])
+    return out
 
 
 def build_scenario(config: RunConfig) -> tuple[PriceSeries, PvSeries, DemandModel, int]:

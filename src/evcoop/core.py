@@ -335,7 +335,10 @@ def step(
                 f"station {i}: ev_supply {act.ev_supply} outside [{lo_supply}, {hi_supply}]"
             )
         flow, cut = curtail_renewable(renewables[i], act.ev_supply, st.battery_kwh, params)
-        lower, upper = ess_bounds(st.battery_kwh, flow, params)
+        try:
+            lower, upper = ess_bounds(st.battery_kwh, flow, params)
+        except InfeasibleIntervalError as exc:
+            raise InfeasibleIntervalError(f"station {i}: {exc}") from None
         if act.ess_control < lower - _TOL or act.ess_control > upper + _TOL:
             raise ConstraintViolation(
                 f"station {i}: ess_control {act.ess_control} outside [{lower}, {upper}]"

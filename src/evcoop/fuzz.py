@@ -218,12 +218,3 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
                 notes.append(f"call {k}: {'; '.join(bad)}")
     return FuzzReport("profit-identities", calls, violations,
                       time.perf_counter() - t0, notes)
-
-
-def run_all(clearing_calls: int = 10_000, battery_calls: int = 10_000,
-            profit_calls: int = 1_000, seed: int = 0) -> list[FuzzReport]:
-    return [
-        fuzz_clearing(clearing_calls, seed),
-        fuzz_battery(battery_calls, seed + 1),
-        fuzz_profit(profit_calls, seed + 2),
-    ]

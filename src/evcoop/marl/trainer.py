@@ -15,7 +15,6 @@ the single-mixer baseline with target-net action selection.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -89,9 +88,7 @@ class DRQNAgent:
 
     def __init__(self, obs_dim: int, n_actions: int, hidden_dim: int,
                  rng: np.random.Generator):
-        self.obs_dim = obs_dim
         self.n_actions = n_actions
-        self.hidden_dim = hidden_dim
         self.encoder = Dense(obs_dim, hidden_dim, "relu", rng)
         self.gru = GRUCell(hidden_dim, hidden_dim, rng)
         self.head = Dense(hidden_dim, n_actions, "none", rng)
@@ -132,33 +129,22 @@ class LearnerState:
     episodes_done: int = 0
     debug_violations: int = 0
 
-    @property
-    def n_actions(self) -> int:
-        return self.grid.n_actions
-
-    @property
-    def state_dim(self) -> int:
-        return self.n_agents * OBS_DIM
+    def parameters(self, role: str) -> dict[str, Tensor]:
+        """Every ``role`` ("eval" or "target") parameter under its checkpoint name."""
+        out: dict[str, Tensor] = {}
+        for i, agent in enumerate(getattr(self, f"agents_{role}")):
+            out.update(agent.parameters(f"agent{i}."))
+        for mixer in ("mixer_a", "mixer_b"):
+            net = getattr(self, f"{mixer}_{role}")
+            if net is not None:
+                out.update(net.parameters(f"{mixer}."))
+        return out
 
     def eval_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, agent in enumerate(self.agents_eval):
-            out.update(agent.parameters(f"agent{i}."))
-        if self.mixer_a_eval is not None:
-            out.update(self.mixer_a_eval.parameters("mixer_a."))
-        if self.mixer_b_eval is not None:
-            out.update(self.mixer_b_eval.parameters("mixer_b."))
-        return out
+        return self.parameters("eval")
 
     def target_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, agent in enumerate(self.agents_target):
-            out.update(agent.parameters(f"agent{i}."))
-        if self.mixer_a_target is not None:
-            out.update(self.mixer_a_target.parameters("mixer_a."))
-        if self.mixer_b_target is not None:
-            out.update(self.mixer_b_target.parameters("mixer_b."))
-        return out
+        return self.parameters("target")
 
 
 def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
@@ -194,15 +180,10 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
         opt_agents=None, opt_mixers=None,
     )
     if algorithm != "random":
-        agent_params: dict[str, Tensor] = {}
-        for i, agent in enumerate(agents_eval):
-            agent_params.update(agent.parameters(f"agent{i}."))
-        learner.opt_agents = Adam(agent_params, lr=config.lr_agent)
-        mixer_params: dict[str, Tensor] = {}
-        if mixer_a_eval is not None:
-            mixer_params.update(mixer_a_eval.parameters("mixer_a."))
-        if mixer_b_eval is not None:
-            mixer_params.update(mixer_b_eval.parameters("mixer_b."))
+        params = learner.parameters("eval")
+        learner.opt_agents = Adam({k: p for k, p in params.items() if k.startswith("agent")},
+                                  lr=config.lr_agent)
+        mixer_params = {k: p for k, p in params.items() if k.startswith("mixer")}
         if mixer_params:
             learner.opt_mixers = Adam(mixer_params, lr=config.lr_mixer)
     sync_targets(learner)
@@ -211,8 +192,8 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
 
 def sync_targets(learner: LearnerState) -> None:
     """Copy every eval parameter into its target twin, exactly."""
-    eval_params = learner.eval_parameters()
-    for name, target in learner.target_parameters().items():
+    eval_params = learner.parameters("eval")
+    for name, target in learner.parameters("target").items():
         target.data = eval_params[name].data.copy()
 
 
@@ -310,15 +291,10 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
 
 def _stack_batch(batch: Sequence[EpisodeRecord]):
     T = batch[0].length
-    for r in batch:
-        if r.length != T:
-            raise ValueError("episodes in one batch must share a length")
-    obs = np.stack([r.obs for r in batch])
-    states = np.stack([r.state for r in batch])
-    actions = np.stack([r.actions for r in batch])
-    masks = np.stack([r.masks for r in batch])
-    rewards = np.stack([r.rewards for r in batch])
-    return obs, states, actions, masks, rewards
+    if any(r.length != T for r in batch):
+        raise ValueError("episodes in one batch must share a length")
+    return tuple(np.stack([getattr(r, name) for r in batch])
+                 for name in ("obs", "state", "actions", "masks", "rewards"))
 
 
 def _unroll_numpy(agents: list[DRQNAgent], obs: np.ndarray) -> np.ndarray:
@@ -375,24 +351,18 @@ def compute_targets(batch: Sequence[EpisodeRecord], learner: LearnerState) -> Ta
         next_actions = _masked_argmax(q_target, masks)
 
     chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]  # (B,T,I)
-    flat_states = states[:, 1:, :].reshape(B * (T - 1), -1) if T > 1 else None
 
     y = rewards.astype(np.float64).copy()
     mix_a = np.full((B, T), np.nan)
-    mix_b = None
+    mix_b = np.full((B, T), np.nan) if learner.algorithm == "double_qmix" else None
     if T > 1:
+        flat_states = states[:, 1:, :].reshape(B * (T - 1), -1)
         flat_q = chosen[:, 1:, :].reshape(B * (T - 1), n)
-        qa = _mixer_apply(learner.mixer_a_target, flat_states, flat_q).reshape(B, T - 1)
-        mix_a[:, :-1] = qa
-        if learner.algorithm == "double_qmix":
-            qb = _mixer_apply(learner.mixer_b_target, flat_states, flat_q).reshape(B, T - 1)
-            mix_b = np.full((B, T), np.nan)
-            mix_b[:, :-1] = qb
-            y[:, :-1] += gamma * np.minimum(qa, qb)
-        else:
-            y[:, :-1] += gamma * qa
-    elif learner.algorithm == "double_qmix":
-        mix_b = np.full((B, T), np.nan)
+        for mix, mixer in ((mix_a, learner.mixer_a_target), (mix_b, learner.mixer_b_target)):
+            if mix is not None:
+                mix[:, :-1] = _mixer_apply(mixer, flat_states, flat_q).reshape(B, T - 1)
+        tail = mix_a[:, :-1] if mix_b is None else np.minimum(mix_a[:, :-1], mix_b[:, :-1])
+        y[:, :-1] += gamma * tail
     return Targets(y=y, mix_a=mix_a, mix_b=mix_b)
 
 
@@ -417,10 +387,9 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
             learner.debug_violations += int(
                 np.sum(tail > cfg.gamma * mix[:, :-1] + 1e-9))
 
-    if learner.opt_agents is not None:
-        learner.opt_agents.zero_grad()
-    if learner.opt_mixers is not None:
-        learner.opt_mixers.zero_grad()
+    optimizers = [opt for opt in (learner.opt_agents, learner.opt_mixers) if opt is not None]
+    for opt in optimizers:
+        opt.zero_grad()
 
     # taped unroll of the eval agents at the actions actually taken
     chosen: list[list[Tensor]] = []
@@ -432,27 +401,17 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
             per_slot.append(q.gather(actions[:, t, i]))
         chosen.append(per_slot)
 
+    independent = learner.algorithm == "independent_dqn"
+    direct = cfg.agent_loss_mode == "direct"
     agent_losses: list[float] = []
     total: Tensor | None = None
+    l_mix_value: float | None = None
 
-    if learner.algorithm == "independent_dqn":
-        for i in range(n):
-            acc = None
-            for t in range(T):
-                d = chosen[i][t] - Tensor(targets.y[:, t, i])
-                term = (d * d).sum()
-                acc = term if acc is None else acc + term
-            loss_i = acc * scale
-            agent_losses.append(float(loss_i.item()))
-            total = loss_i if total is None else total + loss_i
-        l_mix_value: float | None = None
-    else:
-        detach_into_mixer = cfg.agent_loss_mode == "direct"
+    if not independent:
         acc_mix = None
         for t in range(T):
-            cols = [chosen[i][t].detach() if detach_into_mixer else chosen[i][t]
-                    for i in range(n)]
-            qs_t = stack_cols(cols)
+            qs_t = stack_cols([chosen[i][t].detach() if direct else chosen[i][t]
+                               for i in range(n)])
             st_t = Tensor(states[:, t, :])
             y_t = Tensor(targets.y[:, t])
             da = learner.mixer_a_eval.forward(st_t, qs_t) - y_t
@@ -461,26 +420,25 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
                 db = learner.mixer_b_eval.forward(st_t, qs_t) - y_t
                 term = term + (db * db).sum()
             acc_mix = term if acc_mix is None else acc_mix + term
-        l_mix = acc_mix * scale
-        l_mix_value = float(l_mix.item())
-        total = l_mix
+        total = acc_mix * scale
+        l_mix_value = float(total.item())
 
-        if detach_into_mixer:
-            # per-agent regression straight onto the joint-scale target
-            for i in range(n):
-                acc = None
-                for t in range(T):
-                    d = chosen[i][t] - Tensor(targets.y[:, t])
-                    term = (d * d).sum()
-                    acc = term if acc is None else acc + term
-                loss_i = acc * scale
-                agent_losses.append(float(loss_i.item()))
-                total = total + loss_i
-        else:
-            # agents learn through the mixer; report the per-agent residual as a metric
-            for i in range(n):
-                vals = np.stack([chosen[i][t].data for t in range(T)], axis=1)
-                agent_losses.append(float(np.mean((vals - targets.y) ** 2)))
+    if independent or direct:
+        # per-agent regression onto its own target, or straight onto the joint-scale one
+        for i in range(n):
+            acc = None
+            for t in range(T):
+                d = chosen[i][t] - Tensor(targets.y[:, t, i] if independent else targets.y[:, t])
+                term = (d * d).sum()
+                acc = term if acc is None else acc + term
+            loss_i = acc * scale
+            agent_losses.append(float(loss_i.item()))
+            total = loss_i if total is None else total + loss_i
+    else:
+        # agents learn through the mixer; report the per-agent residual as a metric
+        for i in range(n):
+            vals = np.stack([chosen[i][t].data for t in range(T)], axis=1)
+            agent_losses.append(float(np.mean((vals - targets.y) ** 2)))
 
     if l_mix_value is not None and not np.isfinite(l_mix_value):
         raise DivergenceError(f"non-finite mixer loss {l_mix_value}")
@@ -488,10 +446,8 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
         raise DivergenceError(f"non-finite agent loss {agent_losses}")
 
     total.backward()
-    if learner.opt_agents is not None:
-        learner.opt_agents.step()
-    if learner.opt_mixers is not None:
-        learner.opt_mixers.step()
+    for opt in optimizers:
+        opt.step()
     learner.train_steps += 1
     return l_mix_value, agent_losses
 
@@ -550,30 +506,24 @@ def greedy_profit(episode: Episode, learner: LearnerState) -> float:
 
 # --- checkpoint round-trip -------------------------------------------------
 
+def _checkpoint_params(learner: LearnerState) -> dict[str, Tensor]:
+    return {f"{role}.{name}": p for role in ("eval", "target")
+            for name, p in learner.parameters(role).items()}
+
+
 def save_learner(path, learner: LearnerState) -> None:
-    params: dict[str, Tensor] = {}
-    for name, p in learner.eval_parameters().items():
-        params[f"eval.{name}"] = p
-    for name, p in learner.target_parameters().items():
-        params[f"target.{name}"] = p
-    ep = learner.env_params
     meta = {
         "kind": "learner",
         "algorithm": learner.algorithm,
         "n_agents": learner.n_agents,
         "train_config": asdict(learner.config),
-        "grid": {"ev_fractions": list(learner.grid.ev_fractions),
-                 "cs_levels": learner.grid.cs_levels},
+        "grid": asdict(learner.grid),
         "scales": asdict(learner.scales),
-        "env_params": {
-            "capacity_max": ep.capacity_max, "soc_min": ep.soc_min,
-            "soc_max": ep.soc_max, "leakage_beta": ep.leakage_beta,
-            "export_cap": ep.export_cap, "import_cap": ep.import_cap,
-        },
+        "env_params": asdict(learner.env_params),
         "counters": {"train_steps": learner.train_steps,
                      "episodes_done": learner.episodes_done},
     }
-    save_checkpoint(path, params, meta=meta)
+    save_checkpoint(path, _checkpoint_params(learner), meta=meta)
 
 
 def load_learner(path) -> LearnerState:
@@ -588,12 +538,7 @@ def load_learner(path) -> LearnerState:
     env_params = EssParams(**meta["env_params"])
     learner = build_learner(meta["algorithm"], meta["n_agents"], env_params,
                             grid, scales, config, np.random.default_rng(0))
-    params: dict[str, Tensor] = {}
-    for name, p in learner.eval_parameters().items():
-        params[f"eval.{name}"] = p
-    for name, p in learner.target_parameters().items():
-        params[f"target.{name}"] = p
-    restore_params(path, arrays, params)
+    restore_params(path, arrays, _checkpoint_params(learner))
     learner.train_steps = meta["counters"]["train_steps"]
     learner.episodes_done = meta["counters"]["episodes_done"]
     return learner

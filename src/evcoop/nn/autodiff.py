@@ -248,15 +248,6 @@ class Tensor:
 
         return self._result(a.data.sum(axis=axis), (a,), backward)
 
-    def mean(self) -> "Tensor":
-        a = self
-        n = a.data.size
-
-        def backward(g):
-            a._accum(np.broadcast_to(g / n, a.shape).copy())
-
-        return self._result(a.data.mean(), (a,), backward)
-
     def gather(self, indices: np.ndarray) -> "Tensor":
         """Select one column per row: ``out[b] = self[b, indices[b]]``."""
         a = self

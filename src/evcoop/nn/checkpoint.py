@@ -1,9 +1,9 @@
 """Parameter checkpointing on top of ``np.savez``.
 
 A checkpoint holds a format version, every parameter under ``param.<name>``,
-optional auxiliary arrays under ``extra.<name>`` (optimizer moments, counters),
-and a JSON metadata string.  Loading restores in place and refuses files whose
-parameter names or shapes do not match the nets being restored.
+optional auxiliary arrays under ``extra.<name>`` and a JSON metadata string.
+Loading restores in place and refuses files whose parameter names or shapes
+do not match the nets being restored.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     unparsable metadata all raise CheckpointError.
     """
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise CheckpointError(f"{path} is not an npz archive")
-        with archive:
-            arrays = {name: archive[name] for name in archive.files}
+        # np.load leaves a path it opened itself open when the archive is corrupt
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise CheckpointError(f"{path} is not an npz archive")
+            with archive:
+                arrays = {name: archive[name] for name in archive.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if "format_version" not in arrays:

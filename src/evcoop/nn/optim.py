@@ -15,8 +15,7 @@ class Adam:
     """Standard Adam with bias correction.
 
     ``params`` is a flat name -> Tensor dict; first and second moments are
-    kept per name so the same optimizer instance survives checkpoint
-    round-trips as long as parameter names and shapes are stable.
+    kept per name.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -56,20 +55,3 @@ class Adam:
             p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
             if not np.all(np.isfinite(p.data)):
                 raise DivergenceError(f"non-finite parameter {name} after update")
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers and step count, flat and np.savez-friendly."""
-        out: dict[str, np.ndarray] = {"adam.t": np.array(self.t)}
-        for k in self.params:
-            out[f"adam.m.{k}"] = self.m[k]
-            out[f"adam.v.{k}"] = self.v[k]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.t = int(arrays["adam.t"])
-        for k in self.params:
-            m, v = arrays[f"adam.m.{k}"], arrays[f"adam.v.{k}"]
-            if m.shape != self.m[k].shape or v.shape != self.v[k].shape:
-                raise ValueError(f"optimizer state shape mismatch for {k}")
-            self.m[k] = m.astype(np.float64)
-            self.v[k] = v.astype(np.float64)

@@ -247,7 +247,7 @@ def test_step_batch_rejects_what_step_rejects(case):
         arrival = (-1.0, 0.0)
     else:                               # a 500 kWh deficit the import cap cannot cover
         battery, urgent, supply = 5.0, 500.0, 500.0
-    with pytest.raises(ConstraintViolation) as scalar:
+    with pytest.raises(ConstraintViolation, match="station 1") as scalar:
         step([StationState(50.0, 5.0, 5.0), StationState(battery, urgent, 5.0)],
              [StationAction(5.0, 0.0), StationAction(supply, control)], [0.0, 0.0], quote,
              [(0.0, 0.0), arrival], params)

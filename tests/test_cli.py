@@ -87,6 +87,23 @@ def test_oracle_subcommand_writes_rows(tmp_path):
     assert lines[1].split(",")[1] == "oracle"
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["oracle", "--instances", "0", "--out", "."], id="instances-0"),
+    pytest.param(["oracle", "--instances", "1", "--lookahead", "0", "--out", "."],
+                 id="lookahead-0"),
+    pytest.param(["oracle", "--instances", "1", "--lookahead", "-1", "--out", "."],
+                 id="lookahead-neg"),
+    pytest.param(["compare", "--runs", "nowhere", "--window", "0"], id="window-0"),
+    pytest.param(["fuzz", "--clearing", "1", "--battery", "1", "--profit", "0"], id="fuzz-0"),
+])
+def test_counts_below_one_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    flag = next(a for a in reversed(argv) if a.startswith("--") and a != "--out")
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}")
+    assert not any(tmp_path.iterdir())
+
+
 def test_fuzz_subcommand_quick_pass():
     assert main(["fuzz", "--clearing", "300", "--battery", "300", "--profit", "100"]) == 0
 

@@ -1,11 +1,17 @@
 """Configuration loading: schema, defaults, merging, scenario building."""
 
 import json
+from dataclasses import fields, is_dataclass
+from importlib import resources
+from typing import get_type_hints
 
+import jsonschema
 import pytest
 
 from evcoop.config import (
+    DEFAULTS,
     ConfigError,
+    RunConfig,
     build_scenario,
     load_config,
     load_config_dict,
@@ -21,6 +27,43 @@ def test_empty_document_resolves_defaults():
     assert cfg.scenario.mode == "sample"
     assert cfg.algorithms == ("double_qmix",)
     assert cfg.seeds == (0,)
+
+
+def test_schema_names_exactly_the_dataclass_fields():
+    schema = json.loads(resources.files("evcoop").joinpath("config_schema.json").read_text())
+    props = schema["properties"]
+    assert set(props) == {f.name for f in fields(RunConfig)}
+    for name, cls in get_type_hints(RunConfig).items():
+        if not is_dataclass(cls):
+            continue
+        expected = {f.name for f in fields(cls)}
+        if name == "scenario":
+            # two nested JSON objects hold four flat fields
+            demand = {"profiles": "demand_profiles", "noise_sigma": "demand_noise_sigma",
+                      "urgent_fraction": "urgent_fraction"}
+            nested = props["scenario"]["properties"]
+            assert list(nested["multipliers"]["properties"]) == ["ev", "trade", "buyback"]
+            assert set(nested["demand"]["properties"]) == set(demand)
+            expected = expected - set(demand.values()) | {"demand"}
+        assert set(props[name]["properties"]) == expected, name
+        assert set(DEFAULTS[name]) == expected, name
+    jsonschema.Draft7Validator(schema).validate(DEFAULTS)
+
+
+def test_capacity_override_still_moves_the_default_caps():
+    assert DEFAULTS["ess"]["export_cap"] is None
+    cfg = load_config_dict({"ess": {"capacity_max": 150}})
+    assert cfg.ess.capacity_max == 150.0
+    assert (cfg.ess.export_cap, cfg.ess.import_cap) == (1500.0, 1500.0)
+
+
+def test_values_take_their_field_types():
+    cfg = load_config_dict({"train": {"episodes": 12.0, "lr_agent": 1},
+                            "grid": {"ev_fractions": [0, 1]}, "seeds": [3.0]})
+    assert type(cfg.train.episodes) is int and type(cfg.train.lr_agent) is float
+    assert cfg.grid.ev_fractions == (0.0, 1.0)
+    assert all(type(f) is float for f in cfg.grid.ev_fractions)
+    assert cfg.seeds == (3,) and type(cfg.seeds[0]) is int
 
 
 def test_resolved_dict_roundtrip_is_identity():

@@ -200,16 +200,28 @@ def test_rollout_deterministic_given_seed():
     assert rec1.rewards == pytest.approx(rec2.rewards)
 
 
-@pytest.mark.parametrize("algorithm", ["double_qmix", "qmix", "independent_dqn"])
-def test_train_step_reduces_loss_on_fixed_batch(algorithm):
-    learner = _learner(algorithm)
+@pytest.mark.parametrize("algorithm, mode", [
+    pytest.param("double_qmix", "direct", id="double_qmix"),
+    pytest.param("qmix", "direct", id="qmix"),
+    pytest.param("independent_dqn", "direct", id="independent_dqn"),
+    pytest.param("double_qmix", "mixer_grad", id="double_qmix-mixer_grad"),
+    pytest.param("qmix", "mixer_grad", id="qmix-mixer_grad"),
+])
+def test_train_step_reduces_loss_on_fixed_batch(algorithm, mode):
+    learner = _learner(algorithm, agent_loss_mode=mode)
     batch = _batch(learner, n=2)
+    agent_params = {k: p for k, p in learner.eval_parameters().items() if k.startswith("agent")}
+    before = {k: p.data.copy() for k, p in agent_params.items()}
     losses = []
     for _ in range(40):
         l_mix, agent_losses = train_step(batch, learner)
         losses.append(l_mix if l_mix is not None else float(np.mean(agent_losses)))
     assert all(np.isfinite(losses))
     assert losses[-1] < losses[0]
+    # In either mode every agent parameter learns: from its own regression
+    # or from the gradient that flows back through the mixer.
+    for k, p in agent_params.items():
+        assert not np.array_equal(p.data, before[k]), k
 
 
 def test_train_loop_end_to_end_and_metrics():
