@@ -22,7 +22,15 @@ import numpy as np
 from .config import ConfigError, RunConfig, build_scenario, load_config, load_config_dict, resolved_dict
 from .data import ScenarioDataError, build_episode, synth_demand
 from .fuzz import fuzz_battery, fuzz_clearing, fuzz_profit
-from .marl import ReplayBuffer, build_learner, load_learner, rollout_episode, save_learner, train
+from .marl import (
+    EpisodeMetrics,
+    ReplayBuffer,
+    build_learner,
+    load_learner,
+    rollout_episode,
+    save_learner,
+    train,
+)
 from .nn import CheckpointError, DivergenceError
 from .oracle import brute_force, random_tiny_instance, replay_sequence, rolling_greedy
 from .report import (
@@ -104,7 +112,7 @@ def cmd_train(args) -> int:
 
             run_dir = out_root / f"{algorithm}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            write_metrics_csv(run_dir / "metrics.csv", metrics, algorithm, seed)
+            write_metrics_csv(run_dir / "metrics.csv", [(algorithm, m) for m in metrics], seed)
             write_timings_csv(run_dir / "timings.csv", metrics)
             save_learner(run_dir / "checkpoint.npz", learner)
 
@@ -160,8 +168,11 @@ def cmd_oracle(args) -> int:
         if lookahead >= instance.episode.length \
                 and abs(greedy_total - result.profit) > 1e-9 * max(1.0, abs(result.profit)):
             mismatches += 1
-        rows.append((k, "oracle", result.profit, oracle_split, result.nodes))
-        rows.append((k, f"greedy-L{lookahead}", greedy_total, greedy_split, None))
+        for name, total, split in (("oracle", result.profit, oracle_split),
+                                   (f"greedy-L{lookahead}", greedy_total, greedy_split)):
+            rows.append((name, EpisodeMetrics(
+                episode=k, total_profit=total, station_profits=split, l_mix=None,
+                agent_loss_mean=None, epsilon=None, wall_time_s=None)))
         print(f"instance {k}: optimum ${result.profit:.4f} "
               f"({result.nodes} nodes, {result.wall_time_s:.2f}s), "
               f"greedy-L{lookahead} ${greedy_total:.4f}")
@@ -169,16 +180,7 @@ def cmd_oracle(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        import csv as _csv
-        with (out_dir / "oracle_metrics.csv").open("w", newline="") as fh:
-            w = _csv.writer(fh)
-            n_st = len(rows[0][3])
-            w.writerow(["episode", "algorithm", "seed", "total_profit"]
-                       + [f"station_profit_{i}" for i in range(n_st)]
-                       + ["l_mix", "agent_loss_mean", "epsilon"])
-            for k, name, total, split, _nodes in rows:
-                w.writerow([k, name, seed, repr(float(total))]
-                           + [repr(float(v)) for v in split] + ["", "", ""])
+        write_metrics_csv(out_dir / "oracle_metrics.csv", rows, seed)
         print(f"wrote {out_dir / 'oracle_metrics.csv'}")
 
     if mismatches:

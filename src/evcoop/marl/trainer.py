@@ -140,12 +140,6 @@ class LearnerState:
                 out.update(net.parameters(f"{mixer}."))
         return out
 
-    def eval_parameters(self) -> dict[str, Tensor]:
-        return self.parameters("eval")
-
-    def target_parameters(self) -> dict[str, Tensor]:
-        return self.parameters("target")
-
 
 def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
                   grid: ActionGrid, scales: ObsScales, config: TrainConfig,
@@ -297,22 +291,26 @@ def _stack_batch(batch: Sequence[EpisodeRecord]):
                  for name in ("obs", "state", "actions", "masks", "rewards"))
 
 
-def _unroll_numpy(agents: list[DRQNAgent], obs: np.ndarray) -> np.ndarray:
-    """Graph-free Q-values for every slot: (B, T, I, 6) -> (B, T, I, A)."""
-    B, T, n, _ = obs.shape
-    out = np.zeros((B, T, n, agents[0].n_actions))
-    with no_grad():
-        for i, agent in enumerate(agents):
-            h = agent.init_hidden(B)
-            for t in range(T):
-                q, h = agent.step(Tensor(obs[:, t, i, :]), h)
-                out[:, t, i, :] = q.data
+def _unroll(agents: list[DRQNAgent], obs: np.ndarray) -> list[list[Tensor]]:
+    """Q-values of every agent at every slot: (B, T, I, 6) -> ``q[i][t]`` of shape (B, A).
+
+    Records a tape unless called under ``no_grad``; the values are the same either way.
+    """
+    B, T = obs.shape[:2]
+    out = []
+    for i, agent in enumerate(agents):
+        h = agent.init_hidden(B)
+        per_slot = []
+        for t in range(T):
+            q, h = agent.step(Tensor(obs[:, t, i, :]), h)
+            per_slot.append(q)
+        out.append(per_slot)
     return out
 
 
-def _mixer_apply(mixer: MonotonicMixer, states: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    with no_grad():
-        return mixer.forward(Tensor(states), Tensor(qs)).data
+def _values(q: list[list[Tensor]]) -> np.ndarray:
+    """An unroll's Q-values as one (B, T, I, A) array."""
+    return np.stack([np.stack([q_t.data for q_t in per_slot], axis=1) for per_slot in q], axis=2)
 
 
 @dataclass
@@ -329,13 +327,19 @@ class Targets:
     mix_b: np.ndarray | None = None
 
 
-def compute_targets(batch: Sequence[EpisodeRecord], learner: LearnerState) -> Targets:
-    """Line-by-line bootstrap: next actions, target values, reward plus discounted tail."""
-    obs, states, _, masks, rewards = _stack_batch(batch)
+def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
+                    rewards: np.ndarray, q_eval: np.ndarray,
+                    learner: LearnerState) -> Targets:
+    """Line-by-line bootstrap: next actions, target values, reward plus discounted tail.
+
+    Takes the stacked batch arrays and the eval agents' (B, T, I, A) Q-values,
+    which pick double_qmix's next-slot actions.
+    """
     B, T, n, _ = obs.shape
     gamma = learner.config.gamma
 
-    q_target = _unroll_numpy(learner.agents_target, obs)
+    with no_grad():
+        q_target = _values(_unroll(learner.agents_target, obs))
 
     if learner.algorithm == "independent_dqn":
         y = np.repeat(rewards[:, :, None], n, axis=2)
@@ -343,24 +347,22 @@ def compute_targets(batch: Sequence[EpisodeRecord], learner: LearnerState) -> Ta
         y[:, :-1, :] += gamma * best_next[:, 1:, :]
         return Targets(y=y)
 
-    if learner.algorithm == "double_qmix":
-        # next-slot actions come from the eval agents (decoupled selection)
-        q_eval = _unroll_numpy(learner.agents_eval, obs)
-        next_actions = _masked_argmax(q_eval, masks)  # (B,T,I)
-    else:  # qmix: target nets pick their own maximizing actions
-        next_actions = _masked_argmax(q_target, masks)
-
+    # double_qmix: the eval agents pick next-slot actions (decoupled selection);
+    # qmix: target nets pick their own maximizing actions
+    selector = q_eval if learner.algorithm == "double_qmix" else q_target
+    next_actions = _masked_argmax(selector, masks)  # (B,T,I)
     chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]  # (B,T,I)
 
     y = rewards.astype(np.float64).copy()
     mix_a = np.full((B, T), np.nan)
     mix_b = np.full((B, T), np.nan) if learner.algorithm == "double_qmix" else None
     if T > 1:
-        flat_states = states[:, 1:, :].reshape(B * (T - 1), -1)
-        flat_q = chosen[:, 1:, :].reshape(B * (T - 1), n)
-        for mix, mixer in ((mix_a, learner.mixer_a_target), (mix_b, learner.mixer_b_target)):
-            if mix is not None:
-                mix[:, :-1] = _mixer_apply(mixer, flat_states, flat_q).reshape(B, T - 1)
+        flat_states = Tensor(states[:, 1:, :].reshape(B * (T - 1), -1))
+        flat_q = Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))
+        with no_grad():
+            for mix, mixer in ((mix_a, learner.mixer_a_target), (mix_b, learner.mixer_b_target)):
+                if mix is not None:
+                    mix[:, :-1] = mixer.forward(flat_states, flat_q).data.reshape(B, T - 1)
         tail = mix_a[:, :-1] if mix_b is None else np.minimum(mix_a[:, :-1], mix_b[:, :-1])
         y[:, :-1] += gamma * tail
     return Targets(y=y, mix_a=mix_a, mix_b=mix_b)
@@ -372,11 +374,13 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     if learner.algorithm == "random":
         raise ValueError("the random baseline does not train")
     cfg = learner.config
-    obs, states, actions, _, rewards = _stack_batch(batch)
-    B, T, n, _ = obs.shape
+    obs, states, actions, masks, rewards = _stack_batch(batch)
+    B, T = obs.shape[:2]
     scale = 1.0 / (B * T)
 
-    targets = compute_targets(batch, learner)
+    # the one taped unroll of the eval agents; its values also serve the targets
+    q_eval = _unroll(learner.agents_eval, obs)
+    targets = compute_targets(obs, states, masks, rewards, _values(q_eval), learner)
     if not np.all(np.isfinite(targets.y)):
         raise DivergenceError("non-finite bootstrap target")
 
@@ -391,15 +395,9 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     for opt in optimizers:
         opt.zero_grad()
 
-    # taped unroll of the eval agents at the actions actually taken
-    chosen: list[list[Tensor]] = []
-    for i, agent in enumerate(learner.agents_eval):
-        h = agent.init_hidden(B)
-        per_slot = []
-        for t in range(T):
-            q, h = agent.step(Tensor(obs[:, t, i, :]), h)
-            per_slot.append(q.gather(actions[:, t, i]))
-        chosen.append(per_slot)
+    # each agent's Q-value at the actions actually taken, (B, T)
+    chosen = [stack_cols([q_t.gather(actions[:, t, i]) for t, q_t in enumerate(per_slot)])
+              for i, per_slot in enumerate(q_eval)]
 
     independent = learner.algorithm == "independent_dqn"
     direct = cfg.agent_loss_mode == "direct"
@@ -408,37 +406,27 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     l_mix_value: float | None = None
 
     if not independent:
-        acc_mix = None
-        for t in range(T):
-            qs_t = stack_cols([chosen[i][t].detach() if direct else chosen[i][t]
-                               for i in range(n)])
-            st_t = Tensor(states[:, t, :])
-            y_t = Tensor(targets.y[:, t])
-            da = learner.mixer_a_eval.forward(st_t, qs_t) - y_t
-            term = (da * da).sum()
-            if learner.mixer_b_eval is not None:
-                db = learner.mixer_b_eval.forward(st_t, qs_t) - y_t
-                term = term + (db * db).sum()
-            acc_mix = term if acc_mix is None else acc_mix + term
-        total = acc_mix * scale
+        # every eval mixer mixes all B*T (episode, slot) rows at once
+        qs = stack_cols([(c.detach() if direct else c).reshape(B * T) for c in chosen])
+        st = Tensor(states.reshape(B * T, -1))
+        y = Tensor(targets.y.reshape(B * T))
+        for mixer in (learner.mixer_a_eval, learner.mixer_b_eval):
+            if mixer is not None:
+                d = mixer.forward(st, qs) - y
+                total = (d * d).sum() if total is None else total + (d * d).sum()
+        total = total * scale
         l_mix_value = float(total.item())
 
     if independent or direct:
         # per-agent regression onto its own target, or straight onto the joint-scale one
-        for i in range(n):
-            acc = None
-            for t in range(T):
-                d = chosen[i][t] - Tensor(targets.y[:, t, i] if independent else targets.y[:, t])
-                term = (d * d).sum()
-                acc = term if acc is None else acc + term
-            loss_i = acc * scale
+        for i, c in enumerate(chosen):
+            d = c - Tensor(targets.y[:, :, i] if independent else targets.y)
+            loss_i = (d * d).sum() * scale
             agent_losses.append(float(loss_i.item()))
             total = loss_i if total is None else total + loss_i
     else:
         # agents learn through the mixer; report the per-agent residual as a metric
-        for i in range(n):
-            vals = np.stack([chosen[i][t].data for t in range(T)], axis=1)
-            agent_losses.append(float(np.mean((vals - targets.y) ** 2)))
+        agent_losses = [float(np.mean((c.data - targets.y) ** 2)) for c in chosen]
 
     if l_mix_value is not None and not np.isfinite(l_mix_value):
         raise DivergenceError(f"non-finite mixer loss {l_mix_value}")
@@ -454,13 +442,15 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
 
 @dataclass
 class EpisodeMetrics:
+    """One metrics.csv row; None where a row has no such value (oracle rows)."""
+
     episode: int
     total_profit: float
     station_profits: tuple[float, ...]
     l_mix: float | None
     agent_loss_mean: float | None
-    epsilon: float
-    wall_time_s: float
+    epsilon: float | None
+    wall_time_s: float | None
 
 
 def train(learner: LearnerState, buffer: ReplayBuffer,
@@ -531,14 +521,18 @@ def load_learner(path) -> LearnerState:
     arrays, meta = read_checkpoint(path)
     if meta.get("kind") != "learner":
         raise CheckpointError(f"{path} is not a learner checkpoint")
-    config = TrainConfig(**meta["train_config"])
-    grid = ActionGrid(ev_fractions=tuple(meta["grid"]["ev_fractions"]),
-                      cs_levels=meta["grid"]["cs_levels"])
-    scales = ObsScales(**meta["scales"])
-    env_params = EssParams(**meta["env_params"])
-    learner = build_learner(meta["algorithm"], meta["n_agents"], env_params,
-                            grid, scales, config, np.random.default_rng(0))
+    try:
+        config = TrainConfig(**meta["train_config"])
+        grid = ActionGrid(ev_fractions=tuple(meta["grid"]["ev_fractions"]),
+                          cs_levels=meta["grid"]["cs_levels"])
+        scales = ObsScales(**meta["scales"])
+        env_params = EssParams(**meta["env_params"])
+        learner = build_learner(meta["algorithm"], meta["n_agents"], env_params,
+                                grid, scales, config, np.random.default_rng(0))
+        learner.train_steps = meta["counters"]["train_steps"]
+        learner.episodes_done = meta["counters"]["episodes_done"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path} has unusable learner metadata: {type(exc).__name__}: {exc}") from exc
     restore_params(path, arrays, _checkpoint_params(learner))
-    learner.train_steps = meta["counters"]["train_steps"]
-    learner.episodes_done = meta["counters"]["episodes_done"]
     return learner

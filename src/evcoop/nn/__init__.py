@@ -2,7 +2,7 @@
 finite-difference gradient checking, and npz checkpoints."""
 
 from .autodiff import Tensor, no_grad, parameter, stack_cols
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, save_checkpoint
 from .gradcheck import GradCheckReport, check_gradients
 from .layers import Dense, DenseNet, GRUCell, MonotonicMixer
 from .optim import Adam, DivergenceError
@@ -10,6 +10,6 @@ from .optim import Adam, DivergenceError
 __all__ = [
     "Adam", "CheckpointError", "Dense", "DenseNet", "DivergenceError",
     "GRUCell", "GradCheckReport", "MonotonicMixer", "Tensor",
-    "check_gradients", "load_checkpoint", "no_grad", "parameter",
-    "save_checkpoint", "stack_cols",
+    "check_gradients", "no_grad", "parameter", "save_checkpoint",
+    "stack_cols",
 ]

@@ -1,9 +1,8 @@
 """Parameter checkpointing on top of ``np.savez``.
 
-A checkpoint holds a format version, every parameter under ``param.<name>``,
-optional auxiliary arrays under ``extra.<name>`` and a JSON metadata string.
-Loading restores in place and refuses files whose parameter names or shapes
-do not match the nets being restored.
+A checkpoint holds a format version, every parameter under ``param.<name>``
+and a JSON metadata string.  Loading restores in place and refuses files
+whose parameter names or shapes do not match the nets being restored.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor],
-                    extra: dict[str, np.ndarray] | None = None,
                     meta: dict | None = None) -> None:
     arrays: dict[str, np.ndarray] = {
         "format_version": np.array(FORMAT_VERSION),
@@ -33,8 +31,6 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
     }
     for name, p in params.items():
         arrays[f"param.{name}"] = p.data
-    for name, arr in (extra or {}).items():
-        arrays[f"extra.{name}"] = np.asarray(arr)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -69,8 +65,8 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def restore_params(path: str | Path, arrays: dict[str, np.ndarray],
-                   params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Restore ``params`` in place from read arrays; returns the extra arrays.
+                   params: dict[str, Tensor]) -> None:
+    """Restore ``params`` in place from read arrays.
 
     Nothing is written unless every name and shape matches.
     """
@@ -87,11 +83,3 @@ def restore_params(path: str | Path, arrays: dict[str, np.ndarray],
                 f"{path}: parameter {name} has shape {arr.shape}, expected {p.data.shape}")
     for name, p in params.items():
         p.data = arrays[f"param.{name}"].astype(np.float64)
-    return {n[len("extra."):]: a for n, a in arrays.items() if n.startswith("extra.")}
-
-
-def load_checkpoint(path: str | Path, params: dict[str, Tensor]
-                    ) -> tuple[dict[str, np.ndarray], dict]:
-    """Restore ``params`` in place; returns (extra arrays, metadata dict)."""
-    arrays, meta = read_checkpoint(path)
-    return restore_params(path, arrays, params), meta

@@ -11,7 +11,6 @@ on strict improvement, so ties keep the first sequence in that order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -27,10 +26,6 @@ ENUMERATION_BUDGET = 10_000_000
 
 class BudgetExceededError(ValueError):
     """Raised when the joint action space is too large to enumerate."""
-
-
-class MismatchedInstanceError(ValueError):
-    """Raised when comparing results computed on different instances."""
 
 
 @dataclass(frozen=True)
@@ -57,25 +52,6 @@ class OracleResult:
     actions: tuple[tuple[int, ...], ...]  # [slot][station] flat grid indices
     nodes: int
     wall_time_s: float
-    fingerprint: str
-
-
-def instance_fingerprint(instance: TinyInstance) -> str:
-    """Stable digest of the instance's data, for mismatch detection."""
-    h = hashlib.sha256()
-    ep = instance.episode
-    for q in ep.quotes:
-        h.update(np.array([q.utility, q.ev, q.trade, q.buyback]).tobytes())
-    h.update(np.array(ep.renewables).tobytes())
-    h.update(np.array(ep.arrivals).tobytes())
-    for s in ep.initial_states:
-        h.update(np.array([s.battery_kwh, s.urgent_demand, s.regular_demand]).tobytes())
-    p = instance.params
-    h.update(np.array([p.capacity_max, p.soc_min, p.soc_max, p.leakage_beta,
-                       p.export_cap, p.import_cap]).tobytes())
-    h.update(np.array(instance.grid.ev_fractions).tobytes())
-    h.update(np.array([instance.grid.cs_levels]).tobytes())
-    return h.hexdigest()
 
 
 # Child rows per ``step_batch`` call.  The search runs depth-first over
@@ -156,8 +132,7 @@ def brute_force(instance: TinyInstance) -> OracleResult:
     profit, seq, nodes = _search(ep, instance.params, instance.grid,
                                  _state_arrays(ep.initial_states), 0, ep.length)
     return OracleResult(profit=profit, actions=seq, nodes=nodes,
-                        wall_time_s=time.perf_counter() - t0,
-                        fingerprint=instance_fingerprint(instance))
+                        wall_time_s=time.perf_counter() - t0)
 
 
 def rolling_greedy(instance: TinyInstance, lookahead: int
@@ -207,32 +182,6 @@ def replay_sequence(instance: TinyInstance, actions: tuple[tuple[int, ...], ...]
         per_station += np.asarray(out.profit.station_profit)
         states = list(out.next_states)
     return total, tuple(float(v) for v in per_station)
-
-
-@dataclass
-class GapRow:
-    algorithm: str
-    profit: float
-    abs_gap: float
-    rel_gap: float
-
-
-def compare(run_profits: dict[str, float], oracle: OracleResult,
-            fingerprint: str) -> list[GapRow]:
-    """Gap of each algorithm's profit to the enumerated optimum."""
-    if fingerprint != oracle.fingerprint:
-        raise MismatchedInstanceError(
-            "profits and oracle result come from different instances")
-    rows = []
-    for name in sorted(run_profits):
-        p = run_profits[name]
-        gap = oracle.profit - p
-        if oracle.profit != 0.0:
-            rel = gap / abs(oracle.profit)
-        else:
-            rel = 0.0 if gap == 0.0 else math.inf
-        rows.append(GapRow(algorithm=name, profit=p, abs_gap=gap, rel_gap=rel))
-    return rows
 
 
 def random_tiny_instance(rng: np.random.Generator,

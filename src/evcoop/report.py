@@ -27,18 +27,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(path: str | Path, rows: list[EpisodeMetrics],
-                      algorithm: str, seed: int) -> None:
+def write_metrics_csv(path: str | Path, rows: list[tuple[str, EpisodeMetrics]],
+                      seed: int) -> None:
+    """One row per ``(algorithm, metrics)`` pair; a None value writes a blank cell."""
     if not rows:
         raise ValueError("no metrics rows to write")
-    n_stations = len(rows[0].station_profits)
+    n_stations = len(rows[0][1].station_profits)
     header = (["episode", "algorithm", "seed", "total_profit"]
               + [f"station_profit_{i}" for i in range(n_stations)]
               + ["l_mix", "agent_loss_mean", "epsilon"])
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for m in rows:
+        for algorithm, m in rows:
             w.writerow([m.episode, algorithm, seed, _fmt(m.total_profit)]
                        + [_fmt(v) for v in m.station_profits]
                        + [_fmt(m.l_mix), _fmt(m.agent_loss_mean), _fmt(m.epsilon)])

@@ -85,7 +85,7 @@ def test_gradient_fidelity_twenty_inits():
             diff_b = qb - Tensor(target)
             return (diff_a * diff_a).sum() + (diff_b * diff_b).sum()
 
-        report = check_gradients(loss_fn, learner.eval_parameters(),
+        report = check_gradients(loss_fn, learner.parameters("eval"),
                                  sample=12, rng=rng)
         worst = max(worst, report.max_rel_error)
         assert report.ok(1e-4), (

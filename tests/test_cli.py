@@ -1,5 +1,6 @@
 """End-to-end command-line flows: artifacts, determinism, exit codes."""
 
+import io
 import json
 
 import numpy as np
@@ -82,9 +83,16 @@ def test_compare_aggregates_runs(trained, tmp_path):
 def test_oracle_subcommand_writes_rows(tmp_path):
     code = main(["oracle", "--instances", "2", "--seed", "11", "--out", str(tmp_path)])
     assert code == 0
-    lines = (tmp_path / "oracle_metrics.csv").read_text().splitlines()
-    assert len(lines) == 1 + 2 * 2  # one oracle and one greedy row per instance
-    assert lines[1].split(",")[1] == "oracle"
+    rows = read_metrics_csv(tmp_path / "oracle_metrics.csv")
+    assert len(rows) == 2 * 2  # one oracle and one greedy row per instance
+    assert [(r["episode"], r["algorithm"]) for r in rows] == [
+        (0, "oracle"), (0, "greedy-L3"), (1, "oracle"), (1, "greedy-L3")]
+    for row in rows:
+        assert row["seed"] == 11
+        assert row["total_profit"] == pytest.approx(
+            row["station_profit_0"] + row["station_profit_1"])
+        assert row["l_mix"] is None and row["agent_loss_mean"] is None
+        assert row["epsilon"] is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,12 +136,30 @@ def test_evaluate_rejects_station_mismatch(trained, tmp_path):
     assert main(["evaluate", "--checkpoint", str(ck), "--config", str(cfg)]) == 1
 
 
-@pytest.mark.parametrize("damage", ["garbage", "truncated"])
-def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, damage):
-    good = (trained / "out" / "double_qmix_seed0" / "checkpoint.npz").read_bytes()
+def _with_meta(good, edit):
+    """A copy of the checkpoint at ``good`` whose metadata ``edit`` has changed."""
+    with np.load(good) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays["meta_json"]))
+    edit(meta)
+    arrays["meta_json"] = np.array(json.dumps(meta))
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "no-train-config", "unknown-field"])
+def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, capsys, damage):
+    good = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
     ck = tmp_path / "checkpoint.npz"
-    ck.write_bytes(b"not a checkpoint at all" if damage == "garbage" else good[: len(good) // 2])
+    ck.write_bytes({
+        "garbage": lambda: b"not a checkpoint at all",
+        "truncated": lambda: good.read_bytes()[: good.stat().st_size // 2],
+        "no-train-config": lambda: _with_meta(good, lambda m: m.pop("train_config")),
+        "unknown-field": lambda: _with_meta(good, lambda m: m["train_config"].update(bogus=1)),
+    }[damage]())
     assert main(["evaluate", "--checkpoint", str(ck), "--out", str(tmp_path)]) == 3
+    assert str(ck) in capsys.readouterr().err
 
 
 def test_evaluate_rejects_battery_mismatch(trained, tmp_path, capsys):

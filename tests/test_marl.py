@@ -27,6 +27,7 @@ from evcoop.marl import (
     train,
     train_step,
 )
+from evcoop.nn import GRUCell, MonotonicMixer, Tensor, no_grad, stack_cols
 
 PARAMS = EssParams()
 SCALES = ObsScales()
@@ -148,11 +149,117 @@ def _batch(learner, n=3):
     return out
 
 
+def _stacked(batch):
+    return tuple(np.stack([getattr(r, name) for r in batch])
+                 for name in ("obs", "state", "actions", "masks", "rewards"))
+
+
+def _targets(batch, learner):
+    obs, states, _, masks, rewards = _stacked(batch)
+    q_eval = _reference_unroll(learner.agents_eval, obs)
+    return compute_targets(obs, states, masks, rewards, q_eval, learner)
+
+
+# Reference: the learner step as first written, one slot at a time, with a
+# second graph-free unroll of the eval agents for the targets and one mixer
+# call per slot.  train_step mixes all slots at once and reuses its taped
+# unroll, so it may differ from this only in summation order.
+
+def _reference_unroll(agents, obs):
+    """Graph-free Q-values for every slot: (B, T, I, 6) -> (B, T, I, A)."""
+    B, T, n, _ = obs.shape
+    out = np.zeros((B, T, n, agents[0].n_actions))
+    with no_grad():
+        for i, agent in enumerate(agents):
+            h = agent.init_hidden(B)
+            for t in range(T):
+                q, h = agent.step(Tensor(obs[:, t, i, :]), h)
+                out[:, t, i, :] = q.data
+    return out
+
+
+def _reference_targets(obs, states, masks, rewards, learner):
+    B, T, n, _ = obs.shape
+    gamma = learner.config.gamma
+    q_target = _reference_unroll(learner.agents_target, obs)
+    if learner.algorithm == "independent_dqn":
+        y = np.repeat(rewards[:, :, None], n, axis=2)
+        best_next = np.max(np.where(masks, q_target, -np.inf), axis=-1)
+        y[:, :-1, :] += gamma * best_next[:, 1:, :]
+        return y
+    selector = (_reference_unroll(learner.agents_eval, obs)
+                if learner.algorithm == "double_qmix" else q_target)
+    next_actions = np.argmax(np.where(masks, selector, -np.inf), axis=-1)
+    chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]
+    y = rewards.astype(np.float64).copy()
+    flat_states = Tensor(states[:, 1:, :].reshape(B * (T - 1), -1))
+    flat_q = Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))
+    with no_grad():
+        tail = learner.mixer_a_target.forward(flat_states, flat_q).data
+        if learner.mixer_b_target is not None:
+            tail = np.minimum(tail, learner.mixer_b_target.forward(flat_states, flat_q).data)
+    y[:, :-1] += gamma * tail.reshape(B, T - 1)
+    return y
+
+
+def _reference_loss(batch, learner):
+    """(l_mix, agent losses) of one step; leaves the gradients in every eval ``grad``."""
+    obs, states, actions, masks, rewards = _stacked(batch)
+    B, T, n, _ = obs.shape
+    scale = 1.0 / (B * T)
+    y = _reference_targets(obs, states, masks, rewards, learner)
+    chosen = []
+    for i, agent in enumerate(learner.agents_eval):
+        h = agent.init_hidden(B)
+        per_slot = []
+        for t in range(T):
+            q, h = agent.step(Tensor(obs[:, t, i, :]), h)
+            per_slot.append(q.gather(actions[:, t, i]))
+        chosen.append(per_slot)
+    independent = learner.algorithm == "independent_dqn"
+    direct = learner.config.agent_loss_mode == "direct"
+    total = l_mix = None
+    agent_losses = []
+    if not independent:
+        acc = None
+        for t in range(T):
+            qs_t = stack_cols([chosen[i][t].detach() if direct else chosen[i][t]
+                               for i in range(n)])
+            st_t = Tensor(states[:, t, :])
+            y_t = Tensor(y[:, t])
+            da = learner.mixer_a_eval.forward(st_t, qs_t) - y_t
+            term = (da * da).sum()
+            if learner.mixer_b_eval is not None:
+                db = learner.mixer_b_eval.forward(st_t, qs_t) - y_t
+                term = term + (db * db).sum()
+            acc = term if acc is None else acc + term
+        total = acc * scale
+        l_mix = float(total.item())
+    if independent or direct:
+        for i in range(n):
+            acc = None
+            for t in range(T):
+                d = chosen[i][t] - Tensor(y[:, t, i] if independent else y[:, t])
+                term = (d * d).sum()
+                acc = term if acc is None else acc + term
+            loss_i = acc * scale
+            agent_losses.append(float(loss_i.item()))
+            total = loss_i if total is None else total + loss_i
+    else:
+        for i in range(n):
+            vals = np.stack([chosen[i][t].data for t in range(T)], axis=1)
+            agent_losses.append(float(np.mean((vals - y) ** 2)))
+    for p in learner.parameters("eval").values():
+        p.grad = None
+    total.backward()
+    return l_mix, agent_losses
+
+
 def test_double_targets_take_pessimistic_mixture():
     learner = _learner("double_qmix")
     batch = _batch(learner)
     rewards = np.stack([r.rewards for r in batch])
-    t = compute_targets(batch, learner)
+    t = _targets(batch, learner)
     assert t.mix_b is not None
     # Terminal slot bootstraps nothing.
     assert t.y[:, -1] == pytest.approx(rewards[:, -1])
@@ -167,7 +274,7 @@ def test_single_mixer_targets_use_one_head():
     learner = _learner("qmix")
     batch = _batch(learner)
     rewards = np.stack([r.rewards for r in batch])
-    t = compute_targets(batch, learner)
+    t = _targets(batch, learner)
     assert t.mix_b is None
     assert t.y[:, :-1] == pytest.approx(rewards[:, :-1] + learner.config.gamma * t.mix_a[:, :-1])
 
@@ -175,18 +282,18 @@ def test_single_mixer_targets_use_one_head():
 def test_independent_targets_per_agent():
     learner = _learner("independent_dqn")
     batch = _batch(learner)
-    t = compute_targets(batch, learner)
+    t = _targets(batch, learner)
     assert t.y.shape == (3, 4, 2)
     assert t.mix_a is None
 
 
 def test_sync_copies_eval_into_target():
     learner = _learner("double_qmix")
-    for p in learner.eval_parameters().values():
+    for p in learner.parameters("eval").values():
         p.data += 0.1
     sync_targets(learner)
-    eval_params = learner.eval_parameters()
-    for name, tgt in learner.target_parameters().items():
+    eval_params = learner.parameters("eval")
+    for name, tgt in learner.parameters("target").items():
         assert np.array_equal(tgt.data, eval_params[name].data)
         assert tgt.data is not eval_params[name].data
 
@@ -200,17 +307,20 @@ def test_rollout_deterministic_given_seed():
     assert rec1.rewards == pytest.approx(rec2.rewards)
 
 
-@pytest.mark.parametrize("algorithm, mode", [
+LOSS_CASES = [
     pytest.param("double_qmix", "direct", id="double_qmix"),
     pytest.param("qmix", "direct", id="qmix"),
     pytest.param("independent_dqn", "direct", id="independent_dqn"),
     pytest.param("double_qmix", "mixer_grad", id="double_qmix-mixer_grad"),
     pytest.param("qmix", "mixer_grad", id="qmix-mixer_grad"),
-])
+]
+
+
+@pytest.mark.parametrize("algorithm, mode", LOSS_CASES)
 def test_train_step_reduces_loss_on_fixed_batch(algorithm, mode):
     learner = _learner(algorithm, agent_loss_mode=mode)
     batch = _batch(learner, n=2)
-    agent_params = {k: p for k, p in learner.eval_parameters().items() if k.startswith("agent")}
+    agent_params = {k: p for k, p in learner.parameters("eval").items() if k.startswith("agent")}
     before = {k: p.data.copy() for k, p in agent_params.items()}
     losses = []
     for _ in range(40):
@@ -222,6 +332,52 @@ def test_train_step_reduces_loss_on_fixed_batch(algorithm, mode):
     # or from the gradient that flows back through the mixer.
     for k, p in agent_params.items():
         assert not np.array_equal(p.data, before[k]), k
+
+
+@pytest.mark.parametrize("algorithm, mode", LOSS_CASES)
+def test_train_step_matches_per_slot_reference(algorithm, mode):
+    learner = _learner(algorithm, agent_loss_mode=mode)
+    batch = _batch(learner, n=3)
+    # Targets apart from eval, so the agents that pick next actions matter.
+    rng = np.random.default_rng(1)
+    for p in learner.parameters("target").values():
+        p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+    ref_mix, ref_agents = _reference_loss(batch, learner)
+    params = learner.parameters("eval")
+    ref_grads = {k: p.grad.copy() for k, p in params.items()}
+    l_mix, agent_losses = train_step(batch, learner)
+    if ref_mix is None:
+        assert l_mix is None
+    else:
+        assert l_mix == pytest.approx(ref_mix, rel=1e-12, abs=0.0)
+    assert agent_losses == pytest.approx(ref_agents, rel=1e-12, abs=0.0)
+    for k, p in params.items():
+        scale = np.max(np.abs(ref_grads[k]))
+        assert scale > 0.0, k
+        assert np.max(np.abs(p.grad - ref_grads[k])) <= 1e-12 * scale, k
+
+
+def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
+    learner = _learner("double_qmix")
+    batch = _batch(learner, n=2)
+    T, n = batch[0].length, learner.n_agents
+    calls = {"gru": 0, "mixer": 0}
+    gru_step, mixer_forward = GRUCell.step, MonotonicMixer.forward
+
+    def counted_step(self, x, h):
+        calls["gru"] += 1
+        return gru_step(self, x, h)
+
+    def counted_forward(self, state, agent_qs):
+        calls["mixer"] += 1
+        return mixer_forward(self, state, agent_qs)
+
+    monkeypatch.setattr(GRUCell, "step", counted_step)
+    monkeypatch.setattr(MonotonicMixer, "forward", counted_forward)
+    train_step(batch, learner)
+    # one graph-free target unroll and one taped eval unroll; two target
+    # mixers for the bootstrap and two eval mixers for the loss
+    assert calls == {"gru": 2 * n * T, "mixer": 4}
 
 
 def test_train_loop_end_to_end_and_metrics():

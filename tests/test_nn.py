@@ -14,12 +14,12 @@ from evcoop.nn import (
     MonotonicMixer,
     Tensor,
     check_gradients,
-    load_checkpoint,
     no_grad,
     parameter,
     save_checkpoint,
     stack_cols,
 )
+from evcoop.nn.checkpoint import read_checkpoint, restore_params
 
 
 def test_tensor_forward_matches_numpy():
@@ -189,13 +189,13 @@ def test_checkpoint_roundtrip(tmp_path):
     params = net.parameters("net.")
     snapshot = {k: v.data.copy() for k, v in params.items()}
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, params, extra={"steps": np.array(12)}, meta={"algo": "x"})
+    save_checkpoint(path, params, meta={"algo": "x"})
     for v in params.values():
         v.data[...] = 0.0
-    extra, meta = load_checkpoint(path, params)
+    arrays, meta = read_checkpoint(path)
+    restore_params(path, arrays, params)
     for k, v in params.items():
         assert np.array_equal(v.data, snapshot[k])
-    assert int(extra["steps"]) == 12
     assert meta["algo"] == "x"
 
 
@@ -204,12 +204,13 @@ def test_checkpoint_shape_and_name_mismatch(tmp_path):
     net = DenseNet([3, 4, 2], ["relu", "none"], rng)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, net.parameters("net."))
+    arrays, _ = read_checkpoint(path)
     other = DenseNet([3, 5, 2], ["relu", "none"], rng)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, other.parameters("net."))
+    with pytest.raises(CheckpointError, match="shape"):
+        restore_params(path, arrays, other.parameters("net."))
     renamed = DenseNet([3, 4, 2], ["relu", "none"], rng)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, renamed.parameters("other."))
+    with pytest.raises(CheckpointError, match="names do not match"):
+        restore_params(path, arrays, renamed.parameters("other."))
 
 
 def test_stack_cols_shapes_and_grad():

@@ -8,11 +8,8 @@ from evcoop.data import Episode
 from evcoop.marl import ActionGrid
 from evcoop.oracle import (
     BudgetExceededError,
-    MismatchedInstanceError,
     TinyInstance,
     brute_force,
-    compare,
-    instance_fingerprint,
     random_tiny_instance,
     replay_sequence,
     rolling_greedy,
@@ -107,23 +104,3 @@ def _wider(episode: Episode, T: int) -> Episode:
     arrivals = (episode.arrivals * reps)[:T]
     return Episode(quotes=quotes, renewables=renewables, arrivals=arrivals,
                    initial_states=episode.initial_states)
-
-
-def test_fingerprint_distinguishes_instances():
-    rng = np.random.default_rng(3)
-    a = random_tiny_instance(rng)
-    b = random_tiny_instance(rng)
-    fa, fb = instance_fingerprint(a), instance_fingerprint(b)
-    assert fa != fb
-    assert fa == instance_fingerprint(a)
-
-
-def test_compare_flags_foreign_results():
-    rng = np.random.default_rng(4)
-    inst = random_tiny_instance(rng)
-    exact = brute_force(inst)
-    rows = compare({"policy": exact.profit - 1.0}, exact, instance_fingerprint(inst))
-    assert rows[0].abs_gap == pytest.approx(1.0)
-    assert rows[0].rel_gap >= 0.0
-    with pytest.raises(MismatchedInstanceError):
-        compare({"policy": 0.0}, exact, "deadbeef")
