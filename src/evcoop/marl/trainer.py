@@ -291,26 +291,24 @@ def _stack_batch(batch: Sequence[EpisodeRecord]):
                  for name in ("obs", "state", "actions", "masks", "rewards"))
 
 
-def _unroll(agents: list[DRQNAgent], obs: np.ndarray) -> list[list[Tensor]]:
-    """Q-values of every agent at every slot: (B, T, I, 6) -> ``q[i][t]`` of shape (B, A).
+def _unroll(agents: list[DRQNAgent], obs: np.ndarray) -> list[Tensor]:
+    """Q-values of every agent at every slot: (B, T, I, 6) -> ``q[i]`` of shape (B*T, A).
 
+    Rows are batch-major (row ``b * T + t``).  The encoder and the Q-head see
+    the whole block at once; only the recurrence steps through the slots.
     Records a tape unless called under ``no_grad``; the values are the same either way.
     """
     B, T = obs.shape[:2]
     out = []
     for i, agent in enumerate(agents):
-        h = agent.init_hidden(B)
-        per_slot = []
-        for t in range(T):
-            q, h = agent.step(Tensor(obs[:, t, i, :]), h)
-            per_slot.append(q)
-        out.append(per_slot)
+        x = agent.encoder(Tensor(obs[:, :, i, :].reshape(B * T, -1)))
+        out.append(agent.head(agent.gru.sequence(x, B, T)))
     return out
 
 
-def _values(q: list[list[Tensor]]) -> np.ndarray:
+def _values(q: list[Tensor], batch: int, steps: int) -> np.ndarray:
     """An unroll's Q-values as one (B, T, I, A) array."""
-    return np.stack([np.stack([q_t.data for q_t in per_slot], axis=1) for per_slot in q], axis=2)
+    return np.stack([q_i.data.reshape(batch, steps, -1) for q_i in q], axis=2)
 
 
 @dataclass
@@ -339,7 +337,7 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     gamma = learner.config.gamma
 
     with no_grad():
-        q_target = _values(_unroll(learner.agents_target, obs))
+        q_target = _values(_unroll(learner.agents_target, obs), B, T)
 
     if learner.algorithm == "independent_dqn":
         y = np.repeat(rewards[:, :, None], n, axis=2)
@@ -380,7 +378,7 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
 
     # the one taped unroll of the eval agents; its values also serve the targets
     q_eval = _unroll(learner.agents_eval, obs)
-    targets = compute_targets(obs, states, masks, rewards, _values(q_eval), learner)
+    targets = compute_targets(obs, states, masks, rewards, _values(q_eval, B, T), learner)
     if not np.all(np.isfinite(targets.y)):
         raise DivergenceError("non-finite bootstrap target")
 
@@ -395,9 +393,8 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     for opt in optimizers:
         opt.zero_grad()
 
-    # each agent's Q-value at the actions actually taken, (B, T)
-    chosen = [stack_cols([q_t.gather(actions[:, t, i]) for t, q_t in enumerate(per_slot)])
-              for i, per_slot in enumerate(q_eval)]
+    # each agent's Q-value at the actions actually taken, (B*T,)
+    chosen = [q_i.gather(actions[:, :, i].reshape(B * T)) for i, q_i in enumerate(q_eval)]
 
     independent = learner.algorithm == "independent_dqn"
     direct = cfg.agent_loss_mode == "direct"
@@ -407,7 +404,7 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
 
     if not independent:
         # every eval mixer mixes all B*T (episode, slot) rows at once
-        qs = stack_cols([(c.detach() if direct else c).reshape(B * T) for c in chosen])
+        qs = stack_cols([c.detach() if direct else c for c in chosen])
         st = Tensor(states.reshape(B * T, -1))
         y = Tensor(targets.y.reshape(B * T))
         for mixer in (learner.mixer_a_eval, learner.mixer_b_eval):
@@ -420,13 +417,13 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     if independent or direct:
         # per-agent regression onto its own target, or straight onto the joint-scale one
         for i, c in enumerate(chosen):
-            d = c - Tensor(targets.y[:, :, i] if independent else targets.y)
+            d = c.reshape(B, T) - Tensor(targets.y[:, :, i] if independent else targets.y)
             loss_i = (d * d).sum() * scale
             agent_losses.append(float(loss_i.item()))
             total = loss_i if total is None else total + loss_i
     else:
         # agents learn through the mixer; report the per-agent residual as a metric
-        agent_losses = [float(np.mean((c.data - targets.y) ** 2)) for c in chosen]
+        agent_losses = [float(np.mean((c.data.reshape(B, T) - targets.y) ** 2)) for c in chosen]
 
     if l_mix_value is not None and not np.isfinite(l_mix_value):
         raise DivergenceError(f"non-finite mixer loss {l_mix_value}")
@@ -442,7 +439,10 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
 
 @dataclass
 class EpisodeMetrics:
-    """One metrics.csv row; None where a row has no such value (oracle rows)."""
+    """One metrics.csv row; None where a row has no such value (oracle rows).
+
+    ``wall_time_s`` and the per-phase seconds go to timings.csv only.
+    """
 
     episode: int
     total_profit: float
@@ -451,6 +451,9 @@ class EpisodeMetrics:
     agent_loss_mean: float | None
     epsilon: float | None
     wall_time_s: float | None
+    rollout_s: float | None = None
+    train_step_s: float | None = None
+    sync_s: float | None = None
 
 
 def train(learner: LearnerState, buffer: ReplayBuffer,
@@ -463,17 +466,24 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
         t0 = time.perf_counter()
         eps = 1.0 if learner.algorithm == "random" else epsilon_at(cfg, e - 1)
         episode = episode_factory()
+        t_roll = time.perf_counter()
         record, _ = rollout_episode(episode, learner, eps, rng)
+        rollout_s = time.perf_counter() - t_roll
         buffer.add(record)
 
         l_mix = loss_mean = None
+        train_step_s = sync_s = 0.0
         if learner.algorithm != "random":
             if len(buffer) >= cfg.batch_episodes:
                 batch = buffer.sample(cfg.batch_episodes)
+                t_step = time.perf_counter()
                 l_mix, losses = train_step(batch, learner)
+                train_step_s = time.perf_counter() - t_step
                 loss_mean = float(np.mean(losses))
             if e % cfg.target_period == 0:
+                t_sync = time.perf_counter()
                 sync_targets(learner)
+                sync_s = time.perf_counter() - t_sync
 
         learner.episodes_done += 1
         metrics.append(EpisodeMetrics(
@@ -484,6 +494,9 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
             agent_loss_mean=loss_mean,
             epsilon=eps,
             wall_time_s=time.perf_counter() - t0,
+            rollout_s=rollout_s,
+            train_step_s=train_step_s,
+            sync_s=sync_s,
         ))
     return metrics
 

@@ -33,6 +33,19 @@ class no_grad:
         return False
 
 
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function that cannot overflow: exp never sees a positive argument.
+
+    Gives the same bits as ``1 / (1 + exp(-v))`` for ``v >= 0`` and
+    ``exp(v) / (1 + exp(v))`` otherwise, NaN sign included, with no
+    boolean-mask scatter.
+    """
+    pos = v >= 0.0
+    e = np.exp(np.where(pos, -v, v))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` along broadcast axes."""
     while grad.ndim > len(shape):
@@ -198,12 +211,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         a = self
-        x = a.data
-        out_data = np.empty_like(x)
-        pos = x >= 0.0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        out_data = sigmoid(a.data)
 
         def backward(g):
             a._accum(g * out_data * (1.0 - out_data))

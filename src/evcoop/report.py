@@ -45,12 +45,16 @@ def write_metrics_csv(path: str | Path, rows: list[tuple[str, EpisodeMetrics]],
                        + [_fmt(m.l_mix), _fmt(m.agent_loss_mean), _fmt(m.epsilon)])
 
 
+TIMINGS_HEADER = ["episode", "wall_time_s", "rollout_s", "train_step_s", "sync_s"]
+
+
 def write_timings_csv(path: str | Path, rows: list[EpisodeMetrics]) -> None:
+    """Wall-clock seconds per episode: the whole episode, then the phases inside it."""
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["episode", "wall_time_s"])
+        w.writerow(TIMINGS_HEADER)
         for m in rows:
-            w.writerow([m.episode, _fmt(m.wall_time_s)])
+            w.writerow([m.episode] + [_fmt(getattr(m, name)) for name in TIMINGS_HEADER[1:]])
 
 
 def read_metrics_csv(path: str | Path) -> list[dict]:

@@ -1,5 +1,6 @@
 """End-to-end command-line flows: artifacts, determinism, exit codes."""
 
+import csv
 import io
 import json
 
@@ -40,6 +41,24 @@ def test_train_writes_expected_artifacts(trained):
     # The resolved echo reloads to the identical configuration.
     echoed = json.loads((out / "resolved_config.json").read_text())
     assert load_config_dict(echoed).train.episodes == 8
+
+
+def test_timings_csv_splits_each_episode_into_phases(trained):
+    out = trained / "out"
+    for run, trains in (("double_qmix_seed0", True), ("random_seed0", False)):
+        with (out / run / "timings.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["episode", "wall_time_s", "rollout_s", "train_step_s", "sync_s"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(1, 9))
+        for r in rows[1:]:
+            wall, rollout, step, sync = (float(v) for v in r[1:])
+            assert rollout > 0.0 and step >= 0.0 and sync >= 0.0
+            assert rollout + step + sync <= wall
+            # the first train step comes once the buffer holds a batch of 4
+            assert (step > 0.0) == (trains and int(r[0]) >= 4)
+    # metrics.csv keeps its columns; wall-clock numbers stay out of it
+    header = (out / "double_qmix_seed0" / "metrics.csv").read_text().splitlines()[0]
+    assert not any(name in header for name in ("wall_time_s", "rollout_s", "sync_s"))
 
 
 def test_rerun_reproduces_metrics_bytes(trained, tmp_path):

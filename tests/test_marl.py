@@ -360,24 +360,51 @@ def test_train_step_matches_per_slot_reference(algorithm, mode):
 def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     learner = _learner("double_qmix")
     batch = _batch(learner, n=2)
-    T, n = batch[0].length, learner.n_agents
-    calls = {"gru": 0, "mixer": 0}
-    gru_step, mixer_forward = GRUCell.step, MonotonicMixer.forward
+    n = learner.n_agents
+    calls = {"sequence": 0, "step": 0, "mixer": 0}
+    gru_sequence, gru_step, mixer_forward = GRUCell.sequence, GRUCell.step, MonotonicMixer.forward
+
+    def counted_sequence(self, x, batch, steps):
+        calls["sequence"] += 1
+        return gru_sequence(self, x, batch, steps)
 
     def counted_step(self, x, h):
-        calls["gru"] += 1
+        calls["step"] += 1
         return gru_step(self, x, h)
 
     def counted_forward(self, state, agent_qs):
         calls["mixer"] += 1
         return mixer_forward(self, state, agent_qs)
 
+    monkeypatch.setattr(GRUCell, "sequence", counted_sequence)
     monkeypatch.setattr(GRUCell, "step", counted_step)
     monkeypatch.setattr(MonotonicMixer, "forward", counted_forward)
     train_step(batch, learner)
-    # one graph-free target unroll and one taped eval unroll; two target
-    # mixers for the bootstrap and two eval mixers for the loss
-    assert calls == {"gru": 2 * n * T, "mixer": 4}
+    # one graph-free target unroll and one taped eval unroll, each one fused
+    # sequence per agent; two target mixers for the bootstrap and two eval
+    # mixers for the loss
+    assert calls == {"sequence": 2 * n, "step": 0, "mixer": 4}
+
+
+def test_train_step_tape_stays_small(monkeypatch):
+    learner = build_learner("double_qmix", 2, PARAMS, GRID, SCALES, TrainConfig(),
+                            np.random.default_rng(0))
+    batch = [rollout_episode(_tiny_episode(T=48, seed=k), learner, 1.0,
+                             np.random.default_rng(k))[0]
+             for k in range(learner.config.batch_episodes)]
+    nodes = 0
+    result = Tensor.__dict__["_result"].__func__
+
+    def counted(data, parents, backward_fn):
+        nonlocal nodes
+        out = result(data, parents, backward_fn)
+        nodes += out.requires_grad
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+    train_step(batch, learner)
+    # one node per layer op, not per slot: the tape size does not grow with T
+    assert 0 < nodes <= 100
 
 
 def test_train_loop_end_to_end_and_metrics():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcoop.nn import (
     Adam,
@@ -19,6 +21,7 @@ from evcoop.nn import (
     save_checkpoint,
     stack_cols,
 )
+from evcoop.nn.autodiff import sigmoid
 from evcoop.nn.checkpoint import read_checkpoint, restore_params
 
 
@@ -71,6 +74,132 @@ def test_gru_step_hand_algebra():
     # z = r = sigmoid(0) = 0.5, n = tanh(x + 0.5 h), out = 0.5 n + 0.5 h
     expected = 0.5 * np.tanh(1.0 + 0.5 * 0.4) + 0.5 * 0.4
     assert out.data[0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def _masked_sigmoid(x):
+    """The logistic function as first written: a boolean-mask scatter per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                 745.2, -745.2, 709.8, -709.8, 36.8, -36.8, 5e-324, -5e-324]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-800.0, 800.0) | st.sampled_from(SIGMOID_EDGES) | st.floats(),
+                min_size=1, max_size=40))
+def test_sigmoid_matches_masked_formula_bit_for_bit(values):
+    v = np.array(values + SIGMOID_EDGES)
+    got = sigmoid(v)
+    assert np.array_equal(got.view(np.int64), _masked_sigmoid(v).view(np.int64))
+    assert np.array_equal(Tensor(v).sigmoid().data.view(np.int64), got.view(np.int64))
+
+
+def _composite_step(cell, x, h):
+    """GRUCell.step as first written: the gate algebra built from tape ops."""
+    z = (x @ cell.W_z + h @ cell.U_z + cell.b_z).sigmoid()
+    r = (x @ cell.W_r + h @ cell.U_r + cell.b_r).sigmoid()
+    n = (x @ cell.W_n + (r * h) @ cell.U_n + cell.b_n).tanh()
+    return (1.0 - z) * n + z * h
+
+
+def _sequence_net(batch=3, steps=5, seed=7):
+    """encoder -> GRU unroll -> head over a batch-major (batch * steps) block."""
+    rng = np.random.default_rng(seed)
+    enc = Dense(4, 6, "relu", rng)
+    gru = GRUCell(6, 5, rng)
+    head = Dense(5, 3, "none", rng)
+    obs = parameter(rng.standard_normal((batch * steps, 4)))
+    weights = Tensor(rng.standard_normal((batch * steps, 3)))
+    params = {"obs": obs}
+    params.update(enc.parameters("enc."))
+    params.update(gru.parameters("gru."))
+    params.update(head.parameters("head."))
+    return enc, gru, head, obs, weights, params
+
+
+def test_gradcheck_gru_sequence():
+    enc, gru, head, obs, weights, params = _sequence_net()
+
+    def loss_fn():
+        q = head(gru.sequence(enc(obs), 3, 5))
+        return ((q * weights).tanh() * q).sum()
+
+    # every entry, the encoder's and the raw input's included: they see only the sequence's dX
+    report = check_gradients(loss_fn, params)
+    assert report.ok(1e-4), f"max rel error {report.max_rel_error} at {report.worst_param}"
+
+
+def test_gradcheck_two_chained_gru_steps():
+    rng = np.random.default_rng(11)
+    gru = GRUCell(4, 5, rng)
+    x1 = parameter(rng.standard_normal((3, 4)))
+    x2 = parameter(rng.standard_normal((3, 4)))
+    h0 = parameter(rng.uniform(-0.9, 0.9, (3, 5)))
+    weights = Tensor(rng.standard_normal((3, 5)))
+
+    def loss_fn():
+        h = gru.step(x2, gru.step(x1, h0))
+        return (h * weights).sum() + (h * h).sum()
+
+    params = {"x1": x1, "x2": x2, "h0": h0}
+    params.update(gru.parameters("gru."))
+    report = check_gradients(loss_fn, params)
+    assert report.ok(1e-4), f"max rel error {report.max_rel_error} at {report.worst_param}"
+
+
+def _close(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("batch, steps", [(1, 1), (2, 4), (8, 48)])
+def test_gru_sequence_matches_composite_steps(batch, steps):
+    enc, gru, head, obs, weights, params = _sequence_net(batch, steps, seed=batch + steps)
+    # reference: one composite step per slot, each slot's rows picked on the tape
+    h = gru.init_hidden(batch)
+    ref_h, ref_loss = [], None
+    for t in range(steps):
+        pick = Tensor(np.eye(batch * steps)[t::steps])
+        h = _composite_step(gru, enc(pick @ obs), h)
+        ref_h.append(h.data)
+        term = (head(h) * (pick @ weights)).sum()
+        ref_loss = term if ref_loss is None else ref_loss + term
+    ref_loss.backward()
+    ref_grads = {k: p.grad.copy() for k, p in params.items()}
+    for p in params.values():
+        p.grad = None
+
+    h = gru.sequence(enc(obs), batch, steps)
+    _close(h.data, np.stack(ref_h, axis=1).reshape(batch * steps, -1))
+    (head(h) * weights).sum().backward()
+    for k, p in params.items():
+        _close(p.grad, ref_grads[k])
+
+
+def test_gru_step_matches_composite_step():
+    rng = np.random.default_rng(5)
+    gru = GRUCell(4, 5, rng)
+    x = parameter(rng.standard_normal((3, 4)))
+    h0 = parameter(rng.uniform(-0.9, 0.9, (3, 5)))
+    weights = Tensor(rng.standard_normal((3, 5)))
+    params = {"x": x, "h0": h0}
+    params.update(gru.parameters("gru."))
+    grads = []
+    for step in (lambda xx, hh: _composite_step(gru, xx, hh), gru.step):
+        for p in params.values():
+            p.grad = None
+        h = step(x, step(x, h0))
+        (h * weights).sum().backward()
+        grads.append((h.data, {k: p.grad.copy() for k, p in params.items()}))
+    (ref_h, ref_grads), (got_h, got_grads) = grads
+    _close(got_h, ref_h)
+    for k in params:
+        _close(got_grads[k], ref_grads[k])
 
 
 def test_dense_initialization_spread():
