@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Train, evaluate and print the sha256 of every deterministic artifact.
+
+Trains each algorithm for ``--episodes`` episodes at ``--seed``, evaluates
+each checkpoint with ``evcoop evaluate --seed <eval-seed>``, and prints one
+``<sha256>  <path>`` line per ``metrics.csv``, ``checkpoint.npz`` and
+``trace.csv``.  Run it at two commits and diff the outputs to check that a
+change keeps every artifact byte-identical:
+
+    python3 scripts/artifact_digests.py --out /tmp/a > a.txt
+    python3 scripts/artifact_digests.py --out /tmp/b --checkpoints /tmp/a > b.txt
+    diff a.txt b.txt
+
+``--checkpoints`` evaluates the checkpoints an earlier run wrote instead of
+this run's own, so the second run above also checks that the new code reads
+the old checkpoints the same way.  ``--config`` merges extra JSON into the
+run config (say ``'{"train": {"hidden_dim": 1}}'``).  The package is
+imported from the ``src`` next to this script, not from the environment.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from evcoop.cli import main as evcoop  # noqa: E402
+
+DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn")
+
+
+def _run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = evcoop(argv)
+    if code != 0:
+        raise SystemExit(f"evcoop {' '.join(argv)} exited {code}")
+
+
+def _merge(base: dict, extra: dict) -> dict:
+    out = dict(base)
+    for key, value in extra.items():
+        out[key] = _merge(out.get(key, {}), value) if isinstance(value, dict) else value
+    return out
+
+
+def digests(out: Path, episodes: int, seed: int, eval_seed: int, algorithms: list[str],
+            extra: dict, checkpoints: Path | None) -> list[str]:
+    out.mkdir(parents=True, exist_ok=True)
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps(_merge({"train": {"episodes": episodes}}, extra)))
+    lines = []
+    for algorithm in algorithms:
+        run = f"{algorithm}_seed{seed}"
+        _run(["train", "--config", str(cfg), "--seed", str(seed), "--algorithm", algorithm,
+              "--out", str(out / "train")])
+        checkpoint = (checkpoints or out) / "train" / run / "checkpoint.npz"
+        _run(["evaluate", "--config", str(cfg), "--checkpoint", str(checkpoint),
+              "--seed", str(eval_seed), "--out", str(out / "evaluate" / run)])
+        for path in (out / "train" / run / "metrics.csv",
+                     out / "train" / run / "checkpoint.npz",
+                     out / "evaluate" / run / "trace.csv"):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(out)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--episodes", type=int, default=60)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--eval-seed", type=int, default=3)
+    parser.add_argument("--algorithm", action="append",
+                        help=f"repeatable; default {', '.join(DEFAULT_ALGORITHMS)}")
+    parser.add_argument("--config", default="{}", help="JSON merged into the run config")
+    parser.add_argument("--out", help="keep the runs here (default: a temporary directory)")
+    parser.add_argument("--checkpoints", type=Path,
+                        help="evaluate the checkpoints under this earlier --out instead")
+    args = parser.parse_args(argv)
+    algorithms = args.algorithm or list(DEFAULT_ALGORITHMS)
+    extra = json.loads(args.config)
+    with contextlib.ExitStack() as stack:
+        out = Path(args.out) if args.out else Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        for line in digests(out, args.episodes, args.seed, args.eval_seed, algorithms, extra,
+                            args.checkpoints):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

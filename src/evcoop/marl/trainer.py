@@ -1,9 +1,10 @@
 """Recurrent Q-agents, double-mixer training, and the baseline algorithms.
 
-The learner holds per-station DRQN agents plus, depending on the algorithm,
-one or two monotone mixers with eval/target copies.  Training follows the
-recurrent pattern throughout: whole episodes are replayed and hidden states
-re-unrolled from zero, one gradient step per training episode.
+The learner holds an agent bank, every station's DRQN agent stacked on one
+axis, plus, depending on the algorithm, one or two monotone mixers, each
+with eval/target copies.  Training follows the recurrent pattern: whole
+episodes are replayed and hidden states re-unrolled from zero, one
+gradient step per training episode.
 
 ``double_qmix`` bootstraps with the elementwise minimum of the two target
 mixers, evaluated at next-slot actions picked by the *eval* agents, which
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..core import EssParams, PriceQuote, StationAction, StationState, StepOutcome, step as env_step
 from ..data import Episode
-from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, no_grad, stack_cols
+from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, no_grad, stack_layers
 from ..nn.checkpoint import CheckpointError, read_checkpoint, restore_params, save_checkpoint
 from .encoding import OBS_DIM, ActionGrid, ObsScales, encode_observation, global_state
 from .replay import EpisodeRecord, ReplayBuffer
@@ -84,20 +85,19 @@ def epsilon_at(config: TrainConfig, episode_index: int) -> float:
 
 
 class DRQNAgent:
-    """Observation encoder -> gated recurrent cell -> Q-value head."""
+    """n stations' encoder -> GRU -> Q-head agents, banked: slice i of each parameter is station i's.
 
-    def __init__(self, obs_dim: int, n_actions: int, hidden_dim: int,
+    Each station's layers are drawn from ``rng`` in turn, then stacked.
+    """
+
+    def __init__(self, n_agents: int, obs_dim: int, n_actions: int, hidden_dim: int,
                  rng: np.random.Generator):
-        self.n_actions = n_actions
-        self.encoder = Dense(obs_dim, hidden_dim, "relu", rng)
-        self.gru = GRUCell(hidden_dim, hidden_dim, rng)
-        self.head = Dense(hidden_dim, n_actions, "none", rng)
+        stations = [(Dense(obs_dim, hidden_dim, "relu", rng), GRUCell(hidden_dim, hidden_dim, rng),
+                     Dense(hidden_dim, n_actions, "none", rng)) for _ in range(n_agents)]
+        self.encoder, self.gru, self.head = map(stack_layers, zip(*stations))
 
-    def init_hidden(self, batch: int) -> Tensor:
-        return self.gru.init_hidden(batch)
-
-    def step(self, obs: Tensor, hidden: Tensor) -> tuple[Tensor, Tensor]:
-        """One recurrent step: (B, obs_dim) x (B, H) -> Q (B, A), new hidden."""
+    def step(self, obs: Tensor, hidden: Tensor | None) -> tuple[Tensor, Tensor]:
+        """One slot: (n, B, obs_dim) from hidden (n, B, H), zero when None -> Q (n, B, A), hidden."""
         h = self.gru.step(self.encoder(obs), hidden)
         return self.head(h), h
 
@@ -117,8 +117,8 @@ class LearnerState:
     grid: ActionGrid
     scales: ObsScales
     n_agents: int
-    agents_eval: list[DRQNAgent]
-    agents_target: list[DRQNAgent]
+    agents_eval: DRQNAgent
+    agents_target: DRQNAgent
     mixer_a_eval: MonotonicMixer | None
     mixer_b_eval: MonotonicMixer | None
     mixer_a_target: MonotonicMixer | None
@@ -130,10 +130,8 @@ class LearnerState:
     debug_violations: int = 0
 
     def parameters(self, role: str) -> dict[str, Tensor]:
-        """Every ``role`` ("eval" or "target") parameter under its checkpoint name."""
-        out: dict[str, Tensor] = {}
-        for i, agent in enumerate(getattr(self, f"agents_{role}")):
-            out.update(agent.parameters(f"agent{i}."))
+        """Every ``role`` ("eval" or "target") parameter, the agent bank's under ``agents.``."""
+        out = getattr(self, f"agents_{role}").parameters("agents.")
         for mixer in ("mixer_a", "mixer_b"):
             net = getattr(self, f"{mixer}_{role}")
             if net is not None:
@@ -148,11 +146,10 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if n_agents < 1:
         raise ValueError("need at least one station")
-    n_actions = grid.n_actions
     state_dim = n_agents * OBS_DIM
 
     def make_agents():
-        return [DRQNAgent(OBS_DIM, n_actions, config.hidden_dim, rng) for _ in range(n_agents)]
+        return DRQNAgent(n_agents, OBS_DIM, grid.n_actions, config.hidden_dim, rng)
 
     def make_mixer():
         return MonotonicMixer(state_dim, n_agents, config.embed_dim, config.hyper_hidden, rng)
@@ -197,21 +194,18 @@ def _masked_argmax(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.argmax(neg, axis=-1)
 
 
-def act_epsilon_greedy(agent: DRQNAgent, obs: np.ndarray, hidden: Tensor,
-                       epsilon: float, mask: np.ndarray,
-                       rng: np.random.Generator | None) -> tuple[int, Tensor]:
-    """One action for one station; the hidden state advances either way."""
+def act_epsilon_greedy(q: np.ndarray, epsilon: float, mask: np.ndarray,
+                       rng: np.random.Generator | None) -> int:
+    """One station's action from its Q-values ``q``: uniform over feasible ones w.p. ``epsilon``."""
     feasible = np.flatnonzero(mask)
     if feasible.size == 0:
         raise ValueError("empty feasibility mask")
-    with no_grad():
-        q, new_hidden = agent.step(Tensor(obs.reshape(1, -1)), hidden)
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("epsilon > 0 requires an rng")
         if rng.random() < epsilon:
-            return int(feasible[rng.integers(feasible.size)]), new_hidden
-    return int(_masked_argmax(q.data[0], mask)), new_hidden
+            return int(feasible[rng.integers(feasible.size)])
+    return int(_masked_argmax(q, mask))
 
 
 @dataclass
@@ -248,7 +242,7 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
     trace: list[SlotLog] | None = [] if collect_trace else None
 
     states = episode.initial_states
-    hiddens = [agent.init_hidden(1) for agent in learner.agents_eval]
+    hidden = None
     for t in range(T):
         quote = episode.quotes[t]
         renew = episode.renewables[t]
@@ -259,12 +253,14 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
         obs_log[t] = obs_block
         state_log[t] = global_state(obs_block)
 
+        # one forward for every station, then each station's draws in station order
+        tables = [grid.decode_table(states[i], renew[i], params) for i in range(n)]
+        with no_grad():
+            q, hidden = learner.agents_eval.step(Tensor(obs_block[:, None, :]), hidden)
         actions: list[StationAction] = []
-        for i in range(n):
-            supplies, controls, mask = grid.decode_table(states[i], renew[i], params)
+        for i, (supplies, controls, mask) in enumerate(tables):
             mask_log[t, i] = mask
-            idx, hiddens[i] = act_epsilon_greedy(
-                learner.agents_eval[i], obs_block[i], hiddens[i], epsilon, mask, rng)
+            idx = act_epsilon_greedy(q.data[i, 0], epsilon, mask, rng)
             action_log[t, i] = idx
             actions.append(StationAction(ev_supply=supplies[idx], ess_control=controls[idx]))
 
@@ -291,24 +287,21 @@ def _stack_batch(batch: Sequence[EpisodeRecord]):
                  for name in ("obs", "state", "actions", "masks", "rewards"))
 
 
-def _unroll(agents: list[DRQNAgent], obs: np.ndarray) -> list[Tensor]:
-    """Q-values of every agent at every slot: (B, T, I, 6) -> ``q[i]`` of shape (B*T, A).
+def _unroll(agents: DRQNAgent, obs: np.ndarray) -> Tensor:
+    """Q-values of every agent at every slot: (B, T, I, 6) -> (I, B*T, A).
 
     Rows are batch-major (row ``b * T + t``).  The encoder and the Q-head see
     the whole block at once; only the recurrence steps through the slots.
     Records a tape unless called under ``no_grad``; the values are the same either way.
     """
-    B, T = obs.shape[:2]
-    out = []
-    for i, agent in enumerate(agents):
-        x = agent.encoder(Tensor(obs[:, :, i, :].reshape(B * T, -1)))
-        out.append(agent.head(agent.gru.sequence(x, B, T)))
-    return out
+    B, T, n, _ = obs.shape
+    x = agents.encoder(Tensor(obs.transpose(2, 0, 1, 3).reshape(n, B * T, -1)))
+    return agents.head(agents.gru.sequence(x, B, T))
 
 
-def _values(q: list[Tensor], batch: int, steps: int) -> np.ndarray:
+def _values(q: Tensor, batch: int, steps: int) -> np.ndarray:
     """An unroll's Q-values as one (B, T, I, A) array."""
-    return np.stack([q_i.data.reshape(batch, steps, -1) for q_i in q], axis=2)
+    return q.data.reshape(-1, batch, steps, q.shape[-1]).transpose(1, 2, 0, 3)
 
 
 @dataclass
@@ -393,18 +386,17 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     for opt in optimizers:
         opt.zero_grad()
 
-    # each agent's Q-value at the actions actually taken, (B*T,)
-    chosen = [q_i.gather(actions[:, :, i].reshape(B * T)) for i, q_i in enumerate(q_eval)]
+    # each agent's Q-value at the actions actually taken, (I, B*T)
+    chosen = q_eval.gather(actions.reshape(B * T, -1).T)
 
     independent = learner.algorithm == "independent_dqn"
     direct = cfg.agent_loss_mode == "direct"
-    agent_losses: list[float] = []
     total: Tensor | None = None
     l_mix_value: float | None = None
 
     if not independent:
         # every eval mixer mixes all B*T (episode, slot) rows at once
-        qs = stack_cols([c.detach() if direct else c for c in chosen])
+        qs = (chosen.detach() if direct else chosen).transpose()
         st = Tensor(states.reshape(B * T, -1))
         y = Tensor(targets.y.reshape(B * T))
         for mixer in (learner.mixer_a_eval, learner.mixer_b_eval):
@@ -414,16 +406,17 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
         total = total * scale
         l_mix_value = float(total.item())
 
+    # each agent's own target, or the joint-scale one for all: (I, B*T) or (1, B*T)
+    y_agents = targets.y.reshape(B * T, -1).T
     if independent or direct:
-        # per-agent regression onto its own target, or straight onto the joint-scale one
-        for i, c in enumerate(chosen):
-            d = c.reshape(B, T) - Tensor(targets.y[:, :, i] if independent else targets.y)
-            loss_i = (d * d).sum() * scale
-            agent_losses.append(float(loss_i.item()))
-            total = loss_i if total is None else total + loss_i
+        # per-agent regression; row i's sum is agent i's loss
+        d = chosen - Tensor(y_agents)
+        losses = (d * d).sum(axis=1) * scale
+        agent_losses = losses.data.tolist()
+        total = losses.sum() if total is None else total + losses.sum()
     else:
         # agents learn through the mixer; report the per-agent residual as a metric
-        agent_losses = [float(np.mean((c.data.reshape(B, T) - targets.y) ** 2)) for c in chosen]
+        agent_losses = np.mean((chosen.data - y_agents) ** 2, axis=1).tolist()
 
     if l_mix_value is not None and not np.isfinite(l_mix_value):
         raise DivergenceError(f"non-finite mixer loss {l_mix_value}")
@@ -510,8 +503,15 @@ def greedy_profit(episode: Episode, learner: LearnerState) -> float:
 # --- checkpoint round-trip -------------------------------------------------
 
 def _checkpoint_params(learner: LearnerState) -> dict[str, Tensor]:
-    return {f"{role}.{name}": p for role in ("eval", "target")
-            for name, p in learner.parameters(role).items()}
+    """Every parameter under its checkpoint name; ``<role>.agent<i>.*`` are views of bank slice i."""
+    out: dict[str, Tensor] = {}
+    for role in ("eval", "target"):
+        bank = getattr(learner, f"agents_{role}").parameters()
+        for i in range(learner.n_agents):
+            out.update({f"{role}.agent{i}.{name}": Tensor(p.data[i]) for name, p in bank.items()})
+        out.update({f"{role}.{name}": p for name, p in learner.parameters(role).items()
+                    if name.startswith("mixer")})
+    return out
 
 
 def save_learner(path, learner: LearnerState) -> None:
@@ -547,5 +547,10 @@ def load_learner(path) -> LearnerState:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path} has unusable learner metadata: {type(exc).__name__}: {exc}") from exc
-    restore_params(path, arrays, _checkpoint_params(learner))
+    stored = _checkpoint_params(learner)
+    restore_params(path, arrays, stored)
+    for role in ("eval", "target"):
+        for name, p in getattr(learner, f"agents_{role}").parameters().items():
+            p.data = np.stack([stored[f"{role}.agent{i}.{name}"].data
+                               for i in range(learner.n_agents)])
     return learner

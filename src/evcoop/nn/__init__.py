@@ -1,15 +1,15 @@
 """Minimal double-precision neural toolkit: tape autodiff, layers, Adam,
 finite-difference gradient checking, and npz checkpoints."""
 
-from .autodiff import Tensor, no_grad, parameter, stack_cols
+from .autodiff import Tensor, no_grad, parameter
 from .checkpoint import CheckpointError, save_checkpoint
 from .gradcheck import GradCheckReport, check_gradients
-from .layers import Dense, DenseNet, GRUCell, MonotonicMixer
+from .layers import Dense, DenseNet, GRUCell, MonotonicMixer, stack_layers
 from .optim import Adam, DivergenceError
 
 __all__ = [
     "Adam", "CheckpointError", "Dense", "DenseNet", "DivergenceError",
     "GRUCell", "GradCheckReport", "MonotonicMixer", "Tensor",
     "check_gradients", "no_grad", "parameter", "save_checkpoint",
-    "stack_cols",
+    "stack_layers",
 ]

@@ -2,8 +2,9 @@
 
 Covers exactly the operations the fixed architectures in this package need
 (affine layers, gated recurrence, the monotone mixer and squared-error
-losses): 2-D matmul, broadcasting arithmetic, a handful of elementwise
-nonlinearities, reductions, reshape, gather and stack.  No GPU, no general
+losses): matmul of matrices or of equally long stacks of matrices,
+broadcasting arithmetic, a handful of elementwise nonlinearities,
+reductions, reshape, transpose and gather.  No GPU, no general
 broadcasting promises beyond what these ops use.
 
 Gradients accumulate into ``Tensor.grad`` on ``backward()`` from a scalar.
@@ -153,14 +154,6 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         return self._coerce(other).__sub__(self)
 
-    def __neg__(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accum(-g)
-
-        return self._result(-a.data, (a,), backward)
-
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
@@ -176,16 +169,18 @@ class Tensor:
     __rmul__ = __mul__
 
     def __matmul__(self, other) -> "Tensor":
+        """Matrix product, slice by slice over leading axes both operands share exactly."""
         other = self._coerce(other)
         a, b = self, other
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise ValueError(f"matmul supports 2-D only, got {a.shape} @ {b.shape}")
+        if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
+            raise ValueError(f"matmul needs matrices with equal leading axes, got "
+                             f"{a.shape} @ {b.shape}")
 
         def backward(g):
             if a.requires_grad:
-                a._accum(g @ b.data.T)
+                a._accum(g @ b.data.mT)
             if b.requires_grad:
-                b._accum(a.data.T @ g)
+                b._accum(a.data.mT @ g)
 
         return self._result(a.data @ b.data, (a, b), backward)
 
@@ -256,31 +251,27 @@ class Tensor:
 
         return self._result(a.data.sum(axis=axis), (a,), backward)
 
-    def gather(self, indices: np.ndarray) -> "Tensor":
-        """Select one column per row: ``out[b] = self[b, indices[b]]``."""
+    def transpose(self) -> "Tensor":
+        """Swap the last two axes."""
         a = self
-        idx = np.asarray(indices, dtype=np.intp)
-        rows = np.arange(a.data.shape[0])
+
+        def backward(g):
+            a._accum(g.mT)
+
+        return self._result(a.data.mT, (a,), backward)
+
+    def gather(self, indices: np.ndarray) -> "Tensor":
+        """One entry of the last axis per row: ``out[..., r] = self[..., r, indices[..., r]]``."""
+        a = self
+        idx = np.ascontiguousarray(indices, dtype=np.intp)  # the result takes its layout
+        where = (*np.indices(idx.shape, sparse=True), idx)
 
         def backward(g):
             scatter = np.zeros_like(a.data)
-            np.add.at(scatter, (rows, idx), g)
+            np.add.at(scatter, where, g)
             a._accum(scatter)
 
-        return self._result(a.data[rows, idx], (a,), backward)
-
-
-def stack_cols(tensors: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors of length B into a (B, len) matrix."""
-    data = np.stack([t.data for t in tensors], axis=1)
-    parents = tuple(tensors)
-
-    def backward(g):
-        for j, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(g[:, j])
-
-    return Tensor._result(data, parents, backward)
+        return self._result(a.data[where], (a,), backward)
 
 
 def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:

@@ -2,7 +2,7 @@
 
 A checkpoint holds a format version, every parameter under ``param.<name>``
 and a JSON metadata string.  Loading restores in place and refuses files
-whose parameter names or shapes do not match the nets being restored.
+whose parameter names or shapes do not match, or whose values are not finite.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def restore_params(path: str | Path, arrays: dict[str, np.ndarray],
                    params: dict[str, Tensor]) -> None:
     """Restore ``params`` in place from read arrays.
 
-    Nothing is written unless every name and shape matches.
+    Nothing is written unless every name and shape matches and every value is finite.
     """
     stored = {n[len("param."):] for n in arrays if n.startswith("param.")}
     missing = sorted(set(params) - stored)
@@ -81,5 +81,7 @@ def restore_params(path: str | Path, arrays: dict[str, np.ndarray],
         if arr.shape != p.data.shape:
             raise CheckpointError(
                 f"{path}: parameter {name} has shape {arr.shape}, expected {p.data.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: parameter {name} has non-finite values")
     for name, p in params.items():
         p.data = arrays[f"param.{name}"].astype(np.float64)

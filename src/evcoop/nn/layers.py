@@ -1,12 +1,16 @@
 """Dense networks, a gated recurrent cell, and the monotone hypernetwork mixer.
 
-All layers consume and produce batch-first ``(batch, features)`` tensors in
-double precision.  Parameters are plain tape tensors; each container exposes
+All layers consume and produce ``(..., rows, features)`` tensors in double
+precision; ``stack_layers`` banks n equally shaped layers on a leading axis,
+and the bank maps ``(n, rows, features)`` as the n layers map their slices.
+Parameters are plain tape tensors; each container exposes
 ``parameters()`` as a flat ``name -> Tensor`` dict so optimizers and
 checkpoints can treat every architecture uniformly.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -32,7 +36,8 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"expected {self.in_dim} input features, got {x.shape}")
-        out = x @ self.W + self.b
+        b = self.b  # a bank's (n, out) bias applies to every row of its slice
+        out = x @ self.W + (b if b.data.ndim == 1 else b.reshape(b.shape[0], 1, self.out_dim))
         return out.relu() if self.activation == "relu" else out
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -65,16 +70,17 @@ class DenseNet:
 
 def _gru_gates(xw: np.ndarray, h: np.ndarray, U_zr: np.ndarray, U_n: np.ndarray,
                b: np.ndarray):
-    """One GRU step from the input projection ``xw = x @ [W_z W_r W_n]`` (bias not added).
+    """One GRU step of (..., B, H) states from ``xw = x @ [W_z W_r W_n]`` (bias not added).
 
     Returns ``(zr, n, rh, h_new)``: the update and reset gates side by side,
     the candidate, the reset-scaled hidden state and the new hidden state.
     """
-    H = h.shape[1]
-    zr = sigmoid(xw[:, :2 * H] + h @ U_zr + b[:2 * H])
-    rh = zr[:, H:] * h
-    n = np.tanh(xw[:, 2 * H:] + rh @ U_n + b[2 * H:])
-    z = zr[:, :H]
+    H = h.shape[-1]
+    b = b[..., None, :]
+    zr = sigmoid(xw[..., :2 * H] + h @ U_zr + b[..., :2 * H])
+    rh = zr[..., H:] * h
+    n = np.tanh(xw[..., 2 * H:] + rh @ U_n + b[..., 2 * H:])
+    z = zr[..., :H]
     return zr, n, rh, (1.0 - z) * n + z * h
 
 
@@ -82,19 +88,19 @@ def _gru_gates_backward(g: np.ndarray, h: np.ndarray, zr: np.ndarray, n: np.ndar
                         U_zr: np.ndarray, U_n: np.ndarray):
     """Reverse of ``_gru_gates`` for ``g = dL/dh_new``.
 
-    Returns ``(da, dh)``: the gradient with respect to the (B, 3H) gate
+    Returns ``(da, dh)``: the gradient with respect to the (..., B, 3H) gate
     pre-activations (z, r, n side by side) and with respect to ``h``.
     """
-    H = h.shape[1]
-    z = zr[:, :H]
-    da = np.empty((h.shape[0], 3 * H))
+    H = h.shape[-1]
+    z = zr[..., :H]
+    da = np.empty((*h.shape[:-1], 3 * H))
     da_n = g * (1.0 - z) * (1.0 - n * n)
-    drh = da_n @ U_n.T
-    da[:, :H] = g * (h - n)
-    da[:, H:2 * H] = drh * h
-    da[:, :2 * H] *= zr * (1.0 - zr)
-    da[:, 2 * H:] = da_n
-    return da, g * z + drh * zr[:, H:] + da[:, :2 * H] @ U_zr.T
+    drh = da_n @ U_n.mT
+    da[..., :H] = g * (h - n)
+    da[..., H:2 * H] = drh * h
+    da[..., :2 * H] *= zr * (1.0 - zr)
+    da[..., 2 * H:] = da_n
+    return da, g * z + drh * zr[..., H:] + da[..., :2 * H] @ U_zr.mT
 
 
 class GRUCell:
@@ -104,8 +110,8 @@ class GRUCell:
     the candidate uses the reset-scaled hidden state, and the new hidden is
     the gate-weighted blend ``(1 - z) * candidate + z * h``.
 
-    ``step`` and ``sequence`` each record one tape node with a hand-written
-    backward; both run the same numpy gate kernel.
+    ``sequence`` records one tape node with a hand-written backward through
+    time; ``step`` is a one-slot ``sequence``.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
@@ -113,91 +119,76 @@ class GRUCell:
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
         bound = 1.0 / np.sqrt(hidden_dim)
-
-        def mat(rows, cols):
-            return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
-
-        def vec(n):
-            return Tensor(rng.uniform(-bound, bound, size=n), requires_grad=True)
-
-        self.W_z, self.U_z, self.b_z = mat(in_dim, hidden_dim), mat(hidden_dim, hidden_dim), vec(hidden_dim)
-        self.W_r, self.U_r, self.b_r = mat(in_dim, hidden_dim), mat(hidden_dim, hidden_dim), vec(hidden_dim)
-        self.W_n, self.U_n, self.b_n = mat(in_dim, hidden_dim), mat(hidden_dim, hidden_dim), vec(hidden_dim)
-
-    def init_hidden(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_dim)))
+        shapes = ((in_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim,))
+        self.W_z, self.U_z, self.b_z = (parameter(shape, rng, bound) for shape in shapes)
+        self.W_r, self.U_r, self.b_r = (parameter(shape, rng, bound) for shape in shapes)
+        self.W_n, self.U_n, self.b_n = (parameter(shape, rng, bound) for shape in shapes)
 
     def _weights(self):
         # Read on every call: optimizers reassign .data and gradient checks edit it in place.
-        W = np.concatenate([self.W_z.data, self.W_r.data, self.W_n.data], axis=1)
-        U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
-        b = np.concatenate([self.b_z.data, self.b_r.data, self.b_n.data])
+        W = np.concatenate([self.W_z.data, self.W_r.data, self.W_n.data], axis=-1)
+        U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=-1)
+        b = np.concatenate([self.b_z.data, self.b_r.data, self.b_n.data], axis=-1)
         return W, U_zr, self.U_n.data, b
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim or h.shape[-1] != self.hidden_dim:
-            raise ValueError(f"shape mismatch: x {x.shape}, h {h.shape}")
-        W, U_zr, U_n, b = self._weights()
-        h_data = h.data
-        zr, n, rh, out = _gru_gates(x.data @ W, h_data, U_zr, U_n, b)
+    def step(self, x: Tensor, h: Tensor | None) -> Tensor:
+        """One slot: ``x`` (..., B, in_dim) from hidden ``h`` (..., B, H), zero when None."""
+        return self.sequence(x, x.shape[-2], 1, h0=h)
 
-        def backward(g):
-            da, dh = _gru_gates_backward(g, h_data, zr, n, U_zr, U_n)
-            if h.requires_grad:
-                h._accum(dh)
-            self._accum_grads(x, W, h_data, rh, da)
+    def sequence(self, x: Tensor, batch: int, steps: int, h0: Tensor | None = None) -> Tensor:
+        """Unroll ``steps`` slots from ``h0`` (..., batch, H), a zero state when None.
 
-        return Tensor._result(out, (x, h, *self._params()), backward)
-
-    def sequence(self, x: Tensor, batch: int, steps: int) -> Tensor:
-        """Unroll ``steps`` slots from a zero hidden state.
-
-        Rows of ``x`` (batch * steps, in_dim) are batch-major, row ``b * steps + t``
+        Rows of ``x`` (..., batch * steps, in_dim) are batch-major, row ``b * steps + t``
         holding episode b at slot t; the result holds the hidden state after
-        each slot in the same row order, (batch * steps, hidden_dim).
+        each slot in the same row order, (..., batch * steps, hidden_dim).
+        Leading axes are a stack's: slice i runs on the i-th cell's weights.
         """
         B, T, H = batch, steps, self.hidden_dim
-        if x.shape != (B * T, self.in_dim):
-            raise ValueError(f"expected x of shape {(B * T, self.in_dim)}, got {x.shape}")
+        lead = self.W_z.shape[:-2]
+        if x.shape != (*lead, B * T, self.in_dim) or h0 is not None and h0.shape != (*lead, B, H):
+            raise ValueError(f"expected x {(*lead, B * T, self.in_dim)} and h0 {(*lead, B, H)}, "
+                             f"got {x.shape} and {None if h0 is None else h0.shape}")
         W, U_zr, U_n, b = self._weights()
-        xw = (x.data @ W).reshape(B, T, 3 * H)
-        hs = np.zeros((B, T + 1, H))  # hs[:, t] enters slot t
-        zr = np.empty((B, T, 2 * H))
-        n = np.empty((B, T, H))
-        rh = np.empty((B, T, H))
+        xw = (x.data @ W).reshape(*lead, B, T, 3 * H)
+        hs = np.zeros((*lead, B, T + 1, H))  # hs[..., t, :] enters slot t
+        if h0 is not None:
+            hs[..., 0, :] = h0.data
+        zr = np.empty((*lead, B, T, 2 * H))
+        n = np.empty((*lead, B, T, H))
+        rh = np.empty((*lead, B, T, H))
         for t in range(T):
-            zr[:, t], n[:, t], rh[:, t], hs[:, t + 1] = _gru_gates(xw[:, t], hs[:, t], U_zr, U_n, b)
+            zr[..., t, :], n[..., t, :], rh[..., t, :], hs[..., t + 1, :] = _gru_gates(
+                xw[..., t, :], hs[..., t, :], U_zr, U_n, b)
 
         def backward(g):
-            g = g.reshape(B, T, H)
-            da = np.empty((B, T, 3 * H))
-            dh = np.zeros((B, H))
+            g = g.reshape(*lead, B, T, H)
+            da = np.empty((*lead, B, T, 3 * H))
+            dh = np.zeros((*lead, B, H))
             for t in reversed(range(T)):
-                da[:, t], dh = _gru_gates_backward(g[:, t] + dh, hs[:, t], zr[:, t], n[:, t],
-                                                   U_zr, U_n)
-            self._accum_grads(x, W, hs[:, :T].reshape(B * T, H), rh.reshape(B * T, H),
-                              da.reshape(B * T, 3 * H))
+                da[..., t, :], dh = _gru_gates_backward(
+                    g[..., t, :] + dh, hs[..., t, :], zr[..., t, :], n[..., t, :], U_zr, U_n)
+            if h0 is not None and h0.requires_grad:
+                h0._accum(dh)
+            self._accum_grads(x, W, hs[..., :T, :].reshape(*lead, B * T, H),
+                              rh.reshape(*lead, B * T, H), da.reshape(*lead, B * T, 3 * H))
 
-        return Tensor._result(hs[:, 1:].reshape(B * T, H), (x, *self._params()), backward)
-
-    def _params(self) -> tuple[Tensor, ...]:
-        return (self.W_z, self.W_r, self.W_n, self.U_z, self.U_r, self.U_n,
-                self.b_z, self.b_r, self.b_n)
+        parents = tuple(p for p in (x, h0, *self.parameters().values()) if p is not None)
+        return Tensor._result(hs[..., 1:, :].reshape(*lead, B * T, H), parents, backward)
 
     def _accum_grads(self, x: Tensor, W: np.ndarray, h_prev: np.ndarray, rh: np.ndarray,
                      da: np.ndarray) -> None:
-        """Route gate pre-activation gradients ``da`` (rows, 3H) to ``x`` and every parameter."""
+        """Route gate pre-activation gradients ``da`` (..., rows, 3H) to ``x`` and every parameter."""
         H = self.hidden_dim
-        dW = x.data.T @ da
-        dU_zr = h_prev.T @ da[:, :2 * H]
-        grads = (dW[:, :H], dW[:, H:2 * H], dW[:, 2 * H:],
-                 dU_zr[:, :H], dU_zr[:, H:], rh.T @ da[:, 2 * H:],
-                 *np.split(da.sum(axis=0), 3))
-        for p, grad in zip(self._params(), grads):
+        dW = np.split(x.data.mT @ da, 3, axis=-1)
+        dU = (*np.split(h_prev.mT @ da[..., :2 * H], 2, axis=-1), rh.mT @ da[..., 2 * H:])
+        db = np.split(da.sum(axis=-2), 3, axis=-1)
+        # (W, U, b) per gate z, r, n: the order of parameters()
+        grads = [grad for gate in zip(dW, dU, db) for grad in gate]
+        for p, grad in zip(self.parameters().values(), grads):
             if p.requires_grad:
                 p._accum(grad)
         if x.requires_grad:
-            x._accum(da @ W.T)
+            x._accum(da @ W.mT)
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {
@@ -205,6 +196,15 @@ class GRUCell:
             f"{prefix}W_r": self.W_r, f"{prefix}U_r": self.U_r, f"{prefix}b_r": self.b_r,
             f"{prefix}W_n": self.W_n, f"{prefix}U_n": self.U_n, f"{prefix}b_n": self.b_n,
         }
+
+
+def stack_layers(layers):
+    """A bank of equally shaped Dense layers or GRU cells: slice i of each parameter is layer i's."""
+    bank = copy.copy(layers[0])
+    # parameters() keys without a prefix are the attribute names
+    for name in layers[0].parameters():
+        setattr(bank, name, parameter(np.stack([getattr(layer, name).data for layer in layers])))
+    return bank
 
 
 class MonotonicMixer:

@@ -25,7 +25,7 @@ from evcoop.marl import (
     greedy_profit,
     train,
 )
-from evcoop.nn import Tensor, check_gradients, no_grad, stack_cols
+from evcoop.nn import Tensor, check_gradients, no_grad
 from evcoop.oracle import brute_force, random_tiny_instance, replay_sequence, rolling_greedy
 
 
@@ -71,25 +71,32 @@ def test_gradient_fidelity_twenty_inits():
         state = rng.standard_normal((3, 12))
         target = rng.standard_normal(3)
 
+        # both agents see the same observations, fed back once through their Q-values
+        obs_both = Tensor(np.stack([obs, obs]))
+        feedback = Tensor(np.stack([np.eye(learner.grid.n_actions, 6)] * 2))
+        picks = np.array([[0, 3, 7]] * 2)
+
         def loss_fn():
-            qs = []
-            for agent in learner.agents_eval:
-                h = agent.init_hidden(3)
-                q, h = agent.step(Tensor(obs), h)
-                q, _ = agent.step(q.tanh() @ Tensor(np.eye(learner.grid.n_actions, 6)), h)
-                qs.append(q.gather(np.array([0, 3, 7])))
-            cols = stack_cols(qs)
+            agents = learner.agents_eval
+            q, h = agents.step(obs_both, None)
+            q, _ = agents.step(q.tanh() @ feedback, h)
+            cols = q.gather(picks).transpose()
             qa = learner.mixer_a_eval.forward(Tensor(state), cols)
             qb = learner.mixer_b_eval.forward(Tensor(state), cols)
             diff_a = qa - Tensor(target)
             diff_b = qb - Tensor(target)
             return (diff_a * diff_a).sum() + (diff_b * diff_b).sum()
 
-        report = check_gradients(loss_fn, learner.parameters("eval"),
-                                 sample=12, rng=rng)
-        worst = max(worst, report.max_rel_error)
-        assert report.ok(1e-4), (
-            f"init {k}: max rel error {report.max_rel_error:.3e} at {report.worst_param}")
+        # 12 entries per parameter of each station's agent and of each mixer
+        params = learner.parameters("eval")
+        reports = [check_gradients(loss_fn, {k: p for k, p in params.items() if k.startswith(group)},
+                                   sample=sample, rng=rng)
+                   for group, sample in (("agents.", 12 * 2), ("mixer", 12))]
+        assert [r.n_checked for r in reports] == [312, 274]
+        for report in reports:
+            worst = max(worst, report.max_rel_error)
+            assert report.ok(1e-4), (
+                f"init {k}: max rel error {report.max_rel_error:.3e} at {report.worst_param}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _passline("gradient fidelity",

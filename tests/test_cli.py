@@ -155,19 +155,29 @@ def test_evaluate_rejects_station_mismatch(trained, tmp_path):
     assert main(["evaluate", "--checkpoint", str(ck), "--config", str(cfg)]) == 1
 
 
-def _with_meta(good, edit):
-    """A copy of the checkpoint at ``good`` whose metadata ``edit`` has changed."""
+def _rewritten(good, edit):
+    """A copy of the checkpoint at ``good`` whose arrays ``edit`` has changed in place."""
     with np.load(good) as archive:
         arrays = {name: archive[name] for name in archive.files}
-    meta = json.loads(str(arrays["meta_json"]))
-    edit(meta)
-    arrays["meta_json"] = np.array(json.dumps(meta))
+    edit(arrays)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("damage", ["garbage", "truncated", "no-train-config", "unknown-field"])
+def _with_meta(good, edit):
+    """A copy of the checkpoint at ``good`` whose metadata ``edit`` has changed."""
+
+    def edit_meta(arrays):
+        meta = json.loads(str(arrays["meta_json"]))
+        edit(meta)
+        arrays["meta_json"] = np.array(json.dumps(meta))
+
+    return _rewritten(good, edit_meta)
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "no-train-config", "unknown-field",
+                                    "nonfinite-param"])
 def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, capsys, damage):
     good = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
     ck = tmp_path / "checkpoint.npz"
@@ -176,6 +186,8 @@ def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, capsys, dama
         "truncated": lambda: good.read_bytes()[: good.stat().st_size // 2],
         "no-train-config": lambda: _with_meta(good, lambda m: m.pop("train_config")),
         "unknown-field": lambda: _with_meta(good, lambda m: m["train_config"].update(bogus=1)),
+        "nonfinite-param": lambda: _rewritten(
+            good, lambda a: a["param.eval.agent0.head.W"].fill(np.nan)),
     }[damage]())
     assert main(["evaluate", "--checkpoint", str(ck), "--out", str(tmp_path)]) == 3
     assert str(ck) in capsys.readouterr().err

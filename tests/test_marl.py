@@ -1,5 +1,7 @@
 """Learning engine: encoding, action grid, replay, targets, training loop."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from evcoop.core import EssParams, StationState
 from evcoop.data import DemandModel, build_episode, synth_demand, synth_price_series, synth_pv_series
 from evcoop.marl import (
     ActionGrid,
+    DRQNAgent,
     EpisodeRecord,
     InfeasibleActionError,
     OBS_DIM,
@@ -27,7 +30,7 @@ from evcoop.marl import (
     train,
     train_step,
 )
-from evcoop.nn import GRUCell, MonotonicMixer, Tensor, no_grad, stack_cols
+from evcoop.nn import Dense, GRUCell, MonotonicMixer, Tensor, no_grad
 
 PARAMS = EssParams()
 SCALES = ObsScales()
@@ -91,26 +94,28 @@ def test_epsilon_schedule_endpoints():
 
 def test_exploration_respects_mask_and_uniformity():
     learner = _learner()
-    agent = learner.agents_eval[0]
+    with no_grad():
+        q, _ = learner.agents_eval.step(Tensor(np.zeros((2, 1, OBS_DIM))), None)
+    q = q.data[0, 0]
     mask = np.zeros(GRID.n_actions, dtype=bool)
     feasible = [1, 4, 7, 10, 13]
     mask[feasible] = True
-    obs = np.zeros(OBS_DIM)
     rng = np.random.default_rng(0)
     counts = {a: 0 for a in feasible}
-    h = agent.init_hidden(1)
     for _ in range(3000):
-        a, _ = act_epsilon_greedy(agent, obs, h, epsilon=1.0, mask=mask, rng=rng)
+        a = act_epsilon_greedy(q, epsilon=1.0, mask=mask, rng=rng)
         counts[a] += 1
     assert sum(counts.values()) == 3000
     expect = 3000 / len(feasible)
     for a in feasible:
         assert abs(counts[a] - expect) < 5 * np.sqrt(3000 * 0.2 * 0.8)
-    # Greedy needs no randomness source at all.
-    a, _ = act_epsilon_greedy(agent, obs, h, epsilon=0.0, mask=mask, rng=None)
-    assert a in feasible
-    with pytest.raises(ValueError):
-        act_epsilon_greedy(agent, obs, h, epsilon=0.5, mask=mask, rng=None)
+    # Greedy needs no randomness source at all, and takes the best feasible action.
+    a = act_epsilon_greedy(q, epsilon=0.0, mask=mask, rng=None)
+    assert a == feasible[int(np.argmax(q[feasible]))]
+    with pytest.raises(ValueError, match="requires an rng"):
+        act_epsilon_greedy(q, epsilon=0.5, mask=mask, rng=None)
+    with pytest.raises(ValueError, match="empty feasibility mask"):
+        act_epsilon_greedy(q, epsilon=0.0, mask=np.zeros_like(mask), rng=None)
 
 
 def test_replay_buffer_eviction_and_sampling():
@@ -156,38 +161,68 @@ def _stacked(batch):
 
 def _targets(batch, learner):
     obs, states, _, masks, rewards = _stacked(batch)
-    q_eval = _reference_unroll(learner.agents_eval, obs)
+    q_eval = _reference_unroll(_station_agents(learner.agents_eval), obs)
     return compute_targets(obs, states, masks, rewards, q_eval, learner)
 
 
-# Reference: the learner step as first written, one slot at a time, with a
-# second graph-free unroll of the eval agents for the targets and one mixer
-# call per slot.  train_step mixes all slots at once and reuses its taped
-# unroll, so it may differ from this only in summation order.
+def _station_agents(bank):
+    """Station i's encoder, GRU and head as separate layers holding copies of slice i."""
+    stations = []
+    for i in range(bank.encoder.W.shape[0]):
+        layers = (Dense(bank.encoder.in_dim, bank.encoder.out_dim, "relu"),
+                  GRUCell(bank.gru.in_dim, bank.gru.hidden_dim),
+                  Dense(bank.head.in_dim, bank.head.out_dim, "none"))
+        for layer, stacked in zip(layers, (bank.encoder, bank.gru, bank.head)):
+            for p, ps in zip(layer.parameters().values(), stacked.parameters().values()):
+                p.data = ps.data[i].copy()
+        stations.append(layers)
+    return stations
 
-def _reference_unroll(agents, obs):
+
+def _station_grads(stations, bank, prefix="agents."):
+    """The stations' gradients stacked into the bank's layout, under its parameter names."""
+    per_station = [{} for _ in stations]
+    for grads, (enc, gru, head) in zip(per_station, stations):
+        for layer, name in ((enc, "enc."), (gru, "gru."), (head, "head.")):
+            grads.update({k: p.grad for k, p in layer.parameters(f"{prefix}{name}").items()})
+    return {k: np.stack([g[k] for g in per_station]) for k in bank.parameters(prefix)}
+
+
+def _columns(cols):
+    """(B,) tape tensors side by side as a (B, len) tensor."""
+    n = len(cols)
+    return sum(c.reshape(c.shape[0], 1) * Tensor(np.eye(n)[i:i + 1]) for i, c in enumerate(cols))
+
+
+# Reference: the learner step as first written, one slot at a time, with a
+# separate agent per station, a second graph-free unroll of the eval agents
+# for the targets and one mixer call per slot.  train_step runs the agent
+# bank, mixes all slots at once and reuses its taped unroll, so it may
+# differ from this only in summation order.
+
+def _reference_unroll(stations, obs):
     """Graph-free Q-values for every slot: (B, T, I, 6) -> (B, T, I, A)."""
     B, T, n, _ = obs.shape
-    out = np.zeros((B, T, n, agents[0].n_actions))
+    out = np.zeros((B, T, n, stations[0][2].out_dim))
     with no_grad():
-        for i, agent in enumerate(agents):
-            h = agent.init_hidden(B)
+        for i, (enc, gru, head) in enumerate(stations):
+            h = None
             for t in range(T):
-                q, h = agent.step(Tensor(obs[:, t, i, :]), h)
-                out[:, t, i, :] = q.data
+                h = gru.step(enc(Tensor(obs[:, t, i, :])), h)
+                out[:, t, i, :] = head(h).data
     return out
 
 
 def _reference_targets(obs, states, masks, rewards, learner):
     B, T, n, _ = obs.shape
     gamma = learner.config.gamma
-    q_target = _reference_unroll(learner.agents_target, obs)
+    q_target = _reference_unroll(_station_agents(learner.agents_target), obs)
     if learner.algorithm == "independent_dqn":
         y = np.repeat(rewards[:, :, None], n, axis=2)
         best_next = np.max(np.where(masks, q_target, -np.inf), axis=-1)
         y[:, :-1, :] += gamma * best_next[:, 1:, :]
         return y
-    selector = (_reference_unroll(learner.agents_eval, obs)
+    selector = (_reference_unroll(_station_agents(learner.agents_eval), obs)
                 if learner.algorithm == "double_qmix" else q_target)
     next_actions = np.argmax(np.where(masks, selector, -np.inf), axis=-1)
     chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]
@@ -203,18 +238,19 @@ def _reference_targets(obs, states, masks, rewards, learner):
 
 
 def _reference_loss(batch, learner):
-    """(l_mix, agent losses) of one step; leaves the gradients in every eval ``grad``."""
+    """(l_mix, agent losses, gradients of every eval parameter) of one step."""
     obs, states, actions, masks, rewards = _stacked(batch)
     B, T, n, _ = obs.shape
     scale = 1.0 / (B * T)
     y = _reference_targets(obs, states, masks, rewards, learner)
+    stations = _station_agents(learner.agents_eval)
     chosen = []
-    for i, agent in enumerate(learner.agents_eval):
-        h = agent.init_hidden(B)
+    for i, (enc, gru, head) in enumerate(stations):
+        h = None
         per_slot = []
         for t in range(T):
-            q, h = agent.step(Tensor(obs[:, t, i, :]), h)
-            per_slot.append(q.gather(actions[:, t, i]))
+            h = gru.step(enc(Tensor(obs[:, t, i, :])), h)
+            per_slot.append(head(h).gather(actions[:, t, i]))
         chosen.append(per_slot)
     independent = learner.algorithm == "independent_dqn"
     direct = learner.config.agent_loss_mode == "direct"
@@ -223,8 +259,8 @@ def _reference_loss(batch, learner):
     if not independent:
         acc = None
         for t in range(T):
-            qs_t = stack_cols([chosen[i][t].detach() if direct else chosen[i][t]
-                               for i in range(n)])
+            qs_t = _columns([chosen[i][t].detach() if direct else chosen[i][t]
+                             for i in range(n)])
             st_t = Tensor(states[:, t, :])
             y_t = Tensor(y[:, t])
             da = learner.mixer_a_eval.forward(st_t, qs_t) - y_t
@@ -252,7 +288,9 @@ def _reference_loss(batch, learner):
     for p in learner.parameters("eval").values():
         p.grad = None
     total.backward()
-    return l_mix, agent_losses
+    grads = {k: p.grad for k, p in learner.parameters("eval").items() if p.grad is not None}
+    grads.update(_station_grads(stations, learner.agents_eval))
+    return l_mix, agent_losses, grads
 
 
 def test_double_targets_take_pessimistic_mixture():
@@ -342,9 +380,9 @@ def test_train_step_matches_per_slot_reference(algorithm, mode):
     rng = np.random.default_rng(1)
     for p in learner.parameters("target").values():
         p.data = p.data + rng.normal(0.0, 0.1, p.shape)
-    ref_mix, ref_agents = _reference_loss(batch, learner)
+    ref_mix, ref_agents, ref_grads = _reference_loss(batch, learner)
     params = learner.parameters("eval")
-    ref_grads = {k: p.grad.copy() for k, p in params.items()}
+    assert set(ref_grads) == set(params)
     l_mix, agent_losses = train_step(batch, learner)
     if ref_mix is None:
         assert l_mix is None
@@ -357,16 +395,90 @@ def test_train_step_matches_per_slot_reference(algorithm, mode):
         assert np.max(np.abs(p.grad - ref_grads[k])) <= 1e-12 * scale, k
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_agent_bank_matches_separately_built_agents_bit_for_bit(n, batch):
+    T, H, A = 5, 7, GRID.n_actions
+    bank = DRQNAgent(n, OBS_DIM, A, H, np.random.default_rng(n))
+    # the per-station agents as first built: encoder, GRU and head drawn in turn
+    rng = np.random.default_rng(n)
+    stations = [(Dense(OBS_DIM, H, "relu", rng), GRUCell(H, H, rng), Dense(H, A, "none", rng))
+                for _ in range(n)]
+    for i, (enc, gru, head) in enumerate(stations):
+        for layer, stacked in zip((enc, gru, head), (bank.encoder, bank.gru, bank.head)):
+            for p, ps in zip(layer.parameters().values(), stacked.parameters().values()):
+                assert np.array_equal(_bits(ps.data[i]), _bits(p.data))
+
+    data = np.random.default_rng(100 + n)
+    obs = data.standard_normal((n, batch * T, OBS_DIM))
+    weights = data.standard_normal((n, batch * T, A))
+    h0 = data.uniform(-0.9, 0.9, (n, batch, H))
+    q = bank.head(bank.gru.sequence(bank.encoder(Tensor(obs)), batch, T))
+    q_step, h_step = bank.step(Tensor(obs[:, :batch]), Tensor(h0))
+    ((q * Tensor(weights)).sum() + (q_step * Tensor(weights[:, :batch])).sum()
+     + (h_step * h_step).sum()).backward()
+    for i, (enc, gru, head) in enumerate(stations):
+        q_i = head(gru.sequence(enc(Tensor(obs[i])), batch, T))
+        h_i = gru.step(enc(Tensor(obs[i, :batch])), Tensor(h0[i]))
+        assert np.array_equal(_bits(q.data[i]), _bits(q_i.data))
+        assert np.array_equal(_bits(q_step.data[i]), _bits(head(h_i).data))
+        assert np.array_equal(_bits(h_step.data[i]), _bits(h_i.data))
+        ((q_i * Tensor(weights[i])).sum() + (head(h_i) * Tensor(weights[i, :batch])).sum()
+         + (h_i * h_i).sum()).backward()
+    for k, g in _station_grads(stations, bank, prefix="").items():
+        assert np.array_equal(_bits(bank.parameters()[k].grad), _bits(g)), k
+
+
+def test_checkpoint_keeps_the_per_station_layout(tmp_path):
+    # names, shapes and entry order as when every station had its own agent
+    n, H, A = 3, 5, GRID.n_actions
+    learner = build_learner("double_qmix", n, PARAMS, GRID, SCALES,
+                            TrainConfig(episodes=1, batch_episodes=1, capacity=1,
+                                        hidden_dim=H, embed_dim=4, hyper_hidden=6),
+                            np.random.default_rng(0))
+    agent = [("enc.W", (OBS_DIM, H)), ("enc.b", (H,))]
+    for gate in "zrn":
+        agent += [(f"gru.W_{gate}", (H, H)), (f"gru.U_{gate}", (H, H)), (f"gru.b_{gate}", (H,))]
+    agent += [("head.W", (H, A)), ("head.b", (A,))]
+    mixer = []
+    for hyper, dims in (("hyper_w1", (n * OBS_DIM, 6, n * 4)), ("hyper_b1", (n * OBS_DIM, 4)),
+                        ("hyper_w2", (n * OBS_DIM, 6, 4)), ("hyper_b2", (n * OBS_DIM, 6, 1))):
+        layers = [f"{hyper}."] if len(dims) == 2 else [f"{hyper}.l{j}." for j in range(len(dims) - 1)]
+        for j, layer in enumerate(layers):
+            mixer += [(f"{layer}W", dims[j:j + 2]), (f"{layer}b", dims[j + 1:j + 2])]
+    per_role = [(f"agent{i}.{k}", s) for i in range(n) for k, s in agent]
+    per_role += [(f"{m}.{k}", s) for m in ("mixer_a", "mixer_b") for k, s in mixer]
+    want = [(f"param.{role}.{name}", s) for role in ("eval", "target") for name, s in per_role]
+    path = tmp_path / "learner.npz"
+    save_learner(path, learner)
+    with zipfile.ZipFile(path) as archive:
+        order = [name[:-len(".npy")] for name in archive.namelist()]
+    with np.load(path) as archive:
+        got = [(name, archive[name].shape) for name in order if name.startswith("param.")]
+    assert order[:2] == ["format_version", "meta_json"]
+    assert got == want
+    bank = learner.parameters("eval")
+    with np.load(path) as archive:
+        assert np.array_equal(archive["param.eval.agent2.gru.U_r"], bank["agents.gru.U_r"].data[2])
+    restored = load_learner(path)
+    for role in ("eval", "target"):
+        for k, p in restored.parameters(role).items():
+            assert np.array_equal(p.data, learner.parameters(role)[k].data), k
+
+
 def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     learner = _learner("double_qmix")
     batch = _batch(learner, n=2)
-    n = learner.n_agents
     calls = {"sequence": 0, "step": 0, "mixer": 0}
     gru_sequence, gru_step, mixer_forward = GRUCell.sequence, GRUCell.step, MonotonicMixer.forward
 
-    def counted_sequence(self, x, batch, steps):
+    def counted_sequence(self, x, batch, steps, h0=None):
         calls["sequence"] += 1
-        return gru_sequence(self, x, batch, steps)
+        return gru_sequence(self, x, batch, steps, h0)
 
     def counted_step(self, x, h):
         calls["step"] += 1
@@ -381,9 +493,9 @@ def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     monkeypatch.setattr(MonotonicMixer, "forward", counted_forward)
     train_step(batch, learner)
     # one graph-free target unroll and one taped eval unroll, each one fused
-    # sequence per agent; two target mixers for the bootstrap and two eval
-    # mixers for the loss
-    assert calls == {"sequence": 2 * n, "step": 0, "mixer": 4}
+    # sequence for the whole agent bank; two target mixers for the bootstrap
+    # and two eval mixers for the loss
+    assert calls == {"sequence": 2, "step": 0, "mixer": 4}
 
 
 def test_train_step_tape_stays_small(monkeypatch):

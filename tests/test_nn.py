@@ -19,7 +19,6 @@ from evcoop.nn import (
     no_grad,
     parameter,
     save_checkpoint,
-    stack_cols,
 )
 from evcoop.nn.autodiff import sigmoid
 from evcoop.nn.checkpoint import read_checkpoint, restore_params
@@ -40,14 +39,25 @@ def test_tensor_forward_matches_numpy():
 
 def test_matmul_backward_matches_analytic():
     rng = np.random.default_rng(1)
-    a = parameter(rng.standard_normal((3, 4)))
-    b = parameter(rng.standard_normal((4, 2)))
-    loss = (a @ b).sum()
-    loss.backward()
-    # d/dA sum(AB) = 1 B^T, d/dB = A^T 1
-    ones = np.ones((3, 2))
-    assert a.grad == pytest.approx(ones @ b.data.T)
-    assert b.grad == pytest.approx(a.data.T @ ones)
+    for lead in ((), (3,)):  # two matrices, then two stacks of three
+        a = parameter(rng.standard_normal((*lead, 3, 4)))
+        b = parameter(rng.standard_normal((*lead, 4, 2)))
+        loss = (a @ b).sum()
+        loss.backward()
+        # d/dA sum(AB) = 1 B^T, d/dB = A^T 1, slice by slice
+        ones = np.ones((3, 2))
+        for k in np.ndindex(lead):
+            assert a.grad[k] == pytest.approx(ones @ b.data[k].T)
+            assert b.grad[k] == pytest.approx(a.data[k].T @ ones)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (1, 4, 2)), ((2, 3, 4), (4, 2)),
+                                              ((3, 4), (2, 4, 2)), ((3, 4), (4,))])
+def test_matmul_rejects_unequal_leading_axes(a_shape, b_shape):
+    # numpy would broadcast these, and a size-1 or missing axis would then
+    # receive a gradient of the broadcast shape
+    with pytest.raises(ValueError, match="equal leading axes"):
+        parameter(np.ones(a_shape)) @ parameter(np.ones(b_shape))
 
 
 def test_gather_backward_scatter():
@@ -161,7 +171,7 @@ def _close(got, want, rel=1e-12):
 def test_gru_sequence_matches_composite_steps(batch, steps):
     enc, gru, head, obs, weights, params = _sequence_net(batch, steps, seed=batch + steps)
     # reference: one composite step per slot, each slot's rows picked on the tape
-    h = gru.init_hidden(batch)
+    h = Tensor(np.zeros((batch, gru.hidden_dim)))
     ref_h, ref_loss = [], None
     for t in range(steps):
         pick = Tensor(np.eye(batch * steps)[t::steps])
@@ -221,8 +231,7 @@ def _composite_loss():
     target = np.array([0.3, -0.7])
 
     def loss_fn():
-        h = gru.init_hidden(2)
-        h = gru.step(enc(x), h)
+        h = gru.step(enc(x), None)
         qs = head(h)
         tot = mixer.forward(x, qs)
         diff = tot - Tensor(target)
@@ -342,15 +351,20 @@ def test_checkpoint_shape_and_name_mismatch(tmp_path):
         restore_params(path, arrays, renamed.parameters("other."))
 
 
-def test_stack_cols_shapes_and_grad():
-    a = parameter(np.array([1.0, 2.0]))
-    b = parameter(np.array([3.0, 4.0]))
-    out = stack_cols([a, b])
+def test_transpose_shapes_and_grad():
+    ab = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    out = ab.transpose()
     assert out.shape == (2, 2)
     assert out.data == pytest.approx(np.array([[1.0, 3.0], [2.0, 4.0]]))
     (out * Tensor(np.array([[1.0, 10.0], [100.0, 1000.0]]))).sum().backward()
-    assert a.grad == pytest.approx([1.0, 100.0])
-    assert b.grad == pytest.approx([10.0, 1000.0])
+    assert ab.grad == pytest.approx(np.array([[1.0, 100.0], [10.0, 1000.0]]))
+    # a stack swaps the last two axes of each slice
+    stacked = parameter(np.arange(12.0).reshape(2, 3, 2))
+    out = stacked.transpose()
+    assert out.shape == (2, 2, 3)
+    assert np.array_equal(out.data[1], stacked.data[1].T)
+    (out * Tensor(np.arange(12.0).reshape(2, 2, 3))).sum().backward()
+    assert np.array_equal(stacked.grad, np.arange(12.0).reshape(2, 2, 3).swapaxes(1, 2))
 
 
 def test_no_grad_blocks_taping():
