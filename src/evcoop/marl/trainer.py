@@ -502,13 +502,29 @@ def greedy_profit(episode: Episode, learner: LearnerState) -> float:
 
 # --- checkpoint round-trip -------------------------------------------------
 
+def _agent_entries(agents: DRQNAgent) -> dict[str, tuple[Tensor, slice]]:
+    """Each per-station checkpoint name of an agent bank -> (bank parameter, its columns there).
+
+    The packed GRU appears as its nine gate blocks (``gru.W_z, gru.U_z, ..., gru.b_n``),
+    named and ordered as when each gate was its own parameter.
+    """
+    out: dict[str, tuple[Tensor, slice]] = {}
+    for name, p in agents.parameters().items():
+        if not name.startswith("gru."):
+            out[name] = (p, slice(None))
+        elif name == "gru.W":  # the gate blocks sit where the GRU's first parameter does
+            out.update({f"gru.{gate}": block for gate, block in agents.gru.gate_columns().items()})
+    return out
+
+
 def _checkpoint_params(learner: LearnerState) -> dict[str, Tensor]:
     """Every parameter under its checkpoint name; ``<role>.agent<i>.*`` are views of bank slice i."""
     out: dict[str, Tensor] = {}
     for role in ("eval", "target"):
-        bank = getattr(learner, f"agents_{role}").parameters()
+        entries = _agent_entries(getattr(learner, f"agents_{role}"))
         for i in range(learner.n_agents):
-            out.update({f"{role}.agent{i}.{name}": Tensor(p.data[i]) for name, p in bank.items()})
+            out.update({f"{role}.agent{i}.{name}": Tensor(p.data[i][..., cols])
+                        for name, (p, cols) in entries.items()})
         out.update({f"{role}.{name}": p for name, p in learner.parameters(role).items()
                     if name.startswith("mixer")})
     return out
@@ -550,7 +566,7 @@ def load_learner(path) -> LearnerState:
     stored = _checkpoint_params(learner)
     restore_params(path, arrays, stored)
     for role in ("eval", "target"):
-        for name, p in getattr(learner, f"agents_{role}").parameters().items():
-            p.data = np.stack([stored[f"{role}.agent{i}.{name}"].data
-                               for i in range(learner.n_agents)])
+        for name, (p, cols) in _agent_entries(getattr(learner, f"agents_{role}")).items():
+            for i in range(learner.n_agents):
+                p.data[i][..., cols] = stored[f"{role}.agent{i}.{name}"].data
     return learner

@@ -70,7 +70,7 @@ class DenseNet:
 
 def _gru_gates(xw: np.ndarray, h: np.ndarray, U_zr: np.ndarray, U_n: np.ndarray,
                b: np.ndarray):
-    """One GRU step of (..., B, H) states from ``xw = x @ [W_z W_r W_n]`` (bias not added).
+    """One GRU step of (..., B, H) states from the packed ``xw = x @ W`` (bias not added).
 
     Returns ``(zr, n, rh, h_new)``: the update and reset gates side by side,
     the candidate, the reset-scaled hidden state and the new hidden state.
@@ -110,6 +110,10 @@ class GRUCell:
     the candidate uses the reset-scaled hidden state, and the new hidden is
     the gate-weighted blend ``(1 - z) * candidate + z * h``.
 
+    The gates are packed side by side in z, r, n order into four parameters:
+    ``W`` (in_dim, 3H), ``U_zr`` (H, 2H), ``U_n`` (H, H) and ``b`` (3H,);
+    ``gate_columns`` names each gate's block.
+
     ``sequence`` records one tape node with a hand-written backward through
     time; ``step`` is a one-slot ``sequence``.
     """
@@ -117,19 +121,29 @@ class GRUCell:
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
-        bound = 1.0 / np.sqrt(hidden_dim)
-        shapes = ((in_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim,))
-        self.W_z, self.U_z, self.b_z = (parameter(shape, rng, bound) for shape in shapes)
-        self.W_r, self.U_r, self.b_r = (parameter(shape, rng, bound) for shape in shapes)
-        self.W_n, self.U_n, self.b_n = (parameter(shape, rng, bound) for shape in shapes)
+        self.hidden_dim = H = hidden_dim
+        self.W = parameter(np.empty((in_dim, 3 * H)))
+        self.U_zr = parameter(np.empty((H, 2 * H)))
+        self.U_n = parameter(np.empty((H, H)))
+        self.b = parameter(np.empty(3 * H))
+        bound = 1.0 / np.sqrt(H)
+        for p, cols in self.gate_columns().values():
+            p.data[..., cols] = rng.uniform(-bound, bound, size=p.data[..., cols].shape)
 
-    def _weights(self):
-        # Read on every call: optimizers reassign .data and gradient checks edit it in place.
-        W = np.concatenate([self.W_z.data, self.W_r.data, self.W_n.data], axis=-1)
-        U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=-1)
-        b = np.concatenate([self.b_z.data, self.b_r.data, self.b_n.data], axis=-1)
-        return W, U_zr, self.U_n.data, b
+    def gate_columns(self) -> dict[str, tuple[Tensor, slice]]:
+        """Each gate's block: ``W_z, U_z, b_z, W_r, ..., b_n`` -> (packed parameter, its columns).
+
+        Blocks are drawn at construction in this order, and checkpoints store
+        them under these names.
+        """
+        H = self.hidden_dim
+        out: dict[str, tuple[Tensor, slice]] = {}
+        for j, gate in enumerate("zrn"):
+            cols = slice(j * H, (j + 1) * H)
+            out[f"W_{gate}"] = (self.W, cols)
+            out[f"U_{gate}"] = (self.U_n, slice(None)) if gate == "n" else (self.U_zr, cols)
+            out[f"b_{gate}"] = (self.b, cols)
+        return out
 
     def step(self, x: Tensor, h: Tensor | None) -> Tensor:
         """One slot: ``x`` (..., B, in_dim) from hidden ``h`` (..., B, H), zero when None."""
@@ -144,11 +158,12 @@ class GRUCell:
         Leading axes are a stack's: slice i runs on the i-th cell's weights.
         """
         B, T, H = batch, steps, self.hidden_dim
-        lead = self.W_z.shape[:-2]
+        lead = self.W.shape[:-2]
         if x.shape != (*lead, B * T, self.in_dim) or h0 is not None and h0.shape != (*lead, B, H):
             raise ValueError(f"expected x {(*lead, B * T, self.in_dim)} and h0 {(*lead, B, H)}, "
                              f"got {x.shape} and {None if h0 is None else h0.shape}")
-        W, U_zr, U_n, b = self._weights()
+        # Read on every call: optimizers reassign .data.
+        W, U_zr, U_n, b = self.W.data, self.U_zr.data, self.U_n.data, self.b.data
         xw = (x.data @ W).reshape(*lead, B, T, 3 * H)
         hs = np.zeros((*lead, B, T + 1, H))  # hs[..., t, :] enters slot t
         if h0 is not None:
@@ -179,11 +194,9 @@ class GRUCell:
                      da: np.ndarray) -> None:
         """Route gate pre-activation gradients ``da`` (..., rows, 3H) to ``x`` and every parameter."""
         H = self.hidden_dim
-        dW = np.split(x.data.mT @ da, 3, axis=-1)
-        dU = (*np.split(h_prev.mT @ da[..., :2 * H], 2, axis=-1), rh.mT @ da[..., 2 * H:])
-        db = np.split(da.sum(axis=-2), 3, axis=-1)
-        # (W, U, b) per gate z, r, n: the order of parameters()
-        grads = [grad for gate in zip(dW, dU, db) for grad in gate]
+        # W, U_zr, U_n, b: the order of parameters()
+        grads = (x.data.mT @ da, h_prev.mT @ da[..., :2 * H], rh.mT @ da[..., 2 * H:],
+                 da.sum(axis=-2))
         for p, grad in zip(self.parameters().values(), grads):
             if p.requires_grad:
                 p._accum(grad)
@@ -191,15 +204,15 @@ class GRUCell:
             x._accum(da @ W.mT)
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}W_z": self.W_z, f"{prefix}U_z": self.U_z, f"{prefix}b_z": self.b_z,
-            f"{prefix}W_r": self.W_r, f"{prefix}U_r": self.U_r, f"{prefix}b_r": self.b_r,
-            f"{prefix}W_n": self.W_n, f"{prefix}U_n": self.U_n, f"{prefix}b_n": self.b_n,
-        }
+        return {f"{prefix}W": self.W, f"{prefix}U_zr": self.U_zr, f"{prefix}U_n": self.U_n,
+                f"{prefix}b": self.b}
 
 
 def stack_layers(layers):
-    """A bank of equally shaped Dense layers or GRU cells: slice i of each parameter is layer i's."""
+    """A bank of equally shaped Dense layers or GRU cells: slice i of each parameter is layer i's.
+
+    A GRU bank holds the packed gates on the agent axis, e.g. ``W`` (n, in_dim, 3H).
+    """
     bank = copy.copy(layers[0])
     # parameters() keys without a prefix are the attribute names
     for name in layers[0].parameters():

@@ -8,6 +8,7 @@ runtime of this file.
 
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -87,12 +88,17 @@ def test_gradient_fidelity_twenty_inits():
             diff_b = qb - Tensor(target)
             return (diff_a * diff_a).sum() + (diff_b * diff_b).sum()
 
-        # 12 entries per parameter of each station's agent and of each mixer
+        # 12 entries per parameter of each station's agent and of each mixer; a packed
+        # GRU parameter counts once per gate block it holds (W_z, U_z, b_z, ..., b_n)
         params = learner.parameters("eval")
-        reports = [check_gradients(loss_fn, {k: p for k, p in params.items() if k.startswith(group)},
-                                   sample=sample, rng=rng)
-                   for group, sample in (("agents.", 12 * 2), ("mixer", 12))]
-        assert [r.n_checked for r in reports] == [312, 274]
+        blocks = Counter(id(p) for p, _ in learner.agents_eval.gru.gate_columns().values())
+        agent_reports = [check_gradients(loss_fn, {k: p}, sample=12 * 2 * max(1, blocks[id(p)]),
+                                         rng=rng)
+                         for k, p in params.items() if k.startswith("agents.")]
+        mixer_report = check_gradients(loss_fn, {k: p for k, p in params.items()
+                                                 if k.startswith("mixer")}, sample=12, rng=rng)
+        reports = [*agent_reports, mixer_report]
+        assert [sum(r.n_checked for r in agent_reports), mixer_report.n_checked] == [312, 274]
         for report in reports:
             worst = max(worst, report.max_rel_error)
             assert report.ok(1e-4), (

@@ -193,6 +193,16 @@ def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, capsys, dama
     assert str(ck) in capsys.readouterr().err
 
 
+def test_evaluate_checkpoint_missing_a_gate_entry_exits_three(trained, tmp_path, capsys):
+    good = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
+    ck = tmp_path / "checkpoint.npz"
+    ck.write_bytes(_rewritten(good, lambda a: a.pop("param.eval.agent1.gru.b_r")))
+    assert main(["evaluate", "--checkpoint", str(ck), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "eval.agent1.gru.b_r" in err and str(ck) in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_rejects_battery_mismatch(trained, tmp_path, capsys):
     # The episode would be built with the config's battery but rolled out
     # with the checkpoint's: refuse instead of mixing the two.

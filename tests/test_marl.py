@@ -30,7 +30,7 @@ from evcoop.marl import (
     train,
     train_step,
 )
-from evcoop.nn import Dense, GRUCell, MonotonicMixer, Tensor, no_grad
+from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor, no_grad
 
 PARAMS = EssParams()
 SCALES = ObsScales()
@@ -463,11 +463,32 @@ def test_checkpoint_keeps_the_per_station_layout(tmp_path):
     assert got == want
     bank = learner.parameters("eval")
     with np.load(path) as archive:
-        assert np.array_equal(archive["param.eval.agent2.gru.U_r"], bank["agents.gru.U_r"].data[2])
+        assert np.array_equal(archive["param.eval.agent2.gru.U_r"],
+                              bank["agents.gru.U_zr"].data[2][:, H:])
     restored = load_learner(path)
     for role in ("eval", "target"):
         for k, p in restored.parameters(role).items():
             assert np.array_equal(p.data, learner.parameters(role)[k].data), k
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    learner = _learner("double_qmix", seed=4)
+    train_step(_batch(learner, n=2), learner)  # eval and target banks now differ
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    save_learner(first, learner)
+    save_learner(second, load_learner(first))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_missing_gate_entry_is_named(tmp_path):
+    path = tmp_path / "learner.npz"
+    save_learner(path, _learner("double_qmix"))
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    del arrays["param.eval.agent1.gru.b_r"]
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match=r"missing \['eval\.agent1\.gru\.b_r'\]"):
+        load_learner(path)
 
 
 def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):

@@ -19,6 +19,7 @@ from evcoop.nn import (
     no_grad,
     parameter,
     save_checkpoint,
+    stack_layers,
 )
 from evcoop.nn.autodiff import sigmoid
 from evcoop.nn.checkpoint import read_checkpoint, restore_params
@@ -74,10 +75,10 @@ def test_gather_backward_scatter():
 
 def test_gru_step_hand_algebra():
     gru = GRUCell(1, 1, rng=np.random.default_rng(0))
-    for t in (gru.W_z, gru.U_z, gru.b_z, gru.W_r, gru.U_r, gru.b_r, gru.b_n):
-        t.data[...] = 0.0
-    gru.W_n.data[...] = 1.0
+    gru.W.data[...] = [[0.0, 0.0, 1.0]]  # W_z, W_r, W_n
+    gru.U_zr.data[...] = 0.0
     gru.U_n.data[...] = 1.0
+    gru.b.data[...] = 0.0
     x = Tensor(np.array([[1.0]]))
     h = Tensor(np.array([[0.4]]))
     out = gru.step(x, h)
@@ -110,12 +111,50 @@ def test_sigmoid_matches_masked_formula_bit_for_bit(values):
     assert np.array_equal(Tensor(v).sigmoid().data.view(np.int64), got.view(np.int64))
 
 
+def _gate(packed, j, H):
+    """Gate j's H columns of a packed GRU parameter, picked on the tape by a 0/1 selector."""
+    width = packed.shape[-1]
+    rows = packed if packed.data.ndim == 2 else packed.reshape(1, width)
+    return rows @ Tensor(np.eye(width)[:, j * H:(j + 1) * H])
+
+
 def _composite_step(cell, x, h):
-    """GRUCell.step as first written: the gate algebra built from tape ops."""
-    z = (x @ cell.W_z + h @ cell.U_z + cell.b_z).sigmoid()
-    r = (x @ cell.W_r + h @ cell.U_r + cell.b_r).sigmoid()
-    n = (x @ cell.W_n + (r * h) @ cell.U_n + cell.b_n).tanh()
+    """GRUCell.step as first written: the gate algebra built from tape ops, one gate at a time."""
+    H = cell.hidden_dim
+    W_z, W_r, W_n = (_gate(cell.W, j, H) for j in range(3))
+    U_z, U_r = (_gate(cell.U_zr, j, H) for j in range(2))
+    b_z, b_r, b_n = (_gate(cell.b, j, H) for j in range(3))
+    z = (x @ W_z + h @ U_z + b_z).sigmoid()
+    r = (x @ W_r + h @ U_r + b_r).sigmoid()
+    n = (x @ W_n + (r * h) @ cell.U_n + b_n).tanh()
     return (1.0 - z) * n + z * h
+
+
+def test_gru_packs_the_nine_per_gate_draws():
+    in_dim, H = 4, 3
+    drawn = np.random.default_rng(9)
+    gru = GRUCell(in_dim, H, drawn)
+    # the per-gate parameters as first drawn: (W, U, b) for each gate z, r, n in turn
+    rng = np.random.default_rng(9)
+    shapes = ((in_dim, H), (H, H), (H,))
+    draws = [parameter(shape, rng, 1.0 / np.sqrt(H)).data for _ in "zrn" for shape in shapes]
+    W_z, U_z, b_z, W_r, U_r, b_r, W_n, U_n, b_n = draws
+    want = {"W": np.concatenate([W_z, W_r, W_n], axis=1),
+            "U_zr": np.concatenate([U_z, U_r], axis=1),
+            "U_n": U_n,
+            "b": np.concatenate([b_z, b_r, b_n])}
+    got = gru.parameters()
+    assert list(got) == list(want)
+    for name, p in got.items():
+        assert p.requires_grad
+        assert p.data.dtype == np.float64 and p.data.shape == want[name].shape, name
+        assert np.array_equal(p.data.view(np.int64), want[name].view(np.int64)), name
+    blocks = gru.gate_columns()
+    assert list(blocks) == ["W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_n", "U_n", "b_n"]
+    for name, (p, cols), block in zip(blocks, blocks.values(), draws):
+        assert np.array_equal(p.data[..., cols].view(np.int64), block.view(np.int64)), name
+    # the cell drew exactly these nine arrays, so the layers drawn after it do not move
+    assert drawn.uniform() == rng.uniform()
 
 
 def _sequence_net(batch=3, steps=5, seed=7):
@@ -159,6 +198,25 @@ def test_gradcheck_two_chained_gru_steps():
 
     params = {"x1": x1, "x2": x2, "h0": h0}
     params.update(gru.parameters("gru."))
+    report = check_gradients(loss_fn, params)
+    assert report.ok(1e-4), f"max rel error {report.max_rel_error} at {report.worst_param}"
+
+
+def test_gradcheck_gru_bank_sequence_from_a_given_state():
+    # three stacked cells, each slice on its own weights, from an h0 that takes gradients
+    rng = np.random.default_rng(13)
+    n, batch, steps, H = 3, 2, 4, 5
+    bank = stack_layers([GRUCell(4, H, rng) for _ in range(n)])
+    x = parameter(rng.standard_normal((n, batch * steps, 4)))
+    h0 = parameter(rng.uniform(-0.9, 0.9, (n, batch, H)))
+    weights = Tensor(rng.standard_normal((n, batch * steps, H)))
+
+    def loss_fn():
+        h = bank.sequence(x, batch, steps, h0=h0)
+        return (h * weights).sum() + (h * h).sum()
+
+    params = {"x": x, "h0": h0}
+    params.update(bank.parameters("gru."))
     report = check_gradients(loss_fn, params)
     assert report.ok(1e-4), f"max rel error {report.max_rel_error} at {report.worst_param}"
 
