@@ -132,9 +132,12 @@ def cmd_evaluate(args) -> int:
     if stations != learner.n_agents:
         raise ConfigError(
             f"checkpoint expects {learner.n_agents} stations, scenario has {stations}")
-    if cfg.ess != learner.env_params:
-        raise ConfigError(
-            f"checkpoint was trained with battery {learner.env_params}, config has {cfg.ess}")
+    for field, trained, configured in (("battery", learner.env_params, cfg.ess),
+                                       ("grid", learner.grid, cfg.grid),
+                                       ("scales", learner.scales, cfg.scales)):
+        if configured != trained:
+            raise ConfigError(
+                f"checkpoint was trained with {field} {trained}, config has {configured}")
     seed = args.seed if args.seed is not None else 0
     _, rng_demand, _, _ = _seed_streams(seed)
     factory = _episode_factory(price, pv, demand, stations,

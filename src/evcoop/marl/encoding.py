@@ -56,20 +56,12 @@ class ObsScales:
                          self.regular, self.renewable, self.price])
 
 
-def encode_observation(states: Sequence[StationState], station: int,
-                       renewable: float, price_utility: float,
-                       params: EssParams, scales: ObsScales) -> np.ndarray:
-    """Feature vector [D_all, SOC_i, D_urgent, D_regular, E_renewable, price]."""
-    own = states[station]
+def encode_observation(states: Sequence[StationState], renewables: Sequence[float],
+                       price_utility: float, params: EssParams, scales: ObsScales) -> np.ndarray:
+    """Every station's row [D_all, SOC_i, D_urgent_i, D_regular_i, E_renewable_i, price], (n, 6)."""
     demand_all = sum(s.total_demand for s in states)
-    raw = np.array([
-        demand_all,
-        soc(own, params),
-        own.urgent_demand,
-        own.regular_demand,
-        renewable,
-        price_utility,
-    ])
+    raw = np.array([(demand_all, soc(s, params), s.urgent_demand, s.regular_demand, r, price_utility)
+                    for s, r in zip(states, renewables, strict=True)])
     return raw / scales.as_array()
 
 

@@ -96,10 +96,15 @@ class DRQNAgent:
                      Dense(hidden_dim, n_actions, "none", rng)) for _ in range(n_agents)]
         self.encoder, self.gru, self.head = map(stack_layers, zip(*stations))
 
-    def step(self, obs: Tensor, hidden: Tensor | None) -> tuple[Tensor, Tensor]:
-        """One slot: (n, B, obs_dim) from hidden (n, B, H), zero when None -> Q (n, B, A), hidden."""
-        h = self.gru.step(self.encoder(obs), hidden)
-        return self.head(h), h
+    def step(self, obs: np.ndarray, hidden: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """One untaped slot for acting, on plain arrays.
+
+        (n, B, obs_dim) from hidden (n, B, H), zero when None -> Q (n, B, A), hidden;
+        the values of the taped ``encoder``, ``gru.sequence(..., B, 1, h0)``, ``head``
+        bit for bit.
+        """
+        h = self.gru.step(self.encoder.apply(obs), hidden)
+        return self.head.apply(h), h
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {}
@@ -194,18 +199,25 @@ def _masked_argmax(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.argmax(neg, axis=-1)
 
 
-def act_epsilon_greedy(q: np.ndarray, epsilon: float, mask: np.ndarray,
-                       rng: np.random.Generator | None) -> int:
-    """One station's action from its Q-values ``q``: uniform over feasible ones w.p. ``epsilon``."""
-    feasible = np.flatnonzero(mask)
-    if feasible.size == 0:
+def act_epsilon_greedy(q: np.ndarray, epsilon: float, masks: np.ndarray,
+                       rng: np.random.Generator | None) -> np.ndarray:
+    """Each station's action from its row of ``q`` (n, A) under its row of ``masks`` (n, A).
+
+    One masked argmax picks every greedy action; then, station by station,
+    one draw decides whether to explore (w.p. ``epsilon``) and a second picks
+    uniformly among that station's feasible actions.
+    """
+    counts = masks.sum(axis=-1)
+    if not counts.all():
         raise ValueError("empty feasibility mask")
+    actions = _masked_argmax(q, masks)
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("epsilon > 0 requires an rng")
-        if rng.random() < epsilon:
-            return int(feasible[rng.integers(feasible.size)])
-    return int(_masked_argmax(q, mask))
+        for i, count in enumerate(counts.tolist()):
+            if rng.random() < epsilon:
+                actions[i] = np.flatnonzero(masks[i])[rng.integers(count)]
+    return actions
 
 
 @dataclass
@@ -246,23 +258,17 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
     for t in range(T):
         quote = episode.quotes[t]
         renew = episode.renewables[t]
-        obs_block = np.stack([
-            encode_observation(states, i, renew[i], quote.utility, params, learner.scales)
-            for i in range(n)
-        ])
+        obs_block = encode_observation(states, renew, quote.utility, params, learner.scales)
         obs_log[t] = obs_block
         state_log[t] = global_state(obs_block)
 
-        # one forward for every station, then each station's draws in station order
+        # one forward and one masked argmax for every station
         tables = [grid.decode_table(states[i], renew[i], params) for i in range(n)]
-        with no_grad():
-            q, hidden = learner.agents_eval.step(Tensor(obs_block[:, None, :]), hidden)
-        actions: list[StationAction] = []
-        for i, (supplies, controls, mask) in enumerate(tables):
-            mask_log[t, i] = mask
-            idx = act_epsilon_greedy(q.data[i, 0], epsilon, mask, rng)
-            action_log[t, i] = idx
-            actions.append(StationAction(ev_supply=supplies[idx], ess_control=controls[idx]))
+        mask_log[t] = [mask for _, _, mask in tables]
+        q, hidden = learner.agents_eval.step(obs_block[:, None, :], hidden)
+        action_log[t] = act_epsilon_greedy(q[:, 0], epsilon, mask_log[t], rng)
+        actions = [StationAction(ev_supply=supplies[idx], ess_control=controls[idx])
+                   for (supplies, controls, _), idx in zip(tables, action_log[t])]
 
         outcome = env_step(list(states), actions, list(renew), quote,
                            list(episode.arrivals[t]), params)

@@ -5,7 +5,9 @@ precision; ``stack_layers`` banks n equally shaped layers on a leading axis,
 and the bank maps ``(n, rows, features)`` as the n layers map their slices.
 Parameters are plain tape tensors; each container exposes
 ``parameters()`` as a flat ``name -> Tensor`` dict so optimizers and
-checkpoints can treat every architecture uniformly.
+checkpoints can treat every architecture uniformly.  ``Dense.apply`` and
+``GRUCell.step`` compute the same values on plain arrays, recording nothing,
+for acting.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ class Dense:
         b = self.b  # a bank's (n, out) bias applies to every row of its slice
         out = x @ self.W + (b if b.data.ndim == 1 else b.reshape(b.shape[0], 1, self.out_dim))
         return out.relu() if self.activation == "relu" else out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The same map on a plain array, untaped."""
+        out = x @ self.W.data + self.b.data[..., None, :]
+        return np.maximum(out, 0.0) if self.activation == "relu" else out
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {f"{prefix}W": self.W, f"{prefix}b": self.b}
@@ -115,7 +122,7 @@ class GRUCell:
     ``gate_columns`` names each gate's block.
 
     ``sequence`` records one tape node with a hand-written backward through
-    time; ``step`` is a one-slot ``sequence``.
+    time; ``step`` computes one slot of it on plain arrays, untaped.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
@@ -145,9 +152,18 @@ class GRUCell:
             out[f"b_{gate}"] = (self.b, cols)
         return out
 
-    def step(self, x: Tensor, h: Tensor | None) -> Tensor:
-        """One slot: ``x`` (..., B, in_dim) from hidden ``h`` (..., B, H), zero when None."""
-        return self.sequence(x, x.shape[-2], 1, h0=h)
+    def step(self, x: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+        """One untaped slot: array ``x`` (..., B, in_dim) from hidden ``h`` (..., B, H), zero when None.
+
+        The new hidden state equals ``sequence(x, B, 1, h0=h)`` bit for bit.
+        """
+        xw = x @ self.W.data
+        shape = (*xw.shape[:-1], self.hidden_dim)
+        if h is None:
+            h = np.zeros(shape)
+        elif h.shape != shape:
+            raise ValueError(f"expected h {shape}, got {h.shape}")
+        return _gru_gates(xw, h, self.U_zr.data, self.U_n.data, self.b.data)[-1]
 
     def sequence(self, x: Tensor, batch: int, steps: int, h0: Tensor | None = None) -> Tensor:
         """Unroll ``steps`` slots from ``h0`` (..., batch, H), a zero state when None.

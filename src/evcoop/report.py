@@ -88,20 +88,17 @@ def write_trace_csv(path: str | Path, trace: list[SlotLog], params: EssParams) -
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
         for t, log in enumerate(trace):
+            outcome, trade = log.outcome, log.outcome.trade
             for i, state in enumerate(log.states):
-                w.writerow([
-                    t, i, _fmt(log.quote.utility), _fmt(log.renewables[i]),
-                    _fmt(state.urgent_demand), _fmt(state.regular_demand),
-                    _fmt(log.actions[i].ev_supply), _fmt(log.actions[i].ess_control),
-                    _fmt(log.outcome.trade.matched_buy[i]),
-                    _fmt(log.outcome.trade.matched_sell[i]),
-                    _fmt(log.outcome.trade.utility_buy[i]),
-                    _fmt(log.outcome.trade.utility_sell[i]),
-                    _fmt(state.battery_kwh),
-                    _fmt(state.battery_kwh / params.capacity_max),
-                    _fmt(log.outcome.profit.station_profit[i]),
-                    _fmt(log.outcome.curtailed_kwh[i]),
-                ])
+                action = log.actions[i]
+                w.writerow([t, i, *map(repr, map(float, (
+                    log.quote.utility, log.renewables[i],
+                    state.urgent_demand, state.regular_demand,
+                    action.ev_supply, action.ess_control,
+                    trade.matched_buy[i], trade.matched_sell[i],
+                    trade.utility_buy[i], trade.utility_sell[i],
+                    state.battery_kwh, state.battery_kwh / params.capacity_max,
+                    outcome.profit.station_profit[i], outcome.curtailed_kwh[i])))])
 
 
 def read_trace_csv(path: str | Path) -> list[dict]:

@@ -79,8 +79,9 @@ def test_gradient_fidelity_twenty_inits():
 
         def loss_fn():
             agents = learner.agents_eval
-            q, h = agents.step(obs_both, None)
-            q, _ = agents.step(q.tanh() @ feedback, h)
+            h = agents.gru.sequence(agents.encoder(obs_both), 3, 1)
+            q = agents.head(h)
+            q = agents.head(agents.gru.sequence(agents.encoder(q.tanh() @ feedback), 3, 1, h0=h))
             cols = q.gather(picks).transpose()
             qa = learner.mixer_a_eval.forward(Tensor(state), cols)
             qb = learner.mixer_b_eval.forward(Tensor(state), cols)

@@ -213,3 +213,30 @@ def test_evaluate_rejects_battery_mismatch(trained, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     assert "battery" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"grid": {"cs_levels": 3}}, "grid"),
+    ({"scales": {"price": 0.5}}, "scales"),
+    ({"grid": {"cs_levels": 3}, "scales": {"price": 0.5}}, "grid"),
+])
+def test_evaluate_rejects_grid_or_scales_mismatch(trained, tmp_path, capsys, override, field):
+    # The rollout would observe and act with the checkpoint's grid and scales
+    # while the config names others: refuse instead of ignoring the config.
+    ck = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    assert main(["evaluate", "--checkpoint", str(ck), "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 1
+    assert f"trained with {field}" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_evaluate_accepts_a_config_restating_the_checkpoint_grid_and_scales(trained, tmp_path):
+    ck = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"ev_fractions": [0.0, 0.5, 1.0], "cs_levels": 5},
+                               "scales": {"price": 0.1, "demand_all": 100.0}}))
+    assert main(["evaluate", "--checkpoint", str(ck), "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "trace.csv").exists()

@@ -1,11 +1,15 @@
 """Learning engine: encoding, action grid, replay, targets, training loop."""
 
+import csv
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evcoop.core import EssParams, StationState
+from evcoop.config import build_scenario, load_config_dict
+from evcoop.core import EssParams, StationState, soc
 from evcoop.data import DemandModel, build_episode, synth_demand, synth_price_series, synth_pv_series
 from evcoop.marl import (
     ActionGrid,
@@ -31,6 +35,7 @@ from evcoop.marl import (
     train_step,
 )
 from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor, no_grad
+from evcoop.report import TRACE_HEADER, write_trace_csv
 
 PARAMS = EssParams()
 SCALES = ObsScales()
@@ -53,8 +58,9 @@ def _learner(algorithm="double_qmix", seed=0, **overrides):
 
 def test_observation_encoding_hand_values():
     states = (StationState(100.0, 5.0, 15.0), StationState(60.0, 2.0, 3.0))
-    obs = encode_observation(states, 0, renewable=10.0, price_utility=0.2,
-                             params=PARAMS, scales=SCALES)
+    block = encode_observation(states, renewables=(10.0, 4.0), price_utility=0.2,
+                               params=PARAMS, scales=SCALES)
+    obs = block[0]
     assert obs == pytest.approx([25.0 / 100.0, 0.5, 5.0 / 25.0, 15.0 / 50.0,
                                  10.0 / 50.0, 0.2 / 0.1])
     assert obs.shape == (OBS_DIM,)
@@ -94,28 +100,27 @@ def test_epsilon_schedule_endpoints():
 
 def test_exploration_respects_mask_and_uniformity():
     learner = _learner()
-    with no_grad():
-        q, _ = learner.agents_eval.step(Tensor(np.zeros((2, 1, OBS_DIM))), None)
-    q = q.data[0, 0]
-    mask = np.zeros(GRID.n_actions, dtype=bool)
+    q, _ = learner.agents_eval.step(np.zeros((2, 1, OBS_DIM)), None)
+    q = q[0]  # station 0's row, (1, A)
+    mask = np.zeros((1, GRID.n_actions), dtype=bool)
     feasible = [1, 4, 7, 10, 13]
-    mask[feasible] = True
+    mask[0, feasible] = True
     rng = np.random.default_rng(0)
     counts = {a: 0 for a in feasible}
     for _ in range(3000):
-        a = act_epsilon_greedy(q, epsilon=1.0, mask=mask, rng=rng)
+        [a] = act_epsilon_greedy(q, epsilon=1.0, masks=mask, rng=rng)
         counts[a] += 1
     assert sum(counts.values()) == 3000
     expect = 3000 / len(feasible)
     for a in feasible:
         assert abs(counts[a] - expect) < 5 * np.sqrt(3000 * 0.2 * 0.8)
     # Greedy needs no randomness source at all, and takes the best feasible action.
-    a = act_epsilon_greedy(q, epsilon=0.0, mask=mask, rng=None)
-    assert a == feasible[int(np.argmax(q[feasible]))]
+    [a] = act_epsilon_greedy(q, epsilon=0.0, masks=mask, rng=None)
+    assert a == feasible[int(np.argmax(q[0, feasible]))]
     with pytest.raises(ValueError, match="requires an rng"):
-        act_epsilon_greedy(q, epsilon=0.5, mask=mask, rng=None)
+        act_epsilon_greedy(q, epsilon=0.5, masks=mask, rng=None)
     with pytest.raises(ValueError, match="empty feasibility mask"):
-        act_epsilon_greedy(q, epsilon=0.0, mask=np.zeros_like(mask), rng=None)
+        act_epsilon_greedy(q, epsilon=0.0, masks=np.zeros_like(mask), rng=None)
 
 
 def test_replay_buffer_eviction_and_sampling():
@@ -208,7 +213,7 @@ def _reference_unroll(stations, obs):
         for i, (enc, gru, head) in enumerate(stations):
             h = None
             for t in range(T):
-                h = gru.step(enc(Tensor(obs[:, t, i, :])), h)
+                h = gru.sequence(enc(Tensor(obs[:, t, i, :])), B, 1, h0=h)
                 out[:, t, i, :] = head(h).data
     return out
 
@@ -249,7 +254,7 @@ def _reference_loss(batch, learner):
         h = None
         per_slot = []
         for t in range(T):
-            h = gru.step(enc(Tensor(obs[:, t, i, :])), h)
+            h = gru.sequence(enc(Tensor(obs[:, t, i, :])), B, 1, h0=h)
             per_slot.append(head(h).gather(actions[:, t, i]))
         chosen.append(per_slot)
     independent = learner.algorithm == "independent_dqn"
@@ -418,12 +423,13 @@ def test_agent_bank_matches_separately_built_agents_bit_for_bit(n, batch):
     weights = data.standard_normal((n, batch * T, A))
     h0 = data.uniform(-0.9, 0.9, (n, batch, H))
     q = bank.head(bank.gru.sequence(bank.encoder(Tensor(obs)), batch, T))
-    q_step, h_step = bank.step(Tensor(obs[:, :batch]), Tensor(h0))
+    h_step = bank.gru.sequence(bank.encoder(Tensor(obs[:, :batch])), batch, 1, h0=Tensor(h0))
+    q_step = bank.head(h_step)
     ((q * Tensor(weights)).sum() + (q_step * Tensor(weights[:, :batch])).sum()
      + (h_step * h_step).sum()).backward()
     for i, (enc, gru, head) in enumerate(stations):
         q_i = head(gru.sequence(enc(Tensor(obs[i])), batch, T))
-        h_i = gru.step(enc(Tensor(obs[i, :batch])), Tensor(h0[i]))
+        h_i = gru.sequence(enc(Tensor(obs[i, :batch])), batch, 1, h0=Tensor(h0[i]))
         assert np.array_equal(_bits(q.data[i]), _bits(q_i.data))
         assert np.array_equal(_bits(q_step.data[i]), _bits(head(h_i).data))
         assert np.array_equal(_bits(h_step.data[i]), _bits(h_i.data))
@@ -431,6 +437,134 @@ def test_agent_bank_matches_separately_built_agents_bit_for_bit(n, batch):
          + (h_i * h_i).sum()).backward()
     for k, g in _station_grads(stations, bank, prefix="").items():
         assert np.array_equal(_bits(bank.parameters()[k].grad), _bits(g)), k
+
+
+@pytest.mark.parametrize("given_state", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_agent_step_matches_taped_one_slot_sequences_bit_for_bit(n, batch, given_state):
+    # the rollout's untaped slots, chained, against encoder -> one-slot sequence -> head
+    H, A, slots = 7, GRID.n_actions, 4
+    bank = DRQNAgent(n, OBS_DIM, A, H, np.random.default_rng(30 + n))
+    data = np.random.default_rng(40 + 2 * n + batch)
+    obs = data.standard_normal((slots, n, batch, OBS_DIM))
+    h = data.uniform(-0.9, 0.9, (n, batch, H)) if given_state else None
+    h_ref = None if h is None else Tensor(h)
+    for t in range(slots):
+        q, h = bank.step(obs[t], h)
+        h_ref = bank.gru.sequence(bank.encoder(Tensor(obs[t])), batch, 1, h0=h_ref)
+        q_ref = bank.head(h_ref)
+        assert type(q) is np.ndarray and type(h) is np.ndarray
+        assert np.array_equal(_bits(q), _bits(q_ref.data)), t
+        assert np.array_equal(_bits(h), _bits(h_ref.data)), t
+    with pytest.raises(ValueError, match="expected h"):
+        bank.step(obs[0], np.zeros((n, batch + 1, H)))
+
+
+def _encode_one(states, station, renewable, price_utility, params, scales):
+    """One station's observation as first written, one call per station."""
+    own = states[station]
+    demand_all = sum(s.total_demand for s in states)
+    raw = np.array([demand_all, soc(own, params), own.urgent_demand, own.regular_demand,
+                    renewable, price_utility])
+    return raw / scales.as_array()
+
+
+_kwh = st.floats(0.0, 500.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_kwh, _kwh, _kwh, _kwh), min_size=1, max_size=8),
+       st.floats(0.0, 2.0), st.floats(50.0, 1000.0),
+       st.lists(st.floats(1e-3, 1e3), min_size=6, max_size=6))
+def test_encode_observation_block_matches_per_station_formula_bit_for_bit(
+        stations, price, capacity, scale_values):
+    states = tuple(StationState(b, u, r) for b, u, r, _ in stations)
+    renewables = tuple(g for *_, g in stations)
+    params = EssParams(capacity_max=capacity)
+    scales = ObsScales(*scale_values)
+    block = encode_observation(states, renewables, price, params, scales)
+    want = np.stack([_encode_one(states, i, renewables[i], price, params, scales)
+                     for i in range(len(states))])
+    assert block.shape == (len(states), OBS_DIM)
+    assert np.array_equal(_bits(block), _bits(want))
+
+
+def _act_one(q, epsilon, mask, rng):
+    """One station's epsilon-greedy action as first written, one call per station."""
+    feasible = np.flatnonzero(mask)
+    if feasible.size == 0:
+        raise ValueError("empty feasibility mask")
+    if epsilon > 0.0:
+        if rng is None:
+            raise ValueError("epsilon > 0 requires an rng")
+        if rng.random() < epsilon:
+            return int(feasible[rng.integers(feasible.size)])
+    return int(np.argmax(np.where(mask, q, -np.inf)))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_actions=st.integers(1, 15))
+def test_act_epsilon_greedy_matches_per_station_draws(epsilon, seed, n, n_actions):
+    data = np.random.default_rng(seed)
+    rng, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(10):
+        q = data.integers(-2, 3, (n, n_actions)).astype(float)  # small integers: many ties
+        masks = data.random((n, n_actions)) < data.uniform(0.1, 1.0)
+        masks[np.arange(n), data.integers(n_actions, size=n)] = True  # every row feasible
+        got = act_epsilon_greedy(q, epsilon, masks, rng)
+        want = [_act_one(q[i], epsilon, masks[i], rng_ref) for i in range(n)]
+        assert got.tolist() == want
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    if epsilon == 0.0:
+        assert act_epsilon_greedy(q, epsilon, masks, None).tolist() == want
+
+
+def _fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_trace_one_cell_at_a_time(path, trace, params):
+    """write_trace_csv as first written: one _fmt call per cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(TRACE_HEADER)
+        for t, log in enumerate(trace):
+            for i, state in enumerate(log.states):
+                w.writerow([
+                    t, i, _fmt(log.quote.utility), _fmt(log.renewables[i]),
+                    _fmt(state.urgent_demand), _fmt(state.regular_demand),
+                    _fmt(log.actions[i].ev_supply), _fmt(log.actions[i].ess_control),
+                    _fmt(log.outcome.trade.matched_buy[i]),
+                    _fmt(log.outcome.trade.matched_sell[i]),
+                    _fmt(log.outcome.trade.utility_buy[i]),
+                    _fmt(log.outcome.trade.utility_sell[i]),
+                    _fmt(state.battery_kwh),
+                    _fmt(state.battery_kwh / params.capacity_max),
+                    _fmt(log.outcome.profit.station_profit[i]),
+                    _fmt(log.outcome.curtailed_kwh[i]),
+                ])
+
+
+@pytest.mark.parametrize("stations, epsilon", [(2, 0.5), (6, 0.0), (6, 1.0)])
+def test_trace_csv_bytes_match_the_cell_by_cell_writer(tmp_path, stations, epsilon):
+    cfg = load_config_dict({"scenario": {"mode": "synthetic", "station_count": stations,
+                                         "horizon": 12}})
+    price, pv, demand, _ = build_scenario(cfg)
+    rng = np.random.default_rng(stations)
+    learner = build_learner("double_qmix", stations, cfg.ess, cfg.grid, cfg.scales,
+                            TrainConfig(episodes=1, batch_episodes=1, capacity=1), rng)
+    episode = build_episode(price, pv, synth_demand(demand, len(price), stations, rng=rng),
+                            cfg.scenario.initial_soc, cfg.ess)
+    _, trace = rollout_episode(episode, learner, epsilon, rng, collect_trace=True)
+    write_trace_csv(tmp_path / "new.csv", trace, cfg.ess)
+    _write_trace_one_cell_at_a_time(tmp_path / "old.csv", trace, cfg.ess)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_checkpoint_keeps_the_per_station_layout(tmp_path):

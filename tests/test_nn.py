@@ -79,12 +79,10 @@ def test_gru_step_hand_algebra():
     gru.U_zr.data[...] = 0.0
     gru.U_n.data[...] = 1.0
     gru.b.data[...] = 0.0
-    x = Tensor(np.array([[1.0]]))
-    h = Tensor(np.array([[0.4]]))
-    out = gru.step(x, h)
+    out = gru.step(np.array([[1.0]]), np.array([[0.4]]))
     # z = r = sigmoid(0) = 0.5, n = tanh(x + 0.5 h), out = 0.5 n + 0.5 h
     expected = 0.5 * np.tanh(1.0 + 0.5 * 0.4) + 0.5 * 0.4
-    assert out.data[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def _masked_sigmoid(x):
@@ -193,7 +191,7 @@ def test_gradcheck_two_chained_gru_steps():
     weights = Tensor(rng.standard_normal((3, 5)))
 
     def loss_fn():
-        h = gru.step(x2, gru.step(x1, h0))
+        h = gru.sequence(x2, 3, 1, h0=gru.sequence(x1, 3, 1, h0=h0))
         return (h * weights).sum() + (h * h).sum()
 
     params = {"x1": x1, "x2": x2, "h0": h0}
@@ -258,7 +256,8 @@ def test_gru_step_matches_composite_step():
     params = {"x": x, "h0": h0}
     params.update(gru.parameters("gru."))
     grads = []
-    for step in (lambda xx, hh: _composite_step(gru, xx, hh), gru.step):
+    for step in (lambda xx, hh: _composite_step(gru, xx, hh),
+                 lambda xx, hh: gru.sequence(xx, 3, 1, h0=hh)):
         for p in params.values():
             p.grad = None
         h = step(x, step(x, h0))
@@ -289,7 +288,7 @@ def _composite_loss():
     target = np.array([0.3, -0.7])
 
     def loss_fn():
-        h = gru.step(enc(x), None)
+        h = gru.sequence(enc(x), 2, 1)
         qs = head(h)
         tot = mixer.forward(x, qs)
         diff = tot - Tensor(target)
