@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Train, evaluate and print the sha256 of every deterministic artifact.
+"""Train, evaluate, run the oracle and print the sha256 of every deterministic artifact.
 
 Trains each algorithm for ``--episodes`` episodes at ``--seed``, evaluates
-each checkpoint with ``evcoop evaluate --seed <eval-seed>``, and prints one
-``<sha256>  <path>`` line per ``metrics.csv``, ``checkpoint.npz`` and
-``trace.csv``.  Run it at two commits and diff the outputs to check that a
-change keeps every artifact byte-identical:
+each checkpoint with ``evcoop evaluate --seed <eval-seed>``, runs
+``evcoop oracle --instances 20 --seed <seed>`` with full lookahead and with
+``--lookahead 1``, and prints one ``<sha256>  <path>`` line per
+``metrics.csv``, ``checkpoint.npz``, ``trace.csv`` and ``oracle_metrics.csv``.
+Run it at two commits and diff the outputs to check that a change keeps
+every artifact byte-identical:
 
     python3 scripts/artifact_digests.py --out /tmp/a > a.txt
     python3 scripts/artifact_digests.py --out /tmp/b --checkpoints /tmp/a > b.txt
@@ -34,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from evcoop.cli import main as evcoop  # noqa: E402
 
 DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn")
+ORACLE_INSTANCES = 20
 
 
 def _run(argv: list[str]) -> None:
@@ -66,9 +69,22 @@ def digests(out: Path, episodes: int, seed: int, eval_seed: int, algorithms: lis
         for path in (out / "train" / run / "metrics.csv",
                      out / "train" / run / "checkpoint.npz",
                      out / "evaluate" / run / "trace.csv"):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {path.relative_to(out)}")
+            lines.append(_digest(path, out))
     return lines
+
+
+def oracle_digests(out: Path, seed: int) -> list[str]:
+    lines = []
+    for name, extra in (("full", []), ("lookahead1", ["--lookahead", "1"])):
+        run = out / "oracle" / name
+        _run(["oracle", "--instances", str(ORACLE_INSTANCES), "--seed", str(seed), *extra,
+              "--out", str(run)])
+        lines.append(_digest(run / "oracle_metrics.csv", out))
+    return lines
+
+
+def _digest(path: Path, out: Path) -> str:
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
 
 
 def main(argv=None) -> int:
@@ -88,8 +104,9 @@ def main(argv=None) -> int:
     extra = json.loads(args.config)
     with contextlib.ExitStack() as stack:
         out = Path(args.out) if args.out else Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        for line in digests(out, args.episodes, args.seed, args.eval_seed, algorithms, extra,
-                            args.checkpoints):
+        lines = digests(out, args.episodes, args.seed, args.eval_seed, algorithms, extra,
+                        args.checkpoints)
+        for line in lines + oracle_digests(out, args.seed):
             print(line)
     return 0
 

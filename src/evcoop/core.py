@@ -373,28 +373,43 @@ def step(
 # -- array-native path ----------------------------------------------------
 #
 # The functions below compute exactly what ``step`` and its helpers compute,
-# for ``N`` independent rows of ``n`` stations at once, with the same float
+# for many independent rows of ``n`` stations at once, with the same float
 # operations in the same order, so their results agree bit for bit (pinned
 # by tests/test_batch.py).  Sums over stations are written as explicit
 # left-to-right loops for that reason: numpy's reductions sum pairwise.
+#
+# ``step_batch`` is the composition of two halves.  ``advance_stations_batch``
+# is everything a station's own action decides: the checks, the control
+# interval and the next state.  ``clear_and_price_batch`` is the part that
+# couples the stations: clearing and pricing.  The oracle runs the first
+# once per (row, station, action) and the second once per joint action.
 
 
-def _first_bad(bad: np.ndarray) -> tuple[int, ...]:
-    """Index of the first true entry of a boolean array."""
+def _first_bad(bad: np.ndarray, where: np.ndarray | None = None) -> tuple[int, ...] | None:
+    """Index of the first true entry of ``bad & where`` (broadcast), or None."""
+    if where is not None:
+        bad = bad & where
+    if not bad.any():
+        return None
     return tuple(int(v[0]) for v in np.nonzero(bad))
 
 
-def check_finite_batch(**fields: np.ndarray) -> None:
+def _row(idx: tuple[int, ...]) -> str:
+    """``(row r)`` for the leading axes of an index whose last axis is the station."""
+    return f"(row {', '.join(map(str, idx[:-1]))})"
+
+
+def check_finite_batch(where: np.ndarray | None = None, **fields: np.ndarray) -> None:
     """Raise ConstraintViolation naming station and field of a non-finite value.
 
-    Every array is ``(rows, stations)``.
+    The arrays, and ``where`` if given, share one shape whose last axis is
+    the station; entries where ``where`` is false are not checked.
     """
     for name, values in fields.items():
-        bad = ~np.isfinite(values)
-        if bad.any():
-            r, i = _first_bad(bad)
+        idx = _first_bad(~np.isfinite(values), where)
+        if idx is not None:
             raise ConstraintViolation(
-                f"station {i}: {name} {values[r, i]} is not finite (row {r})")
+                f"station {idx[-1]}: {name} {values[idx]} is not finite {_row(idx)}")
 
 
 def control_bounds_batch(battery: np.ndarray, renewable: np.ndarray, supply: np.ndarray,
@@ -416,6 +431,106 @@ def control_bounds_batch(battery: np.ndarray, renewable: np.ndarray, supply: np.
     feasible = ~(lower > upper + _TOL)
     upper = np.where(lower > upper, lower, upper)
     return flow, lower, upper, feasible
+
+
+def advance_stations_batch(
+    battery: np.ndarray,
+    urgent: np.ndarray,
+    regular: np.ndarray,
+    supply: np.ndarray,
+    control: np.ndarray,
+    renewables,
+    next_arrivals,
+    params: EssParams,
+    admitted: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-station half of ``step_batch``: every check, then the next states.
+
+    The state arrays (``battery``, ``urgent``, ``regular``), the action
+    arrays (``supply``, ``control``) and ``renewables`` broadcast together
+    to one shape whose last axis is the station; ``next_arrivals`` is one
+    (urgent, regular) pair per station.  Makes every check ``step_batch``
+    makes, in the same order, and raises the error ``step`` would raise for
+    the first bad entry.  Entries where ``admitted`` is false are not
+    checked, and their results are placeholders for the caller to ignore.
+    Returns the next battery, urgent and regular demand, each of the
+    broadcast shape.
+    """
+    battery, urgent, regular, supply, control, renewables = np.broadcast_arrays(
+        battery, urgent, regular, supply, control, np.asarray(renewables, dtype=float))
+    arrivals = np.asarray(next_arrivals, dtype=float)
+    if arrivals.shape != (battery.shape[-1], 2):
+        raise ValueError(f"next_arrivals must be {battery.shape[-1]} (urgent, regular) pairs")
+    arr_urgent, arr_regular = (np.broadcast_to(a, battery.shape) for a in arrivals.T)
+    check_finite_batch(admitted, battery_kwh=battery, urgent_demand=urgent,
+                       regular_demand=regular, renewable=renewables, ev_supply=supply,
+                       ess_control=control, arrival_urgent=arr_urgent,
+                       arrival_regular=arr_regular)
+    idx = _first_bad((urgent < 0.0) | (regular < 0.0), admitted)
+    if idx is not None:
+        raise ConstraintViolation(
+            f"station {idx[-1]}: negative demand ({urgent[idx]}, {regular[idx]}) {_row(idx)}")
+    total_demand = urgent + regular
+    idx = _first_bad((supply < urgent - _TOL) | (supply > total_demand + _TOL), admitted)
+    if idx is not None:
+        raise ConstraintViolation(f"station {idx[-1]}: ev_supply {supply[idx]} outside "
+                                  f"[{urgent[idx]}, {total_demand[idx]}] {_row(idx)}")
+    if _first_bad((renewables < 0.0) | (supply < 0.0), admitted) is not None:
+        raise ValueError("renewable and ev_supply must be nonnegative")
+    flow, lower, upper, feasible = control_bounds_batch(battery, renewables, supply, params)
+    idx = _first_bad(~feasible, admitted)
+    if idx is not None:
+        raise InfeasibleIntervalError(
+            f"station {idx[-1]}: empty control interval [{lower[idx]}, {upper[idx]}] {_row(idx)}")
+    idx = _first_bad((control < lower - _TOL) | (control > upper + _TOL), admitted)
+    if idx is not None:
+        raise ConstraintViolation(f"station {idx[-1]}: ess_control {control[idx]} outside "
+                                  f"[{lower[idx]}, {upper[idx]}] {_row(idx)}")
+    idx = _first_bad((arr_urgent < 0.0) | (arr_regular < 0.0), admitted)
+    if idx is not None:
+        raise ConstraintViolation(
+            f"station {idx[-1]}: negative arrivals ({arr_urgent[idx]}, {arr_regular[idx]})")
+
+    # Dynamics, as the tail of step.
+    next_battery = params.leakage_beta * battery + control + flow
+    next_battery = np.minimum(np.maximum(next_battery, params.capacity_min), params.usable_max)
+    carryover = np.maximum(total_demand - supply, 0.0)
+    next_urgent = arr_urgent + carryover
+    return next_battery, next_urgent, arr_regular.copy()
+
+
+def clear_and_price_batch(supply: np.ndarray, control: np.ndarray,
+                          quote: PriceQuote) -> np.ndarray:
+    """The coupled half of ``step_batch``: ``(N, n)`` actions to ``(N,)`` total profit.
+
+    Clears each row as ``clear_trades`` does, prices it as ``profit`` does,
+    and sums the stations left to right.
+    """
+    rows, n = control.shape
+    charging = control > 0.0
+    discharging = control < 0.0
+    charge_total = np.zeros(rows)
+    discharge_total = np.zeros(rows)
+    for i in range(n):
+        charge_total = charge_total + np.where(charging[:, i], control[:, i], 0.0)
+        discharge_total = discharge_total + np.where(charging[:, i], 0.0, -control[:, i])
+    long_charge = charge_total > discharge_total
+    short = np.where(long_charge, discharge_total, charge_total)
+    long = np.where(long_charge, charge_total, discharge_total)
+    ratio = np.divide(short, long, out=np.zeros_like(long), where=long > 0.0)[:, None]
+    long_charge = long_charge[:, None]
+    matched_buy = np.where(charging, np.where(long_charge, ratio * control, control), 0.0)
+    utility_buy = np.where(charging & long_charge, control - matched_buy, 0.0)
+    matched_sell = np.where(discharging, np.where(long_charge, -control, ratio * -control), 0.0)
+    utility_sell = np.where(discharging & ~long_charge, -control - matched_sell, 0.0)
+
+    station_profit = (supply * quote.ev - utility_buy * quote.utility
+                      + (matched_sell - matched_buy) * quote.trade
+                      + utility_sell * quote.buyback)
+    total_profit = np.zeros(rows)
+    for i in range(n):
+        total_profit = total_profit + station_profit[:, i]
+    return total_profit
 
 
 def step_batch(
@@ -441,74 +556,6 @@ def step_batch(
     """
     if battery.ndim != 2:
         raise ValueError(f"state arrays must be (rows, stations), got shape {battery.shape}")
-    renewables = np.broadcast_to(np.asarray(renewables, dtype=float), battery.shape)
-    arrivals = np.asarray(next_arrivals, dtype=float)
-    if arrivals.shape != (battery.shape[1], 2):
-        raise ValueError(f"next_arrivals must be {battery.shape[1]} (urgent, regular) pairs")
-    arr_urgent, arr_regular = arrivals[:, 0], arrivals[:, 1]
-    check_finite_batch(battery_kwh=battery, urgent_demand=urgent, regular_demand=regular,
-                       renewable=renewables, ev_supply=supply, ess_control=control,
-                       arrival_urgent=arr_urgent[None], arrival_regular=arr_regular[None])
-    bad = (urgent < 0.0) | (regular < 0.0)
-    if bad.any():
-        r, i = _first_bad(bad)
-        raise ConstraintViolation(
-            f"station {i}: negative demand ({urgent[r, i]}, {regular[r, i]}) (row {r})")
-    total_demand = urgent + regular
-    bad = (supply < urgent - _TOL) | (supply > total_demand + _TOL)
-    if bad.any():
-        r, i = _first_bad(bad)
-        raise ConstraintViolation(f"station {i}: ev_supply {supply[r, i]} outside "
-                                  f"[{urgent[r, i]}, {total_demand[r, i]}] (row {r})")
-    if (renewables < 0.0).any() or (supply < 0.0).any():
-        raise ValueError("renewable and ev_supply must be nonnegative")
-    flow, lower, upper, feasible = control_bounds_batch(battery, renewables, supply, params)
-    if not feasible.all():
-        r, i = _first_bad(~feasible)
-        raise InfeasibleIntervalError(
-            f"station {i}: empty control interval [{lower[r, i]}, {upper[r, i]}] (row {r})")
-    bad = (control < lower - _TOL) | (control > upper + _TOL)
-    if bad.any():
-        r, i = _first_bad(bad)
-        raise ConstraintViolation(f"station {i}: ess_control {control[r, i]} outside "
-                                  f"[{lower[r, i]}, {upper[r, i]}] (row {r})")
-    bad = (arr_urgent < 0.0) | (arr_regular < 0.0)
-    if bad.any():
-        i = _first_bad(bad)[0]
-        raise ConstraintViolation(
-            f"station {i}: negative arrivals ({arr_urgent[i]}, {arr_regular[i]})")
-
-    # Clearing, as clear_trades.
-    n = battery.shape[1]
-    charging = control > 0.0
-    discharging = control < 0.0
-    charge_total = np.zeros(len(battery))
-    discharge_total = np.zeros(len(battery))
-    for i in range(n):
-        charge_total = charge_total + np.where(charging[:, i], control[:, i], 0.0)
-        discharge_total = discharge_total + np.where(charging[:, i], 0.0, -control[:, i])
-    long_charge = charge_total > discharge_total
-    short = np.where(long_charge, discharge_total, charge_total)
-    long = np.where(long_charge, charge_total, discharge_total)
-    ratio = np.divide(short, long, out=np.zeros_like(long), where=long > 0.0)[:, None]
-    long_charge = long_charge[:, None]
-    matched_buy = np.where(charging, np.where(long_charge, ratio * control, control), 0.0)
-    utility_buy = np.where(charging & long_charge, control - matched_buy, 0.0)
-    matched_sell = np.where(discharging, np.where(long_charge, -control, ratio * -control), 0.0)
-    utility_sell = np.where(discharging & ~long_charge, -control - matched_sell, 0.0)
-
-    # Pricing, as profit.
-    station_profit = (supply * quote.ev - utility_buy * quote.utility
-                      + (matched_sell - matched_buy) * quote.trade
-                      + utility_sell * quote.buyback)
-    total_profit = np.zeros(len(battery))
-    for i in range(n):
-        total_profit = total_profit + station_profit[:, i]
-
-    # Dynamics, as the tail of step.
-    next_battery = params.leakage_beta * battery + control + flow
-    next_battery = np.minimum(np.maximum(next_battery, params.capacity_min), params.usable_max)
-    carryover = np.maximum(total_demand - supply, 0.0)
-    next_urgent = arr_urgent + carryover
-    next_regular = np.broadcast_to(arr_regular, battery.shape).copy()
-    return next_battery, next_urgent, next_regular, total_profit
+    next_states = advance_stations_batch(battery, urgent, regular, supply, control,
+                                         renewables, next_arrivals, params)
+    return (*next_states, clear_and_price_batch(supply, control, quote))

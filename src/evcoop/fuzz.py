@@ -67,7 +67,8 @@ def fuzz_clearing(calls: int, seed: int) -> FuzzReport:
             controls = -np.abs(controls)       # all discharging
         elif mode == 3:
             controls[rng.integers(n)] = 0.0    # idle stations present
-        out = clear_trades(list(controls))
+        values = controls.tolist()
+        out = clear_trades(values)
 
         bad = []
         if not _close(sum(out.matched_buy), sum(out.matched_sell)):
@@ -76,7 +77,7 @@ def fuzz_clearing(calls: int, seed: int) -> FuzzReport:
         tot_usell = sum(out.utility_sell)
         if min(tot_ubuy, tot_usell) > _REL * max(1.0, tot_ubuy, tot_usell):
             bad.append("both sides left residuals")
-        for i, c in enumerate(controls):
+        for i, c in enumerate(values):
             buy_i = max(c, 0.0)
             sell_i = max(-c, 0.0)
             if not _close(out.matched_buy[i] + out.utility_buy[i], buy_i):
@@ -94,7 +95,7 @@ def fuzz_clearing(calls: int, seed: int) -> FuzzReport:
         if bad:
             violations += 1
             if len(notes) < 5:
-                notes.append(f"call {k}: {'; '.join(bad)} controls={controls.tolist()}")
+                notes.append(f"call {k}: {'; '.join(bad)} controls={values}")
     return FuzzReport("clearing-conservation", calls, violations,
                       time.perf_counter() - t0, notes)
 
@@ -146,7 +147,7 @@ def fuzz_battery(calls: int, seed: int) -> FuzzReport:
             continue
         feas = np.flatnonzero(mask)
         idx = int(feas[rng.integers(feas.size)])
-        action = StationAction(ev_supply=supplies[idx], ess_control=controls[idx])
+        action = StationAction(ev_supply=supplies.item(idx), ess_control=controls.item(idx))
         out = step([state], [action], [renewable], quote, [(0.0, 0.0)], params)
         nxt = out.next_states[0].battery_kwh
         lo = params.capacity_min
@@ -187,7 +188,7 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
                 idx = int(feas[rng.integers(feas.size)])
                 states.append(st)
                 renewables.append(rn)
-                actions.append(StationAction(supplies[idx], controls[idx]))
+                actions.append(StationAction(supplies.item(idx), controls.item(idx)))
         except ValueError:
             continue
         out = step(states, actions, renewables, quote, [(0.0, 0.0)] * n, params)

@@ -198,4 +198,4 @@ class ActionGrid:
         supplies, controls, mask = self.decode_table(state, renewable, params)
         if not mask[index]:
             raise InfeasibleActionError(f"action index {index} is masked infeasible at this step")
-        return StationAction(ev_supply=supplies[index], ess_control=controls[index])
+        return StationAction(ev_supply=supplies.item(index), ess_control=controls.item(index))

@@ -267,7 +267,7 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
         mask_log[t] = [mask for _, _, mask in tables]
         q, hidden = learner.agents_eval.step(obs_block[:, None, :], hidden)
         action_log[t] = act_epsilon_greedy(q[:, 0], epsilon, mask_log[t], rng)
-        actions = [StationAction(ev_supply=supplies[idx], ess_control=controls[idx])
+        actions = [StationAction(ev_supply=supplies.item(idx), ess_control=controls.item(idx))
                    for (supplies, controls, _), idx in zip(tables, action_log[t])]
 
         outcome = env_step(list(states), actions, list(renew), quote,

@@ -2,11 +2,17 @@
 
 The oracle enumerates the same discrete action grid the agents use, so its
 optimum is an exact upper bound on anything a policy over that grid can earn.
-The search is breadth-first within a slot: all joint actions of a block of
-frontier rows advance in one array step (``core.step_batch``).  Blocks are
-expanded depth-first, so memory stays bounded and leaves arrive in ascending
-lexicographic order of their index sequences; a leaf replaces the best only
-on strict improvement, so ties keep the first sequence in that order.
+The search is breadth-first within a slot and works on the two halves of
+``core.step_batch``.  A station's next state depends only on its own action,
+so for a block of frontier rows the per-station half runs once on the
+decoded ``(rows, A, n)`` action table, checking only the entries the
+feasibility mask admits.  Only clearing and pricing couple the stations: for
+each block of joint actions (children) the coupled half prices the gathered
+supplies and controls, and the children's next states are gathered from the
+table.  Blocks are expanded depth-first, so memory stays bounded and leaves
+arrive in ascending lexicographic order of their index sequences; a leaf
+replaces the best only on strict improvement, so ties keep the first
+sequence in that order.
 """
 
 from __future__ import annotations
@@ -14,10 +20,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import EssParams, PriceQuote, StationState, step as env_step, step_batch
+from .core import (
+    EssParams,
+    PriceQuote,
+    StationState,
+    advance_stations_batch,
+    clear_and_price_batch,
+    step as env_step,
+)
 from .data import Episode
 from .marl.encoding import ActionGrid, InfeasibleActionError
 
@@ -54,9 +68,10 @@ class OracleResult:
     wall_time_s: float
 
 
-# Child rows per ``step_batch`` call.  The search runs depth-first over
-# blocks of this many rows, so memory stays bounded at any enumeration size.
-_BLOCK_ROWS = 512
+# Child rows per block.  The search runs depth-first over blocks of this many
+# rows, so memory stays bounded at any enumeration size (the sweep behind
+# this value is in BENCH_oracle_factored.json).
+_BLOCK_ROWS = 2048
 
 
 def _state_arrays(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,13 +80,38 @@ def _state_arrays(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[None, :, 0], rows[None, :, 1], rows[None, :, 2]
 
 
-def _advance(episode: Episode, params: EssParams, t: int, state, decoded, parents, picks):
-    """Step each ``parents`` row with its ``picks`` (N, n) grid indices at slot ``t``."""
-    supplies, controls, _ = decoded
-    cell = (parents[:, None], np.arange(picks.shape[1]), picks)
-    battery, urgent, regular = (a[parents] for a in state)
-    return step_batch(battery, urgent, regular, supplies[cell], controls[cell],
-                      episode.renewables[t], episode.quotes[t], episode.arrivals[t], params)
+class _Slot(NamedTuple):
+    """A block of frontier rows at slot ``t`` with every (row, action, station) outcome.
+
+    ``state`` holds the rows' (battery, urgent, regular), each ``(rows, n)``,
+    and ``mask`` the decoded grid's feasibility mask, ``(rows, A, n)``.
+    ``table`` stacks five ``(rows, A, n)`` arrays: the decoded supply and
+    control, and each station's next battery, urgent and regular demand
+    under that action.  Entries the mask rejects are placeholders.
+    """
+
+    t: int
+    state: tuple
+    mask: np.ndarray
+    table: np.ndarray
+
+
+def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state) -> _Slot:
+    """Decode the ``state`` rows' actions at slot ``t``; advance each station under each."""
+    supply, control, mask = (a.transpose(0, 2, 1)
+                             for a in grid.decode_batch(*state, episode.renewables[t], params))
+    next_state = advance_stations_batch(*(a[:, None, :] for a in state), supply, control,
+                                        episode.renewables[t], episode.arrivals[t], params,
+                                        admitted=mask)
+    return _Slot(t, state, mask, np.stack((supply, control, *next_state)))
+
+
+def _children(episode: Episode, slot: _Slot, parents: np.ndarray, picks: np.ndarray):
+    """Next states and slot profit of rows ``parents`` taking their ``picks`` (N, n)."""
+    _, actions, n = slot.mask.shape
+    cells = (parents[:, None] * actions + picks) * n + np.arange(n)
+    supply, control, *next_state = slot.table.reshape(5, -1).take(cells, axis=1)
+    return next_state, clear_and_price_batch(supply, control, episode.quotes[slot.t])
 
 
 def _search(episode: Episode, params: EssParams, grid: ActionGrid,
@@ -98,10 +138,9 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
                 best_profit = acc[i]
                 best_seq = tuple(tuple(slot) for slot in prefix[i].tolist())
             return
-        decoded = grid.decode_batch(*state, episode.renewables[t], params)
-        mask = decoded[2]
-        counts = mask.sum(axis=2)                       # feasible actions per station
-        feasible = np.argsort(~mask, axis=2, kind="stable")  # their indices first, ascending
+        slot = _slot(episode, params, grid, t, state)
+        counts = slot.mask.sum(axis=1)                  # feasible actions per station
+        feasible = np.argsort(~slot.mask, axis=1, kind="stable")  # their indices first, ascending
         offsets = np.concatenate(([0], np.cumsum(counts.prod(axis=1))))
         children = int(offsets[-1])
         for lo in range(0, children, _BLOCK_ROWS):
@@ -113,8 +152,8 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
             digits = np.empty((child.size, n), dtype=np.intp)
             for i in reversed(range(n)):
                 local, digits[:, i] = np.divmod(local, counts[parents, i])
-            picks = feasible[parents[:, None], np.arange(n), digits]
-            *nxt, profit = _advance(episode, params, t, state, decoded, parents, picks)
+            picks = feasible[parents[:, None], digits, np.arange(n)]
+            nxt, profit = _children(episode, slot, parents, picks)
             nodes += child.size
             expand(t + 1, nxt, acc[parents] + profit,
                    np.concatenate((prefix[parents], picks[:, None, :]), axis=1))
@@ -149,9 +188,8 @@ def rolling_greedy(instance: TinyInstance, lookahead: int
         depth = min(lookahead, ep.length - t)
         _, seq, _ = _search(ep, params, grid, state, t, depth)
         combo = seq[0]
-        decoded = grid.decode_batch(*state, ep.renewables[t], params)
-        *state, profit = _advance(ep, params, t, state, decoded, np.zeros(1, dtype=np.intp),
-                                  np.array([combo]))
+        state, profit = _children(ep, _slot(ep, params, grid, t, state),
+                                  np.zeros(1, dtype=np.intp), np.array([combo]))
         total += profit[0]
         taken.append(combo)
     return total, tuple(taken)

@@ -1,9 +1,10 @@
 """The array-native market path and the blocked oracle against their scalar references.
 
-``step_batch`` and ``ActionGrid.decode_batch`` must agree with ``step`` and
-``decode_table`` bit for bit, and the blocked breadth-first oracle with the
-depth-first enumeration it replaced (kept here as ``_dfs_search``) in
-optimum, action sequence and node count.
+``step_batch``, its two halves (``advance_stations_batch`` per station and
+``clear_and_price_batch`` across stations) and ``ActionGrid.decode_batch``
+must agree with ``step`` and ``decode_table`` bit for bit, and the blocked
+breadth-first oracle with the depth-first enumeration it replaced (kept here
+as ``_dfs_search``) in optimum, action sequence and node count.
 """
 
 import dataclasses
@@ -22,6 +23,8 @@ from evcoop.core import (
     PriceQuote,
     StationAction,
     StationState,
+    advance_stations_batch,
+    clear_and_price_batch,
     step,
     step_batch,
 )
@@ -211,6 +214,64 @@ def test_step_batch_matches_step(data, params, grid, quote, rows, stations):
         assert_bits(total[r], out.profit.total_profit)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), ess_params(), grids, quotes(), st.integers(1, 3), st.integers(1, 10))
+def test_clear_and_price_batch_matches_step(data, params, grid, quote, rows, stations):
+    battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
+    actions = data.draw(feasible_actions(grid, params, battery, urgent, regular, renewable))
+    if actions is None:
+        return
+    supply, control = actions
+    total = clear_and_price_batch(supply, control, quote)
+    assert total.shape == (rows,)
+    for r in range(rows):
+        acts = [StationAction(supply[r, i], control[r, i]) for i in range(stations)]
+        out = step(scalar_states(battery, urgent, regular, r), acts, list(renewable[r]),
+                   quote, [(0.0, 0.0)] * stations, params)
+        assert_bits(total[r], out.profit.total_profit)
+
+
+# Values a masked-out table entry may hold; each would fail a check if checked.
+PLACEHOLDERS = st.sampled_from([math.nan, -1e6, 1e6, -1.0])
+QUOTE = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), ess_params(), grids, st.integers(1, 3), st.integers(1, 4))
+def test_advance_stations_batch_on_masked_tables_matches_step(data, params, grid, rows,
+                                                              stations):
+    # The oracle's layout: (rows, A, n) action tables against (rows, 1, n)
+    # states, checked only where the mask admits an action.
+    battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
+    supply, control, mask = (a.transpose(0, 2, 1) for a in
+                             grid.decode_batch(battery, urgent, regular, renewable, params))
+    supply, control = supply.copy(), control.copy()
+    for table in (supply, control):
+        table[~mask] = data.draw(st.lists(PLACEHOLDERS, min_size=int((~mask).sum()),
+                                          max_size=int((~mask).sum())))
+    arrivals = [tuple(data.draw(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0))))
+                for _ in range(stations)]
+    nb, nu, nr = advance_stations_batch(battery[:, None], urgent[:, None], regular[:, None],
+                                        supply, control, renewable[:, None], arrivals, params,
+                                        admitted=mask)
+    assert nb.shape == nu.shape == nr.shape == mask.shape
+    for r in range(rows):
+        if not mask[r].any(axis=0).all():
+            continue                    # some station has no feasible action at all
+        first = mask[r].argmax(axis=0)  # each station's first feasible action
+        states = scalar_states(battery, urgent, regular, r)
+        for a in range(grid.n_actions):
+            # Station i takes action a where admitted, else its first feasible one.
+            pick = np.where(mask[r, a], a, first)
+            acts = [StationAction(supply[r, pick[i], i], control[r, pick[i], i])
+                    for i in range(stations)]
+            out = step(states, acts, list(renewable[r]), QUOTE, arrivals, params)
+            for i in np.flatnonzero(mask[r, a]):
+                want = out.next_states[i]
+                assert_bits([nb[r, a, i], nu[r, a, i], nr[r, a, i]],
+                            [want.battery_kwh, want.urgent_demand, want.regular_demand])
+
+
 def test_step_batch_all_charging_and_all_discharging_rows():
     params = EssParams(capacity_max=100.0, leakage_beta=1.0)
     quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
@@ -259,6 +320,14 @@ def test_step_batch_rejects_what_step_rejects(case):
         step_batch(block(50.0, battery), block(5.0, urgent), block(5.0, 5.0),
                    block(5.0, supply), block(0.0, control), [0.0, 0.0], quote,
                    [(0.0, 0.0), arrival], params)
+
+    # The per-station half raises the same for an admitted bad entry and
+    # ignores it once the mask rejects it.
+    halves = (block(50.0, battery), block(5.0, urgent), block(5.0, 5.0), block(5.0, supply),
+              block(0.0, control), [0.0, 0.0], [(0.0, 0.0), arrival], params)
+    with pytest.raises(type(scalar.value), match="station 1"):
+        advance_stations_batch(*halves, admitted=np.ones((2, 2), dtype=bool))
+    advance_stations_batch(*halves, admitted=np.array([[True, False]] * 2))
 
 
 @pytest.mark.parametrize("field, where", [
@@ -355,14 +424,14 @@ def _dfs_rolling_greedy(instance, lookahead):
     return total, tuple(taken)
 
 
-def _draws(count, seed):
+def _draws(count, seed, shapes=((2, 2), (1, 3), (3, 1), (2, 1))):
     """Tiny instances of one to three stations, sized to keep the DFS quick.
 
-    Every other one gets a battery of 4-12 kWh and import/export caps of a
-    few kWh, so masks differ from row to row and some branches are pruned.
+    ``shapes`` cycles (stations, slots).  Every other instance gets a battery
+    of 4-12 kWh and import/export caps of a few kWh, so masks differ from row
+    to row and some branches are pruned.
     """
     rng = np.random.default_rng(seed)
-    shapes = [(2, 2), (1, 3), (3, 1), (2, 1)]
     draws = []
     for k in range(count):
         inst = oracle.random_tiny_instance(rng, *shapes[k % len(shapes)])
@@ -401,7 +470,8 @@ def _assert_same_as_dfs(inst):
 
 
 def test_oracle_matches_depth_first_reference():
-    for inst in _draws(52, seed=5):
+    # Three stations over two slots gather next states from a three-wide table.
+    for inst in _draws(52, seed=5) + _draws(4, seed=9, shapes=[(3, 2)]):
         _assert_same_as_dfs(inst)
 
 
@@ -418,14 +488,15 @@ def test_oracle_evaluates_every_node_once(monkeypatch):
     # The same (slot, state, action) nodes as the depth-first search, each
     # as often, whatever the block size: no child dropped or duplicated.
     visited = []
-    real = oracle.step_batch
+    real = oracle._children
 
-    def recording(battery, urgent, regular, supply, control, renewables, quote, *rest):
-        t = inst.episode.quotes.index(quote)
-        visited.extend(_node(t, *row) for row in zip(battery, urgent, regular, supply, control))
-        return real(battery, urgent, regular, supply, control, renewables, quote, *rest)
+    def recording(episode, slot, parents, picks):
+        cell = (parents[:, None], picks, np.arange(picks.shape[1]))
+        rows = zip(*(a[parents] for a in slot.state), slot.table[0][cell], slot.table[1][cell])
+        visited.extend(_node(slot.t, *row) for row in rows)
+        return real(episode, slot, parents, picks)
 
-    monkeypatch.setattr(oracle, "step_batch", recording)
+    monkeypatch.setattr(oracle, "_children", recording)
     for block_rows in (5, 64):
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
         for inst in _draws(4, seed=7):
