@@ -6,6 +6,10 @@ each checkpoint with ``evcoop evaluate --seed <eval-seed>``, runs
 ``evcoop oracle --instances 20 --seed <seed>`` with full lookahead and with
 ``--lookahead 1``, and prints one ``<sha256>  <path>`` line per
 ``metrics.csv``, ``checkpoint.npz``, ``trace.csv`` and ``oracle_metrics.csv``.
+Next to each ``oracle_metrics.csv`` it writes and digests ``oracle_api.txt``:
+for each of the same instances, the optimum, its action sequence and node
+count from ``brute_force`` and the total and sequence of ``rolling_greedy``
+at that lookahead, which the profit-only CSV does not pin.
 Run it at two commits and diff the outputs to check that a change keeps
 every artifact byte-identical:
 
@@ -33,7 +37,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from evcoop.cli import main as evcoop  # noqa: E402
+from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # noqa: E402
 
 DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn")
 ORACLE_INSTANCES = 20
@@ -75,12 +82,28 @@ def digests(out: Path, episodes: int, seed: int, eval_seed: int, algorithms: lis
 
 def oracle_digests(out: Path, seed: int) -> list[str]:
     lines = []
-    for name, extra in (("full", []), ("lookahead1", ["--lookahead", "1"])):
+    for name, lookahead in (("full", None), ("lookahead1", 1)):
         run = out / "oracle" / name
+        extra = ["--lookahead", str(lookahead)] if lookahead else []
         _run(["oracle", "--instances", str(ORACLE_INSTANCES), "--seed", str(seed), *extra,
               "--out", str(run)])
         lines.append(_digest(run / "oracle_metrics.csv", out))
+        (run / "oracle_api.txt").write_text(_oracle_api_rows(seed, lookahead))
+        lines.append(_digest(run / "oracle_api.txt", out))
     return lines
+
+
+def _oracle_api_rows(seed: int, lookahead: int | None) -> str:
+    """One repr line per instance that ``evcoop oracle --seed <seed>`` draws."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rows = []
+    for k in range(ORACLE_INSTANCES):
+        instance = random_tiny_instance(rng)
+        exact = brute_force(instance)
+        total, actions = rolling_greedy(instance, lookahead or instance.episode.length)
+        rows.append(repr((k, float(exact.profit), exact.actions, exact.nodes,
+                          float(total), actions)))
+    return "\n".join(rows) + "\n"
 
 
 def _digest(path: Path, out: Path) -> str:

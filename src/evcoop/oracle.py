@@ -9,14 +9,23 @@ decoded ``(rows, A, n)`` action table, checking only the entries the
 feasibility mask admits.  Only clearing and pricing couple the stations: for
 each block of joint actions (children) the coupled half prices the gathered
 supplies and controls, and the children's next states are gathered from the
-table.  Blocks are expanded depth-first, so memory stays bounded and leaves
-arrive in ascending lexicographic order of their index sequences; a leaf
-replaces the best only on strict improvement, so ties keep the first
-sequence in that order.
+table.  The children of a search's last slot are leaves, which need only
+their profit: they gather supply and control alone, and the index
+sequence is built only for the best leaf of each block.  Blocks are
+expanded depth-first, so memory stays bounded and leaves arrive in
+ascending lexicographic order of their index sequences; a leaf replaces
+the best only on strict improvement, so ties keep the first sequence in
+that order.
+
+Each instance's full-horizon optimum is searched once and kept on the
+instance: ``brute_force`` returns it, and a rolling greedy whose lookahead
+spans the episode takes its slot-0 plan from it, since that plan is the
+same search.  Later re-plans search from the realized state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -57,10 +66,24 @@ class TinyInstance:
             raise BudgetExceededError(
                 f"{k}^{cells} joint sequences exceed the {ENUMERATION_BUDGET:.0e} budget")
 
+    @functools.cached_property
+    def _optimum(self) -> OracleResult:
+        # Kept in the instance's __dict__: dataclasses.replace copies start
+        # unsolved, and an error is raised again on every call, not kept.
+        t0 = time.perf_counter()
+        ep = self.episode
+        profit, seq, nodes = _search(ep, self.params, self.grid,
+                                     _state_arrays(ep.initial_states), 0, ep.length)
+        return OracleResult(profit=profit, actions=seq, nodes=nodes,
+                            wall_time_s=time.perf_counter() - t0)
 
-@dataclass
+
+@dataclass(frozen=True)
 class OracleResult:
-    """Optimal profit with the sequence achieving it."""
+    """Optimal profit with the sequence achieving it.
+
+    Frozen: ``brute_force`` hands every caller of an instance the same one.
+    """
 
     profit: float
     actions: tuple[tuple[int, ...], ...]  # [slot][station] flat grid indices
@@ -106,11 +129,17 @@ def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state) 
     return _Slot(t, state, mask, np.stack((supply, control, *next_state)))
 
 
-def _children(episode: Episode, slot: _Slot, parents: np.ndarray, picks: np.ndarray):
-    """Next states and slot profit of rows ``parents`` taking their ``picks`` (N, n)."""
+def _children(episode: Episode, slot: _Slot, parents: np.ndarray, picks: np.ndarray,
+              leaf: bool = False):
+    """Next states and slot profit of rows ``parents`` taking their ``picks`` (N, n).
+
+    A ``leaf`` child needs only its profit: its next states are not
+    gathered, and the list of them comes back empty.
+    """
     _, actions, n = slot.mask.shape
     cells = (parents[:, None] * actions + picks) * n + np.arange(n)
-    supply, control, *next_state = slot.table.reshape(5, -1).take(cells, axis=1)
+    columns = 2 if leaf else 5
+    supply, control, *next_state = slot.table[:columns].reshape(columns, -1).take(cells, axis=1)
     return next_state, clear_and_price_batch(supply, control, episode.quotes[slot.t])
 
 
@@ -132,12 +161,7 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
         # state: (battery, urgent, regular), each (rows, n); acc: (rows,);
         # prefix: (rows, t - t_start, n) grid indices taken so far.
         nonlocal best_profit, best_seq, nodes
-        if t == end:
-            i = int(np.argmax(acc))
-            if acc[i] > best_profit:
-                best_profit = acc[i]
-                best_seq = tuple(tuple(slot) for slot in prefix[i].tolist())
-            return
+        leaf = t + 1 == end
         slot = _slot(episode, params, grid, t, state)
         counts = slot.mask.sum(axis=1)                  # feasible actions per station
         feasible = np.argsort(~slot.mask, axis=1, kind="stable")  # their indices first, ascending
@@ -153,10 +177,17 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
             for i in reversed(range(n)):
                 local, digits[:, i] = np.divmod(local, counts[parents, i])
             picks = feasible[parents[:, None], digits, np.arange(n)]
-            nxt, profit = _children(episode, slot, parents, picks)
+            nxt, profit = _children(episode, slot, parents, picks, leaf=leaf)
             nodes += child.size
-            expand(t + 1, nxt, acc[parents] + profit,
-                   np.concatenate((prefix[parents], picks[:, None, :]), axis=1))
+            total = acc[parents] + profit
+            if not leaf:
+                expand(t + 1, nxt, total,
+                       np.concatenate((prefix[parents], picks[:, None, :]), axis=1))
+                continue
+            i = int(np.argmax(total))
+            if total[i] > best_profit:
+                best_profit = total[i]
+                best_seq = tuple(map(tuple, prefix[parents[i]].tolist() + [picks[i].tolist()]))
 
     expand(t_start, start, np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
     if not math.isfinite(best_profit):
@@ -165,13 +196,12 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
 
 
 def brute_force(instance: TinyInstance) -> OracleResult:
-    """Exact maximum profit over every feasible joint action sequence."""
-    t0 = time.perf_counter()
-    ep = instance.episode
-    profit, seq, nodes = _search(ep, instance.params, instance.grid,
-                                 _state_arrays(ep.initial_states), 0, ep.length)
-    return OracleResult(profit=profit, actions=seq, nodes=nodes,
-                        wall_time_s=time.perf_counter() - t0)
+    """Exact maximum profit over every feasible joint action sequence.
+
+    The search runs on the first call for an instance; later calls return
+    the same result, with the wall time of that first search.
+    """
+    return instance._optimum
 
 
 def rolling_greedy(instance: TinyInstance, lookahead: int
@@ -186,7 +216,10 @@ def rolling_greedy(instance: TinyInstance, lookahead: int
     taken: list[tuple[int, ...]] = []
     for t in range(ep.length):
         depth = min(lookahead, ep.length - t)
-        _, seq, _ = _search(ep, params, grid, state, t, depth)
+        # Only slot 0 of a full lookahead plans the whole episode, from the
+        # initial state: that is the instance's optimum, searched once.
+        seq = (instance._optimum.actions if depth == ep.length
+               else _search(ep, params, grid, state, t, depth)[1])
         combo = seq[0]
         state, profit = _children(ep, _slot(ep, params, grid, t, state),
                                   np.zeros(1, dtype=np.intp), np.array([combo]))

@@ -490,11 +490,11 @@ def test_oracle_evaluates_every_node_once(monkeypatch):
     visited = []
     real = oracle._children
 
-    def recording(episode, slot, parents, picks):
+    def recording(episode, slot, parents, picks, **leaf):
         cell = (parents[:, None], picks, np.arange(picks.shape[1]))
         rows = zip(*(a[parents] for a in slot.state), slot.table[0][cell], slot.table[1][cell])
         visited.extend(_node(slot.t, *row) for row in rows)
-        return real(episode, slot, parents, picks)
+        return real(episode, slot, parents, picks, **leaf)
 
     monkeypatch.setattr(oracle, "_children", recording)
     for block_rows in (5, 64):

@@ -1,11 +1,14 @@
 """Exhaustive planner: exact optimum, rolling greedy, instance hygiene."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from evcoop import oracle
 from evcoop.core import EssParams, PriceQuote, StationState
 from evcoop.data import Episode
-from evcoop.marl import ActionGrid
+from evcoop.marl import ActionGrid, InfeasibleActionError
 from evcoop.oracle import (
     BudgetExceededError,
     TinyInstance,
@@ -87,6 +90,73 @@ def test_optimum_dominates_random_play():
             actions.append(tuple(picks))
         total, _ = replay_sequence(inst, tuple(actions))
         assert total <= exact.profit + tol
+
+
+def _full_searches(monkeypatch):
+    """A list that gains one entry per ``_search`` call spanning the episode from slot 0."""
+    calls = []
+    real = oracle._search
+
+    def counting(episode, params, grid, start, t_start, depth):
+        if (t_start, depth) == (0, episode.length):
+            calls.append(depth)
+        return real(episode, params, grid, start, t_start, depth)
+
+    monkeypatch.setattr(oracle, "_search", counting)
+    return calls
+
+
+def test_full_lookahead_greedy_reuses_the_optimum(monkeypatch):
+    calls = _full_searches(monkeypatch)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        inst = random_tiny_instance(rng)
+        exact = brute_force(inst)
+        assert len(calls) == 1
+        assert brute_force(inst) is exact
+        _, actions = rolling_greedy(inst, inst.episode.length + 1)
+        assert len(calls) == 1
+        assert actions[0] == exact.actions[0]
+        calls.clear()
+
+
+def test_solved_instance_plans_like_an_unsolved_copy(monkeypatch):
+    # A dataclasses.replace copy starts unsolved, so it runs its own search,
+    # and the memo changes neither the greedy's total nor its sequence.
+    calls = _full_searches(monkeypatch)
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        inst = random_tiny_instance(rng)
+        length = inst.episode.length
+        brute_force(inst)
+        solved = rolling_greedy(inst, length)
+        calls.clear()
+        copy = dataclasses.replace(inst)
+        assert rolling_greedy(copy, length) == solved
+        assert len(calls) == 1
+        assert rolling_greedy(inst, 1) == rolling_greedy(copy, 1)
+
+
+def test_infeasible_instance_raises_on_every_call():
+    # Urgent demand above the import cap, from an empty battery with no
+    # renewable: no supply fraction has a feasible control at slot 0.
+    inst = _arbitrage_instance()
+    ep = inst.episode
+    inst = dataclasses.replace(
+        inst, params=dataclasses.replace(inst.params, import_cap=1.0),
+        episode=dataclasses.replace(ep, initial_states=(StationState(5.0, 10.0, 0.0),)))
+    for _ in range(2):
+        with pytest.raises(InfeasibleActionError):
+            brute_force(inst)
+        with pytest.raises(InfeasibleActionError):
+            rolling_greedy(inst, ep.length)
+
+
+def test_oracle_result_is_frozen():
+    # brute_force hands every caller the same result object.
+    result = brute_force(_arbitrage_instance())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.profit = 0.0
 
 
 def test_budget_guard_rejects_explosive_grids():
