@@ -12,6 +12,7 @@ artifact except ``timings.csv``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -24,6 +25,7 @@ from .data import ScenarioDataError, build_episode, synth_demand
 from .fuzz import fuzz_battery, fuzz_clearing, fuzz_profit
 from .marl import (
     EpisodeMetrics,
+    InfeasibleActionError,
     ReplayBuffer,
     build_learner,
     load_learner,
@@ -81,6 +83,15 @@ def _seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(c) for c in children)
 
 
+@contextlib.contextmanager
+def _battery_admits_actions():
+    """A rollout that finds a station with no feasible action is a config error."""
+    try:
+        yield
+    except InfeasibleActionError as exc:
+        raise ConfigError(f"{exc}: ess.capacity_max or ess.import_cap is too small") from exc
+
+
 def _episode_factory(price, pv, demand, stations, initial_soc, ess, demand_rng):
     horizon = len(price)
 
@@ -108,7 +119,8 @@ def cmd_train(args) -> int:
             buffer = ReplayBuffer(cfg.train.capacity, rng_replay)
             factory = _episode_factory(price, pv, demand, stations,
                                        cfg.scenario.initial_soc, cfg.ess, rng_demand)
-            metrics = train(learner, buffer, factory, rng_roll)
+            with _battery_admits_actions():
+                metrics = train(learner, buffer, factory, rng_roll)
 
             run_dir = out_root / f"{algorithm}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
@@ -143,8 +155,9 @@ def cmd_evaluate(args) -> int:
     factory = _episode_factory(price, pv, demand, stations,
                                cfg.scenario.initial_soc, cfg.ess, rng_demand)
     episode = factory()
-    record, trace = rollout_episode(episode, learner, epsilon=0.0, rng=None,
-                                    collect_trace=True)
+    with _battery_admits_actions():
+        record, trace = rollout_episode(episode, learner, epsilon=0.0, rng=None,
+                                        collect_trace=True)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_dir / "trace.csv", trace, cfg.ess)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core import EssParams, PriceQuote, StationAction, StationState, StepOutcome, step as env_step
 from ..data import Episode
-from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, no_grad, stack_layers
+from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, stack_layers
 from ..nn.checkpoint import CheckpointError, read_checkpoint, restore_params, save_checkpoint
 from .encoding import OBS_DIM, ActionGrid, ObsScales, encode_observation, global_state
 from .replay import EpisodeRecord, ReplayBuffer
@@ -182,6 +182,8 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
         mixer_params = {k: p for k, p in params.items() if k.startswith("mixer")}
         if mixer_params:
             learner.opt_mixers = Adam(mixer_params, lr=config.lr_mixer)
+    for p in learner.parameters("target").values():
+        p.requires_grad = False  # constants between syncs: they build no tape
     sync_targets(learner)
     return learner
 
@@ -298,7 +300,7 @@ def _unroll(agents: DRQNAgent, obs: np.ndarray) -> Tensor:
 
     Rows are batch-major (row ``b * T + t``).  The encoder and the Q-head see
     the whole block at once; only the recurrence steps through the slots.
-    Records a tape unless called under ``no_grad``; the values are the same either way.
+    Tapes the eval agents' unroll, not the constant target agents'; the values are the same.
     """
     B, T, n, _ = obs.shape
     x = agents.encoder(Tensor(obs.transpose(2, 0, 1, 3).reshape(n, B * T, -1)))
@@ -335,8 +337,7 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     B, T, n, _ = obs.shape
     gamma = learner.config.gamma
 
-    with no_grad():
-        q_target = _values(_unroll(learner.agents_target, obs), B, T)
+    q_target = _values(_unroll(learner.agents_target, obs), B, T)
 
     if learner.algorithm == "independent_dqn":
         y = np.repeat(rewards[:, :, None], n, axis=2)
@@ -356,10 +357,9 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     if T > 1:
         flat_states = Tensor(states[:, 1:, :].reshape(B * (T - 1), -1))
         flat_q = Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))
-        with no_grad():
-            for mix, mixer in ((mix_a, learner.mixer_a_target), (mix_b, learner.mixer_b_target)):
-                if mix is not None:
-                    mix[:, :-1] = mixer.forward(flat_states, flat_q).data.reshape(B, T - 1)
+        for mix, mixer in ((mix_a, learner.mixer_a_target), (mix_b, learner.mixer_b_target)):
+            if mix is not None:
+                mix[:, :-1] = mixer.forward(flat_states, flat_q).data.reshape(B, T - 1)
         tail = mix_a[:, :-1] if mix_b is None else np.minimum(mix_a[:, :-1], mix_b[:, :-1])
         y[:, :-1] += gamma * tail
     return Targets(y=y, mix_a=mix_a, mix_b=mix_b)
@@ -569,10 +569,5 @@ def load_learner(path) -> LearnerState:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path} has unusable learner metadata: {type(exc).__name__}: {exc}") from exc
-    stored = _checkpoint_params(learner)
-    restore_params(path, arrays, stored)
-    for role in ("eval", "target"):
-        for name, (p, cols) in _agent_entries(getattr(learner, f"agents_{role}")).items():
-            for i in range(learner.n_agents):
-                p.data[i][..., cols] = stored[f"{role}.agent{i}.{name}"].data
+    restore_params(path, arrays, _checkpoint_params(learner))
     return learner

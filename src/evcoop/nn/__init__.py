@@ -1,7 +1,7 @@
 """Minimal double-precision neural toolkit: tape autodiff, layers, Adam,
 finite-difference gradient checking, and npz checkpoints."""
 
-from .autodiff import Tensor, no_grad, parameter
+from .autodiff import Tensor, parameter
 from .checkpoint import CheckpointError, save_checkpoint
 from .gradcheck import GradCheckReport, check_gradients
 from .layers import Dense, DenseNet, GRUCell, MonotonicMixer, stack_layers
@@ -10,6 +10,5 @@ from .optim import Adam, DivergenceError
 __all__ = [
     "Adam", "CheckpointError", "Dense", "DenseNet", "DivergenceError",
     "GRUCell", "GradCheckReport", "MonotonicMixer", "Tensor",
-    "check_gradients", "no_grad", "parameter", "save_checkpoint",
-    "stack_layers",
+    "check_gradients", "parameter", "save_checkpoint", "stack_layers",
 ]

@@ -8,30 +8,14 @@ reductions, reshape, transpose and gather.  No GPU, no general
 broadcasting promises beyond what these ops use.
 
 Gradients accumulate into ``Tensor.grad`` on ``backward()`` from a scalar.
-Inside ``no_grad()`` no graph is recorded, which doubles as the fast path
-for target-network evaluation and greedy rollouts.
+A result is recorded on the tape if and only if one of its parents has
+``requires_grad``; so constants, such as target-network parameters and
+data, build no graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that disables graph recording."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
@@ -109,7 +93,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward_fn) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward_fn
@@ -197,10 +181,13 @@ class Tensor:
 
     def elu(self) -> "Tensor":
         a = self
-        out_data = np.where(a.data > 0.0, a.data, np.expm1(a.data))
+        pos = a.data > 0.0
+        # expm1 sees only the entries it keeps, so a large positive one cannot
+        # overflow it; unlike np.minimum(a, 0.0), this keeps -0.0 as it is.
+        out_data = np.where(pos, a.data, np.expm1(np.where(pos, 0.0, a.data)))
 
         def backward(g):
-            a._accum(g * np.where(a.data > 0.0, 1.0, out_data + 1.0))
+            a._accum(g * np.where(pos, 1.0, out_data + 1.0))
 
         return self._result(out_data, (a,), backward)
 

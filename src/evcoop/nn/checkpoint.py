@@ -66,7 +66,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 def restore_params(path: str | Path, arrays: dict[str, np.ndarray],
                    params: dict[str, Tensor]) -> None:
-    """Restore ``params`` in place from read arrays.
+    """Write read arrays into ``params`` in place, so a view writes through to its base.
 
     Nothing is written unless every name and shape matches and every value is finite.
     """
@@ -84,4 +84,4 @@ def restore_params(path: str | Path, arrays: dict[str, np.ndarray],
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{path}: parameter {name} has non-finite values")
     for name, p in params.items():
-        p.data = arrays[f"param.{name}"].astype(np.float64)
+        p.data[...] = arrays[f"param.{name}"]

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 
 
 @dataclass
@@ -67,11 +67,9 @@ def check_gradients(loss_fn: Callable[[], Tensor],
             multi = np.unravel_index(i, p.data.shape)
             orig = p.data[multi]
             p.data[multi] = orig + h
-            with no_grad():
-                f_plus = loss_fn().item()
+            f_plus = loss_fn().item()
             p.data[multi] = orig - h
-            with no_grad():
-                f_minus = loss_fn().item()
+            f_minus = loss_fn().item()
             p.data[multi] = orig
             fd = (f_plus - f_minus) / (2.0 * h)
             abs_err = abs(a_flat[i] - fd)

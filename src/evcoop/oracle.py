@@ -72,8 +72,8 @@ class TinyInstance:
         # unsolved, and an error is raised again on every call, not kept.
         t0 = time.perf_counter()
         ep = self.episode
-        profit, seq, nodes = _search(ep, self.params, self.grid,
-                                     _state_arrays(ep.initial_states), 0, ep.length)
+        root = _slot(ep, self.params, self.grid, 0, _state_arrays(ep.initial_states))
+        profit, seq, nodes = _search(ep, self.params, self.grid, root, ep.length)
         return OracleResult(profit=profit, actions=seq, nodes=nodes,
                             wall_time_s=time.perf_counter() - t0)
 
@@ -144,25 +144,24 @@ def _children(episode: Episode, slot: _Slot, parents: np.ndarray, picks: np.ndar
 
 
 def _search(episode: Episode, params: EssParams, grid: ActionGrid,
-            start, t_start: int, depth: int) -> tuple[float, tuple, int]:
-    """Best cumulative profit over ``depth`` slots from the one-row ``start`` state.
+            root: _Slot, depth: int) -> tuple[float, tuple, int]:
+    """Best cumulative profit over ``depth`` slots from the one-row, expanded ``root``.
 
     Returns (profit, action index sequence, environment steps evaluated).
     The module docstring gives the search order and the tie rule.
     Infeasible branches (empty mask under tight caps) are pruned.
     """
     n = episode.station_count
-    end = t_start + depth
+    end = root.t + depth
     best_profit = -math.inf
     best_seq: tuple = ()
     nodes = 0
 
-    def expand(t, state, acc, prefix):
-        # state: (battery, urgent, regular), each (rows, n); acc: (rows,);
-        # prefix: (rows, t - t_start, n) grid indices taken so far.
+    def expand(slot, acc, prefix):
+        # acc: (rows,) profit so far; prefix: (rows, slot.t - root.t, n) grid
+        # indices taken so far.
         nonlocal best_profit, best_seq, nodes
-        leaf = t + 1 == end
-        slot = _slot(episode, params, grid, t, state)
+        leaf = slot.t + 1 == end
         counts = slot.mask.sum(axis=1)                  # feasible actions per station
         feasible = np.argsort(~slot.mask, axis=1, kind="stable")  # their indices first, ascending
         offsets = np.concatenate(([0], np.cumsum(counts.prod(axis=1))))
@@ -181,7 +180,7 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
             nodes += child.size
             total = acc[parents] + profit
             if not leaf:
-                expand(t + 1, nxt, total,
+                expand(_slot(episode, params, grid, slot.t + 1, nxt), total,
                        np.concatenate((prefix[parents], picks[:, None, :]), axis=1))
                 continue
             i = int(np.argmax(total))
@@ -189,7 +188,7 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
                 best_profit = total[i]
                 best_seq = tuple(map(tuple, prefix[parents[i]].tolist() + [picks[i].tolist()]))
 
-    expand(t_start, start, np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
+    expand(root, np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
     if not math.isfinite(best_profit):
         raise InfeasibleActionError("no feasible joint action sequence")
     return best_profit, best_seq, nodes
@@ -216,13 +215,13 @@ def rolling_greedy(instance: TinyInstance, lookahead: int
     taken: list[tuple[int, ...]] = []
     for t in range(ep.length):
         depth = min(lookahead, ep.length - t)
+        slot = _slot(ep, params, grid, t, state)
         # Only slot 0 of a full lookahead plans the whole episode, from the
         # initial state: that is the instance's optimum, searched once.
         seq = (instance._optimum.actions if depth == ep.length
-               else _search(ep, params, grid, state, t, depth)[1])
+               else _search(ep, params, grid, slot, depth)[1])
         combo = seq[0]
-        state, profit = _children(ep, _slot(ep, params, grid, t, state),
-                                  np.zeros(1, dtype=np.intp), np.array([combo]))
+        state, profit = _children(ep, slot, np.zeros(1, dtype=np.intp), np.array([combo]))
         total += profit[0]
         taken.append(combo)
     return total, tuple(taken)

@@ -26,7 +26,7 @@ from evcoop.marl import (
     greedy_profit,
     train,
 )
-from evcoop.nn import Tensor, check_gradients, no_grad
+from evcoop.nn import Tensor, check_gradients
 from evcoop.oracle import brute_force, random_tiny_instance, replay_sequence, rolling_greedy
 
 
@@ -119,18 +119,17 @@ def test_mixer_monotonicity_probes():
                             np.random.default_rng(7))
     delta = 1e-3
     checked = 0
-    with no_grad():
-        for _ in range(1000):
-            state = Tensor(rng.standard_normal((1, 18)))
-            qs = rng.standard_normal((1, 3))
-            agent = int(rng.integers(3))
-            bumped = qs.copy()
-            bumped[0, agent] += delta
-            for mixer in (learner.mixer_a_eval, learner.mixer_b_eval):
-                lo = mixer.forward(state, Tensor(qs)).data[0]
-                hi = mixer.forward(state, Tensor(bumped)).data[0]
-                assert hi >= lo - 1e-9, f"monotonicity broken: {hi} < {lo}"
-                checked += 1
+    for _ in range(1000):
+        state = Tensor(rng.standard_normal((1, 18)))
+        qs = rng.standard_normal((1, 3))
+        agent = int(rng.integers(3))
+        bumped = qs.copy()
+        bumped[0, agent] += delta
+        for mixer in (learner.mixer_a_eval, learner.mixer_b_eval):
+            lo = mixer.forward(state, Tensor(qs)).data[0]
+            hi = mixer.forward(state, Tensor(bumped)).data[0]
+            assert hi >= lo - 1e-9, f"monotonicity broken: {hi} < {lo}"
+            checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
     _passline("mixer monotonicity", f"{checked} probes across both mixers, {elapsed:.2f}s")

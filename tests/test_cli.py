@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evcoop
 from evcoop.cli import main
 from evcoop.config import load_config_dict
 from evcoop.report import read_metrics_csv, read_trace_csv, replay_trace
@@ -145,6 +151,42 @@ def test_invalid_config_value_exits_one(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"gamma": -2}}))
     assert main(["train", "--config", str(cfg)]) == 1
+
+
+TINY_TRAIN = {"episodes": 3, "batch_episodes": 2, "capacity": 4,
+              "hidden_dim": 2, "embed_dim": 2, "hyper_hidden": 2}
+
+
+def test_battery_with_no_feasible_action_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ess": {"capacity_max": 1e-9}, "train": TINY_TRAIN,
+                               "out_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ess.capacity_max" in err and "ess.import_cap" in err
+
+
+def test_huge_renewables_train_without_warnings(tmp_path):
+    # Pre-activations far beyond the observation scales reach the mixer's elu.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"mode": "synthetic", "pv_peak_kwh": 1e9},
+                               "train": TINY_TRAIN, "algorithms": ["double_qmix"],
+                               "out_dir": str(tmp_path / "out")}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(cfg)]) == 0
+    rows = read_metrics_csv(tmp_path / "out" / "double_qmix_seed0" / "metrics.csv")
+    assert len(rows) == 3 and all(np.isfinite(r["total_profit"]) for r in rows)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(evcoop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "evcoop", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: evcoop")
 
 
 def test_evaluate_rejects_station_mismatch(trained, tmp_path):

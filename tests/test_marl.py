@@ -12,6 +12,7 @@ from evcoop.config import build_scenario, load_config_dict
 from evcoop.core import EssParams, StationState, soc
 from evcoop.data import DemandModel, build_episode, synth_demand, synth_price_series, synth_pv_series
 from evcoop.marl import (
+    ALGORITHMS,
     ActionGrid,
     DRQNAgent,
     EpisodeRecord,
@@ -34,7 +35,7 @@ from evcoop.marl import (
     train,
     train_step,
 )
-from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor, no_grad
+from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor
 from evcoop.report import TRACE_HEADER, write_trace_csv
 
 PARAMS = EssParams()
@@ -200,21 +201,20 @@ def _columns(cols):
 
 
 # Reference: the learner step as first written, one slot at a time, with a
-# separate agent per station, a second graph-free unroll of the eval agents
-# for the targets and one mixer call per slot.  train_step runs the agent
+# separate agent per station, a second unroll of the eval agents (values
+# only) for the targets and one mixer call per slot.  train_step runs the agent
 # bank, mixes all slots at once and reuses its taped unroll, so it may
 # differ from this only in summation order.
 
 def _reference_unroll(stations, obs):
-    """Graph-free Q-values for every slot: (B, T, I, 6) -> (B, T, I, A)."""
+    """Q-values for every slot as one array: (B, T, I, 6) -> (B, T, I, A)."""
     B, T, n, _ = obs.shape
     out = np.zeros((B, T, n, stations[0][2].out_dim))
-    with no_grad():
-        for i, (enc, gru, head) in enumerate(stations):
-            h = None
-            for t in range(T):
-                h = gru.sequence(enc(Tensor(obs[:, t, i, :])), B, 1, h0=h)
-                out[:, t, i, :] = head(h).data
+    for i, (enc, gru, head) in enumerate(stations):
+        h = None
+        for t in range(T):
+            h = gru.sequence(enc(Tensor(obs[:, t, i, :])), B, 1, h0=h)
+            out[:, t, i, :] = head(h).data
     return out
 
 
@@ -234,10 +234,9 @@ def _reference_targets(obs, states, masks, rewards, learner):
     y = rewards.astype(np.float64).copy()
     flat_states = Tensor(states[:, 1:, :].reshape(B * (T - 1), -1))
     flat_q = Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))
-    with no_grad():
-        tail = learner.mixer_a_target.forward(flat_states, flat_q).data
-        if learner.mixer_b_target is not None:
-            tail = np.minimum(tail, learner.mixer_b_target.forward(flat_states, flat_q).data)
+    tail = learner.mixer_a_target.forward(flat_states, flat_q).data
+    if learner.mixer_b_target is not None:
+        tail = np.minimum(tail, learner.mixer_b_target.forward(flat_states, flat_q).data)
     y[:, :-1] += gamma * tail.reshape(B, T - 1)
     return y
 
@@ -612,6 +611,17 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     save_learner(first, learner)
     save_learner(second, load_learner(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_only_eval_parameters_require_grad(tmp_path, algorithm):
+    # Target nets are constants between syncs, so their forwards tape nothing.
+    learner = _learner(algorithm)
+    path = tmp_path / "learner.npz"
+    save_learner(path, learner)
+    for built in (learner, load_learner(path)):
+        assert all(p.requires_grad for p in built.parameters("eval").values())
+        assert not any(p.requires_grad for p in built.parameters("target").values())
 
 
 def test_checkpoint_missing_gate_entry_is_named(tmp_path):

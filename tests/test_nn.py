@@ -16,7 +16,6 @@ from evcoop.nn import (
     MonotonicMixer,
     Tensor,
     check_gradients,
-    no_grad,
     parameter,
     save_checkpoint,
     stack_layers,
@@ -331,16 +330,15 @@ def test_gradcheck_detects_corrupted_gradient():
 def test_mixer_monotone_in_agent_values():
     rng = np.random.default_rng(3)
     mixer = MonotonicMixer(state_dim=6, n_agents=3, embed_dim=8, hyper_hidden=16, rng=rng)
-    with no_grad():
-        for _ in range(200):
-            state = Tensor(rng.standard_normal((1, 6)))
-            qs = rng.standard_normal((1, 3))
-            base = mixer.forward(state, Tensor(qs)).data[0]
-            for i in range(3):
-                bumped = qs.copy()
-                bumped[0, i] += 0.5
-                up = mixer.forward(state, Tensor(bumped)).data[0]
-                assert up >= base - 1e-9
+    for _ in range(200):
+        state = Tensor(rng.standard_normal((1, 6)))
+        qs = rng.standard_normal((1, 3))
+        base = mixer.forward(state, Tensor(qs)).data[0]
+        for i in range(3):
+            bumped = qs.copy()
+            bumped[0, i] += 0.5
+            up = mixer.forward(state, Tensor(bumped)).data[0]
+            assert up >= base - 1e-9
 
 
 def test_adam_converges_on_quadratic():
@@ -422,10 +420,3 @@ def test_transpose_shapes_and_grad():
     assert np.array_equal(out.data[1], stacked.data[1].T)
     (out * Tensor(np.arange(12.0).reshape(2, 2, 3))).sum().backward()
     assert np.array_equal(stacked.grad, np.arange(12.0).reshape(2, 2, 3).swapaxes(1, 2))
-
-
-def test_no_grad_blocks_taping():
-    w = parameter(np.array([2.0]))
-    with no_grad():
-        out = (w * w).sum()
-    assert not out.requires_grad

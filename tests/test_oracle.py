@@ -97,10 +97,10 @@ def _full_searches(monkeypatch):
     calls = []
     real = oracle._search
 
-    def counting(episode, params, grid, start, t_start, depth):
-        if (t_start, depth) == (0, episode.length):
+    def counting(episode, params, grid, root, depth):
+        if (root.t, depth) == (0, episode.length):
             calls.append(depth)
-        return real(episode, params, grid, start, t_start, depth)
+        return real(episode, params, grid, root, depth)
 
     monkeypatch.setattr(oracle, "_search", counting)
     return calls
