@@ -2,7 +2,10 @@
 """Train, evaluate, run the oracle and print the sha256 of every deterministic artifact.
 
 Trains each algorithm for ``--episodes`` episodes at ``--seed``, evaluates
-each checkpoint with ``evcoop evaluate --seed <eval-seed>``, runs
+each checkpoint with ``evcoop evaluate --seed <eval-seed>``, then does the
+same again under ``mixer_grad`` (``{"train": {"agent_loss_mode":
+"mixer_grad"}}``, the mode in which the mixer's gradient reaches the
+agents), writing that variant's runs under ``mixer_grad/``.  It runs
 ``evcoop oracle --instances 20 --seed <seed>`` with full lookahead and with
 ``--lookahead 1``, and prints one ``<sha256>  <path>`` line per
 ``metrics.csv``, ``checkpoint.npz``, ``trace.csv`` and ``oracle_metrics.csv``.
@@ -19,8 +22,10 @@ every artifact byte-identical:
 
 ``--checkpoints`` evaluates the checkpoints an earlier run wrote instead of
 this run's own, so the second run above also checks that the new code reads
-the old checkpoints the same way.  ``--config`` merges extra JSON into the
-run config (say ``'{"train": {"hidden_dim": 1}}'``).  The package is
+the old checkpoints the same way; the ``mixer_grad`` variant reads its
+checkpoints from ``mixer_grad/`` under that directory.  ``--config`` merges
+extra JSON into the run config of both variants (say
+``'{"train": {"hidden_dim": 1}}'``).  The package is
 imported from the ``src`` next to this script, not from the environment.
 """
 
@@ -43,6 +48,8 @@ from evcoop.cli import main as evcoop  # noqa: E402
 from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # noqa: E402
 
 DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn")
+# (subdirectory, config merged into the run config) of each training variant
+VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}}))
 ORACLE_INSTANCES = 20
 
 
@@ -60,22 +67,23 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def digests(out: Path, episodes: int, seed: int, eval_seed: int, algorithms: list[str],
-            extra: dict, checkpoints: Path | None) -> list[str]:
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = out / "config.json"
+def digests(out: Path, variant: str, episodes: int, seed: int, eval_seed: int,
+            algorithms: list[str], extra: dict, checkpoints: Path | None) -> list[str]:
+    root = out / variant
+    root.mkdir(parents=True, exist_ok=True)
+    cfg = root / "config.json"
     cfg.write_text(json.dumps(_merge({"train": {"episodes": episodes}}, extra)))
     lines = []
     for algorithm in algorithms:
         run = f"{algorithm}_seed{seed}"
         _run(["train", "--config", str(cfg), "--seed", str(seed), "--algorithm", algorithm,
-              "--out", str(out / "train")])
-        checkpoint = (checkpoints or out) / "train" / run / "checkpoint.npz"
+              "--out", str(root / "train")])
+        checkpoint = (checkpoints or out) / variant / "train" / run / "checkpoint.npz"
         _run(["evaluate", "--config", str(cfg), "--checkpoint", str(checkpoint),
-              "--seed", str(eval_seed), "--out", str(out / "evaluate" / run)])
-        for path in (out / "train" / run / "metrics.csv",
-                     out / "train" / run / "checkpoint.npz",
-                     out / "evaluate" / run / "trace.csv"):
+              "--seed", str(eval_seed), "--out", str(root / "evaluate" / run)])
+        for path in (root / "train" / run / "metrics.csv",
+                     root / "train" / run / "checkpoint.npz",
+                     root / "evaluate" / run / "trace.csv"):
             lines.append(_digest(path, out))
     return lines
 
@@ -127,8 +135,9 @@ def main(argv=None) -> int:
     extra = json.loads(args.config)
     with contextlib.ExitStack() as stack:
         out = Path(args.out) if args.out else Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        lines = digests(out, args.episodes, args.seed, args.eval_seed, algorithms, extra,
-                        args.checkpoints)
+        lines = [line for variant, config in VARIANTS
+                 for line in digests(out, variant, args.episodes, args.seed, args.eval_seed,
+                                     algorithms, _merge(config, extra), args.checkpoints)]
         for line in lines + oracle_digests(out, args.seed):
             print(line)
     return 0

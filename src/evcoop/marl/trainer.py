@@ -1,8 +1,9 @@
 """Recurrent Q-agents, double-mixer training, and the baseline algorithms.
 
 The learner holds an agent bank, every station's DRQN agent stacked on one
-axis, plus, depending on the algorithm, one or two monotone mixers, each
-with eval/target copies.  Training follows the recurrent pattern: whole
+axis, and for the mixer algorithms a mixer bank: mixer A and, for
+double_qmix, mixer B of the monotone mixer on one axis.  Each bank has an
+eval and a target copy.  Training follows the recurrent pattern: whole
 episodes are replayed and hidden states re-unrolled from zero, one
 gradient step per training episode.
 
@@ -114,6 +115,11 @@ class DRQNAgent:
         return out
 
 
+def _mixer_names(algorithm: str) -> tuple[str, ...]:
+    """The mixers of an algorithm's bank, in bank order."""
+    return {"double_qmix": ("mixer_a", "mixer_b"), "qmix": ("mixer_a",)}.get(algorithm, ())
+
+
 @dataclass
 class LearnerState:
     algorithm: str
@@ -124,10 +130,8 @@ class LearnerState:
     n_agents: int
     agents_eval: DRQNAgent
     agents_target: DRQNAgent
-    mixer_a_eval: MonotonicMixer | None
-    mixer_b_eval: MonotonicMixer | None
-    mixer_a_target: MonotonicMixer | None
-    mixer_b_target: MonotonicMixer | None
+    mixers_eval: MonotonicMixer | None
+    mixers_target: MonotonicMixer | None
     opt_agents: Adam | None
     opt_mixers: Adam | None
     train_steps: int = 0
@@ -135,12 +139,12 @@ class LearnerState:
     debug_violations: int = 0
 
     def parameters(self, role: str) -> dict[str, Tensor]:
-        """Every ``role`` ("eval" or "target") parameter, the agent bank's under ``agents.``."""
+        """Every ``role`` ("eval" or "target") parameter: the agent bank's under ``agents.``,
+        the mixer bank's under ``mixers.``."""
         out = getattr(self, f"agents_{role}").parameters("agents.")
-        for mixer in ("mixer_a", "mixer_b"):
-            net = getattr(self, f"{mixer}_{role}")
-            if net is not None:
-                out.update(net.parameters(f"{mixer}."))
+        mixers = getattr(self, f"mixers_{role}")
+        if mixers is not None:
+            out.update(mixers.parameters("mixers."))
         return out
 
 
@@ -161,18 +165,17 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
 
     agents_eval = make_agents()
     agents_target = make_agents()
-    mixer_a_eval = mixer_b_eval = mixer_a_target = mixer_b_target = None
-    if algorithm in ("double_qmix", "qmix"):
-        mixer_a_eval, mixer_a_target = make_mixer(), make_mixer()
-    if algorithm == "double_qmix":
-        mixer_b_eval, mixer_b_target = make_mixer(), make_mixer()
+    mixers_eval = mixers_target = None
+    if _mixer_names(algorithm):
+        # drawn as mixer A's eval and target nets, then mixer B's
+        drawn = [make_mixer() for _ in 2 * _mixer_names(algorithm)]
+        mixers_eval, mixers_target = stack_layers(drawn[0::2]), stack_layers(drawn[1::2])
 
     learner = LearnerState(
         algorithm=algorithm, config=config, env_params=env_params, grid=grid,
         scales=scales, n_agents=n_agents,
         agents_eval=agents_eval, agents_target=agents_target,
-        mixer_a_eval=mixer_a_eval, mixer_b_eval=mixer_b_eval,
-        mixer_a_target=mixer_a_target, mixer_b_target=mixer_b_target,
+        mixers_eval=mixers_eval, mixers_target=mixers_target,
         opt_agents=None, opt_mixers=None,
     )
     if algorithm != "random":
@@ -295,21 +298,31 @@ def _stack_batch(batch: Sequence[EpisodeRecord]):
                  for name in ("obs", "state", "actions", "masks", "rewards"))
 
 
-def _unroll(agents: DRQNAgent, obs: np.ndarray) -> Tensor:
-    """Q-values of every agent at every slot: (B, T, I, 6) -> (I, B*T, A).
-
-    Rows are batch-major (row ``b * T + t``).  The encoder and the Q-head see
-    the whole block at once; only the recurrence steps through the slots.
-    Tapes the eval agents' unroll, not the constant target agents'; the values are the same.
-    """
+def _agent_rows(obs: np.ndarray) -> np.ndarray:
+    """(B, T, I, 6) observations as each agent's batch-major rows (row ``b * T + t``): (I, B*T, 6)."""
     B, T, n, _ = obs.shape
-    x = agents.encoder(Tensor(obs.transpose(2, 0, 1, 3).reshape(n, B * T, -1)))
-    return agents.head(agents.gru.sequence(x, B, T))
+    return obs.transpose(2, 0, 1, 3).reshape(n, B * T, -1)
 
 
-def _values(q: Tensor, batch: int, steps: int) -> np.ndarray:
-    """An unroll's Q-values as one (B, T, I, A) array."""
-    return q.data.reshape(-1, batch, steps, q.shape[-1]).transpose(1, 2, 0, 3)
+def _unroll(agents: DRQNAgent, obs: np.ndarray) -> Tensor:
+    """Q-values of every agent at every slot, taped: (B, T, I, 6) -> (I, B*T, A).
+
+    The encoder and the Q-head see the whole block at once; only the
+    recurrence steps through the slots.
+    """
+    B, T = obs.shape[:2]
+    return agents.head(agents.gru.sequence(agents.encoder(Tensor(_agent_rows(obs))), B, T))
+
+
+def _unroll_values(agents: DRQNAgent, obs: np.ndarray) -> np.ndarray:
+    """``_unroll`` on plain arrays, untaped, for the target agents: the same values bit for bit."""
+    B, T = obs.shape[:2]
+    return agents.head.apply(agents.gru.apply(agents.encoder.apply(_agent_rows(obs)), B, T))
+
+
+def _values(q: np.ndarray, batch: int, steps: int) -> np.ndarray:
+    """An unroll's (I, B*T, A) Q-values as one (B, T, I, A) array."""
+    return q.reshape(-1, batch, steps, q.shape[-1]).transpose(1, 2, 0, 3)
 
 
 @dataclass
@@ -332,12 +345,15 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     """Line-by-line bootstrap: next actions, target values, reward plus discounted tail.
 
     Takes the stacked batch arrays and the eval agents' (B, T, I, A) Q-values,
-    which pick double_qmix's next-slot actions.
+    which pick double_qmix's next-slot actions.  The target nets hold
+    constants, so everything here runs on plain arrays: one untaped unroll of
+    the target agent bank and one ``apply`` of the target mixer bank, whose
+    minimum over mixers A and B is double_qmix's bootstrap.
     """
     B, T, n, _ = obs.shape
     gamma = learner.config.gamma
 
-    q_target = _values(_unroll(learner.agents_target, obs), B, T)
+    q_target = _values(_unroll_values(learner.agents_target, obs), B, T)
 
     if learner.algorithm == "independent_dqn":
         y = np.repeat(rewards[:, :, None], n, axis=2)
@@ -352,22 +368,28 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]  # (B,T,I)
 
     y = rewards.astype(np.float64).copy()
-    mix_a = np.full((B, T), np.nan)
-    mix_b = np.full((B, T), np.nan) if learner.algorithm == "double_qmix" else None
+    k = len(_mixer_names(learner.algorithm))
+    mixes = np.full((k, B, T), np.nan)  # mixer A's values, then mixer B's
     if T > 1:
-        flat_states = Tensor(states[:, 1:, :].reshape(B * (T - 1), -1))
-        flat_q = Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))
-        for mix, mixer in ((mix_a, learner.mixer_a_target), (mix_b, learner.mixer_b_target)):
-            if mix is not None:
-                mix[:, :-1] = mixer.forward(flat_states, flat_q).data.reshape(B, T - 1)
-        tail = mix_a[:, :-1] if mix_b is None else np.minimum(mix_a[:, :-1], mix_b[:, :-1])
-        y[:, :-1] += gamma * tail
-    return Targets(y=y, mix_a=mix_a, mix_b=mix_b)
+        mixes[:, :, :-1] = learner.mixers_target.apply(
+            states[:, 1:, :].reshape(B * (T - 1), -1),
+            chosen[:, 1:, :].reshape(B * (T - 1), n)).reshape(k, B, T - 1)
+        y[:, :-1] += gamma * mixes[:, :, :-1].min(axis=0)
+    return Targets(y=y, mix_a=mixes[0], mix_b=mixes[1] if k == 2 else None)
+
+
+STEP_PHASES = ("targets_s", "forward_s", "backward_s", "optimizer_s")
 
 
 def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
-               ) -> tuple[float | None, list[float]]:
-    """One gradient step on a batch of episodes; returns (L_mix, per-agent losses)."""
+               ) -> tuple[float | None, list[float], dict[str, float]]:
+    """One gradient step on a batch of episodes.
+
+    Returns (L_mix, per-agent losses, seconds per phase).  The phases
+    (``STEP_PHASES``) are ``compute_targets``, the taped forward (the eval
+    unroll, the mixer bank and the losses), the backward pass and the
+    optimizer steps.
+    """
     if learner.algorithm == "random":
         raise ValueError("the random baseline does not train")
     cfg = learner.config
@@ -376,8 +398,11 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     scale = 1.0 / (B * T)
 
     # the one taped unroll of the eval agents; its values also serve the targets
+    t_unroll = time.perf_counter()
     q_eval = _unroll(learner.agents_eval, obs)
-    targets = compute_targets(obs, states, masks, rewards, _values(q_eval, B, T), learner)
+    t_targets = time.perf_counter()
+    targets = compute_targets(obs, states, masks, rewards, _values(q_eval.data, B, T), learner)
+    t_forward = time.perf_counter()
     if not np.all(np.isfinite(targets.y)):
         raise DivergenceError("non-finite bootstrap target")
 
@@ -388,10 +413,6 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
             learner.debug_violations += int(
                 np.sum(tail > cfg.gamma * mix[:, :-1] + 1e-9))
 
-    optimizers = [opt for opt in (learner.opt_agents, learner.opt_mixers) if opt is not None]
-    for opt in optimizers:
-        opt.zero_grad()
-
     # each agent's Q-value at the actions actually taken, (I, B*T)
     chosen = q_eval.gather(actions.reshape(B * T, -1).T)
 
@@ -401,15 +422,12 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     l_mix_value: float | None = None
 
     if not independent:
-        # every eval mixer mixes all B*T (episode, slot) rows at once
+        # the eval mixer bank mixes all B*T (episode, slot) rows at once, (k, B*T)
         qs = (chosen.detach() if direct else chosen).transpose()
-        st = Tensor(states.reshape(B * T, -1))
-        y = Tensor(targets.y.reshape(B * T))
-        for mixer in (learner.mixer_a_eval, learner.mixer_b_eval):
-            if mixer is not None:
-                d = mixer.forward(st, qs) - y
-                total = (d * d).sum() if total is None else total + (d * d).sum()
-        total = total * scale
+        d = learner.mixers_eval.forward(states.reshape(B * T, -1), qs) - Tensor(
+            targets.y.reshape(B * T))
+        # each mixer's squared error, then their sum
+        total = (d * d).sum(axis=1).sum() * scale
         l_mix_value = float(total.item())
 
     # each agent's own target, or the joint-scale one for all: (I, B*T) or (1, B*T)
@@ -429,11 +447,18 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     if not all(np.isfinite(v) for v in agent_losses):
         raise DivergenceError(f"non-finite agent loss {agent_losses}")
 
+    t_backward = time.perf_counter()
+    optimizers = [opt for opt in (learner.opt_agents, learner.opt_mixers) if opt is not None]
+    for opt in optimizers:
+        opt.zero_grad()
     total.backward()
+    t_optimizer = time.perf_counter()
     for opt in optimizers:
         opt.step()
     learner.train_steps += 1
-    return l_mix_value, agent_losses
+    phases = (t_forward - t_targets, (t_targets - t_unroll) + (t_backward - t_forward),
+              t_optimizer - t_backward, time.perf_counter() - t_optimizer)
+    return l_mix_value, agent_losses, dict(zip(STEP_PHASES, phases))
 
 
 @dataclass
@@ -452,6 +477,10 @@ class EpisodeMetrics:
     wall_time_s: float | None
     rollout_s: float | None = None
     train_step_s: float | None = None
+    targets_s: float | None = None
+    forward_s: float | None = None
+    backward_s: float | None = None
+    optimizer_s: float | None = None
     sync_s: float | None = None
 
 
@@ -472,11 +501,12 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
 
         l_mix = loss_mean = None
         train_step_s = sync_s = 0.0
+        phases = dict.fromkeys(STEP_PHASES, 0.0)
         if learner.algorithm != "random":
             if len(buffer) >= cfg.batch_episodes:
                 batch = buffer.sample(cfg.batch_episodes)
                 t_step = time.perf_counter()
-                l_mix, losses = train_step(batch, learner)
+                l_mix, losses, phases = train_step(batch, learner)
                 train_step_s = time.perf_counter() - t_step
                 loss_mean = float(np.mean(losses))
             if e % cfg.target_period == 0:
@@ -496,6 +526,7 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
             rollout_s=rollout_s,
             train_step_s=train_step_s,
             sync_s=sync_s,
+            **phases,
         ))
     return metrics
 
@@ -524,15 +555,20 @@ def _agent_entries(agents: DRQNAgent) -> dict[str, tuple[Tensor, slice]]:
 
 
 def _checkpoint_params(learner: LearnerState) -> dict[str, Tensor]:
-    """Every parameter under its checkpoint name; ``<role>.agent<i>.*`` are views of bank slice i."""
+    """Every parameter under its checkpoint name.
+
+    ``<role>.agent<i>.*`` are views of agent bank slice i, and
+    ``<role>.mixer_a.*``/``<role>.mixer_b.*`` views of mixer bank slices 0 and 1.
+    """
     out: dict[str, Tensor] = {}
     for role in ("eval", "target"):
         entries = _agent_entries(getattr(learner, f"agents_{role}"))
         for i in range(learner.n_agents):
             out.update({f"{role}.agent{i}.{name}": Tensor(p.data[i][..., cols])
                         for name, (p, cols) in entries.items()})
-        out.update({f"{role}.{name}": p for name, p in learner.parameters(role).items()
-                    if name.startswith("mixer")})
+        for j, mixer in enumerate(_mixer_names(learner.algorithm)):
+            out.update({f"{role}.{mixer}.{name}": Tensor(p.data[j])
+                        for name, p in getattr(learner, f"mixers_{role}").parameters().items()})
     return out
 
 

@@ -4,11 +4,11 @@ finite-difference gradient checking, and npz checkpoints."""
 from .autodiff import Tensor, parameter
 from .checkpoint import CheckpointError, save_checkpoint
 from .gradcheck import GradCheckReport, check_gradients
-from .layers import Dense, DenseNet, GRUCell, MonotonicMixer, stack_layers
+from .layers import Dense, GRUCell, MonotonicMixer, stack_layers
 from .optim import Adam, DivergenceError
 
 __all__ = [
-    "Adam", "CheckpointError", "Dense", "DenseNet", "DivergenceError",
+    "Adam", "CheckpointError", "Dense", "DivergenceError",
     "GRUCell", "GradCheckReport", "MonotonicMixer", "Tensor",
     "check_gradients", "parameter", "save_checkpoint", "stack_layers",
 ]

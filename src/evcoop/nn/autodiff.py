@@ -1,11 +1,12 @@
 """A small reverse-mode tape over float64 numpy arrays.
 
 Covers exactly the operations the fixed architectures in this package need
-(affine layers, gated recurrence, the monotone mixer and squared-error
-losses): matmul of matrices or of equally long stacks of matrices,
-broadcasting arithmetic, a handful of elementwise nonlinearities,
-reductions, reshape, transpose and gather.  No GPU, no general
-broadcasting promises beyond what these ops use.
+(affine layers and squared-error losses): matmul of matrices or of equally
+long stacks of matrices, broadcasting arithmetic, a handful of elementwise
+nonlinearities, reductions, reshape, transpose and gather.  The GRU unroll
+and the monotone mixer record themselves as single nodes through
+``Tensor._result``.  No GPU, no general broadcasting promises beyond what
+these ops use.
 
 Gradients accumulate into ``Tensor.grad`` on ``backward()`` from a scalar.
 A result is recorded on the tape if and only if one of its parents has
@@ -179,18 +180,6 @@ class Tensor:
 
         return self._result(out_data, (a,), backward)
 
-    def elu(self) -> "Tensor":
-        a = self
-        pos = a.data > 0.0
-        # expm1 sees only the entries it keeps, so a large positive one cannot
-        # overflow it; unlike np.minimum(a, 0.0), this keeps -0.0 as it is.
-        out_data = np.where(pos, a.data, np.expm1(np.where(pos, 0.0, a.data)))
-
-        def backward(g):
-            a._accum(g * np.where(pos, 1.0, out_data + 1.0))
-
-        return self._result(out_data, (a,), backward)
-
     def sigmoid(self) -> "Tensor":
         a = self
         out_data = sigmoid(a.data)
@@ -208,14 +197,6 @@ class Tensor:
             a._accum(g * (1.0 - out_data * out_data))
 
         return self._result(out_data, (a,), backward)
-
-    def abs(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accum(g * np.sign(a.data))
-
-        return self._result(np.abs(a.data), (a,), backward)
 
     # -- shape and reduction -----------------------------------------------
 

@@ -1,13 +1,15 @@
 """Dense networks, a gated recurrent cell, and the monotone hypernetwork mixer.
 
 All layers consume and produce ``(..., rows, features)`` tensors in double
-precision; ``stack_layers`` banks n equally shaped layers on a leading axis,
-and the bank maps ``(n, rows, features)`` as the n layers map their slices.
-Parameters are plain tape tensors; each container exposes
+precision; ``stack_layers`` banks n equally shaped layers or mixers on a
+leading axis, and the bank maps ``(n, rows, features)`` as the n layers map
+their slices.  Parameters are plain tape tensors; each container exposes
 ``parameters()`` as a flat ``name -> Tensor`` dict so optimizers and
-checkpoints can treat every architecture uniformly.  ``Dense.apply`` and
-``GRUCell.step`` compute the same values on plain arrays, recording nothing,
-for acting.
+checkpoints can treat every architecture uniformly.  A GRU unroll and a
+mixer forward each record one tape node with a hand-written backward.
+``Dense.apply``, ``GRUCell.step``, ``GRUCell.apply`` and
+``MonotonicMixer.apply`` compute the same values on plain arrays, recording
+nothing, for acting and for the target nets.
 """
 
 from __future__ import annotations
@@ -44,35 +46,12 @@ class Dense:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The same map on a plain array, untaped."""
-        out = x @ self.W.data + self.b.data[..., None, :]
-        return np.maximum(out, 0.0) if self.activation == "relu" else out
+        out = x @ self.W.data
+        out += self.b.data[..., None, :]  # in place: no temporaries for the allocator to churn
+        return np.maximum(out, 0.0, out=out) if self.activation == "relu" else out
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {f"{prefix}W": self.W, f"{prefix}b": self.b}
-
-
-class DenseNet:
-    """A chain of Dense layers."""
-
-    def __init__(self, dims: list[int], activations: list[str],
-                 rng: np.random.Generator | None = None):
-        if len(activations) != len(dims) - 1:
-            raise ValueError("need one activation per layer")
-        rng = rng or np.random.default_rng(0)
-        self.layers = [
-            Dense(dims[i], dims[i + 1], activations[i], rng) for i in range(len(dims) - 1)
-        ]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.parameters(f"{prefix}l{i}."))
-        return out
 
 
 def _gru_gates(xw: np.ndarray, h: np.ndarray, U_zr: np.ndarray, U_n: np.ndarray,
@@ -122,7 +101,8 @@ class GRUCell:
     ``gate_columns`` names each gate's block.
 
     ``sequence`` records one tape node with a hand-written backward through
-    time; ``step`` computes one slot of it on plain arrays, untaped.
+    time; ``apply`` computes it and ``step`` one slot of it on plain arrays,
+    untaped.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
@@ -179,17 +159,9 @@ class GRUCell:
             raise ValueError(f"expected x {(*lead, B * T, self.in_dim)} and h0 {(*lead, B, H)}, "
                              f"got {x.shape} and {None if h0 is None else h0.shape}")
         # Read on every call: optimizers reassign .data.
-        W, U_zr, U_n, b = self.W.data, self.U_zr.data, self.U_n.data, self.b.data
-        xw = (x.data @ W).reshape(*lead, B, T, 3 * H)
-        hs = np.zeros((*lead, B, T + 1, H))  # hs[..., t, :] enters slot t
-        if h0 is not None:
-            hs[..., 0, :] = h0.data
-        zr = np.empty((*lead, B, T, 2 * H))
-        n = np.empty((*lead, B, T, H))
-        rh = np.empty((*lead, B, T, H))
-        for t in range(T):
-            zr[..., t, :], n[..., t, :], rh[..., t, :], hs[..., t + 1, :] = _gru_gates(
-                xw[..., t, :], hs[..., t, :], U_zr, U_n, b)
+        W, U_zr, U_n = self.W.data, self.U_zr.data, self.U_n.data
+        hs, zr, n, rh = self._through_time(x.data, B, T, None if h0 is None else h0.data,
+                                           keep_gates=True)
 
         def backward(g):
             g = g.reshape(*lead, B, T, H)
@@ -205,6 +177,39 @@ class GRUCell:
 
         parents = tuple(p for p in (x, h0, *self.parameters().values()) if p is not None)
         return Tensor._result(hs[..., 1:, :].reshape(*lead, B * T, H), parents, backward)
+
+    def apply(self, x: np.ndarray, batch: int, steps: int) -> np.ndarray:
+        """``sequence`` from a zero state on a plain array, untaped: the same values bit for bit."""
+        hs = self._through_time(x, batch, steps, None, keep_gates=False)[0]
+        return hs[..., 1:, :].reshape(*hs.shape[:-3], batch * steps, self.hidden_dim)
+
+    def _through_time(self, x: np.ndarray, B: int, T: int, h0: np.ndarray | None,
+                      keep_gates: bool):
+        """The forward loop over ``T`` slots of batch-major rows ``x`` (..., B*T, in_dim).
+
+        Returns ``(hs, zr, n, rh)``: the hidden state entering each slot and
+        leaving the last, (..., B, T+1, H), then each slot's gates as
+        ``_gru_gates`` gives them, (..., B, T, ·), which only a backward
+        reads: None unless ``keep_gates``.
+        """
+        H = self.hidden_dim
+        xw = x @ self.W.data
+        lead = xw.shape[:-2]
+        xw = xw.reshape(*lead, B, T, 3 * H)
+        hs = np.zeros((*lead, B, T + 1, H))  # hs[..., t, :] enters slot t
+        if h0 is not None:
+            hs[..., 0, :] = h0
+        zr = n = rh = None
+        if keep_gates:
+            zr = np.empty((*lead, B, T, 2 * H))
+            n = np.empty((*lead, B, T, H))
+            rh = np.empty((*lead, B, T, H))
+        U_zr, U_n, b = self.U_zr.data, self.U_n.data, self.b.data
+        for t in range(T):
+            zr_t, n_t, rh_t, hs[..., t + 1, :] = _gru_gates(xw[..., t, :], hs[..., t, :], U_zr, U_n, b)
+            if keep_gates:
+                zr[..., t, :], n[..., t, :], rh[..., t, :] = zr_t, n_t, rh_t
+        return hs, zr, n, rh
 
     def _accum_grads(self, x: Tensor, W: np.ndarray, h_prev: np.ndarray, rh: np.ndarray,
                      da: np.ndarray) -> None:
@@ -225,11 +230,15 @@ class GRUCell:
 
 
 def stack_layers(layers):
-    """A bank of equally shaped Dense layers or GRU cells: slice i of each parameter is layer i's.
+    """A bank of equally shaped Dense layers, GRU cells or mixers; parameter slice i is layer i's.
 
-    A GRU bank holds the packed gates on the agent axis, e.g. ``W`` (n, in_dim, 3H).
+    A GRU bank holds the packed gates on the agent axis, e.g. ``W`` (n, in_dim, 3H);
+    a mixer bank holds each hypernetwork layer as a Dense bank.
     """
     bank = copy.copy(layers[0])
+    if isinstance(bank, MonotonicMixer):
+        bank.layers = {name: stack_layers([m.layers[name] for m in layers]) for name in bank.layers}
+        return bank
     # parameters() keys without a prefix are the attribute names
     for name in layers[0].parameters():
         setattr(bank, name, parameter(np.stack([getattr(layer, name).data for layer in layers])))
@@ -239,10 +248,18 @@ def stack_layers(layers):
 class MonotonicMixer:
     """Combines per-agent Q-values into a scalar, monotone in every input.
 
-    Four hypernetworks map the global state to the mixing parameters; the
-    first-layer and second-layer mixing weights pass through an elementwise
-    absolute value, which makes the combined value nondecreasing in each
-    agent Q regardless of state.
+    Four hypernetworks map the global state to the mixing parameters: the
+    first-layer weights and bias and the second-layer weights and bias (all
+    but the first-layer bias through a relu hidden layer).  The agent
+    Q-values are mixed into an elu hidden layer, which is mixed into the
+    scalar.  Both mixing weights pass through an elementwise absolute value,
+    which makes the result nondecreasing in each agent Q regardless of state.
+
+    ``stack_layers`` banks k mixers on a leading axis, as it banks the agents:
+    the bank mixes the same rows k times, row j of its (k, R) result under
+    mixer j.  ``forward`` records one tape node with a hand-written backward
+    through the hypernetworks, the absolute values and the elu; ``apply``
+    computes the same values on plain arrays, untaped, for the target nets.
     """
 
     def __init__(self, state_dim: int, n_agents: int, embed_dim: int = 32,
@@ -251,29 +268,84 @@ class MonotonicMixer:
         self.state_dim = state_dim
         self.n_agents = n_agents
         self.embed_dim = embed_dim
-        self.hyper_w1 = DenseNet([state_dim, hyper_hidden, n_agents * embed_dim], ["relu", "none"], rng)
-        self.hyper_b1 = Dense(state_dim, embed_dim, "none", rng)
-        self.hyper_w2 = DenseNet([state_dim, hyper_hidden, embed_dim], ["relu", "none"], rng)
-        self.hyper_b2 = DenseNet([state_dim, hyper_hidden, 1], ["relu", "none"], rng)
+        S, E = state_dim, embed_dim
+        # drawn in this order; parameters() and checkpoints name them so
+        self.layers = {
+            "hyper_w1.l0": Dense(S, hyper_hidden, "relu", rng),
+            "hyper_w1.l1": Dense(hyper_hidden, n_agents * E, "none", rng),
+            "hyper_b1": Dense(S, E, "none", rng),
+            "hyper_w2.l0": Dense(S, hyper_hidden, "relu", rng),
+            "hyper_w2.l1": Dense(hyper_hidden, E, "none", rng),
+            "hyper_b2.l0": Dense(S, hyper_hidden, "relu", rng),
+            "hyper_b2.l1": Dense(hyper_hidden, 1, "none", rng),
+        }
 
-    def forward(self, state: Tensor, agent_qs: Tensor) -> Tensor:
-        """Mix ``agent_qs`` of shape (B, n_agents) under ``state`` (B, state_dim) into (B,)."""
-        if agent_qs.shape[-1] != self.n_agents:
-            raise ValueError(f"expected {self.n_agents} agent Q-values, got {agent_qs.shape}")
+    def _mix(self, state: np.ndarray, qs: np.ndarray):
+        """The forward on plain arrays: the (..., R) mix and the intermediates the backward reads."""
+        if qs.shape[-1] != self.n_agents:
+            raise ValueError(f"expected {self.n_agents} agent Q-values, got {qs.shape}")
         if state.shape[-1] != self.state_dim:
             raise ValueError(f"expected state dim {self.state_dim}, got {state.shape}")
-        batch = state.shape[0]
-        w1 = self.hyper_w1(state).abs().reshape(batch, self.n_agents, self.embed_dim)
-        b1 = self.hyper_b1(state)
-        hidden = ((agent_qs.reshape(batch, self.n_agents, 1) * w1).sum(axis=1) + b1).elu()
-        w2 = self.hyper_w2(state).abs()
-        b2 = self.hyper_b2(state)
-        return (hidden * w2).sum(axis=1) + b2.reshape(batch)
+        w1_0, w1_1, b1, w2_0, w2_1, b2_0, b2_1 = self.layers.values()
+        h_w1, h_w2, h_b2 = w1_0.apply(state), w2_0.apply(state), b2_0.apply(state)
+        a_w1 = w1_1.apply(h_w1)
+        w1 = np.abs(a_w1).reshape(*a_w1.shape[:-1], self.n_agents, self.embed_dim)
+        pre = (qs[..., None] * w1).sum(axis=-2)
+        pre += b1.apply(state)
+        pos = pre > 0.0
+        # elu: expm1 sees only the entries it keeps, so a large positive one cannot
+        # overflow it; unlike np.minimum(pre, 0.0), this keeps -0.0 as it is.
+        hidden = np.expm1(np.where(pos, 0.0, pre))
+        np.copyto(hidden, pre, where=pos)
+        a_w2 = w2_1.apply(h_w2)
+        w2 = np.abs(a_w2)
+        out = (hidden * w2).sum(axis=-1)
+        out += b2_1.apply(h_b2)[..., 0]
+        return out, (h_w1, h_w2, h_b2, a_w1, w1, pos, hidden, a_w2, w2)
+
+    def apply(self, state: np.ndarray, agent_qs: np.ndarray) -> np.ndarray:
+        """Mix ``agent_qs`` (R, n_agents) under ``state`` (R, state_dim) into (..., R), untaped."""
+        return self._mix(state, agent_qs)[0]
+
+    def forward(self, state: np.ndarray, agent_qs: Tensor) -> Tensor:
+        """``apply`` as one tape node; ``agent_qs`` gets a gradient only if it requires one."""
+        qs = agent_qs.data
+        out, (h_w1, h_w2, h_b2, a_w1, w1, pos, hidden, a_w2, w2) = self._mix(state, qs)
+        params = self.parameters()
+        # Read now: optimizers reassign .data.
+        W = [layer.W.data for layer in self.layers.values()]
+
+        def hyper(j: int, h: np.ndarray, g: np.ndarray):
+            """(dW, db) of layers j and j+1 for a gradient ``g`` at the output of ``relu(state @ .) @ .``."""
+            g0 = g @ W[j + 1].mT
+            g0 *= h > 0.0
+            return state.mT @ g0, g0.sum(axis=-2), h.mT @ g, g.sum(axis=-2)
+
+        def backward(g):
+            # In-place products keep each product's operands, so the bits match the
+            # composite's op-by-op gradients.
+            g = g[..., None]
+            d_pre = hidden + 1.0
+            np.copyto(d_pre, 1.0, where=pos)  # the elu's slope
+            d_pre *= g * w2
+            d_w1 = (d_pre[..., None, :] * qs[..., None]).reshape(a_w1.shape)
+            d_w1 *= np.sign(a_w1)
+            d_w2 = g * hidden
+            d_w2 *= np.sign(a_w2)
+            grads = (*hyper(0, h_w1, d_w1), state.mT @ d_pre, d_pre.sum(axis=-2),
+                     *hyper(3, h_w2, d_w2), *hyper(5, h_b2, g))
+            for p, grad in zip(params.values(), grads):
+                if p.requires_grad:
+                    p._accum(grad)
+            if agent_qs.requires_grad:
+                dq = (d_pre[..., None, :] * w1).sum(axis=-1)
+                # a bank's k mixers all read the same Q-values
+                agent_qs._accum(sum(dq[1:], dq[0]) if dq.ndim > qs.ndim else dq)
+
+        return Tensor._result(out, (agent_qs, *params.values()), backward)
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        out.update(self.hyper_w1.parameters(f"{prefix}hyper_w1."))
-        out.update(self.hyper_b1.parameters(f"{prefix}hyper_b1."))
-        out.update(self.hyper_w2.parameters(f"{prefix}hyper_w2."))
-        out.update(self.hyper_b2.parameters(f"{prefix}hyper_b2."))
+        for name, layer in self.layers.items():
+            out.update(layer.parameters(f"{prefix}{name}."))
         return out

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import EssParams, PriceQuote, StationAction, StationState, step
-from .marl.trainer import EpisodeMetrics, SlotLog
+from .marl.trainer import STEP_PHASES, EpisodeMetrics, SlotLog
 
 
 def _fmt(value) -> str:
@@ -45,11 +45,14 @@ def write_metrics_csv(path: str | Path, rows: list[tuple[str, EpisodeMetrics]],
                        + [_fmt(m.l_mix), _fmt(m.agent_loss_mean), _fmt(m.epsilon)])
 
 
-TIMINGS_HEADER = ["episode", "wall_time_s", "rollout_s", "train_step_s", "sync_s"]
+TIMINGS_HEADER = ["episode", "wall_time_s", "rollout_s", "train_step_s", *STEP_PHASES, "sync_s"]
 
 
 def write_timings_csv(path: str | Path, rows: list[EpisodeMetrics]) -> None:
-    """Wall-clock seconds per episode: the whole episode, then the phases inside it."""
+    """Wall-clock seconds per episode: the whole episode, then the phases inside it.
+
+    The train step's own phases follow it; they sum to a little less than it.
+    """
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TIMINGS_HEADER)

@@ -1,0 +1,64 @@
+"""The monotone mixer as first written, op by op on the tape: the reference for ``MonotonicMixer``.
+
+``composite_mix`` is one mixer's forward before the mixer became one fused
+tape node: each hypernetwork a chain of taped Dense layers, then taped
+absolute values, products, sums and an elu.  The package's tape no longer
+has ``abs`` and ``elu``, so they are taped here.  ``slice_mixers`` turns a
+mixer bank into one such mixer per slice, and ``slice_grads`` stacks their
+gradients back into the bank's layout.
+"""
+
+import copy
+
+import numpy as np
+
+from evcoop.nn import Tensor, parameter
+
+
+def tape_abs(a):
+    def backward(g):
+        a._accum(g * np.sign(a.data))
+
+    return Tensor._result(np.abs(a.data), (a,), backward)
+
+
+def tape_elu(a):
+    pos = a.data > 0.0
+    out = np.where(pos, a.data, np.expm1(np.where(pos, 0.0, a.data)))
+
+    def backward(g):
+        a._accum(g * np.where(pos, 1.0, out + 1.0))
+
+    return Tensor._result(out, (a,), backward)
+
+
+def slice_mixers(bank):
+    """Mixer j of a bank as its own Dense layers, holding trainable copies of slice j."""
+    mixers = []
+    for j in range(bank.layers["hyper_b1"].W.shape[0]):
+        layers = {}
+        for name, layer in bank.layers.items():
+            layers[name] = single = copy.copy(layer)
+            single.W = parameter(layer.W.data[j].copy())
+            single.b = parameter(layer.b.data[j].copy())
+        mixers.append(layers)
+    return mixers
+
+
+def composite_mix(layers, state, qs):
+    """One mixer's (R,) values under (R, state_dim) ``state`` for (R, n) ``qs``, both tensors."""
+    w1_0, w1_1, b1, w2_0, w2_1, b2_0, b2_1 = layers.values()
+    R, n = qs.shape
+    w1 = tape_abs(w1_1(w1_0(state))).reshape(R, n, b1.out_dim)
+    hidden = tape_elu((qs.reshape(R, n, 1) * w1).sum(axis=1) + b1(state))
+    w2 = tape_abs(w2_1(w2_0(state)))
+    return (hidden * w2).sum(axis=1) + b2_1(b2_0(state)).reshape(R)
+
+
+def slice_grads(mixers, prefix=""):
+    """The per-slice mixers' gradients stacked into the bank's layout, under its parameter names."""
+    per_slice = [{} for _ in mixers]
+    for grads, layers in zip(per_slice, mixers):
+        for name, layer in layers.items():
+            grads.update({k: p.grad for k, p in layer.parameters(f"{prefix}{name}.").items()})
+    return {k: np.stack([g[k] for g in per_slice]) for k in per_slice[0]}

@@ -54,17 +54,21 @@ def test_timings_csv_splits_each_episode_into_phases(trained):
     for run, trains in (("double_qmix_seed0", True), ("random_seed0", False)):
         with (out / run / "timings.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["episode", "wall_time_s", "rollout_s", "train_step_s", "sync_s"]
+        assert rows[0] == ["episode", "wall_time_s", "rollout_s", "train_step_s", "targets_s",
+                           "forward_s", "backward_s", "optimizer_s", "sync_s"]
         assert [int(r[0]) for r in rows[1:]] == list(range(1, 9))
         for r in rows[1:]:
-            wall, rollout, step, sync = (float(v) for v in r[1:])
+            wall, rollout, step, *phases, sync = (float(v) for v in r[1:])
             assert rollout > 0.0 and step >= 0.0 and sync >= 0.0
             assert rollout + step + sync <= wall
             # the first train step comes once the buffer holds a batch of 4
             assert (step > 0.0) == (trains and int(r[0]) >= 4)
+            # the train step's phases lie inside it, and each runs when it does
+            assert sum(phases) <= step
+            assert all((phase > 0.0) == (step > 0.0) for phase in phases)
     # metrics.csv keeps its columns; wall-clock numbers stay out of it
     header = (out / "double_qmix_seed0" / "metrics.csv").read_text().splitlines()[0]
-    assert not any(name in header for name in ("wall_time_s", "rollout_s", "sync_s"))
+    assert not any(name in header for name in rows[0][1:])
 
 
 def test_rerun_reproduces_metrics_bytes(trained, tmp_path):

@@ -37,6 +37,7 @@ from evcoop.marl import (
 )
 from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor
 from evcoop.report import TRACE_HEADER, write_trace_csv
+from mixer_reference import composite_mix, slice_grads, slice_mixers
 
 PARAMS = EssParams()
 SCALES = ObsScales()
@@ -202,9 +203,9 @@ def _columns(cols):
 
 # Reference: the learner step as first written, one slot at a time, with a
 # separate agent per station, a second unroll of the eval agents (values
-# only) for the targets and one mixer call per slot.  train_step runs the agent
-# bank, mixes all slots at once and reuses its taped unroll, so it may
-# differ from this only in summation order.
+# only) for the targets and one composite mixer call per mixer and slot.
+# train_step runs the agent and mixer banks, mixes all slots at once and
+# reuses its taped unroll, so it may differ from this only in summation order.
 
 def _reference_unroll(stations, obs):
     """Q-values for every slot as one array: (B, T, I, 6) -> (B, T, I, A)."""
@@ -219,6 +220,7 @@ def _reference_unroll(stations, obs):
 
 
 def _reference_targets(obs, states, masks, rewards, learner):
+    """The bootstrap targets y and each target mixer's (B, T-1) values, mixer A first."""
     B, T, n, _ = obs.shape
     gamma = learner.config.gamma
     q_target = _reference_unroll(_station_agents(learner.agents_target), obs)
@@ -226,7 +228,7 @@ def _reference_targets(obs, states, masks, rewards, learner):
         y = np.repeat(rewards[:, :, None], n, axis=2)
         best_next = np.max(np.where(masks, q_target, -np.inf), axis=-1)
         y[:, :-1, :] += gamma * best_next[:, 1:, :]
-        return y
+        return y, []
     selector = (_reference_unroll(_station_agents(learner.agents_eval), obs)
                 if learner.algorithm == "double_qmix" else q_target)
     next_actions = np.argmax(np.where(masks, selector, -np.inf), axis=-1)
@@ -234,11 +236,10 @@ def _reference_targets(obs, states, masks, rewards, learner):
     y = rewards.astype(np.float64).copy()
     flat_states = Tensor(states[:, 1:, :].reshape(B * (T - 1), -1))
     flat_q = Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))
-    tail = learner.mixer_a_target.forward(flat_states, flat_q).data
-    if learner.mixer_b_target is not None:
-        tail = np.minimum(tail, learner.mixer_b_target.forward(flat_states, flat_q).data)
-    y[:, :-1] += gamma * tail.reshape(B, T - 1)
-    return y
+    mixes = [composite_mix(layers, flat_states, flat_q).data.reshape(B, T - 1)
+             for layers in slice_mixers(learner.mixers_target)]
+    y[:, :-1] += gamma * np.minimum.reduce(mixes)
+    return y, mixes
 
 
 def _reference_loss(batch, learner):
@@ -246,7 +247,7 @@ def _reference_loss(batch, learner):
     obs, states, actions, masks, rewards = _stacked(batch)
     B, T, n, _ = obs.shape
     scale = 1.0 / (B * T)
-    y = _reference_targets(obs, states, masks, rewards, learner)
+    y, _ = _reference_targets(obs, states, masks, rewards, learner)
     stations = _station_agents(learner.agents_eval)
     chosen = []
     for i, (enc, gru, head) in enumerate(stations):
@@ -261,17 +262,17 @@ def _reference_loss(batch, learner):
     total = l_mix = None
     agent_losses = []
     if not independent:
+        mixers = slice_mixers(learner.mixers_eval)
         acc = None
         for t in range(T):
             qs_t = _columns([chosen[i][t].detach() if direct else chosen[i][t]
                              for i in range(n)])
             st_t = Tensor(states[:, t, :])
             y_t = Tensor(y[:, t])
-            da = learner.mixer_a_eval.forward(st_t, qs_t) - y_t
-            term = (da * da).sum()
-            if learner.mixer_b_eval is not None:
-                db = learner.mixer_b_eval.forward(st_t, qs_t) - y_t
-                term = term + (db * db).sum()
+            term = None
+            for layers in mixers:
+                d = composite_mix(layers, st_t, qs_t) - y_t
+                term = (d * d).sum() if term is None else term + (d * d).sum()
             acc = term if acc is None else acc + term
         total = acc * scale
         l_mix = float(total.item())
@@ -294,6 +295,8 @@ def _reference_loss(batch, learner):
     total.backward()
     grads = {k: p.grad for k, p in learner.parameters("eval").items() if p.grad is not None}
     grads.update(_station_grads(stations, learner.agents_eval))
+    if not independent:
+        grads.update(slice_grads(mixers, "mixers."))
     return l_mix, agent_losses, grads
 
 
@@ -319,6 +322,40 @@ def test_single_mixer_targets_use_one_head():
     t = _targets(batch, learner)
     assert t.mix_b is None
     assert t.y[:, :-1] == pytest.approx(rewards[:, :-1] + learner.config.gamma * t.mix_a[:, :-1])
+
+
+@pytest.mark.parametrize("algorithm", ["double_qmix", "qmix"])
+def test_mixer_bank_keeps_the_draw_order(algorithm):
+    # drawn after the agents as mixer A's eval and target nets, then mixer B's
+    learner = _learner(algorithm, seed=6)
+    cfg = learner.config
+    rng = np.random.default_rng(6)
+    for _ in ("eval", "target"):
+        DRQNAgent(2, OBS_DIM, GRID.n_actions, cfg.hidden_dim, rng)
+    k = 2 if algorithm == "double_qmix" else 1
+    drawn = [MonotonicMixer(2 * OBS_DIM, 2, cfg.embed_dim, cfg.hyper_hidden, rng)
+             for _ in range(2 * k)]
+    for name, p in learner.mixers_eval.parameters().items():
+        assert p.shape[0] == k, name
+        for j in range(k):
+            assert np.array_equal(p.data[j], drawn[2 * j].parameters()[name].data), name
+
+
+@pytest.mark.parametrize("algorithm", ["double_qmix", "qmix"])
+def test_target_mixes_match_composite_bit_for_bit(algorithm):
+    learner = _learner(algorithm)
+    rng = np.random.default_rng(2)
+    for p in learner.parameters("target").values():
+        p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+    batch = _batch(learner)
+    obs, states, _, masks, rewards = _stacked(batch)
+    t = _targets(batch, learner)
+    _, want = _reference_targets(obs, states, masks, rewards, learner)
+    got = [t.mix_a] if t.mix_b is None else [t.mix_a, t.mix_b]
+    assert len(got) == len(want) == (2 if algorithm == "double_qmix" else 1)
+    for mix, ref in zip(got, want):
+        assert np.array_equal(_bits(mix[:, :-1]), _bits(ref))
+        assert np.isnan(mix[:, -1]).all()
 
 
 def test_independent_targets_per_agent():
@@ -366,7 +403,7 @@ def test_train_step_reduces_loss_on_fixed_batch(algorithm, mode):
     before = {k: p.data.copy() for k, p in agent_params.items()}
     losses = []
     for _ in range(40):
-        l_mix, agent_losses = train_step(batch, learner)
+        l_mix, agent_losses, _ = train_step(batch, learner)
         losses.append(l_mix if l_mix is not None else float(np.mean(agent_losses)))
     assert all(np.isfinite(losses))
     assert losses[-1] < losses[0]
@@ -387,7 +424,7 @@ def test_train_step_matches_per_slot_reference(algorithm, mode):
     ref_mix, ref_agents, ref_grads = _reference_loss(batch, learner)
     params = learner.parameters("eval")
     assert set(ref_grads) == set(params)
-    l_mix, agent_losses = train_step(batch, learner)
+    l_mix, agent_losses, _ = train_step(batch, learner)
     if ref_mix is None:
         assert l_mix is None
     else:
@@ -613,6 +650,22 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_checkpoint_round_trips_each_mixer_slice(tmp_path):
+    learner = _learner("double_qmix", seed=4)
+    train_step(_batch(learner, n=2), learner)  # now unlike a fresh build, which loading starts from
+    path = tmp_path / "learner.npz"
+    save_learner(path, learner)
+    with np.load(path) as archive:
+        for role in ("eval", "target"):
+            for name, p in getattr(learner, f"mixers_{role}").parameters().items():
+                for j, mixer in enumerate(("mixer_a", "mixer_b")):
+                    assert np.array_equal(archive[f"param.{role}.{mixer}.{name}"], p.data[j])
+    restored = load_learner(path)
+    for role in ("eval", "target"):
+        for k, p in restored.parameters(role).items():
+            assert np.array_equal(p.data, learner.parameters(role)[k].data), k
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_only_eval_parameters_require_grad(tmp_path, algorithm):
     # Target nets are constants between syncs, so their forwards tape nothing.
@@ -638,37 +691,24 @@ def test_checkpoint_missing_gate_entry_is_named(tmp_path):
 def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     learner = _learner("double_qmix")
     batch = _batch(learner, n=2)
-    calls = {"sequence": 0, "step": 0, "mixer": 0}
-    gru_sequence, gru_step, mixer_forward = GRUCell.sequence, GRUCell.step, MonotonicMixer.forward
+    calls = {}
+    for cls, name in ((GRUCell, "sequence"), (GRUCell, "apply"), (GRUCell, "step"),
+                      (MonotonicMixer, "forward"), (MonotonicMixer, "apply")):
+        def counted(*args, _method=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
+            calls[_key] += 1
+            return _method(*args)
 
-    def counted_sequence(self, x, batch, steps, h0=None):
-        calls["sequence"] += 1
-        return gru_sequence(self, x, batch, steps, h0)
-
-    def counted_step(self, x, h):
-        calls["step"] += 1
-        return gru_step(self, x, h)
-
-    def counted_forward(self, state, agent_qs):
-        calls["mixer"] += 1
-        return mixer_forward(self, state, agent_qs)
-
-    monkeypatch.setattr(GRUCell, "sequence", counted_sequence)
-    monkeypatch.setattr(GRUCell, "step", counted_step)
-    monkeypatch.setattr(MonotonicMixer, "forward", counted_forward)
+        calls[f"{cls.__name__}.{name}"] = 0
+        monkeypatch.setattr(cls, name, counted)
     train_step(batch, learner)
-    # one graph-free target unroll and one taped eval unroll, each one fused
-    # sequence for the whole agent bank; two target mixers for the bootstrap
-    # and two eval mixers for the loss
-    assert calls == {"sequence": 2, "step": 0, "mixer": 4}
+    # one taped eval unroll and one untaped target unroll, each one fused
+    # sequence for the whole agent bank; one untaped target mixer bank for
+    # the bootstrap and one taped eval mixer bank for the loss
+    assert calls == {"GRUCell.sequence": 1, "GRUCell.apply": 1, "GRUCell.step": 0,
+                     "MonotonicMixer.forward": 1, "MonotonicMixer.apply": 1}
 
 
 def test_train_step_tape_stays_small(monkeypatch):
-    learner = build_learner("double_qmix", 2, PARAMS, GRID, SCALES, TrainConfig(),
-                            np.random.default_rng(0))
-    batch = [rollout_episode(_tiny_episode(T=48, seed=k), learner, 1.0,
-                             np.random.default_rng(k))[0]
-             for k in range(learner.config.batch_episodes)]
     nodes = 0
     result = Tensor.__dict__["_result"].__func__
 
@@ -679,9 +719,19 @@ def test_train_step_tape_stays_small(monkeypatch):
         return out
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
-    train_step(batch, learner)
-    # one node per layer op, not per slot: the tape size does not grow with T
-    assert 0 < nodes <= 100
+    per_step = {}
+    for algorithm in ("double_qmix", "qmix"):
+        learner = build_learner(algorithm, 2, PARAMS, GRID, SCALES, TrainConfig(),
+                                np.random.default_rng(0))
+        batch = [rollout_episode(_tiny_episode(T=48, seed=k), learner, 1.0,
+                                 np.random.default_rng(k))[0]
+                 for k in range(learner.config.batch_episodes)]
+        nodes = 0
+        train_step(batch, learner)
+        per_step[algorithm] = nodes
+    # one node per layer op, not per slot, and one per mixer bank: the tape
+    # size grows with neither T nor the number of mixers
+    assert 0 < per_step["double_qmix"] == per_step["qmix"] <= 25, per_step
 
 
 def test_train_loop_end_to_end_and_metrics():

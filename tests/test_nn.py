@@ -10,7 +10,6 @@ from evcoop.nn import (
     CheckpointError,
     DivergenceError,
     Dense,
-    DenseNet,
     GRUCell,
     GradCheckReport,
     MonotonicMixer,
@@ -22,6 +21,7 @@ from evcoop.nn import (
 )
 from evcoop.nn.autodiff import sigmoid
 from evcoop.nn.checkpoint import read_checkpoint, restore_params
+from mixer_reference import composite_mix, slice_grads, slice_mixers
 
 
 def test_tensor_forward_matches_numpy():
@@ -34,7 +34,6 @@ def test_tensor_forward_matches_numpy():
     x = Tensor(np.array([-1.0, 0.5]))
     assert x.sigmoid().data == pytest.approx(1.0 / (1.0 + np.exp([1.0, -0.5])))
     assert x.tanh().data == pytest.approx(np.tanh(x.data))
-    assert x.abs().data == pytest.approx([1.0, 0.5])
 
 
 def test_matmul_backward_matches_analytic():
@@ -222,6 +221,10 @@ def _close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 @pytest.mark.parametrize("batch, steps", [(1, 1), (2, 4), (8, 48)])
 def test_gru_sequence_matches_composite_steps(batch, steps):
     enc, gru, head, obs, weights, params = _sequence_net(batch, steps, seed=batch + steps)
@@ -279,7 +282,7 @@ def test_dense_initialization_spread():
 def _composite_loss():
     """A loss through every layer type; returns (loss_fn, params)."""
     rng = np.random.default_rng(42)
-    enc = DenseNet([4, 8, 6], ["relu", "none"], rng)
+    enc = (Dense(4, 8, "relu", rng), Dense(8, 6, "none", rng))
     gru = GRUCell(6, 5, rng)
     head = Dense(5, 3, "none", rng)
     mixer = MonotonicMixer(state_dim=4, n_agents=3, embed_dim=4, hyper_hidden=8, rng=rng)
@@ -287,14 +290,15 @@ def _composite_loss():
     target = np.array([0.3, -0.7])
 
     def loss_fn():
-        h = gru.sequence(enc(x), 2, 1)
+        h = gru.sequence(enc[1](enc[0](x)), 2, 1)
         qs = head(h)
-        tot = mixer.forward(x, qs)
+        tot = mixer.forward(x.data, qs)
         diff = tot - Tensor(target)
         return (diff * diff).sum()
 
     params = {}
-    params.update(enc.parameters("enc."))
+    for i, layer in enumerate(enc):
+        params.update(layer.parameters(f"enc.l{i}."))
     params.update(gru.parameters("gru."))
     params.update(head.parameters("head."))
     params.update(mixer.parameters("mix."))
@@ -331,14 +335,70 @@ def test_mixer_monotone_in_agent_values():
     rng = np.random.default_rng(3)
     mixer = MonotonicMixer(state_dim=6, n_agents=3, embed_dim=8, hyper_hidden=16, rng=rng)
     for _ in range(200):
-        state = Tensor(rng.standard_normal((1, 6)))
+        state = rng.standard_normal((1, 6))
         qs = rng.standard_normal((1, 3))
-        base = mixer.forward(state, Tensor(qs)).data[0]
+        base = mixer.apply(state, qs)[0]
         for i in range(3):
             bumped = qs.copy()
             bumped[0, i] += 0.5
-            up = mixer.forward(state, Tensor(bumped)).data[0]
+            up = mixer.apply(state, bumped)[0]
             assert up >= base - 1e-9
+
+
+def _mixer_bank(k, seed=8, state_dim=5, n_agents=3):
+    """k mixers drawn in turn from one stream, then banked."""
+    rng = np.random.default_rng(seed)
+    return stack_layers([MonotonicMixer(state_dim, n_agents, embed_dim=4, hyper_hidden=6, rng=rng)
+                         for _ in range(k)])
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["qmix", "double_qmix"])
+@pytest.mark.parametrize("qs_grad", [False, True], ids=["direct", "mixer_grad"])
+def test_mixer_bank_matches_composite(k, qs_grad):
+    bank = _mixer_bank(k)
+    rng = np.random.default_rng(20 + k)
+    R = 7
+    state = rng.standard_normal((R, 5))
+    qs = Tensor(rng.standard_normal((R, 3)), requires_grad=qs_grad)
+    weights = rng.standard_normal((k, R))
+
+    mixers = slice_mixers(bank)
+    ref = [composite_mix(layers, Tensor(state), qs) for layers in mixers]
+    sum(((m * Tensor(w)).sum() for m, w in zip(ref, weights)), Tensor(0.0)).backward()
+    ref_qs_grad, qs.grad = qs.grad, None
+
+    out = bank.forward(state, qs)
+    want = np.stack([m.data for m in ref])
+    assert np.array_equal(_bits(out.data), _bits(want))
+    assert np.array_equal(_bits(bank.apply(state, qs.data)), _bits(want))
+    (out * Tensor(weights)).sum().backward()
+    ref_grads = slice_grads(mixers)
+    for name, p in bank.parameters().items():
+        _close(p.grad, ref_grads[name])
+    if qs_grad:
+        _close(qs.grad, ref_qs_grad)
+    else:
+        assert qs.grad is None and ref_qs_grad is None
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["qmix", "double_qmix"])
+@pytest.mark.parametrize("qs_grad", [False, True], ids=["direct", "mixer_grad"])
+def test_gradcheck_mixer_bank(k, qs_grad):
+    bank = _mixer_bank(k, seed=12)
+    rng = np.random.default_rng(30 + k)
+    state = rng.standard_normal((4, 5))
+    qs = Tensor(rng.standard_normal((4, 3)), requires_grad=qs_grad)
+    target = Tensor(rng.standard_normal(4))
+
+    def loss_fn():
+        d = bank.forward(state, qs) - target
+        return (d * d).sum()
+
+    params = bank.parameters("mix.")
+    if qs_grad:
+        params["qs"] = qs
+    report = check_gradients(loss_fn, params)
+    assert report.ok(1e-4), f"max rel error {report.max_rel_error} at {report.worst_param}"
 
 
 def test_adam_converges_on_quadratic():
@@ -378,7 +438,7 @@ def test_adam_raises_on_nonfinite():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
-    net = DenseNet([3, 4, 2], ["relu", "none"], rng)
+    net = Dense(3, 4, "relu", rng)
     params = net.parameters("net.")
     snapshot = {k: v.data.copy() for k, v in params.items()}
     path = tmp_path / "ck.npz"
@@ -394,14 +454,14 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_checkpoint_shape_and_name_mismatch(tmp_path):
     rng = np.random.default_rng(5)
-    net = DenseNet([3, 4, 2], ["relu", "none"], rng)
+    net = Dense(3, 4, "relu", rng)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, net.parameters("net."))
     arrays, _ = read_checkpoint(path)
-    other = DenseNet([3, 5, 2], ["relu", "none"], rng)
+    other = Dense(3, 5, "relu", rng)
     with pytest.raises(CheckpointError, match="shape"):
         restore_params(path, arrays, other.parameters("net."))
-    renamed = DenseNet([3, 4, 2], ["relu", "none"], rng)
+    renamed = Dense(3, 4, "relu", rng)
     with pytest.raises(CheckpointError, match="names do not match"):
         restore_params(path, arrays, renamed.parameters("other."))
 
