@@ -13,6 +13,7 @@ from .core import (  # noqa: E402
     ConstraintViolation,
     EssParams,
     InfeasibleIntervalError,
+    Multipliers,
     PriceOrderingError,
     PriceQuote,
     ProfitBreakdown,
@@ -31,7 +32,7 @@ from .core import (  # noqa: E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintViolation", "EssParams", "InfeasibleIntervalError",
+    "ConstraintViolation", "EssParams", "InfeasibleIntervalError", "Multipliers",
     "PriceOrderingError", "PriceQuote", "ProfitBreakdown", "StationAction",
     "StationState", "StepOutcome", "TradeOutcome", "clear_trades",
     "curtail_renewable", "ess_bounds", "profit", "soc", "step",

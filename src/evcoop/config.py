@@ -3,12 +3,12 @@
 An empty document is a complete configuration: it trains on the bundled
 two-station sample scenario.  Every default lives in one place, the field
 default of its dataclass (``ScenarioConfig`` and ``RunConfig`` here,
-``EssParams``, ``ActionGrid``, ``ObsScales``, ``TrainConfig``); ``DEFAULTS``
-and ``resolved_dict`` are derived from them, and the JSON schema is the only
-hand-written contract.  A section's JSON keys are its dataclass's field
-names, except the scenario's nested ``multipliers`` and ``demand`` objects.
-``resolved_dict`` echoes the fully-resolved form; loading that echo
-reproduces the identical RunConfig.
+``Multipliers``, ``DemandModel``, ``EssParams``, ``ActionGrid``,
+``ObsScales``, ``TrainConfig``); ``DEFAULTS`` and ``resolved_dict`` are
+derived from them, and the JSON schema is the only hand-written contract.
+Every JSON object's keys are its dataclass's field names, and an error a
+dataclass raises names the object's path.  ``resolved_dict`` echoes the
+fully-resolved form; loading that echo reproduces the identical RunConfig.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import jsonschema
 
-from .core import EssParams
+from .core import EssParams, Multipliers
 from .data import (
-    DEFAULT_MULTIPLIERS,
     DemandModel,
     PriceSeries,
     PvSeries,
@@ -52,12 +51,6 @@ SAMPLE_SCENARIOS = {
     },
 }
 
-# evening-shifted charging demand, station 1 runs lighter than station 0
-_DEFAULT_PROFILE = (
-    8.0, 6.0, 5.0, 5.0, 6.0, 8.0, 12.0, 18.0, 22.0, 20.0, 16.0, 14.0,
-    13.0, 13.0, 14.0, 16.0, 20.0, 26.0, 30.0, 28.0, 22.0, 16.0, 12.0, 9.0,
-)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -72,11 +65,8 @@ class ScenarioConfig:
     price_noise_sigma: float = 0.004
     pv_peak_kwh: float = 40.0
     series_seed: int = 2024
-    multipliers: tuple[float, float, float] = DEFAULT_MULTIPLIERS  # (ev, trade, buyback)
-    demand_profiles: tuple[tuple[float, ...], ...] = (
-        _DEFAULT_PROFILE, tuple(round(0.75 * v, 4) for v in _DEFAULT_PROFILE))
-    demand_noise_sigma: float = 3.0
-    urgent_fraction: float = 0.2
+    multipliers: Multipliers = field(default_factory=Multipliers)
+    demand: DemandModel = field(default_factory=DemandModel)
     initial_soc: float = 0.5
 
 
@@ -90,28 +80,6 @@ class RunConfig:
     algorithms: tuple[str, ...] = ("double_qmix",)
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "runs"
-
-
-# The one hand-written mapping: the scenario's nested JSON objects and the
-# flat ScenarioConfig fields they hold.  Every other JSON key is a field name.
-_MULTIPLIER_KEYS = ("ev", "trade", "buyback")
-_DEMAND_FIELDS = {"profiles": "demand_profiles", "noise_sigma": "demand_noise_sigma",
-                  "urgent_fraction": "urgent_fraction"}
-
-
-def _scenario_to_json(flat: dict) -> dict:
-    out = dict(flat)
-    out["multipliers"] = dict(zip(_MULTIPLIER_KEYS, out["multipliers"]))
-    out["demand"] = {key: out.pop(name) for key, name in _DEMAND_FIELDS.items()}
-    return out
-
-
-def _scenario_from_json(doc: dict) -> dict:
-    flat = dict(doc)
-    flat["multipliers"] = tuple(flat["multipliers"][key] for key in _MULTIPLIER_KEYS)
-    demand = flat.pop("demand")
-    flat.update({name: demand[key] for key, name in _DEMAND_FIELDS.items()})
-    return flat
 
 
 def _to_json(value):
@@ -138,10 +106,19 @@ def _coerce(tp, value):
 _field_types = functools.cache(get_type_hints)
 
 
-def _build(cls, values: dict):
-    """Construct the dataclass ``cls`` from ``values``, one coerced entry per field."""
+def _build(cls, values: dict, path: tuple[str, ...] = ()):
+    """Construct the dataclass ``cls`` from ``values``, nested sections recursively.
+
+    A ``ValueError`` the dataclass raises becomes a ``ConfigError`` naming ``path``.
+    """
     hints = _field_types(cls)
-    return cls(**{f.name: _coerce(hints[f.name], values[f.name]) for f in fields(cls)})
+    kwargs = {f.name: _build(hints[f.name], values[f.name], (*path, f.name))
+              if is_dataclass(hints[f.name]) else _coerce(hints[f.name], values[f.name])
+              for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{'.'.join(path) or '(root)'}: {exc}") from exc
 
 
 def _defaults(cls) -> dict:
@@ -155,10 +132,7 @@ def _defaults(cls) -> dict:
             else _to_json(f.default) for f in fields(cls)}
 
 
-# Section name -> dataclass, in RunConfig order.
-_SECTIONS = {name: tp for name, tp in _field_types(RunConfig).items() if is_dataclass(tp)}
 DEFAULTS: dict = _defaults(RunConfig)
-DEFAULTS["scenario"] = _scenario_to_json(DEFAULTS["scenario"])
 
 
 def _schema() -> dict:
@@ -189,12 +163,6 @@ def load_config_dict(document: dict) -> RunConfig:
 
     doc = _deep_merge(DEFAULTS, document)
     sc = doc["scenario"]
-    mult = sc["multipliers"]
-    if not (0.0 < mult["buyback"] < mult["trade"] < 1.0 < mult["ev"]):
-        raise ConfigError(
-            "scenario.multipliers: ordering must satisfy 0 < buyback < trade < 1 < ev, "
-            f"got buyback={mult['buyback']}, trade={mult['trade']}, ev={mult['ev']}")
-
     if sc["mode"] == "csv":
         for key in ("price_csv", "pv_csv"):
             if not sc[key]:
@@ -206,18 +174,13 @@ def load_config_dict(document: dict) -> RunConfig:
         raise ConfigError(f"scenario.sample_name: unknown sample {sc['sample_name']!r} "
                           f"(available: {known})")
 
-    doc["scenario"] = _scenario_from_json(sc)
-    try:
-        sections = {name: _build(cls, doc[name]) for name, cls in _SECTIONS.items()}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    ess, initial_soc = sections["ess"], sections["scenario"].initial_soc
+    config = _build(RunConfig, doc)
+    ess, initial_soc = config.ess, config.scenario.initial_soc
     if not (ess.soc_min <= initial_soc <= ess.soc_max):
         raise ConfigError(
             f"scenario.initial_soc: {initial_soc} outside the SOC window "
             f"[{ess.soc_min}, {ess.soc_max}]")
-    return _build(RunConfig, {**doc, **sections})
+    return config
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -235,9 +198,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def resolved_dict(config: RunConfig) -> dict:
     """The full configuration as a plain dict; reloading it is the identity."""
-    out = _to_json(asdict(config))
-    out["scenario"] = _scenario_to_json(out["scenario"])
-    return out
+    return _to_json(asdict(config))
 
 
 def build_scenario(config: RunConfig) -> tuple[PriceSeries, PvSeries, DemandModel, int]:
@@ -266,9 +227,4 @@ def build_scenario(config: RunConfig) -> tuple[PriceSeries, PvSeries, DemandMode
     if len(price) != len(pv):
         raise ConfigError(
             f"price series has {len(price)} slots but PV series has {len(pv)}")
-    demand = DemandModel(
-        profiles=sc.demand_profiles,
-        noise_sigma=sc.demand_noise_sigma,
-        urgent_fraction=sc.urgent_fraction,
-    )
-    return price, pv, demand, stations
+    return price, pv, sc.demand, stations

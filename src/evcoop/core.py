@@ -122,6 +122,25 @@ class PriceQuote:
 
 
 @dataclass(frozen=True)
+class Multipliers:
+    """Fixed factors that derive a slot's EV, trade and buyback prices from its utility price."""
+
+    ev: float = 1.2
+    trade: float = 0.9
+    buyback: float = 0.8
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.buyback < self.trade < 1.0 < self.ev):
+            raise PriceOrderingError(
+                f"need 0 < buyback < trade < 1 < ev, "
+                f"got buyback={self.buyback}, trade={self.trade}, ev={self.ev}")
+
+    def quote(self, utility: float) -> PriceQuote:
+        return PriceQuote(utility=utility, ev=self.ev * utility, trade=self.trade * utility,
+                          buyback=self.buyback * utility)
+
+
+@dataclass(frozen=True)
 class StationAction:
     """One station's decision for a slot: EV energy served and battery control."""
 

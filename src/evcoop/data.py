@@ -23,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EssParams, PriceQuote, StationState
+from .core import EssParams, Multipliers, PriceQuote, StationState
 
 
 class ScenarioDataError(ValueError):
     """Malformed or inconsistent scenario input."""
 
 
-DEFAULT_MULTIPLIERS = (1.2, 0.9, 0.8)  # (ev, trade, buyback) applied to the utility price
+_MULTIPLIERS = Multipliers()
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,13 @@ class PriceSeries:
 
     timestamps: tuple[datetime, ...]
     utility: tuple[float, ...]
-    m_ev: float = DEFAULT_MULTIPLIERS[0]
-    m_trade: float = DEFAULT_MULTIPLIERS[1]
-    m_back: float = DEFAULT_MULTIPLIERS[2]
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.m_back < self.m_trade < 1.0 < self.m_ev):
-            raise ScenarioDataError(
-                f"multipliers must satisfy 0 < back < trade < 1 < ev, got "
-                f"({self.m_back}, {self.m_trade}, {self.m_ev})"
-            )
+    multipliers: Multipliers = _MULTIPLIERS
 
     def __len__(self) -> int:
         return len(self.utility)
 
     def quote(self, t: int) -> PriceQuote:
-        p = self.utility[t]
-        return PriceQuote(utility=p, ev=self.m_ev * p, trade=self.m_trade * p, buyback=self.m_back * p)
+        return self.multipliers.quote(self.utility[t])
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,16 @@ class PvSeries:
         return len(self.generation[0]) if self.generation else 0
 
 
+# evening-shifted charging demand, station 1 runs lighter than station 0
+_DEFAULT_PROFILE = (
+    8.0, 6.0, 5.0, 5.0, 6.0, 8.0, 12.0, 18.0, 22.0, 20.0, 16.0, 14.0,
+    13.0, 13.0, 14.0, 16.0, 20.0, 26.0, 30.0, 28.0, 22.0, 16.0, 12.0, 9.0,
+)
+
+
 @dataclass(frozen=True)
 class DemandModel:
-    """Seeded generator of urgent/regular EV arrivals around a daily profile.
+    """Urgent/regular EV arrivals around a daily profile.
 
     ``profiles`` holds one 24-value mean hourly profile (kWh) per station; a
     single profile is shared by all stations.  Hourly totals are the profile
@@ -83,10 +80,10 @@ class DemandModel:
     urgent fraction.
     """
 
-    profiles: tuple[tuple[float, ...], ...]
-    noise_sigma: float = 0.0
+    profiles: tuple[tuple[float, ...], ...] = (
+        _DEFAULT_PROFILE, tuple(round(0.75 * v, 4) for v in _DEFAULT_PROFILE))
+    noise_sigma: float = 3.0
     urgent_fraction: float = 0.2
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         for prof in self.profiles:
@@ -145,9 +142,7 @@ def _parse_hour(text: str, path: str, line: int) -> datetime:
     return ts
 
 
-def load_price_csv(
-    path: str | Path, multipliers: tuple[float, float, float] = DEFAULT_MULTIPLIERS
-) -> PriceSeries:
+def load_price_csv(path: str | Path, multipliers: Multipliers = _MULTIPLIERS) -> PriceSeries:
     """Load and gap-check an hourly utility price series."""
     path = Path(path)
     timestamps: list[datetime] = []
@@ -183,8 +178,7 @@ def load_price_csv(
             prices.append(price)
     if not prices:
         raise ScenarioDataError(f"{path}: no data rows")
-    m_ev, m_trade, m_back = multipliers
-    return PriceSeries(tuple(timestamps), tuple(prices), m_ev, m_trade, m_back)
+    return PriceSeries(tuple(timestamps), tuple(prices), multipliers)
 
 
 def load_pv_csv(path: str | Path, station_count: int) -> PvSeries:
@@ -241,18 +235,14 @@ def load_pv_csv(path: str | Path, station_count: int) -> PvSeries:
 
 
 def synth_demand(
-    model: DemandModel, T: int, station_count: int,
-    rng: np.random.Generator | None = None,
+    model: DemandModel, T: int, station_count: int, rng: np.random.Generator,
 ) -> tuple[tuple[tuple[float, float], ...], ...]:
     """Draw an arrivals sequence: ``[t][station] -> (urgent, regular)``.
 
-    With no ``rng`` the draw is fixed by ``model.rng_seed``; passing a
-    generator consumes its state, so successive calls give fresh episodes.
+    The draw consumes ``rng``, so successive calls give fresh episodes.
     """
     if T < 1:
         raise ScenarioDataError(f"T must be >= 1, got {T}")
-    if rng is None:
-        rng = np.random.default_rng(model.rng_seed)
     noise = rng.normal(0.0, model.noise_sigma, size=(T, station_count)) if model.noise_sigma > 0.0 \
         else np.zeros((T, station_count))
     out = []
@@ -304,7 +294,7 @@ def synth_price_series(
     base: float = 0.10,
     swing: float = 0.06,
     noise_sigma: float = 0.004,
-    multipliers: tuple[float, float, float] = DEFAULT_MULTIPLIERS,
+    multipliers: Multipliers = _MULTIPLIERS,
     start: datetime | None = None,
 ) -> PriceSeries:
     """Generate a smooth synthetic daily price curve: cheap overnight, evening peak."""
@@ -320,8 +310,7 @@ def synth_price_series(
         p = base + swing * shape + float(rng.normal(0.0, noise_sigma))
         prices.append(max(p, 0.02))
         timestamps.append(start + timedelta(hours=t))
-    m_ev, m_trade, m_back = multipliers
-    return PriceSeries(tuple(timestamps), tuple(prices), m_ev, m_trade, m_back)
+    return PriceSeries(tuple(timestamps), tuple(prices), multipliers)
 
 
 def synth_pv_series(

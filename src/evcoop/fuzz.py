@@ -8,12 +8,13 @@ Violation counts, not first-failure, make flakiness visible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (
     EssParams,
+    Multipliers,
     PriceQuote,
     StationAction,
     StationState,
@@ -24,6 +25,7 @@ from .core import (
 from .marl.encoding import ActionGrid, InfeasibleActionError
 
 _REL = 1e-9
+_MULTIPLIERS = Multipliers()
 
 
 @dataclass
@@ -121,8 +123,7 @@ def _random_state(rng: np.random.Generator, params: EssParams) -> StationState:
 
 
 def _random_quote(rng: np.random.Generator) -> PriceQuote:
-    u = float(rng.uniform(0.03, 0.5))
-    return PriceQuote(utility=u, ev=1.2 * u, trade=0.9 * u, buyback=0.8 * u)
+    return _MULTIPLIERS.quote(float(rng.uniform(0.03, 0.5)))
 
 
 def fuzz_battery(calls: int, seed: int) -> FuzzReport:
@@ -172,12 +173,10 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
     notes: list[str] = []
     t0 = time.perf_counter()
     params = _random_params(rng)
-    for k in range(calls):
+    k = 0
+    while k < calls:
         n = int(rng.integers(2, 5))
-        if k and k % 100 == 0:
-            params = _random_params(rng)
-        u = float(rng.uniform(0.03, 0.5))
-        quote = PriceQuote(utility=u, ev=1.2 * u, trade=0.9 * u, buyback=0.8 * u)
+        quote = _random_quote(rng)
         states, actions, renewables = [], [], []
         try:
             for _ in range(n):
@@ -190,6 +189,8 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
                 renewables.append(rn)
                 actions.append(StationAction(supplies.item(idx), controls.item(idx)))
         except ValueError:
+            # A station with no feasible action: nothing to check, redraw.
+            params = _random_params(rng)
             continue
         out = step(states, actions, renewables, quote, [(0.0, 0.0)] * n, params)
         br = out.profit
@@ -209,7 +210,7 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
         if abs(sum(br.trade_net)) > _REL * max(1.0, abs(br.total_profit)):
             bad.append("internal trading not zero-sum")
         # moving the internal trade price must not move total profit
-        alt = PriceQuote(utility=u, ev=1.2 * u, trade=0.85 * u, buyback=0.8 * u)
+        alt = replace(quote, trade=0.85 * quote.utility)
         alt_break = profit([a.ev_supply for a in actions], out.trade, alt)
         if abs(alt_break.total_profit - br.total_profit) > _REL * max(1.0, abs(br.total_profit)):
             bad.append("total profit moved with trade price")
@@ -217,5 +218,8 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
             violations += 1
             if len(notes) < 5:
                 notes.append(f"call {k}: {'; '.join(bad)}")
+        k += 1
+        if k % 100 == 0:
+            params = _random_params(rng)
     return FuzzReport("profit-identities", calls, violations,
                       time.perf_counter() - t0, notes)

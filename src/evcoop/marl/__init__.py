@@ -6,7 +6,6 @@ from .encoding import (
     InfeasibleActionError,
     ObsScales,
     encode_observation,
-    global_state,
 )
 from .replay import EpisodeRecord, ReplayBuffer
 from .trainer import (
@@ -35,6 +34,6 @@ __all__ = [
     "InfeasibleActionError", "LearnerState", "OBS_DIM", "ObsScales",
     "ReplayBuffer", "SlotLog", "Targets", "TrainConfig", "act_epsilon_greedy",
     "build_learner", "compute_targets", "encode_observation", "epsilon_at",
-    "global_state", "greedy_profit", "load_learner", "rollout_episode",
+    "greedy_profit", "load_learner", "rollout_episode",
     "save_learner", "sync_targets", "train", "train_step",
 ]

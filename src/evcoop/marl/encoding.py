@@ -65,11 +65,6 @@ def encode_observation(states: Sequence[StationState], renewables: Sequence[floa
     return raw / scales.as_array()
 
 
-def global_state(observations: np.ndarray) -> np.ndarray:
-    """Concatenate the (I, 6) observation block into the shared state vector."""
-    return np.asarray(observations).reshape(-1)
-
-
 def linspace(lo: float, hi: float, m: int) -> list[float]:
     """``np.linspace(lo, hi, m)`` for float endpoints, bit for bit, as a list.
 

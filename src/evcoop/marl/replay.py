@@ -12,12 +12,11 @@ import numpy as np
 class EpisodeRecord:
     """One rolled-out episode, array-packed for training.
 
-    obs (T, I, 6); state (T, 6I); actions (T, I) int; masks (T, I, A) bool;
+    obs (T, I, 6); actions (T, I) int; masks (T, I, A) bool;
     rewards (T,) scaled; total_profits and station_profits in unscaled dollars.
     """
 
     obs: np.ndarray
-    state: np.ndarray
     actions: np.ndarray
     masks: np.ndarray
     rewards: np.ndarray
@@ -25,9 +24,7 @@ class EpisodeRecord:
     station_profits: np.ndarray
 
     def __post_init__(self):
-        t, n_agents, obs_dim = self.obs.shape
-        if self.state.shape != (t, n_agents * obs_dim):
-            raise ValueError(f"state shape {self.state.shape} misaligned with obs {self.obs.shape}")
+        t, n_agents, _ = self.obs.shape
         if self.actions.shape != (t, n_agents):
             raise ValueError(f"actions shape {self.actions.shape} misaligned")
         if self.masks.shape[:2] != (t, n_agents):

@@ -27,7 +27,7 @@ from ..core import EssParams, PriceQuote, StationAction, StationState, StepOutco
 from ..data import Episode
 from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, stack_layers
 from ..nn.checkpoint import CheckpointError, read_checkpoint, restore_params, save_checkpoint
-from .encoding import OBS_DIM, ActionGrid, ObsScales, encode_observation, global_state
+from .encoding import OBS_DIM, ActionGrid, ObsScales, encode_observation
 from .replay import EpisodeRecord, ReplayBuffer
 
 ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
@@ -250,7 +250,6 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
     A = grid.n_actions
 
     obs_log = np.zeros((T, n, OBS_DIM))
-    state_log = np.zeros((T, n * OBS_DIM))
     action_log = np.zeros((T, n), dtype=np.int64)
     mask_log = np.zeros((T, n, A), dtype=bool)
     reward_log = np.zeros(T)
@@ -265,7 +264,6 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
         renew = episode.renewables[t]
         obs_block = encode_observation(states, renew, quote.utility, params, learner.scales)
         obs_log[t] = obs_block
-        state_log[t] = global_state(obs_block)
 
         # one forward and one masked argmax for every station
         tables = [grid.decode_table(states[i], renew[i], params) for i in range(n)]
@@ -284,8 +282,7 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
             trace.append(SlotLog(states, actions, outcome, quote, renew))
         states = tuple(outcome.next_states)
 
-    record = EpisodeRecord(obs=obs_log, state=state_log, actions=action_log,
-                           masks=mask_log, rewards=reward_log,
+    record = EpisodeRecord(obs=obs_log, actions=action_log, masks=mask_log, rewards=reward_log,
                            total_profits=total_log, station_profits=station_log)
     return record, trace
 
@@ -295,7 +292,7 @@ def _stack_batch(batch: Sequence[EpisodeRecord]):
     if any(r.length != T for r in batch):
         raise ValueError("episodes in one batch must share a length")
     return tuple(np.stack([getattr(r, name) for r in batch])
-                 for name in ("obs", "state", "actions", "masks", "rewards"))
+                 for name in ("obs", "actions", "masks", "rewards"))
 
 
 def _agent_rows(obs: np.ndarray) -> np.ndarray:
@@ -393,8 +390,9 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     if learner.algorithm == "random":
         raise ValueError("the random baseline does not train")
     cfg = learner.config
-    obs, states, actions, masks, rewards = _stack_batch(batch)
+    obs, actions, masks, rewards = _stack_batch(batch)
     B, T = obs.shape[:2]
+    states = obs.reshape(B, T, -1)  # the mixers' global state: every agent's observation
     scale = 1.0 / (B * T)
 
     # the one taped unroll of the eval agents; its values also serve the targets

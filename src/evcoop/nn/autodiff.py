@@ -136,9 +136,6 @@ class Tensor:
 
         return self._result(a.data - b.data, (a, b), backward)
 
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import (
     EssParams,
-    PriceQuote,
+    Multipliers,
     StationState,
     advance_stations_batch,
     clear_and_price_batch,
@@ -45,6 +45,7 @@ from .data import Episode
 from .marl.encoding import ActionGrid, InfeasibleActionError
 
 ENUMERATION_BUDGET = 10_000_000
+_MULTIPLIERS = Multipliers()
 
 
 class BudgetExceededError(ValueError):
@@ -270,10 +271,7 @@ def random_tiny_instance(rng: np.random.Generator,
         capacity_max=float(rng.uniform(30.0, 80.0)),
         leakage_beta=float(rng.choice([1.0, 0.99])),
     )
-    quotes = []
-    for _ in range(horizon):
-        u = float(rng.uniform(0.05, 0.50))
-        quotes.append(PriceQuote(utility=u, ev=1.2 * u, trade=0.9 * u, buyback=0.8 * u))
+    quotes = tuple(_MULTIPLIERS.quote(float(rng.uniform(0.05, 0.50))) for _ in range(horizon))
     renewables = tuple(
         tuple(float(rng.uniform(0.0, 20.0)) for _ in range(station_count))
         for _ in range(horizon)
@@ -291,6 +289,6 @@ def random_tiny_instance(rng: np.random.Generator,
         )
         for _ in range(station_count)
     )
-    episode = Episode(quotes=tuple(quotes), renewables=renewables,
+    episode = Episode(quotes=quotes, renewables=renewables,
                       arrivals=arrivals, initial_states=initial_states)
     return TinyInstance(episode=episode, params=params, grid=grid)

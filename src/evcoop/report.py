@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EssParams, PriceQuote, StationAction, StationState, step
+from .core import EssParams, Multipliers, StationAction, StationState, step
 from .marl.trainer import STEP_PHASES, EpisodeMetrics, SlotLog
 
 
@@ -116,23 +116,20 @@ def read_trace_csv(path: str | Path) -> list[dict]:
     return out
 
 
-def replay_trace(rows: list[dict], params: EssParams,
-                 multipliers: tuple[float, float, float]) -> float:
+def replay_trace(rows: list[dict], params: EssParams, multipliers: Multipliers) -> float:
     """Re-run each slot of a trace through the environment.
 
     Returns the maximum absolute discrepancy between recomputed and recorded
     station profits.  States are taken from the rows, so slots are verified
     independently.
     """
-    m_ev, m_trade, m_back = multipliers
     by_slot: dict[int, list[dict]] = {}
     for row in rows:
         by_slot.setdefault(row["slot"], []).append(row)
     worst = 0.0
     for slot in sorted(by_slot):
         group = sorted(by_slot[slot], key=lambda r: r["station"])
-        u = group[0]["xi_u"]
-        quote = PriceQuote(utility=u, ev=m_ev * u, trade=m_trade * u, buyback=m_back * u)
+        quote = multipliers.quote(group[0]["xi_u"])
         states = [StationState(battery_kwh=r["battery"], urgent_demand=r["urgent"],
                                regular_demand=r["regular"]) for r in group]
         actions = [StationAction(ev_supply=r["ev_supply"], ess_control=r["ess_control"])

@@ -29,24 +29,20 @@ def test_empty_document_resolves_defaults():
     assert cfg.seeds == (0,)
 
 
+def _assert_schema_matches(cls, schema: dict, defaults: dict, path: str) -> None:
+    """Every dataclass section, nested ones too, has exactly its field names as JSON keys."""
+    expected = {f.name for f in fields(cls)}
+    assert set(schema["properties"]) == expected, path
+    assert set(defaults) == expected, path
+    for name, tp in get_type_hints(cls).items():
+        if is_dataclass(tp):
+            _assert_schema_matches(tp, schema["properties"][name], defaults[name],
+                                   f"{path}.{name}")
+
+
 def test_schema_names_exactly_the_dataclass_fields():
     schema = json.loads(resources.files("evcoop").joinpath("config_schema.json").read_text())
-    props = schema["properties"]
-    assert set(props) == {f.name for f in fields(RunConfig)}
-    for name, cls in get_type_hints(RunConfig).items():
-        if not is_dataclass(cls):
-            continue
-        expected = {f.name for f in fields(cls)}
-        if name == "scenario":
-            # two nested JSON objects hold four flat fields
-            demand = {"profiles": "demand_profiles", "noise_sigma": "demand_noise_sigma",
-                      "urgent_fraction": "urgent_fraction"}
-            nested = props["scenario"]["properties"]
-            assert list(nested["multipliers"]["properties"]) == ["ev", "trade", "buyback"]
-            assert set(nested["demand"]["properties"]) == set(demand)
-            expected = expected - set(demand.values()) | {"demand"}
-        assert set(props[name]["properties"]) == expected, name
-        assert set(DEFAULTS[name]) == expected, name
+    _assert_schema_matches(RunConfig, schema, DEFAULTS, "(root)")
     jsonschema.Draft7Validator(schema).validate(DEFAULTS)
 
 
@@ -75,10 +71,17 @@ def test_resolved_dict_roundtrip_is_identity():
 
 
 def test_schema_error_names_the_field():
-    with pytest.raises(ConfigError, match=r"train\.gamma"):
-        load_config_dict({"train": {"gamma": 1.5}})
-    with pytest.raises(ConfigError, match="Additional properties"):
-        load_config_dict({"train": {"learning_rate": 0.1}})
+    cases = [
+        ({"train": {"gamma": 1.5}}, r"^train\.gamma: "),
+        ({"train": {"learning_rate": 0.1}}, "Additional properties"),
+        # errors the dataclasses raise themselves name their section
+        ({"train": {"capacity": 4, "batch_episodes": 8}}, r"^train: capacity"),
+        ({"ess": {"soc_min": 0.9, "soc_max": 0.5}}, r"^ess: need 0 < soc_min"),
+        ({"scenario": {"multipliers": {"ev": 0.95}}}, r"^scenario\.multipliers: need"),
+    ]
+    for document, needle in cases:
+        with pytest.raises(ConfigError, match=needle):
+            load_config_dict(document)
 
 
 def test_multiplier_ordering_rejected():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcoop import fuzz
 from evcoop.core import (
     ConstraintViolation,
     EssParams,
@@ -262,3 +263,26 @@ def test_step_keeps_battery_in_band(battery, renewable, demand, u):
     out = step([state], [StationAction(supply, control)], [renewable], QUOTE, [(0.0, 0.0)], p)
     nxt = out.next_states[0].battery_kwh
     assert p.capacity_min - 1e-9 <= nxt <= p.usable_max + 1e-9
+
+
+def test_fuzz_profit_counts_only_checked_calls(monkeypatch):
+    # At this seed one draw has a station with no feasible action; that draw
+    # is redrawn, not counted.
+    counts = {"step": 0, "params": 0}
+    real_step, real_params = fuzz.step, fuzz._random_params
+
+    def counting_step(*args, **kwargs):
+        counts["step"] += 1
+        return real_step(*args, **kwargs)
+
+    def counting_params(rng):
+        counts["params"] += 1
+        return real_params(rng)
+
+    monkeypatch.setattr(fuzz, "step", counting_step)
+    monkeypatch.setattr(fuzz, "_random_params", counting_params)
+    report = fuzz.fuzz_profit(1000, seed=59)
+    assert report.ok
+    assert counts["step"] == report.calls == 1000
+    # one draw up front and one per 100 checked calls, plus the redraw
+    assert counts["params"] > 1 + report.calls // 100

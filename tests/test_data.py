@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evcoop.core import EssParams
+from evcoop.core import EssParams, Multipliers, PriceOrderingError
 from evcoop.data import (
     DemandModel,
     Episode,
@@ -71,9 +71,10 @@ def test_price_csv_rejects_malformed(tmp_path, mutation, needle):
 
 
 def test_price_multiplier_ordering_rejected(tmp_path):
-    path = _write(tmp_path, "p.csv", PRICE_OK)
-    with pytest.raises(ScenarioDataError, match="multipliers"):
-        load_price_csv(path, multipliers=(1.2, 1.1, 0.8))
+    with pytest.raises(PriceOrderingError, match="buyback < trade < 1 < ev"):
+        Multipliers(ev=1.2, trade=1.1, buyback=0.8)
+    series = load_price_csv(_write(tmp_path, "p.csv", PRICE_OK), Multipliers(ev=1.5))
+    assert series.quote(1).ev == 1.5 * 0.12
 
 
 def test_pv_csv_roundtrip(tmp_path):
@@ -119,14 +120,15 @@ def test_demand_model_validation():
 
 def test_synth_demand_split_and_streams():
     model = DemandModel(profiles=((10.0,) * 24,), noise_sigma=0.0, urgent_fraction=0.25)
-    arrivals = synth_demand(model, 5, 2)
+    arrivals = synth_demand(model, 5, 2, np.random.default_rng(0))
     for row in arrivals:
         for urgent, regular in row:
             assert urgent == pytest.approx(2.5)
             assert regular == pytest.approx(7.5)
-    noisy = DemandModel(profiles=((10.0,) * 24,), noise_sigma=2.0, rng_seed=3)
-    # No generator: the model seed fixes the draw.
-    assert synth_demand(noisy, 5, 2) == synth_demand(noisy, 5, 2)
+    noisy = DemandModel(profiles=((10.0,) * 24,), noise_sigma=2.0)
+    # The same seed gives the same draw.
+    assert synth_demand(noisy, 5, 2, np.random.default_rng(3)) == \
+        synth_demand(noisy, 5, 2, np.random.default_rng(3))
     # A shared generator is consumed, so consecutive draws differ.
     rng = np.random.default_rng(0)
     first = synth_demand(noisy, 5, 2, rng=rng)

@@ -26,7 +26,6 @@ from evcoop.marl import (
     compute_targets,
     encode_observation,
     epsilon_at,
-    global_state,
     greedy_profit,
     load_learner,
     rollout_episode,
@@ -47,8 +46,8 @@ GRID = ActionGrid()
 def _tiny_episode(T=4, seed=0, stations=2):
     price = synth_price_series(T, seed=seed)
     pv = synth_pv_series(T, stations, seed=seed)
-    model = DemandModel(profiles=((12.0,) * 24, (8.0,) * 24), noise_sigma=1.0, rng_seed=seed)
-    arrivals = synth_demand(model, T, stations)
+    model = DemandModel(profiles=((12.0,) * 24, (8.0,) * 24), noise_sigma=1.0)
+    arrivals = synth_demand(model, T, stations, np.random.default_rng(seed))
     return build_episode(price, pv, arrivals, 0.5, PARAMS)
 
 
@@ -66,8 +65,6 @@ def test_observation_encoding_hand_values():
     assert obs == pytest.approx([25.0 / 100.0, 0.5, 5.0 / 25.0, 15.0 / 50.0,
                                  10.0 / 50.0, 0.2 / 0.1])
     assert obs.shape == (OBS_DIM,)
-    stacked = np.stack([obs, obs])
-    assert global_state(stacked).shape == (2 * OBS_DIM,)
 
 
 def test_action_grid_decodes_supply_levels():
@@ -146,7 +143,7 @@ def test_episode_record_rejects_nonfinite_reward():
     bad = rec.rewards.copy()
     bad[0] = np.nan
     with pytest.raises(ValueError):
-        EpisodeRecord(obs=rec.obs, state=rec.state, actions=rec.actions,
+        EpisodeRecord(obs=rec.obs, actions=rec.actions,
                       masks=rec.masks, rewards=bad,
                       total_profits=rec.total_profits,
                       station_profits=rec.station_profits)
@@ -162,8 +159,10 @@ def _batch(learner, n=3):
 
 
 def _stacked(batch):
-    return tuple(np.stack([getattr(r, name) for r in batch])
-                 for name in ("obs", "state", "actions", "masks", "rewards"))
+    """The batch's arrays, with each slot's global state: all its observations in one row."""
+    obs, actions, masks, rewards = (np.stack([getattr(r, name) for r in batch])
+                                    for name in ("obs", "actions", "masks", "rewards"))
+    return obs, obs.reshape(*obs.shape[:2], -1), actions, masks, rewards
 
 
 def _targets(batch, learner):

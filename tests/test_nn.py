@@ -123,7 +123,7 @@ def _composite_step(cell, x, h):
     z = (x @ W_z + h @ U_z + b_z).sigmoid()
     r = (x @ W_r + h @ U_r + b_r).sigmoid()
     n = (x @ W_n + (r * h) @ cell.U_n + b_n).tanh()
-    return (1.0 - z) * n + z * h
+    return (Tensor(1.0) - z) * n + z * h
 
 
 def test_gru_packs_the_nine_per_gate_draws():
