@@ -37,6 +37,8 @@ from .nn import CheckpointError, DivergenceError
 from .oracle import brute_force, random_tiny_instance, replay_sequence, rolling_greedy
 from .report import (
     read_metrics_csv,
+    read_trace_csv,
+    replay_trace,
     summarize,
     write_long_csv,
     write_metrics_csv,
@@ -166,6 +168,10 @@ def cmd_evaluate(args) -> int:
     print(f"greedy episode profit ${total:.2f} "
           f"({', '.join(f'station {i}: ${v:.2f}' for i, v in enumerate(stations_profit))})")
     print(f"trace written to {out_dir / 'trace.csv'}")
+    worst = replay_trace(read_trace_csv(out_dir / "trace.csv"), cfg.ess, cfg.scenario.multipliers)
+    if worst > 1e-9:
+        print(f"ERROR: trace.csv replays with a profit error of {worst:.3e}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -239,8 +245,14 @@ def cmd_compare(args) -> int:
     files = _collect_metric_files(args.runs)
     runs = []
     for path in files:
-        rows = read_metrics_csv(path)
-        runs.append((rows[0]["algorithm"], rows[0]["seed"], rows))
+        try:
+            rows = read_metrics_csv(path)
+            # only the columns compare reads, each checked here, before anything is written
+            runs.append((rows[0]["algorithm"], rows[0]["seed"],
+                         [{"episode": r["episode"], "total_profit": float(r["total_profit"])}
+                          for r in rows]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed metrics file {path}: {exc!r}") from None
     summary = summarize(runs, args.window)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

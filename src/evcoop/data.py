@@ -142,40 +142,45 @@ def _parse_hour(text: str, path: str, line: int) -> datetime:
     return ts
 
 
-def load_price_csv(path: str | Path, multipliers: Multipliers = _MULTIPLIERS) -> PriceSeries:
-    """Load and gap-check an hourly utility price series."""
-    path = Path(path)
-    timestamps: list[datetime] = []
-    prices: list[float] = []
+def _csv_rows(path: Path, columns: tuple[str, ...]):
+    """Yield ``(line, timestamp, other fields)`` for each non-blank row of an hourly CSV."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ScenarioDataError(f"{path}: empty file")
-        if [h.strip() for h in header] != ["timestamp", "price_usd_per_kwh"]:
-            raise ScenarioDataError(f"{path}:1: expected header 'timestamp,price_usd_per_kwh'")
+        if [h.strip() for h in header] != list(columns):
+            raise ScenarioDataError(f"{path}:1: expected header '{','.join(columns)}'")
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2:
-                raise ScenarioDataError(f"{path}:{line}: expected 2 columns, got {len(row)}")
-            ts = _parse_hour(row[0].strip(), str(path), line)
-            try:
-                price = float(row[1])
-            except ValueError:
-                raise ScenarioDataError(f"{path}:{line}: bad price {row[1]!r}") from None
-            if not math.isfinite(price) or price <= 0.0:
-                raise ScenarioDataError(f"{path}:{line}: price must be positive and finite, got {price}")
-            if timestamps:
-                expected = timestamps[-1] + timedelta(hours=1)
-                if ts == timestamps[-1]:
-                    raise ScenarioDataError(f"{path}:{line}: duplicated hour {ts.isoformat()}")
-                if ts != expected:
-                    raise ScenarioDataError(
-                        f"{path}:{line}: missing hour {expected.isoformat()} (got {ts.isoformat()})"
-                    )
-            timestamps.append(ts)
-            prices.append(price)
+            if len(row) != len(columns):
+                raise ScenarioDataError(f"{path}:{line}: expected {len(columns)} columns, got {len(row)}")
+            yield line, _parse_hour(row[0].strip(), str(path), line), row[1:]
+
+
+def load_price_csv(path: str | Path, multipliers: Multipliers = _MULTIPLIERS) -> PriceSeries:
+    """Load and gap-check an hourly utility price series."""
+    path = Path(path)
+    timestamps: list[datetime] = []
+    prices: list[float] = []
+    for line, ts, (text,) in _csv_rows(path, ("timestamp", "price_usd_per_kwh")):
+        try:
+            price = float(text)
+        except ValueError:
+            raise ScenarioDataError(f"{path}:{line}: bad price {text!r}") from None
+        if not math.isfinite(price) or price <= 0.0:
+            raise ScenarioDataError(f"{path}:{line}: price must be positive and finite, got {price}")
+        if timestamps:
+            expected = timestamps[-1] + timedelta(hours=1)
+            if ts == timestamps[-1]:
+                raise ScenarioDataError(f"{path}:{line}: duplicated hour {ts.isoformat()}")
+            if ts != expected:
+                raise ScenarioDataError(
+                    f"{path}:{line}: missing hour {expected.isoformat()} (got {ts.isoformat()})"
+                )
+        timestamps.append(ts)
+        prices.append(price)
     if not prices:
         raise ScenarioDataError(f"{path}: no data rows")
     return PriceSeries(tuple(timestamps), tuple(prices), multipliers)
@@ -188,36 +193,24 @@ def load_pv_csv(path: str | Path, station_count: int) -> PvSeries:
         raise ScenarioDataError(f"station_count must be >= 1, got {station_count}")
     cells: dict[datetime, dict[int, float]] = {}
     order: list[datetime] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ScenarioDataError(f"{path}: empty file")
-        if [h.strip() for h in header] != ["timestamp", "station_id", "kwh"]:
-            raise ScenarioDataError(f"{path}:1: expected header 'timestamp,station_id,kwh'")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ScenarioDataError(f"{path}:{line}: expected 3 columns, got {len(row)}")
-            ts = _parse_hour(row[0].strip(), str(path), line)
-            try:
-                sid = int(row[1])
-                kwh = float(row[2])
-            except ValueError:
-                raise ScenarioDataError(f"{path}:{line}: bad station_id or kwh") from None
-            if not 0 <= sid < station_count:
-                raise ScenarioDataError(
-                    f"{path}:{line}: station_id {sid} outside [0, {station_count})"
-                )
-            if not math.isfinite(kwh) or kwh < 0.0:
-                raise ScenarioDataError(f"{path}:{line}: kwh must be nonnegative, got {kwh}")
-            per_hour = cells.setdefault(ts, {})
-            if not per_hour:
-                order.append(ts)
-            if sid in per_hour:
-                raise ScenarioDataError(f"{path}:{line}: duplicate ({ts.isoformat()}, station {sid})")
-            per_hour[sid] = kwh
+    for line, ts, (sid_text, kwh_text) in _csv_rows(path, ("timestamp", "station_id", "kwh")):
+        try:
+            sid = int(sid_text)
+            kwh = float(kwh_text)
+        except ValueError:
+            raise ScenarioDataError(f"{path}:{line}: bad station_id or kwh") from None
+        if not 0 <= sid < station_count:
+            raise ScenarioDataError(
+                f"{path}:{line}: station_id {sid} outside [0, {station_count})"
+            )
+        if not math.isfinite(kwh) or kwh < 0.0:
+            raise ScenarioDataError(f"{path}:{line}: kwh must be nonnegative, got {kwh}")
+        per_hour = cells.setdefault(ts, {})
+        if not per_hour:
+            order.append(ts)
+        if sid in per_hour:
+            raise ScenarioDataError(f"{path}:{line}: duplicate ({ts.isoformat()}, station {sid})")
+        per_hour[sid] = kwh
     if not order:
         raise ScenarioDataError(f"{path}: no data rows")
     order.sort()

@@ -302,19 +302,14 @@ def _agent_rows(obs: np.ndarray) -> np.ndarray:
 
 
 def _unroll(agents: DRQNAgent, obs: np.ndarray) -> Tensor:
-    """Q-values of every agent at every slot, taped: (B, T, I, 6) -> (I, B*T, A).
+    """Q-values of every agent at every slot: (B, T, I, 6) -> (I, B*T, A).
 
     The encoder and the Q-head see the whole block at once; only the
-    recurrence steps through the slots.
+    recurrence steps through the slots.  Taped for the eval agents only,
+    whose parameters require a gradient.
     """
     B, T = obs.shape[:2]
     return agents.head(agents.gru.sequence(agents.encoder(Tensor(_agent_rows(obs))), B, T))
-
-
-def _unroll_values(agents: DRQNAgent, obs: np.ndarray) -> np.ndarray:
-    """``_unroll`` on plain arrays, untaped, for the target agents: the same values bit for bit."""
-    B, T = obs.shape[:2]
-    return agents.head.apply(agents.gru.apply(agents.encoder.apply(_agent_rows(obs)), B, T))
 
 
 def _values(q: np.ndarray, batch: int, steps: int) -> np.ndarray:
@@ -342,15 +337,15 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     """Line-by-line bootstrap: next actions, target values, reward plus discounted tail.
 
     Takes the stacked batch arrays and the eval agents' (B, T, I, A) Q-values,
-    which pick double_qmix's next-slot actions.  The target nets hold
-    constants, so everything here runs on plain arrays: one untaped unroll of
-    the target agent bank and one ``apply`` of the target mixer bank, whose
-    minimum over mixers A and B is double_qmix's bootstrap.
+    which pick double_qmix's next-slot actions.  The target nets run the eval
+    nets' own forward, ``_unroll`` and the mixer bank's ``forward``; no target
+    parameter requires a gradient, so neither is taped.  The minimum over
+    target mixers A and B is double_qmix's bootstrap.
     """
     B, T, n, _ = obs.shape
     gamma = learner.config.gamma
 
-    q_target = _values(_unroll_values(learner.agents_target, obs), B, T)
+    q_target = _values(_unroll(learner.agents_target, obs).data, B, T)
 
     if learner.algorithm == "independent_dqn":
         y = np.repeat(rewards[:, :, None], n, axis=2)
@@ -368,9 +363,9 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     k = len(_mixer_names(learner.algorithm))
     mixes = np.full((k, B, T), np.nan)  # mixer A's values, then mixer B's
     if T > 1:
-        mixes[:, :, :-1] = learner.mixers_target.apply(
+        mixes[:, :, :-1] = learner.mixers_target.forward(
             states[:, 1:, :].reshape(B * (T - 1), -1),
-            chosen[:, 1:, :].reshape(B * (T - 1), n)).reshape(k, B, T - 1)
+            Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))).data.reshape(k, B, T - 1)
         y[:, :-1] += gamma * mixes[:, :, :-1].min(axis=0)
     return Targets(y=y, mix_a=mixes[0], mix_b=mixes[1] if k == 2 else None)
 

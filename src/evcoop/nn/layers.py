@@ -6,10 +6,10 @@ leading axis, and the bank maps ``(n, rows, features)`` as the n layers map
 their slices.  Parameters are plain tape tensors; each container exposes
 ``parameters()`` as a flat ``name -> Tensor`` dict so optimizers and
 checkpoints can treat every architecture uniformly.  A GRU unroll and a
-mixer forward each record one tape node with a hand-written backward.
-``Dense.apply``, ``GRUCell.step``, ``GRUCell.apply`` and
-``MonotonicMixer.apply`` compute the same values on plain arrays, recording
-nothing, for acting and for the target nets.
+mixer forward each record one tape node with a hand-written backward, and
+record nothing when no parameter or input requires a gradient, as for the
+target nets.  ``Dense.apply`` and ``GRUCell.step`` compute one slot's values
+on plain arrays for acting.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class GRUCell:
     ``gate_columns`` names each gate's block.
 
     ``sequence`` records one tape node with a hand-written backward through
-    time; ``apply`` computes it and ``step`` one slot of it on plain arrays,
-    untaped.
+    time, or none when nothing it reads requires a gradient; ``step`` computes
+    one slot of it on plain arrays.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
@@ -152,16 +152,27 @@ class GRUCell:
         holding episode b at slot t; the result holds the hidden state after
         each slot in the same row order, (..., batch * steps, hidden_dim).
         Leading axes are a stack's: slice i runs on the i-th cell's weights.
+        Each slot's gates are kept for the backward only when the result is taped.
         """
         B, T, H = batch, steps, self.hidden_dim
         lead = self.W.shape[:-2]
         if x.shape != (*lead, B * T, self.in_dim) or h0 is not None and h0.shape != (*lead, B, H):
             raise ValueError(f"expected x {(*lead, B * T, self.in_dim)} and h0 {(*lead, B, H)}, "
                              f"got {x.shape} and {None if h0 is None else h0.shape}")
+        parents = tuple(p for p in (x, h0, *self.parameters().values()) if p is not None)
+        taped = any(p.requires_grad for p in parents)
         # Read on every call: optimizers reassign .data.
-        W, U_zr, U_n = self.W.data, self.U_zr.data, self.U_n.data
-        hs, zr, n, rh = self._through_time(x.data, B, T, None if h0 is None else h0.data,
-                                           keep_gates=True)
+        W, U_zr, U_n, b = self.W.data, self.U_zr.data, self.U_n.data, self.b.data
+        xw = (x.data @ W).reshape(*lead, B, T, 3 * H)
+        hs = np.zeros((*lead, B, T + 1, H))  # hs[..., t, :] enters slot t
+        if h0 is not None:
+            hs[..., 0, :] = h0.data
+        if taped:
+            zr, n, rh = (np.empty((*lead, B, T, width)) for width in (2 * H, H, H))
+        for t in range(T):
+            zr_t, n_t, rh_t, hs[..., t + 1, :] = _gru_gates(xw[..., t, :], hs[..., t, :], U_zr, U_n, b)
+            if taped:
+                zr[..., t, :], n[..., t, :], rh[..., t, :] = zr_t, n_t, rh_t
 
         def backward(g):
             g = g.reshape(*lead, B, T, H)
@@ -175,41 +186,7 @@ class GRUCell:
             self._accum_grads(x, W, hs[..., :T, :].reshape(*lead, B * T, H),
                               rh.reshape(*lead, B * T, H), da.reshape(*lead, B * T, 3 * H))
 
-        parents = tuple(p for p in (x, h0, *self.parameters().values()) if p is not None)
         return Tensor._result(hs[..., 1:, :].reshape(*lead, B * T, H), parents, backward)
-
-    def apply(self, x: np.ndarray, batch: int, steps: int) -> np.ndarray:
-        """``sequence`` from a zero state on a plain array, untaped: the same values bit for bit."""
-        hs = self._through_time(x, batch, steps, None, keep_gates=False)[0]
-        return hs[..., 1:, :].reshape(*hs.shape[:-3], batch * steps, self.hidden_dim)
-
-    def _through_time(self, x: np.ndarray, B: int, T: int, h0: np.ndarray | None,
-                      keep_gates: bool):
-        """The forward loop over ``T`` slots of batch-major rows ``x`` (..., B*T, in_dim).
-
-        Returns ``(hs, zr, n, rh)``: the hidden state entering each slot and
-        leaving the last, (..., B, T+1, H), then each slot's gates as
-        ``_gru_gates`` gives them, (..., B, T, ·), which only a backward
-        reads: None unless ``keep_gates``.
-        """
-        H = self.hidden_dim
-        xw = x @ self.W.data
-        lead = xw.shape[:-2]
-        xw = xw.reshape(*lead, B, T, 3 * H)
-        hs = np.zeros((*lead, B, T + 1, H))  # hs[..., t, :] enters slot t
-        if h0 is not None:
-            hs[..., 0, :] = h0
-        zr = n = rh = None
-        if keep_gates:
-            zr = np.empty((*lead, B, T, 2 * H))
-            n = np.empty((*lead, B, T, H))
-            rh = np.empty((*lead, B, T, H))
-        U_zr, U_n, b = self.U_zr.data, self.U_n.data, self.b.data
-        for t in range(T):
-            zr_t, n_t, rh_t, hs[..., t + 1, :] = _gru_gates(xw[..., t, :], hs[..., t, :], U_zr, U_n, b)
-            if keep_gates:
-                zr[..., t, :], n[..., t, :], rh[..., t, :] = zr_t, n_t, rh_t
-        return hs, zr, n, rh
 
     def _accum_grads(self, x: Tensor, W: np.ndarray, h_prev: np.ndarray, rh: np.ndarray,
                      da: np.ndarray) -> None:
@@ -258,8 +235,7 @@ class MonotonicMixer:
     ``stack_layers`` banks k mixers on a leading axis, as it banks the agents:
     the bank mixes the same rows k times, row j of its (k, R) result under
     mixer j.  ``forward`` records one tape node with a hand-written backward
-    through the hypernetworks, the absolute values and the elu; ``apply``
-    computes the same values on plain arrays, untaped, for the target nets.
+    through the hypernetworks, the absolute values and the elu.
     """
 
     def __init__(self, state_dim: int, n_agents: int, embed_dim: int = 32,
@@ -280,8 +256,12 @@ class MonotonicMixer:
             "hyper_b2.l1": Dense(hyper_hidden, 1, "none", rng),
         }
 
-    def _mix(self, state: np.ndarray, qs: np.ndarray):
-        """The forward on plain arrays: the (..., R) mix and the intermediates the backward reads."""
+    def forward(self, state: np.ndarray, agent_qs: Tensor) -> Tensor:
+        """Mix ``agent_qs`` (R, n_agents) under ``state`` (R, state_dim) into (..., R) as one tape node.
+
+        Nothing is taped unless ``agent_qs`` or a parameter requires a gradient.
+        """
+        qs = agent_qs.data
         if qs.shape[-1] != self.n_agents:
             raise ValueError(f"expected {self.n_agents} agent Q-values, got {qs.shape}")
         if state.shape[-1] != self.state_dim:
@@ -301,16 +281,6 @@ class MonotonicMixer:
         w2 = np.abs(a_w2)
         out = (hidden * w2).sum(axis=-1)
         out += b2_1.apply(h_b2)[..., 0]
-        return out, (h_w1, h_w2, h_b2, a_w1, w1, pos, hidden, a_w2, w2)
-
-    def apply(self, state: np.ndarray, agent_qs: np.ndarray) -> np.ndarray:
-        """Mix ``agent_qs`` (R, n_agents) under ``state`` (R, state_dim) into (..., R), untaped."""
-        return self._mix(state, agent_qs)[0]
-
-    def forward(self, state: np.ndarray, agent_qs: Tensor) -> Tensor:
-        """``apply`` as one tape node; ``agent_qs`` gets a gradient only if it requires one."""
-        qs = agent_qs.data
-        out, (h_w1, h_w2, h_b2, a_w1, w1, pos, hidden, a_w2, w2) = self._mix(state, qs)
         params = self.parameters()
         # Read now: optimizers reassign .data.
         W = [layer.W.data for layer in self.layers.values()]

@@ -123,8 +123,8 @@ def test_mixer_monotonicity_probes():
         bumped = qs.copy()
         bumped[0, agent] += delta
         # mixers A and B, one row each
-        lo = learner.mixers_eval.apply(state, qs)[:, 0]
-        hi = learner.mixers_eval.apply(state, bumped)[:, 0]
+        lo = learner.mixers_eval.forward(state, Tensor(qs)).data[:, 0]
+        hi = learner.mixers_eval.forward(state, Tensor(bumped)).data[:, 0]
         assert np.all(hi >= lo - 1e-9), f"monotonicity broken: {hi} < {lo}"
         checked += len(lo)
     elapsed = time.perf_counter() - t0

@@ -96,6 +96,32 @@ def test_evaluate_writes_replayable_trace(trained, tmp_path):
     assert err <= 1e-9
 
 
+def test_evaluate_exits_two_when_its_trace_does_not_replay(trained, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr("evcoop.cli.replay_trace", lambda rows, params, multipliers: 1e-6)
+    ck = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
+    assert main(["evaluate", "--checkpoint", str(ck), "--out", str(tmp_path)]) == 2
+    assert "profit error of 1.000e-06" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("algorithm,seed,episode,total_profit\n", id="header-only"),
+    pytest.param("algorithm,seed,episode,total_profit\nqmix,0,1,lots\n", id="non-numeric"),
+    pytest.param("seed,episode,total_profit\n0,1,2.5\n", id="no-algorithm-column"),
+    pytest.param("algorithm,seed,episode,total_profit\nqmix,0\n", id="short-row"),
+    pytest.param("algorithm,seed,episode\nqmix,0,1\n", id="no-total_profit-column"),
+    pytest.param("algorithm,seed,episode,total_profit\nqmix,0,1,\n", id="blank-total_profit"),
+])
+def test_compare_rejects_malformed_metrics(tmp_path, capsys, text):
+    bad = tmp_path / "metrics.csv"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["compare", "--runs", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not (out / "summary.csv").exists()
+
+
 def test_compare_aggregates_runs(trained, tmp_path):
     code = main(["compare", "--runs", str(trained / "out"), "--window", "4",
                  "--out", str(tmp_path)])

@@ -691,8 +691,7 @@ def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     learner = _learner("double_qmix")
     batch = _batch(learner, n=2)
     calls = {}
-    for cls, name in ((GRUCell, "sequence"), (GRUCell, "apply"), (GRUCell, "step"),
-                      (MonotonicMixer, "forward"), (MonotonicMixer, "apply")):
+    for cls, name in ((GRUCell, "sequence"), (GRUCell, "step"), (MonotonicMixer, "forward")):
         def counted(*args, _method=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
             calls[_key] += 1
             return _method(*args)
@@ -703,8 +702,7 @@ def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     # one taped eval unroll and one untaped target unroll, each one fused
     # sequence for the whole agent bank; one untaped target mixer bank for
     # the bootstrap and one taped eval mixer bank for the loss
-    assert calls == {"GRUCell.sequence": 1, "GRUCell.apply": 1, "GRUCell.step": 0,
-                     "MonotonicMixer.forward": 1, "MonotonicMixer.apply": 1}
+    assert calls == {"GRUCell.sequence": 2, "GRUCell.step": 0, "MonotonicMixer.forward": 2}
 
 
 def test_train_step_tape_stays_small(monkeypatch):

@@ -337,11 +337,11 @@ def test_mixer_monotone_in_agent_values():
     for _ in range(200):
         state = rng.standard_normal((1, 6))
         qs = rng.standard_normal((1, 3))
-        base = mixer.apply(state, qs)[0]
+        base = mixer.forward(state, Tensor(qs)).data[0]
         for i in range(3):
             bumped = qs.copy()
             bumped[0, i] += 0.5
-            up = mixer.apply(state, bumped)[0]
+            up = mixer.forward(state, Tensor(bumped)).data[0]
             assert up >= base - 1e-9
 
 
@@ -370,7 +370,7 @@ def test_mixer_bank_matches_composite(k, qs_grad):
     out = bank.forward(state, qs)
     want = np.stack([m.data for m in ref])
     assert np.array_equal(_bits(out.data), _bits(want))
-    assert np.array_equal(_bits(bank.apply(state, qs.data)), _bits(want))
+    assert np.array_equal(_bits(bank.forward(state, Tensor(qs.data)).data), _bits(want))
     (out * Tensor(weights)).sum().backward()
     ref_grads = slice_grads(mixers)
     for name, p in bank.parameters().items():
