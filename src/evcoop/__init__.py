@@ -22,8 +22,7 @@ from .core import (  # noqa: E402
     StepOutcome,
     TradeOutcome,
     clear_trades,
-    curtail_renewable,
-    ess_bounds,
+    control_intervals,
     profit,
     soc,
     step,
@@ -35,6 +34,6 @@ __all__ = [
     "ConstraintViolation", "EssParams", "InfeasibleIntervalError", "Multipliers",
     "PriceOrderingError", "PriceQuote", "ProfitBreakdown", "StationAction",
     "StationState", "StepOutcome", "TradeOutcome", "clear_trades",
-    "curtail_renewable", "ess_bounds", "profit", "soc", "step",
+    "control_intervals", "profit", "soc", "step",
     "__version__",
 ]

@@ -21,8 +21,6 @@ from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-import jsonschema
-
 from .core import EssParams, Multipliers
 from .data import (
     DemandModel,
@@ -154,6 +152,8 @@ def load_config_dict(document: dict) -> RunConfig:
     """Validate a parsed JSON document and resolve every default."""
     if not isinstance(document, dict):
         raise ConfigError(f"configuration must be a JSON object, got {type(document).__name__}")
+    import jsonschema  # here, not at the top: only validation needs it, and it is slow to import
+
     validator = jsonschema.Draft7Validator(_schema())
     errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
     if errors:

@@ -16,6 +16,7 @@ implicitly and is not traded.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ class ConstraintViolation(ValueError):
 
 
 class InfeasibleIntervalError(ConstraintViolation):
-    """Charge/discharge interval is empty; caller skipped renewable curtailment."""
+    """Charge/discharge interval is empty: the caps are too tight for curtailment to help."""
 
 
 class PriceOrderingError(ValueError):
@@ -194,47 +195,42 @@ def soc(state: StationState, params: EssParams) -> float:
     return state.battery_kwh / params.capacity_max
 
 
-def ess_bounds(prev_battery: float, internal_flow: float, params: EssParams) -> tuple[float, float]:
-    """Feasible closed interval for the charge/discharge control.
+def control_intervals(battery: float, renewable: float, supplies: Sequence[float],
+                      params: EssParams) -> list[tuple[float, float, float, float]]:
+    """``(internal_flow, curtailed, lower, upper)`` of one station for each EV supply.
 
-    The battery after the slot is ``beta * prev + control + internal_flow``
-    and must land in ``[capacity_min, usable_max]``; on top of that the
-    per-slot export/import caps clamp the interval.  With curtailment
-    applied first the interval is never empty (see ``curtail_renewable``).
+    The raw internal flow ``renewable - supply`` is capped at the battery
+    headroom plus the export cap, so the control interval stays nonempty; a
+    deficit (negative raw flow) is never curtailed.  The battery after the
+    slot is ``beta * battery + control + internal_flow`` and must land in
+    ``[capacity_min, usable_max]``, and the per-slot export/import caps
+    clamp the interval.  A float-thin inversion collapses onto ``lower``;
+    an empty interval, possible only under caps too tight for curtailment
+    to help, comes back with ``lower > upper``.  The battery terms are
+    computed once for all supplies.
     """
-    carried = params.leakage_beta * prev_battery
-    lower = (params.capacity_min - carried) - internal_flow
-    upper = (params.usable_max - carried) - internal_flow
-    if lower < -params.export_cap:
-        lower = -params.export_cap
-    if upper > params.import_cap:
-        upper = params.import_cap
-    if lower > upper:
-        if lower > upper + _TOL:
-            raise InfeasibleIntervalError(
-                f"empty control interval [{lower}, {upper}]: curtailment skipped or caps too tight"
-            )
-        upper = lower  # collapse float-thin inversions onto a point
-    return lower, upper
-
-
-def curtail_renewable(
-    renewable: float, ev_supply: float, prev_battery: float, params: EssParams
-) -> tuple[float, float]:
-    """Discard renewable surplus that neither the battery nor the market can absorb.
-
-    Returns ``(internal_flow, curtailed)``.  The raw internal flow is
-    ``renewable - ev_supply``; it is capped at the battery headroom plus the
-    export cap so that the control interval stays nonempty.  A deficit
-    (negative raw flow) is never curtailed.
-    """
-    if renewable < 0.0 or ev_supply < 0.0:
-        raise ValueError(f"renewable and ev_supply must be nonnegative, got {renewable}, {ev_supply}")
-    raw = renewable - ev_supply
-    headroom = (params.usable_max - params.leakage_beta * prev_battery) + params.export_cap
-    if raw <= headroom:
-        return raw, 0.0
-    return headroom, raw - headroom
+    carried = params.leakage_beta * battery
+    base_lower = params.capacity_min - carried
+    base_upper = params.usable_max - carried
+    headroom = base_upper + params.export_cap
+    floor, ceiling = -params.export_cap, params.import_cap
+    out = []
+    for supply in supplies:
+        if renewable < 0.0 or supply < 0.0:
+            raise ValueError(
+                f"renewable and ev_supply must be nonnegative, got {renewable}, {supply}")
+        raw = renewable - supply
+        flow, cut = (raw, 0.0) if raw <= headroom else (headroom, raw - headroom)
+        lower = base_lower - flow
+        upper = base_upper - flow
+        if lower < floor:
+            lower = floor
+        if upper > ceiling:
+            upper = ceiling
+        if upper < lower <= upper + _TOL:
+            upper = lower
+        out.append((flow, cut, lower, upper))
+    return out
 
 
 def clear_trades(ess_controls: list[float]) -> TradeOutcome:
@@ -310,25 +306,26 @@ _STATION_FIELDS = ("battery_kwh", "urgent_demand", "regular_demand", "renewable"
                    "ev_supply", "ess_control", "arrival_urgent", "arrival_regular")
 
 
-def _check_finite_station(i: int, state: StationState, action: StationAction,
-                          renewable: float, arrival: tuple[float, float]) -> None:
-    """Raise ConstraintViolation naming the first non-finite input of station ``i``."""
-    values = (state.battery_kwh, state.urgent_demand, state.regular_demand, renewable,
-              action.ev_supply, action.ess_control, arrival[0], arrival[1])
+def check_finite_station(values: tuple[float, ...], station: int | None = None) -> None:
+    """Raise ConstraintViolation naming the first non-finite value of a station.
+
+    ``values`` are the leading fields of ``_STATION_FIELDS``, in that order.
+    """
     # One test on the sum covers the common case; NaN and inf both survive it.
     if math.isfinite(sum(values)):
         return
+    where = "" if station is None else f"station {station}: "
     for name, value in zip(_STATION_FIELDS, values):
         if not math.isfinite(value):
-            raise ConstraintViolation(f"station {i}: {name} {value} is not finite")
+            raise ConstraintViolation(f"{where}{name} {value} is not finite")
 
 
 def step(
-    states: list[StationState],
-    actions: list[StationAction],
-    renewables: list[float],
+    states: Sequence[StationState],
+    actions: Sequence[StationAction],
+    renewables: Sequence[float],
     quote: PriceQuote,
-    next_arrivals: list[tuple[float, float]],
+    next_arrivals: Sequence[tuple[float, float]],
     params: EssParams,
 ) -> StepOutcome:
     """Advance all stations one slot.
@@ -345,40 +342,46 @@ def step(
     internal_flows = [0.0] * n
     curtailed = [0.0] * n
     for i in range(n):
-        st, act = states[i], actions[i]
-        _check_finite_station(i, st, act, renewables[i], next_arrivals[i])
+        st, act, renewable, arrival = states[i], actions[i], renewables[i], next_arrivals[i]
+        supply, control = act.ev_supply, act.ess_control
+        check_finite_station((st.battery_kwh, st.urgent_demand, st.regular_demand, renewable,
+                              supply, control, arrival[0], arrival[1]), i)
         lo_supply = st.urgent_demand
         hi_supply = st.total_demand
-        if act.ev_supply < lo_supply - _TOL or act.ev_supply > hi_supply + _TOL:
+        if supply < lo_supply - _TOL or supply > hi_supply + _TOL:
             raise ConstraintViolation(
-                f"station {i}: ev_supply {act.ev_supply} outside [{lo_supply}, {hi_supply}]"
+                f"station {i}: ev_supply {supply} outside [{lo_supply}, {hi_supply}]"
             )
-        flow, cut = curtail_renewable(renewables[i], act.ev_supply, st.battery_kwh, params)
-        try:
-            lower, upper = ess_bounds(st.battery_kwh, flow, params)
-        except InfeasibleIntervalError as exc:
-            raise InfeasibleIntervalError(f"station {i}: {exc}") from None
-        if act.ess_control < lower - _TOL or act.ess_control > upper + _TOL:
+        [(flow, cut, lower, upper)] = control_intervals(st.battery_kwh, renewable, (supply,),
+                                                        params)
+        if lower > upper:
+            raise InfeasibleIntervalError(
+                f"station {i}: empty control interval [{lower}, {upper}]: "
+                f"curtailment skipped or caps too tight")
+        if control < lower - _TOL or control > upper + _TOL:
             raise ConstraintViolation(
-                f"station {i}: ess_control {act.ess_control} outside [{lower}, {upper}]"
+                f"station {i}: ess_control {control} outside [{lower}, {upper}]"
             )
         internal_flows[i] = flow
         curtailed[i] = cut
 
-    trade = clear_trades([a.ess_control for a in actions])
-    breakdown = profit([a.ev_supply for a in actions], trade, quote)
+    controls = [a.ess_control for a in actions]
+    supplies = [a.ev_supply for a in actions]
+    trade = clear_trades(controls)
+    breakdown = profit(supplies, trade, quote)
 
+    beta, floor, ceiling = params.leakage_beta, params.capacity_min, params.usable_max
     next_states = []
     for i in range(n):
-        st, act = states[i], actions[i]
-        battery = params.leakage_beta * st.battery_kwh + act.ess_control + internal_flows[i]
+        st = states[i]
+        battery = beta * st.battery_kwh + controls[i] + internal_flows[i]
         # Clamp float rounding back onto the physical band; validation above
         # guarantees any excursion is within _TOL of a bound.
-        battery = min(max(battery, params.capacity_min), params.usable_max)
+        battery = min(max(battery, floor), ceiling)
         arr_urgent, arr_regular = next_arrivals[i]
         if arr_urgent < 0.0 or arr_regular < 0.0:
             raise ConstraintViolation(f"station {i}: negative arrivals ({arr_urgent}, {arr_regular})")
-        carryover = max(st.total_demand - act.ev_supply, 0.0)
+        carryover = max(st.total_demand - supplies[i], 0.0)
         next_states.append(
             StationState(
                 battery_kwh=battery,
@@ -434,10 +437,11 @@ def check_finite_batch(where: np.ndarray | None = None, **fields: np.ndarray) ->
 def control_bounds_batch(battery: np.ndarray, renewable: np.ndarray, supply: np.ndarray,
                          params: EssParams
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``curtail_renewable`` then ``ess_bounds`` over arrays, without raising.
+    """``control_intervals`` over arrays, one supply per entry, without raising.
 
     Returns ``(internal_flow, lower, upper, feasible)``; where ``feasible``
-    is false ``ess_bounds`` would raise InfeasibleIntervalError.
+    is false ``control_intervals`` returns ``lower > upper``, and here
+    ``upper`` is set to ``lower``.
     """
     raw = renewable - supply
     headroom = (params.usable_max - params.leakage_beta * battery) + params.export_cap

@@ -18,13 +18,12 @@ import numpy as np
 
 from ..core import (
     EssParams,
-    InfeasibleIntervalError,
     StationAction,
     StationState,
     check_finite_batch,
+    check_finite_station,
     control_bounds_batch,
-    curtail_renewable,
-    ess_bounds,
+    control_intervals,
     soc,
 )
 
@@ -50,10 +49,15 @@ class ObsScales:
         for name in ("demand_all", "soc", "urgent", "regular", "renewable", "price"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"scale {name} must be positive")
+        # Built once: encode_observation divides by it every slot.
+        divisors = np.array([self.demand_all, self.soc, self.urgent,
+                             self.regular, self.renewable, self.price])
+        divisors.flags.writeable = False
+        object.__setattr__(self, "_divisors", divisors)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.demand_all, self.soc, self.urgent,
-                         self.regular, self.renewable, self.price])
+        """The six scales in feature order, read-only."""
+        return self._divisors
 
 
 def encode_observation(states: Sequence[StationState], renewables: Sequence[float],
@@ -131,18 +135,19 @@ class ActionGrid:
 
         A supply fraction whose battery interval is empty (possible under
         tight export/import caps) has its block masked out; at least one
-        block must survive.
+        block must survive.  A non-finite input raises ConstraintViolation
+        naming its field.
         """
+        battery, urgent, regular = state.battery_kwh, state.urgent_demand, state.regular_demand
+        check_finite_station((battery, urgent, regular, renewable))
         m = self.cs_levels
         supplies: list[float] = []
         controls: list[float] = []
         mask: list[bool] = []
-        for frac in self.ev_fractions:
-            supply = state.urgent_demand + frac * state.regular_demand
-            flow, _ = curtail_renewable(renewable, supply, state.battery_kwh, params)
-            try:
-                lo, hi = ess_bounds(state.battery_kwh, flow, params)
-            except InfeasibleIntervalError:
+        fraction_supplies = [urgent + frac * regular for frac in self.ev_fractions]
+        intervals = control_intervals(battery, renewable, fraction_supplies, params)
+        for supply, (_, _, lo, hi) in zip(fraction_supplies, intervals):
+            if lo > hi:
                 supplies += [0.0] * m
                 controls += [0.0] * m
                 mask += [False] * m

@@ -269,12 +269,12 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
         tables = [grid.decode_table(states[i], renew[i], params) for i in range(n)]
         mask_log[t] = [mask for _, _, mask in tables]
         q, hidden = learner.agents_eval.step(obs_block[:, None, :], hidden)
-        action_log[t] = act_epsilon_greedy(q[:, 0], epsilon, mask_log[t], rng)
+        chosen = act_epsilon_greedy(q[:, 0], epsilon, mask_log[t], rng)
+        action_log[t] = chosen
         actions = [StationAction(ev_supply=supplies.item(idx), ess_control=controls.item(idx))
-                   for (supplies, controls, _), idx in zip(tables, action_log[t])]
+                   for (supplies, controls, _), idx in zip(tables, chosen.tolist())]
 
-        outcome = env_step(list(states), actions, list(renew), quote,
-                           list(episode.arrivals[t]), params)
+        outcome = env_step(states, actions, renew, quote, episode.arrivals[t], params)
         total_log[t] = outcome.profit.total_profit
         station_log[t] = outcome.profit.station_profit
         reward_log[t] = outcome.profit.total_profit * learner.config.reward_scale

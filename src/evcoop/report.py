@@ -86,22 +86,28 @@ TRACE_HEADER = ["slot", "station", "xi_u", "renewable", "urgent", "regular",
 
 
 def write_trace_csv(path: str | Path, trace: list[SlotLog], params: EssParams) -> None:
-    """Per-slot, per-station environment log; start-of-slot state columns."""
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for t, log in enumerate(trace):
-            outcome, trade = log.outcome, log.outcome.trade
-            for i, state in enumerate(log.states):
-                action = log.actions[i]
-                w.writerow([t, i, *map(repr, map(float, (
-                    log.quote.utility, log.renewables[i],
-                    state.urgent_demand, state.regular_demand,
-                    action.ev_supply, action.ess_control,
-                    trade.matched_buy[i], trade.matched_sell[i],
-                    trade.utility_buy[i], trade.utility_sell[i],
-                    state.battery_kwh, state.battery_kwh / params.capacity_max,
-                    outcome.profit.station_profit[i], outcome.curtailed_kwh[i])))])
+    """Per-slot, per-station environment log; start-of-slot state columns.
+
+    The file is built as one string and written at once, with the bytes
+    ``csv.writer`` would write: no cell (an int or a float's ``repr``) needs
+    quoting, and every row ends in ``\r\n``.
+    """
+    lines = [",".join(TRACE_HEADER)]
+    capacity = params.capacity_max
+    for t, log in enumerate(trace):
+        trade, outcome = log.outcome.trade, log.outcome
+        slot = f"{t},"
+        price = f",{float(log.quote.utility)!r},"
+        for i, (state, action) in enumerate(zip(log.states, log.actions, strict=True)):
+            lines.append(slot + str(i) + price + ",".join(map(repr, map(float, (
+                log.renewables[i], state.urgent_demand, state.regular_demand,
+                action.ev_supply, action.ess_control,
+                trade.matched_buy[i], trade.matched_sell[i],
+                trade.utility_buy[i], trade.utility_sell[i],
+                state.battery_kwh, state.battery_kwh / capacity,
+                outcome.profit.station_profit[i], outcome.curtailed_kwh[i])))))
+    lines.append("")
+    Path(path).write_bytes("\r\n".join(lines).encode())
 
 
 def read_trace_csv(path: str | Path) -> list[dict]:

@@ -1,12 +1,18 @@
 """Configuration loading: schema, defaults, merging, scenario building."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from importlib import resources
+from pathlib import Path
 from typing import get_type_hints
 
 import jsonschema
 import pytest
+
+import evcoop
 
 from evcoop.config import (
     DEFAULTS,
@@ -136,3 +142,18 @@ def test_build_scenario_synthetic_mode():
     price2, pv2, _, _ = build_scenario(cfg)
     assert price.utility == price2.utility
     assert pv.generation == pv2.generation
+
+
+def test_only_validation_imports_jsonschema():
+    # In a fresh interpreter: this session has imported jsonschema already.
+    src = str(Path(evcoop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, evcoop.cli, evcoop.fuzz, evcoop.oracle\n"
+            "print('jsonschema' in sys.modules)\n"
+            "evcoop.config.load_config_dict({})\n"
+            "print('jsonschema' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -16,8 +16,7 @@ from evcoop.core import (
     StationAction,
     StationState,
     clear_trades,
-    curtail_renewable,
-    ess_bounds,
+    control_intervals,
     profit,
     soc,
     step,
@@ -90,49 +89,53 @@ def test_ess_params_derived_bounds():
 
 
 def test_ess_bounds_algebra():
+    # Supplies 0 and 50 against no renewable: internal flows 0 and -50.
     p = EssParams()
-    lo, hi = ess_bounds(100.0, 0.0, p)
-    assert lo == pytest.approx(10.0 - 99.0)
-    assert hi == pytest.approx(190.0 - 99.0)
-    lo, hi = ess_bounds(100.0, -50.0, p)
-    assert lo == pytest.approx(-39.0)
-    assert hi == pytest.approx(141.0)
+    (flow0, _, lo0, hi0), (flow1, _, lo1, hi1) = control_intervals(100.0, 0.0, [0.0, 50.0], p)
+    assert flow0 == 0.0 and flow1 == -50.0
+    assert lo0 == pytest.approx(10.0 - 99.0)
+    assert hi0 == pytest.approx(190.0 - 99.0)
+    assert lo1 == pytest.approx(-39.0)
+    assert hi1 == pytest.approx(141.0)
 
 
 def test_ess_bounds_caps_clamp():
     p = EssParams(capacity_max=100.0, export_cap=5.0, import_cap=5.0)
-    lo, hi = ess_bounds(50.0, 0.0, p)
+    [(_, _, lo, hi)] = control_intervals(50.0, 0.0, [0.0], p)
     assert lo == pytest.approx(-5.0)
     assert hi == pytest.approx(5.0)
 
 
 def test_ess_bounds_empty_interval_raises():
     # Huge deficit flow with a tiny import cap: even max import cannot keep
-    # the battery above its floor.
+    # the battery above its floor.  The interval comes back inverted, and
+    # step raises.
     p = EssParams(capacity_max=100.0, import_cap=5.0)
-    with pytest.raises(InfeasibleIntervalError):
-        ess_bounds(5.0, -500.0, p)
+    [(_, _, lo, hi)] = control_intervals(5.0, 0.0, [500.0], p)
+    assert lo > hi
+    with pytest.raises(InfeasibleIntervalError, match="station 0: empty control interval"):
+        step([StationState(5.0, 500.0, 0.0)], [StationAction(500.0, 5.0)], [0.0], QUOTE,
+             [(0.0, 0.0)], p)
 
 
 def test_curtailment_caps_surplus():
     p = EssParams(capacity_max=100.0, soc_min=0.05, soc_max=0.95,
                   leakage_beta=1.0, export_cap=5.0)
-    flow, cut = curtail_renewable(20.0, 0.0, 95.0, p)
+    [(flow, cut, lo, hi)] = control_intervals(95.0, 20.0, [0.0], p)
     assert flow == pytest.approx(5.0)
     assert cut == pytest.approx(15.0)
     # After curtailment the control interval is a single point: sell 5.
-    lo, hi = ess_bounds(95.0, flow, p)
     assert lo == pytest.approx(-5.0)
     assert hi == pytest.approx(-5.0)
 
 
 def test_curtailment_never_cuts_deficit():
     p = EssParams()
-    flow, cut = curtail_renewable(1.0, 50.0, 100.0, p)
+    [(flow, cut, _, _)] = control_intervals(100.0, 1.0, [50.0], p)
     assert flow == pytest.approx(-49.0)
     assert cut == 0.0
     with pytest.raises(ValueError):
-        curtail_renewable(-1.0, 0.0, 100.0, p)
+        control_intervals(100.0, -1.0, [0.0], p)
 
 
 def test_soc_ratio():
@@ -257,8 +260,7 @@ def test_step_keeps_battery_in_band(battery, renewable, demand, u):
     p = EssParams()
     state = StationState(battery, 0.3 * demand, 0.7 * demand)
     supply = state.urgent_demand
-    flow, _ = curtail_renewable(renewable, supply, battery, p)
-    lo, hi = ess_bounds(battery, flow, p)
+    [(_, _, lo, hi)] = control_intervals(battery, renewable, [supply], p)
     control = lo + u * (hi - lo)
     out = step([state], [StationAction(supply, control)], [renewable], QUOTE, [(0.0, 0.0)], p)
     nxt = out.next_states[0].battery_kwh

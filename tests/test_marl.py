@@ -1,7 +1,9 @@
 """Learning engine: encoding, action grid, replay, targets, training loop."""
 
 import csv
+import math
 import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcoop.config import build_scenario, load_config_dict
-from evcoop.core import EssParams, StationState, soc
+from evcoop.core import (
+    ConstraintViolation,
+    EssParams,
+    ProfitBreakdown,
+    StationAction,
+    StationState,
+    StepOutcome,
+    TradeOutcome,
+    soc,
+)
 from evcoop.data import DemandModel, build_episode, synth_demand, synth_price_series, synth_pv_series
 from evcoop.marl import (
     ALGORITHMS,
@@ -20,6 +31,7 @@ from evcoop.marl import (
     OBS_DIM,
     ObsScales,
     ReplayBuffer,
+    SlotLog,
     TrainConfig,
     act_epsilon_greedy,
     build_learner,
@@ -35,7 +47,7 @@ from evcoop.marl import (
     train_step,
 )
 from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor
-from evcoop.report import TRACE_HEADER, write_trace_csv
+from evcoop.report import TRACE_HEADER, read_trace_csv, write_trace_csv
 from mixer_reference import composite_mix, slice_grads, slice_mixers
 
 PARAMS = EssParams()
@@ -87,6 +99,24 @@ def test_action_grid_blocks_infeasible_fraction():
     state = StationState(10.0, 1000.0, 0.0)
     with pytest.raises(InfeasibleActionError):
         ActionGrid().decode_table(state, 0.0, tight)
+
+
+# A demand of -inf is not here: StationState rejects negative demand.
+@pytest.mark.parametrize("field, bad", [
+    (field, bad) for field in ("battery_kwh", "urgent_demand", "regular_demand", "renewable")
+    for bad in (math.nan, math.inf, -math.inf) if not (field.endswith("_demand") and bad < 0)])
+def test_decode_table_rejects_non_finite_input_as_decode_batch_does(field, bad):
+    values = {"battery_kwh": 100.0, "urgent_demand": 1.0, "regular_demand": 2.0, field: bad}
+    renewable = values.pop("renewable", 3.0)
+    state = StationState(**values)
+    with pytest.raises(ConstraintViolation, match=f"^{field} {bad} is not finite$"):
+        GRID.decode_table(state, renewable, PARAMS)
+    with pytest.raises(ConstraintViolation, match=f"^{field} {bad} is not finite$"):
+        GRID.decode(0, state, renewable, PARAMS)
+    rows = [np.array([[v]]) for v in (state.battery_kwh, state.urgent_demand,
+                                       state.regular_demand)]
+    with pytest.raises(ConstraintViolation, match=f"^station 0: {field} {bad} is not finite"):
+        GRID.decode_batch(*rows, [renewable], PARAMS)
 
 
 def test_epsilon_schedule_endpoints():
@@ -600,6 +630,39 @@ def test_trace_csv_bytes_match_the_cell_by_cell_writer(tmp_path, stations, epsil
     write_trace_csv(tmp_path / "new.csv", trace, cfg.ess)
     _write_trace_one_cell_at_a_time(tmp_path / "old.csv", trace, cfg.ess)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# -0.0, the smallest subnormal, and values whose repr needs 17 significant digits.
+EDGE_FLOATS = (-0.0, 5e-324, 0.30000000000000004, 1.0000000000000002, 1.7976931348623157e308)
+
+
+def test_trace_csv_bytes_match_the_cell_by_cell_writer_on_edge_floats(tmp_path):
+    # One slot per edge float; each of its two stations fills every float
+    # column with that float and the next.  The price stands in for a quote:
+    # a PriceQuote cannot hold -0.0.  At capacity 1 the soc column is the
+    # battery column.
+    params = EssParams(capacity_max=1.0)
+    trace = []
+    for t, v in enumerate(EDGE_FLOATS):
+        a, b = v, EDGE_FLOATS[(t + 1) % len(EDGE_FLOATS)]
+        pair = [a, b]
+        trade = TradeOutcome(pair, pair, pair, pair, a, b)
+        profits = ProfitBreakdown(pair, pair, pair, pair, pair, a)
+        trace.append(SlotLog(
+            states=(StationState(a, a, a), StationState(b, b, b)),
+            actions=[StationAction(a, a), StationAction(b, b)],
+            outcome=StepOutcome([], trade, profits, pair, pair),
+            quote=SimpleNamespace(utility=v), renewables=(a, b)))
+    write_trace_csv(tmp_path / "new.csv", trace, params)
+    _write_trace_one_cell_at_a_time(tmp_path / "old.csv", trace, params)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    rows = read_trace_csv(tmp_path / "new.csv")
+    assert len(rows) == 2 * len(EDGE_FLOATS)
+    for row in rows:
+        t, i = row.pop("slot"), row.pop("station")
+        want = EDGE_FLOATS[(t + i) % len(EDGE_FLOATS)]
+        assert row.pop("xi_u").hex() == EDGE_FLOATS[t].hex()
+        assert {k: v.hex() for k, v in row.items()} == dict.fromkeys(row, want.hex())
 
 
 def test_checkpoint_keeps_the_per_station_layout(tmp_path):
