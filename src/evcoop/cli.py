@@ -213,17 +213,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     reports = [
-        fuzz_clearing(args.clearing, seed),
-        fuzz_battery(args.battery, seed + 1),
-        fuzz_profit(args.profit, seed + 2),
+        fuzz_clearing(args.clearing, args.seed),
+        fuzz_battery(args.battery, args.seed + 1),
+        fuzz_profit(args.profit, args.seed + 2),
     ]
-    ok = True
     for rep in reports:
         print(rep)
-        ok = ok and rep.ok
-    return 0 if ok else 2
+    return 0 if all(rep.ok for rep in reports) else 2
 
 
 def _collect_metric_files(paths: list[str]) -> list[Path]:
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--clearing", type=_positive_int, default=100_000)
     p_fuzz.add_argument("--battery", type=_positive_int, default=100_000)
     p_fuzz.add_argument("--profit", type=_positive_int, default=10_000)
-    p_fuzz.add_argument("--seed", type=int)
+    p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_cmp = sub.add_parser("compare",

@@ -2,7 +2,10 @@
 
 Each fuzzer hammers one contract with seeded random inputs and returns a
 report instead of raising, so callers (CLI and tests) decide severity.
-Violation counts, not first-failure, make flakiness visible.
+Violation counts, not first-failure, make flakiness visible.  The battery
+check runs in blocks of 200 draws per parameter set on ``decode_batch`` and
+``step_batch``; the profit check keeps the scalar ``decode_table`` and
+``step`` fuzzed, and tests/test_batch.py pins the two paths together.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from .core import (
     clear_trades,
     profit,
     step,
+    step_batch,
 )
 from .marl.encoding import ActionGrid, InfeasibleActionError
 
 _REL = 1e-9
+_BLOCK = 200      # battery-fuzzer draws per params and quote
 _MULTIPLIERS = Multipliers()
 
 
@@ -44,9 +49,7 @@ class FuzzReport:
         status = "PASS" if self.ok else "FAIL"
         line = (f"{status} {self.name}: {self.calls} calls, "
                 f"{self.violations} violations, {self.elapsed_s:.2f}s")
-        for note in self.notes[:5]:
-            line += f"\n  {note}"
-        return line
+        return "\n  ".join([line, *self.notes[:5]])
 
 
 def _close(a: float, b: float, rel: float = _REL) -> bool:
@@ -119,12 +122,11 @@ def _random_params(rng: np.random.Generator) -> EssParams:
     return EssParams(capacity_max=cap, soc_min=lo, soc_max=hi, leakage_beta=beta)
 
 
-def _random_state(rng: np.random.Generator, params: EssParams) -> StationState:
-    return StationState(
-        battery_kwh=float(rng.uniform(params.capacity_min, params.usable_max)),
-        urgent_demand=float(rng.uniform(0.0, 15.0)),
-        regular_demand=float(rng.uniform(0.0, 30.0)),
-    )
+def _random_state(rng: np.random.Generator, params: EssParams, size=None) -> tuple:
+    """Battery, urgent and regular demand, then renewable, each of ``size``."""
+    return (rng.uniform(params.capacity_min, params.usable_max, size),
+            rng.uniform(0.0, 15.0, size), rng.uniform(0.0, 30.0, size),
+            rng.uniform(0.0, 50.0, size))
 
 
 def _random_quote(rng: np.random.Generator) -> PriceQuote:
@@ -132,40 +134,39 @@ def _random_quote(rng: np.random.Generator) -> PriceQuote:
 
 
 def fuzz_battery(calls: int, seed: int) -> FuzzReport:
-    """Masked actions keep the battery inside its certified window."""
+    """Masked actions keep the battery inside its certified window.
+
+    Each block of ``_BLOCK`` draws, under fresh params and quote, is one
+    ``decode_batch`` and one ``step_batch`` over one-station rows.  A row with
+    every action masked (urgent demand beyond any action's reach) is dropped
+    and not counted as a call.
+    """
     rng = np.random.default_rng(seed)
     grid = ActionGrid()
     violations = 0
     notes: list[str] = []
     t0 = time.perf_counter()
-    params = _random_params(rng)
-    quote = _random_quote(rng)
     k = 0
     while k < calls:
-        state = _random_state(rng, params)
-        renewable = float(rng.uniform(0.0, 50.0))
-        try:
-            supplies, controls, mask = grid.decode_table(state, renewable, params)
-        except InfeasibleActionError:
-            # Urgent demand beyond any action's reach: nothing to mask, redraw.
-            params = _random_params(rng)
-            quote = _random_quote(rng)
-            continue
-        feas = np.flatnonzero(mask)
-        idx = int(feas[rng.integers(feas.size)])
-        action = StationAction(ev_supply=supplies.item(idx), ess_control=controls.item(idx))
-        out = step([state], [action], [renewable], quote, [(0.0, 0.0)], params)
-        nxt = out.next_states[0].battery_kwh
-        lo = params.capacity_min
-        hi = params.soc_max * params.capacity_max
-        if nxt < lo - _REL * max(1.0, hi) or nxt > hi + _REL * max(1.0, hi):
-            violations += 1
-            if len(notes) < 5:
-                notes.append(f"call {k}: battery {nxt} outside [{lo}, {hi}]")
-        k += 1
-        if k % 200 == 0:
-            params = _random_params(rng)
-            quote = _random_quote(rng)
+        params = _random_params(rng)
+        quote = _random_quote(rng)
+        state = _random_state(rng, params, (min(_BLOCK, calls - k), 1))
+        supplies, controls, mask = grid.decode_batch(*state, params)
+        keep = mask[:, 0].any(axis=1)
+        mask = mask[keep, 0]
+        # One feasible action per kept row, uniformly: the pick-th true entry of its mask.
+        pick = rng.integers(mask.sum(axis=1))[:, None]
+        act = np.flatnonzero(keep), 0, (mask.cumsum(axis=1) > pick).argmax(axis=1)
+        battery, urgent, regular, renewable = (a[keep] for a in state)
+        nxt = step_batch(battery, urgent, regular, supplies[act][:, None], controls[act][:, None],
+                         renewable, quote, [(0.0, 0.0)], params)[0][:, 0]
+        lo, hi = params.capacity_min, params.usable_max
+        tol = _REL * max(1.0, hi)
+        bad = np.flatnonzero((nxt < lo - tol) | (nxt > hi + tol))
+        violations += bad.size
+        notes += [f"call {k + j}: battery {nxt[j]} outside [{lo}, {hi}]"
+                  for j in bad[:5 - len(notes)]]
+        k += nxt.size
     return FuzzReport("battery-safety", calls, violations,
                       time.perf_counter() - t0, notes)
 
@@ -185,15 +186,15 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
         states, actions, renewables = [], [], []
         try:
             for _ in range(n):
-                st = _random_state(rng, params)
-                rn = float(rng.uniform(0.0, 50.0))
+                battery, urgent, regular, rn = _random_state(rng, params)
+                st = StationState(battery, urgent, regular)
                 supplies, controls, mask = grid.decode_table(st, rn, params)
                 feas = np.flatnonzero(mask)
                 idx = int(feas[rng.integers(feas.size)])
                 states.append(st)
                 renewables.append(rn)
                 actions.append(StationAction(supplies.item(idx), controls.item(idx)))
-        except ValueError:
+        except InfeasibleActionError:
             # A station with no feasible action: nothing to check, redraw.
             params = _random_params(rng)
             continue

@@ -21,6 +21,9 @@ class GradCheckReport:
     max_rel_error: float
     max_abs_error: float
     worst_param: str
+    worst_index: int          # flat index of the worst entry in worst_param
+    worst_analytic: float     # its analytic derivative
+    worst_fd: float           # and its central difference
     n_checked: int
 
     def ok(self, tol: float = 1e-4) -> bool:
@@ -39,6 +42,7 @@ def check_gradients(loss_fn: Callable[[], Tensor],
     when None); keep loss magnitudes around O(1) so the difference quotient
     is not dominated by cancellation.
     """
+    rng = np.random.default_rng(0) if rng is None else rng
     for p in params.values():
         p.grad = None
     loss = loss_fn()
@@ -52,14 +56,12 @@ def check_gradients(loss_fn: Callable[[], Tensor],
 
     max_rel = 0.0
     max_abs = 0.0
-    worst = ""
+    worst = ("", -1, 0.0, 0.0)
     n_checked = 0
     for name, p in params.items():
         size = p.data.size
         idxs = np.arange(size)
         if sample is not None and size > sample:
-            if rng is None:
-                rng = np.random.default_rng(0)
             idxs = rng.choice(size, size=sample, replace=False)
         a_flat = analytic[name].reshape(-1)
         for i in idxs:
@@ -77,6 +79,6 @@ def check_gradients(loss_fn: Callable[[], Tensor],
             n_checked += 1
             if rel_err > max_rel:
                 max_rel = rel_err
-                worst = name
+                worst = (name, int(i), float(a_flat[i]), fd)
             max_abs = max(max_abs, abs_err)
-    return GradCheckReport(max_rel, max_abs, worst, n_checked)
+    return GradCheckReport(max_rel, max_abs, *worst, n_checked)

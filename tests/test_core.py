@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from evcoop.core import (
     soc,
     step,
 )
+from evcoop.marl import ActionGrid
 
 QUOTE = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
 
@@ -288,3 +290,102 @@ def test_fuzz_profit_counts_only_checked_calls(monkeypatch):
     assert counts["step"] == report.calls == 1000
     # one draw up front and one per 100 checked calls, plus the redraw
     assert counts["params"] > 1 + report.calls // 100
+
+
+def test_fuzz_profit_propagates_constraint_violation(monkeypatch):
+    # A decode that rejects its input is a failure, not a draw to redraw.
+    real_decode = ActionGrid.decode_table
+    calls = {"n": 0}
+
+    def rejects_once(self, *args):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise ConstraintViolation("battery_kwh nan is not finite")
+        return real_decode(self, *args)
+
+    monkeypatch.setattr(ActionGrid, "decode_table", rejects_once)
+    with pytest.raises(ConstraintViolation, match="not finite"):
+        fuzz.fuzz_profit(10, seed=2)
+
+
+def test_fuzz_battery_catches_controls_past_the_upper_bound(monkeypatch):
+    real_decode = ActionGrid.decode_batch
+
+    def shifted(self, *args):
+        supplies, controls, mask = real_decode(self, *args)
+        return supplies, controls + 1.0, mask
+
+    monkeypatch.setattr(ActionGrid, "decode_batch", shifted)
+    with pytest.raises(ConstraintViolation, match="ess_control"):
+        fuzz.fuzz_battery(200, seed=1)
+
+
+@pytest.mark.parametrize("calls", [1, 300])
+def test_fuzz_battery_counts_calls_exactly(monkeypatch, calls):
+    # The first block's params leave every row without a feasible action
+    # (the floor is far above anything one slot's import cap can reach):
+    # all of its rows are dropped and none counts.
+    tight = iter([EssParams(capacity_max=10_000.0, soc_min=0.5, soc_max=1.0,
+                            leakage_beta=0.01, export_cap=1.0, import_cap=1.0)])
+    real_params, real_step_batch = fuzz._random_params, fuzz.step_batch
+    rows = []
+
+    def counting_step_batch(*args):
+        rows.append(args[0].shape[0])
+        return real_step_batch(*args)
+
+    monkeypatch.setattr(fuzz, "_random_params", lambda rng: next(tight, None) or real_params(rng))
+    monkeypatch.setattr(fuzz, "step_batch", counting_step_batch)
+    report = fuzz.fuzz_battery(calls, seed=0)
+    assert report.ok
+    assert rows[0] == 0
+    assert sum(rows) == report.calls == calls
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_fuzz_battery_rows_match_scalar_decode_and_step(monkeypatch):
+    # Every checked row is what scalar decode_table and step give for the
+    # same draw, bit for bit, so the fuzzed batch path stays tied to the
+    # scalar one.  At this seed the first block drops one of its 200 rows,
+    # so a second block of one row follows.
+    decodes, steps = [], []
+    real_decode, real_step_batch = ActionGrid.decode_batch, fuzz.step_batch
+
+    def recording_decode(self, *args):
+        decodes.append((args, real_decode(self, *args)))
+        return decodes[-1][1]
+
+    def recording_step_batch(*args):
+        steps.append((args, real_step_batch(*args)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(ActionGrid, "decode_batch", recording_decode)
+    monkeypatch.setattr(fuzz, "step_batch", recording_step_batch)
+    assert fuzz.fuzz_battery(200, seed=59).ok
+    assert len(decodes) == len(steps) == 2
+    grid = ActionGrid()
+    checked = 0
+    for ((battery, urgent, regular, renewable, params), table), (args, result) in zip(decodes,
+                                                                                      steps):
+        kept = np.flatnonzero(table[2][:, 0].any(axis=1))
+        supply, control, quote = args[3][:, 0], args[4][:, 0], args[6]
+        for j, r in enumerate(kept):
+            state = StationState(battery[r, 0], urgent[r, 0], regular[r, 0])
+            assert _bits(args[0][j]) == _bits(battery[r])
+            assert _bits(args[5][j]) == _bits(renewable[r])
+            scalar = grid.decode_table(state, renewable[r, 0], params)
+            for batch_part, scalar_part in zip(table, scalar):
+                assert _bits(batch_part[r, 0]) == _bits(scalar_part)
+            chosen = [a for a in np.flatnonzero(scalar[2])
+                      if _bits(scalar[0][a]) == _bits(supply[j])
+                      and _bits(scalar[1][a]) == _bits(control[j])]
+            assert chosen
+            out = step([state], [StationAction(supply[j], control[j])], [renewable[r, 0]],
+                       quote, [(0.0, 0.0)], params)
+            assert _bits(out.next_states[0].battery_kwh) == _bits(result[0][j, 0])
+            checked += 1
+    assert [len(battery) for (battery, *_), _ in decodes] == [200, 1]
+    assert checked == 200

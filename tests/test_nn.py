@@ -329,6 +329,11 @@ def test_gradcheck_detects_corrupted_gradient():
     report = check_gradients(inconsistent_loss, params, sample=20,
                              rng=np.random.default_rng(2))
     assert not report.ok(1e-4)
+    # the report names the worst entry and gives both of its slopes
+    analytic, fd = report.worst_analytic, report.worst_fd
+    assert analytic == params[report.worst_param].grad.reshape(-1)[report.worst_index]
+    assert report.max_rel_error == abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
+    assert fd == pytest.approx(1.01 * analytic, rel=1e-4)
 
 
 def test_mixer_monotone_in_agent_values():
