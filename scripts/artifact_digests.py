@@ -12,7 +12,10 @@ agents), writing that variant's runs under ``mixer_grad/``.  It runs
 Next to each ``oracle_metrics.csv`` it writes and digests ``oracle_api.txt``:
 for each of the same instances, the optimum, its action sequence and node
 count from ``brute_force`` and the total and sequence of ``rolling_greedy``
-at that lookahead, which the profit-only CSV does not pin.
+at that lookahead, which the profit-only CSV does not pin.  It runs the
+three fuzzers as ``evcoop fuzz --seed <seed>`` does and writes and digests
+``fuzz/fuzz_summary.txt``: each report's name, calls, violations and notes,
+without its timing.
 Run it at two commits and diff the outputs to check that a change keeps
 every artifact byte-identical:
 
@@ -45,12 +48,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from evcoop.cli import main as evcoop  # noqa: E402
+from evcoop.fuzz import fuzz_battery, fuzz_clearing, fuzz_profit  # noqa: E402
 from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # noqa: E402
 
 DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn")
 # (subdirectory, config merged into the run config) of each training variant
 VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}}))
 ORACLE_INSTANCES = 20
+# (fuzzer, calls, seed offset), as ``evcoop fuzz`` runs them by default
+FUZZERS = ((fuzz_clearing, 100_000, 0), (fuzz_battery, 100_000, 1), (fuzz_profit, 10_000, 2))
 
 
 def _run(argv: list[str]) -> None:
@@ -114,6 +120,14 @@ def _oracle_api_rows(seed: int, lookahead: int | None) -> str:
     return "\n".join(rows) + "\n"
 
 
+def fuzz_digests(out: Path, seed: int) -> list[str]:
+    path = out / "fuzz" / "fuzz_summary.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    reports = [fuzzer(calls, seed + offset) for fuzzer, calls, offset in FUZZERS]
+    path.write_text("".join(f"{(r.name, r.calls, r.violations, r.notes)!r}\n" for r in reports))
+    return [_digest(path, out)]
+
+
 def _digest(path: Path, out: Path) -> str:
     return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
 
@@ -138,7 +152,7 @@ def main(argv=None) -> int:
         lines = [line for variant, config in VARIANTS
                  for line in digests(out, variant, args.episodes, args.seed, args.eval_seed,
                                      algorithms, _merge(config, extra), args.checkpoints)]
-        for line in lines + oracle_digests(out, args.seed):
+        for line in lines + oracle_digests(out, args.seed) + fuzz_digests(out, args.seed):
             print(line)
     return 0
 

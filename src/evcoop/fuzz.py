@@ -139,7 +139,8 @@ def fuzz_battery(calls: int, seed: int) -> FuzzReport:
     Each block of ``_BLOCK`` draws, under fresh params and quote, is one
     ``decode_batch`` and one ``step_batch`` over one-station rows.  A row with
     every action masked (urgent demand beyond any action's reach) is dropped
-    and not counted as a call.
+    and not counted as a call.  ``step_batch`` clamps the next battery onto
+    the window, so the test is on the unclamped ``beta * battery + control + flow``.
     """
     rng = np.random.default_rng(seed)
     grid = ActionGrid()
@@ -158,9 +159,13 @@ def fuzz_battery(calls: int, seed: int) -> FuzzReport:
         pick = rng.integers(mask.sum(axis=1))[:, None]
         act = np.flatnonzero(keep), 0, (mask.cumsum(axis=1) > pick).argmax(axis=1)
         battery, urgent, regular, renewable = (a[keep] for a in state)
-        nxt = step_batch(battery, urgent, regular, supplies[act][:, None], controls[act][:, None],
-                         renewable, quote, [(0.0, 0.0)], params)[0][:, 0]
+        supply, control = supplies[act][:, None], controls[act][:, None]
+        step_batch(battery, urgent, regular, supply, control, renewable, quote, [(0.0, 0.0)],
+                   params)
         lo, hi = params.capacity_min, params.usable_max
+        carried = params.leakage_beta * battery
+        flow = np.minimum(renewable - supply, hi - carried + params.export_cap)
+        nxt = (carried + control + flow)[:, 0]
         tol = _REL * max(1.0, hi)
         bad = np.flatnonzero((nxt < lo - tol) | (nxt > hi + tol))
         violations += bad.size

@@ -6,7 +6,8 @@ utility price, each divided by a fixed normalization scale.  Actions are a
 ``K_ev x K_cs`` grid: a supply fraction applied to regular demand crossed
 with battery control levels spaced linearly over the feasible interval that
 results from that supply choice, so every decodable action already respects
-the demand and battery constraints.
+the demand and battery constraints.  A rollout slot decodes only each block's
+feasibility (``ActionGrid.blocks``) and the chosen action (``ActionGrid.action``).
 """
 
 from __future__ import annotations
@@ -129,35 +130,55 @@ class ActionGrid:
     def n_actions(self) -> int:
         return len(self.ev_fractions) * self.cs_levels
 
+    def blocks(self, state: StationState, renewable: float,
+               params: EssParams) -> list[tuple[float, float, float] | None]:
+        """Each supply fraction's supply and control interval ``(supply, lo, hi)``, or None.
+
+        None masks a block whose interval is empty (possible under tight
+        export/import caps); at least one block must survive.  A non-finite
+        input raises ConstraintViolation naming its field.
+        """
+        battery, urgent, regular = state.battery_kwh, state.urgent_demand, state.regular_demand
+        check_finite_station((battery, urgent, regular, renewable))
+        fraction_supplies = [urgent + frac * regular for frac in self.ev_fractions]
+        intervals = control_intervals(battery, renewable, fraction_supplies, params)
+        out = [None if lo > hi else (supply, lo, hi)
+               for supply, (_, _, lo, hi) in zip(fraction_supplies, intervals)]
+        if out.count(None) == len(out):
+            raise InfeasibleActionError(
+                "no feasible action: every supply fraction leaves an empty control interval")
+        return out
+
+    def action(self, blocks: list[tuple[float, float, float] | None],
+               index: int) -> StationAction:
+        """The StationAction of flat ``index`` on one station's ``blocks``."""
+        block = blocks[index // self.cs_levels]
+        if block is None:
+            raise InfeasibleActionError(f"action index {index} is masked infeasible at this step")
+        supply, lo, hi = block
+        return StationAction(ev_supply=supply,
+                             ess_control=linspace(lo, hi, self.cs_levels)[index % self.cs_levels])
+
     def decode_table(self, state: StationState, renewable: float,
                      params: EssParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All decoded (supplies, controls, mask) for one station at one slot.
 
-        A supply fraction whose battery interval is empty (possible under
-        tight export/import caps) has its block masked out; at least one
-        block must survive.  A non-finite input raises ConstraintViolation
-        naming its field.
+        Every entry of ``blocks``; a masked block's entries are zero.
         """
-        battery, urgent, regular = state.battery_kwh, state.urgent_demand, state.regular_demand
-        check_finite_station((battery, urgent, regular, renewable))
         m = self.cs_levels
         supplies: list[float] = []
         controls: list[float] = []
         mask: list[bool] = []
-        fraction_supplies = [urgent + frac * regular for frac in self.ev_fractions]
-        intervals = control_intervals(battery, renewable, fraction_supplies, params)
-        for supply, (_, _, lo, hi) in zip(fraction_supplies, intervals):
-            if lo > hi:
+        for block in self.blocks(state, renewable, params):
+            if block is None:
                 supplies += [0.0] * m
                 controls += [0.0] * m
                 mask += [False] * m
                 continue
+            supply, lo, hi = block
             supplies += [supply] * m
             controls += linspace(lo, hi, m)
             mask += [True] * m
-        if not any(mask):
-            raise InfeasibleActionError(
-                "no feasible action: every supply fraction leaves an empty control interval")
         return np.array(supplies, dtype=float), np.array(controls, dtype=float), np.array(mask)
 
     def decode_batch(self, battery: np.ndarray, urgent: np.ndarray, regular: np.ndarray,
@@ -195,7 +216,4 @@ class ActionGrid:
         """Turn a flat action index into a concrete StationAction."""
         if not 0 <= index < self.n_actions:
             raise InfeasibleActionError(f"action index {index} outside grid of {self.n_actions}")
-        supplies, controls, mask = self.decode_table(state, renewable, params)
-        if not mask[index]:
-            raise InfeasibleActionError(f"action index {index} is masked infeasible at this step")
-        return StationAction(ev_supply=supplies.item(index), ess_control=controls.item(index))
+        return self.action(self.blocks(state, renewable, params), index)

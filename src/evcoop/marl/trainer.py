@@ -252,6 +252,7 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
     obs_log = np.zeros((T, n, OBS_DIM))
     action_log = np.zeros((T, n), dtype=np.int64)
     mask_log = np.zeros((T, n, A), dtype=bool)
+    mask_blocks = mask_log.reshape(T, n, len(grid.ev_fractions), grid.cs_levels)  # a view
     reward_log = np.zeros(T)
     total_log = np.zeros(T)
     station_log = np.zeros((T, n))
@@ -265,14 +266,13 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
         obs_block = encode_observation(states, renew, quote.utility, params, learner.scales)
         obs_log[t] = obs_block
 
-        # one forward and one masked argmax for every station
-        tables = [grid.decode_table(states[i], renew[i], params) for i in range(n)]
-        mask_log[t] = [mask for _, _, mask in tables]
+        # one forward and one masked argmax for every station, then decode the chosen actions
+        blocks = [grid.blocks(states[i], renew[i], params) for i in range(n)]
+        mask_blocks[t] = np.array([b is not None for bl in blocks for b in bl]).reshape(n, -1, 1)
         q, hidden = learner.agents_eval.step(obs_block[:, None, :], hidden)
         chosen = act_epsilon_greedy(q[:, 0], epsilon, mask_log[t], rng)
         action_log[t] = chosen
-        actions = [StationAction(ev_supply=supplies.item(idx), ess_control=controls.item(idx))
-                   for (supplies, controls, _), idx in zip(tables, chosen.tolist())]
+        actions = [grid.action(bl, idx) for bl, idx in zip(blocks, chosen.tolist())]
 
         outcome = env_step(states, actions, renew, quote, episode.arrivals[t], params)
         total_log[t] = outcome.profit.total_profit

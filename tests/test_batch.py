@@ -1,10 +1,11 @@
 """The array-native market path and the blocked oracle against their scalar references.
 
 ``step_batch``, its two halves (``advance_stations_batch`` per station and
-``clear_and_price_batch`` across stations) and ``ActionGrid.decode_batch``
-must agree with ``step`` and ``decode_table`` bit for bit, and the blocked
-breadth-first oracle with the depth-first enumeration it replaced (kept here
-as ``_dfs_search``) in optimum, action sequence and node count.
+``clear_and_price_batch`` across stations), ``ActionGrid.decode_batch`` and
+the rollout's decode of only the chosen action must agree with ``step`` and
+``decode_table`` bit for bit, and the blocked breadth-first oracle with the
+depth-first enumeration it replaced (kept here as ``_dfs_search``) in
+optimum, action sequence and node count.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from evcoop.core import (
     step_batch,
 )
 from evcoop.data import Episode
-from evcoop.marl import ActionGrid
+from evcoop.marl import ActionGrid, ObsScales, TrainConfig, build_learner, rollout_episode
 from evcoop.marl.encoding import InfeasibleActionError, linspace, linspace_rows
 
 
@@ -154,6 +155,79 @@ def test_decode_batch_zero_width_interval_and_masked_block():
                                  renewable[i], params)
         assert_bits(supplies[0, i], want[0])
         assert_bits(controls[0, i], want[1])
+
+
+# -- the rollout's chosen-action decode vs decode_table ----------------------
+
+def check_rollout_decode(params, grid, states, renewables, seed):
+    """One exploring rollout slot over ``states`` against ``decode_table`` per station.
+
+    The slot's mask row and every station's chosen StationAction must be
+    ``decode_table``'s, bit for bit; where ``decode_table`` raises, the
+    rollout raises the same error with the same message.  Every entry of
+    every station also goes through ``ActionGrid.action`` on its own.
+    """
+    n = len(states)
+    learner = build_learner("independent_dqn", n, params, grid, ObsScales(),
+                            TrainConfig(hidden_dim=4), np.random.default_rng(seed))
+    episode = Episode(quotes=(PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08),),
+                      renewables=(tuple(renewables),), arrivals=(((0.0, 0.0),) * n,),
+                      initial_states=tuple(states))
+
+    def rollout():
+        return rollout_episode(episode, learner, 1.0, np.random.default_rng(seed),
+                               collect_trace=True)
+
+    try:
+        tables = [grid.decode_table(s, r, params) for s, r in zip(states, renewables)]
+    except (ConstraintViolation, InfeasibleActionError) as exc:
+        with pytest.raises(ValueError) as raised:
+            rollout()
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    record, trace = rollout()
+    np.testing.assert_array_equal(record.masks[0], [mask for _, _, mask in tables])
+    for i, (supplies, controls, mask) in enumerate(tables):
+        chosen = trace[0].actions[i]
+        a = record.actions[0, i]
+        assert_bits([chosen.ev_supply, chosen.ess_control], [supplies[a], controls[a]])
+        blocks = grid.blocks(states[i], renewables[i], params)
+        for index in range(grid.n_actions):
+            if not mask[index]:
+                with pytest.raises(InfeasibleActionError, match="masked infeasible"):
+                    grid.action(blocks, index)
+                continue
+            action = grid.action(blocks, index)
+            assert_bits([action.ev_supply, action.ess_control],
+                        [supplies[index], controls[index]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), ess_params(), grids, st.integers(1, 3),
+       st.sampled_from([None, "battery", "urgent", "regular", "renewable"]),
+       st.sampled_from([math.nan, math.inf]))
+def test_rollout_decodes_the_chosen_action_as_decode_table_does(data, params, grid, stations,
+                                                                poison, bad):
+    battery, urgent, regular, renewable = data.draw(state_block(params, 1, stations))
+    fields = {"battery": battery, "urgent": urgent, "regular": regular, "renewable": renewable}
+    if poison is not None:
+        fields[poison][0, data.draw(st.integers(0, stations - 1))] = bad
+    check_rollout_decode(params, grid, scalar_states(battery, urgent, regular, 0),
+                         renewable[0].tolist(), data.draw(st.integers(0, 2**32 - 1)))
+
+
+def test_rollout_decode_zero_width_interval_masked_block_and_no_feasible_action():
+    # The stations of test_decode_batch_zero_width_interval_and_masked_block,
+    # then a third whose urgent deficit no control can cover.
+    params = EssParams(capacity_max=100.0, leakage_beta=1.0, export_cap=5.0, import_cap=5.0)
+    states = [StationState(95.0, 0.0, 0.0), StationState(5.0, 0.0, 60.0)]
+    for grid in (ActionGrid(ev_fractions=(0.0, 1.0), cs_levels=3),
+                 ActionGrid(ev_fractions=(1.0,), cs_levels=1)):
+        for seed in range(4):
+            check_rollout_decode(params, grid, states, [20.0, 0.0], seed)
+        check_rollout_decode(params, grid, [*states, StationState(5.0, 60.0, 0.0)],
+                             [20.0, 0.0, 0.0], 0)
 
 
 # -- step_batch vs step -----------------------------------------------------

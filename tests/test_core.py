@@ -1,5 +1,6 @@
 """Slot dynamics: clearing, profits, battery bounds, curtailment, stepping."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcoop import fuzz
+from evcoop import core, fuzz
 from evcoop.core import (
     ConstraintViolation,
     EssParams,
@@ -22,7 +23,7 @@ from evcoop.core import (
     soc,
     step,
 )
-from evcoop.marl import ActionGrid
+from evcoop.marl import ActionGrid, encoding
 
 QUOTE = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
 
@@ -318,6 +319,23 @@ def test_fuzz_battery_catches_controls_past_the_upper_bound(monkeypatch):
     monkeypatch.setattr(ActionGrid, "decode_batch", shifted)
     with pytest.raises(ConstraintViolation, match="ess_control"):
         fuzz.fuzz_battery(200, seed=1)
+
+
+def test_fuzz_battery_catches_bounds_that_forget_leakage(monkeypatch):
+    # step clamps the next battery onto its window, so only a window test on
+    # the unclamped battery sees bounds that carry the full charge over a
+    # leaky slot (the same mutant in decode_batch and step_batch).
+    assert fuzz.fuzz_battery(2000, seed=1).ok
+    source = inspect.getsource(core.control_bounds_batch)
+    leaky = "carried = params.leakage_beta * battery"
+    assert source.count(leaky) == 1
+    namespace = dict(vars(core))
+    exec(source.replace(leaky, "carried = battery"), namespace)
+    monkeypatch.setattr(core, "control_bounds_batch", namespace["control_bounds_batch"])
+    monkeypatch.setattr(encoding, "control_bounds_batch", namespace["control_bounds_batch"])
+    report = fuzz.fuzz_battery(2000, seed=1)
+    assert report.violations > 0
+    assert "outside" in report.notes[0]
 
 
 @pytest.mark.parametrize("calls", [1, 300])
