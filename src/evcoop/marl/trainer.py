@@ -50,7 +50,6 @@ class TrainConfig:
     hidden_dim: int = 64
     embed_dim: int = 32
     hyper_hidden: int = 64
-    debug_checks: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -100,9 +99,10 @@ class DRQNAgent:
     def step(self, obs: np.ndarray, hidden: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """One untaped slot for acting, on plain arrays.
 
-        (n, B, obs_dim) from hidden (n, B, H), zero when None -> Q (n, B, A), hidden;
-        the values of the taped ``encoder``, ``gru.sequence(..., B, 1, h0)``, ``head``
-        bit for bit.
+        (n, B, obs_dim) from hidden (n, B, H), zero when None -> Q (n, B, A), hidden.
+        The taped ``encoder``, ``gru.sequence(..., B, 1, h0)`` and ``head`` wrap the
+        same forwards (``Dense.apply`` and the GRU's gate function) and give these
+        values bit for bit; this path only skips building ``Tensor`` results.
         """
         h = self.gru.step(self.encoder.apply(obs), hidden)
         return self.head.apply(h), h
@@ -399,7 +399,7 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     if not np.all(np.isfinite(targets.y)):
         raise DivergenceError("non-finite bootstrap target")
 
-    if cfg.debug_checks and learner.algorithm == "double_qmix" and T > 1:
+    if learner.algorithm == "double_qmix" and T > 1:
         # min-bootstrap property: the discounted tail never exceeds either mixer's value
         tail = targets.y[:, :-1] - rewards[:, :-1]
         for mix in (targets.mix_a, targets.mix_b):
@@ -586,7 +586,8 @@ def load_learner(path) -> LearnerState:
     if meta.get("kind") != "learner":
         raise CheckpointError(f"{path} is not a learner checkpoint")
     try:
-        config = TrainConfig(**meta["train_config"])
+        # checkpoints written before the debug_checks option was removed still store it
+        config = TrainConfig(**{k: v for k, v in meta["train_config"].items() if k != "debug_checks"})
         grid = ActionGrid(ev_fractions=tuple(meta["grid"]["ev_fractions"]),
                           cs_levels=meta["grid"]["cs_levels"])
         scales = ObsScales(**meta["scales"])

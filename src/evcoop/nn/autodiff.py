@@ -1,12 +1,14 @@
 """A small reverse-mode tape over float64 numpy arrays.
 
-Covers exactly the operations the fixed architectures in this package need
-(affine layers and squared-error losses): matmul of matrices or of equally
-long stacks of matrices, broadcasting arithmetic, a handful of elementwise
-nonlinearities, reductions, reshape, transpose and gather.  The GRU unroll
-and the monotone mixer record themselves as single nodes through
-``Tensor._result``.  No GPU, no general broadcasting promises beyond what
-these ops use.
+Each layer in this package (a Dense layer, a GRU unroll, a mixer forward)
+records itself as a single node through ``Tensor._result``, with a
+hand-written backward over the layer's one numpy forward.  The ops here
+cover what the squared-error losses around them need: broadcasting
+arithmetic, sums, transpose and gather.  Matmul (of matrices or of equally
+long stacks of matrices) and ``tanh`` serve no package path; they stay
+because the gradient-fidelity gate's loss feeds Q-values back through the
+agents with them (``q.tanh() @ feedback``).  No GPU, no general
+broadcasting promises beyond what these ops use.
 
 Gradients accumulate into ``Tensor.grad`` on ``backward()`` from a scalar.
 A result is recorded on the tape if and only if one of its parents has
@@ -168,24 +170,6 @@ class Tensor:
 
     # -- nonlinearities ----------------------------------------------------
 
-    def relu(self) -> "Tensor":
-        a = self
-        out_data = np.maximum(a.data, 0.0)
-
-        def backward(g):
-            a._accum(g * (a.data > 0.0))
-
-        return self._result(out_data, (a,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = sigmoid(a.data)
-
-        def backward(g):
-            a._accum(g * out_data * (1.0 - out_data))
-
-        return self._result(out_data, (a,), backward)
-
     def tanh(self) -> "Tensor":
         a = self
         out_data = np.tanh(a.data)
@@ -196,14 +180,6 @@ class Tensor:
         return self._result(out_data, (a,), backward)
 
     # -- shape and reduction -----------------------------------------------
-
-    def reshape(self, *shape: int) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accum(g.reshape(a.shape))
-
-        return self._result(a.data.reshape(*shape), (a,), backward)
 
     def sum(self, axis: int | None = None) -> "Tensor":
         a = self

@@ -5,11 +5,14 @@ precision; ``stack_layers`` banks n equally shaped layers or mixers on a
 leading axis, and the bank maps ``(n, rows, features)`` as the n layers map
 their slices.  Parameters are plain tape tensors; each container exposes
 ``parameters()`` as a flat ``name -> Tensor`` dict so optimizers and
-checkpoints can treat every architecture uniformly.  A GRU unroll and a
-mixer forward each record one tape node with a hand-written backward, and
-record nothing when no parameter or input requires a gradient, as for the
-target nets.  ``Dense.apply`` and ``GRUCell.step`` compute one slot's values
-on plain arrays for acting.
+checkpoints can treat every architecture uniformly.  Each layer has one
+numpy forward: ``Dense.apply``, the GRU's ``_gru_gates`` and the mixer's
+``forward``.  A Dense call, a GRU unroll and a mixer forward each wrap it in
+one tape node with a hand-written backward (``_dense_grads`` serves Dense
+and the mixer's hypernetworks alike), and record nothing when no parameter
+or input requires a gradient, as for the target nets.  Acting calls
+``Dense.apply`` and ``GRUCell.step``, one slot of the unroll, on plain
+arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +22,17 @@ import copy
 import numpy as np
 
 from .autodiff import Tensor, parameter, sigmoid
+
+
+def _dense_grads(x: np.ndarray, out: np.ndarray | None, g: np.ndarray):
+    """Reverse of a Dense layer on input ``x`` for ``g = dL/d(output)``, ``out`` its relu output.
+
+    Returns the pre-activation gradient (masked by ``out > 0``, unless ``out``
+    is None for a layer without relu), ``dW`` and ``db``.
+    """
+    if out is not None:
+        g = g * (out > 0.0)
+    return g, x.mT @ g, g.sum(axis=-2)
 
 
 class Dense:
@@ -38,14 +52,25 @@ class Dense:
         self.b = parameter((out_dim,), rng, scale=bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ValueError(f"expected {self.in_dim} input features, got {x.shape}")
-        b = self.b  # a bank's (n, out) bias applies to every row of its slice
-        out = x @ self.W + (b if b.data.ndim == 1 else b.reshape(b.shape[0], 1, self.out_dim))
-        return out.relu() if self.activation == "relu" else out
+        """``apply`` on ``x`` (..., rows, in_dim) as one tape node; a bank's slice i reads slice i of ``x``."""
+        if x.data.ndim < 2 or x.shape[:-2] + x.shape[-1:] != self.W.shape[:-1]:
+            raise ValueError(f"expected input (..., rows, in_dim) for W {self.W.shape}, got {x.shape}")
+        W = self.W.data  # read now: optimizers reassign .data
+        out = self.apply(x.data)
+        relu_out = out if self.activation == "relu" else None
+
+        def backward(g):
+            g, *grads = _dense_grads(x.data, relu_out, g)
+            for p, grad in zip((self.W, self.b), grads):
+                if p.requires_grad:
+                    p._accum(grad)
+            if x.requires_grad:
+                x._accum(g @ W.mT)
+
+        return Tensor._result(out, (x, self.W, self.b), backward)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The same map on a plain array, untaped."""
+        """The layer's one forward, on a plain array (a bank's bias applies to every row of its slice)."""
         out = x @ self.W.data
         out += self.b.data[..., None, :]  # in place: no temporaries for the allocator to churn
         return np.maximum(out, 0.0, out=out) if self.activation == "relu" else out
@@ -287,9 +312,7 @@ class MonotonicMixer:
 
         def hyper(j: int, h: np.ndarray, g: np.ndarray):
             """(dW, db) of layers j and j+1 for a gradient ``g`` at the output of ``relu(state @ .) @ .``."""
-            g0 = g @ W[j + 1].mT
-            g0 *= h > 0.0
-            return state.mT @ g0, g0.sum(axis=-2), h.mT @ g, g.sum(axis=-2)
+            return (*_dense_grads(state, h, g @ W[j + 1].mT)[1:], *_dense_grads(h, None, g)[1:])
 
         def backward(g):
             # In-place products keep each product's operands, so the bits match the
@@ -302,7 +325,7 @@ class MonotonicMixer:
             d_w1 *= np.sign(a_w1)
             d_w2 = g * hidden
             d_w2 *= np.sign(a_w2)
-            grads = (*hyper(0, h_w1, d_w1), state.mT @ d_pre, d_pre.sum(axis=-2),
+            grads = (*hyper(0, h_w1, d_w1), *_dense_grads(state, None, d_pre)[1:],
                      *hyper(3, h_w2, d_w2), *hyper(5, h_b2, g))
             for p, grad in zip(params.values(), grads):
                 if p.requires_grad:

@@ -1,11 +1,13 @@
 """The monotone mixer as first written, op by op on the tape: the reference for ``MonotonicMixer``.
 
 ``composite_mix`` is one mixer's forward before the mixer became one fused
-tape node: each hypernetwork a chain of taped Dense layers, then taped
-absolute values, products, sums and an elu.  The package's tape no longer
-has ``abs`` and ``elu``, so they are taped here.  ``slice_mixers`` turns a
-mixer bank into one such mixer per slice, and ``slice_grads`` stacks their
-gradients back into the bank's layout.
+tape node: each hypernetwork a chain of Dense layers, each layer a matmul,
+a bias add and a relu on the tape (``tape_dense``, the reference for
+``Dense.__call__``), then taped absolute values, products, sums and an elu.
+The package's tape no longer has ``abs``, ``elu``, ``relu``, ``reshape`` or
+``sigmoid``, so they are taped here.  ``slice_mixers`` turns a mixer bank
+into one such mixer per slice, and ``slice_grads`` stacks their gradients
+back into the bank's layout.
 """
 
 import copy
@@ -13,6 +15,7 @@ import copy
 import numpy as np
 
 from evcoop.nn import Tensor, parameter
+from evcoop.nn.autodiff import sigmoid
 
 
 def tape_abs(a):
@@ -32,6 +35,36 @@ def tape_elu(a):
     return Tensor._result(out, (a,), backward)
 
 
+def tape_relu(a):
+    def backward(g):
+        a._accum(g * (a.data > 0.0))
+
+    return Tensor._result(np.maximum(a.data, 0.0), (a,), backward)
+
+
+def tape_sigmoid(a):
+    out = sigmoid(a.data)
+
+    def backward(g):
+        a._accum(g * out * (1.0 - out))
+
+    return Tensor._result(out, (a,), backward)
+
+
+def tape_reshape(a, *shape):
+    def backward(g):
+        a._accum(g.reshape(a.shape))
+
+    return Tensor._result(a.data.reshape(*shape), (a,), backward)
+
+
+def tape_dense(layer, x):
+    """``layer(x)`` as first written, op by op: matmul, bias add and relu on the tape."""
+    b = layer.b  # a bank's (n, out) bias applies to every row of its slice
+    out = x @ layer.W + (b if b.data.ndim == 1 else tape_reshape(b, b.shape[0], 1, layer.out_dim))
+    return tape_relu(out) if layer.activation == "relu" else out
+
+
 def slice_mixers(bank):
     """Mixer j of a bank as its own Dense layers, holding trainable copies of slice j."""
     mixers = []
@@ -49,10 +82,10 @@ def composite_mix(layers, state, qs):
     """One mixer's (R,) values under (R, state_dim) ``state`` for (R, n) ``qs``, both tensors."""
     w1_0, w1_1, b1, w2_0, w2_1, b2_0, b2_1 = layers.values()
     R, n = qs.shape
-    w1 = tape_abs(w1_1(w1_0(state))).reshape(R, n, b1.out_dim)
-    hidden = tape_elu((qs.reshape(R, n, 1) * w1).sum(axis=1) + b1(state))
-    w2 = tape_abs(w2_1(w2_0(state)))
-    return (hidden * w2).sum(axis=1) + b2_1(b2_0(state)).reshape(R)
+    w1 = tape_reshape(tape_abs(tape_dense(w1_1, tape_dense(w1_0, state))), R, n, b1.out_dim)
+    hidden = tape_elu((tape_reshape(qs, R, n, 1) * w1).sum(axis=1) + tape_dense(b1, state))
+    w2 = tape_abs(tape_dense(w2_1, tape_dense(w2_0, state)))
+    return (hidden * w2).sum(axis=1) + tape_reshape(tape_dense(b2_1, tape_dense(b2_0, state)), R)
 
 
 def slice_grads(mixers, prefix=""):

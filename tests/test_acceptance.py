@@ -140,8 +140,7 @@ def test_mixer_monotonicity_probes():
 def test_pessimistic_target_bound_debug_run():
     cfg = load_config_dict({
         "scenario": {"mode": "synthetic", "station_count": 2, "horizon": 12},
-        "train": {"episodes": 50, "debug_checks": True,
-                  "batch_episodes": 4, "capacity": 64},
+        "train": {"episodes": 50, "batch_episodes": 4, "capacity": 64},
     })
     price, pv, demand, stations = build_scenario(cfg)
     learner = build_learner("double_qmix", stations, cfg.ess, cfg.grid, cfg.scales,

@@ -1,6 +1,7 @@
 """Learning engine: encoding, action grid, replay, targets, training loop."""
 
 import csv
+import json
 import math
 import zipfile
 from types import SimpleNamespace
@@ -48,7 +49,7 @@ from evcoop.marl import (
 )
 from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor
 from evcoop.report import TRACE_HEADER, read_trace_csv, write_trace_csv
-from mixer_reference import composite_mix, slice_grads, slice_mixers
+from mixer_reference import composite_mix, slice_grads, slice_mixers, tape_reshape
 
 PARAMS = EssParams()
 SCALES = ObsScales()
@@ -227,7 +228,7 @@ def _station_grads(stations, bank, prefix="agents."):
 def _columns(cols):
     """(B,) tape tensors side by side as a (B, len) tensor."""
     n = len(cols)
-    return sum(c.reshape(c.shape[0], 1) * Tensor(np.eye(n)[i:i + 1]) for i, c in enumerate(cols))
+    return sum(tape_reshape(c, c.shape[0], 1) * Tensor(np.eye(n)[i:i + 1]) for i, c in enumerate(cols))
 
 
 # Reference: the learner step as first written, one slot at a time, with a
@@ -750,6 +751,22 @@ def test_checkpoint_missing_gate_entry_is_named(tmp_path):
         load_learner(path)
 
 
+def test_checkpoint_storing_the_removed_debug_checks_option_loads(tmp_path):
+    path = tmp_path / "learner.npz"
+    learner = _learner("double_qmix")
+    save_learner(path, learner)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays["meta_json"]))
+    meta["train_config"]["debug_checks"] = True
+    arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
+    np.savez(path, **arrays)
+    restored = load_learner(path)
+    assert restored.config == learner.config
+    for k, p in restored.parameters("eval").items():
+        assert np.array_equal(p.data, learner.parameters("eval")[k].data), k
+
+
 def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     learner = _learner("double_qmix")
     batch = _batch(learner, n=2)
@@ -780,18 +797,20 @@ def test_train_step_tape_stays_small(monkeypatch):
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
     per_step = {}
-    for algorithm in ("double_qmix", "qmix"):
-        learner = build_learner(algorithm, 2, PARAMS, GRID, SCALES, TrainConfig(),
-                                np.random.default_rng(0))
+    for algorithm, mode in (("double_qmix", "direct"), ("qmix", "direct"),
+                            ("double_qmix", "mixer_grad")):
+        learner = build_learner(algorithm, 2, PARAMS, GRID, SCALES,
+                                TrainConfig(agent_loss_mode=mode), np.random.default_rng(0))
         batch = [rollout_episode(_tiny_episode(T=48, seed=k), learner, 1.0,
                                  np.random.default_rng(k))[0]
                  for k in range(learner.config.batch_episodes)]
         nodes = 0
         train_step(batch, learner)
-        per_step[algorithm] = nodes
-    # one node per layer op, not per slot, and one per mixer bank: the tape
-    # size grows with neither T nor the number of mixers
-    assert 0 < per_step["double_qmix"] == per_step["qmix"] <= 25, per_step
+        per_step[algorithm, mode] = nodes
+    # one node per layer, not per slot or per layer op, and one per mixer bank:
+    # the tape size grows with neither T nor the number of mixers
+    assert per_step == {("double_qmix", "direct"): 16, ("qmix", "direct"): 16,
+                        ("double_qmix", "mixer_grad"): 11}, per_step
 
 
 def test_train_loop_end_to_end_and_metrics():

@@ -21,18 +21,24 @@ from evcoop.nn import (
 )
 from evcoop.nn.autodiff import sigmoid
 from evcoop.nn.checkpoint import read_checkpoint, restore_params
-from mixer_reference import composite_mix, slice_grads, slice_mixers
+from mixer_reference import (
+    composite_mix,
+    slice_grads,
+    slice_mixers,
+    tape_dense,
+    tape_reshape,
+    tape_sigmoid,
+)
 
 
 def test_tensor_forward_matches_numpy():
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((3, 4)))
     b = Tensor(rng.standard_normal((4, 2)))
-    out = (a @ b).relu().sum()
-    expected = np.maximum(a.data @ b.data, 0.0).sum()
+    out = (a @ b).sum()
+    expected = (a.data @ b.data).sum()
     assert out.item() == pytest.approx(expected, rel=1e-12)
     x = Tensor(np.array([-1.0, 0.5]))
-    assert x.sigmoid().data == pytest.approx(1.0 / (1.0 + np.exp([1.0, -0.5])))
     assert x.tanh().data == pytest.approx(np.tanh(x.data))
 
 
@@ -104,13 +110,12 @@ def test_sigmoid_matches_masked_formula_bit_for_bit(values):
     v = np.array(values + SIGMOID_EDGES)
     got = sigmoid(v)
     assert np.array_equal(got.view(np.int64), _masked_sigmoid(v).view(np.int64))
-    assert np.array_equal(Tensor(v).sigmoid().data.view(np.int64), got.view(np.int64))
 
 
 def _gate(packed, j, H):
     """Gate j's H columns of a packed GRU parameter, picked on the tape by a 0/1 selector."""
     width = packed.shape[-1]
-    rows = packed if packed.data.ndim == 2 else packed.reshape(1, width)
+    rows = packed if packed.data.ndim == 2 else tape_reshape(packed, 1, width)
     return rows @ Tensor(np.eye(width)[:, j * H:(j + 1) * H])
 
 
@@ -120,8 +125,8 @@ def _composite_step(cell, x, h):
     W_z, W_r, W_n = (_gate(cell.W, j, H) for j in range(3))
     U_z, U_r = (_gate(cell.U_zr, j, H) for j in range(2))
     b_z, b_r, b_n = (_gate(cell.b, j, H) for j in range(3))
-    z = (x @ W_z + h @ U_z + b_z).sigmoid()
-    r = (x @ W_r + h @ U_r + b_r).sigmoid()
+    z = tape_sigmoid(x @ W_z + h @ U_z + b_z)
+    r = tape_sigmoid(x @ W_r + h @ U_r + b_r)
     n = (x @ W_n + (r * h) @ cell.U_n + b_n).tanh()
     return (Tensor(1.0) - z) * n + z * h
 
@@ -269,6 +274,45 @@ def test_gru_step_matches_composite_step():
     _close(got_h, ref_h)
     for k in params:
         _close(got_grads[k], ref_grads[k])
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("activation", ["relu", "none"])
+@pytest.mark.parametrize("n", [None, 3])
+def test_dense_call_matches_op_by_op_reference_bit_for_bit(n, activation, x_grad):
+    # a single layer on (rows, in) input, or a bank of n on (n, rows, in)
+    rng = np.random.default_rng(17)
+    layers = [Dense(4, 5, activation, rng) for _ in range(n or 1)]
+    layer = layers[0] if n is None else stack_layers(layers)
+    lead = () if n is None else (n,)
+    x = Tensor(rng.standard_normal((*lead, 6, 4)), requires_grad=x_grad)
+    weights = Tensor(rng.standard_normal((*lead, 6, 5)))
+    runs = []
+    for forward in (tape_dense, lambda lay, xx: lay(xx)):
+        for p in (x, layer.W, layer.b):
+            p.grad = None
+        out = forward(layer, x)
+        (out * weights).sum().backward()
+        runs.append([out.data, *(p.grad for p in (x, layer.W, layer.b))])
+    (ref_out, *ref_grads), (got_out, *got_grads) = runs
+    if activation == "relu":
+        assert 0 < np.count_nonzero(ref_out) < ref_out.size  # the mask matters
+    assert np.array_equal(_bits(got_out), _bits(ref_out))
+    assert (got_grads[0] is None) == (ref_grads[0] is None) == (not x_grad)
+    for name, got, want in zip(("x", "W", "b"), got_grads, ref_grads):
+        if want is not None:
+            assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want)), name
+
+
+@pytest.mark.parametrize("n, shape", [(None, (6, 5)), (None, (2, 6, 4)), (None, (4,)),
+                                      (3, (6, 4)), (3, (2, 6, 4))])
+def test_dense_call_rejects_input_its_slices_cannot_take(n, shape):
+    # a wrong feature count, or leading axes other than the bank's
+    rng = np.random.default_rng(0)
+    layer = Dense(4, 5, "relu", rng) if n is None else stack_layers(
+        [Dense(4, 5, "relu", rng) for _ in range(n)])
+    with pytest.raises(ValueError, match="in_dim"):
+        layer(parameter(np.ones(shape)))
 
 
 def test_dense_initialization_spread():
