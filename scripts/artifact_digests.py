@@ -8,11 +8,14 @@ same again under ``mixer_grad`` (``{"train": {"agent_loss_mode":
 agents), writing that variant's runs under ``mixer_grad/``.  It runs
 ``evcoop oracle --instances 20 --seed <seed>`` with full lookahead and with
 ``--lookahead 1``, and prints one ``<sha256>  <path>`` line per
-``metrics.csv``, ``checkpoint.npz``, ``trace.csv`` and ``oracle_metrics.csv``.
+``metrics.csv``, ``trace.csv`` and ``oracle_metrics.csv``.
 Next to each ``oracle_metrics.csv`` it writes and digests ``oracle_api.txt``:
 for each of the same instances, the optimum, its action sequence and node
 count from ``brute_force`` and the total and sequence of ``rolling_greedy``
-at that lookahead, which the profit-only CSV does not pin.  It runs the
+at that lookahead, which the profit-only CSV does not pin.  Each
+``checkpoint.npz`` gets two lines, ``<path> params`` over its parameter
+arrays and ``<path> meta`` over its format version and metadata JSON, so a
+metadata-only change does not look like a numeric one.  It runs the
 three fuzzers as ``evcoop fuzz --seed <seed>`` does and writes and digests
 ``fuzz/fuzz_summary.txt``: each report's name, calls, violations and notes,
 without its timing.
@@ -87,10 +90,9 @@ def digests(out: Path, variant: str, episodes: int, seed: int, eval_seed: int,
         checkpoint = (checkpoints or out) / variant / "train" / run / "checkpoint.npz"
         _run(["evaluate", "--config", str(cfg), "--checkpoint", str(checkpoint),
               "--seed", str(eval_seed), "--out", str(root / "evaluate" / run)])
-        for path in (root / "train" / run / "metrics.csv",
-                     root / "train" / run / "checkpoint.npz",
-                     root / "evaluate" / run / "trace.csv"):
-            lines.append(_digest(path, out))
+        lines.append(_digest(root / "train" / run / "metrics.csv", out))
+        lines += _checkpoint_digests(root / "train" / run / "checkpoint.npz", out)
+        lines.append(_digest(root / "evaluate" / run / "trace.csv", out))
     return lines
 
 
@@ -130,6 +132,22 @@ def fuzz_digests(out: Path, seed: int) -> list[str]:
 
 def _digest(path: Path, out: Path) -> str:
     return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
+
+
+def _checkpoint_digests(path: Path, out: Path) -> list[str]:
+    """The ``params`` and ``meta`` lines of one checkpoint.
+
+    Each hashes the name, dtype, shape and bytes of its arrays in name order.
+    """
+    params, meta = hashlib.sha256(), hashlib.sha256()
+    with np.load(path, allow_pickle=False) as archive:
+        for name in sorted(archive.files):
+            array = archive[name]
+            part = params if name.startswith("param.") else meta
+            part.update(repr((name, array.dtype.str, array.shape)).encode())
+            part.update(np.ascontiguousarray(array).tobytes())
+    where = path.relative_to(out)
+    return [f"{params.hexdigest()}  {where} params", f"{meta.hexdigest()}  {where} meta"]
 
 
 def main(argv=None) -> int:

@@ -62,6 +62,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    # numpy rejects a negative seed with a traceback; argparse names the flag.
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else load_config_dict({})
     overrides: dict = {}
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle",
                               help="enumerate tiny instances: exact optimum vs rolling greedy")
     p_oracle.add_argument("--instances", type=_positive_int, default=10)
-    p_oracle.add_argument("--seed", type=int)
+    p_oracle.add_argument("--seed", type=_nonnegative_int)
     p_oracle.add_argument("--lookahead", type=_positive_int,
                           help="greedy lookahead (default: full horizon)")
     p_oracle.add_argument("--out", help="write oracle_metrics.csv here")
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--clearing", type=_positive_int, default=100_000)
     p_fuzz.add_argument("--battery", type=_positive_int, default=100_000)
     p_fuzz.add_argument("--profit", type=_positive_int, default=10_000)
-    p_fuzz.add_argument("--seed", type=int, default=0)
+    p_fuzz.add_argument("--seed", type=_nonnegative_int, default=0)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_cmp = sub.add_parser("compare",

@@ -2,34 +2,28 @@
 
 Each fuzzer hammers one contract with seeded random inputs and returns a
 report instead of raising, so callers (CLI and tests) decide severity.
-Violation counts, not first-failure, make flakiness visible.  The battery
-check runs in blocks of 200 draws per parameter set on ``decode_batch`` and
-``step_batch``; the profit check keeps the scalar ``decode_table`` and
-``step`` fuzzed, and tests/test_batch.py pins the two paths together.
+Violation counts, not first-failure, make flakiness visible.  Inputs are drawn
+in blocks as arrays, and each identity is one array check around the calls under
+test: ``clear_trades`` per clearing call, ``decode_batch`` and ``step_batch`` per
+battery block, and the rollout's ``ActionGrid.blocks``/``action`` and ``step`` per profit call.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-from .core import (
-    EssParams,
-    Multipliers,
-    PriceQuote,
-    StationAction,
-    StationState,
-    clear_trades,
-    profit,
-    step,
-    step_batch,
-)
+from .core import (EssParams, Multipliers, PriceQuote, StationState, clear_trades, profit, step,
+                   step_batch)
 from .marl.encoding import ActionGrid, InfeasibleActionError
 
 _REL = 1e-9
-_BLOCK = 200      # battery-fuzzer draws per params and quote
+_CLEARING_BLOCK = 1000  # clearing calls drawn at once
+_BATTERY_BLOCK = 200    # battery-fuzzer draws per params and quote
+_PROFIT_BLOCK = 100     # profit calls drawn per params
 _MULTIPLIERS = Multipliers()
 
 
@@ -52,62 +46,71 @@ class FuzzReport:
         return "\n  ".join([line, *self.notes[:5]])
 
 
-def _close(a: float, b: float, rel: float = _REL) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) <= _REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _padded(rows: list[tuple[list[float], ...]], fields: int, width: int) -> np.ndarray:
+    """Each call's ``fields`` per-station lists as a (fields, calls, width) array.
+
+    Stations past a call's own read zero, for which every identity holds.
+    """
+    out = np.zeros((len(rows), fields, width))
+    n = np.array([len(row[0]) for row in rows], dtype=int)
+    out[np.broadcast_to((np.arange(width) < n[:, None])[:, None], out.shape)] = list(
+        chain.from_iterable(chain.from_iterable(rows)))
+    return out.transpose(1, 0, 2)
+
+
+def _tally(first: int, calls: dict, stations: dict, notes: list[str], detail=None) -> int:
+    """Count the calls that fail any check and note up to five in all.
+
+    ``calls`` maps each identity to a (calls,) failure mask and ``stations`` to a
+    (calls, width) one; call ``j`` of the block is call ``first + j`` of the run.
+    """
+    bad = np.logical_or.reduce([*calls.values(), *(m.any(axis=1) for m in stations.values())])
+    for j in np.flatnonzero(bad)[:5 - len(notes)]:
+        failed = [name for name, m in calls.items() if m[j]]
+        failed += [f"{name} at {i}" for name, m in stations.items() for i in np.flatnonzero(m[j])]
+        notes.append(f"call {first + j}: {'; '.join(failed)}" + (detail(j) if detail else ""))
+    return int(bad.sum())
 
 
 def fuzz_clearing(calls: int, seed: int) -> FuzzReport:
-    """Conservation and flow-split identities of the proportional clearing."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    notes: list[str] = []
-    t0 = time.perf_counter()
-    for k in range(calls):
-        n = int(rng.integers(1, 7))
-        controls = rng.uniform(-100.0, 100.0, size=n)
-        mode = k % 5
-        if mode == 1:
-            controls = np.abs(controls)        # all charging
-        elif mode == 2:
-            controls = -np.abs(controls)       # all discharging
-        elif mode == 3:
-            controls[rng.integers(n)] = 0.0    # idle stations present
-        values = controls.tolist()
-        out = clear_trades(values)
+    """Conservation and flow-split identities of the proportional clearing.
 
-        # The checks run on plain floats: numpy calls on 1-6 elements cost
-        # more than the clearing they check.
-        bad = []
-        if not _close(sum(out.matched_buy), sum(out.matched_sell)):
-            bad.append("matched volumes differ")
-        tot_ubuy = sum(out.utility_buy)
-        tot_usell = sum(out.utility_sell)
-        if min(tot_ubuy, tot_usell) > _REL * max(1.0, tot_ubuy, tot_usell):
-            bad.append("both sides left residuals")
-        charge = discharge = 0.0
-        for i, c in enumerate(values):
-            buy_i = c if c > 0.0 else 0.0
-            sell_i = -c if c < 0.0 else 0.0
-            charge += buy_i
-            discharge += sell_i
-            if not _close(out.matched_buy[i] + out.utility_buy[i], buy_i):
-                bad.append(f"buy split broken at {i}")
-            if not _close(out.matched_sell[i] + out.utility_sell[i], sell_i):
-                bad.append(f"sell split broken at {i}")
-            for v in (out.matched_buy[i], out.matched_sell[i],
-                      out.utility_buy[i], out.utility_sell[i]):
-                if v < -_REL:
-                    bad.append(f"negative flow at {i}")
-        if not _close(out.charge_total, charge):
-            bad.append("charge_total wrong")
-        if not _close(out.discharge_total, discharge):
-            bad.append("discharge_total wrong")
-        if bad:
-            violations += 1
-            if len(notes) < 5:
-                notes.append(f"call {k}: {'; '.join(bad)} controls={values}")
-    return FuzzReport("clearing-conservation", calls, violations,
-                      time.perf_counter() - t0, notes)
+    Call ``k`` has 1-6 stations; by ``k % 5`` its controls are mixed, all
+    charging, all discharging, mixed with one idle station, or mixed.
+    """
+    rng = np.random.default_rng(seed)
+    violations, notes, t0 = 0, [], time.perf_counter()
+    for k in range(0, calls, _CLEARING_BLOCK):
+        n = rng.integers(1, 7, min(_CLEARING_BLOCK, calls - k))
+        controls = rng.uniform(-100.0, 100.0, (n.size, 6))
+        mode = (k + np.arange(n.size)) % 5
+        controls[mode == 1] = np.abs(controls[mode == 1])     # all charging
+        controls[mode == 2] = -np.abs(controls[mode == 2])    # all discharging
+        idle = np.flatnonzero(mode == 3)
+        controls[idle, rng.integers(n[idle])] = 0.0           # one idle station
+        controls[np.arange(6) >= n[:, None]] = 0.0            # padding past n
+        outs = [clear_trades(row[:m]) for row, m in zip(controls.tolist(), n.tolist())]
+        flows = _padded([(o.matched_buy, o.matched_sell, o.utility_buy, o.utility_sell)
+                         for o in outs], 4, 6)
+        matched_buy, matched_sell, utility_buy, utility_sell = flows
+        totals = np.array([(o.charge_total, o.discharge_total) for o in outs]).T
+        buy, sell = np.maximum(controls, 0.0), np.maximum(-controls, 0.0)
+        res = flows[2:].sum(axis=2)    # utility buy and sell of each call
+        violations += _tally(k, {
+            "matched volumes differ": ~_close(matched_buy.sum(axis=1), matched_sell.sum(axis=1)),
+            "both sides left residuals": res.min(axis=0) > _REL * np.maximum(1.0, res.max(axis=0)),
+            "charge_total wrong": ~_close(totals[0], buy.sum(axis=1)),
+            "discharge_total wrong": ~_close(totals[1], sell.sum(axis=1)),
+        }, {
+            "buy split broken": ~_close(matched_buy + utility_buy, buy),
+            "sell split broken": ~_close(matched_sell + utility_sell, sell),
+            "negative flow": (flows < -_REL).any(axis=0),
+        }, notes, lambda j: f" controls={controls[j, :n[j]].tolist()}")
+    return FuzzReport("clearing-conservation", calls, violations, time.perf_counter() - t0, notes)
 
 
 def _random_params(rng: np.random.Generator) -> EssParams:
@@ -122,21 +125,21 @@ def _random_params(rng: np.random.Generator) -> EssParams:
     return EssParams(capacity_max=cap, soc_min=lo, soc_max=hi, leakage_beta=beta)
 
 
-def _random_state(rng: np.random.Generator, params: EssParams, size=None) -> tuple:
+def _random_state(rng: np.random.Generator, params: EssParams, size) -> tuple:
     """Battery, urgent and regular demand, then renewable, each of ``size``."""
     return (rng.uniform(params.capacity_min, params.usable_max, size),
             rng.uniform(0.0, 15.0, size), rng.uniform(0.0, 30.0, size),
             rng.uniform(0.0, 50.0, size))
 
 
-def _random_quote(rng: np.random.Generator) -> PriceQuote:
-    return _MULTIPLIERS.quote(float(rng.uniform(0.03, 0.5)))
+def _random_quotes(rng: np.random.Generator, size: int) -> list[PriceQuote]:
+    return [_MULTIPLIERS.quote(u) for u in rng.uniform(0.03, 0.5, size).tolist()]
 
 
 def fuzz_battery(calls: int, seed: int) -> FuzzReport:
     """Masked actions keep the battery inside its certified window.
 
-    Each block of ``_BLOCK`` draws, under fresh params and quote, is one
+    Each block of ``_BATTERY_BLOCK`` draws, under fresh params and quote, is one
     ``decode_batch`` and one ``step_batch`` over one-station rows.  A row with
     every action masked (urgent demand beyond any action's reach) is dropped
     and not counted as a call.  ``step_batch`` clamps the next battery onto
@@ -150,8 +153,8 @@ def fuzz_battery(calls: int, seed: int) -> FuzzReport:
     k = 0
     while k < calls:
         params = _random_params(rng)
-        quote = _random_quote(rng)
-        state = _random_state(rng, params, (min(_BLOCK, calls - k), 1))
+        [quote] = _random_quotes(rng, 1)
+        state = _random_state(rng, params, (min(_BATTERY_BLOCK, calls - k), 1))
         supplies, controls, mask = grid.decode_batch(*state, params)
         keep = mask[:, 0].any(axis=1)
         mask = mask[keep, 0]
@@ -177,60 +180,56 @@ def fuzz_battery(calls: int, seed: int) -> FuzzReport:
 
 
 def fuzz_profit(calls: int, seed: int) -> FuzzReport:
-    """Profit identities: recomputation, zero-sum trading, trade-price invariance."""
+    """Profit identities: recomputation, zero-sum trading, trade-price invariance.
+
+    Each block of ``_PROFIT_BLOCK`` calls under fresh params has 2-4 stations a
+    call, each acting uniformly among its feasible actions, decoded as a rollout
+    does.  A call with a station with no feasible action is dropped, not counted.
+    """
     rng = np.random.default_rng(seed)
     grid = ActionGrid()
-    violations = 0
-    notes: list[str] = []
-    t0 = time.perf_counter()
-    params = _random_params(rng)
-    k = 0
+    m = grid.cs_levels
+    k = violations = 0
+    notes, t0 = [], time.perf_counter()
     while k < calls:
-        n = int(rng.integers(2, 5))
-        quote = _random_quote(rng)
-        states, actions, renewables = [], [], []
-        try:
-            for _ in range(n):
-                battery, urgent, regular, rn = _random_state(rng, params)
-                st = StationState(battery, urgent, regular)
-                supplies, controls, mask = grid.decode_table(st, rn, params)
-                feas = np.flatnonzero(mask)
-                idx = int(feas[rng.integers(feas.size)])
-                states.append(st)
-                renewables.append(rn)
-                actions.append(StationAction(supplies.item(idx), controls.item(idx)))
-        except InfeasibleActionError:
-            # A station with no feasible action: nothing to check, redraw.
-            params = _random_params(rng)
-            continue
-        out = step(states, actions, renewables, quote, [(0.0, 0.0)] * n, params)
-        br = out.profit
-        bad = []
-        for i in range(n):
-            ev_inc = actions[i].ev_supply * quote.ev
-            ucost = out.trade.utility_buy[i] * quote.utility
-            tnet = (out.trade.matched_sell[i] - out.trade.matched_buy[i]) * quote.trade
-            back = out.trade.utility_sell[i] * quote.buyback
-            station = ev_inc - ucost + tnet + back
-            if not _close(br.ev_income[i], ev_inc) or not _close(br.utility_cost[i], ucost) \
-                    or not _close(br.trade_net[i], tnet) or not _close(br.buyback_income[i], back) \
-                    or not _close(br.station_profit[i], station):
-                bad.append(f"breakdown mismatch at {i}")
-        if not _close(br.total_profit, sum(br.station_profit)):
-            bad.append("total != sum of stations")
-        if abs(sum(br.trade_net)) > _REL * max(1.0, abs(br.total_profit)):
-            bad.append("internal trading not zero-sum")
-        # moving the internal trade price must not move total profit
-        alt = replace(quote, trade=0.85 * quote.utility)
-        alt_break = profit([a.ev_supply for a in actions], out.trade, alt)
-        if abs(alt_break.total_profit - br.total_profit) > _REL * max(1.0, abs(br.total_profit)):
-            bad.append("total profit moved with trade price")
-        if bad:
-            violations += 1
-            if len(notes) < 5:
-                notes.append(f"call {k}: {'; '.join(bad)}")
-        k += 1
-        if k % 100 == 0:
-            params = _random_params(rng)
-    return FuzzReport("profit-identities", calls, violations,
-                      time.perf_counter() - t0, notes)
+        params = _random_params(rng)
+        n = rng.integers(2, 5, min(_PROFIT_BLOCK, calls - k))
+        quotes = _random_quotes(rng, n.size)
+        *station, renewable = (a.tolist() for a in _random_state(rng, params, n.sum()))
+        states = list(map(StationState, *station))
+        pick = rng.random(n.sum()).tolist()
+        ends = np.cumsum(n).tolist()
+        rows, totals = [], []
+        for q, lo, hi in zip(quotes, [0, *ends], ends):
+            try:
+                blocks = [grid.blocks(states[i], renewable[i], params) for i in range(lo, hi)]
+            except InfeasibleActionError:
+                continue
+            actions = []
+            for bl, u in zip(blocks, pick[lo:hi]):
+                feasible = [e * m + c for e, b in enumerate(bl) if b is not None for c in range(m)]
+                actions.append(grid.action(bl, feasible[int(u * len(feasible))]))  # u < 1
+            supplies = [a.ev_supply for a in actions]
+            out = step(states[lo:hi], actions, renewable[lo:hi], q, [(0.0, 0.0)] * (hi - lo),
+                       params)
+            alt = profit(supplies, out.trade, replace(q, trade=0.85 * q.utility))  # must not move
+            t, br = out.trade, out.profit
+            rows.append((supplies, t.matched_buy, t.matched_sell, t.utility_buy, t.utility_sell,
+                         br.ev_income, br.utility_cost, br.trade_net, br.buyback_income,
+                         br.station_profit))
+            totals.append((br.total_profit, alt.total_profit, q.ev, q.utility, q.trade, q.buyback))
+        supply, m_buy, m_sell, u_buy, u_sell, *got = _padded(rows, 10, 4)
+        total, alt_total, *prices = np.array(totals).reshape(-1, 6).T
+        ev, utility, trade, buyback = (p[:, None] for p in prices)
+        want = [supply * ev, u_buy * utility, (m_sell - m_buy) * trade, u_sell * buyback]
+        want.append(want[0] - want[1] + want[2] + want[3])   # the station's profit
+        tol = _REL * np.maximum(1.0, np.abs(total))
+        violations += _tally(k, {
+            "total != sum of stations": ~_close(total, got[4].sum(axis=1)),
+            "internal trading not zero-sum": np.abs(got[2].sum(axis=1)) > tol,
+            "total profit moved with trade price": np.abs(alt_total - total) > tol,
+        }, {
+            "breakdown mismatch": ~np.logical_and.reduce(list(map(_close, got, want))),
+        }, notes)
+        k += len(rows)
+    return FuzzReport("profit-identities", calls, violations, time.perf_counter() - t0, notes)

@@ -158,6 +158,10 @@ def test_oracle_subcommand_writes_rows(tmp_path):
                  id="lookahead-neg"),
     pytest.param(["compare", "--runs", "nowhere", "--window", "0"], id="window-0"),
     pytest.param(["fuzz", "--clearing", "1", "--battery", "1", "--profit", "0"], id="fuzz-0"),
+    # A seed may be zero but not negative.
+    pytest.param(["oracle", "--instances", "1", "--seed", "-3", "--out", "."], id="oracle-seed-neg"),
+    pytest.param(["fuzz", "--clearing", "1", "--battery", "1", "--profit", "1", "--seed", "-3"],
+                 id="fuzz-seed-neg"),
 ])
 def test_counts_below_one_are_rejected(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -270,43 +270,129 @@ def test_step_keeps_battery_in_band(battery, renewable, demand, u):
     assert p.capacity_min - 1e-9 <= nxt <= p.usable_max + 1e-9
 
 
-def test_fuzz_profit_counts_only_checked_calls(monkeypatch):
-    # At this seed one draw has a station with no feasible action; that draw
-    # is redrawn, not counted.
-    counts = {"step": 0, "params": 0}
-    real_step, real_params = fuzz.step, fuzz._random_params
+# Params that leave no station a feasible action: the battery floor is far
+# above anything one slot's import cap can reach.
+NO_FEASIBLE_ACTION = EssParams(capacity_max=10_000.0, soc_min=0.5, soc_max=1.0,
+                               leakage_beta=0.01, export_cap=1.0, import_cap=1.0)
 
-    def counting_step(*args, **kwargs):
-        counts["step"] += 1
-        return real_step(*args, **kwargs)
+
+def test_fuzz_profit_counts_only_checked_calls(monkeypatch):
+    # The first block's params leave every call without a feasible action:
+    # all of its calls are dropped and none counts.
+    tight = iter([NO_FEASIBLE_ACTION])
+    real_params, real_step = fuzz._random_params, fuzz.step
+    params, steps = [], []
 
     def counting_params(rng):
-        counts["params"] += 1
-        return real_params(rng)
+        params.append(next(tight, None) or real_params(rng))
+        return params[-1]
 
-    monkeypatch.setattr(fuzz, "step", counting_step)
+    def counting_step(*args):
+        steps.append(len(args[0]))
+        return real_step(*args)
+
     monkeypatch.setattr(fuzz, "_random_params", counting_params)
-    report = fuzz.fuzz_profit(1000, seed=59)
+    monkeypatch.setattr(fuzz, "step", counting_step)
+    report = fuzz.fuzz_profit(250, seed=59)
     assert report.ok
-    assert counts["step"] == report.calls == 1000
-    # one draw up front and one per 100 checked calls, plus the redraw
-    assert counts["params"] > 1 + report.calls // 100
+    assert len(steps) == report.calls == 250
+    # one params draw per block of 100 calls: the dropped block, then three
+    assert len(params) == 4 and params[0] is NO_FEASIBLE_ACTION
 
 
 def test_fuzz_profit_propagates_constraint_violation(monkeypatch):
     # A decode that rejects its input is a failure, not a draw to redraw.
-    real_decode = ActionGrid.decode_table
+    real_blocks = ActionGrid.blocks
     calls = {"n": 0}
 
     def rejects_once(self, *args):
         calls["n"] += 1
         if calls["n"] == 1:
             raise ConstraintViolation("battery_kwh nan is not finite")
-        return real_decode(self, *args)
+        return real_blocks(self, *args)
 
-    monkeypatch.setattr(ActionGrid, "decode_table", rejects_once)
+    monkeypatch.setattr(ActionGrid, "blocks", rejects_once)
     with pytest.raises(ConstraintViolation, match="not finite"):
         fuzz.fuzz_profit(10, seed=2)
+
+
+def test_fuzz_clearing_covers_every_station_count_and_control_pattern(monkeypatch):
+    seen = []
+
+    def recording(controls):
+        seen.append(list(controls))
+        return clear_trades(controls)
+
+    monkeypatch.setattr(fuzz, "clear_trades", recording)
+    assert fuzz.fuzz_clearing(1000, seed=0).ok
+    assert len(seen) == 1000
+    assert {len(c) for c in seen} == set(range(1, 7))
+    # call k % 5: mixed, all charging, all discharging, one idle station, mixed
+    assert all(x > 0.0 for c in seen[1::5] for x in c)
+    assert all(x < 0.0 for c in seen[2::5] for x in c)
+    assert all(c.count(0.0) == 1 for c in seen[3::5])
+    mixed = seen[0::5] + seen[4::5]
+    assert any(min(c) < 0.0 < max(c) for c in mixed)
+    assert 0.0 not in [x for c in mixed for x in c]
+
+
+def test_fuzz_profit_acts_on_decode_table_entries_at_every_station_count(monkeypatch):
+    steps = []
+
+    def recording(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(fuzz, "step", recording)
+    assert fuzz.fuzz_profit(300, seed=2).ok
+    assert len(steps) == 300
+    assert {len(states) for states, *_ in steps} == {2, 3, 4}
+    grid = ActionGrid()
+    for states, actions, renewables, _, _, params in steps:
+        for state, action, renewable in zip(states, actions, renewables):
+            supplies, controls, mask = grid.decode_table(state, renewable, params)
+            assert any(_bits(supplies[i]) == _bits(action.ev_supply)
+                       and _bits(controls[i]) == _bits(action.ess_control)
+                       for i in np.flatnonzero(mask))
+
+
+def test_fuzz_clearing_catches_a_broken_split(monkeypatch):
+    # Extra utility sale at the first station keeps every total and the
+    # matched volumes, but breaks that station's sell split.
+    def leaky(controls):
+        out = clear_trades(controls)
+        out.utility_sell[0] += 1.0
+        return out
+
+    monkeypatch.setattr(fuzz, "clear_trades", leaky)
+    report = fuzz.fuzz_clearing(1000, seed=0)
+    assert report.violations == report.calls == 1000
+    assert len(report.notes) == 5
+    assert all("sell split broken at 0" in note for note in report.notes)
+
+
+def test_fuzz_profit_catches_a_total_that_moves_with_trade_price(monkeypatch):
+    def priced(ev_supplies, trade, quote):
+        out = profit(ev_supplies, trade, quote)
+        out.total_profit += sum(trade.matched_buy) * quote.trade
+        return out
+
+    monkeypatch.setattr(fuzz, "profit", priced)
+    report = fuzz.fuzz_profit(200, seed=2)
+    assert report.violations > 0
+    assert all(note.endswith(": total profit moved with trade price") for note in report.notes)
+
+
+def test_fuzz_profit_catches_a_breakdown_that_step_gets_wrong(monkeypatch):
+    def off(*args):
+        out = step(*args)
+        out.profit.ev_income[1] += 1.0
+        return out
+
+    monkeypatch.setattr(fuzz, "step", off)
+    report = fuzz.fuzz_profit(200, seed=2)
+    assert report.violations == report.calls == 200
+    assert report.notes == [f"call {k}: breakdown mismatch at 1" for k in range(5)]
 
 
 def test_fuzz_battery_catches_controls_past_the_upper_bound(monkeypatch):
@@ -343,8 +429,7 @@ def test_fuzz_battery_counts_calls_exactly(monkeypatch, calls):
     # The first block's params leave every row without a feasible action
     # (the floor is far above anything one slot's import cap can reach):
     # all of its rows are dropped and none counts.
-    tight = iter([EssParams(capacity_max=10_000.0, soc_min=0.5, soc_max=1.0,
-                            leakage_beta=0.01, export_cap=1.0, import_cap=1.0)])
+    tight = iter([NO_FEASIBLE_ACTION])
     real_params, real_step_batch = fuzz._random_params, fuzz.step_batch
     rows = []
 
