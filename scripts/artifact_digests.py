@@ -54,7 +54,7 @@ from evcoop.cli import main as evcoop  # noqa: E402
 from evcoop.fuzz import fuzz_battery, fuzz_clearing, fuzz_profit  # noqa: E402
 from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # noqa: E402
 
-DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn")
+DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
 # (subdirectory, config merged into the run config) of each training variant
 VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}}))
 ORACLE_INSTANCES = 20

@@ -306,64 +306,71 @@ _STATION_FIELDS = ("battery_kwh", "urgent_demand", "regular_demand", "renewable"
                    "ev_supply", "ess_control", "arrival_urgent", "arrival_regular")
 
 
-def check_finite_station(values: tuple[float, ...], station: int | None = None) -> None:
+def check_finite_station(values: Sequence[float], station: int | None = None,
+                         names: Sequence[str] = _STATION_FIELDS) -> None:
     """Raise ConstraintViolation naming the first non-finite value of a station.
 
-    ``values`` are the leading fields of ``_STATION_FIELDS``, in that order.
+    ``values`` are named by ``names``, by default the leading fields of
+    ``_STATION_FIELDS`` in that order.
     """
     # One test on the sum covers the common case; NaN and inf both survive it.
     if math.isfinite(sum(values)):
         return
     where = "" if station is None else f"station {station}: "
-    for name, value in zip(_STATION_FIELDS, values):
+    for name, value in zip(names, values):
         if not math.isfinite(value):
             raise ConstraintViolation(f"{where}{name} {value} is not finite")
 
 
-def step(
-    states: Sequence[StationState],
-    actions: Sequence[StationAction],
-    renewables: Sequence[float],
-    quote: PriceQuote,
-    next_arrivals: Sequence[tuple[float, float]],
-    params: EssParams,
-) -> StepOutcome:
+def step(states: Sequence[StationState], actions: Sequence[StationAction],
+         renewables: Sequence[float], quote: PriceQuote,
+         next_arrivals: Sequence[tuple[float, float]], params: EssParams) -> StepOutcome:
     """Advance all stations one slot.
 
-    Validates every action against the demand bound and the post-curtailment
-    control interval (a small float tolerance admits actions decoded exactly
-    onto a bound), clears the internal market, prices the slot, applies the
-    battery dynamics and rolls unmet demand into next slot's urgent demand.
+    Checks each station's state, renewable and action for finiteness and its
+    supply against the demand bound, computes the control interval of that
+    supply, and hands the rest to ``settle``.
     """
     n = len(states)
     if not (n == len(actions) == len(renewables) == len(next_arrivals)):
         raise ValueError("states, actions, renewables and next_arrivals must have equal length")
-
-    internal_flows = [0.0] * n
-    curtailed = [0.0] * n
+    intervals = []
     for i in range(n):
-        st, act, renewable, arrival = states[i], actions[i], renewables[i], next_arrivals[i]
-        supply, control = act.ev_supply, act.ess_control
-        check_finite_station((st.battery_kwh, st.urgent_demand, st.regular_demand, renewable,
-                              supply, control, arrival[0], arrival[1]), i)
-        lo_supply = st.urgent_demand
-        hi_supply = st.total_demand
-        if supply < lo_supply - _TOL or supply > hi_supply + _TOL:
-            raise ConstraintViolation(
-                f"station {i}: ev_supply {supply} outside [{lo_supply}, {hi_supply}]"
-            )
-        [(flow, cut, lower, upper)] = control_intervals(st.battery_kwh, renewable, (supply,),
-                                                        params)
+        st, act, renewable = states[i], actions[i], renewables[i]
+        supply, urgent, total = act.ev_supply, st.urgent_demand, st.total_demand
+        check_finite_station((st.battery_kwh, urgent, st.regular_demand, renewable, supply,
+                              act.ess_control), i)
+        if supply < urgent - _TOL or supply > total + _TOL:
+            raise ConstraintViolation(f"station {i}: ev_supply {supply} outside [{urgent}, {total}]")
+        intervals += control_intervals(st.battery_kwh, renewable, (supply,), params)
+    return settle(states, actions, intervals, quote, next_arrivals, params)
+
+
+def settle(states: Sequence[StationState], actions: Sequence[StationAction],
+           intervals: Sequence[tuple[float, float, float, float]], quote: PriceQuote,
+           next_arrivals: Sequence[tuple[float, float]], params: EssParams) -> StepOutcome:
+    """The rest of ``step`` once each station's ``control_intervals`` entry is known.
+
+    Checks that each interval is nonempty and holds its control (a small
+    float tolerance admits actions decoded exactly onto a bound) and that
+    the arrivals are finite and nonnegative; then clears the internal
+    market, prices the slot, applies the battery dynamics and rolls unmet
+    demand into next slot's urgent demand.  A rollout calls it on the
+    entries its decode computed, after checking what ``step`` checks.
+    """
+    for i, (act, (_, _, lower, upper), arrival) in enumerate(
+            zip(actions, intervals, next_arrivals, strict=True)):
         if lower > upper:
             raise InfeasibleIntervalError(
                 f"station {i}: empty control interval [{lower}, {upper}]: "
                 f"curtailment skipped or caps too tight")
+        control = act.ess_control
         if control < lower - _TOL or control > upper + _TOL:
             raise ConstraintViolation(
-                f"station {i}: ess_control {control} outside [{lower}, {upper}]"
-            )
-        internal_flows[i] = flow
-        curtailed[i] = cut
+                f"station {i}: ess_control {control} outside [{lower}, {upper}]")
+        check_finite_station(arrival, i, _STATION_FIELDS[6:])
+        if arrival[0] < 0.0 or arrival[1] < 0.0:
+            raise ConstraintViolation(f"station {i}: negative arrivals ({arrival[0]}, {arrival[1]})")
 
     controls = [a.ess_control for a in actions]
     supplies = [a.ev_supply for a in actions]
@@ -372,24 +379,15 @@ def step(
 
     beta, floor, ceiling = params.leakage_beta, params.capacity_min, params.usable_max
     next_states = []
-    for i in range(n):
-        st = states[i]
-        battery = beta * st.battery_kwh + controls[i] + internal_flows[i]
-        # Clamp float rounding back onto the physical band; validation above
-        # guarantees any excursion is within _TOL of a bound.
-        battery = min(max(battery, floor), ceiling)
-        arr_urgent, arr_regular = next_arrivals[i]
-        if arr_urgent < 0.0 or arr_regular < 0.0:
-            raise ConstraintViolation(f"station {i}: negative arrivals ({arr_urgent}, {arr_regular})")
-        carryover = max(st.total_demand - supplies[i], 0.0)
-        next_states.append(
-            StationState(
-                battery_kwh=battery,
-                urgent_demand=arr_urgent + carryover,
-                regular_demand=arr_regular,
-            )
-        )
-    return StepOutcome(next_states, trade, breakdown, curtailed, internal_flows)
+    for st, control, supply, (flow, _, _, _), (arr_urgent, arr_regular) in zip(
+            states, controls, supplies, intervals, next_arrivals):
+        # Clamp float rounding back onto the physical band; the checks above
+        # guarantee any excursion is within _TOL of a bound.
+        battery = min(max(beta * st.battery_kwh + control + flow, floor), ceiling)
+        carryover = max(st.total_demand - supply, 0.0)
+        next_states.append(StationState(battery, arr_urgent + carryover, arr_regular))
+    return StepOutcome(next_states, trade, breakdown, [cut for _, cut, _, _ in intervals],
+                       [flow for flow, _, _, _ in intervals])
 
 
 # -- array-native path ----------------------------------------------------
@@ -400,11 +398,13 @@ def step(
 # by tests/test_batch.py).  Sums over stations are written as explicit
 # left-to-right loops for that reason: numpy's reductions sum pairwise.
 #
-# ``step_batch`` is the composition of two halves.  ``advance_stations_batch``
-# is everything a station's own action decides: the checks, the control
-# interval and the next state.  ``clear_and_price_batch`` is the part that
-# couples the stations: clearing and pricing.  The oracle runs the first
-# once per (row, station, action) and the second once per joint action.
+# Like ``step``, which computes the control intervals and hands them to
+# ``settle``, ``step_batch`` is the composition of two halves, split where
+# the stations couple.  ``advance_stations_batch`` is everything a station's
+# own action decides: the checks, the control interval and the next state.
+# ``clear_and_price_batch`` is the part that couples the stations: clearing
+# and pricing.  The oracle runs the first once per (row, station, action)
+# and the second once per joint action.
 
 
 def _first_bad(bad: np.ndarray, where: np.ndarray | None = None) -> tuple[int, ...] | None:

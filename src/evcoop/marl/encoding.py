@@ -6,8 +6,10 @@ utility price, each divided by a fixed normalization scale.  Actions are a
 ``K_ev x K_cs`` grid: a supply fraction applied to regular demand crossed
 with battery control levels spaced linearly over the feasible interval that
 results from that supply choice, so every decodable action already respects
-the demand and battery constraints.  A rollout slot decodes only each block's
-feasibility (``ActionGrid.blocks``) and the chosen action (``ActionGrid.action``).
+the demand and battery constraints.  A rollout slot decodes each supply
+fraction's block once (``ActionGrid.blocks``), keeping its whole control
+interval entry, and then only the chosen action (``ActionGrid.action``); it
+settles the slot on the chosen blocks' entries (``core.settle``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from ..core import (
 )
 
 OBS_DIM = 6
+Block = tuple[float, tuple[float, float, float, float]]  # supply, (flow, cut, lo, hi)
 
 
 class InfeasibleActionError(ValueError):
@@ -131,10 +134,11 @@ class ActionGrid:
         return len(self.ev_fractions) * self.cs_levels
 
     def blocks(self, state: StationState, renewable: float,
-               params: EssParams) -> list[tuple[float, float, float] | None]:
-        """Each supply fraction's supply and control interval ``(supply, lo, hi)``, or None.
+               params: EssParams) -> list[Block | None]:
+        """Each supply fraction's ``(supply, (flow, cut, lo, hi))``, or None.
 
-        None masks a block whose interval is empty (possible under tight
+        The pair is the supply and its ``control_intervals`` entry.  None
+        masks a block whose interval is empty (possible under tight
         export/import caps); at least one block must survive.  A non-finite
         input raises ConstraintViolation naming its field.
         """
@@ -142,20 +146,21 @@ class ActionGrid:
         check_finite_station((battery, urgent, regular, renewable))
         fraction_supplies = [urgent + frac * regular for frac in self.ev_fractions]
         intervals = control_intervals(battery, renewable, fraction_supplies, params)
-        out = [None if lo > hi else (supply, lo, hi)
-               for supply, (_, _, lo, hi) in zip(fraction_supplies, intervals)]
+        out = [None if interval[2] > interval[3] else (supply, interval)
+               for supply, interval in zip(fraction_supplies, intervals)]
         if out.count(None) == len(out):
             raise InfeasibleActionError(
                 "no feasible action: every supply fraction leaves an empty control interval")
         return out
 
-    def action(self, blocks: list[tuple[float, float, float] | None],
-               index: int) -> StationAction:
+    def action(self, blocks: list[Block | None], index: int) -> StationAction:
         """The StationAction of flat ``index`` on one station's ``blocks``."""
+        if not 0 <= index < self.n_actions:
+            raise InfeasibleActionError(f"action index {index} outside grid of {self.n_actions}")
         block = blocks[index // self.cs_levels]
         if block is None:
             raise InfeasibleActionError(f"action index {index} is masked infeasible at this step")
-        supply, lo, hi = block
+        supply, (_, _, lo, hi) = block
         return StationAction(ev_supply=supply,
                              ess_control=linspace(lo, hi, self.cs_levels)[index % self.cs_levels])
 
@@ -175,7 +180,7 @@ class ActionGrid:
                 controls += [0.0] * m
                 mask += [False] * m
                 continue
-            supply, lo, hi = block
+            supply, (_, _, lo, hi) = block
             supplies += [supply] * m
             controls += linspace(lo, hi, m)
             mask += [True] * m
@@ -210,10 +215,3 @@ class ActionGrid:
             controls[..., block] = np.where(ok, linspace_rows(lo, hi, m), 0.0)
             mask[..., block] = ok
         return supplies, controls, mask
-
-    def decode(self, index: int, state: StationState, renewable: float,
-               params: EssParams) -> StationAction:
-        """Turn a flat action index into a concrete StationAction."""
-        if not 0 <= index < self.n_actions:
-            raise InfeasibleActionError(f"action index {index} outside grid of {self.n_actions}")
-        return self.action(self.blocks(state, renewable, params), index)

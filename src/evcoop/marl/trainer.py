@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import EssParams, PriceQuote, StationAction, StationState, StepOutcome, step as env_step
+from ..core import EssParams, PriceQuote, StationAction, StationState, StepOutcome, settle
 from ..data import Episode
 from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, stack_layers
 from ..nn.checkpoint import CheckpointError, read_checkpoint, restore_params, save_checkpoint
@@ -266,15 +266,16 @@ def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
         obs_block = encode_observation(states, renew, quote.utility, params, learner.scales)
         obs_log[t] = obs_block
 
-        # one forward and one masked argmax for every station, then decode the chosen actions
+        # one forward and one masked argmax for every station, then decode and settle
         blocks = [grid.blocks(states[i], renew[i], params) for i in range(n)]
         mask_blocks[t] = np.array([b is not None for bl in blocks for b in bl]).reshape(n, -1, 1)
         q, hidden = learner.agents_eval.step(obs_block[:, None, :], hidden)
         chosen = act_epsilon_greedy(q[:, 0], epsilon, mask_log[t], rng)
         action_log[t] = chosen
-        actions = [grid.action(bl, idx) for bl, idx in zip(blocks, chosen.tolist())]
-
-        outcome = env_step(states, actions, renew, quote, episode.arrivals[t], params)
+        picked = list(zip(blocks, chosen.tolist()))
+        actions = [grid.action(bl, idx) for bl, idx in picked]
+        intervals = [bl[idx // grid.cs_levels][1] for bl, idx in picked]
+        outcome = settle(states, actions, intervals, quote, episode.arrivals[t], params)
         total_log[t] = outcome.profit.total_profit
         station_log[t] = outcome.profit.station_profit
         reward_log[t] = outcome.profit.total_profit * learner.config.reward_scale

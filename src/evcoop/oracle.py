@@ -243,10 +243,8 @@ def replay_sequence(instance: TinyInstance, actions: tuple[tuple[int, ...], ...]
     total = 0.0
     per_station = np.zeros(ep.station_count)
     for t, combo in enumerate(actions):
-        decoded = [
-            grid.decode(int(a), states[i], ep.renewables[t][i], params)
-            for i, a in enumerate(combo)
-        ]
+        decoded = [grid.action(grid.blocks(states[i], ep.renewables[t][i], params), int(a))
+                   for i, a in enumerate(combo)]
         out = env_step(states, decoded, list(ep.renewables[t]), ep.quotes[t],
                        list(ep.arrivals[t]), params)
         total += out.profit.total_profit

@@ -2,10 +2,12 @@
 
 ``step_batch``, its two halves (``advance_stations_batch`` per station and
 ``clear_and_price_batch`` across stations), ``ActionGrid.decode_batch`` and
-the rollout's decode of only the chosen action must agree with ``step`` and
-``decode_table`` bit for bit, and the blocked breadth-first oracle with the
-depth-first enumeration it replaced (kept here as ``_dfs_search``) in
-optimum, action sequence and node count.
+the rollout's decode of only the chosen action and its settled slot must
+agree with ``step`` and ``decode_table`` bit for bit, and the blocked
+breadth-first oracle with the depth-first enumeration it replaced (kept here
+as ``_dfs_search``) in optimum, action sequence and node count.  The market
+relations at the end need no reference: permuting the stations permutes the
+slot, and demand is conserved.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from evcoop.core import (
     StationState,
     advance_stations_batch,
     clear_and_price_batch,
+    settle,
     step,
     step_batch,
 )
@@ -159,34 +162,52 @@ def test_decode_batch_zero_width_interval_and_masked_block():
 
 # -- the rollout's chosen-action decode vs decode_table ----------------------
 
-def check_rollout_decode(params, grid, states, renewables, seed):
-    """One exploring rollout slot over ``states`` against ``decode_table`` per station.
+def outcome_floats(outcome):
+    """Every float of a StepOutcome, in field order."""
+    def flat(value):
+        return [x for v in value for x in flat(v)] if isinstance(value, (list, tuple)) else [value]
+
+    return flat(dataclasses.astuple(outcome))
+
+
+def check_rollout_decode(params, grid, states, renewables, seed, arrivals=None):
+    """One exploring rollout slot over ``states`` against ``decode_table`` and ``step``.
 
     The slot's mask row and every station's chosen StationAction must be
     ``decode_table``'s, bit for bit; where ``decode_table`` raises, the
     rollout raises the same error with the same message.  Every entry of
-    every station also goes through ``ActionGrid.action`` on its own.
+    every station also goes through ``ActionGrid.action`` on its own.  The
+    slot's StepOutcome must be scalar ``step``'s on the same states,
+    actions, renewables, quote and ``arrivals`` (zero by default), bit for
+    bit; where ``step`` raises, the rollout raises the same error.
     """
     n = len(states)
+    zero = [(0.0, 0.0)] * n
+    arrivals = zero if arrivals is None else [tuple(a) for a in arrivals]
     learner = build_learner("independent_dqn", n, params, grid, ObsScales(),
                             TrainConfig(hidden_dim=4), np.random.default_rng(seed))
-    episode = Episode(quotes=(PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08),),
-                      renewables=(tuple(renewables),), arrivals=(((0.0, 0.0),) * n,),
-                      initial_states=tuple(states))
+    quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
 
-    def rollout():
+    def rollout(arrivals):
+        episode = Episode(quotes=(quote,), renewables=(tuple(renewables),),
+                          arrivals=(tuple(arrivals),), initial_states=tuple(states))
         return rollout_episode(episode, learner, 1.0, np.random.default_rng(seed),
                                collect_trace=True)
+
+    def assert_same_error(exc, arrivals):
+        with pytest.raises(ValueError) as raised:
+            rollout(arrivals)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
 
     try:
         tables = [grid.decode_table(s, r, params) for s, r in zip(states, renewables)]
     except (ConstraintViolation, InfeasibleActionError) as exc:
-        with pytest.raises(ValueError) as raised:
-            rollout()
-        assert type(raised.value) is type(exc)
-        assert str(raised.value) == str(exc)
+        assert_same_error(exc, arrivals)
         return
-    record, trace = rollout()
+    # The arrivals only reach the next slot's states, so a one-slot rollout on
+    # zero arrivals takes the actions a rollout on ``arrivals`` takes.
+    record, trace = rollout(zero)
     np.testing.assert_array_equal(record.masks[0], [mask for _, _, mask in tables])
     for i, (supplies, controls, mask) in enumerate(tables):
         chosen = trace[0].actions[i]
@@ -201,20 +222,34 @@ def check_rollout_decode(params, grid, states, renewables, seed):
             action = grid.action(blocks, index)
             assert_bits([action.ev_supply, action.ess_control],
                         [supplies[index], controls[index]])
+    try:
+        want = step(states, trace[0].actions, renewables, quote, arrivals, params)
+    except ConstraintViolation as exc:
+        assert_same_error(exc, arrivals)
+        return
+    _, trace = rollout(arrivals)
+    assert_bits(outcome_floats(trace[0].outcome), outcome_floats(want))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), ess_params(), grids, st.integers(1, 3),
-       st.sampled_from([None, "battery", "urgent", "regular", "renewable"]),
+       st.sampled_from([None, "battery", "urgent", "regular", "renewable", "arrival"]),
        st.sampled_from([math.nan, math.inf]))
 def test_rollout_decodes_the_chosen_action_as_decode_table_does(data, params, grid, stations,
                                                                 poison, bad):
     battery, urgent, regular, renewable = data.draw(state_block(params, 1, stations))
-    fields = {"battery": battery, "urgent": urgent, "regular": regular, "renewable": renewable}
-    if poison is not None:
-        fields[poison][0, data.draw(st.integers(0, stations - 1))] = bad
+    arrivals = np.array(data.draw(st.lists(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0)),
+                                           min_size=stations, max_size=stations)))
+    station = data.draw(st.integers(0, stations - 1))
+    if poison == "arrival":             # a NaN, an inf or a negative arrival
+        arrivals[station, data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -1.0]))
+    elif poison is not None:
+        {"battery": battery, "urgent": urgent, "regular": regular,
+         "renewable": renewable}[poison][0, station] = bad
     check_rollout_decode(params, grid, scalar_states(battery, urgent, regular, 0),
-                         renewable[0].tolist(), data.draw(st.integers(0, 2**32 - 1)))
+                         renewable[0].tolist(), data.draw(st.integers(0, 2**32 - 1)),
+                         arrivals.tolist())
 
 
 def test_rollout_decode_zero_width_interval_masked_block_and_no_feasible_action():
@@ -488,7 +523,7 @@ def _dfs_rolling_greedy(instance, lookahead):
         best, seq, _ = _dfs_search(ep, params, grid, states, t, min(lookahead, ep.length - t))
         if best == -math.inf:
             raise InfeasibleActionError("no feasible joint action sequence")
-        actions = [grid.decode(a, states[i], ep.renewables[t][i], params)
+        actions = [grid.action(grid.blocks(states[i], ep.renewables[t][i], params), a)
                    for i, a in enumerate(seq[0])]
         out = step(states, actions, list(ep.renewables[t]), ep.quotes[t],
                    list(ep.arrivals[t]), params)
@@ -604,3 +639,53 @@ def test_oracle_ties_keep_the_lexicographically_first_sequence(monkeypatch, bloc
         assert oracle.replay_sequence(inst, tied)[0] == exact.profit == 28.0
     ref = _dfs_search(episode, params, inst.grid, episode.initial_states, 0, 2)
     assert (exact.profit, exact.actions, exact.nodes) == ref
+
+
+# -- market relations on step and the rollout's settle ----------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), ess_params(), grids, quotes(), st.integers(2, 6))
+def test_permuting_stations_permutes_the_slot_and_demand_is_conserved(data, params, grid,
+                                                                      quote, stations):
+    # Actions decoded as a rollout decodes them, settled by step and by settle.
+    battery, urgent, regular, renewable = data.draw(state_block(params, 1, stations))
+    states, renewables = scalar_states(battery, urgent, regular, 0), renewable[0].tolist()
+    try:
+        blocks = [grid.blocks(s, r, params) for s, r in zip(states, renewables)]
+    except InfeasibleActionError:
+        return
+    m = grid.cs_levels
+    picks = [data.draw(st.sampled_from([e * m + c for e, b in enumerate(bl) if b is not None
+                                        for c in range(m)])) for bl in blocks]
+    actions = [grid.action(bl, a) for bl, a in zip(blocks, picks)]
+    intervals = [bl[a // m][1] for bl, a in zip(blocks, picks)]
+    arrivals = data.draw(st.lists(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0)),
+                                  min_size=stations, max_size=stations))
+    perm = data.draw(st.permutations(range(stations)))
+
+    def permuted(values):
+        return [values[j] for j in perm]
+
+    def next_states(out):
+        return [(s.battery_kwh, s.urgent_demand, s.regular_demand) for s in out.next_states]
+
+    base = step(states, actions, renewables, quote, arrivals, params)
+    assert_bits(outcome_floats(settle(states, actions, intervals, quote, arrivals, params)),
+                outcome_floats(base))
+    for out in (step(permuted(states), permuted(actions), permuted(renewables), quote,
+                     permuted(arrivals), params),
+                settle(permuted(states), permuted(actions), permuted(intervals), quote,
+                       permuted(arrivals), params)):
+        # Each station's own results move with it exactly ...
+        assert_bits(next_states(out), permuted(next_states(base)))
+        assert_bits(out.curtailed_kwh, permuted(base.curtailed_kwh))
+        assert_bits(out.internal_flow, permuted(base.internal_flow))
+        # ... but clearing sums the stations in order, so profits may move in
+        # the last bits.
+        for got, want in zip([*out.profit.station_profit, out.profit.total_profit],
+                             [*permuted(base.profit.station_profit), base.profit.total_profit]):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    for state, act, (arr_urgent, arr_regular), (_, next_urgent, next_regular) in zip(
+            states, actions, arrivals, next_states(base)):
+        assert next_urgent + next_regular == pytest.approx(
+            arr_urgent + arr_regular + state.total_demand - act.ev_supply, abs=1e-9)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import sys
 import zipfile
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcoop import core
 from evcoop.config import build_scenario, load_config_dict
 from evcoop.core import (
     ConstraintViolation,
@@ -91,8 +93,13 @@ def test_action_grid_decodes_supply_levels():
             idx = e * grid.cs_levels + c
             assert supplies[idx] == pytest.approx(4.0 + frac * 10.0)
     assert mask.all()
-    action = grid.decode(0, state, 0.0, PARAMS)
+    blocks = grid.blocks(state, 0.0, PARAMS)
+    action = grid.action(blocks, 0)
     assert action.ev_supply == pytest.approx(4.0)
+    for index in (-1, grid.n_actions):
+        with pytest.raises(InfeasibleActionError,
+                           match=f"^action index {index} outside grid of 15$"):
+            grid.action(blocks, index)
 
 
 def test_action_grid_blocks_infeasible_fraction():
@@ -113,7 +120,7 @@ def test_decode_table_rejects_non_finite_input_as_decode_batch_does(field, bad):
     with pytest.raises(ConstraintViolation, match=f"^{field} {bad} is not finite$"):
         GRID.decode_table(state, renewable, PARAMS)
     with pytest.raises(ConstraintViolation, match=f"^{field} {bad} is not finite$"):
-        GRID.decode(0, state, renewable, PARAMS)
+        GRID.blocks(state, renewable, PARAMS)
     rows = [np.array([[v]]) for v in (state.battery_kwh, state.urgent_demand,
                                        state.regular_demand)]
     with pytest.raises(ConstraintViolation, match=f"^station 0: {field} {bad} is not finite"):
@@ -414,6 +421,29 @@ def test_rollout_deterministic_given_seed():
     rec2, _ = rollout_episode(ep, learner, 0.7, np.random.default_rng(9))
     assert np.array_equal(rec1.actions, rec2.actions)
     assert rec1.rewards == pytest.approx(rec2.rewards)
+
+
+def test_rollout_computes_each_control_interval_once(monkeypatch):
+    # The decode's blocks already hold every supply fraction's interval, so
+    # the slot is settled on them instead of computing the chosen one again.
+    real = core.control_intervals
+    calls = []
+
+    def counting(battery, renewable, supplies, params):
+        calls.append(len(supplies))
+        return real(battery, renewable, supplies, params)
+
+    holders = [(name, attr) for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "evcoop" for attr, value in vars(module).items()
+               if value is real]
+    assert {name for name, _ in holders} >= {"evcoop.core", "evcoop.marl.encoding"}
+    for name, attr in holders:
+        monkeypatch.setattr(sys.modules[name], attr, counting)
+    T, n = 8, 6
+    learner = build_learner("double_qmix", n, PARAMS, GRID, SCALES, TrainConfig(),
+                            np.random.default_rng(0))
+    rollout_episode(_tiny_episode(T=T, stations=n), learner, 0.5, np.random.default_rng(1))
+    assert len(calls) == T * n
 
 
 LOSS_CASES = [
