@@ -5,20 +5,21 @@ report instead of raising, so callers (CLI and tests) decide severity.
 Violation counts, not first-failure, make flakiness visible.  Inputs are drawn
 in blocks as arrays, and each identity is one array check around the calls under
 test: ``clear_trades`` per clearing call, ``decode_batch`` and ``step_batch`` per
-battery block, and the rollout's ``ActionGrid.blocks``/``action`` and ``step`` per profit call.
+battery block, and one ``decode_batch`` per profit block with ``step`` and ``profit``
+per profit call.  Each call's per-station lists go into one flat list of floats as
+soon as it returns, so a block keeps no outcome objects alive.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (EssParams, Multipliers, PriceQuote, StationState, clear_trades, profit, step,
-                   step_batch)
-from .marl.encoding import ActionGrid, InfeasibleActionError
+from .core import (EssParams, Multipliers, PriceQuote, StationAction, StationState, clear_trades,
+                   profit, step, step_batch)
+from .marl.encoding import ActionGrid
 
 _REL = 1e-9
 _CLEARING_BLOCK = 1000  # clearing calls drawn at once
@@ -50,15 +51,14 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) <= _REL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _padded(rows: list[tuple[list[float], ...]], fields: int, width: int) -> np.ndarray:
-    """Each call's ``fields`` per-station lists as a (fields, calls, width) array.
+def _padded(flat: list[float], n: np.ndarray | list[int], fields: int, width: int) -> np.ndarray:
+    """``flat``, each call's ``fields`` per-station lists end to end, as a
+    (fields, calls, width) array; call ``j`` has ``n[j]`` stations.
 
     Stations past a call's own read zero, for which every identity holds.
     """
-    out = np.zeros((len(rows), fields, width))
-    n = np.array([len(row[0]) for row in rows], dtype=int)
-    out[np.broadcast_to((np.arange(width) < n[:, None])[:, None], out.shape)] = list(
-        chain.from_iterable(chain.from_iterable(rows)))
+    out = np.zeros((len(n), fields, width))
+    out[np.broadcast_to((np.arange(width) < np.asarray(n)[:, None])[:, None], out.shape)] = flat
     return out.transpose(1, 0, 2)
 
 
@@ -93,11 +93,13 @@ def fuzz_clearing(calls: int, seed: int) -> FuzzReport:
         idle = np.flatnonzero(mode == 3)
         controls[idle, rng.integers(n[idle])] = 0.0           # one idle station
         controls[np.arange(6) >= n[:, None]] = 0.0            # padding past n
-        outs = [clear_trades(row[:m]) for row, m in zip(controls.tolist(), n.tolist())]
-        flows = _padded([(o.matched_buy, o.matched_sell, o.utility_buy, o.utility_sell)
-                         for o in outs], 4, 6)
-        matched_buy, matched_sell, utility_buy, utility_sell = flows
-        totals = np.array([(o.charge_total, o.discharge_total) for o in outs]).T
+        flat, totals = [], []
+        for row, m in zip(controls.tolist(), n.tolist()):
+            o = clear_trades(row[:m])
+            flat += o.matched_buy + o.matched_sell + o.utility_buy + o.utility_sell
+            totals += o.charge_total, o.discharge_total
+        matched_buy, matched_sell, utility_buy, utility_sell = flows = _padded(flat, n, 4, 6)
+        totals = np.array(totals).reshape(-1, 2).T
         buy, sell = np.maximum(controls, 0.0), np.maximum(-controls, 0.0)
         res = flows[2:].sum(axis=2)    # utility buy and sell of each call
         violations += _tally(k, {
@@ -183,42 +185,45 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
     """Profit identities: recomputation, zero-sum trading, trade-price invariance.
 
     Each block of ``_PROFIT_BLOCK`` calls under fresh params has 2-4 stations a
-    call, each acting uniformly among its feasible actions, decoded as a rollout
-    does.  A call with a station with no feasible action is dropped, not counted.
+    call.  One ``decode_batch`` over the block's stations as one-station rows
+    gives each its actions; it takes the ``int(u * count)``-th of its ``count``
+    feasible ones for a uniform ``u``.  A call with a station with no feasible
+    action is dropped, not counted.
     """
     rng = np.random.default_rng(seed)
     grid = ActionGrid()
-    m = grid.cs_levels
     k = violations = 0
     notes, t0 = [], time.perf_counter()
     while k < calls:
         params = _random_params(rng)
         n = rng.integers(2, 5, min(_PROFIT_BLOCK, calls - k))
         quotes = _random_quotes(rng, n.size)
-        *station, renewable = (a.tolist() for a in _random_state(rng, params, n.sum()))
-        states = list(map(StationState, *station))
-        pick = rng.random(n.sum()).tolist()
+        state = _random_state(rng, params, (n.sum(), 1))
+        u = rng.random(n.sum())
+        supplies, controls, mask = (a[:, 0] for a in grid.decode_batch(*state, params))
+        count = mask.sum(axis=1)
+        pick = (u * count).astype(int)[:, None]   # each row's pick-th true entry, as int(u * count)
+        act = np.arange(n.sum()), (mask.cumsum(axis=1) > pick).argmax(axis=1)
+        supply, control, count = supplies[act].tolist(), controls[act].tolist(), count.tolist()
+        *fields, renewable = (a[:, 0].tolist() for a in state)
+        states = list(map(StationState, *fields))
         ends = np.cumsum(n).tolist()
-        rows, totals = [], []
+        flat, totals, kept = [], [], []
         for q, lo, hi in zip(quotes, [0, *ends], ends):
-            try:
-                blocks = [grid.blocks(states[i], renewable[i], params) for i in range(lo, hi)]
-            except InfeasibleActionError:
+            if 0 in count[lo:hi]:
                 continue
-            actions = []
-            for bl, u in zip(blocks, pick[lo:hi]):
-                feasible = [e * m + c for e, b in enumerate(bl) if b is not None for c in range(m)]
-                actions.append(grid.action(bl, feasible[int(u * len(feasible))]))  # u < 1
-            supplies = [a.ev_supply for a in actions]
+            actions = list(map(StationAction, supply[lo:hi], control[lo:hi]))
             out = step(states[lo:hi], actions, renewable[lo:hi], q, [(0.0, 0.0)] * (hi - lo),
                        params)
-            alt = profit(supplies, out.trade, replace(q, trade=0.85 * q.utility))  # must not move
+            alt = profit(supply[lo:hi], out.trade,   # must not move
+                         PriceQuote(q.utility, q.ev, 0.85 * q.utility, q.buyback))
             t, br = out.trade, out.profit
-            rows.append((supplies, t.matched_buy, t.matched_sell, t.utility_buy, t.utility_sell,
-                         br.ev_income, br.utility_cost, br.trade_net, br.buyback_income,
-                         br.station_profit))
-            totals.append((br.total_profit, alt.total_profit, q.ev, q.utility, q.trade, q.buyback))
-        supply, m_buy, m_sell, u_buy, u_sell, *got = _padded(rows, 10, 4)
+            flat += (supply[lo:hi] + t.matched_buy + t.matched_sell + t.utility_buy
+                     + t.utility_sell + br.ev_income + br.utility_cost + br.trade_net
+                     + br.buyback_income + br.station_profit)
+            totals += br.total_profit, alt.total_profit, q.ev, q.utility, q.trade, q.buyback
+            kept.append(hi - lo)
+        supply, m_buy, m_sell, u_buy, u_sell, *got = _padded(flat, kept, 10, 4)
         total, alt_total, *prices = np.array(totals).reshape(-1, 6).T
         ev, utility, trade, buyback = (p[:, None] for p in prices)
         want = [supply * ev, u_buy * utility, (m_sell - m_buy) * trade, u_sell * buyback]
@@ -231,5 +236,5 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
         }, {
             "breakdown mismatch": ~np.logical_and.reduce(list(map(_close, got, want))),
         }, notes)
-        k += len(rows)
+        k += len(kept)
     return FuzzReport("profit-identities", calls, violations, time.perf_counter() - t0, notes)

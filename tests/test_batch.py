@@ -7,7 +7,8 @@ agree with ``step`` and ``decode_table`` bit for bit, and the blocked
 breadth-first oracle with the depth-first enumeration it replaced (kept here
 as ``_dfs_search``) in optimum, action sequence and node count.  The market
 relations at the end need no reference: permuting the stations permutes the
-slot, and demand is conserved.
+slot, on ``step``, ``settle`` and the columns of ``step_batch``, and demand is
+conserved.
 """
 
 import dataclasses
@@ -641,7 +642,7 @@ def test_oracle_ties_keep_the_lexicographically_first_sequence(monkeypatch, bloc
     assert (exact.profit, exact.actions, exact.nodes) == ref
 
 
-# -- market relations on step and the rollout's settle ----------------------
+# -- market relations on step, the rollout's settle and step_batch ----------
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), ess_params(), grids, quotes(), st.integers(2, 6))
@@ -689,3 +690,26 @@ def test_permuting_stations_permutes_the_slot_and_demand_is_conserved(data, para
             states, actions, arrivals, next_states(base)):
         assert next_urgent + next_regular == pytest.approx(
             arr_urgent + arr_regular + state.total_demand - act.ev_supply, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), ess_params(), grids, quotes(), st.integers(1, 3), st.integers(2, 6))
+def test_permuting_step_batch_columns_permutes_each_row(data, params, grid, quote, rows,
+                                                        stations):
+    # The same relation on the batch path, whose columns are the stations.
+    battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
+    actions = data.draw(feasible_actions(grid, params, battery, urgent, regular, renewable))
+    if actions is None:
+        return                      # some station has no feasible action at all
+    arrivals = data.draw(st.lists(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0)),
+                                  min_size=stations, max_size=stations))
+    perm = data.draw(st.permutations(range(stations)))
+    columns = (battery, urgent, regular, *actions)
+    *base, total = step_batch(*columns, renewable, quote, arrivals, params)
+    *got, got_total = step_batch(*(c[:, perm] for c in columns), renewable[:, perm], quote,
+                                 [arrivals[j] for j in perm], params)
+    # next battery, urgent and regular demand move with their stations exactly ...
+    for got_column, base_column in zip(got, base):
+        assert_bits(got_column, base_column[:, perm])
+    # ... and each row's total agrees within rounding (stations are summed in order).
+    assert (np.abs(got_total - total) <= 1e-12 * np.maximum(1.0, np.abs(total))).all()

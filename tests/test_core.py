@@ -24,6 +24,7 @@ from evcoop.core import (
     step,
 )
 from evcoop.marl import ActionGrid, encoding
+from evcoop.marl.encoding import InfeasibleActionError
 
 QUOTE = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
 
@@ -302,18 +303,99 @@ def test_fuzz_profit_counts_only_checked_calls(monkeypatch):
 
 def test_fuzz_profit_propagates_constraint_violation(monkeypatch):
     # A decode that rejects its input is a failure, not a draw to redraw.
-    real_blocks = ActionGrid.blocks
+    real_decode = ActionGrid.decode_batch
     calls = {"n": 0}
 
     def rejects_once(self, *args):
         calls["n"] += 1
         if calls["n"] == 1:
             raise ConstraintViolation("battery_kwh nan is not finite")
-        return real_blocks(self, *args)
+        return real_decode(self, *args)
 
-    monkeypatch.setattr(ActionGrid, "blocks", rejects_once)
+    monkeypatch.setattr(ActionGrid, "decode_batch", rejects_once)
     with pytest.raises(ConstraintViolation, match="not finite"):
         fuzz.fuzz_profit(10, seed=2)
+
+
+# Params under which about a tenth of the stations, and so about a third of
+# the calls, have no feasible action: the leaky battery cannot be lifted back
+# to its floor through the import cap.
+SOME_INFEASIBLE = EssParams(capacity_max=100.0, soc_min=0.3, soc_max=1.0, leakage_beta=0.5,
+                            export_cap=5.0, import_cap=5.0)
+
+
+def _scalar_profit_decode(calls, seed):
+    """The profit fuzzer's decode as first written: one station at a time.
+
+    The same draws as ``fuzz_profit``.  Each station acts at
+    ``feasible[int(u * len(feasible))]`` of its ``ActionGrid.blocks``, and a
+    call with a station that has none is dropped.  Returns each drawn call's
+    states and its ``step`` arguments, None for a dropped call.
+    """
+    rng = np.random.default_rng(seed)
+    grid = ActionGrid()
+    m = grid.cs_levels
+    k, drawn = 0, []
+    while k < calls:
+        params = fuzz._random_params(rng)
+        n = rng.integers(2, 5, min(fuzz._PROFIT_BLOCK, calls - k))
+        quotes = fuzz._random_quotes(rng, n.size)
+        *station, renewable = (a.tolist() for a in fuzz._random_state(rng, params, n.sum()))
+        states = list(map(StationState, *station))
+        pick = rng.random(n.sum()).tolist()
+        ends = np.cumsum(n).tolist()
+        for q, lo, hi in zip(quotes, [0, *ends], ends):
+            try:
+                blocks = [grid.blocks(states[i], renewable[i], params) for i in range(lo, hi)]
+            except InfeasibleActionError:
+                drawn.append((states[lo:hi], None))
+                continue
+            actions = []
+            for bl, u in zip(blocks, pick[lo:hi]):
+                feasible = [e * m + c for e, b in enumerate(bl) if b is not None for c in range(m)]
+                actions.append(grid.action(bl, feasible[int(u * len(feasible))]))
+            drawn.append((states[lo:hi], (states[lo:hi], actions, renewable[lo:hi], q, params)))
+            k += 1
+    return drawn
+
+
+def _step_bits(states, actions, renewables, quote, params):
+    return (_bits([(s.battery_kwh, s.urgent_demand, s.regular_demand) for s in states]),
+            _bits([(a.ev_supply, a.ess_control) for a in actions]), _bits(renewables),
+            quote, params)
+
+
+@pytest.mark.parametrize("first_params", [None, SOME_INFEASIBLE], ids=["seed2", "drops"])
+def test_fuzz_profit_decode_matches_the_scalar_loop(monkeypatch, first_params):
+    # One decode_batch per block must see the same stations as the scalar
+    # loop, hand step, call by call, exactly what blocks/action give, and so
+    # drop exactly the calls the loop drops.  "drops" swaps in params under
+    # which some, not all, calls of the first block have no feasible action.
+    real_params, real_decode, real_step = fuzz._random_params, ActionGrid.decode_batch, fuzz.step
+    tight = []
+    monkeypatch.setattr(fuzz, "_random_params", lambda rng: tight.pop() if tight else
+                        real_params(rng))
+    tight[:] = [first_params] if first_params else []
+    drawn = _scalar_profit_decode(300, seed=2)
+    want = [args for _, args in drawn if args is not None]
+    assert len(want) == 300
+    assert (len(drawn) > 300) == (first_params is not None)
+    batteries, steps = [], []
+
+    def recording_decode(self, battery, *args):
+        batteries.extend(battery[:, 0].tolist())
+        return real_decode(self, battery, *args)
+
+    def recording_step(states, actions, renewables, quote, arrivals, params):
+        steps.append((states, actions, renewables, quote, params))
+        return real_step(states, actions, renewables, quote, arrivals, params)
+
+    monkeypatch.setattr(ActionGrid, "decode_batch", recording_decode)
+    monkeypatch.setattr(fuzz, "step", recording_step)
+    tight[:] = [first_params] if first_params else []
+    assert fuzz.fuzz_profit(300, seed=2).ok
+    assert _bits(batteries) == _bits([s.battery_kwh for states, _ in drawn for s in states])
+    assert [_step_bits(*args) for args in steps] == [_step_bits(*args) for args in want]
 
 
 def test_fuzz_clearing_covers_every_station_count_and_control_pattern(monkeypatch):

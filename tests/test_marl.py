@@ -395,6 +395,51 @@ def test_target_mixes_match_composite_bit_for_bit(algorithm):
         assert np.isnan(mix[:, -1]).all()
 
 
+def _tied_learners():
+    """double_qmix with mixer B set equal to mixer A, and qmix holding its agents
+    and mixer A; both synced, so every target net equals its eval net."""
+    double, single = _learner("double_qmix", seed=3), _learner("qmix", seed=4)
+    for p in double.mixers_eval.parameters().values():
+        p.data[1] = p.data[0]
+    drawn = double.parameters("eval")
+    for name, p in single.parameters("eval").items():
+        p.data = drawn[name].data[:p.shape[0]].copy()   # a qmix bank holds mixer A only
+    sync_targets(double)
+    sync_targets(single)
+    return double, single
+
+
+def test_double_qmix_with_tied_mixers_is_qmix():
+    # The paper's mechanism is the second mixer: with B tied to A, the min of
+    # the two target mixers is A's value and double_qmix's targets are qmix's.
+    double, single = _tied_learners()
+    batch = _batch(double)
+    got, want = _targets(batch, double), _targets(batch, single)
+    assert np.array_equal(_bits(got.mix_a), _bits(got.mix_b))
+    assert np.array_equal(_bits(got.mix_a), _bits(want.mix_a))
+    assert np.array_equal(_bits(got.y), _bits(want.y))
+
+
+def test_raising_mixer_b_leaves_double_qmix_targets_alone():
+    # Adding c to mixer B's state value V(s) (the bias of hyper_b2.l1) raises
+    # B's mix by c, so the min still picks A and y stays as it was; lowering it
+    # by c lowers every bootstrapped y by gamma * c.
+    double, _ = _tied_learners()
+    batch = _batch(double)
+    tied = _targets(batch, double)
+    bias = double.mixers_eval.parameters()["hyper_b2.l1.b"]
+    c, gamma = 0.5, double.config.gamma
+    for shift, drop in ((c, 0.0), (-c, gamma * c)):
+        bias.data[1] = bias.data[0] + shift
+        sync_targets(double)
+        moved = _targets(batch, double)
+        assert moved.mix_b[:, :-1] == pytest.approx(tied.mix_a[:, :-1] + shift, abs=1e-12)
+        if drop == 0.0:
+            assert np.array_equal(_bits(moved.y), _bits(tied.y))
+        assert moved.y[:, :-1] == pytest.approx(tied.y[:, :-1] - drop, abs=1e-12)
+        assert np.array_equal(_bits(moved.y[:, -1]), _bits(tied.y[:, -1]))
+
+
 def test_independent_targets_per_agent():
     learner = _learner("independent_dqn")
     batch = _batch(learner)
