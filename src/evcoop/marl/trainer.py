@@ -101,7 +101,7 @@ class DRQNAgent:
 
         (n, B, obs_dim) from hidden (n, B, H), zero when None -> Q (n, B, A), hidden.
         The taped ``encoder``, ``gru.sequence(..., B, 1, h0)`` and ``head`` wrap the
-        same forwards (``Dense.apply`` and the GRU's gate function) and give these
+        same forwards (``Dense.apply`` and the GRU's slot kernel) and give these
         values bit for bit; this path only skips building ``Tensor`` results.
         """
         h = self.gru.step(self.encoder.apply(obs), hidden)

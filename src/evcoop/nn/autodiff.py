@@ -21,17 +21,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function that cannot overflow: exp never sees a positive argument.
 
     Gives the same bits as ``1 / (1 + exp(-v))`` for ``v >= 0`` and
-    ``exp(v) / (1 + exp(v))`` otherwise, NaN sign included, with no
-    boolean-mask scatter.
+    ``exp(v) / (1 + exp(v))`` otherwise, NaN sign included, with no mask
+    and no ``np.where``: ``e = exp(minimum(v, -v))`` and
+    ``maximum(e, v >= 0) / (e + 1)``, whose numerator is 1 where ``v >= 0``
+    (there ``e <= 1``) and ``e`` elsewhere.  ``out`` may be ``v`` itself.
     """
-    pos = v >= 0.0
-    e = np.exp(np.where(pos, -v, v))
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d)
+    e = np.negative(v)
+    np.minimum(v, e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    out = np.maximum(e, v >= 0.0, out=out)
+    out /= d
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -6,13 +6,15 @@ leading axis, and the bank maps ``(n, rows, features)`` as the n layers map
 their slices.  Parameters are plain tape tensors; each container exposes
 ``parameters()`` as a flat ``name -> Tensor`` dict so optimizers and
 checkpoints can treat every architecture uniformly.  Each layer has one
-numpy forward: ``Dense.apply``, the GRU's ``_gru_gates`` and the mixer's
-``forward``.  A Dense call, a GRU unroll and a mixer forward each wrap it in
-one tape node with a hand-written backward (``_dense_grads`` serves Dense
-and the mixer's hypernetworks alike), and record nothing when no parameter
-or input requires a gradient, as for the target nets.  Acting calls
-``Dense.apply`` and ``GRUCell.step``, one slot of the unroll, on plain
-arrays.
+numpy forward: ``Dense.apply``, the GRU's slot kernel ``_gru_slot`` and the
+mixer's ``forward``.  A Dense call, a GRU unroll and a mixer forward each
+wrap it in one tape node with a hand-written backward (``_dense_grads``
+serves Dense and the mixer's hypernetworks alike), and record nothing when
+no parameter or input requires a gradient, as for the target nets.  The
+GRU's kernel works in place: an unroll allocates its slot-major buffers
+once and each slot writes into them with ``out=``.  Acting calls
+``Dense.apply`` and ``GRUCell.step``, the same kernel for one slot, on
+plain arrays.
 """
 
 from __future__ import annotations
@@ -79,39 +81,33 @@ class Dense:
         return {f"{prefix}W": self.W, f"{prefix}b": self.b}
 
 
-def _gru_gates(xw: np.ndarray, h: np.ndarray, U_zr: np.ndarray, U_n: np.ndarray,
-               b: np.ndarray):
-    """One GRU step of (..., B, H) states from the packed ``xw = x @ W`` (bias not added).
+def _gru_slot(xw_zr: np.ndarray, xw_n: np.ndarray, h: np.ndarray, zr: np.ndarray, n: np.ndarray,
+              rh: np.ndarray, h_new: np.ndarray, U_zr: np.ndarray, U_n: np.ndarray,
+              b_zr: np.ndarray, b_n: np.ndarray) -> None:
+    """One GRU slot of (..., B, H) states, in place: the cell's one forward.
 
-    Returns ``(zr, n, rh, h_new)``: the update and reset gates side by side,
-    the candidate, the reset-scaled hidden state and the new hidden state.
+    ``xw_zr`` and ``xw_n`` are the gate blocks of ``x @ W`` (bias not added),
+    ``b_zr`` and ``b_n`` those of the bias as (..., 1, ·) rows.  Writes the
+    update and reset gates side by side into ``zr`` (..., B, 2H), the
+    candidate into ``n``, the reset-scaled state into ``rh`` and the new state
+    into ``h_new``.  Sums and products commute bit for bit, so
+    ``h @ U_zr + xw_zr`` is ``xw_zr + h @ U_zr``.
     """
     H = h.shape[-1]
-    b = b[..., None, :]
-    zr = sigmoid(xw[..., :2 * H] + h @ U_zr + b[..., :2 * H])
-    rh = zr[..., H:] * h
-    n = np.tanh(xw[..., 2 * H:] + rh @ U_n + b[..., 2 * H:])
-    z = zr[..., :H]
-    return zr, n, rh, (1.0 - z) * n + z * h
-
-
-def _gru_gates_backward(g: np.ndarray, h: np.ndarray, zr: np.ndarray, n: np.ndarray,
-                        U_zr: np.ndarray, U_n: np.ndarray):
-    """Reverse of ``_gru_gates`` for ``g = dL/dh_new``.
-
-    Returns ``(da, dh)``: the gradient with respect to the (..., B, 3H) gate
-    pre-activations (z, r, n side by side) and with respect to ``h``.
-    """
-    H = h.shape[-1]
-    z = zr[..., :H]
-    da = np.empty((*h.shape[:-1], 3 * H))
-    da_n = g * (1.0 - z) * (1.0 - n * n)
-    drh = da_n @ U_n.mT
-    da[..., :H] = g * (h - n)
-    da[..., H:2 * H] = drh * h
-    da[..., :2 * H] *= zr * (1.0 - zr)
-    da[..., 2 * H:] = da_n
-    return da, g * z + drh * zr[..., H:] + da[..., :2 * H] @ U_zr.mT
+    np.matmul(h, U_zr, out=zr)
+    zr += xw_zr
+    zr += b_zr
+    sigmoid(zr, out=zr)
+    z, r = zr[..., :H], zr[..., H:]
+    np.multiply(r, h, out=rh)
+    np.matmul(rh, U_n, out=n)
+    n += xw_n
+    n += b_n
+    np.tanh(n, out=n)
+    blend = np.subtract(1.0, z)
+    blend *= n
+    np.multiply(z, h, out=h_new)
+    h_new += blend  # (1 - z) * n + z * h
 
 
 class GRUCell:
@@ -125,9 +121,10 @@ class GRUCell:
     ``W`` (in_dim, 3H), ``U_zr`` (H, 2H), ``U_n`` (H, H) and ``b`` (3H,);
     ``gate_columns`` names each gate's block.
 
-    ``sequence`` records one tape node with a hand-written backward through
-    time, or none when nothing it reads requires a gradient; ``step`` computes
-    one slot of it on plain arrays.
+    ``sequence`` runs the slot kernel ``_gru_slot`` over slot-major buffers
+    and records one tape node with a hand-written backward through time, or
+    none when nothing it reads requires a gradient; ``step`` runs the same
+    kernel for one slot on plain arrays.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
@@ -160,15 +157,20 @@ class GRUCell:
     def step(self, x: np.ndarray, h: np.ndarray | None) -> np.ndarray:
         """One untaped slot: array ``x`` (..., B, in_dim) from hidden ``h`` (..., B, H), zero when None.
 
-        The new hidden state equals ``sequence(x, B, 1, h0=h)`` bit for bit.
+        Runs the slot kernel ``sequence`` runs, so the new hidden state equals
+        ``sequence(x, B, 1, h0=h)`` bit for bit.
         """
         xw = x @ self.W.data
-        shape = (*xw.shape[:-1], self.hidden_dim)
+        H = self.hidden_dim
+        shape = (*xw.shape[:-1], H)
         if h is None:
             h = np.zeros(shape)
         elif h.shape != shape:
             raise ValueError(f"expected h {shape}, got {h.shape}")
-        return _gru_gates(xw, h, self.U_zr.data, self.U_n.data, self.b.data)[-1]
+        zr, n, rh, h_new = (np.empty((*shape[:-1], width)) for width in (2 * H, H, H, H))
+        _gru_slot(xw[..., :2 * H], xw[..., 2 * H:], h, zr, n, rh, h_new, self.U_zr.data,
+                  self.U_n.data, *self._bias_blocks())
+        return h_new
 
     def sequence(self, x: Tensor, batch: int, steps: int, h0: Tensor | None = None) -> Tensor:
         """Unroll ``steps`` slots from ``h0`` (..., batch, H), a zero state when None.
@@ -177,7 +179,11 @@ class GRUCell:
         holding episode b at slot t; the result holds the hidden state after
         each slot in the same row order, (..., batch * steps, hidden_dim).
         Leading axes are a stack's: slice i runs on the i-th cell's weights.
-        Each slot's gates are kept for the backward only when the result is taped.
+        The slot kernel writes every slot's gates, candidate, reset-scaled
+        state and new state into slot-major ``(steps, ..., batch, ·)``
+        buffers, allocated once per call, taped or not; the backward reads
+        them back slot by slot, last first.  The parameters' products read
+        batch-major rows, so their sums over rows run in the row order above.
         """
         B, T, H = batch, steps, self.hidden_dim
         lead = self.W.shape[:-2]
@@ -185,33 +191,68 @@ class GRUCell:
             raise ValueError(f"expected x {(*lead, B * T, self.in_dim)} and h0 {(*lead, B, H)}, "
                              f"got {x.shape} and {None if h0 is None else h0.shape}")
         parents = tuple(p for p in (x, h0, *self.parameters().values()) if p is not None)
-        taped = any(p.requires_grad for p in parents)
         # Read on every call: optimizers reassign .data.
-        W, U_zr, U_n, b = self.W.data, self.U_zr.data, self.U_n.data, self.b.data
-        xw = (x.data @ W).reshape(*lead, B, T, 3 * H)
-        hs = np.zeros((*lead, B, T + 1, H))  # hs[..., t, :] enters slot t
+        W, U_zr, U_n = self.W.data, self.U_zr.data, self.U_n.data
+        xw = np.moveaxis((x.data @ W).reshape(*lead, B, T, 3 * H), -2, 0)
+        hs = np.zeros((T + 1, *lead, B, H))  # hs[t] enters slot t
         if h0 is not None:
-            hs[..., 0, :] = h0.data
-        if taped:
-            zr, n, rh = (np.empty((*lead, B, T, width)) for width in (2 * H, H, H))
-        for t in range(T):
-            zr_t, n_t, rh_t, hs[..., t + 1, :] = _gru_gates(xw[..., t, :], hs[..., t, :], U_zr, U_n, b)
-            if taped:
-                zr[..., t, :], n[..., t, :], rh[..., t, :] = zr_t, n_t, rh_t
+            hs[0] = h0.data
+        zr, n, rh = (np.empty((T, *lead, B, width)) for width in (2 * H, H, H))
+        bias = self._bias_blocks()
+        for slot in zip(xw[..., :2 * H], xw[..., 2 * H:], hs[:-1], zr, n, rh, hs[1:]):
+            _gru_slot(*slot, U_zr, U_n, *bias)
 
         def backward(g):
-            g = g.reshape(*lead, B, T, H)
+            # Slots run last to first over slot-major views of the batch-major g
+            # and da, on contiguous scratch reused slot after slot.  For the same
+            # bits, each expression keeps its association order and U.mT stays a
+            # view: a contiguous transposed copy changes the product's bits.
+            g = np.moveaxis(g.reshape(*lead, B, T, H), -2, 0)
             da = np.empty((*lead, B, T, 3 * H))
+            da_slots = np.moveaxis(da, -2, 0)
             dh = np.zeros((*lead, B, H))
-            for t in reversed(range(T)):
-                da[..., t, :], dh = _gru_gates_backward(
-                    g[..., t, :] + dh, hs[..., t, :], zr[..., t, :], n[..., t, :], U_zr, U_n)
+            g_t, da_n, drh, s, s2 = (np.empty_like(dh) for _ in range(5))
+            da_zr, d_sig = np.empty_like(zr[0]), np.empty_like(zr[0])
+            da_z, da_r = da_zr[..., :H], da_zr[..., H:]
+            U_zr_T, U_n_T = U_zr.mT, U_n.mT
+            for g_in, h, zr_t, z, r, n_t, da_zr_t, da_n_t in zip(
+                    g[::-1], hs[-2::-1], zr[::-1], zr[::-1, ..., :H], zr[::-1, ..., H:], n[::-1],
+                    da_slots[::-1, ..., :2 * H], da_slots[::-1, ..., 2 * H:]):
+                np.add(g_in, dh, out=g_t)
+                # da_n = g * (1 - z) * (1 - n * n); a product or sum commutes bit for bit
+                np.subtract(1.0, z, out=da_n)
+                da_n *= g_t
+                np.multiply(n_t, n_t, out=s)
+                np.subtract(1.0, s, out=s)
+                da_n *= s
+                np.matmul(da_n, U_n_T, out=drh)
+                # da_zr = [g * (h - n), drh * h] * (zr * (1 - zr))
+                np.subtract(h, n_t, out=da_z)
+                da_z *= g_t
+                np.multiply(drh, h, out=da_r)
+                np.subtract(1.0, zr_t, out=d_sig)
+                d_sig *= zr_t
+                da_zr *= d_sig
+                # dh = (g * z + drh * r) + da_zr @ U_zr.mT
+                np.multiply(g_t, z, out=dh)
+                np.multiply(drh, r, out=s)
+                dh += s
+                np.matmul(da_zr, U_zr_T, out=s2)
+                dh += s2
+                np.copyto(da_zr_t, da_zr)
+                np.copyto(da_n_t, da_n)
             if h0 is not None and h0.requires_grad:
                 h0._accum(dh)
-            self._accum_grads(x, W, hs[..., :T, :].reshape(*lead, B * T, H),
-                              rh.reshape(*lead, B * T, H), da.reshape(*lead, B * T, 3 * H))
+            self._accum_grads(x, W, np.moveaxis(hs[:-1], 0, -2).reshape(*lead, B * T, H),
+                              np.moveaxis(rh, 0, -2).reshape(*lead, B * T, H),
+                              da.reshape(*lead, B * T, 3 * H))
 
-        return Tensor._result(hs[..., 1:, :].reshape(*lead, B * T, H), parents, backward)
+        return Tensor._result(np.moveaxis(hs[1:], 0, -2).reshape(*lead, B * T, H), parents, backward)
+
+    def _bias_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bias's gate blocks as (..., 1, 2H) and (..., 1, H) rows: the z and r gates', the candidate's."""
+        b, H = self.b.data, self.hidden_dim
+        return b[..., None, :2 * H], b[..., None, 2 * H:]
 
     def _accum_grads(self, x: Tensor, W: np.ndarray, h_prev: np.ndarray, rh: np.ndarray,
                      da: np.ndarray) -> None:

@@ -440,6 +440,36 @@ def test_raising_mixer_b_leaves_double_qmix_targets_alone():
         assert np.array_equal(_bits(moved.y[:, -1]), _bits(tied.y[:, -1]))
 
 
+def test_qmix_targets_ignore_the_eval_agents():
+    # Only the eval agents move (no sync).  qmix's target nets pick their own
+    # next actions, so its y keeps every bit; double_qmix's eval agents pick
+    # them, so its y is the target mix at the perturbed eval agents' argmax.
+    for algorithm in ("qmix", "double_qmix"):
+        learner = _learner(algorithm, seed=5)
+        batch = _batch(learner)
+        obs, states, _, masks, rewards = _stacked(batch)
+        B, T, n, _ = obs.shape
+        picks = lambda: np.argmax(np.where(masks, _reference_unroll(
+            _station_agents(learner.agents_eval), obs), -np.inf), axis=-1)
+        before, picked_before = _targets(batch, learner), picks()
+        rng = np.random.default_rng(7)
+        for p in learner.agents_eval.parameters().values():
+            p.data = p.data + rng.normal(0.0, 0.5, p.shape)
+        after, picked = _targets(batch, learner), picks()
+        assert np.any(picked[:, 1:] != picked_before[:, 1:])  # the perturbation moves the argmax
+        if algorithm == "qmix":
+            assert np.array_equal(_bits(after.y), _bits(before.y))
+            continue
+        q_target = _reference_unroll(_station_agents(learner.agents_target), obs)
+        chosen = np.take_along_axis(q_target, picked[..., None], axis=-1)[:, 1:, :, 0]
+        mixes = learner.mixers_target.forward(states[:, 1:, :].reshape(B * (T - 1), -1),
+                                              Tensor(chosen.reshape(B * (T - 1), n))).data
+        want = rewards.astype(np.float64)
+        want[:, :-1] += learner.config.gamma * mixes.reshape(2, B, T - 1).min(axis=0)
+        assert np.array_equal(_bits(after.y), _bits(want))
+        assert not np.array_equal(_bits(after.y), _bits(before.y))
+
+
 def test_independent_targets_per_agent():
     learner = _learner("independent_dqn")
     batch = _batch(learner)

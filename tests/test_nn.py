@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evcoop.nn import (
@@ -21,6 +21,7 @@ from evcoop.nn import (
 )
 from evcoop.nn.autodiff import sigmoid
 from evcoop.nn.checkpoint import read_checkpoint, restore_params
+from gru_reference import reference_sequence, reference_step
 from mixer_reference import (
     composite_mix,
     slice_grads,
@@ -274,6 +275,49 @@ def test_gru_step_matches_composite_step():
     _close(got_h, ref_h)
     for k in params:
         _close(got_grads[k], ref_grads[k])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 48])
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (6,)])
+@settings(max_examples=6, deadline=None)
+@example(batch=8, hidden=64, given_state=True, taped=True, seed=0)  # a training batch's shape
+@given(batch=st.sampled_from([1, 3, 8]), hidden=st.sampled_from([5, 64]),
+       given_state=st.booleans(), taped=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gru_slot_kernel_matches_the_reference_bit_for_bit(lead, batch, steps, hidden, given_state,
+                                                           taped, seed):
+    # sequence, its backward and step against the unroll as first written
+    # (tests/gru_reference.py): the same hidden states and gradients, bit for bit
+    rng = np.random.default_rng(seed)
+    cells = [GRUCell(6, hidden, rng) for _ in range(lead[0] if lead else 1)]
+    cell = stack_layers(cells) if lead else cells[0]
+    for p in cell.parameters().values():
+        p.requires_grad = taped
+    x = Tensor(3.0 * rng.standard_normal((*lead, batch * steps, 6)), requires_grad=taped)
+    h0 = Tensor(rng.uniform(-1.0, 1.0, (*lead, batch, hidden)), requires_grad=taped) if given_state else None
+    g = rng.standard_normal((*lead, batch * steps, hidden))
+    weights = {k: p.data for k, p in cell.parameters().items()}
+    want, want_grads = reference_sequence(x.data, batch, steps, None if h0 is None else h0.data,
+                                          **weights, g=g if taped else None)
+
+    out = cell.sequence(x, batch, steps, h0)
+    assert out.shape == want.shape and np.array_equal(_bits(out.data), _bits(want))
+    assert out.requires_grad == taped
+    if taped:
+        (out * Tensor(g)).sum().backward()  # hands the unroll g itself
+        got_grads = {"x": x.grad, "h0": None if h0 is None else h0.grad,
+                     **{k: p.grad for k, p in cell.parameters().items()}}
+        for name, want_grad in want_grads.items():
+            got = got_grads[name]
+            assert (got is None) == (want_grad is None), name
+            if want_grad is not None:
+                assert got.shape == want_grad.shape and np.array_equal(_bits(got), _bits(want_grad)), name
+
+    x_slot = np.ascontiguousarray(x.data.reshape(*lead, batch, steps, 6)[..., 0, :])
+    h = None if h0 is None else h0.data
+    stepped = cell.step(x_slot, h)
+    assert np.array_equal(_bits(stepped), _bits(reference_step(x_slot, h, **weights)))
+    one_slot = cell.sequence(Tensor(x_slot), batch, 1, None if h0 is None else Tensor(h))
+    assert np.array_equal(_bits(stepped), _bits(one_slot.data))
 
 
 @pytest.mark.parametrize("x_grad", [True, False])

@@ -174,3 +174,17 @@ def _wider(episode: Episode, T: int) -> Episode:
     arrivals = (episode.arrivals * reps)[:T]
     return Episode(quotes=quotes, renewables=renewables, arrivals=arrivals,
                    initial_states=episode.initial_states)
+
+
+def test_finer_grid_never_lowers_the_optimum():
+    # Every action of the (0, 1) x 2-level grid is also one of the (0, 0.5, 1)
+    # x 3-level grid's (levels span each interval inclusively), so on the same
+    # draws the finer grid's optimum can only be higher.
+    coarse, fine = ActionGrid((0.0, 1.0), 2), ActionGrid((0.0, 0.5, 1.0), 3)
+    gains = 0
+    for seed in range(16):
+        low, high = (brute_force(random_tiny_instance(np.random.default_rng(seed), 2, 3, grid)).profit
+                     for grid in (coarse, fine))
+        assert high >= low - 1e-9 * abs(low), seed
+        gains += high > low
+    assert gains > 0  # the finer grid does find better plans
