@@ -5,7 +5,9 @@ Trains each algorithm for ``--episodes`` episodes at ``--seed``, evaluates
 each checkpoint with ``evcoop evaluate --seed <eval-seed>``, then does the
 same again under ``mixer_grad`` (``{"train": {"agent_loss_mode":
 "mixer_grad"}}``, the mode in which the mixer's gradient reaches the
-agents), writing that variant's runs under ``mixer_grad/``.  It runs
+agents), writing that variant's runs under ``mixer_grad/``.  Each
+variant's training runs are summarized with ``evcoop compare``, and its
+``summary.csv`` and ``long.csv`` are digested.  It runs
 ``evcoop oracle --instances 20 --seed <seed>`` with full lookahead and with
 ``--lookahead 1``, and prints one ``<sha256>  <path>`` line per
 ``metrics.csv``, ``trace.csv`` and ``oracle_metrics.csv``.
@@ -93,6 +95,8 @@ def digests(out: Path, variant: str, episodes: int, seed: int, eval_seed: int,
         lines.append(_digest(root / "train" / run / "metrics.csv", out))
         lines += _checkpoint_digests(root / "train" / run / "checkpoint.npz", out)
         lines.append(_digest(root / "evaluate" / run / "trace.csv", out))
+    _run(["compare", "--runs", str(root / "train"), "--out", str(root / "compare")])
+    lines += [_digest(root / "compare" / name, out) for name in ("summary.csv", "long.csv")]
     return lines
 
 

@@ -24,6 +24,7 @@ from .config import ConfigError, RunConfig, build_scenario, load_config, load_co
 from .data import ScenarioDataError, build_episode, synth_demand
 from .fuzz import fuzz_battery, fuzz_clearing, fuzz_profit
 from .marl import (
+    ALGORITHMS,
     EpisodeMetrics,
     InfeasibleActionError,
     ReplayBuffer,
@@ -247,17 +248,21 @@ def _collect_metric_files(paths: list[str]) -> list[Path]:
 
 
 def cmd_compare(args) -> int:
+    """One run per (file, algorithm, seed), in the order first seen."""
     files = _collect_metric_files(args.runs)
     runs = []
     for path in files:
+        groups: dict[tuple[str, int], list[dict]] = {}
         try:
-            rows = read_metrics_csv(path)
             # only the columns compare reads, each checked here, before anything is written
-            runs.append((rows[0]["algorithm"], rows[0]["seed"],
-                         [{"episode": r["episode"], "total_profit": float(r["total_profit"])}
-                          for r in rows]))
+            for r in read_metrics_csv(path):
+                if any(c in r["algorithm"] for c in ',"\r\n'):
+                    raise ValueError(f"algorithm {r['algorithm']!r} has a comma, quote or CR/LF")
+                groups.setdefault((r["algorithm"], r["seed"]), []).append(
+                    {"episode": r["episode"], "total_profit": float(r["total_profit"])})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed metrics file {path}: {exc!r}") from None
+        runs += [(algorithm, seed, rows) for (algorithm, seed), rows in groups.items()]
     summary = summarize(runs, args.window)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, action="append",
                          help="override config seeds (repeatable)")
     p_train.add_argument("--algorithm", action="append",
-                         choices=["double_qmix", "qmix", "independent_dqn", "random"],
+                         choices=ALGORITHMS,
                          help="override config algorithms (repeatable)")
     p_train.add_argument("--out", help="override output directory")
     p_train.set_defaults(func=cmd_train)

@@ -141,6 +141,9 @@ class Multipliers:
                           buyback=self.buyback * utility)
 
 
+DEFAULT_MULTIPLIERS = Multipliers()
+
+
 @dataclass(frozen=True)
 class StationAction:
     """One station's decision for a slot: EV energy served and battery control."""

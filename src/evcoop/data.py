@@ -23,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EssParams, Multipliers, PriceQuote, StationState
+from .core import DEFAULT_MULTIPLIERS, EssParams, Multipliers, PriceQuote, StationState
 
 
 class ScenarioDataError(ValueError):
     """Malformed or inconsistent scenario input."""
 
 
-_MULTIPLIERS = Multipliers()
+_START = datetime(2024, 6, 1, 0)  # the first hour of a synthetic series
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class PriceSeries:
 
     timestamps: tuple[datetime, ...]
     utility: tuple[float, ...]
-    multipliers: Multipliers = _MULTIPLIERS
+    multipliers: Multipliers = DEFAULT_MULTIPLIERS
 
     def __len__(self) -> int:
         return len(self.utility)
@@ -159,7 +159,7 @@ def _csv_rows(path: Path, columns: tuple[str, ...]):
             yield line, _parse_hour(row[0].strip(), str(path), line), row[1:]
 
 
-def load_price_csv(path: str | Path, multipliers: Multipliers = _MULTIPLIERS) -> PriceSeries:
+def load_price_csv(path: str | Path, multipliers: Multipliers = DEFAULT_MULTIPLIERS) -> PriceSeries:
     """Load and gap-check an hourly utility price series."""
     path = Path(path)
     timestamps: list[datetime] = []
@@ -287,22 +287,20 @@ def synth_price_series(
     base: float = 0.10,
     swing: float = 0.06,
     noise_sigma: float = 0.004,
-    multipliers: Multipliers = _MULTIPLIERS,
-    start: datetime | None = None,
+    multipliers: Multipliers = DEFAULT_MULTIPLIERS,
 ) -> PriceSeries:
     """Generate a smooth synthetic daily price curve: cheap overnight, evening peak."""
     if T < 1:
         raise ScenarioDataError(f"T must be >= 1, got {T}")
     rng = np.random.default_rng(seed)
-    start = start or datetime(2024, 6, 1, 0)
     timestamps = []
     prices = []
     for t in range(T):
-        hour = (start + timedelta(hours=t)).hour
+        hour = (_START + timedelta(hours=t)).hour
         shape = math.sin((hour - 9.0) * math.pi / 12.0)  # trough ~03:00, peak ~15:00-18:00
         p = base + swing * shape + float(rng.normal(0.0, noise_sigma))
         prices.append(max(p, 0.02))
-        timestamps.append(start + timedelta(hours=t))
+        timestamps.append(_START + timedelta(hours=t))
     return PriceSeries(tuple(timestamps), tuple(prices), multipliers)
 
 
@@ -311,18 +309,16 @@ def synth_pv_series(
     station_count: int,
     seed: int,
     peak_kwh: float = 40.0,
-    start: datetime | None = None,
 ) -> PvSeries:
     """Generate a synthetic solar bell curve per station with mild noise."""
     if T < 1 or station_count < 1:
         raise ScenarioDataError("T and station_count must be >= 1")
     rng = np.random.default_rng(seed)
-    start = start or datetime(2024, 6, 1, 0)
     scale = 1.0 + 0.2 * rng.standard_normal(station_count)
     timestamps = []
     generation = []
     for t in range(T):
-        ts = start + timedelta(hours=t)
+        ts = _START + timedelta(hours=t)
         hour = ts.hour
         bell = max(0.0, math.sin((hour - 6.0) * math.pi / 12.0)) if 6 <= hour <= 18 else 0.0
         row = []

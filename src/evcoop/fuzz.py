@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (EssParams, Multipliers, PriceQuote, StationAction, StationState, clear_trades,
-                   profit, step, step_batch)
+from .core import (DEFAULT_MULTIPLIERS, EssParams, PriceQuote, StationAction, StationState,
+                   clear_trades, profit, step, step_batch)
 from .marl.encoding import ActionGrid
 
 _REL = 1e-9
 _CLEARING_BLOCK = 1000  # clearing calls drawn at once
 _BATTERY_BLOCK = 200    # battery-fuzzer draws per params and quote
 _PROFIT_BLOCK = 100     # profit calls drawn per params
-_MULTIPLIERS = Multipliers()
 
 
 @dataclass
@@ -135,7 +134,7 @@ def _random_state(rng: np.random.Generator, params: EssParams, size) -> tuple:
 
 
 def _random_quotes(rng: np.random.Generator, size: int) -> list[PriceQuote]:
-    return [_MULTIPLIERS.quote(u) for u in rng.uniform(0.03, 0.5, size).tolist()]
+    return [DEFAULT_MULTIPLIERS.quote(u) for u in rng.uniform(0.03, 0.5, size).tolist()]
 
 
 def fuzz_battery(calls: int, seed: int) -> FuzzReport:

@@ -220,10 +220,6 @@ class Tensor:
         return self._result(a.data[where], (a,), backward)
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
-    """A trainable tensor; with ``rng`` given, ``data`` is a shape and values are uniform."""
-    if rng is not None:
-        shape = tuple(data)
-        bound = scale if scale is not None else 1.0 / np.sqrt(max(1, shape[0]))
-        data = rng.uniform(-bound, bound, size=shape)
+def parameter(data) -> Tensor:
+    """A trainable float64 tensor over ``data``."""
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)

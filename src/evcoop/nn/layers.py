@@ -40,18 +40,15 @@ def _dense_grads(x: np.ndarray, out: np.ndarray | None, g: np.ndarray):
 class Dense:
     """One affine layer with an optional relu."""
 
-    def __init__(self, in_dim: int, out_dim: int, activation: str = "none",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator):
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        if rng is None:
-            rng = np.random.default_rng(0)
         bound = 1.0 / np.sqrt(in_dim)
-        self.W = parameter((in_dim, out_dim), rng, scale=bound)
-        self.b = parameter((out_dim,), rng, scale=bound)
+        self.W = parameter(rng.uniform(-bound, bound, size=(in_dim, out_dim)))
+        self.b = parameter(rng.uniform(-bound, bound, size=out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         """``apply`` on ``x`` (..., rows, in_dim) as one tape node; a bank's slice i reads slice i of ``x``."""
@@ -127,8 +124,7 @@ class GRUCell:
     kernel for one slot on plain arrays.
     """
 
-    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.in_dim = in_dim
         self.hidden_dim = H = hidden_dim
         self.W = parameter(np.empty((in_dim, 3 * H)))
@@ -304,9 +300,8 @@ class MonotonicMixer:
     through the hypernetworks, the absolute values and the elu.
     """
 
-    def __init__(self, state_dim: int, n_agents: int, embed_dim: int = 32,
-                 hyper_hidden: int = 64, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, state_dim: int, n_agents: int, embed_dim: int, hyper_hidden: int,
+                 rng: np.random.Generator):
         self.state_dim = state_dim
         self.n_agents = n_agents
         self.embed_dim = embed_dim

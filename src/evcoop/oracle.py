@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    DEFAULT_MULTIPLIERS,
     EssParams,
-    Multipliers,
     StationState,
     advance_stations_batch,
     clear_and_price_batch,
@@ -45,7 +45,6 @@ from .data import Episode
 from .marl.encoding import ActionGrid, InfeasibleActionError
 
 ENUMERATION_BUDGET = 10_000_000
-_MULTIPLIERS = Multipliers()
 
 
 class BudgetExceededError(ValueError):
@@ -269,7 +268,8 @@ def random_tiny_instance(rng: np.random.Generator,
         capacity_max=float(rng.uniform(30.0, 80.0)),
         leakage_beta=float(rng.choice([1.0, 0.99])),
     )
-    quotes = tuple(_MULTIPLIERS.quote(float(rng.uniform(0.05, 0.50))) for _ in range(horizon))
+    quotes = tuple(DEFAULT_MULTIPLIERS.quote(float(rng.uniform(0.05, 0.50)))
+                   for _ in range(horizon))
     renewables = tuple(
         tuple(float(rng.uniform(0.0, 20.0)) for _ in range(station_count))
         for _ in range(horizon)

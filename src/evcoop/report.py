@@ -1,9 +1,10 @@
 """Metrics/trace CSV emission, reading, summaries, and trace replay.
 
-Numbers are written with ``repr`` so every float round-trips exactly; the
-same values therefore always produce byte-identical files.  Wall-clock
-timings go to a separate ``timings.csv`` to keep ``metrics.csv`` stable
-across reruns of the same seed.
+Every CSV goes through ``write_csv`` and back through ``read_csv``.  Numbers
+are written with ``repr`` so every float round-trips exactly; the same
+values therefore always produce byte-identical files.  Wall-clock timings
+go to a separate ``timings.csv`` to keep ``metrics.csv`` stable across
+reruns of the same seed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def csv_line(cells) -> str:
+    """One row of cells as ``write_csv`` takes it: a float as its ``repr``, None blank."""
+    return ",".join(map(_fmt, cells))
+
+
+def write_csv(path: str | Path, header: list[str], lines: list[str]) -> None:
+    """The header row, then ``lines``, each ended by ``\r\n``, in one write.
+
+    Each line is a row ``csv_line`` formatted, or built the same way.  No
+    cell is quoted, so none may hold a comma, a double quote or a line
+    break; for such cells these are the bytes of the ``csv`` module's writer.
+    """
+    Path(path).write_bytes("\r\n".join([",".join(header), *lines, ""]).encode())
+
+
+def _float_or_none(value: str) -> float | None:
+    return None if value == "" else float(value)
+
+
+def read_csv(path: str | Path, parsers: dict) -> list[dict]:
+    """The rows of a ``write_csv`` file as dicts.
+
+    A column named in ``parsers`` is parsed by its function, any other as a
+    float, a blank cell as None.
+    """
+    with Path(path).open(newline="") as fh:
+        out = [{key: parsers.get(key, _float_or_none)(value) for key, value in raw.items()}
+               for raw in csv.DictReader(fh)]
+    if not out:
+        raise ValueError(f"{path}: no rows")
+    return out
+
+
 def write_metrics_csv(path: str | Path, rows: list[tuple[str, EpisodeMetrics]],
                       seed: int) -> None:
     """One row per ``(algorithm, metrics)`` pair; a None value writes a blank cell."""
@@ -36,13 +70,9 @@ def write_metrics_csv(path: str | Path, rows: list[tuple[str, EpisodeMetrics]],
     header = (["episode", "algorithm", "seed", "total_profit"]
               + [f"station_profit_{i}" for i in range(n_stations)]
               + ["l_mix", "agent_loss_mean", "epsilon"])
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for algorithm, m in rows:
-            w.writerow([m.episode, algorithm, seed, _fmt(m.total_profit)]
-                       + [_fmt(v) for v in m.station_profits]
-                       + [_fmt(m.l_mix), _fmt(m.agent_loss_mean), _fmt(m.epsilon)])
+    write_csv(path, header, [csv_line([m.episode, algorithm, seed, m.total_profit,
+                                       *m.station_profits, m.l_mix, m.agent_loss_mean, m.epsilon])
+                             for algorithm, m in rows])
 
 
 TIMINGS_HEADER = ["episode", "wall_time_s", "rollout_s", "train_step_s", *STEP_PHASES, "sync_s"]
@@ -53,30 +83,13 @@ def write_timings_csv(path: str | Path, rows: list[EpisodeMetrics]) -> None:
 
     The train step's own phases follow it; they sum to a little less than it.
     """
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TIMINGS_HEADER)
-        for m in rows:
-            w.writerow([m.episode] + [_fmt(getattr(m, name)) for name in TIMINGS_HEADER[1:]])
+    write_csv(path, TIMINGS_HEADER,
+              [csv_line(getattr(m, name) for name in TIMINGS_HEADER) for m in rows])
 
 
 def read_metrics_csv(path: str | Path) -> list[dict]:
     """Rows as dicts; numeric fields parsed, blanks back to None."""
-    out = []
-    with Path(path).open(newline="") as fh:
-        for raw in csv.DictReader(fh):
-            row: dict = {}
-            for key, value in raw.items():
-                if key in ("episode", "seed"):
-                    row[key] = int(value)
-                elif key == "algorithm":
-                    row[key] = value
-                else:
-                    row[key] = None if value == "" else float(value)
-            out.append(row)
-    if not out:
-        raise ValueError(f"{path}: no metrics rows")
-    return out
+    return read_csv(path, {"episode": int, "seed": int, "algorithm": str})
 
 
 TRACE_HEADER = ["slot", "station", "xi_u", "renewable", "urgent", "regular",
@@ -88,11 +101,10 @@ TRACE_HEADER = ["slot", "station", "xi_u", "renewable", "urgent", "regular",
 def write_trace_csv(path: str | Path, trace: list[SlotLog], params: EssParams) -> None:
     """Per-slot, per-station environment log; start-of-slot state columns.
 
-    The file is built as one string and written at once, with the bytes
-    ``csv.writer`` would write: no cell (an int or a float's ``repr``) needs
-    quoting, and every row ends in ``\r\n``.
+    Its rows hold only ints and floats, so each line is built with ``repr``
+    inline, which is faster than ``csv_line``.
     """
-    lines = [",".join(TRACE_HEADER)]
+    lines = []
     capacity = params.capacity_max
     for t, log in enumerate(trace):
         trade, outcome = log.outcome.trade, log.outcome
@@ -106,20 +118,11 @@ def write_trace_csv(path: str | Path, trace: list[SlotLog], params: EssParams) -
                 trade.utility_buy[i], trade.utility_sell[i],
                 state.battery_kwh, state.battery_kwh / capacity,
                 outcome.profit.station_profit[i], outcome.curtailed_kwh[i])))))
-    lines.append("")
-    Path(path).write_bytes("\r\n".join(lines).encode())
+    write_csv(path, TRACE_HEADER, lines)
 
 
 def read_trace_csv(path: str | Path) -> list[dict]:
-    out = []
-    with Path(path).open(newline="") as fh:
-        for raw in csv.DictReader(fh):
-            row = {k: (int(v) if k in ("slot", "station") else float(v))
-                   for k, v in raw.items()}
-            out.append(row)
-    if not out:
-        raise ValueError(f"{path}: no trace rows")
-    return out
+    return read_csv(path, {"slot": int, "station": int})
 
 
 def replay_trace(rows: list[dict], params: EssParams, multipliers: Multipliers) -> float:
@@ -184,20 +187,13 @@ def summarize(runs: list[tuple[str, int, list[dict]]], window: int) -> list[Summ
 
 
 def write_summary_csv(path: str | Path, rows: list[SummaryRow]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "seeds", "window", "profit_mean",
-                    "profit_median", "profit_std"])
-        for r in rows:
-            w.writerow([r.algorithm, r.seeds, r.window, _fmt(r.profit_mean),
-                        _fmt(r.profit_median), _fmt(r.profit_std)])
+    write_csv(path, ["algorithm", "seeds", "window", "profit_mean", "profit_median", "profit_std"],
+              [csv_line([r.algorithm, r.seeds, r.window, r.profit_mean, r.profit_median,
+                         r.profit_std]) for r in rows])
 
 
 def write_long_csv(path: str | Path, runs: list[tuple[str, int, list[dict]]]) -> None:
     """Per-episode long format for external plotting."""
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "seed", "episode", "total_profit"])
-        for algorithm, seed, rows in runs:
-            for r in rows:
-                w.writerow([algorithm, seed, r["episode"], _fmt(r["total_profit"])])
+    write_csv(path, ["algorithm", "seed", "episode", "total_profit"],
+              [csv_line([algorithm, seed, r["episode"], r["total_profit"]])
+               for algorithm, seed, rows in runs for r in rows])

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import evcoop
+from csv_reference import csv_writer_bytes
 from evcoop.cli import main
 from evcoop.config import load_config_dict
-from evcoop.report import read_metrics_csv, read_trace_csv, replay_trace
+from evcoop.report import read_csv, read_metrics_csv, read_trace_csv, replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,19 @@ def test_timings_csv_splits_each_episode_into_phases(trained):
     # metrics.csv keeps its columns; wall-clock numbers stay out of it
     header = (out / "double_qmix_seed0" / "metrics.csv").read_text().splitlines()[0]
     assert not any(name in header for name in rows[0][1:])
+
+
+def test_run_csvs_are_the_csv_writer_bytes_of_their_values(trained, tmp_path):
+    assert main(["compare", "--runs", str(trained / "out"), "--out", str(tmp_path)]) == 0
+    run = trained / "out" / "random_seed1"
+    for path, parsers in (
+            (run / "metrics.csv", {"episode": int, "algorithm": str, "seed": int}),
+            (run / "timings.csv", {"episode": int}),
+            (tmp_path / "summary.csv", {"algorithm": str, "seeds": int, "window": int}),
+            (tmp_path / "long.csv", {"algorithm": str, "seed": int, "episode": int})):
+        rows = read_csv(path, parsers)
+        want = csv_writer_bytes(list(rows[0]), [list(row.values()) for row in rows])
+        assert path.read_bytes() == want, path.name
 
 
 def test_rerun_reproduces_metrics_bytes(trained, tmp_path):
@@ -133,6 +147,35 @@ def test_compare_aggregates_runs(trained, tmp_path):
     long_rows = (tmp_path / "long.csv").read_text().splitlines()
     assert long_rows[0] == "algorithm,seed,episode,total_profit"
     assert len(long_rows) == 1 + 4 * 8
+
+
+@pytest.mark.parametrize("cell", ['"q,mix"', '"q""mix"', '"q\rmix"', '"q\nmix"'],
+                         ids=["comma", "quote", "cr", "lf"])
+def test_compare_rejects_an_algorithm_cell_it_would_have_to_quote(tmp_path, capsys, cell):
+    bad = tmp_path / "metrics.csv"
+    bad.write_bytes(f"episode,algorithm,seed,total_profit\r\n0,{cell},0,1.5\r\n".encode())
+    out = tmp_path / "out"
+    assert main(["compare", "--runs", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not (out / "summary.csv").exists()
+
+
+def test_compare_summarizes_each_algorithm_of_an_oracle_file(tmp_path):
+    assert main(["oracle", "--instances", "2", "--out", str(tmp_path)]) == 0
+    rows = read_metrics_csv(tmp_path / "oracle_metrics.csv")
+    assert main(["compare", "--runs", str(tmp_path / "oracle_metrics.csv"), "--window", "2",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    with (tmp_path / "cmp" / "summary.csv").open(newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert [(r["algorithm"], r["seeds"]) for r in summary] == [("greedy-L3", "1"), ("oracle", "1")]
+    for r in summary:
+        profits = [row["total_profit"] for row in rows if row["algorithm"] == r["algorithm"]]
+        assert float(r["profit_mean"]) == sum(profits) / 2
+    long_rows = (tmp_path / "cmp" / "long.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in long_rows[1:]] == [
+        ["oracle", "0", "0"], ["oracle", "0", "1"],
+        ["greedy-L3", "0", "0"], ["greedy-L3", "0", "1"]]
 
 
 def test_oracle_subcommand_writes_rows(tmp_path):

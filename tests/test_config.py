@@ -14,6 +14,7 @@ import pytest
 
 import evcoop
 
+from evcoop.cli import build_parser
 from evcoop.config import (
     DEFAULTS,
     ConfigError,
@@ -23,6 +24,7 @@ from evcoop.config import (
     load_config_dict,
     resolved_dict,
 )
+from evcoop.marl import ALGORITHMS
 
 
 def test_empty_document_resolves_defaults():
@@ -74,6 +76,14 @@ def test_resolved_dict_roundtrip_is_identity():
     assert resolved_dict(again) == resolved_dict(cfg)
     assert again.train.episodes == 7
     assert again.seeds == (3, 4)
+
+
+def test_algorithm_lists_are_one_tuple():
+    schema = json.loads(resources.files("evcoop").joinpath("config_schema.json").read_text())
+    train = build_parser()._subparsers._group_actions[0].choices["train"]
+    choices = next(a.choices for a in train._actions if a.dest == "algorithm")
+    assert tuple(schema["properties"]["algorithms"]["items"]["enum"]) == ALGORITHMS
+    assert choices is ALGORITHMS
 
 
 def test_schema_error_names_the_field():

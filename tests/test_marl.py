@@ -1,6 +1,5 @@
 """Learning engine: encoding, action grid, replay, targets, training loop."""
 
-import csv
 import json
 import math
 import sys
@@ -51,6 +50,7 @@ from evcoop.marl import (
 )
 from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor
 from evcoop.report import TRACE_HEADER, read_trace_csv, write_trace_csv
+from csv_reference import csv_writer_bytes
 from mixer_reference import composite_mix, slice_grads, slice_mixers, tape_reshape
 
 PARAMS = EssParams()
@@ -212,10 +212,11 @@ def _targets(batch, learner):
 def _station_agents(bank):
     """Station i's encoder, GRU and head as separate layers holding copies of slice i."""
     stations = []
+    rng = np.random.default_rng(0)  # every draw is overwritten below
     for i in range(bank.encoder.W.shape[0]):
-        layers = (Dense(bank.encoder.in_dim, bank.encoder.out_dim, "relu"),
-                  GRUCell(bank.gru.in_dim, bank.gru.hidden_dim),
-                  Dense(bank.head.in_dim, bank.head.out_dim, "none"))
+        layers = (Dense(bank.encoder.in_dim, bank.encoder.out_dim, "relu", rng),
+                  GRUCell(bank.gru.in_dim, bank.gru.hidden_dim, rng),
+                  Dense(bank.head.in_dim, bank.head.out_dim, "none", rng))
         for layer, stacked in zip(layers, (bank.encoder, bank.gru, bank.head)):
             for p, ps in zip(layer.parameters().values(), stacked.parameters().values()):
                 p.data = ps.data[i].copy()
@@ -376,6 +377,13 @@ def test_mixer_bank_keeps_the_draw_order(algorithm):
         assert p.shape[0] == k, name
         for j in range(k):
             assert np.array_equal(p.data[j], drawn[2 * j].parameters()[name].data), name
+
+
+def test_double_qmix_mixers_are_drawn_independently():
+    # the paper's two independently initialized mixers: A and B share no parameter array
+    learner = _learner("double_qmix")
+    for name, p in learner.mixers_eval.parameters().items():
+        assert not np.array_equal(p.data[0], p.data[1]), name
 
 
 @pytest.mark.parametrize("algorithm", ["double_qmix", "qmix"])
@@ -692,34 +700,17 @@ def test_act_epsilon_greedy_matches_per_station_draws(epsilon, seed, n, n_action
         assert act_epsilon_greedy(q, epsilon, masks, None).tolist() == want
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_trace_one_cell_at_a_time(path, trace, params):
-    """write_trace_csv as first written: one _fmt call per cell."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for t, log in enumerate(trace):
-            for i, state in enumerate(log.states):
-                w.writerow([
-                    t, i, _fmt(log.quote.utility), _fmt(log.renewables[i]),
-                    _fmt(state.urgent_demand), _fmt(state.regular_demand),
-                    _fmt(log.actions[i].ev_supply), _fmt(log.actions[i].ess_control),
-                    _fmt(log.outcome.trade.matched_buy[i]),
-                    _fmt(log.outcome.trade.matched_sell[i]),
-                    _fmt(log.outcome.trade.utility_buy[i]),
-                    _fmt(log.outcome.trade.utility_sell[i]),
-                    _fmt(state.battery_kwh),
-                    _fmt(state.battery_kwh / params.capacity_max),
-                    _fmt(log.outcome.profit.station_profit[i]),
-                    _fmt(log.outcome.curtailed_kwh[i]),
-                ])
+    """write_trace_csv as first written: one cell per value, through ``csv.writer``."""
+    rows = [[t, i, log.quote.utility, log.renewables[i],
+             state.urgent_demand, state.regular_demand,
+             log.actions[i].ev_supply, log.actions[i].ess_control,
+             log.outcome.trade.matched_buy[i], log.outcome.trade.matched_sell[i],
+             log.outcome.trade.utility_buy[i], log.outcome.trade.utility_sell[i],
+             state.battery_kwh, state.battery_kwh / params.capacity_max,
+             log.outcome.profit.station_profit[i], log.outcome.curtailed_kwh[i]]
+            for t, log in enumerate(trace) for i, state in enumerate(log.states)]
+    path.write_bytes(csv_writer_bytes(TRACE_HEADER, rows))
 
 
 @pytest.mark.parametrize("stations, epsilon", [(2, 0.5), (6, 0.0), (6, 1.0)])

@@ -139,7 +139,8 @@ def test_gru_packs_the_nine_per_gate_draws():
     # the per-gate parameters as first drawn: (W, U, b) for each gate z, r, n in turn
     rng = np.random.default_rng(9)
     shapes = ((in_dim, H), (H, H), (H,))
-    draws = [parameter(shape, rng, 1.0 / np.sqrt(H)).data for _ in "zrn" for shape in shapes]
+    bound = 1.0 / np.sqrt(H)
+    draws = [rng.uniform(-bound, bound, size=shape) for _ in "zrn" for shape in shapes]
     W_z, U_z, b_z, W_r, U_r, b_r, W_n, U_n, b_n = draws
     want = {"W": np.concatenate([W_z, W_r, W_n], axis=1),
             "U_zr": np.concatenate([U_z, U_r], axis=1),
