@@ -7,7 +7,8 @@ same again under ``mixer_grad`` (``{"train": {"agent_loss_mode":
 "mixer_grad"}}``, the mode in which the mixer's gradient reaches the
 agents), writing that variant's runs under ``mixer_grad/``.  Each
 variant's training runs are summarized with ``evcoop compare``, and its
-``summary.csv`` and ``long.csv`` are digested.  It runs
+``summary.csv`` and ``long.csv`` are digested, and so is the
+``resolved_config.json`` its last training run echoed.  It runs
 ``evcoop oracle --instances 20 --seed <seed>`` with full lookahead and with
 ``--lookahead 1``, and prints one ``<sha256>  <path>`` line per
 ``metrics.csv``, ``trace.csv`` and ``oracle_metrics.csv``.
@@ -97,6 +98,7 @@ def digests(out: Path, variant: str, episodes: int, seed: int, eval_seed: int,
         lines.append(_digest(root / "evaluate" / run / "trace.csv", out))
     _run(["compare", "--runs", str(root / "train"), "--out", str(root / "compare")])
     lines += [_digest(root / "compare" / name, out) for name in ("summary.csv", "long.csv")]
+    lines.append(_digest(root / "train" / "resolved_config.json", out))
     return lines
 
 
@@ -135,7 +137,10 @@ def fuzz_digests(out: Path, seed: int) -> list[str]:
 
 
 def _digest(path: Path, out: Path) -> str:
-    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
+    """The sha256 of ``path`` with ``out`` written as ``<out>``, so that the
+    ``out_dir`` a resolved config echoes does not differ between two ``--out``."""
+    data = path.read_bytes().replace(str(out).encode(), b"<out>")
+    return f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(out)}"
 
 
 def _checkpoint_digests(path: Path, out: Path) -> list[str]:

@@ -49,6 +49,10 @@ from .report import (
 )
 
 
+# Final-episode window of the profit mean that ``train`` prints and ``compare`` aggregates.
+FINAL_WINDOW = 50
+
+
 class _Parser(argparse.ArgumentParser):
     """Argparse variant whose usage errors map to exit code 1."""
 
@@ -139,7 +143,7 @@ def cmd_train(args) -> int:
             write_timings_csv(run_dir / "timings.csv", metrics)
             save_learner(run_dir / "checkpoint.npz", learner)
 
-            window = min(50, len(metrics))
+            window = min(FINAL_WINDOW, len(metrics))
             tail = metrics[-window:]
             mean_profit = sum(m.total_profit for m in tail) / window
             print(f"{algorithm} seed {seed}: {len(metrics)} episodes in "
@@ -320,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="summarize completed runs into summary.csv + long.csv")
     p_cmp.add_argument("--runs", nargs="+", required=True,
                        help="metrics.csv files or directories to scan")
-    p_cmp.add_argument("--window", type=_positive_int, default=50,
-                       help="final-episode window for the aggregate (default 50)")
+    p_cmp.add_argument("--window", type=_positive_int, default=FINAL_WINDOW,
+                       help="final-episode window for the aggregate (default %(default)s)")
     p_cmp.add_argument("--out", help="output directory (default: current)")
     p_cmp.set_defaults(func=cmd_compare)
     return parser

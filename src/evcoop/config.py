@@ -1,4 +1,4 @@
-"""Run configuration: schema-validated JSON with every default resolved.
+"""Run configuration: schema-checked JSON with every default resolved.
 
 An empty document is a complete configuration: it trains on the bundled
 two-station sample scenario.  Every default lives in one place, the field
@@ -9,6 +9,12 @@ derived from them, and the JSON schema is the only hand-written contract.
 Every JSON object's keys are its dataclass's field names, and an error a
 dataclass raises names the object's path.  ``resolved_dict`` echoes the
 fully-resolved form; loading that echo reproduces the identical RunConfig.
+
+``schema_error`` checks a document against ``config_schema.json`` itself,
+with the Draft-7 meaning of exactly the keywords that schema uses, and
+needs only the standard library.  It also rejects NaN and infinities,
+which ``json.loads`` accepts, and it raises on any other keyword, so a
+schema edit is never skipped silently.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
@@ -133,9 +140,87 @@ def _defaults(cls) -> dict:
 DEFAULTS: dict = _defaults(RunConfig)
 
 
+@functools.cache
 def _schema() -> dict:
     text = resources.files("evcoop").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Draft 7's types: a bool is no number, and an integral float is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+# keyword: (fails, message) for the numeric bounds, which pass any non-number
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "is less than the minimum of"),
+    "maximum": (lambda v, b: v > b, "is greater than the maximum of"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (lambda v, b: v >= b, "is greater than or equal to the maximum of"),
+}
+
+
+def schema_error(schema: dict, value, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first error of ``value`` against ``schema`` in field-path order, or None.
+
+    The error is ``(path, message)``; a path orders as jsonschema's
+    ``absolute_path`` does, so this is the error a Draft-7 validator sorts
+    first.  A float that is not finite fails ``number`` and ``integer``.
+    Raises ``ValueError`` on a keyword outside the ones config_schema.json uses.
+    """
+    for key, arg in schema.items():
+        message = None
+        if key == "type":
+            names = [arg] if isinstance(arg, str) else arg
+            if not any(_TYPES[name](value) for name in names):
+                message = f"{value!r} is not of type {', '.join(map(repr, names))}"
+            elif isinstance(value, float) and not math.isfinite(value):
+                message = f"{value!r} is not a finite number"
+        elif key == "enum":
+            if value not in arg:
+                message = f"{value!r} is not one of {arg!r}"
+        elif key in _BOUNDS:
+            fails, text = _BOUNDS[key]
+            if _is_number(value) and fails(value, arg):
+                message = f"{value!r} {text} {arg!r}"
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                message = f"{value!r} is too short"
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                message = f"{value!r} is too long"
+        elif key == "additionalProperties" and arg is False:
+            extras = sorted(value.keys() - schema.get("properties", {})) \
+                if isinstance(value, dict) else []
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                message = (f"Additional properties are not allowed "
+                           f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key not in ("$schema", "title", "properties", "items"):  # last two: see below
+            raise ValueError(f"unsupported schema keyword {key!r}: {arg!r}")
+        if message:
+            return path, message
+    if isinstance(value, dict) and "properties" in schema:
+        children = [(k, schema["properties"][k], value[k])
+                    for k in sorted(value) if k in schema["properties"]]
+    elif isinstance(value, list) and "items" in schema:
+        children = [(i, schema["items"], v) for i, v in enumerate(value)]
+    else:
+        children = []
+    for step, sub, item in children:
+        error = schema_error(sub, item, (*path, step))
+        if error:
+            return error
+    return None
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -152,16 +237,13 @@ def load_config_dict(document: dict) -> RunConfig:
     """Validate a parsed JSON document and resolve every default."""
     if not isinstance(document, dict):
         raise ConfigError(f"configuration must be a JSON object, got {type(document).__name__}")
-    import jsonschema  # here, not at the top: only validation needs it, and it is slow to import
-
-    validator = jsonschema.Draft7Validator(_schema())
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "(root)"
-        raise ConfigError(f"{path}: {err.message}")
-
+    # The merged document holds every field, so the check visits every node of
+    # the schema on every load; the defaults pass, so each error is the caller's.
     doc = _deep_merge(DEFAULTS, document)
+    error = schema_error(_schema(), doc)
+    if error:
+        path, message = error
+        raise ConfigError(f"{'.'.join(map(str, path)) or '(root)'}: {message}")
     sc = doc["scenario"]
     if sc["mode"] == "csv":
         for key in ("price_csv", "pv_csv"):

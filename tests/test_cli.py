@@ -14,6 +14,7 @@ import pytest
 
 import evcoop
 from csv_reference import csv_writer_bytes
+from evcoop import cli
 from evcoop.cli import main
 from evcoop.config import load_config_dict
 from evcoop.report import read_csv, read_metrics_csv, read_trace_csv, replay_trace
@@ -241,6 +242,19 @@ def test_battery_with_no_feasible_action_exits_one(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ess.capacity_max" in err and "ess.import_cap" in err
+
+
+def test_train_printout_and_compare_default_describe_one_window(tmp_path, capsys, monkeypatch):
+    # A window shorter than the run, so the printout's min() does not hide a mismatch.
+    monkeypatch.setattr(cli, "FINAL_WINDOW", 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": TINY_TRAIN, "out_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["compare", "--runs", str(tmp_path / "out"), "--out", str(tmp_path / "cmp")]) == 0
+    [row] = read_csv(tmp_path / "cmp" / "summary.csv", {"algorithm": str, "window": int})
+    assert row["window"] == 2
+    assert f"final-2 mean profit ${row['profit_mean']:.2f} " in printed
 
 
 def test_huge_renewables_train_without_warnings(tmp_path):
