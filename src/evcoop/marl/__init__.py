@@ -20,9 +20,9 @@ from .trainer import (
     build_learner,
     compute_targets,
     epsilon_at,
-    greedy_profit,
     load_learner,
     rollout_episode,
+    run_episode,
     save_learner,
     sync_targets,
     train,
@@ -34,6 +34,6 @@ __all__ = [
     "InfeasibleActionError", "LearnerState", "OBS_DIM", "ObsScales",
     "ReplayBuffer", "SlotLog", "Targets", "TrainConfig", "act_epsilon_greedy",
     "build_learner", "compute_targets", "encode_observation", "epsilon_at",
-    "greedy_profit", "load_learner", "rollout_episode",
-    "save_learner", "sync_targets", "train", "train_step",
+    "load_learner", "rollout_episode", "run_episode", "save_learner", "sync_targets",
+    "train", "train_step",
 ]

@@ -6,10 +6,10 @@ utility price, each divided by a fixed normalization scale.  Actions are a
 ``K_ev x K_cs`` grid: a supply fraction applied to regular demand crossed
 with battery control levels spaced linearly over the feasible interval that
 results from that supply choice, so every decodable action already respects
-the demand and battery constraints.  A rollout slot decodes each supply
-fraction's block once (``ActionGrid.blocks``), keeping its whole control
-interval entry, and then only the chosen action (``ActionGrid.action``); it
-settles the slot on the chosen blocks' entries (``core.settle``).
+the demand and battery constraints.  Each slot of ``run_episode``, every
+policy's episode loop, decodes each supply fraction's block once
+(``ActionGrid.blocks``), then only the chosen action (``ActionGrid.action``),
+and settles on the chosen blocks' control interval entries (``core.settle``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ mixers, evaluated at next-slot actions picked by the *eval* agents, which
 curbs the optimistic bias a single maximizing mixer accrues.  ``qmix`` is
 the single-mixer baseline with target-net action selection.
 ``independent_dqn`` trains each agent on the shared reward with no mixer.
-``random`` never trains.
+``random`` never trains.  Every policy's episode, the learner's and the
+oracle's, runs through one slot loop, ``run_episode``, with its own chooser.
 """
 
 from __future__ import annotations
@@ -236,55 +237,71 @@ class SlotLog:
     renewables: tuple[float, ...]
 
 
-def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
-                    rng: np.random.Generator | None,
-                    collect_trace: bool = False
-                    ) -> tuple[EpisodeRecord, list[SlotLog] | None]:
-    """Run one episode through the environment under the current policy."""
-    T = episode.length
-    n = episode.station_count
-    if n != learner.n_agents:
-        raise ValueError(f"episode has {n} stations, learner expects {learner.n_agents}")
-    params = learner.env_params
-    grid = learner.grid
-    A = grid.n_actions
+def _indices(chosen, n: int, t: int) -> np.ndarray:
+    """A chooser's ``chosen`` as n integer action indices, else a ValueError naming slot ``t``."""
+    try:
+        picks = np.asarray(chosen)
+    except ValueError:  # ragged
+        picks = np.empty(0)
+    if picks.shape != (n,) or picks.dtype.kind not in "iu":
+        raise ValueError(f"slot {t}: the chooser returned {chosen!r}, not {n} integer indices")
+    return picks
 
-    obs_log = np.zeros((T, n, OBS_DIM))
-    action_log = np.zeros((T, n), dtype=np.int64)
-    mask_log = np.zeros((T, n, A), dtype=bool)
-    mask_blocks = mask_log.reshape(T, n, len(grid.ev_fractions), grid.cs_levels)  # a view
-    reward_log = np.zeros(T)
-    total_log = np.zeros(T)
-    station_log = np.zeros((T, n))
+
+def run_episode(episode: Episode, params: EssParams, grid: ActionGrid,
+                choose: Callable[..., Sequence[int]], collect_trace: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[SlotLog] | None]:
+    """One episode under any policy: actions, masks, total and station profit, trace.
+
+    At slot t each station's ``grid.blocks`` fill its row of ``masks[t]`` (n, A),
+    ``choose(t, states, masks[t])`` returns one action index per station, and
+    ``core.settle`` settles the chosen blocks' intervals."""
+    T, n, m = episode.length, episode.station_count, grid.cs_levels
+    actions, masks = np.zeros((T, n), dtype=np.int64), np.zeros((T, n, grid.n_actions), dtype=bool)
+    mask_blocks = masks.reshape(T, n, len(grid.ev_fractions), m)  # a view
+    totals, station = np.zeros(T), np.zeros((T, n))
     trace: list[SlotLog] | None = [] if collect_trace else None
 
     states = episode.initial_states
-    hidden = None
     for t in range(T):
-        quote = episode.quotes[t]
-        renew = episode.renewables[t]
-        obs_block = encode_observation(states, renew, quote.utility, params, learner.scales)
-        obs_log[t] = obs_block
-
-        # one forward and one masked argmax for every station, then decode and settle
+        quote, renew = episode.quotes[t], episode.renewables[t]
         blocks = [grid.blocks(states[i], renew[i], params) for i in range(n)]
         mask_blocks[t] = np.array([b is not None for bl in blocks for b in bl]).reshape(n, -1, 1)
-        q, hidden = learner.agents_eval.step(obs_block[:, None, :], hidden)
-        chosen = act_epsilon_greedy(q[:, 0], epsilon, mask_log[t], rng)
-        action_log[t] = chosen
-        picked = list(zip(blocks, chosen.tolist()))
-        actions = [grid.action(bl, idx) for bl, idx in picked]
-        intervals = [bl[idx // grid.cs_levels][1] for bl, idx in picked]
-        outcome = settle(states, actions, intervals, quote, episode.arrivals[t], params)
-        total_log[t] = outcome.profit.total_profit
-        station_log[t] = outcome.profit.station_profit
-        reward_log[t] = outcome.profit.total_profit * learner.config.reward_scale
+        actions[t] = picks = _indices(choose(t, states, masks[t]), n, t)
+        picked = list(zip(blocks, picks.tolist()))
+        chosen = [grid.action(bl, idx) for bl, idx in picked]
+        intervals = [bl[idx // m][1] for bl, idx in picked]
+        outcome = settle(states, chosen, intervals, quote, episode.arrivals[t], params)
+        totals[t] = outcome.profit.total_profit
+        station[t] = outcome.profit.station_profit
         if trace is not None:
-            trace.append(SlotLog(states, actions, outcome, quote, renew))
+            trace.append(SlotLog(states, chosen, outcome, quote, renew))
         states = tuple(outcome.next_states)
+    return actions, masks, totals, station, trace
 
-    record = EpisodeRecord(obs=obs_log, actions=action_log, masks=mask_log, rewards=reward_log,
-                           total_profits=total_log, station_profits=station_log)
+
+def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,
+                    rng: np.random.Generator | None, collect_trace: bool = False
+                    ) -> tuple[EpisodeRecord, list[SlotLog] | None]:
+    """Run one episode under the learner's epsilon-greedy policy (``run_episode``'s chooser)."""
+    n = episode.station_count
+    if n != learner.n_agents:
+        raise ValueError(f"episode has {n} stations, learner expects {learner.n_agents}")
+    obs = np.zeros((episode.length, n, OBS_DIM))
+    hidden = None
+
+    def choose(t, states, masks):
+        nonlocal hidden
+        obs[t] = block = encode_observation(states, episode.renewables[t], episode.quotes[t].utility,
+                                            learner.env_params, learner.scales)
+        q, hidden = learner.agents_eval.step(block[:, None, :], hidden)
+        return act_epsilon_greedy(q[:, 0], epsilon, masks, rng)
+
+    actions, masks, totals, station, trace = run_episode(
+        episode, learner.env_params, learner.grid, choose, collect_trace)
+    record = EpisodeRecord(obs=obs, actions=actions, masks=masks,
+                           rewards=totals * learner.config.reward_scale,
+                           total_profits=totals, station_profits=station)
     return record, trace
 
 
@@ -523,12 +540,6 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
             **phases,
         ))
     return metrics
-
-
-def greedy_profit(episode: Episode, learner: LearnerState) -> float:
-    """Deterministic greedy rollout; total dollars over the episode."""
-    record, _ = rollout_episode(episode, learner, epsilon=0.0, rng=None)
-    return float(record.total_profits.sum())
 
 
 # --- checkpoint round-trip -------------------------------------------------

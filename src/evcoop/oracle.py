@@ -20,7 +20,8 @@ that order.
 Each instance's full-horizon optimum is searched once and kept on the
 instance: ``brute_force`` returns it, and a rolling greedy whose lookahead
 spans the episode takes its slot-0 plan from it, since that plan is the
-same search.  Later re-plans search from the realized state.
+same search.  Later re-plans search from the realized state.  The greedy
+and ``replay_sequence`` are choosers over the rollouts' ``run_episode``.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .core import (
     StationState,
     advance_stations_batch,
     clear_and_price_batch,
-    step as env_step,
 )
 from .data import Episode
 from .marl.encoding import ActionGrid, InfeasibleActionError
+from .marl.trainer import run_episode
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -210,21 +211,18 @@ def rolling_greedy(instance: TinyInstance, lookahead: int
         raise ValueError("lookahead must be >= 1")
     ep = instance.episode
     params, grid = instance.params, instance.grid
-    state = _state_arrays(ep.initial_states)
-    total = 0.0
-    taken: list[tuple[int, ...]] = []
-    for t in range(ep.length):
+
+    def choose(t, states, masks):
         depth = min(lookahead, ep.length - t)
-        slot = _slot(ep, params, grid, t, state)
         # Only slot 0 of a full lookahead plans the whole episode, from the
         # initial state: that is the instance's optimum, searched once.
-        seq = (instance._optimum.actions if depth == ep.length
-               else _search(ep, params, grid, slot, depth)[1])
-        combo = seq[0]
-        state, profit = _children(ep, slot, np.zeros(1, dtype=np.intp), np.array([combo]))
-        total += profit[0]
-        taken.append(combo)
-    return total, tuple(taken)
+        if depth == ep.length:
+            return instance._optimum.actions[0]
+        return _search(ep, params, grid, _slot(ep, params, grid, t, _state_arrays(states)),
+                       depth)[1][0]
+
+    actions, _, totals, _, _ = run_episode(ep, params, grid, choose)
+    return sum(totals), tuple(map(tuple, actions.tolist()))
 
 
 def replay_sequence(instance: TinyInstance, actions: tuple[tuple[int, ...], ...]
@@ -235,21 +233,11 @@ def replay_sequence(instance: TinyInstance, actions: tuple[tuple[int, ...], ...]
     feasibility check on reported optimal sequences.
     """
     ep = instance.episode
-    params, grid = instance.params, instance.grid
     if len(actions) != ep.length:
         raise ValueError(f"sequence has {len(actions)} slots, episode has {ep.length}")
-    states = list(ep.initial_states)
-    total = 0.0
-    per_station = np.zeros(ep.station_count)
-    for t, combo in enumerate(actions):
-        decoded = [grid.action(grid.blocks(states[i], ep.renewables[t][i], params), int(a))
-                   for i, a in enumerate(combo)]
-        out = env_step(states, decoded, list(ep.renewables[t]), ep.quotes[t],
-                       list(ep.arrivals[t]), params)
-        total += out.profit.total_profit
-        per_station += np.asarray(out.profit.station_profit)
-        states = list(out.next_states)
-    return total, tuple(float(v) for v in per_station)
+    _, _, totals, station, _ = run_episode(ep, instance.params, instance.grid,
+                                           lambda t, states, masks: actions[t])
+    return float(sum(totals)), tuple(float(v) for v in sum(station))
 
 
 def random_tiny_instance(rng: np.random.Generator,

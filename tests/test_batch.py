@@ -594,6 +594,28 @@ def test_oracle_blocks_keep_lexicographic_ties(monkeypatch, block_rows):
         _assert_same_as_dfs(inst)
 
 
+def test_replaying_a_rollout_settles_the_same_episode_bit_for_bit():
+    # The learner's rollout and replay_sequence are two choosers over one
+    # episode loop: replaying the actions a rollout took must give its total
+    # and per-station profits to the bit, also where tight caps mask actions.
+    replayed = masked = 0
+    for k, inst in enumerate(_draws(60, seed=13)):
+        ep = inst.episode
+        learner = build_learner("double_qmix", ep.station_count, inst.params, inst.grid,
+                                ObsScales(), TrainConfig(hidden_dim=4, embed_dim=2, hyper_hidden=4),
+                                np.random.default_rng(k))
+        try:
+            record, _ = rollout_episode(ep, learner, 0.5, np.random.default_rng(k))
+        except InfeasibleActionError:
+            continue
+        total, split = oracle.replay_sequence(inst, tuple(map(tuple, record.actions.tolist())))
+        assert_bits(total, sum(record.total_profits))
+        assert_bits(split, sum(record.station_profits))
+        replayed += 1
+        masked += not record.masks.all()
+    assert replayed >= 50 and masked >= 5
+
+
 def test_oracle_evaluates_every_node_once(monkeypatch):
     # The same (slot, state, action) nodes as the depth-first search, each
     # as often, whatever the block size: no child dropped or duplicated.

@@ -8,7 +8,7 @@ import pytest
 from evcoop import oracle
 from evcoop.core import EssParams, PriceQuote, StationState
 from evcoop.data import Episode
-from evcoop.marl import ActionGrid, InfeasibleActionError
+from evcoop.marl import ActionGrid, InfeasibleActionError, run_episode
 from evcoop.oracle import (
     BudgetExceededError,
     TinyInstance,
@@ -77,19 +77,32 @@ def test_optimum_dominates_random_play():
     inst = random_tiny_instance(rng)
     exact = brute_force(inst)
     tol = 1e-9 * max(1.0, abs(exact.profit))
-    # Random feasible rollouts: walk the grid picking any unmasked action.
+    # Random feasible rollouts: each station picks any action its mask admits at that slot.
+    def random_policy(t, states, masks):
+        return [int(rng.choice(np.flatnonzero(row))) for row in masks]
+
     for _ in range(50):
-        states = list(inst.episode.initial_states)
-        total = 0.0
-        actions = []
-        for t in range(inst.episode.length):
-            picks = []
-            for i, st in enumerate(states):
-                _, _, mask = inst.grid.decode_table(st, inst.episode.renewables[t][i], inst.params)
-                picks.append(int(rng.choice(np.flatnonzero(mask))))
-            actions.append(tuple(picks))
-        total, _ = replay_sequence(inst, tuple(actions))
-        assert total <= exact.profit + tol
+        actions, _, totals, _, _ = run_episode(inst.episode, inst.params, inst.grid, random_policy)
+        assert sum(totals) <= exact.profit + tol
+        assert replay_sequence(inst, tuple(map(tuple, actions.tolist())))[0] == sum(totals)
+
+
+@pytest.mark.parametrize("combo", [(0,), (0, 0, 0)])
+def test_replay_rejects_a_combo_that_is_not_one_index_per_station(combo):
+    # Two stations: a one-index combo must not be broadcast over both, and a
+    # third index must not be dropped.
+    inst = random_tiny_instance(np.random.default_rng(2))
+    assert inst.episode.station_count == 2
+    actions = ((0, 0),) * (inst.episode.length - 1) + (combo,)
+    with pytest.raises(ValueError, match=f"slot {inst.episode.length - 1}: .* not 2 integer"):
+        replay_sequence(inst, actions)
+
+
+@pytest.mark.parametrize("picks", [0, (0.0, 0.0), np.array([[0, 0]]), [0, [0, 0]], (True, True)])
+def test_run_episode_rejects_anything_but_integer_indices(picks):
+    inst = random_tiny_instance(np.random.default_rng(2))
+    with pytest.raises(ValueError, match="slot 0: the chooser returned"):
+        run_episode(inst.episode, inst.params, inst.grid, lambda t, states, masks: picks)
 
 
 def _full_searches(monkeypatch):
