@@ -15,7 +15,12 @@ variant's training runs are summarized with ``evcoop compare``, and its
 Next to each ``oracle_metrics.csv`` it writes and digests ``oracle_api.txt``:
 for each of the same instances, the optimum, its action sequence and node
 count from ``brute_force`` and the total and sequence of ``rolling_greedy``
-at that lookahead, which the profit-only CSV does not pin.  Each
+at that lookahead, which the profit-only CSV does not pin.  It also writes
+and digests ``oracle/tight/oracle_api.txt`` for instances whose battery
+and import/export caps are drawn small enough that feasibility masks occur
+and some searches fail: one line per instance with the optimum and the
+greedy at lookahead 1 and at full lookahead, each as its results or the
+repr of the error it raised.  Each
 ``checkpoint.npz`` gets two lines, ``<path> params`` over its parameter
 arrays and ``<path> meta`` over its format version and metadata JSON, so a
 metadata-only change does not look like a numeric one.  It runs the
@@ -47,6 +52,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -61,6 +67,7 @@ DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
 # (subdirectory, config merged into the run config) of each training variant
 VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}}))
 ORACLE_INSTANCES = 20
+TIGHT_INSTANCES = 40
 # (fuzzer, calls, seed offset), as ``evcoop fuzz`` runs them by default
 FUZZERS = ((fuzz_clearing, 100_000, 0), (fuzz_battery, 100_000, 1), (fuzz_profit, 10_000, 2))
 
@@ -112,6 +119,10 @@ def oracle_digests(out: Path, seed: int) -> list[str]:
         lines.append(_digest(run / "oracle_metrics.csv", out))
         (run / "oracle_api.txt").write_text(_oracle_api_rows(seed, lookahead))
         lines.append(_digest(run / "oracle_api.txt", out))
+    tight = out / "oracle" / "tight" / "oracle_api.txt"
+    tight.parent.mkdir(parents=True, exist_ok=True)
+    tight.write_text(_tight_oracle_rows(seed))
+    lines.append(_digest(tight, out))
     return lines
 
 
@@ -125,6 +136,36 @@ def _oracle_api_rows(seed: int, lookahead: int | None) -> str:
         total, actions = rolling_greedy(instance, lookahead or instance.episode.length)
         rows.append(repr((k, float(exact.profit), exact.actions, exact.nodes,
                           float(total), actions)))
+    return "\n".join(rows) + "\n"
+
+
+def _tight_oracle_rows(seed: int) -> str:
+    """One repr line per tight-cap instance: each search's results or its error."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    rows = []
+    for k in range(TIGHT_INSTANCES):
+        instance = random_tiny_instance(rng)
+        cap, export_cap, import_cap = rng.uniform((4.0, 0.5, 0.5), (12.0, 4.0, 4.0)).tolist()
+        params = replace(instance.params, capacity_max=cap, export_cap=export_cap,
+                         import_cap=import_cap)
+        states = tuple(replace(s, battery_kwh=float(rng.uniform(params.capacity_min,
+                                                                 params.usable_max)))
+                       for s in instance.episode.initial_states)
+        instance = replace(instance, params=params,
+                           episode=replace(instance.episode, initial_states=states))
+        row: list = [k]
+        try:
+            exact = brute_force(instance)
+            row += [float(exact.profit), exact.actions, exact.nodes]
+        except ValueError as exc:
+            row.append(exc)
+        for lookahead in (1, instance.episode.length):
+            try:
+                total, actions = rolling_greedy(instance, lookahead)
+                row += [float(total), actions]
+            except ValueError as exc:
+                row.append(exc)
+        rows.append(repr(tuple(row)))
     return "\n".join(rows) + "\n"
 
 

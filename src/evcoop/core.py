@@ -58,16 +58,20 @@ class EssParams:
     import_cap: float | None = None
 
     def __post_init__(self) -> None:
+        if self.export_cap is None:
+            object.__setattr__(self, "export_cap", 10.0 * self.capacity_max)
+        if self.import_cap is None:
+            object.__setattr__(self, "import_cap", 10.0 * self.capacity_max)
+        # After the defaults, so a capacity whose default caps overflow fails too.
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.soc_min < self.soc_max <= 1.0):
             raise ValueError(f"need 0 < soc_min < soc_max <= 1, got {self.soc_min}, {self.soc_max}")
         if not (0.0 < self.leakage_beta <= 1.0):
             raise ValueError(f"leakage_beta must be in (0, 1], got {self.leakage_beta}")
         if self.capacity_max <= 0.0:
             raise ValueError(f"capacity_max must be positive, got {self.capacity_max}")
-        if self.export_cap is None:
-            object.__setattr__(self, "export_cap", 10.0 * self.capacity_max)
-        if self.import_cap is None:
-            object.__setattr__(self, "import_cap", 10.0 * self.capacity_max)
         if self.export_cap <= 0.0 or self.import_cap <= 0.0:
             raise ValueError("export_cap and import_cap must be positive")
 
@@ -325,6 +329,14 @@ def check_finite_station(values: Sequence[float], station: int | None = None,
             raise ConstraintViolation(f"{where}{name} {value} is not finite")
 
 
+def _check_arrival(arrival: Sequence[float], station: int) -> None:
+    """Raise ConstraintViolation naming the station of a non-finite or negative arrival."""
+    check_finite_station(arrival, station, _STATION_FIELDS[6:])
+    if arrival[0] < 0.0 or arrival[1] < 0.0:
+        raise ConstraintViolation(
+            f"station {station}: negative arrivals ({arrival[0]}, {arrival[1]})")
+
+
 def step(states: Sequence[StationState], actions: Sequence[StationAction],
          renewables: Sequence[float], quote: PriceQuote,
          next_arrivals: Sequence[tuple[float, float]], params: EssParams) -> StepOutcome:
@@ -371,9 +383,7 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
         if control < lower - _TOL or control > upper + _TOL:
             raise ConstraintViolation(
                 f"station {i}: ess_control {control} outside [{lower}, {upper}]")
-        check_finite_station(arrival, i, _STATION_FIELDS[6:])
-        if arrival[0] < 0.0 or arrival[1] < 0.0:
-            raise ConstraintViolation(f"station {i}: negative arrivals ({arrival[0]}, {arrival[1]})")
+        _check_arrival(arrival, i)
 
     controls = [a.ess_control for a in actions]
     supplies = [a.ev_supply for a in actions]
@@ -401,40 +411,29 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
 # by tests/test_batch.py).  Sums over stations are written as explicit
 # left-to-right loops for that reason: numpy's reductions sum pairwise.
 #
-# Like ``step``, which computes the control intervals and hands them to
-# ``settle``, ``step_batch`` is the composition of two halves, split where
-# the stations couple.  ``advance_stations_batch`` is everything a station's
-# own action decides: the checks, the control interval and the next state.
-# ``clear_and_price_batch`` is the part that couples the stations: clearing
-# and pricing.  The oracle runs the first once per (row, station, action)
-# and the second once per joint action.
+# Like the scalar path, which decodes with ``ActionGrid.blocks`` and
+# settles on what it decoded, the array path decodes with
+# ``ActionGrid.decode_batch``, which checks the states and computes each
+# block's control interval and internal flow once, and settles in two
+# halves, split where the stations couple.  ``advance_stations_batch`` is
+# what a station's own action decides: its next state, from the decoded
+# flow.  ``clear_and_price_batch`` is the part that couples the stations:
+# clearing and pricing.  The oracle runs the first once per (row, station,
+# action) and the second once per joint action.  No check is repeated: an
+# action the decode built lies in its interval by construction.
 
 
-def _first_bad(bad: np.ndarray, where: np.ndarray | None = None) -> tuple[int, ...] | None:
-    """Index of the first true entry of ``bad & where`` (broadcast), or None."""
-    if where is not None:
-        bad = bad & where
-    if not bad.any():
-        return None
-    return tuple(int(v[0]) for v in np.nonzero(bad))
-
-
-def _row(idx: tuple[int, ...]) -> str:
-    """``(row r)`` for the leading axes of an index whose last axis is the station."""
-    return f"(row {', '.join(map(str, idx[:-1]))})"
-
-
-def check_finite_batch(where: np.ndarray | None = None, **fields: np.ndarray) -> None:
+def check_finite_batch(**fields: np.ndarray) -> None:
     """Raise ConstraintViolation naming station and field of a non-finite value.
 
-    The arrays, and ``where`` if given, share one shape whose last axis is
-    the station; entries where ``where`` is false are not checked.
+    The arrays share one shape whose last axis is the station.
     """
     for name, values in fields.items():
-        idx = _first_bad(~np.isfinite(values), where)
-        if idx is not None:
-            raise ConstraintViolation(
-                f"station {idx[-1]}: {name} {values[idx]} is not finite {_row(idx)}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            idx = tuple(int(v[0]) for v in np.nonzero(bad))
+            raise ConstraintViolation(f"station {idx[-1]}: {name} {values[idx]} is not finite "
+                                      f"(row {', '.join(map(str, idx[:-1]))})")
 
 
 def control_bounds_batch(battery: np.ndarray, renewable: np.ndarray, supply: np.ndarray,
@@ -465,69 +464,36 @@ def advance_stations_batch(
     regular: np.ndarray,
     supply: np.ndarray,
     control: np.ndarray,
-    renewables,
+    flow: np.ndarray,
     next_arrivals,
     params: EssParams,
-    admitted: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-station half of ``step_batch``: every check, then the next states.
+    """The per-station half of settling decoded actions: the next states.
 
-    The state arrays (``battery``, ``urgent``, ``regular``), the action
-    arrays (``supply``, ``control``) and ``renewables`` broadcast together
-    to one shape whose last axis is the station; ``next_arrivals`` is one
-    (urgent, regular) pair per station.  Makes every check ``step_batch``
-    makes, in the same order, and raises the error ``step`` would raise for
-    the first bad entry.  Entries where ``admitted`` is false are not
-    checked, and their results are placeholders for the caller to ignore.
-    Returns the next battery, urgent and regular demand, each of the
-    broadcast shape.
+    The state arrays (``battery``, ``urgent``, ``regular``) and the decoded
+    ``supply``, ``control`` and internal ``flow`` of ``decode_batch``
+    broadcast together to one shape whose last axis is the station;
+    ``next_arrivals`` is one (urgent, regular) pair per station.  Makes
+    ``settle``'s arrival checks, with its messages, and applies its
+    dynamics; the actions are not checked again.  Returns the next battery,
+    urgent and regular demand, each of the broadcast shape.
     """
-    battery, urgent, regular, supply, control, renewables = np.broadcast_arrays(
-        battery, urgent, regular, supply, control, np.asarray(renewables, dtype=float))
     arrivals = np.asarray(next_arrivals, dtype=float)
-    if arrivals.shape != (battery.shape[-1], 2):
-        raise ValueError(f"next_arrivals must be {battery.shape[-1]} (urgent, regular) pairs")
-    arr_urgent, arr_regular = (np.broadcast_to(a, battery.shape) for a in arrivals.T)
-    check_finite_batch(admitted, battery_kwh=battery, urgent_demand=urgent,
-                       regular_demand=regular, renewable=renewables, ev_supply=supply,
-                       ess_control=control, arrival_urgent=arr_urgent,
-                       arrival_regular=arr_regular)
-    idx = _first_bad((urgent < 0.0) | (regular < 0.0), admitted)
-    if idx is not None:
-        raise ConstraintViolation(
-            f"station {idx[-1]}: negative demand ({urgent[idx]}, {regular[idx]}) {_row(idx)}")
-    total_demand = urgent + regular
-    idx = _first_bad((supply < urgent - _TOL) | (supply > total_demand + _TOL), admitted)
-    if idx is not None:
-        raise ConstraintViolation(f"station {idx[-1]}: ev_supply {supply[idx]} outside "
-                                  f"[{urgent[idx]}, {total_demand[idx]}] {_row(idx)}")
-    if _first_bad((renewables < 0.0) | (supply < 0.0), admitted) is not None:
-        raise ValueError("renewable and ev_supply must be nonnegative")
-    flow, lower, upper, feasible = control_bounds_batch(battery, renewables, supply, params)
-    idx = _first_bad(~feasible, admitted)
-    if idx is not None:
-        raise InfeasibleIntervalError(
-            f"station {idx[-1]}: empty control interval [{lower[idx]}, {upper[idx]}] {_row(idx)}")
-    idx = _first_bad((control < lower - _TOL) | (control > upper + _TOL), admitted)
-    if idx is not None:
-        raise ConstraintViolation(f"station {idx[-1]}: ess_control {control[idx]} outside "
-                                  f"[{lower[idx]}, {upper[idx]}] {_row(idx)}")
-    idx = _first_bad((arr_urgent < 0.0) | (arr_regular < 0.0), admitted)
-    if idx is not None:
-        raise ConstraintViolation(
-            f"station {idx[-1]}: negative arrivals ({arr_urgent[idx]}, {arr_regular[idx]})")
-
-    # Dynamics, as the tail of step.
+    n = np.shape(battery)[-1]
+    if arrivals.shape != (n, 2):
+        raise ValueError(f"next_arrivals must be {n} (urgent, regular) pairs")
+    for i, arrival in enumerate(arrivals.tolist()):
+        _check_arrival(arrival, i)
+    # Dynamics, as the tail of settle.
     next_battery = params.leakage_beta * battery + control + flow
     next_battery = np.minimum(np.maximum(next_battery, params.capacity_min), params.usable_max)
-    carryover = np.maximum(total_demand - supply, 0.0)
-    next_urgent = arr_urgent + carryover
-    return next_battery, next_urgent, arr_regular.copy()
+    next_urgent = arrivals[:, 0] + np.maximum((urgent + regular) - supply, 0.0)
+    return next_battery, next_urgent, np.broadcast_to(arrivals[:, 1], next_urgent.shape).copy()
 
 
 def clear_and_price_batch(supply: np.ndarray, control: np.ndarray,
                           quote: PriceQuote) -> np.ndarray:
-    """The coupled half of ``step_batch``: ``(N, n)`` actions to ``(N,)`` total profit.
+    """The coupled half of settling: ``(N, n)`` actions to ``(N,)`` total profit.
 
     Clears each row as ``clear_trades`` does, prices it as ``profit`` does,
     and sums the stations left to right.
@@ -557,31 +523,3 @@ def clear_and_price_batch(supply: np.ndarray, control: np.ndarray,
     for i in range(n):
         total_profit = total_profit + station_profit[:, i]
     return total_profit
-
-
-def step_batch(
-    battery: np.ndarray,
-    urgent: np.ndarray,
-    regular: np.ndarray,
-    supply: np.ndarray,
-    control: np.ndarray,
-    renewables,
-    quote: PriceQuote,
-    next_arrivals,
-    params: EssParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Advance ``N`` independent rows of ``n`` stations one slot, as ``step`` does.
-
-    ``battery``, ``urgent``, ``regular`` (the states) and ``supply``,
-    ``control`` (the actions) are ``(N, n)`` arrays.  ``renewables`` has
-    shape ``(n,)`` or ``(N, n)`` and ``next_arrivals`` is ``n`` pairs of
-    (urgent, regular) kWh shared by every row.  Every input is validated
-    once for the whole batch; a bad value raises the error ``step`` would
-    raise for its row.  Returns the next battery, urgent and regular demand
-    arrays and the ``(N,)`` total profit of each row.
-    """
-    if battery.ndim != 2:
-        raise ValueError(f"state arrays must be (rows, stations), got shape {battery.shape}")
-    next_states = advance_stations_batch(battery, urgent, regular, supply, control,
-                                         renewables, next_arrivals, params)
-    return (*next_states, clear_and_price_batch(supply, control, quote))

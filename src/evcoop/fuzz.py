@@ -4,10 +4,11 @@ Each fuzzer hammers one contract with seeded random inputs and returns a
 report instead of raising, so callers (CLI and tests) decide severity.
 Violation counts, not first-failure, make flakiness visible.  Inputs are drawn
 in blocks as arrays, and each identity is one array check around the calls under
-test: ``clear_trades`` per clearing call, ``decode_batch`` and ``step_batch`` per
-battery block, and one ``decode_batch`` per profit block with ``step`` and ``profit``
-per profit call.  Each call's per-station lists go into one flat list of floats as
-soon as it returns, so a block keeps no outcome objects alive.
+test: ``clear_trades`` per clearing call, one ``decode_batch`` per battery block,
+whose chosen actions the check settles itself, and one ``decode_batch`` per profit
+block with ``step`` and ``profit`` per profit call.  Each call's per-station lists
+go into one flat list of floats as soon as it returns, so a block keeps no outcome
+objects alive.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DEFAULT_MULTIPLIERS, EssParams, PriceQuote, StationAction, StationState,
-                   clear_trades, profit, step, step_batch)
+                   clear_trades, profit, step)
 from .marl.encoding import ActionGrid
 
 _REL = 1e-9
@@ -140,11 +141,13 @@ def _random_quotes(rng: np.random.Generator, size: int) -> list[PriceQuote]:
 def fuzz_battery(calls: int, seed: int) -> FuzzReport:
     """Masked actions keep the battery inside its certified window.
 
-    Each block of ``_BATTERY_BLOCK`` draws, under fresh params and quote, is one
-    ``decode_batch`` and one ``step_batch`` over one-station rows.  A row with
-    every action masked (urgent demand beyond any action's reach) is dropped
-    and not counted as a call.  ``step_batch`` clamps the next battery onto
-    the window, so the test is on the unclamped ``beta * battery + control + flow``.
+    Each block of ``_BATTERY_BLOCK`` draws, under fresh params, is one
+    ``decode_batch`` over one-station rows, each row taking one feasible
+    action.  A row with every action masked (urgent demand beyond any
+    action's reach) is dropped and not counted as a call.  The check
+    recomputes the internal flow and the control interval itself, and a
+    call fails when its control leaves that interval or the unclamped next
+    battery ``beta * battery + control + flow`` leaves the window.
     """
     rng = np.random.default_rng(seed)
     grid = ActionGrid()
@@ -154,27 +157,28 @@ def fuzz_battery(calls: int, seed: int) -> FuzzReport:
     k = 0
     while k < calls:
         params = _random_params(rng)
-        [quote] = _random_quotes(rng, 1)
+        rng.random()  # unused; it keeps the rows each seed draws, which tests name
         state = _random_state(rng, params, (min(_BATTERY_BLOCK, calls - k), 1))
-        supplies, controls, mask = grid.decode_batch(*state, params)
+        supplies, controls, mask, _ = grid.decode_batch(*state, params)
         keep = mask[:, 0].any(axis=1)
         mask = mask[keep, 0]
         # One feasible action per kept row, uniformly: the pick-th true entry of its mask.
         pick = rng.integers(mask.sum(axis=1))[:, None]
         act = np.flatnonzero(keep), 0, (mask.cumsum(axis=1) > pick).argmax(axis=1)
-        battery, urgent, regular, renewable = (a[keep] for a in state)
-        supply, control = supplies[act][:, None], controls[act][:, None]
-        step_batch(battery, urgent, regular, supply, control, renewable, quote, [(0.0, 0.0)],
-                   params)
+        battery, _, _, renewable = (a[keep, 0] for a in state)
+        supply, control = supplies[act], controls[act]
         lo, hi = params.capacity_min, params.usable_max
         carried = params.leakage_beta * battery
         flow = np.minimum(renewable - supply, hi - carried + params.export_cap)
-        nxt = (carried + control + flow)[:, 0]
+        lower = np.maximum(lo - carried - flow, -params.export_cap)
+        upper = np.minimum(hi - carried - flow, params.import_cap)
+        nxt = carried + control + flow
         tol = _REL * max(1.0, hi)
-        bad = np.flatnonzero((nxt < lo - tol) | (nxt > hi + tol))
-        violations += bad.size
-        notes += [f"call {k + j}: battery {nxt[j]} outside [{lo}, {hi}]"
-                  for j in bad[:5 - len(notes)]]
+        violations += _tally(k, {
+            f"battery outside [{lo}, {hi}]": (nxt < lo - tol) | (nxt > hi + tol),
+            "control outside its interval": (control < lower - tol) | (control > upper + tol),
+        }, {}, notes, lambda j: f": battery {nxt[j]}, control {control[j]} in "
+                                f"[{lower[j]}, {upper[j]}]")
         k += nxt.size
     return FuzzReport("battery-safety", calls, violations,
                       time.perf_counter() - t0, notes)
@@ -199,7 +203,7 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
         quotes = _random_quotes(rng, n.size)
         state = _random_state(rng, params, (n.sum(), 1))
         u = rng.random(n.sum())
-        supplies, controls, mask = (a[:, 0] for a in grid.decode_batch(*state, params))
+        supplies, controls, mask, _ = (a[:, 0] for a in grid.decode_batch(*state, params))
         count = mask.sum(axis=1)
         pick = (u * count).astype(int)[:, None]   # each row's pick-th true entry, as int(u * count)
         act = np.arange(n.sum()), (mask.cumsum(axis=1) > pick).argmax(axis=1)

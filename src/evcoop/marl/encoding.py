@@ -188,13 +188,16 @@ class ActionGrid:
 
     def decode_batch(self, battery: np.ndarray, urgent: np.ndarray, regular: np.ndarray,
                      renewables, params: EssParams
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``decode_table`` for every station of ``(N, n)`` state arrays at once.
 
         ``renewables`` has shape ``(n,)`` or ``(N, n)``.  Returns
-        ``(N, n, n_actions)`` supplies, controls and mask, equal bit for bit
-        to ``decode_table`` per station.  A station with no feasible block
-        gets an all-false mask row instead of an error; callers prune it.
+        ``(N, n, n_actions)`` supplies, controls, mask and internal flow:
+        the first three equal bit for bit to ``decode_table`` per station,
+        and each entry's flow is its block's ``control_intervals`` flow, the
+        one ``core.advance_stations_batch`` settles on.  A station with no
+        feasible block gets an all-false mask row instead of an error;
+        callers prune it.  A masked entry's supply, control and flow are zero.
         """
         renewables = np.broadcast_to(np.asarray(renewables, dtype=float), battery.shape)
         check_finite_batch(battery_kwh=battery, urgent_demand=urgent,
@@ -205,13 +208,15 @@ class ActionGrid:
         supplies = np.zeros(shape)
         controls = np.zeros(shape)
         mask = np.zeros(shape, dtype=bool)
+        flows = np.zeros(shape)
         m = self.cs_levels
         for e, frac in enumerate(self.ev_fractions):
             supply = urgent + frac * regular
-            _, lo, hi, feasible = control_bounds_batch(battery, renewables, supply, params)
+            flow, lo, hi, feasible = control_bounds_batch(battery, renewables, supply, params)
             block = slice(e * m, (e + 1) * m)
             ok = feasible[..., None]
             supplies[..., block] = np.where(ok, supply[..., None], 0.0)
             controls[..., block] = np.where(ok, linspace_rows(lo, hi, m), 0.0)
             mask[..., block] = ok
-        return supplies, controls, mask
+            flows[..., block] = np.where(ok, flow[..., None], 0.0)
+        return supplies, controls, mask, flows

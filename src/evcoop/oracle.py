@@ -2,20 +2,21 @@
 
 The oracle enumerates the same discrete action grid the agents use, so its
 optimum is an exact upper bound on anything a policy over that grid can earn.
-The search is breadth-first within a slot and works on the two halves of
-``core.step_batch``.  A station's next state depends only on its own action,
-so for a block of frontier rows the per-station half runs once on the
-decoded ``(rows, A, n)`` action table, checking only the entries the
-feasibility mask admits.  Only clearing and pricing couple the stations: for
-each block of joint actions (children) the coupled half prices the gathered
-supplies and controls, and the children's next states are gathered from the
-table.  The children of a search's last slot are leaves, which need only
-their profit: they gather supply and control alone, and the index
-sequence is built only for the best leaf of each block.  Blocks are
-expanded depth-first, so memory stays bounded and leaves arrive in
-ascending lexicographic order of their index sequences; a leaf replaces
-the best only on strict improvement, so ties keep the first sequence in
-that order.
+The search is breadth-first within a slot and, like the rollouts, decodes
+and then settles on what it decoded.  A station's next state depends only on
+its own action, so for a block of frontier rows ``decode_batch`` decodes the
+``(rows, A, n)`` action table with each entry's internal flow, and
+``core.advance_stations_batch`` turns it into next states; an entry the mask
+rejects holds a placeholder the search never picks.  Only clearing and
+pricing couple the stations: for each block of joint actions (children) the
+coupled half prices the gathered supplies and controls, and the children's
+next states are gathered from the table.  The children of a search's last
+slot are leaves, which need only their profit: they gather supply and
+control alone, and the index sequence is built only for the best leaf of
+each block.  Blocks are expanded depth-first, so memory stays bounded and
+leaves arrive in ascending lexicographic order of their index sequences; a
+leaf replaces the best only on strict improvement, so ties keep the first
+sequence in that order.
 
 Each instance's full-horizon optimum is searched once and kept on the
 instance: ``brute_force`` returns it, and a rolling greedy whose lookahead
@@ -75,7 +76,7 @@ class TinyInstance:
         ep = self.episode
         root = _slot(ep, self.params, self.grid, 0, _state_arrays(ep.initial_states))
         profit, seq, nodes = _search(ep, self.params, self.grid, root, ep.length)
-        return OracleResult(profit=profit, actions=seq, nodes=nodes,
+        return OracleResult(profit=float(profit), actions=seq, nodes=nodes,
                             wall_time_s=time.perf_counter() - t0)
 
 
@@ -122,11 +123,10 @@ class _Slot(NamedTuple):
 
 def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state) -> _Slot:
     """Decode the ``state`` rows' actions at slot ``t``; advance each station under each."""
-    supply, control, mask = (a.transpose(0, 2, 1)
-                             for a in grid.decode_batch(*state, episode.renewables[t], params))
-    next_state = advance_stations_batch(*(a[:, None, :] for a in state), supply, control,
-                                        episode.renewables[t], episode.arrivals[t], params,
-                                        admitted=mask)
+    supply, control, mask, flow = (a.transpose(0, 2, 1) for a in
+                                   grid.decode_batch(*state, episode.renewables[t], params))
+    next_state = advance_stations_batch(*(a[:, None, :] for a in state), supply, control, flow,
+                                        episode.arrivals[t], params)
     return _Slot(t, state, mask, np.stack((supply, control, *next_state)))
 
 
@@ -222,7 +222,7 @@ def rolling_greedy(instance: TinyInstance, lookahead: int
                        depth)[1][0]
 
     actions, _, totals, _, _ = run_episode(ep, params, grid, choose)
-    return sum(totals), tuple(map(tuple, actions.tolist()))
+    return float(sum(totals)), tuple(map(tuple, actions.tolist()))
 
 
 def replay_sequence(instance: TinyInstance, actions: tuple[tuple[int, ...], ...]

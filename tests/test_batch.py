@@ -1,14 +1,15 @@
 """The array-native market path and the blocked oracle against their scalar references.
 
-``step_batch``, its two halves (``advance_stations_batch`` per station and
-``clear_and_price_batch`` across stations), ``ActionGrid.decode_batch`` and
-the rollout's decode of only the chosen action and its settled slot must
-agree with ``step`` and ``decode_table`` bit for bit, and the blocked
-breadth-first oracle with the depth-first enumeration it replaced (kept here
-as ``_dfs_search``) in optimum, action sequence and node count.  The market
+The array slot step (``ActionGrid.decode_batch`` with its flows, then the
+two halves of settling: ``advance_stations_batch`` per station and
+``clear_and_price_batch`` across stations) and the rollout's decode of only
+the chosen action and its settled slot must agree with ``step``, ``settle``,
+``blocks`` and ``decode_table`` bit for bit, and the blocked breadth-first
+oracle with the depth-first enumeration it replaced (kept here as
+``_dfs_search``) in optimum, action sequence and node count.  The market
 relations at the end need no reference: permuting the stations permutes the
-slot, on ``step``, ``settle`` and the columns of ``step_batch``, and demand is
-conserved.
+slot, on ``step``, ``settle`` and the columns of the array halves, and demand
+is conserved.
 """
 
 import dataclasses
@@ -31,7 +32,6 @@ from evcoop.core import (
     clear_and_price_batch,
     settle,
     step,
-    step_batch,
 )
 from evcoop.data import Episode
 from evcoop.marl import ActionGrid, ObsScales, TrainConfig, build_learner, rollout_episode
@@ -124,20 +124,27 @@ def test_linspace_matches_numpy(lo, width, m):
 @given(st.data(), ess_params(), grids, st.integers(1, 4), st.integers(1, 3))
 def test_decode_batch_matches_decode_table(data, params, grid, rows, stations):
     battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
-    supplies, controls, mask = grid.decode_batch(battery, urgent, regular, renewable, params)
-    assert supplies.shape == controls.shape == mask.shape == (rows, stations, grid.n_actions)
+    supplies, controls, mask, flows = grid.decode_batch(battery, urgent, regular, renewable,
+                                                        params)
+    shape = (rows, stations, grid.n_actions)
+    assert supplies.shape == controls.shape == mask.shape == flows.shape == shape
+    m = grid.cs_levels
     for r in range(rows):
         for i, state in enumerate(scalar_states(battery, urgent, regular, r)):
             try:
                 want = grid.decode_table(state, renewable[r, i], params)
             except InfeasibleActionError:
                 assert not mask[r, i].any()
-                assert_bits(supplies[r, i], np.zeros(grid.n_actions))
-                assert_bits(controls[r, i], np.zeros(grid.n_actions))
+                for table in (supplies, controls, flows):
+                    assert_bits(table[r, i], np.zeros(grid.n_actions))
                 continue
             assert_bits(supplies[r, i], want[0])
             assert_bits(controls[r, i], want[1])
             np.testing.assert_array_equal(mask[r, i], want[2])
+            # Each entry's flow is its block's control_intervals flow, or zero where masked.
+            blocks = grid.blocks(state, renewable[r, i], params)
+            assert_bits(flows[r, i],
+                        [0.0 if b is None else b[1][0] for b in blocks for _ in range(m)])
 
 
 def test_decode_batch_zero_width_interval_and_masked_block():
@@ -151,7 +158,7 @@ def test_decode_batch_zero_width_interval_and_masked_block():
     urgent = np.array([[0.0, 0.0]])
     regular = np.array([[0.0, 60.0]])
     renewable = np.array([20.0, 0.0])
-    supplies, controls, mask = grid.decode_batch(battery, urgent, regular, renewable, params)
+    supplies, controls, mask, _ = grid.decode_batch(battery, urgent, regular, renewable, params)
     assert_bits(controls[0, 0], [-5.0] * 6)
     assert mask[0, 1].tolist() == [True] * 3 + [False] * 3
     for i in range(2):
@@ -266,54 +273,57 @@ def test_rollout_decode_zero_width_interval_masked_block_and_no_feasible_action(
                              [20.0, 0.0, 0.0], 0)
 
 
-# -- step_batch vs step -----------------------------------------------------
+# -- the array slot step vs step and settle --------------------------------
 
 ACTION_MODES = ("grid", "between", "zero", "charge", "discharge")
 
 
 @st.composite
 def feasible_actions(draw, grid, params, battery, urgent, regular, renewable):
-    """(supply, control) arrays, every station inside its feasible interval.
+    """(supply, control, flow) arrays, every station inside its feasible interval.
 
-    ``charge``/``discharge`` put every station at the top/bottom of its
-    interval, so a draw is all-charging or all-discharging whenever the
-    intervals allow it; ``zero`` holds the battery idle where zero is feasible.
+    Each station takes a feasible block of ``grid.blocks``: its supply and
+    internal flow, and a control in its interval.  ``charge``/``discharge``
+    put every station at the top/bottom of its interval, so a draw is
+    all-charging or all-discharging whenever the intervals allow it;
+    ``zero`` holds the battery idle where zero is feasible.
     """
     mode = draw(st.sampled_from(ACTION_MODES))
-    supply = np.empty_like(battery)
-    control = np.empty_like(battery)
+    supply, control, flow = (np.empty_like(battery) for _ in range(3))
     for r in range(battery.shape[0]):
         for i, state in enumerate(scalar_states(battery, urgent, regular, r)):
             try:
-                sup, ctl, mask = grid.decode_table(state, renewable[r, i], params)
+                blocks = grid.blocks(state, renewable[r, i], params)
             except InfeasibleActionError:
                 return None
-            a = draw(st.sampled_from(np.flatnonzero(mask).tolist()))
-            block = slice(a - a % grid.cs_levels, a - a % grid.cs_levels + grid.cs_levels)
-            lo, hi = ctl[block][0], ctl[block][-1]
-            supply[r, i] = sup[a]
+            a = draw(st.sampled_from([e * grid.cs_levels + c for e, b in enumerate(blocks)
+                                      if b is not None for c in range(grid.cs_levels)]))
+            supply[r, i], (flow[r, i], _, lo, hi) = blocks[a // grid.cs_levels]
             control[r, i] = {
-                "grid": ctl[a],
+                "grid": grid.action(blocks, a).ess_control,
                 "between": lo + draw(st.floats(0.0, 1.0)) * (hi - lo),
                 "zero": min(max(0.0, lo), hi),
                 "charge": hi,
                 "discharge": lo,
             }[mode]
-    return supply, control
+    return supply, control, flow
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), ess_params(), grids, quotes(), st.integers(1, 3), st.integers(1, 10))
 def test_step_batch_matches_step(data, params, grid, quote, rows, stations):
+    # advance_stations_batch on each block's flow, then clear_and_price_batch,
+    # for controls anywhere in their interval, on or off the grid.
     battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
     actions = data.draw(feasible_actions(grid, params, battery, urgent, regular, renewable))
     if actions is None:
         return                      # some station has no feasible action at all
-    supply, control = actions
+    supply, control, flow = actions
     arrivals = [tuple(data.draw(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0))))
                 for _ in range(stations)]
-    nb, nu, nr, total = step_batch(battery, urgent, regular, supply, control,
-                                   renewable, quote, arrivals, params)
+    nb, nu, nr = advance_stations_batch(battery, urgent, regular, supply, control, flow,
+                                        arrivals, params)
+    total = clear_and_price_batch(supply, control, quote)
     for r in range(rows):
         acts = [StationAction(supply[r, i], control[r, i]) for i in range(stations)]
         out = step(scalar_states(battery, urgent, regular, r), acts, list(renewable[r]),
@@ -331,7 +341,7 @@ def test_clear_and_price_batch_matches_step(data, params, grid, quote, rows, sta
     actions = data.draw(feasible_actions(grid, params, battery, urgent, regular, renewable))
     if actions is None:
         return
-    supply, control = actions
+    supply, control, _ = actions
     total = clear_and_price_batch(supply, control, quote)
     assert total.shape == (rows,)
     for r in range(rows):
@@ -341,125 +351,126 @@ def test_clear_and_price_batch_matches_step(data, params, grid, quote, rows, sta
         assert_bits(total[r], out.profit.total_profit)
 
 
-# Values a masked-out table entry may hold; each would fail a check if checked.
-PLACEHOLDERS = st.sampled_from([math.nan, -1e6, 1e6, -1.0])
 QUOTE = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
+
+
+def oracle_table(grid, params, battery, urgent, regular, renewable, arrivals):
+    """The oracle's slot: the (rows, A, n) decoded table and its next states."""
+    supply, control, mask, flow = (a.transpose(0, 2, 1) for a in
+                                   grid.decode_batch(battery, urgent, regular, renewable, params))
+    next_states = advance_stations_batch(battery[:, None], urgent[:, None], regular[:, None],
+                                         supply, control, flow, arrivals, params)
+    return mask, next_states
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), ess_params(), grids, st.integers(1, 3), st.integers(1, 4))
 def test_advance_stations_batch_on_masked_tables_matches_step(data, params, grid, rows,
                                                               stations):
-    # The oracle's layout: (rows, A, n) action tables against (rows, 1, n)
-    # states, checked only where the mask admits an action.
+    # The oracle's layout: (rows, A, n) decoded tables against (rows, 1, n)
+    # states.  At every entry the mask admits, the next state is the one
+    # scalar blocks, action and settle give the station on its own.
     battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
-    supply, control, mask = (a.transpose(0, 2, 1) for a in
-                             grid.decode_batch(battery, urgent, regular, renewable, params))
-    supply, control = supply.copy(), control.copy()
-    for table in (supply, control):
-        table[~mask] = data.draw(st.lists(PLACEHOLDERS, min_size=int((~mask).sum()),
-                                          max_size=int((~mask).sum())))
     arrivals = [tuple(data.draw(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0))))
                 for _ in range(stations)]
-    nb, nu, nr = advance_stations_batch(battery[:, None], urgent[:, None], regular[:, None],
-                                        supply, control, renewable[:, None], arrivals, params,
-                                        admitted=mask)
+    mask, (nb, nu, nr) = oracle_table(grid, params, battery, urgent, regular, renewable,
+                                      arrivals)
     assert nb.shape == nu.shape == nr.shape == mask.shape
     for r in range(rows):
-        if not mask[r].any(axis=0).all():
-            continue                    # some station has no feasible action at all
-        first = mask[r].argmax(axis=0)  # each station's first feasible action
-        states = scalar_states(battery, urgent, regular, r)
-        for a in range(grid.n_actions):
-            # Station i takes action a where admitted, else its first feasible one.
-            pick = np.where(mask[r, a], a, first)
-            acts = [StationAction(supply[r, pick[i], i], control[r, pick[i], i])
-                    for i in range(stations)]
-            out = step(states, acts, list(renewable[r]), QUOTE, arrivals, params)
-            for i in np.flatnonzero(mask[r, a]):
-                want = out.next_states[i]
+        for i, state in enumerate(scalar_states(battery, urgent, regular, r)):
+            if not mask[r, :, i].any():
+                continue                # no feasible action: blocks raises, the oracle prunes
+            blocks = grid.blocks(state, renewable[r, i], params)
+            for a in np.flatnonzero(mask[r, :, i]):
+                out = settle([state], [grid.action(blocks, a)],
+                             [blocks[a // grid.cs_levels][1]], QUOTE, [arrivals[i]], params)
+                want = out.next_states[0]
                 assert_bits([nb[r, a, i], nu[r, a, i], nr[r, a, i]],
                             [want.battery_kwh, want.urgent_demand, want.regular_demand])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), ess_params(), grids, st.integers(1, 4),
+       st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0]))
+def test_advance_stations_batch_rejects_the_arrivals_settle_rejects(data, params, grid,
+                                                                    stations, bad):
+    battery, urgent, regular, renewable = data.draw(state_block(params, 1, stations))
+    states = scalar_states(battery, urgent, regular, 0)
+    try:
+        blocks = [grid.blocks(s, e, params) for s, e in zip(states, renewable[0])]
+    except InfeasibleActionError:
+        return
+    arrivals = [list(data.draw(st.tuples(edge_or(0.0, 6.0), edge_or(0.0, 12.0))))
+                for _ in range(stations)]
+    for _ in range(data.draw(st.integers(1, 2))):
+        arrivals[data.draw(st.integers(0, stations - 1))][data.draw(st.integers(0, 1))] = bad
+    first = [next(e * grid.cs_levels for e, b in enumerate(bl) if b is not None) for bl in blocks]
+    try:
+        settle(states, [grid.action(bl, a) for bl, a in zip(blocks, first)],
+               [bl[a // grid.cs_levels][1] for bl, a in zip(blocks, first)], QUOTE, arrivals,
+               params)
+    except ConstraintViolation as exc:
+        with pytest.raises(type(exc)) as raised:
+            oracle_table(grid, params, battery, urgent, regular, renewable, arrivals)
+        assert str(raised.value) == str(exc)
+    else:
+        assert bad == 0.0           # -0.0 is a valid arrival
+        oracle_table(grid, params, battery, urgent, regular, renewable, arrivals)
+
+
 def test_step_batch_all_charging_and_all_discharging_rows():
     params = EssParams(capacity_max=100.0, leakage_beta=1.0)
-    quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
     battery = np.full((3, 3), 50.0)
     zeros = np.zeros((3, 3))
     control = np.array([[10.0, 30.0, 5.0],      # everyone buys: all from the utility
                         [-10.0, -30.0, -5.0],   # everyone sells: all to the utility
                         [0.0, 0.0, 0.0]])       # idle
     arrivals = [(0.0, 0.0)] * 3
-    _, _, _, total = step_batch(battery, zeros, zeros, zeros, control, zeros[0], quote,
-                                arrivals, params)
+    total = clear_and_price_batch(zeros, control, QUOTE)
+    nb, _, _ = advance_stations_batch(battery, zeros, zeros, zeros, control, zeros, arrivals,
+                                      params)
     for r in range(3):
         out = step(scalar_states(battery, zeros, zeros, r),
-                   [StationAction(0.0, c) for c in control[r]], [0.0] * 3, quote,
+                   [StationAction(0.0, c) for c in control[r]], [0.0] * 3, QUOTE,
                    arrivals, params)
         assert_bits(total[r], out.profit.total_profit)
+        assert_bits(nb[r], [s.battery_kwh for s in out.next_states])
     assert total.tolist() == pytest.approx([-4.5, 3.6, 0.0])
 
 
-@pytest.mark.parametrize("case", ["undersupply", "oversupply", "control", "arrival",
-                                  "empty interval"])
+@pytest.mark.parametrize("case", ["arrival"])
 def test_step_batch_rejects_what_step_rejects(case):
-    # Station 1 is bad, station 0 fine; in the batch only row 1 is bad.
+    # Station 1 is bad, station 0 fine.  Of the array path's inputs only the
+    # arrivals can still be bad: an action it settles is one decode_batch built.
     params = EssParams(capacity_max=100.0, import_cap=5.0)
-    quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
-    battery, urgent, supply, control, arrival = 50.0, 5.0, 5.0, 0.0, (0.0, 0.0)
-    if case == "undersupply":
-        supply = 1.0
-    elif case == "oversupply":
-        supply = 11.0
-    elif case == "control":
-        control = 6.0                   # above the 5 kWh import cap
-    elif case == "arrival":
-        arrival = (-1.0, 0.0)
-    else:                               # a 500 kWh deficit the import cap cannot cover
-        battery, urgent, supply = 5.0, 500.0, 500.0
+    arrival = {"arrival": (-1.0, 0.0)}[case]
     with pytest.raises(ConstraintViolation, match="station 1") as scalar:
-        step([StationState(50.0, 5.0, 5.0), StationState(battery, urgent, 5.0)],
-             [StationAction(5.0, 0.0), StationAction(supply, control)], [0.0, 0.0], quote,
-             [(0.0, 0.0), arrival], params)
-
-    def block(fine, bad):
-        return np.array([[fine, fine], [fine, bad]])
-
-    with pytest.raises(type(scalar.value), match="station 1"):
-        step_batch(block(50.0, battery), block(5.0, urgent), block(5.0, 5.0),
-                   block(5.0, supply), block(0.0, control), [0.0, 0.0], quote,
-                   [(0.0, 0.0), arrival], params)
-
-    # The per-station half raises the same for an admitted bad entry and
-    # ignores it once the mask rejects it.
-    halves = (block(50.0, battery), block(5.0, urgent), block(5.0, 5.0), block(5.0, supply),
-              block(0.0, control), [0.0, 0.0], [(0.0, 0.0), arrival], params)
-    with pytest.raises(type(scalar.value), match="station 1"):
-        advance_stations_batch(*halves, admitted=np.ones((2, 2), dtype=bool))
-    advance_stations_batch(*halves, admitted=np.array([[True, False]] * 2))
+        step([StationState(50.0, 5.0, 5.0)] * 2, [StationAction(5.0, 0.0)] * 2, [0.0, 0.0],
+             QUOTE, [(0.0, 0.0), arrival], params)
+    block = np.array([[50.0, 50.0], [50.0, 50.0]])
+    with pytest.raises(type(scalar.value)) as batch:
+        oracle_table(ActionGrid(), params, block, block / 10, block / 10, [0.0, 0.0],
+                     [(0.0, 0.0), arrival])
+    assert str(batch.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("field, where", [
     ("battery_kwh", "battery"), ("urgent_demand", "urgent"), ("regular_demand", "regular"),
-    ("renewable", "renewable"), ("ev_supply", "supply"), ("ess_control", "control"),
-    ("arrival_urgent", "arrival"),
+    ("renewable", "renewable"), ("arrival_urgent", "arrival"),
 ])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_step_batch_rejects_non_finite_inputs(field, where, bad):
-    params = EssParams()
-    quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
+    # decode_batch rejects a bad state, advance_stations_batch a bad arrival.
     arrays = {"battery": np.full((2, 2), 100.0), "urgent": np.zeros((2, 2)),
-              "regular": np.zeros((2, 2)), "supply": np.zeros((2, 2)),
-              "control": np.zeros((2, 2)), "renewable": np.zeros((2, 2))}
+              "regular": np.zeros((2, 2)), "renewable": np.zeros((2, 2))}
     arrivals = np.zeros((2, 2))
     if where == "arrival":
         arrivals[1, 0] = bad
     else:
         arrays[where][1, 1] = bad
     with pytest.raises(ConstraintViolation, match=f"station 1: {field}"):
-        step_batch(arrays["battery"], arrays["urgent"], arrays["regular"], arrays["supply"],
-                   arrays["control"], arrays["renewable"], quote, arrivals, params)
+        oracle_table(ActionGrid(), EssParams(), arrays["battery"], arrays["urgent"],
+                     arrays["regular"], arrays["renewable"], arrivals)
 
 
 def test_decode_batch_rejects_non_finite_state():
@@ -664,7 +675,7 @@ def test_oracle_ties_keep_the_lexicographically_first_sequence(monkeypatch, bloc
     assert (exact.profit, exact.actions, exact.nodes) == ref
 
 
-# -- market relations on step, the rollout's settle and step_batch ----------
+# -- market relations on step, the rollout's settle and the array halves -----
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), ess_params(), grids, quotes(), st.integers(2, 6))
@@ -718,7 +729,7 @@ def test_permuting_stations_permutes_the_slot_and_demand_is_conserved(data, para
 @given(st.data(), ess_params(), grids, quotes(), st.integers(1, 3), st.integers(2, 6))
 def test_permuting_step_batch_columns_permutes_each_row(data, params, grid, quote, rows,
                                                         stations):
-    # The same relation on the batch path, whose columns are the stations.
+    # The same relation on the array halves, whose columns are the stations.
     battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
     actions = data.draw(feasible_actions(grid, params, battery, urgent, regular, renewable))
     if actions is None:
@@ -727,9 +738,14 @@ def test_permuting_step_batch_columns_permutes_each_row(data, params, grid, quot
                                   min_size=stations, max_size=stations))
     perm = data.draw(st.permutations(range(stations)))
     columns = (battery, urgent, regular, *actions)
-    *base, total = step_batch(*columns, renewable, quote, arrivals, params)
-    *got, got_total = step_batch(*(c[:, perm] for c in columns), renewable[:, perm], quote,
-                                 [arrivals[j] for j in perm], params)
+
+    def slot(columns, arrivals):
+        supply, control = columns[3:5]
+        return (advance_stations_batch(*columns, arrivals, params),
+                clear_and_price_batch(supply, control, quote))
+
+    base, total = slot(columns, arrivals)
+    got, got_total = slot([c[:, perm] for c in columns], [arrivals[j] for j in perm])
     # next battery, urgent and regular demand move with their stations exactly ...
     for got_column, base_column in zip(got, base):
         assert_bits(got_column, base_column[:, perm])

@@ -92,6 +92,19 @@ def test_ess_params_derived_bounds():
         EssParams(leakage_beta=0.0)
 
 
+@pytest.mark.parametrize("field", ["capacity_max", "soc_min", "soc_max", "leakage_beta",
+                                   "export_cap", "import_cap"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ess_params_reject_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+        EssParams(**{field: bad})
+
+
+def test_ess_params_reject_a_capacity_whose_default_caps_overflow():
+    with pytest.raises(ValueError, match="^export_cap must be finite, got inf$"):
+        EssParams(capacity_max=1e308)
+
+
 def test_ess_bounds_algebra():
     # Supplies 0 and 50 against no renewable: internal flows 0 and -50.
     p = EssParams()
@@ -481,18 +494,20 @@ def test_fuzz_battery_catches_controls_past_the_upper_bound(monkeypatch):
     real_decode = ActionGrid.decode_batch
 
     def shifted(self, *args):
-        supplies, controls, mask = real_decode(self, *args)
-        return supplies, controls + 1.0, mask
+        supplies, controls, mask, flows = real_decode(self, *args)
+        return supplies, controls + 1.0, mask, flows
 
     monkeypatch.setattr(ActionGrid, "decode_batch", shifted)
-    with pytest.raises(ConstraintViolation, match="ess_control"):
-        fuzz.fuzz_battery(200, seed=1)
+    report = fuzz.fuzz_battery(200, seed=1)
+    assert report.violations > 0
+    # A battery past its ceiling means a control past its interval's top.
+    assert all("control outside its interval" in note for note in report.notes)
 
 
 def test_fuzz_battery_catches_bounds_that_forget_leakage(monkeypatch):
-    # step clamps the next battery onto its window, so only a window test on
-    # the unclamped battery sees bounds that carry the full charge over a
-    # leaky slot (the same mutant in decode_batch and step_batch).
+    # The fuzzer recomputes the interval and the unclamped next battery
+    # itself, so it sees bounds that carry the full charge over a leaky slot
+    # (a mutant in the decode's control_bounds_batch).
     assert fuzz.fuzz_battery(2000, seed=1).ok
     source = inspect.getsource(core.control_bounds_batch)
     leaky = "carried = params.leakage_beta * battery"
@@ -512,15 +527,16 @@ def test_fuzz_battery_counts_calls_exactly(monkeypatch, calls):
     # (the floor is far above anything one slot's import cap can reach):
     # all of its rows are dropped and none counts.
     tight = iter([NO_FEASIBLE_ACTION])
-    real_params, real_step_batch = fuzz._random_params, fuzz.step_batch
+    real_params, real_decode = fuzz._random_params, ActionGrid.decode_batch
     rows = []
 
-    def counting_step_batch(*args):
-        rows.append(args[0].shape[0])
-        return real_step_batch(*args)
+    def counting_decode(self, *args):
+        table = real_decode(self, *args)
+        rows.append(int(table[2][:, 0].any(axis=1).sum()))   # rows with a feasible action
+        return table
 
     monkeypatch.setattr(fuzz, "_random_params", lambda rng: next(tight, None) or real_params(rng))
-    monkeypatch.setattr(fuzz, "step_batch", counting_step_batch)
+    monkeypatch.setattr(ActionGrid, "decode_batch", counting_decode)
     report = fuzz.fuzz_battery(calls, seed=0)
     assert report.ok
     assert rows[0] == 0
@@ -531,46 +547,77 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-def test_fuzz_battery_rows_match_scalar_decode_and_step(monkeypatch):
-    # Every checked row is what scalar decode_table and step give for the
-    # same draw, bit for bit, so the fuzzed batch path stays tied to the
-    # scalar one.  At this seed the first block drops one of its 200 rows,
-    # so a second block of one row follows.
-    decodes, steps = [], []
-    real_decode, real_step_batch = ActionGrid.decode_batch, fuzz.step_batch
+def _scalar_battery_draws(calls, seed):
+    """The battery fuzzer's draws, one row at a time, on scalar ``decode_table``.
 
-    def recording_decode(self, *args):
-        decodes.append((args, real_decode(self, *args)))
-        return decodes[-1][1]
-
-    def recording_step_batch(*args):
-        steps.append((args, real_step_batch(*args)))
-        return steps[-1][1]
-
-    monkeypatch.setattr(ActionGrid, "decode_batch", recording_decode)
-    monkeypatch.setattr(fuzz, "step_batch", recording_step_batch)
-    assert fuzz.fuzz_battery(200, seed=59).ok
-    assert len(decodes) == len(steps) == 2
+    The same draws as ``fuzz_battery``: per block its params, one unused
+    draw, its rows, then the pick of each row with a feasible action, which
+    takes the pick-th feasible entry.  Returns each block's params and, per
+    row, its state, renewable, ``decode_table`` and action index (the last
+    two None where the row is dropped).  Every action goes through ``step``,
+    which raises if it leaves its interval.
+    """
+    rng = np.random.default_rng(seed)
     grid = ActionGrid()
-    checked = 0
-    for ((battery, urgent, regular, renewable, params), table), (args, result) in zip(decodes,
-                                                                                      steps):
-        kept = np.flatnonzero(table[2][:, 0].any(axis=1))
-        supply, control, quote = args[3][:, 0], args[4][:, 0], args[6]
-        for j, r in enumerate(kept):
-            state = StationState(battery[r, 0], urgent[r, 0], regular[r, 0])
-            assert _bits(args[0][j]) == _bits(battery[r])
-            assert _bits(args[5][j]) == _bits(renewable[r])
-            scalar = grid.decode_table(state, renewable[r, 0], params)
-            for batch_part, scalar_part in zip(table, scalar):
+    k, blocks = 0, []
+    while k < calls:
+        params = fuzz._random_params(rng)
+        rng.random()
+        size = (min(fuzz._BATTERY_BLOCK, calls - k), 1)
+        rows = []
+        for battery, urgent, regular, renewable in zip(
+                *(a[:, 0].tolist() for a in fuzz._random_state(rng, params, size))):
+            state = StationState(battery, urgent, regular)
+            try:
+                table = grid.decode_table(state, renewable, params)
+            except InfeasibleActionError:
+                table = None
+            rows.append([state, renewable, table, None])
+        kept = [row for row in rows if row[2] is not None]
+        counts = np.array([int(row[2][2].sum()) for row in kept], dtype=np.int64)
+        for row, pick in zip(kept, rng.integers(counts).tolist()):
+            supplies, controls, mask = row[2]
+            row[3] = a = int(np.flatnonzero(mask)[pick])
+            step([row[0]], [StationAction(supplies[a], controls[a])], [row[1]], QUOTE,
+                 [(0.0, 0.0)], params)
+        blocks.append((params, rows))
+        k += len(kept)
+    return blocks
+
+
+def test_fuzz_battery_rows_match_scalar_decode_and_step(monkeypatch):
+    # Every block decodes the rows a scalar loop over decode_table draws, bit
+    # for bit, and every row takes the action the loop takes, one step
+    # accepts.  The decode moves every other entry's control far outside its
+    # interval, so the check passes only if each row takes exactly the
+    # loop's action.  At this seed the first block drops one of its 200
+    # rows, so a second block of one row follows.
+    want = iter(_scalar_battery_draws(200, seed=59))
+    real_decode = ActionGrid.decode_batch
+    decoded, checked = [], []
+
+    def marking_decode(self, battery, urgent, regular, renewable, params):
+        supplies, controls, mask, flows = real_decode(self, battery, urgent, regular, renewable,
+                                                      params)
+        want_params, rows = next(want)
+        assert params == want_params
+        marked = controls + 1e3
+        for r, (state, want_renewable, table, a) in enumerate(rows):
+            assert _bits([battery[r, 0], urgent[r, 0], regular[r, 0], renewable[r, 0]]) == \
+                _bits([state.battery_kwh, state.urgent_demand, state.regular_demand,
+                       want_renewable])
+            if table is None:
+                assert not mask[r, 0].any()
+                continue
+            for batch_part, scalar_part in zip((supplies, controls, mask), table):
                 assert _bits(batch_part[r, 0]) == _bits(scalar_part)
-            chosen = [a for a in np.flatnonzero(scalar[2])
-                      if _bits(scalar[0][a]) == _bits(supply[j])
-                      and _bits(scalar[1][a]) == _bits(control[j])]
-            assert chosen
-            out = step([state], [StationAction(supply[j], control[j])], [renewable[r, 0]],
-                       quote, [(0.0, 0.0)], params)
-            assert _bits(out.next_states[0].battery_kwh) == _bits(result[0][j, 0])
-            checked += 1
-    assert [len(battery) for (battery, *_), _ in decodes] == [200, 1]
-    assert checked == 200
+            marked[r, 0, a] = controls[r, 0, a]
+            checked.append(r)
+        decoded.append(len(rows))
+        return supplies, marked, mask, flows
+
+    monkeypatch.setattr(ActionGrid, "decode_batch", marking_decode)
+    report = fuzz.fuzz_battery(200, seed=59)
+    assert report.ok and report.calls == 200
+    assert decoded == [200, 1]
+    assert len(checked) == 200

@@ -172,6 +172,15 @@ def test_oracle_result_is_frozen():
         result.profit = 0.0
 
 
+def test_oracle_profits_are_python_floats():
+    # Annotated float, so a caller's repr or CSV reads a plain number.
+    inst = random_tiny_instance(np.random.default_rng(3))
+    assert type(brute_force(inst).profit) is float
+    for lookahead in (1, inst.episode.length):
+        assert type(rolling_greedy(inst, lookahead)[0]) is float
+    assert type(replay_sequence(inst, brute_force(inst).actions)[0]) is float
+
+
 def test_budget_guard_rejects_explosive_grids():
     rng = np.random.default_rng(0)
     inst = random_tiny_instance(rng)
