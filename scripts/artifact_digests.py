@@ -27,6 +27,10 @@ metadata-only change does not look like a numeric one.  It runs the
 three fuzzers as ``evcoop fuzz --seed <seed>`` does and writes and digests
 ``fuzz/fuzz_summary.txt``: each report's name, calls, violations and notes,
 without its timing.
+Last, a short double_qmix run on a 3-station synthetic-mode scenario
+(``{"scenario": {"mode": "synthetic", "station_count": 3}}``, under
+``synthetic/``) digests its ``metrics.csv``, checkpoint and ``trace.csv``,
+so the scenario generators are covered too.
 Run it at two commits and diff the outputs to check that a change keeps
 every artifact byte-identical:
 
@@ -37,8 +41,10 @@ every artifact byte-identical:
 ``--checkpoints`` evaluates the checkpoints an earlier run wrote instead of
 this run's own, so the second run above also checks that the new code reads
 the old checkpoints the same way; the ``mixer_grad`` variant reads its
-checkpoints from ``mixer_grad/`` under that directory.  ``--config`` merges
-extra JSON into the run config of both variants (say
+checkpoints from ``mixer_grad/`` under that directory, and the synthetic run
+from ``synthetic/``, or from this run's own if that directory was written
+before the synthetic run existed.  ``--config`` merges
+extra JSON into the run config of both variants and of the synthetic run (say
 ``'{"train": {"hidden_dim": 1}}'``).  The package is
 imported from the ``src`` next to this script, not from the environment.
 """
@@ -66,6 +72,9 @@ from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # n
 DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
 # (subdirectory, config merged into the run config) of each training variant
 VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}}))
+# the synthetic-mode run: its config, algorithm and episode count
+SYNTHETIC = {"scenario": {"mode": "synthetic", "station_count": 3}}
+SYNTHETIC_ALGORITHM, SYNTHETIC_EPISODES = "double_qmix", 8
 ORACLE_INSTANCES = 20
 TIGHT_INSTANCES = 40
 # (fuzzer, calls, seed offset), as ``evcoop fuzz`` runs them by default
@@ -107,6 +116,27 @@ def digests(out: Path, variant: str, episodes: int, seed: int, eval_seed: int,
     lines += [_digest(root / "compare" / name, out) for name in ("summary.csv", "long.csv")]
     lines.append(_digest(root / "train" / "resolved_config.json", out))
     return lines
+
+
+def synthetic_digests(out: Path, seed: int, eval_seed: int, extra: dict,
+                      checkpoints: Path | None) -> list[str]:
+    """The metrics, checkpoint and trace lines of one short synthetic-mode run."""
+    root = out / "synthetic"
+    root.mkdir(parents=True, exist_ok=True)
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(_merge(_merge({"train": {"episodes": SYNTHETIC_EPISODES}},
+                                            SYNTHETIC), extra)))
+    run = f"{SYNTHETIC_ALGORITHM}_seed{seed}"
+    _run(["train", "--config", str(cfg), "--seed", str(seed), "--algorithm",
+          SYNTHETIC_ALGORITHM, "--out", str(root / "train")])
+    checkpoint = Path("synthetic") / "train" / run / "checkpoint.npz"
+    if checkpoints is None or not (checkpoints / checkpoint).exists():
+        checkpoints = out
+    _run(["evaluate", "--config", str(cfg), "--checkpoint", str(checkpoints / checkpoint),
+          "--seed", str(eval_seed), "--out", str(root / "evaluate" / run)])
+    return [_digest(root / "train" / run / "metrics.csv", out),
+            *_checkpoint_digests(root / "train" / run / "checkpoint.npz", out),
+            _digest(root / "evaluate" / run / "trace.csv", out)]
 
 
 def oracle_digests(out: Path, seed: int) -> list[str]:
@@ -220,7 +250,9 @@ def main(argv=None) -> int:
         lines = [line for variant, config in VARIANTS
                  for line in digests(out, variant, args.episodes, args.seed, args.eval_seed,
                                      algorithms, _merge(config, extra), args.checkpoints)]
-        for line in lines + oracle_digests(out, args.seed) + fuzz_digests(out, args.seed):
+        lines += oracle_digests(out, args.seed) + fuzz_digests(out, args.seed)
+        lines += synthetic_digests(out, args.seed, args.eval_seed, extra, args.checkpoints)
+        for line in lines:
             print(line)
     return 0
 

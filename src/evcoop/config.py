@@ -309,4 +309,7 @@ def build_scenario(config: RunConfig) -> tuple[PriceSeries, PvSeries, DemandMode
     if len(price) != len(pv):
         raise ConfigError(
             f"price series has {len(price)} slots but PV series has {len(pv)}")
+    if price.timestamps[0] != pv.timestamps[0]:
+        raise ConfigError(f"price series starts at {price.timestamps[0].isoformat()} "
+                          f"but PV series starts at {pv.timestamps[0].isoformat()}")
     return price, pv, sc.demand, stations

@@ -10,6 +10,11 @@ CSV formats (UTF-8, decimal point, ISO-8601 local hour timestamps):
 The bundled ``sample_data/*.csv`` files are synthetic stand-ins for regional
 market feeds, generated from smooth daily shapes; they exist so the package
 runs out of the box and carry no claim of matching any real market.
+
+The ``synth_*`` generators draw each random field with one RNG call of its
+full shape, compute each series as one array expression, and return it as
+nested tuples of Python floats (``as_tuples``), so no numpy scalar reaches
+the scalar market.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ class ScenarioDataError(ValueError):
     """Malformed or inconsistent scenario input."""
 
 
-_START = datetime(2024, 6, 1, 0)  # the first hour of a synthetic series
+_START = np.datetime64("2024-06-01T00", "h")  # the first hour of a synthetic series, a midnight
 
 
 @dataclass(frozen=True)
@@ -89,15 +94,12 @@ class DemandModel:
         for prof in self.profiles:
             if len(prof) != 24:
                 raise ScenarioDataError(f"profile must have 24 values, got {len(prof)}")
-            if any(v < 0.0 for v in prof):
-                raise ScenarioDataError("profile values must be nonnegative")
+            if not all(0.0 <= v < math.inf for v in prof):
+                raise ScenarioDataError("profile values must be finite and nonnegative")
         if not (0.0 <= self.urgent_fraction <= 1.0):
             raise ScenarioDataError(f"urgent_fraction must be in [0, 1], got {self.urgent_fraction}")
         if self.noise_sigma < 0.0:
             raise ScenarioDataError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
-
-    def profile_for(self, station: int) -> tuple[float, ...]:
-        return self.profiles[station % len(self.profiles)]
 
 
 @dataclass(frozen=True)
@@ -234,19 +236,16 @@ def synth_demand(
 
     The draw consumes ``rng``, so successive calls give fresh episodes.
     """
-    if T < 1:
-        raise ScenarioDataError(f"T must be >= 1, got {T}")
+    if T < 1 or station_count < 1:
+        raise ScenarioDataError(f"T and station_count must be >= 1, got {T} and {station_count}")
     noise = rng.normal(0.0, model.noise_sigma, size=(T, station_count)) if model.noise_sigma > 0.0 \
         else np.zeros((T, station_count))
-    out = []
-    for t in range(T):
-        row = []
-        for i in range(station_count):
-            total = max(0.0, model.profile_for(i)[t % 24] + float(noise[t, i]))
-            urgent = model.urgent_fraction * total
-            row.append((urgent, total - urgent))
-        out.append(tuple(row))
-    return tuple(out)
+    # [t, i] -> slot t's hour in station i's profile; the profiles cycle over the stations
+    mean = np.asarray(model.profiles).T[np.arange(T)[:, None] % 24,
+                                        np.arange(station_count) % len(model.profiles)]
+    total = np.maximum(mean + noise, 0.0)
+    urgent = model.urgent_fraction * total
+    return as_tuples(np.stack((urgent, total - urgent), axis=-1))
 
 
 def build_episode(
@@ -270,11 +269,7 @@ def build_episode(
     battery = initial_soc * params.capacity_max
     # Slot 0 arrivals seed the initial pending demand; the stored arrival
     # stream is what lands during each slot, consumed at slot end.
-    first = arrivals[0]
-    initial_states = tuple(
-        StationState(battery_kwh=battery, urgent_demand=first[i][0], regular_demand=first[i][1])
-        for i in range(n)
-    )
+    initial_states = tuple(StationState(battery, *pending) for pending in arrivals[0])
     # Shift: slot t consumes arrivals[t + 1]; the final slot sees none.
     shifted = tuple(arrivals[1:]) + (tuple((0.0, 0.0) for _ in range(n)),)
     quotes = tuple(price.quote(t) for t in range(T))
@@ -293,15 +288,11 @@ def synth_price_series(
     if T < 1:
         raise ScenarioDataError(f"T must be >= 1, got {T}")
     rng = np.random.default_rng(seed)
-    timestamps = []
-    prices = []
-    for t in range(T):
-        hour = (_START + timedelta(hours=t)).hour
-        shape = math.sin((hour - 9.0) * math.pi / 12.0)  # trough ~03:00, peak ~15:00-18:00
-        p = base + swing * shape + float(rng.normal(0.0, noise_sigma))
-        prices.append(max(p, 0.02))
-        timestamps.append(_START + timedelta(hours=t))
-    return PriceSeries(tuple(timestamps), tuple(prices), multipliers)
+    hours = np.arange(T)  # since _START
+    # per hour of day: trough ~03:00, peak ~15:00-18:00
+    shape = np.array([math.sin((hour - 9.0) * math.pi / 12.0) for hour in range(24)])
+    prices = base + swing * shape[hours % 24] + rng.normal(0.0, noise_sigma, T)
+    return PriceSeries(as_tuples(_START + hours), as_tuples(np.maximum(prices, 0.02)), multipliers)
 
 
 def synth_pv_series(
@@ -314,20 +305,21 @@ def synth_pv_series(
     if T < 1 or station_count < 1:
         raise ScenarioDataError("T and station_count must be >= 1")
     rng = np.random.default_rng(seed)
+    hours = np.arange(T)  # since _START
     scale = 1.0 + 0.2 * rng.standard_normal(station_count)
-    timestamps = []
-    generation = []
-    for t in range(T):
-        ts = _START + timedelta(hours=t)
-        hour = ts.hour
-        bell = max(0.0, math.sin((hour - 6.0) * math.pi / 12.0)) if 6 <= hour <= 18 else 0.0
-        row = []
-        for i in range(station_count):
-            kwh = peak_kwh * abs(scale[i]) * bell * (1.0 + 0.1 * float(rng.standard_normal()))
-            row.append(max(0.0, kwh))
-        generation.append(tuple(row))
-        timestamps.append(ts)
-    return PvSeries(tuple(timestamps), tuple(generation))
+    bell = np.array([max(0.0, math.sin((hour - 6.0) * math.pi / 12.0)) if 6 <= hour <= 18
+                     else 0.0 for hour in range(24)])
+    kwh = (peak_kwh * np.abs(scale) * bell[hours % 24, None]
+           * (1.0 + 0.1 * rng.standard_normal((T, station_count))))
+    return PvSeries(as_tuples(_START + hours), as_tuples(np.maximum(kwh, 0.0)))
+
+
+def as_tuples(array: np.ndarray) -> tuple:
+    """``array`` as nested tuples of the Python scalars (floats, datetimes) of one ``tolist``."""
+    items = array.ravel().tolist()
+    for size in reversed(array.shape[1:]):
+        items = zip(*[iter(items)] * size)  # consecutive runs of ``size`` as tuples
+    return tuple(items)
 
 
 def sample_data_path(name: str) -> Path:

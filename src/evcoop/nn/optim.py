@@ -6,6 +6,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moments' decay rates and the denominator's floor
+
 
 class DivergenceError(RuntimeError):
     """Raised when a parameter or gradient stops being finite."""
@@ -18,15 +20,11 @@ class Adam:
     kept per name.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -42,16 +40,16 @@ class Adam:
         moment buffers also stay put, so a frozen branch costs nothing).
         """
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient in {name}")
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
+            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
             if not np.all(np.isfinite(p.data)):
                 raise DivergenceError(f"non-finite parameter {name} after update")

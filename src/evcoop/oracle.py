@@ -28,6 +28,7 @@ and ``replay_sequence`` are choosers over the rollouts' ``run_episode``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .core import (
     advance_stations_batch,
     clear_and_price_batch,
 )
-from .data import Episode
+from .data import Episode, as_tuples
 from .marl.encoding import ActionGrid, InfeasibleActionError
 from .marl.trainer import run_episode
 
@@ -256,25 +257,14 @@ def random_tiny_instance(rng: np.random.Generator,
         capacity_max=float(rng.uniform(30.0, 80.0)),
         leakage_beta=float(rng.choice([1.0, 0.99])),
     )
-    quotes = tuple(DEFAULT_MULTIPLIERS.quote(float(rng.uniform(0.05, 0.50)))
-                   for _ in range(horizon))
-    renewables = tuple(
-        tuple(float(rng.uniform(0.0, 20.0)) for _ in range(station_count))
-        for _ in range(horizon)
-    )
-    arrivals = tuple(
-        tuple((float(rng.uniform(0.0, 6.0)), float(rng.uniform(0.0, 12.0)))
-              for _ in range(station_count))
-        for _ in range(horizon)
-    )
-    initial_states = tuple(
-        StationState(
-            battery_kwh=float(rng.uniform(params.capacity_min, params.usable_max)),
-            urgent_demand=float(rng.uniform(0.0, 6.0)),
-            regular_demand=float(rng.uniform(0.0, 12.0)),
-        )
-        for _ in range(station_count)
-    )
+    quotes = tuple(map(DEFAULT_MULTIPLIERS.quote, rng.uniform(0.05, 0.50, horizon).tolist()))
+    renewables = as_tuples(rng.uniform(0.0, 20.0, (horizon, station_count)))
+    # The last axis interleaves fields drawn in turn, as the stream order requires:
+    # arrivals [t][station] -> (urgent, regular), states [station] -> (battery, urgent, regular).
+    arrivals = as_tuples(rng.uniform((0.0, 0.0), (6.0, 12.0), (horizon, station_count, 2)))
+    initial_states = tuple(itertools.starmap(StationState, rng.uniform(
+        (params.capacity_min, 0.0, 0.0), (params.usable_max, 6.0, 12.0),
+        (station_count, 3)).tolist()))
     episode = Episode(quotes=quotes, renewables=renewables,
                       arrivals=arrivals, initial_states=initial_states)
     return TinyInstance(episode=episode, params=params, grid=grid)

@@ -311,7 +311,7 @@ def feasible_actions(draw, grid, params, battery, urgent, regular, renewable):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), ess_params(), grids, quotes(), st.integers(1, 3), st.integers(1, 10))
-def test_step_batch_matches_step(data, params, grid, quote, rows, stations):
+def test_advance_and_clear_batch_match_step(data, params, grid, quote, rows, stations):
     # advance_stations_batch on each block's flow, then clear_and_price_batch,
     # for controls anywhere in their interval, on or off the grid.
     battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
@@ -418,7 +418,7 @@ def test_advance_stations_batch_rejects_the_arrivals_settle_rejects(data, params
         oracle_table(grid, params, battery, urgent, regular, renewable, arrivals)
 
 
-def test_step_batch_all_charging_and_all_discharging_rows():
+def test_advance_and_clear_batch_all_charging_and_all_discharging_rows():
     params = EssParams(capacity_max=100.0, leakage_beta=1.0)
     battery = np.full((3, 3), 50.0)
     zeros = np.zeros((3, 3))
@@ -439,7 +439,7 @@ def test_step_batch_all_charging_and_all_discharging_rows():
 
 
 @pytest.mark.parametrize("case", ["arrival"])
-def test_step_batch_rejects_what_step_rejects(case):
+def test_advance_stations_batch_rejects_what_step_rejects(case):
     # Station 1 is bad, station 0 fine.  Of the array path's inputs only the
     # arrivals can still be bad: an action it settles is one decode_batch built.
     params = EssParams(capacity_max=100.0, import_cap=5.0)
@@ -459,7 +459,7 @@ def test_step_batch_rejects_what_step_rejects(case):
     ("renewable", "renewable"), ("arrival_urgent", "arrival"),
 ])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_step_batch_rejects_non_finite_inputs(field, where, bad):
+def test_decode_and_advance_batch_reject_non_finite_inputs(field, where, bad):
     # decode_batch rejects a bad state, advance_stations_batch a bad arrival.
     arrays = {"battery": np.full((2, 2), 100.0), "urgent": np.zeros((2, 2)),
               "regular": np.zeros((2, 2)), "renewable": np.zeros((2, 2))}
@@ -727,8 +727,8 @@ def test_permuting_stations_permutes_the_slot_and_demand_is_conserved(data, para
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), ess_params(), grids, quotes(), st.integers(1, 3), st.integers(2, 6))
-def test_permuting_step_batch_columns_permutes_each_row(data, params, grid, quote, rows,
-                                                        stations):
+def test_permuting_advance_and_clear_batch_columns_permutes_each_row(data, params, grid,
+                                                                     quote, rows, stations):
     # The same relation on the array halves, whose columns are the stations.
     battery, urgent, regular, renewable = data.draw(state_block(params, rows, stations))
     actions = data.draw(feasible_actions(grid, params, battery, urgent, regular, renewable))

@@ -30,6 +30,7 @@ from evcoop.config import (
     resolved_dict,
     schema_error,
 )
+from evcoop.data import sample_data_path
 from evcoop.marl import ALGORITHMS
 
 SCHEMA = json.loads(resources.files("evcoop").joinpath("config_schema.json").read_text())
@@ -159,6 +160,24 @@ def test_build_scenario_synthetic_mode():
     price2, pv2, _, _ = build_scenario(cfg)
     assert price.utility == price2.utility
     assert pv.generation == pv2.generation
+
+
+def test_build_scenario_rejects_series_that_cover_different_hours(tmp_path):
+    # The sample PV file shifted by one day: as many slots as the price file,
+    # but the next day's hours.
+    price_csv = sample_data_path("two_station_48h_price.csv")
+    lines = sample_data_path("two_station_48h_pv.csv").read_text().splitlines()
+    shifted = [lines[0]] + [line.replace("2024-06-02T", "2024-06-03T")
+                            .replace("2024-06-01T", "2024-06-02T") for line in lines[1:]]
+    pv_csv = tmp_path / "pv.csv"
+    pv_csv.write_text("\n".join(shifted) + "\n")
+    cfg = load_config_dict({"scenario": {"mode": "csv", "price_csv": str(price_csv),
+                                         "pv_csv": str(pv_csv), "station_count": 2}})
+    with pytest.raises(ConfigError, match="2024-06-01T00:00:00 but PV series starts at "
+                                          "2024-06-02T00:00:00"):
+        build_scenario(cfg)
+    pv_csv.write_text("\n".join(lines) + "\n")
+    assert len(build_scenario(cfg)[1]) == 48
 
 
 def _valid(schema: dict):

@@ -114,6 +114,9 @@ def test_demand_model_validation():
         DemandModel(profiles=((1.0,) * 23,))
     with pytest.raises(ScenarioDataError):
         DemandModel(profiles=((-1.0,) + (1.0,) * 23,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ScenarioDataError, match="finite"):
+            DemandModel(profiles=((1.0,) * 23 + (bad,),))
     with pytest.raises(ScenarioDataError):
         DemandModel(profiles=((1.0,) * 24,), urgent_fraction=1.5)
 
@@ -134,6 +137,9 @@ def test_synth_demand_split_and_streams():
     first = synth_demand(noisy, 5, 2, rng=rng)
     second = synth_demand(noisy, 5, 2, rng=rng)
     assert first != second
+    for T, stations in ((0, 2), (5, 0)):
+        with pytest.raises(ScenarioDataError, match="must be >= 1"):
+            synth_demand(noisy, T, stations, rng)
 
 
 def test_build_episode_shifts_arrivals():

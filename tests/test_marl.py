@@ -4,6 +4,8 @@ import json
 import math
 import sys
 import zipfile
+from dataclasses import fields, is_dataclass
+from datetime import datetime
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +50,7 @@ from evcoop.marl import (
     train_step,
 )
 from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor
+from evcoop.oracle import random_tiny_instance
 from evcoop.report import TRACE_HEADER, read_trace_csv, write_trace_csv
 from csv_reference import csv_writer_bytes
 from mixer_reference import composite_mix, slice_grads, slice_mixers, tape_reshape
@@ -726,6 +729,53 @@ def test_trace_csv_bytes_match_the_cell_by_cell_writer(tmp_path, stations, epsil
     write_trace_csv(tmp_path / "new.csv", trace, cfg.ess)
     _write_trace_one_cell_at_a_time(tmp_path / "old.csv", trace, cfg.ess)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _numbers(obj):
+    """Every leaf of nested dataclasses, tuples and lists, timestamps left out."""
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _numbers(item)
+    elif not isinstance(obj, datetime):
+        yield obj
+
+
+def _non_floats(obj) -> list:
+    return [v for v in _numbers(obj) if type(v) is not float]
+
+
+@pytest.mark.parametrize("stations", [1, 2, 6])
+def test_scenario_generators_return_python_floats(stations):
+    # Each generator hands the scalar market Python floats, never numpy scalars.
+    rng = np.random.default_rng(stations)
+    price = synth_price_series(30, seed=stations)
+    pv = synth_pv_series(30, stations, seed=stations)
+    arrivals = synth_demand(DemandModel(), 30, stations, rng)
+    episode = build_episode(price, pv, arrivals, 0.5, PARAMS)
+    instance = random_tiny_instance(rng, stations, 3,
+                                    ActionGrid(ev_fractions=(1.0,), cs_levels=2))
+    for obj in (price, pv, arrivals, episode, instance.episode, instance.params):
+        assert _non_floats(obj) == []
+    assert max(max(row) for row in pv.generation) > 0.0      # daylight slots are covered
+
+
+def test_synthetic_rollout_trace_holds_python_floats():
+    # From the first sunny slot on, a numpy scalar in the PV series would
+    # spread into the states, actions, trades and profits of the trace.
+    cfg = load_config_dict({"scenario": {"mode": "synthetic", "station_count": 3}})
+    price, pv, demand, stations = build_scenario(cfg)
+    rng = np.random.default_rng(0)
+    learner = build_learner("double_qmix", stations, cfg.ess, cfg.grid, cfg.scales, cfg.train,
+                            rng)
+    episode = build_episode(price, pv, synth_demand(demand, len(price), stations, rng),
+                            cfg.scenario.initial_soc, cfg.ess)
+    _, trace = rollout_episode(episode, learner, 0.3, rng, collect_trace=True)
+    assert len(trace) == len(price)
+    for t, log in enumerate(trace):
+        assert _non_floats(log) == [], f"slot {t}"
 
 
 # -0.0, the smallest subnormal, and values whose repr needs 17 significant digits.
