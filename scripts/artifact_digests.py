@@ -30,7 +30,9 @@ without its timing.
 Last, a short double_qmix run on a 3-station synthetic-mode scenario
 (``{"scenario": {"mode": "synthetic", "station_count": 3}}``, under
 ``synthetic/``) digests its ``metrics.csv``, checkpoint and ``trace.csv``,
-so the scenario generators are covered too.
+so the scenario generators are covered too, and one more on 6 stations
+(under ``synthetic6/``) does the same for a market that clears six
+stations on every slot.
 Run it at two commits and diff the outputs to check that a change keeps
 every artifact byte-identical:
 
@@ -41,10 +43,10 @@ every artifact byte-identical:
 ``--checkpoints`` evaluates the checkpoints an earlier run wrote instead of
 this run's own, so the second run above also checks that the new code reads
 the old checkpoints the same way; the ``mixer_grad`` variant reads its
-checkpoints from ``mixer_grad/`` under that directory, and the synthetic run
-from ``synthetic/``, or from this run's own if that directory was written
-before the synthetic run existed.  ``--config`` merges
-extra JSON into the run config of both variants and of the synthetic run (say
+checkpoints from ``mixer_grad/`` under that directory, and each synthetic run
+from its own subdirectory, or from this run's own if that directory was
+written before that synthetic run existed.  ``--config`` merges
+extra JSON into the run config of both variants and of the synthetic runs (say
 ``'{"train": {"hidden_dim": 1}}'``).  The package is
 imported from the ``src`` next to this script, not from the environment.
 """
@@ -72,8 +74,8 @@ from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # n
 DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
 # (subdirectory, config merged into the run config) of each training variant
 VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}}))
-# the synthetic-mode run: its config, algorithm and episode count
-SYNTHETIC = {"scenario": {"mode": "synthetic", "station_count": 3}}
+# the synthetic-mode runs: (subdirectory, station count) of each, their algorithm and episode count
+SYNTHETIC_RUNS = (("synthetic", 3), ("synthetic6", 6))
 SYNTHETIC_ALGORITHM, SYNTHETIC_EPISODES = "double_qmix", 8
 ORACLE_INSTANCES = 20
 TIGHT_INSTANCES = 40
@@ -118,18 +120,19 @@ def digests(out: Path, variant: str, episodes: int, seed: int, eval_seed: int,
     return lines
 
 
-def synthetic_digests(out: Path, seed: int, eval_seed: int, extra: dict,
-                      checkpoints: Path | None) -> list[str]:
-    """The metrics, checkpoint and trace lines of one short synthetic-mode run."""
-    root = out / "synthetic"
+def synthetic_digests(out: Path, name: str, stations: int, seed: int, eval_seed: int,
+                      extra: dict, checkpoints: Path | None) -> list[str]:
+    """The metrics, checkpoint and trace lines of one short synthetic-mode run under ``name``."""
+    root = out / name
     root.mkdir(parents=True, exist_ok=True)
     cfg = root / "config.json"
+    scenario = {"scenario": {"mode": "synthetic", "station_count": stations}}
     cfg.write_text(json.dumps(_merge(_merge({"train": {"episodes": SYNTHETIC_EPISODES}},
-                                            SYNTHETIC), extra)))
+                                            scenario), extra)))
     run = f"{SYNTHETIC_ALGORITHM}_seed{seed}"
     _run(["train", "--config", str(cfg), "--seed", str(seed), "--algorithm",
           SYNTHETIC_ALGORITHM, "--out", str(root / "train")])
-    checkpoint = Path("synthetic") / "train" / run / "checkpoint.npz"
+    checkpoint = Path(name) / "train" / run / "checkpoint.npz"
     if checkpoints is None or not (checkpoints / checkpoint).exists():
         checkpoints = out
     _run(["evaluate", "--config", str(cfg), "--checkpoint", str(checkpoints / checkpoint),
@@ -251,7 +254,9 @@ def main(argv=None) -> int:
                  for line in digests(out, variant, args.episodes, args.seed, args.eval_seed,
                                      algorithms, _merge(config, extra), args.checkpoints)]
         lines += oracle_digests(out, args.seed) + fuzz_digests(out, args.seed)
-        lines += synthetic_digests(out, args.seed, args.eval_seed, extra, args.checkpoints)
+        lines += [line for name, stations in SYNTHETIC_RUNS
+                  for line in synthetic_digests(out, name, stations, args.seed, args.eval_seed,
+                                                extra, args.checkpoints)]
         for line in lines:
             print(line)
     return 0

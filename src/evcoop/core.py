@@ -344,7 +344,9 @@ def step(states: Sequence[StationState], actions: Sequence[StationAction],
 
     Checks each station's state, renewable and action for finiteness and its
     supply against the demand bound, computes the control interval of that
-    supply, and hands the rest to ``settle``.
+    supply, then checks that every interval is nonempty and holds its
+    control (a small float tolerance admits actions decoded exactly onto a
+    bound), and hands the rest to ``settle``.
     """
     n = len(states)
     if not (n == len(actions) == len(renewables) == len(next_arrivals)):
@@ -358,23 +360,7 @@ def step(states: Sequence[StationState], actions: Sequence[StationAction],
         if supply < urgent - _TOL or supply > total + _TOL:
             raise ConstraintViolation(f"station {i}: ev_supply {supply} outside [{urgent}, {total}]")
         intervals += control_intervals(st.battery_kwh, renewable, (supply,), params)
-    return settle(states, actions, intervals, quote, next_arrivals, params)
-
-
-def settle(states: Sequence[StationState], actions: Sequence[StationAction],
-           intervals: Sequence[tuple[float, float, float, float]], quote: PriceQuote,
-           next_arrivals: Sequence[tuple[float, float]], params: EssParams) -> StepOutcome:
-    """The rest of ``step`` once each station's ``control_intervals`` entry is known.
-
-    Checks that each interval is nonempty and holds its control (a small
-    float tolerance admits actions decoded exactly onto a bound) and that
-    the arrivals are finite and nonnegative; then clears the internal
-    market, prices the slot, applies the battery dynamics and rolls unmet
-    demand into next slot's urgent demand.  A rollout calls it on the
-    entries its decode computed, after checking what ``step`` checks.
-    """
-    for i, (act, (_, _, lower, upper), arrival) in enumerate(
-            zip(actions, intervals, next_arrivals, strict=True)):
+    for i, (act, (_, _, lower, upper)) in enumerate(zip(actions, intervals)):
         if lower > upper:
             raise InfeasibleIntervalError(
                 f"station {i}: empty control interval [{lower}, {upper}]: "
@@ -383,6 +369,21 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
         if control < lower - _TOL or control > upper + _TOL:
             raise ConstraintViolation(
                 f"station {i}: ess_control {control} outside [{lower}, {upper}]")
+    return settle(states, actions, intervals, quote, next_arrivals, params)
+
+
+def settle(states: Sequence[StationState], actions: Sequence[StationAction],
+           intervals: Sequence[tuple[float, float, float, float]], quote: PriceQuote,
+           next_arrivals: Sequence[tuple[float, float]], params: EssParams) -> StepOutcome:
+    """The rest of ``step`` once each station's ``control_intervals`` entry is known.
+
+    Checks that the arrivals are finite and nonnegative; then clears the
+    internal market, prices the slot, applies the battery dynamics and
+    rolls unmet demand into next slot's urgent demand.  Each action must lie
+    in its interval: ``step`` checks that, and an action ``ActionGrid.action``
+    decoded from the blocks that hold the intervals does by construction.
+    """
+    for i, (_, _, arrival) in enumerate(zip(actions, intervals, next_arrivals, strict=True)):
         _check_arrival(arrival, i)
 
     controls = [a.ess_control for a in actions]
@@ -394,8 +395,8 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
     next_states = []
     for st, control, supply, (flow, _, _, _), (arr_urgent, arr_regular) in zip(
             states, controls, supplies, intervals, next_arrivals):
-        # Clamp float rounding back onto the physical band; the checks above
-        # guarantee any excursion is within _TOL of a bound.
+        # Clamp float rounding back onto the physical band; an action in its
+        # interval keeps any excursion within _TOL of a bound.
         battery = min(max(beta * st.battery_kwh + control + flow, floor), ceiling)
         carryover = max(st.total_demand - supply, 0.0)
         next_states.append(StationState(battery, arr_urgent + carryover, arr_regular))
@@ -412,15 +413,15 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
 # left-to-right loops for that reason: numpy's reductions sum pairwise.
 #
 # Like the scalar path, which decodes with ``ActionGrid.blocks`` and
-# settles on what it decoded, the array path decodes with
+# ``ActionGrid.action`` and then ``settle``s, the array path decodes with
 # ``ActionGrid.decode_batch``, which checks the states and computes each
 # block's control interval and internal flow once, and settles in two
 # halves, split where the stations couple.  ``advance_stations_batch`` is
 # what a station's own action decides: its next state, from the decoded
-# flow.  ``clear_and_price_batch`` is the part that couples the stations:
-# clearing and pricing.  The oracle runs the first once per (row, station,
-# action) and the second once per joint action.  No check is repeated: an
-# action the decode built lies in its interval by construction.
+# flow.  ``clear_and_price_batch`` couples the stations: clearing and
+# pricing.  The oracle runs the first once per (row, station, action) and
+# the second once per joint action.  Neither path checks a decoded action
+# again (it lies in its interval by construction), only the arrivals.
 
 
 def check_finite_batch(**fields: np.ndarray) -> None:
@@ -446,11 +447,12 @@ def control_bounds_batch(battery: np.ndarray, renewable: np.ndarray, supply: np.
     ``upper`` is set to ``lower``.
     """
     raw = renewable - supply
-    headroom = (params.usable_max - params.leakage_beta * battery) + params.export_cap
-    flow = np.where(raw <= headroom, raw, headroom)
     carried = params.leakage_beta * battery
+    base_upper = params.usable_max - carried
+    headroom = base_upper + params.export_cap
+    flow = np.where(raw <= headroom, raw, headroom)
     lower = (params.capacity_min - carried) - flow
-    upper = (params.usable_max - carried) - flow
+    upper = base_upper - flow
     lower = np.where(lower < -params.export_cap, -params.export_cap, lower)
     upper = np.where(upper > params.import_cap, params.import_cap, upper)
     feasible = ~(lower > upper + _TOL)

@@ -79,10 +79,10 @@ _DEFAULT_PROFILE = (
 class DemandModel:
     """Urgent/regular EV arrivals around a daily profile.
 
-    ``profiles`` holds one 24-value mean hourly profile (kWh) per station; a
-    single profile is shared by all stations.  Hourly totals are the profile
-    value plus Gaussian noise, truncated at zero, and split by a fixed
-    urgent fraction.
+    ``profiles`` holds 24-value mean hourly profiles (kWh) that cycle over
+    the stations: station i draws around profile ``i % len(profiles)``.
+    Hourly totals are the profile value plus Gaussian noise, truncated at
+    zero, and split by a fixed urgent fraction.
     """
 
     profiles: tuple[tuple[float, ...], ...] = (
@@ -276,6 +276,14 @@ def build_episode(
     return Episode(quotes=quotes, renewables=pv.generation, arrivals=shifted, initial_states=initial_states)
 
 
+def _check_generator_arg(name: str, value: float, positive: bool = False) -> None:
+    """Raise ScenarioDataError naming argument ``name`` unless ``value`` is finite and
+    nonnegative, or positive if ``positive``: the bounds the config schema sets."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        raise ScenarioDataError(
+            f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
+
+
 def synth_price_series(
     T: int,
     seed: int,
@@ -287,6 +295,9 @@ def synth_price_series(
     """Generate a smooth synthetic daily price curve: cheap overnight, evening peak."""
     if T < 1:
         raise ScenarioDataError(f"T must be >= 1, got {T}")
+    _check_generator_arg("base", base, positive=True)
+    _check_generator_arg("swing", swing)
+    _check_generator_arg("noise_sigma", noise_sigma)
     rng = np.random.default_rng(seed)
     hours = np.arange(T)  # since _START
     # per hour of day: trough ~03:00, peak ~15:00-18:00
@@ -304,6 +315,7 @@ def synth_pv_series(
     """Generate a synthetic solar bell curve per station with mild noise."""
     if T < 1 or station_count < 1:
         raise ScenarioDataError("T and station_count must be >= 1")
+    _check_generator_arg("peak_kwh", peak_kwh)
     rng = np.random.default_rng(seed)
     hours = np.arange(T)  # since _START
     scale = 1.0 + 0.2 * rng.standard_normal(station_count)

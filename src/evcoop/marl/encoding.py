@@ -73,22 +73,24 @@ def encode_observation(states: Sequence[StationState], renewables: Sequence[floa
     return raw / scales.as_array()
 
 
-def linspace(lo: float, hi: float, m: int) -> list[float]:
-    """``np.linspace(lo, hi, m)`` for float endpoints, bit for bit, as a list.
+def linspace_at(lo: float, hi: float, m: int, k: int) -> float:
+    """``np.linspace(lo, hi, m)[k]`` for float endpoints, bit for bit.
 
     numpy multiplies k by the step (or k / (m - 1) by the width when the
     step is zero), adds lo, and puts hi exactly at the end.
     """
     width = hi - lo
     if m == 1:
-        return [0.0 * width + lo]
+        return 0.0 * width + lo
+    if k == m - 1:
+        return hi
     step = width / (m - 1)
-    if step == 0:
-        levels = [(k / (m - 1)) * width + lo for k in range(m)]
-    else:
-        levels = [k * step + lo for k in range(m)]
-    levels[-1] = hi
-    return levels
+    return (k / (m - 1)) * width + lo if step == 0 else k * step + lo
+
+
+def linspace(lo: float, hi: float, m: int) -> list[float]:
+    """``np.linspace(lo, hi, m)`` for float endpoints, bit for bit, as a list."""
+    return [linspace_at(lo, hi, m, k) for k in range(m)]
 
 
 def linspace_rows(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
@@ -162,7 +164,7 @@ class ActionGrid:
             raise InfeasibleActionError(f"action index {index} is masked infeasible at this step")
         supply, (_, _, lo, hi) = block
         return StationAction(ev_supply=supply,
-                             ess_control=linspace(lo, hi, self.cs_levels)[index % self.cs_levels])
+                             ess_control=linspace_at(lo, hi, self.cs_levels, index % self.cs_levels))
 
     def decode_table(self, state: StationState, renewable: float,
                      params: EssParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,19 +206,12 @@ class ActionGrid:
                            regular_demand=regular, renewable=renewables)
         if (urgent < 0.0).any() or (regular < 0.0).any() or (renewables < 0.0).any():
             raise ValueError("demand and renewable must be nonnegative")
-        shape = battery.shape + (self.n_actions,)
-        supplies = np.zeros(shape)
-        controls = np.zeros(shape)
-        mask = np.zeros(shape, dtype=bool)
-        flows = np.zeros(shape)
         m = self.cs_levels
-        for e, frac in enumerate(self.ev_fractions):
-            supply = urgent + frac * regular
-            flow, lo, hi, feasible = control_bounds_batch(battery, renewables, supply, params)
-            block = slice(e * m, (e + 1) * m)
-            ok = feasible[..., None]
-            supplies[..., block] = np.where(ok, supply[..., None], 0.0)
-            controls[..., block] = np.where(ok, linspace_rows(lo, hi, m), 0.0)
-            mask[..., block] = ok
-            flows[..., block] = np.where(ok, flow[..., None], 0.0)
-        return supplies, controls, mask, flows
+        # (N, n, fraction) blocks, then (N, n, fraction, level) entries flattened to actions
+        supply = urgent[..., None] + np.asarray(self.ev_fractions) * regular[..., None]
+        flow, lo, hi, feasible = control_bounds_batch(battery[..., None], renewables[..., None],
+                                                      supply, params)
+        controls = np.where(feasible[..., None], linspace_rows(lo, hi, m), 0.0)
+        return (np.repeat(np.where(feasible, supply, 0.0), m, axis=-1),
+                controls.reshape(*battery.shape, self.n_actions), np.repeat(feasible, m, axis=-1),
+                np.repeat(np.where(feasible, flow, 0.0), m, axis=-1))

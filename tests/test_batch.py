@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evcoop import oracle
@@ -35,7 +35,7 @@ from evcoop.core import (
 )
 from evcoop.data import Episode
 from evcoop.marl import ActionGrid, ObsScales, TrainConfig, build_learner, rollout_episode
-from evcoop.marl.encoding import InfeasibleActionError, linspace, linspace_rows
+from evcoop.marl.encoding import InfeasibleActionError, linspace, linspace_at, linspace_rows
 
 
 def assert_bits(actual, expected):
@@ -111,10 +111,15 @@ widths = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-300),
 
 @settings(max_examples=500, deadline=None)
 @given(st.floats(-1e3, 1e3), widths, st.integers(1, 7))
+@example(lo=0.3, width=0.7, m=1)
+@example(lo=-2.5, width=0.0, m=1)
+@example(lo=-2.5, width=0.0, m=5)
+@example(lo=0.1, width=5e-324, m=4)
 def test_linspace_matches_numpy(lo, width, m):
     hi = lo + width
     want = np.linspace(lo, hi, m)
     assert_bits(linspace(lo, hi, m), want)
+    assert_bits([linspace_at(lo, hi, m, k) for k in range(m)], want)  # k = m - 1 included
     assert_bits(linspace_rows(np.array([lo, 1.0]), np.array([hi, 2.0]), m)[0], want)
 
 

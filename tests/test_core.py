@@ -185,8 +185,21 @@ def test_step_rejects_undersupply_and_oversupply():
 def test_step_rejects_out_of_bounds_control():
     p = EssParams()
     states = [StationState(100.0, 0.0, 0.0)]
-    with pytest.raises(ConstraintViolation):
+    [(_, _, lo, hi)] = control_intervals(100.0, 0.0, [0.0], p)
+    with pytest.raises(ConstraintViolation) as raised:
         step(states, [StationAction(0.0, 500.0)], [0.0], QUOTE, [(0.0, 0.0)], p)
+    assert raised.type is ConstraintViolation
+    assert str(raised.value) == f"station 0: ess_control 500.0 outside [{lo}, {hi}]"
+
+
+def test_step_checks_every_control_before_any_arrival():
+    # step checks each station's interval and control, then settle checks
+    # the arrivals: a control outside its interval at station 1 is reported
+    # ahead of a negative arrival at station 0.
+    states = [StationState(100.0, 0.0, 0.0)] * 2
+    with pytest.raises(ConstraintViolation, match="^station 1: ess_control 500.0 outside"):
+        step(states, [StationAction(0.0, 0.0), StationAction(0.0, 500.0)], [0.0, 0.0], QUOTE,
+             [(-1.0, 0.0), (0.0, 0.0)], EssParams())
 
 
 def test_step_rejects_negative_arrivals():

@@ -109,6 +109,28 @@ def test_synth_series_deterministic():
     assert pa.generation[0] == pytest.approx((0.0, 0.0))
 
 
+SYNTH_SERIES = {"price": lambda **kw: synth_price_series(24, seed=0, **kw),
+                "pv": lambda **kw: synth_pv_series(24, 2, seed=0, **kw)}
+SYNTH_ARGUMENTS = (("price", "base"), ("price", "swing"), ("price", "noise_sigma"),
+                   ("pv", "peak_kwh"))
+
+
+@pytest.mark.parametrize("series, argument, bad", [
+    *[(series, argument, bad) for series, argument in SYNTH_ARGUMENTS
+      for bad in (float("nan"), float("inf"), -1.0)],
+    ("price", "base", 0.0)])
+def test_synth_series_reject_bad_arguments(series, argument, bad):
+    # The bounds of the schema's price_base, price_swing, price_noise_sigma
+    # and pv_peak_kwh, for a generator called directly.
+    with pytest.raises(ScenarioDataError, match=f"^{argument} must be finite and >=? 0, got"):
+        SYNTH_SERIES[series](**{argument: bad})
+
+
+def test_synth_series_accept_the_zero_the_schema_accepts():
+    SYNTH_SERIES["price"](swing=0.0, noise_sigma=0.0)
+    SYNTH_SERIES["pv"](peak_kwh=0.0)
+
+
 def test_demand_model_validation():
     with pytest.raises(ScenarioDataError):
         DemandModel(profiles=((1.0,) * 23,))
