@@ -383,7 +383,8 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
     in its interval: ``step`` checks that, and an action ``ActionGrid.action``
     decoded from the blocks that hold the intervals does by construction.
     """
-    for i, (_, _, arrival) in enumerate(zip(actions, intervals, next_arrivals, strict=True)):
+    for i, (_, _, _, arrival) in enumerate(zip(states, actions, intervals, next_arrivals,
+                                               strict=True)):
         _check_arrival(arrival, i)
 
     controls = [a.ess_control for a in actions]

@@ -98,8 +98,7 @@ class DemandModel:
                 raise ScenarioDataError("profile values must be finite and nonnegative")
         if not (0.0 <= self.urgent_fraction <= 1.0):
             raise ScenarioDataError(f"urgent_fraction must be in [0, 1], got {self.urgent_fraction}")
-        if self.noise_sigma < 0.0:
-            raise ScenarioDataError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        _check_generator_arg("noise_sigma", self.noise_sigma)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ the demand and battery constraints.  Each slot of ``run_episode``, every
 policy's episode loop, decodes each supply fraction's block once
 (``ActionGrid.blocks``), then only the chosen action (``ActionGrid.action``),
 and settles on the chosen blocks' control interval entries (``core.settle``).
+``ActionGrid.decode_table`` is ``action`` tabulated over every index of one
+station's blocks; no command calls it, and the tests pin the array decode
+``ActionGrid.decode_batch`` to it.
 """
 
 from __future__ import annotations
@@ -88,13 +91,8 @@ def linspace_at(lo: float, hi: float, m: int, k: int) -> float:
     return (k / (m - 1)) * width + lo if step == 0 else k * step + lo
 
 
-def linspace(lo: float, hi: float, m: int) -> list[float]:
-    """``np.linspace(lo, hi, m)`` for float endpoints, bit for bit, as a list."""
-    return [linspace_at(lo, hi, m, k) for k in range(m)]
-
-
 def linspace_rows(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
-    """``linspace`` for every element of the endpoint arrays; adds a last axis of m.
+    """``linspace_at`` at every k, per element of the endpoint arrays; adds a last axis of m.
 
     ``np.linspace`` with array endpoints would switch every element to the
     zero-step formula if any one had a zero step; this chooses per element.
@@ -170,23 +168,14 @@ class ActionGrid:
                      params: EssParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All decoded (supplies, controls, mask) for one station at one slot.
 
-        Every entry of ``blocks``; a masked block's entries are zero.
+        ``action`` at every index of ``blocks``; a masked block's entries are zero.
         """
-        m = self.cs_levels
-        supplies: list[float] = []
-        controls: list[float] = []
-        mask: list[bool] = []
-        for block in self.blocks(state, renewable, params):
-            if block is None:
-                supplies += [0.0] * m
-                controls += [0.0] * m
-                mask += [False] * m
-                continue
-            supply, (_, _, lo, hi) = block
-            supplies += [supply] * m
-            controls += linspace(lo, hi, m)
-            mask += [True] * m
-        return np.array(supplies, dtype=float), np.array(controls, dtype=float), np.array(mask)
+        blocks = self.blocks(state, renewable, params)
+        mask = np.repeat([block is not None for block in blocks], self.cs_levels)
+        actions = [self.action(blocks, k) if feasible else StationAction(0.0, 0.0)
+                   for k, feasible in enumerate(mask)]
+        return (np.array([a.ev_supply for a in actions]),
+                np.array([a.ess_control for a in actions]), mask)
 
     def decode_batch(self, battery: np.ndarray, urgent: np.ndarray, regular: np.ndarray,
                      renewables, params: EssParams

@@ -40,10 +40,6 @@ class EpisodeRecord:
     def length(self) -> int:
         return self.obs.shape[0]
 
-    @property
-    def n_agents(self) -> int:
-        return self.obs.shape[1]
-
 
 class ReplayBuffer:
     """Uniform-sampling ring of episode records."""

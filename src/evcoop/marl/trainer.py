@@ -598,8 +598,7 @@ def load_learner(path) -> LearnerState:
     if meta.get("kind") != "learner":
         raise CheckpointError(f"{path} is not a learner checkpoint")
     try:
-        # checkpoints written before the debug_checks option was removed still store it
-        config = TrainConfig(**{k: v for k, v in meta["train_config"].items() if k != "debug_checks"})
+        config = TrainConfig(**meta["train_config"])
         grid = ActionGrid(ev_fractions=tuple(meta["grid"]["ev_fractions"]),
                           cs_levels=meta["grid"]["cs_levels"])
         scales = ObsScales(**meta["scales"])

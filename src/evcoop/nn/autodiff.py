@@ -4,11 +4,8 @@ Each layer in this package (a Dense layer, a GRU unroll, a mixer forward)
 records itself as a single node through ``Tensor._result``, with a
 hand-written backward over the layer's one numpy forward.  The ops here
 cover what the squared-error losses around them need: broadcasting
-arithmetic, sums, transpose and gather.  Matmul (of matrices or of equally
-long stacks of matrices) and ``tanh`` serve no package path; they stay
-because the gradient-fidelity gate's loss feeds Q-values back through the
-agents with them (``q.tanh() @ feedback``).  No GPU, no general
-broadcasting promises beyond what these ops use.
+arithmetic, sums, transpose and gather.  No GPU, no general broadcasting
+promises beyond what these ops use.
 
 Gradients accumulate into ``Tensor.grad`` on ``backward()`` from a scalar.
 A result is recorded on the tape if and only if one of its parents has
@@ -156,33 +153,6 @@ class Tensor:
         return self._result(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "Tensor":
-        """Matrix product, slice by slice over leading axes both operands share exactly."""
-        other = self._coerce(other)
-        a, b = self, other
-        if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
-            raise ValueError(f"matmul needs matrices with equal leading axes, got "
-                             f"{a.shape} @ {b.shape}")
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g @ b.data.mT)
-            if b.requires_grad:
-                b._accum(a.data.mT @ g)
-
-        return self._result(a.data @ b.data, (a, b), backward)
-
-    # -- nonlinearities ----------------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        a = self
-        out_data = np.tanh(a.data)
-
-        def backward(g):
-            a._accum(g * (1.0 - out_data * out_data))
-
-        return self._result(out_data, (a,), backward)
 
     # -- shape and reduction -----------------------------------------------
 

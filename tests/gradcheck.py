@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor
+from evcoop.nn import Tensor
 
 
 @dataclass

@@ -4,10 +4,10 @@
 tape node: each hypernetwork a chain of Dense layers, each layer a matmul,
 a bias add and a relu on the tape (``tape_dense``, the reference for
 ``Dense.__call__``), then taped absolute values, products, sums and an elu.
-The package's tape no longer has ``abs``, ``elu``, ``relu``, ``reshape`` or
-``sigmoid``, so they are taped here.  ``slice_mixers`` turns a mixer bank
-into one such mixer per slice, and ``slice_grads`` stacks their gradients
-back into the bank's layout.
+The package's tape has no ``abs``, ``elu``, matmul, ``relu``, ``reshape``,
+``sigmoid`` or ``tanh``, so they are taped here (for other tests too).
+``slice_mixers`` turns a mixer bank into one such mixer per slice, and
+``slice_grads`` stacks their gradients back into the bank's layout.
 """
 
 import copy
@@ -35,6 +35,21 @@ def tape_elu(a):
     return Tensor._result(out, (a,), backward)
 
 
+def tape_matmul(a, b):
+    """``a @ b``, slice by slice over leading axes both operands share exactly."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul needs matrices with equal leading axes, got "
+                         f"{a.shape} @ {b.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(g @ b.data.mT)
+        if b.requires_grad:
+            b._accum(a.data.mT @ g)
+
+    return Tensor._result(a.data @ b.data, (a, b), backward)
+
+
 def tape_relu(a):
     def backward(g):
         a._accum(g * (a.data > 0.0))
@@ -51,6 +66,15 @@ def tape_sigmoid(a):
     return Tensor._result(out, (a,), backward)
 
 
+def tape_tanh(a):
+    out = np.tanh(a.data)
+
+    def backward(g):
+        a._accum(g * (1.0 - out * out))
+
+    return Tensor._result(out, (a,), backward)
+
+
 def tape_reshape(a, *shape):
     def backward(g):
         a._accum(g.reshape(a.shape))
@@ -61,7 +85,8 @@ def tape_reshape(a, *shape):
 def tape_dense(layer, x):
     """``layer(x)`` as first written, op by op: matmul, bias add and relu on the tape."""
     b = layer.b  # a bank's (n, out) bias applies to every row of its slice
-    out = x @ layer.W + (b if b.data.ndim == 1 else tape_reshape(b, b.shape[0], 1, layer.out_dim))
+    bias = b if b.data.ndim == 1 else tape_reshape(b, b.shape[0], 1, layer.out_dim)
+    out = tape_matmul(x, layer.W) + bias
     return tape_relu(out) if layer.activation == "relu" else out
 
 

@@ -27,8 +27,10 @@ from evcoop.marl import (
     run_episode,
     train,
 )
-from evcoop.nn import Tensor, check_gradients
+from evcoop.nn import Tensor
 from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy
+from gradcheck import check_gradients
+from mixer_reference import tape_matmul, tape_tanh
 
 
 def _passline(name, detail):
@@ -82,7 +84,8 @@ def test_gradient_fidelity_twenty_inits():
             agents = learner.agents_eval
             h = agents.gru.sequence(agents.encoder(obs_both), 3, 1)
             q = agents.head(h)
-            q = agents.head(agents.gru.sequence(agents.encoder(q.tanh() @ feedback), 3, 1, h0=h))
+            fed_back = agents.encoder(tape_matmul(tape_tanh(q), feedback))
+            q = agents.head(agents.gru.sequence(fed_back, 3, 1, h0=h))
             cols = q.gather(picks).transpose()
             diff = learner.mixers_eval.forward(state, cols) - Tensor(target)  # mixers A and B
             return (diff * diff).sum()

@@ -35,7 +35,7 @@ from evcoop.core import (
 )
 from evcoop.data import Episode
 from evcoop.marl import ActionGrid, ObsScales, TrainConfig, build_learner, rollout_episode
-from evcoop.marl.encoding import InfeasibleActionError, linspace, linspace_at, linspace_rows
+from evcoop.marl.encoding import InfeasibleActionError, linspace_at, linspace_rows
 
 
 def assert_bits(actual, expected):
@@ -118,7 +118,8 @@ widths = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-300),
 def test_linspace_matches_numpy(lo, width, m):
     hi = lo + width
     want = np.linspace(lo, hi, m)
-    assert_bits(linspace(lo, hi, m), want)
+    block = (0.0, (0.0, 0.0, lo, hi))  # supply, (flow, cut, lo, hi)
+    assert_bits([ActionGrid((0.0,), m).action([block], k).ess_control for k in range(m)], want)
     assert_bits([linspace_at(lo, hi, m, k) for k in range(m)], want)  # k = m - 1 included
     assert_bits(linspace_rows(np.array([lo, 1.0]), np.array([hi, 2.0]), m)[0], want)
 

@@ -280,6 +280,15 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("usage: evcoop")
 
 
+def test_every_package_function_but_decode_table_runs_under_some_command():
+    # ActionGrid.decode_table stays in the package only because the benchmark's
+    # tracer wraps it; every other def in src/ must be entered by some command.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "unreached.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["evcoop.marl.encoding.ActionGrid.decode_table"]
+
+
 def test_evaluate_rejects_station_mismatch(trained, tmp_path):
     ck = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
     cfg = tmp_path / "cfg.json"

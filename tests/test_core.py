@@ -241,6 +241,10 @@ def test_step_length_mismatch():
     p = EssParams()
     with pytest.raises(ValueError):
         step([StationState(100.0, 0.0, 0.0)], [], [0.0], QUOTE, [(0.0, 0.0)], p)
+    # Before states joined settle's strict zip, this gave one next state and two station profits.
+    with pytest.raises(ValueError, match="zip"):
+        core.settle([StationState(100.0, 0.0, 0.0)], [StationAction(0.0, 0.0)] * 2,
+                    control_intervals(100.0, 0.0, [0.0], p) * 2, QUOTE, [(0.0, 0.0)] * 2, p)
 
 
 controls = st.lists(

@@ -141,6 +141,10 @@ def test_demand_model_validation():
             DemandModel(profiles=((1.0,) * 23 + (bad,),))
     with pytest.raises(ScenarioDataError):
         DemandModel(profiles=((1.0,) * 24,), urgent_fraction=1.5)
+    # a NaN noise_sigma used to pass, and synth_demand then drew noise_sigma=0's arrivals
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ScenarioDataError, match="^noise_sigma must be finite and >= 0, got"):
+            DemandModel(noise_sigma=bad)
 
 
 def test_synth_demand_split_and_streams():

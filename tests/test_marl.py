@@ -896,20 +896,18 @@ def test_checkpoint_missing_gate_entry_is_named(tmp_path):
         load_learner(path)
 
 
-def test_checkpoint_storing_the_removed_debug_checks_option_loads(tmp_path):
+def test_checkpoint_storing_the_removed_debug_checks_option_is_refused(tmp_path):
+    # TrainConfig has no such field since the option was removed
     path = tmp_path / "learner.npz"
-    learner = _learner("double_qmix")
-    save_learner(path, learner)
+    save_learner(path, _learner("double_qmix"))
     with np.load(path) as archive:
         arrays = {name: archive[name] for name in archive.files}
     meta = json.loads(str(arrays["meta_json"]))
     meta["train_config"]["debug_checks"] = True
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
     np.savez(path, **arrays)
-    restored = load_learner(path)
-    assert restored.config == learner.config
-    for k, p in restored.parameters("eval").items():
-        assert np.array_equal(p.data, learner.parameters("eval")[k].data), k
+    with pytest.raises(CheckpointError, match="unusable learner metadata: .*debug_checks"):
+        load_learner(path)
 
 
 def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
