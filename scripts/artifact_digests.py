@@ -20,7 +20,10 @@ and digests ``oracle/tight/oracle_api.txt`` for instances whose battery
 and import/export caps are drawn small enough that feasibility masks occur
 and some searches fail: one line per instance with the optimum and the
 greedy at lookahead 1 and at full lookahead, each as its results or the
-repr of the error it raised.  Each
+repr of the error it raised.  ``oracle/three/oracle_api.txt`` does the
+same for 3-station, 2-slot instances, one line each with the optimum, its
+sequence and node count and the full-lookahead greedy, so the joint action
+order of more than two stations is pinned too.  Each
 ``checkpoint.npz`` gets two lines, ``<path> params`` over its parameter
 arrays and ``<path> meta`` over its format version and metadata JSON, so a
 metadata-only change does not look like a numeric one.  It runs the
@@ -79,6 +82,7 @@ SYNTHETIC_RUNS = (("synthetic", 3), ("synthetic6", 6))
 SYNTHETIC_ALGORITHM, SYNTHETIC_EPISODES = "double_qmix", 8
 ORACLE_INSTANCES = 20
 TIGHT_INSTANCES = 40
+THREE_STATION_INSTANCES = 10
 # (fuzzer, calls, seed offset), as ``evcoop fuzz`` runs them by default
 FUZZERS = ((fuzz_clearing, 100_000, 0), (fuzz_battery, 100_000, 1), (fuzz_profit, 10_000, 2))
 
@@ -150,21 +154,31 @@ def oracle_digests(out: Path, seed: int) -> list[str]:
         _run(["oracle", "--instances", str(ORACLE_INSTANCES), "--seed", str(seed), *extra,
               "--out", str(run)])
         lines.append(_digest(run / "oracle_metrics.csv", out))
-        (run / "oracle_api.txt").write_text(_oracle_api_rows(seed, lookahead))
+        (run / "oracle_api.txt").write_text(_oracle_api_rows([seed], ORACLE_INSTANCES,
+                                                             lookahead))
         lines.append(_digest(run / "oracle_api.txt", out))
     tight = out / "oracle" / "tight" / "oracle_api.txt"
     tight.parent.mkdir(parents=True, exist_ok=True)
     tight.write_text(_tight_oracle_rows(seed))
     lines.append(_digest(tight, out))
+    three = out / "oracle" / "three" / "oracle_api.txt"
+    three.parent.mkdir(parents=True, exist_ok=True)
+    three.write_text(_oracle_api_rows([seed, 2], THREE_STATION_INSTANCES, None,
+                                      station_count=3, horizon=2))
+    lines.append(_digest(three, out))
     return lines
 
 
-def _oracle_api_rows(seed: int, lookahead: int | None) -> str:
-    """One repr line per instance that ``evcoop oracle --seed <seed>`` draws."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+def _oracle_api_rows(entropy: list[int], count: int, lookahead: int | None, **shape) -> str:
+    """One repr line per instance of ``random_tiny_instance(rng, **shape)``.
+
+    ``entropy`` seeds the stream: ``[seed]`` is the one ``evcoop oracle --seed
+    <seed>`` draws from.  ``lookahead=None`` runs the greedy at full lookahead.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
     rows = []
-    for k in range(ORACLE_INSTANCES):
-        instance = random_tiny_instance(rng)
+    for k in range(count):
+        instance = random_tiny_instance(rng, **shape)
         exact = brute_force(instance)
         total, actions = rolling_greedy(instance, lookahead or instance.episode.length)
         rows.append(repr((k, float(exact.profit), exact.actions, exact.nodes,

@@ -409,8 +409,8 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
 #
 # The functions below compute exactly what ``step`` and its helpers compute,
 # for many independent rows of ``n`` stations at once, with the same float
-# operations in the same order, so their results agree bit for bit (pinned
-# by tests/test_batch.py).  Sums over stations are written as explicit
+# operations on each nonzero value in the same order, so their results agree
+# bit for bit (tests/test_batch.py).  Sums over stations are written as explicit
 # left-to-right loops for that reason: numpy's reductions sum pairwise.
 #
 # Like the scalar path, which decodes with ``ActionGrid.blocks`` and
@@ -425,16 +425,17 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
 # again (it lies in its interval by construction), only the arrivals.
 
 
-def check_finite_batch(**fields: np.ndarray) -> None:
-    """Raise ConstraintViolation naming station and field of a non-finite value.
+def check_batch(flag, what: str, **fields: np.ndarray) -> None:
+    """Raise ConstraintViolation naming station, field and row of a value ``flag`` marks.
 
-    The arrays share one shape whose last axis is the station.
+    ``flag`` maps an array to a boolean array of its shape, and ``what`` says
+    what is wrong with a marked value.  The arrays' last axis is the station.
     """
     for name, values in fields.items():
-        bad = ~np.isfinite(values)
+        bad = flag(values)
         if bad.any():
             idx = tuple(int(v[0]) for v in np.nonzero(bad))
-            raise ConstraintViolation(f"station {idx[-1]}: {name} {values[idx]} is not finite "
+            raise ConstraintViolation(f"station {idx[-1]}: {name} {values[idx]} {what} "
                                       f"(row {', '.join(map(str, idx[:-1]))})")
 
 
@@ -498,30 +499,28 @@ def clear_and_price_batch(supply: np.ndarray, control: np.ndarray,
                           quote: PriceQuote) -> np.ndarray:
     """The coupled half of settling: ``(N, n)`` actions to ``(N,)`` total profit.
 
-    Clears each row as ``clear_trades`` does, prices it as ``profit`` does,
-    and sums the stations left to right.
+    Clears each row as ``clear_trades`` does, on the parts ``buy = max(c, 0)``
+    and ``sell = max(-c, 0)``: the long side matches ``ratio * part``, the
+    short side all of it, and a utility flow is a part minus its match.
+    Prices as ``profit`` does, summing the stations left to right.
     """
     rows, n = control.shape
-    charging = control > 0.0
-    discharging = control < 0.0
-    charge_total = np.zeros(rows)
-    discharge_total = np.zeros(rows)
+    buy = np.maximum(control, 0.0)
+    sell = buy - control
+    charge_total, discharge_total = np.zeros(rows), np.zeros(rows)
     for i in range(n):
-        charge_total = charge_total + np.where(charging[:, i], control[:, i], 0.0)
-        discharge_total = discharge_total + np.where(charging[:, i], 0.0, -control[:, i])
+        charge_total = charge_total + buy[:, i]
+        discharge_total = discharge_total + sell[:, i]
     long_charge = charge_total > discharge_total
-    short = np.where(long_charge, discharge_total, charge_total)
-    long = np.where(long_charge, charge_total, discharge_total)
-    ratio = np.divide(short, long, out=np.zeros_like(long), where=long > 0.0)[:, None]
-    long_charge = long_charge[:, None]
-    matched_buy = np.where(charging, np.where(long_charge, ratio * control, control), 0.0)
-    utility_buy = np.where(charging & long_charge, control - matched_buy, 0.0)
-    matched_sell = np.where(discharging, np.where(long_charge, -control, ratio * -control), 0.0)
-    utility_sell = np.where(discharging & ~long_charge, -control - matched_sell, 0.0)
+    long = np.maximum(charge_total, discharge_total)
+    ratio = np.divide(np.minimum(charge_total, discharge_total), long, out=np.zeros(rows),
+                      where=long > 0.0)
+    matched_buy = buy * np.where(long_charge, ratio, 1.0)[:, None]
+    matched_sell = sell * np.where(long_charge, 1.0, ratio)[:, None]
 
-    station_profit = (supply * quote.ev - utility_buy * quote.utility
+    station_profit = (supply * quote.ev - (buy - matched_buy) * quote.utility
                       + (matched_sell - matched_buy) * quote.trade
-                      + utility_sell * quote.buyback)
+                      + (sell - matched_sell) * quote.buyback)
     total_profit = np.zeros(rows)
     for i in range(n):
         total_profit = total_profit + station_profit[:, i]

@@ -26,7 +26,7 @@ from ..core import (
     EssParams,
     StationAction,
     StationState,
-    check_finite_batch,
+    check_batch,
     check_finite_station,
     control_bounds_batch,
     control_intervals,
@@ -191,10 +191,9 @@ class ActionGrid:
         callers prune it.  A masked entry's supply, control and flow are zero.
         """
         renewables = np.broadcast_to(np.asarray(renewables, dtype=float), battery.shape)
-        check_finite_batch(battery_kwh=battery, urgent_demand=urgent,
-                           regular_demand=regular, renewable=renewables)
-        if (urgent < 0.0).any() or (regular < 0.0).any() or (renewables < 0.0).any():
-            raise ValueError("demand and renewable must be nonnegative")
+        state = {"urgent_demand": urgent, "regular_demand": regular, "renewable": renewables}
+        check_batch(lambda v: ~np.isfinite(v), "is not finite", battery_kwh=battery, **state)
+        check_batch(lambda v: v < 0.0, "is negative", **state)
         m = self.cs_levels
         # (N, n, fraction) blocks, then (N, n, fraction, level) entries flattened to actions
         supply = urgent[..., None] + np.asarray(self.ev_fractions) * regular[..., None]

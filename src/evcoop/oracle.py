@@ -7,16 +7,16 @@ and then settles on what it decoded.  A station's next state depends only on
 its own action, so for a block of frontier rows ``decode_batch`` decodes the
 ``(rows, A, n)`` action table with each entry's internal flow, and
 ``core.advance_stations_batch`` turns it into next states; an entry the mask
-rejects holds a placeholder the search never picks.  Only clearing and
-pricing couple the stations: for each block of joint actions (children) the
-coupled half prices the gathered supplies and controls, and the children's
-next states are gathered from the table.  The children of a search's last
-slot are leaves, which need only their profit: they gather supply and
-control alone, and the index sequence is built only for the best leaf of
-each block.  Blocks are expanded depth-first, so memory stays bounded and
-leaves arrive in ascending lexicographic order of their index sequences; a
-leaf replaces the best only on strict improvement, so ties keep the first
-sequence in that order.
+rejects holds a placeholder the search never picks.  A row's joint actions
+are numbered in a fixed radix over the grid, station 0 the most significant
+digit; a joint mask keeps the feasible ones (children) in that order.  Only
+clearing and pricing couple the stations: each block of children has its
+supplies and controls gathered and priced, and its next states gathered from
+the table.  Leaves, the children of a search's last slot, gather only supply
+and control for their profit, and only each block's best leaf builds its
+index sequence.  Blocks are expanded depth-first, so memory stays bounded
+and leaves arrive in lexicographic order of their index sequences; a leaf
+replaces the best only on strict improvement, so ties keep the first one.
 
 Each instance's full-horizon optimum is searched once and kept on the
 instance: ``brute_force`` returns it, and a rolling greedy whose lookahead
@@ -94,9 +94,9 @@ class OracleResult:
     wall_time_s: float
 
 
-# Child rows per block.  The search runs depth-first over blocks of this many
-# rows, so memory stays bounded at any enumeration size (the sweep behind
-# this value is in BENCH_oracle_factored.json).
+# Joint actions per block.  The search runs depth-first over blocks of at most
+# this many children, so memory stays bounded at any enumeration size (the
+# sweep behind this value is in BENCH_oracle_factored.json).
 _BLOCK_ROWS = 2048
 
 
@@ -153,7 +153,11 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
     The module docstring gives the search order and the tie rule.
     Infeasible branches (empty mask under tight caps) are pruned.
     """
-    n = episode.station_count
+    _, actions, n = root.mask.shape
+    # Row j of ``joint`` is the joint action numbered j: the grid index of
+    # each station, station 0 the most significant digit.
+    joint = np.indices((actions,) * n).reshape(n, -1).T
+    size = len(joint)
     end = root.t + depth
     best_profit = -math.inf
     best_seq: tuple = ()
@@ -164,20 +168,18 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
         # indices taken so far.
         nonlocal best_profit, best_seq, nodes
         leaf = slot.t + 1 == end
-        counts = slot.mask.sum(axis=1)                  # feasible actions per station
-        feasible = np.argsort(~slot.mask, axis=1, kind="stable")  # their indices first, ascending
-        offsets = np.concatenate(([0], np.cumsum(counts.prod(axis=1))))
-        children = int(offsets[-1])
-        for lo in range(0, children, _BLOCK_ROWS):
-            # Children lo.. of the frontier, numbered row by row and within
-            # a row as mixed-radix digits over the stations, station 0 first.
-            child = np.arange(lo, min(lo + _BLOCK_ROWS, children))
-            parents = np.searchsorted(offsets, child, side="right") - 1
-            local = child - offsets[parents]
-            digits = np.empty((child.size, n), dtype=np.intp)
-            for i in reversed(range(n)):
-                local, digits[:, i] = np.divmod(local, counts[parents, i])
-            picks = feasible[parents[:, None], digits, np.arange(n)]
+        for lo in range(0, len(acc) * size, _BLOCK_ROWS):
+            # Joint actions lo..hi of the frontier, numbered row by row; the
+            # joint mask of the rows they span keeps the feasible ones.
+            hi = min(lo + _BLOCK_ROWS, len(acc) * size)
+            mask = slot.mask[lo // size:(hi - 1) // size + 1]
+            feasible = mask[:, :, 0]
+            for i in range(1, n):
+                feasible = (feasible[:, :, None] & mask[:, None, :, i]).reshape(len(mask), -1)
+            child = lo + np.flatnonzero(feasible.reshape(-1)[lo % size:lo % size + hi - lo])
+            if not child.size:
+                continue
+            parents, picks = child // size, joint[child % size]
             nxt, profit = _children(episode, slot, parents, picks, leaf=leaf)
             nodes += child.size
             total = acc[parents] + profit

@@ -30,6 +30,8 @@ from evcoop.core import (
     StationState,
     advance_stations_batch,
     clear_and_price_batch,
+    clear_trades,
+    profit,
     settle,
     step,
 )
@@ -357,6 +359,25 @@ def test_clear_and_price_batch_matches_step(data, params, grid, quote, rows, sta
         assert_bits(total[r], out.profit.total_profit)
 
 
+def test_clear_and_price_batch_matches_clear_trades_on_ties_idle_and_signed_zeros():
+    # Decoded controls seldom tie or sit on a zero; these hand-built ones do.
+    # Every row of up to three stations over values whose sums are exact, so
+    # charge_total == discharge_total happens often, next to idle stations
+    # and controls of +0.0 and -0.0.
+    quote = PriceQuote(utility=0.13, ev=0.156, trade=0.117, buyback=0.104)
+    values = (-3.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 0.1, -0.3)
+    ties = 0
+    for n in (1, 2, 3):
+        control = np.array(list(itertools.product(values, repeat=n)))
+        supply = np.resize(np.array([0.0, 2.5, 7.25, 1e-3, 4.0]), control.shape)
+        total = clear_and_price_batch(supply, control, quote)
+        for row_supply, row_control, got in zip(supply.tolist(), control.tolist(), total):
+            trade = clear_trades(row_control)
+            ties += trade.charge_total == trade.discharge_total > 0.0
+            assert_bits(got, profit(row_supply, trade, quote).total_profit)
+    assert ties > 50
+
+
 QUOTE = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
 
 
@@ -486,6 +507,21 @@ def test_decode_batch_rejects_non_finite_state():
         grid.decode_batch(battery, np.zeros((1, 2)), np.zeros((1, 2)), [0.0, 0.0], EssParams())
 
 
+@pytest.mark.parametrize("field", ["urgent_demand", "regular_demand", "renewable"])
+def test_decode_batch_names_the_station_field_and_row_of_a_negative_input(field):
+    arrays = {name: np.zeros((3, 2)) for name in ("urgent_demand", "regular_demand",
+                                                   "renewable")}
+    arrays[field][2, 1] = -0.5
+    arrays[field][0, 0] = -0.0          # a negative zero is not negative
+    with pytest.raises(ConstraintViolation,
+                       match=rf"^station 1: {field} -0.5 is negative \(row 2\)$"):
+        ActionGrid().decode_batch(np.full((3, 2), 100.0), arrays["urgent_demand"],
+                                  arrays["regular_demand"], arrays["renewable"], EssParams())
+    arrays[field][2, 1] = 0.0
+    ActionGrid().decode_batch(np.full((3, 2), 100.0), arrays["urgent_demand"],
+                              arrays["regular_demand"], arrays["renewable"], EssParams())
+
+
 # -- blocked breadth-first oracle vs the depth-first enumeration ------------
 
 def _dfs_search(episode, params, grid, start_states, t_start, depth, visited=None):
@@ -609,6 +645,29 @@ def test_oracle_blocks_keep_lexicographic_ties(monkeypatch, block_rows):
     monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
     for inst in _draws(8, seed=6):
         _assert_same_as_dfs(inst)
+
+
+@pytest.mark.parametrize("block_rows", [5, 64])
+def test_oracle_blocks_never_pass_more_rows_than_the_block_size(monkeypatch, block_rows):
+    # One 3-station slot on the default 15-action grid gives its one row
+    # 3,375 joint actions, more than a block holds; no _children call may
+    # see more rows than a block, and the optimum must not change.
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+    sizes = []
+    real = oracle._children
+
+    def recording(episode, slot, parents, picks, **leaf):
+        sizes.append(len(parents))
+        return real(episode, slot, parents, picks, **leaf)
+
+    monkeypatch.setattr(oracle, "_children", recording)
+    wide = oracle.random_tiny_instance(np.random.default_rng(3), station_count=3, horizon=1,
+                                       grid=ActionGrid())
+    for inst in [wide] + _draws(4, seed=7):
+        sizes.clear()
+        _assert_same_as_dfs(inst)
+        assert sizes and max(sizes) <= block_rows
+    assert wide.grid.n_actions ** 3 > block_rows
 
 
 def test_replaying_a_rollout_settles_the_same_episode_bit_for_bit():
