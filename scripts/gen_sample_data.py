@@ -9,6 +9,7 @@ Run from the repository root:
 import csv
 from pathlib import Path
 
+from evcoop.config import SAMPLE_CSVS
 from evcoop.data import synth_price_series, synth_pv_series
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "evcoop" / "sample_data"
@@ -23,8 +24,8 @@ def main() -> None:
     price = synth_price_series(HORIZON, SEED_PRICE, base=0.12, swing=0.10,
                                noise_sigma=0.003)
     pv = synth_pv_series(HORIZON, STATIONS, SEED_PV, peak_kwh=8.0)
+    price_path, pv_path = (OUT / name for name in SAMPLE_CSVS)
 
-    price_path = OUT / "two_station_48h_price.csv"
     with price_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "price_usd_per_kwh"])
@@ -32,7 +33,6 @@ def main() -> None:
             w.writerow([ts.isoformat(), f"{p:.6f}"])
     print(f"wrote {price_path}")
 
-    pv_path = OUT / "two_station_48h_pv.csv"
     with pv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "station_id", "kwh"])

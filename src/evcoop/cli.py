@@ -76,14 +76,14 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _load(args) -> RunConfig:
+    """train's ``--config`` with its ``--algorithm``, ``--seed`` and ``--out`` merged in."""
     cfg = load_config(args.config) if args.config else load_config_dict({})
     overrides: dict = {}
-    if getattr(args, "algorithm", None):
+    if args.algorithm:
         overrides["algorithms"] = args.algorithm
-    if getattr(args, "seed", None) is not None and args.seed != []:
-        seeds = args.seed if isinstance(args.seed, list) else [args.seed]
-        overrides["seeds"] = seeds
-    if getattr(args, "out", None):
+    if args.seed:
+        overrides["seeds"] = args.seed
+    if args.out:
         overrides["out_dir"] = args.out
     if overrides:
         merged = resolved_dict(cfg)
@@ -154,7 +154,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     learner = load_learner(args.checkpoint)
-    cfg = _load(args)
+    cfg = load_config(args.config) if args.config else load_config_dict({})
     price, pv, demand, stations = build_scenario(cfg)
     if stations != learner.n_agents:
         raise ConfigError(
@@ -165,8 +165,7 @@ def cmd_evaluate(args) -> int:
         if configured != trained:
             raise ConfigError(
                 f"checkpoint was trained with {field} {trained}, config has {configured}")
-    seed = args.seed if args.seed is not None else 0
-    _, rng_demand, _, _ = _seed_streams(seed)
+    _, rng_demand, _, _ = _seed_streams(args.seed)
     factory = _episode_factory(price, pv, demand, stations,
                                cfg.scenario.initial_soc, cfg.ess, rng_demand)
     episode = factory()
@@ -189,8 +188,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     rows = []
     mismatches = 0
     for k in range(args.instances):
@@ -215,7 +213,7 @@ def cmd_oracle(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / "oracle_metrics.csv", rows, seed)
+        write_metrics_csv(out_dir / "oracle_metrics.csv", rows, args.seed)
         print(f"wrote {out_dir / 'oracle_metrics.csv'}")
 
     if mismatches:
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="greedy rollout of a checkpoint; writes trace.csv")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--config", help="scenario source (defaults to the bundled sample)")
-    p_eval.add_argument("--seed", type=int,
+    p_eval.add_argument("--seed", type=_nonnegative_int, default=0,
                         help="demand seed; matches the first training episode of the same seed")
     p_eval.add_argument("--out", help="output directory (default: current)")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle",
                               help="enumerate tiny instances: exact optimum vs rolling greedy")
     p_oracle.add_argument("--instances", type=_positive_int, default=10)
-    p_oracle.add_argument("--seed", type=_nonnegative_int)
+    p_oracle.add_argument("--seed", type=_nonnegative_int, default=0)
     p_oracle.add_argument("--lookahead", type=_positive_int,
                           help="greedy lookahead (default: full horizon)")
     p_oracle.add_argument("--out", help="write oracle_metrics.csv here")

@@ -48,19 +48,13 @@ class ConfigError(ValueError):
     """Invalid configuration document; message names the offending field."""
 
 
-SAMPLE_SCENARIOS = {
-    "two_station_48h": {
-        "price": "two_station_48h_price.csv",
-        "pv": "two_station_48h_pv.csv",
-        "station_count": 2,
-    },
-}
+# (price, PV) file names of the bundled sample, read as csv mode reads a user's files
+SAMPLE_CSVS = ("two_station_48h_price.csv", "two_station_48h_pv.csv")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     mode: str = "sample"
-    sample_name: str = "two_station_48h"
     price_csv: str | None = None
     pv_csv: str | None = None
     station_count: int = 2
@@ -251,10 +245,6 @@ def load_config_dict(document: dict) -> RunConfig:
                 raise ConfigError(f"scenario.{key}: required when scenario.mode is 'csv'")
             if not Path(sc[key]).exists():
                 raise ConfigError(f"scenario.{key}: file not found: {sc[key]}")
-    if sc["mode"] == "sample" and sc["sample_name"] not in SAMPLE_SCENARIOS:
-        known = ", ".join(sorted(SAMPLE_SCENARIOS))
-        raise ConfigError(f"scenario.sample_name: unknown sample {sc['sample_name']!r} "
-                          f"(available: {known})")
 
     config = _build(RunConfig, doc)
     ess, initial_soc = config.ess, config.scenario.initial_soc
@@ -288,22 +278,19 @@ def build_scenario(config: RunConfig) -> tuple[PriceSeries, PvSeries, DemandMode
     sc = config.scenario
     mult = sc.multipliers
     try:
-        if sc.mode == "csv":
-            price = load_price_csv(sc.price_csv, mult)
-            pv = load_pv_csv(sc.pv_csv, sc.station_count)
-            stations = sc.station_count
-        elif sc.mode == "sample":
-            entry = SAMPLE_SCENARIOS[sc.sample_name]
-            stations = entry["station_count"]
-            price = load_price_csv(sample_data_path(entry["price"]), mult)
-            pv = load_pv_csv(sample_data_path(entry["pv"]), stations)
-        else:
-            stations = sc.station_count
+        if sc.mode == "synthetic":
             price = synth_price_series(
                 sc.horizon, sc.series_seed, base=sc.price_base, swing=sc.price_swing,
                 noise_sigma=sc.price_noise_sigma, multipliers=mult)
-            pv = synth_pv_series(sc.horizon, stations, sc.series_seed + 1,
+            pv = synth_pv_series(sc.horizon, sc.station_count, sc.series_seed + 1,
                                  peak_kwh=sc.pv_peak_kwh)
+        else:
+            if sc.mode == "csv":
+                price_path, pv_path = sc.price_csv, sc.pv_csv
+            else:
+                price_path, pv_path = map(sample_data_path, SAMPLE_CSVS)
+            price = load_price_csv(price_path, mult)
+            pv = load_pv_csv(pv_path, sc.station_count)
     except ScenarioDataError as exc:
         raise ConfigError(str(exc)) from exc
     if len(price) != len(pv):
@@ -312,4 +299,4 @@ def build_scenario(config: RunConfig) -> tuple[PriceSeries, PvSeries, DemandMode
     if price.timestamps[0] != pv.timestamps[0]:
         raise ConfigError(f"price series starts at {price.timestamps[0].isoformat()} "
                           f"but PV series starts at {pv.timestamps[0].isoformat()}")
-    return price, pv, sc.demand, stations
+    return price, pv, sc.demand, sc.station_count

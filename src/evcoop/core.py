@@ -194,7 +194,6 @@ class StepOutcome:
     trade: TradeOutcome
     profit: ProfitBreakdown
     curtailed_kwh: list[float]
-    internal_flow: list[float]
 
 
 def soc(state: StationState, params: EssParams) -> float:
@@ -401,8 +400,7 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
         battery = min(max(beta * st.battery_kwh + control + flow, floor), ceiling)
         carryover = max(st.total_demand - supply, 0.0)
         next_states.append(StationState(battery, arr_urgent + carryover, arr_regular))
-    return StepOutcome(next_states, trade, breakdown, [cut for _, cut, _, _ in intervals],
-                       [flow for flow, _, _, _ in intervals])
+    return StepOutcome(next_states, trade, breakdown, [cut for _, cut, _, _ in intervals])
 
 
 # -- array-native path ----------------------------------------------------

@@ -778,7 +778,6 @@ def test_permuting_stations_permutes_the_slot_and_demand_is_conserved(data, para
         # Each station's own results move with it exactly ...
         assert_bits(next_states(out), permuted(next_states(base)))
         assert_bits(out.curtailed_kwh, permuted(base.curtailed_kwh))
-        assert_bits(out.internal_flow, permuted(base.internal_flow))
         # ... but clearing sums the stations in order, so profits may move in
         # the last bits.
         for got, want in zip([*out.profit.station_profit, out.profit.total_profit],

@@ -204,6 +204,8 @@ def test_oracle_subcommand_writes_rows(tmp_path):
     pytest.param(["fuzz", "--clearing", "1", "--battery", "1", "--profit", "0"], id="fuzz-0"),
     # A seed may be zero but not negative.
     pytest.param(["oracle", "--instances", "1", "--seed", "-3", "--out", "."], id="oracle-seed-neg"),
+    pytest.param(["evaluate", "--checkpoint", "missing.npz", "--seed", "-3", "--out", "."],
+                 id="evaluate-seed-neg"),
     pytest.param(["fuzz", "--clearing", "1", "--battery", "1", "--profit", "1", "--seed", "-3"],
                  id="fuzz-seed-neg"),
 ])
@@ -229,6 +231,14 @@ def test_invalid_config_value_exits_one(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"gamma": -2}}))
     assert main(["train", "--config", str(cfg)]) == 1
+
+
+def test_sample_mode_with_six_stations_exits_one_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"station_count": 6}}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "missing stations [2, 3, 4, 5]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 TINY_TRAIN = {"episodes": 3, "batch_episodes": 2, "capacity": 4,

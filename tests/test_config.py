@@ -124,11 +124,6 @@ def test_csv_mode_requires_existing_files(tmp_path):
                                        "pv_csv": str(tmp_path / "no2.csv")}})
 
 
-def test_unknown_sample_name_rejected():
-    with pytest.raises(ConfigError, match="sample"):
-        load_config_dict({"scenario": {"sample_name": "mystery"}})
-
-
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seeds": [9]}))
@@ -147,6 +142,19 @@ def test_build_scenario_sample_mode():
     assert len(price) == 48
     assert len(pv) == 48
     assert len(demand.profiles[0]) == 24
+
+
+@pytest.mark.parametrize("stations, needle", [
+    pytest.param(6, r"missing stations \[2, 3, 4, 5\]", id="six"),
+    pytest.param(1, r"station_id 1 outside \[0, 1\)", id="one"),
+])
+def test_sample_mode_reads_the_configured_station_count(stations, needle):
+    # The bundled sample has two stations; any other count is the caller's
+    # error, not a silent two-station run under a config that says otherwise.
+    cfg = load_config_dict({"scenario": {"station_count": stations}})
+    assert cfg.scenario.mode == "sample"
+    with pytest.raises(ConfigError, match=needle):
+        build_scenario(cfg)
 
 
 def test_build_scenario_synthetic_mode():

@@ -170,7 +170,6 @@ def test_step_carryover_and_battery():
     assert nxt.urgent_demand == pytest.approx(1.0 + 8.0)
     assert nxt.regular_demand == pytest.approx(4.0)
     assert nxt.battery_kwh == pytest.approx(0.99 * 50.0 - 2.0)
-    assert out.internal_flow[0] == pytest.approx(-2.0)
 
 
 def test_step_rejects_undersupply_and_oversupply():

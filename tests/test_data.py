@@ -1,8 +1,12 @@
 """Scenario ingestion: CSV loaders, synthesis, episode assembly."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from evcoop.config import SAMPLE_CSVS, ScenarioConfig
 from evcoop.core import EssParams, Multipliers, PriceOrderingError
 from evcoop.data import (
     DemandModel,
@@ -216,3 +220,16 @@ def test_bundled_sample_data_loads():
     assert pv.station_count == 2
     with pytest.raises(ScenarioDataError):
         sample_data_path("nope.csv")
+
+
+def test_bundled_sample_is_what_its_generator_writes(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_sample_data.py"
+    spec = importlib.util.spec_from_file_location("gen_sample_data", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.OUT = tmp_path
+    gen.main()
+    for name in SAMPLE_CSVS:
+        assert (tmp_path / name).read_bytes() == sample_data_path(name).read_bytes(), name
+    # sample mode loads the files with the configured count, so the default must match
+    assert gen.STATIONS == ScenarioConfig().station_count

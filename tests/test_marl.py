@@ -797,7 +797,7 @@ def test_trace_csv_bytes_match_the_cell_by_cell_writer_on_edge_floats(tmp_path):
         trace.append(SlotLog(
             states=(StationState(a, a, a), StationState(b, b, b)),
             actions=[StationAction(a, a), StationAction(b, b)],
-            outcome=StepOutcome([], trade, profits, pair, pair),
+            outcome=StepOutcome([], trade, profits, pair),
             quote=SimpleNamespace(utility=v), renewables=(a, b)))
     write_trace_csv(tmp_path / "new.csv", trace, params)
     _write_trace_one_cell_at_a_time(tmp_path / "old.csv", trace, params)
