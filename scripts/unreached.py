@@ -6,8 +6,8 @@ Runs each command on tiny configs under ``sys.setprofile``:
 3-station synthetic one and under ``mixer_grad``; then ``evaluate``,
 ``oracle`` at full lookahead and at ``--lookahead 1`` with ``--seed``,
 ``fuzz --seed``, ``compare`` and one bad argument.  The profiler starts
-before ``evcoop`` is imported, since ``config`` builds its defaults at
-import.  Every ``def`` in the package, nested ones included, is keyed by
+before ``evcoop`` is imported, so a function called at import counts as
+entered.  Every ``def`` in the package, nested ones included, is keyed by
 its file and first line, as its code object is; each one no call entered
 is printed as ``<module>.<qualname>``, in file and line order.  Nothing is
 printed when every function ran.

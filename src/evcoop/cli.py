@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -76,20 +77,16 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _load(args) -> RunConfig:
-    """train's ``--config`` with its ``--algorithm``, ``--seed`` and ``--out`` merged in."""
+    """train's ``--config`` with its ``--algorithm``, ``--seed`` and ``--out`` in place."""
     cfg = load_config(args.config) if args.config else load_config_dict({})
     overrides: dict = {}
     if args.algorithm:
-        overrides["algorithms"] = args.algorithm
+        overrides["algorithms"] = tuple(args.algorithm)
     if args.seed:
-        overrides["seeds"] = args.seed
+        overrides["seeds"] = tuple(args.seed)
     if args.out:
         overrides["out_dir"] = args.out
-    if overrides:
-        merged = resolved_dict(cfg)
-        merged.update(overrides)
-        cfg = load_config_dict(merged)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -285,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one or more algorithms over the seed list")
     p_train.add_argument("--config", help="JSON config file (omit for all defaults)")
-    p_train.add_argument("--seed", type=int, action="append",
+    p_train.add_argument("--seed", type=_nonnegative_int, action="append",
                          help="override config seeds (repeatable)")
     p_train.add_argument("--algorithm", action="append",
                          choices=ALGORITHMS,

@@ -4,11 +4,14 @@ An empty document is a complete configuration: it trains on the bundled
 two-station sample scenario.  Every default lives in one place, the field
 default of its dataclass (``ScenarioConfig`` and ``RunConfig`` here,
 ``Multipliers``, ``DemandModel``, ``EssParams``, ``ActionGrid``,
-``ObsScales``, ``TrainConfig``); ``DEFAULTS`` and ``resolved_dict`` are
-derived from them, and the JSON schema is the only hand-written contract.
-Every JSON object's keys are its dataclass's field names, and an error a
-dataclass raises names the object's path.  ``resolved_dict`` echoes the
-fully-resolved form; loading that echo reproduces the identical RunConfig.
+``ObsScales``, ``TrainConfig``), and the JSON schema is the only
+hand-written contract.  A load checks the document as given, then builds
+the config from it: a field the document omits takes its field default,
+and a section it omits is built from ``{}``.  The schema is checked once
+against the defaults when it is first read.  Every JSON object's keys are
+its dataclass's field names, and an error a dataclass raises names the
+object's path.  ``resolved_dict`` echoes the fully-resolved form; loading
+that echo reproduces the identical RunConfig.
 
 ``schema_error`` checks a document against ``config_schema.json`` itself,
 with the Draft-7 meaning of exactly the keywords that schema uses, and
@@ -19,7 +22,6 @@ schema edit is never skipped silently.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
@@ -108,36 +110,40 @@ _field_types = functools.cache(get_type_hints)
 def _build(cls, values: dict, path: tuple[str, ...] = ()):
     """Construct the dataclass ``cls`` from ``values``, nested sections recursively.
 
-    A ``ValueError`` the dataclass raises becomes a ``ConfigError`` naming ``path``.
+    A field ``values`` omits takes its field default; a section it omits is
+    built from ``{}``.  A ``ValueError`` the dataclass raises becomes a
+    ``ConfigError`` naming ``path``.
     """
     hints = _field_types(cls)
-    kwargs = {f.name: _build(hints[f.name], values[f.name], (*path, f.name))
-              if is_dataclass(hints[f.name]) else _coerce(hints[f.name], values[f.name])
-              for f in fields(cls)}
+    kwargs = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        if is_dataclass(tp):
+            kwargs[f.name] = _build(tp, values.get(f.name, {}), (*path, f.name))
+        elif f.name in values:
+            kwargs[f.name] = _coerce(tp, values[f.name])
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{'.'.join(path) or '(root)'}: {exc}") from exc
 
 
-def _defaults(cls) -> dict:
-    """The JSON form of the field defaults of ``cls``, sections expanded.
-
-    Field defaults, not ``asdict`` of a default instance: EssParams turns its
-    None caps into 10x capacity, and a capacity override must still move them.
-    """
-    hints = _field_types(cls)
-    return {f.name: _defaults(hints[f.name]) if is_dataclass(hints[f.name])
-            else _to_json(f.default) for f in fields(cls)}
-
-
-DEFAULTS: dict = _defaults(RunConfig)
-
-
 @functools.cache
 def _schema() -> dict:
+    """config_schema.json, once checked against the resolved defaults.
+
+    A load checks only the fields its document sets, so this check is what
+    shows the defaults pass and what raises on an unsupported keyword of a
+    field no document sets.
+    """
     text = resources.files("evcoop").joinpath("config_schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    error = schema_error(schema, resolved_dict(RunConfig()))
+    if error:
+        path, message = error
+        raise ValueError(f"the defaults fail config_schema.json at {'.'.join(map(str, path))}: "
+                         f"{message}")
+    return schema
 
 
 def _is_number(value) -> bool:
@@ -217,40 +223,27 @@ def schema_error(schema: dict, value, path: tuple = ()) -> tuple[tuple, str] | N
     return None
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 def load_config_dict(document: dict) -> RunConfig:
     """Validate a parsed JSON document and resolve every default."""
     if not isinstance(document, dict):
         raise ConfigError(f"configuration must be a JSON object, got {type(document).__name__}")
-    # The merged document holds every field, so the check visits every node of
-    # the schema on every load; the defaults pass, so each error is the caller's.
-    doc = _deep_merge(DEFAULTS, document)
-    error = schema_error(_schema(), doc)
+    error = schema_error(_schema(), document)
     if error:
         path, message = error
         raise ConfigError(f"{'.'.join(map(str, path)) or '(root)'}: {message}")
-    sc = doc["scenario"]
-    if sc["mode"] == "csv":
+    config = _build(RunConfig, document)
+    sc = config.scenario
+    if sc.mode == "csv":
         for key in ("price_csv", "pv_csv"):
-            if not sc[key]:
+            value = getattr(sc, key)
+            if not value:
                 raise ConfigError(f"scenario.{key}: required when scenario.mode is 'csv'")
-            if not Path(sc[key]).exists():
-                raise ConfigError(f"scenario.{key}: file not found: {sc[key]}")
-
-    config = _build(RunConfig, doc)
-    ess, initial_soc = config.ess, config.scenario.initial_soc
-    if not (ess.soc_min <= initial_soc <= ess.soc_max):
+            if not Path(value).exists():
+                raise ConfigError(f"scenario.{key}: file not found: {value}")
+    ess = config.ess
+    if not (ess.soc_min <= sc.initial_soc <= ess.soc_max):
         raise ConfigError(
-            f"scenario.initial_soc: {initial_soc} outside the SOC window "
+            f"scenario.initial_soc: {sc.initial_soc} outside the SOC window "
             f"[{ess.soc_min}, {ess.soc_max}]")
     return config
 

@@ -17,7 +17,7 @@ station's blocks; no command calls it, and the tests pin the array decode
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +53,11 @@ class ObsScales:
     price: float = 0.1
 
     def __post_init__(self):
-        for name in ("demand_all", "soc", "urgent", "regular", "renewable", "price"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"scale {name} must be positive")
-        # Built once: encode_observation divides by it every slot.
-        divisors = np.array([self.demand_all, self.soc, self.urgent,
-                             self.regular, self.renewable, self.price])
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"scale {f.name} must be positive")
+        # Built once, in field order: encode_observation divides by it every slot.
+        divisors = np.array([getattr(self, f.name) for f in fields(self)])
         divisors.flags.writeable = False
         object.__setattr__(self, "_divisors", divisors)
 

@@ -204,6 +204,7 @@ def test_oracle_subcommand_writes_rows(tmp_path):
     pytest.param(["fuzz", "--clearing", "1", "--battery", "1", "--profit", "0"], id="fuzz-0"),
     # A seed may be zero but not negative.
     pytest.param(["oracle", "--instances", "1", "--seed", "-3", "--out", "."], id="oracle-seed-neg"),
+    pytest.param(["train", "--seed", "-3", "--out", "out"], id="train-seed-neg"),
     pytest.param(["evaluate", "--checkpoint", "missing.npz", "--seed", "-3", "--out", "."],
                  id="evaluate-seed-neg"),
     pytest.param(["fuzz", "--clearing", "1", "--battery", "1", "--profit", "1", "--seed", "-3"],

@@ -1,4 +1,4 @@
-"""Configuration loading: schema, defaults, merging, scenario building."""
+"""Configuration loading: schema, defaults, overrides, scenario building."""
 
 import copy
 import json
@@ -21,7 +21,6 @@ import evcoop
 from evcoop import config
 from evcoop.cli import build_parser, main
 from evcoop.config import (
-    DEFAULTS,
     ConfigError,
     RunConfig,
     build_scenario,
@@ -30,7 +29,7 @@ from evcoop.config import (
     resolved_dict,
     schema_error,
 )
-from evcoop.data import sample_data_path
+from evcoop.data import DemandModel, sample_data_path
 from evcoop.marl import ALGORITHMS
 
 SCHEMA = json.loads(resources.files("evcoop").joinpath("config_schema.json").read_text())
@@ -44,6 +43,12 @@ def test_empty_document_resolves_defaults():
     assert cfg.scenario.mode == "sample"
     assert cfg.algorithms == ("double_qmix",)
     assert cfg.seeds == (0,)
+    assert cfg == RunConfig()
+    # A section the document names keeps the field defaults it leaves out.
+    demand = load_config_dict({"scenario": {"demand": {"noise_sigma": 1.0}}}).scenario.demand
+    assert demand.noise_sigma == 1.0
+    assert (demand.profiles, demand.urgent_fraction) == \
+        (DemandModel().profiles, DemandModel().urgent_fraction)
 
 
 def _assert_schema_matches(cls, schema: dict, defaults: dict, path: str) -> None:
@@ -58,13 +63,13 @@ def _assert_schema_matches(cls, schema: dict, defaults: dict, path: str) -> None
 
 
 def test_schema_names_exactly_the_dataclass_fields():
-    _assert_schema_matches(RunConfig, SCHEMA, DEFAULTS, "(root)")
-    jsonschema.Draft7Validator(SCHEMA).validate(DEFAULTS)
-    assert schema_error(SCHEMA, DEFAULTS) is None
+    defaults = resolved_dict(RunConfig())
+    _assert_schema_matches(RunConfig, SCHEMA, defaults, "(root)")
+    jsonschema.Draft7Validator(SCHEMA).validate(defaults)
+    assert schema_error(SCHEMA, defaults) is None
 
 
 def test_capacity_override_still_moves_the_default_caps():
-    assert DEFAULTS["ess"]["export_cap"] is None
     cfg = load_config_dict({"ess": {"capacity_max": 150}})
     assert cfg.ess.capacity_max == 150.0
     assert (cfg.ess.export_cap, cfg.ess.import_cap) == (1500.0, 1500.0)
@@ -122,6 +127,11 @@ def test_csv_mode_requires_existing_files(tmp_path):
     with pytest.raises(ConfigError, match="price_csv"):
         load_config_dict({"scenario": {"mode": "csv", "price_csv": str(tmp_path / "no.csv"),
                                        "pv_csv": str(tmp_path / "no2.csv")}})
+
+
+def test_a_dataclass_error_comes_before_the_csv_mode_checks():
+    with pytest.raises(ConfigError, match=r"^ess: need 0 < soc_min"):
+        load_config_dict({"scenario": {"mode": "csv"}, "ess": {"soc_min": 0.9, "soc_max": 0.5}})
 
 
 def test_load_config_file(tmp_path):
@@ -300,7 +310,7 @@ def test_schema_error_agrees_with_draft7(data):
         assert mine[0] == tuple(errors[0].absolute_path), (mine, errors[0].message)
 
 
-def test_schema_error_raises_on_a_keyword_it_does_not_support(monkeypatch):
+def test_schema_error_raises_on_a_keyword_it_does_not_support(monkeypatch, tmp_path):
     for schema, value in (({"type": "string", "pattern": "^a"}, "abc"),
                           ({"type": "object", "additionalProperties": {"type": "string"}},
                            {"key": "value"}),
@@ -308,13 +318,18 @@ def test_schema_error_raises_on_a_keyword_it_does_not_support(monkeypatch):
                            {"a": 4})):
         with pytest.raises(ValueError, match="unsupported schema keyword"):
             schema_error(schema, value)
-    # A keyword on a field the document leaves out is still met: every load checks
-    # the document merged with the defaults.
+    # A keyword on a field the document leaves out is still met: the schema is
+    # checked against the defaults when it is first read.
     edited = copy.deepcopy(SCHEMA)
     edited["properties"]["train"]["properties"]["hidden_dim"]["multipleOf"] = 2
-    monkeypatch.setattr(config, "_schema", lambda: edited)
-    with pytest.raises(ValueError, match="'multipleOf'"):
-        load_config_dict({})
+    (tmp_path / "config_schema.json").write_text(json.dumps(edited))
+    monkeypatch.setattr(config.resources, "files", lambda package: tmp_path)
+    config._schema.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="'multipleOf'"):
+            load_config_dict({})
+    finally:
+        config._schema.cache_clear()
 
 
 @pytest.mark.parametrize("document, field", [
