@@ -45,10 +45,13 @@ every artifact byte-identical:
 
 ``--checkpoints`` evaluates the checkpoints an earlier run wrote instead of
 this run's own, so the second run above also checks that the new code reads
-the old checkpoints the same way; the ``mixer_grad`` variant reads its
+the old checkpoints the same way.  The ``mixer_grad`` variant reads its
 checkpoints from ``mixer_grad/`` under that directory, and each synthetic run
 from its own subdirectory, or from this run's own if that directory was
-written before that synthetic run existed.  ``--config`` merges
+written before that synthetic run existed.  ``--checkpoints`` reads only
+checkpoints of this tree's ``evcoop.nn.checkpoint.FORMAT_VERSION``: across
+a change of format, run both trees without it, and only the checkpoint
+``params`` and ``meta`` lines should differ.  ``--config`` merges
 extra JSON into the run config of both variants and of the synthetic runs (say
 ``'{"train": {"hidden_dim": 1}}'``).  The package is
 imported from the ``src`` next to this script, not from the environment.

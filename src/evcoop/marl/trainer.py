@@ -116,9 +116,9 @@ class DRQNAgent:
         return out
 
 
-def _mixer_names(algorithm: str) -> tuple[str, ...]:
-    """The mixers of an algorithm's bank, in bank order."""
-    return {"double_qmix": ("mixer_a", "mixer_b"), "qmix": ("mixer_a",)}.get(algorithm, ())
+def _mixer_count(algorithm: str) -> int:
+    """How many mixers an algorithm's bank holds: mixer A, then mixer B."""
+    return {"double_qmix": 2, "qmix": 1}.get(algorithm, 0)
 
 
 @dataclass
@@ -167,9 +167,9 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
     agents_eval = make_agents()
     agents_target = make_agents()
     mixers_eval = mixers_target = None
-    if _mixer_names(algorithm):
+    if _mixer_count(algorithm):
         # drawn as mixer A's eval and target nets, then mixer B's
-        drawn = [make_mixer() for _ in 2 * _mixer_names(algorithm)]
+        drawn = [make_mixer() for _ in range(2 * _mixer_count(algorithm))]
         mixers_eval, mixers_target = stack_layers(drawn[0::2]), stack_layers(drawn[1::2])
 
     learner = LearnerState(
@@ -378,7 +378,7 @@ def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
     chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]  # (B,T,I)
 
     y = rewards.astype(np.float64).copy()
-    k = len(_mixer_names(learner.algorithm))
+    k = _mixer_count(learner.algorithm)
     mixes = np.full((k, B, T), np.nan)  # mixer A's values, then mixer B's
     if T > 1:
         mixes[:, :, :-1] = learner.mixers_target.forward(
@@ -544,37 +544,10 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
 
 # --- checkpoint round-trip -------------------------------------------------
 
-def _agent_entries(agents: DRQNAgent) -> dict[str, tuple[Tensor, slice]]:
-    """Each per-station checkpoint name of an agent bank -> (bank parameter, its columns there).
-
-    The packed GRU appears as its nine gate blocks (``gru.W_z, gru.U_z, ..., gru.b_n``),
-    named and ordered as when each gate was its own parameter.
-    """
-    out: dict[str, tuple[Tensor, slice]] = {}
-    for name, p in agents.parameters().items():
-        if not name.startswith("gru."):
-            out[name] = (p, slice(None))
-        elif name == "gru.W":  # the gate blocks sit where the GRU's first parameter does
-            out.update({f"gru.{gate}": block for gate, block in agents.gru.gate_columns().items()})
-    return out
-
-
 def _checkpoint_params(learner: LearnerState) -> dict[str, Tensor]:
-    """Every parameter under its checkpoint name.
-
-    ``<role>.agent<i>.*`` are views of agent bank slice i, and
-    ``<role>.mixer_a.*``/``<role>.mixer_b.*`` views of mixer bank slices 0 and 1.
-    """
-    out: dict[str, Tensor] = {}
-    for role in ("eval", "target"):
-        entries = _agent_entries(getattr(learner, f"agents_{role}"))
-        for i in range(learner.n_agents):
-            out.update({f"{role}.agent{i}.{name}": Tensor(p.data[i][..., cols])
-                        for name, (p, cols) in entries.items()})
-        for j, mixer in enumerate(_mixer_names(learner.algorithm)):
-            out.update({f"{role}.{mixer}.{name}": Tensor(p.data[j])
-                        for name, p in getattr(learner, f"mixers_{role}").parameters().items()})
-    return out
+    """Every eval, then target parameter under ``<role>.<its parameters(role) name>``."""
+    return {f"{role}.{name}": p for role in ("eval", "target")
+            for name, p in learner.parameters(role).items()}
 
 
 def save_learner(path, learner: LearnerState) -> None:

@@ -138,8 +138,7 @@ class GRUCell:
     def gate_columns(self) -> dict[str, tuple[Tensor, slice]]:
         """Each gate's block: ``W_z, U_z, b_z, W_r, ..., b_n`` -> (packed parameter, its columns).
 
-        Blocks are drawn at construction in this order, and checkpoints store
-        them under these names.
+        Blocks are drawn at construction in this order.
         """
         H = self.hidden_dim
         out: dict[str, tuple[Tensor, slice]] = {}

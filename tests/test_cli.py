@@ -329,8 +329,15 @@ def _with_meta(good, edit):
     return _rewritten(good, edit_meta)
 
 
+HEAD_W = "param.eval.agents.head.W"
+
+
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "no-train-config", "unknown-field",
-                                    "nonfinite-param"])
+                                    "nonfinite-param", "meta-not-object",
+                                    "meta-not-object-string", "version-not-integer",
+                                    "version-not-integer-list", "version-not-integer-text",
+                                    "param-not-float", "param-not-float-complex",
+                                    "previous-format"])
 def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, capsys, damage):
     good = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
     ck = tmp_path / "checkpoint.npz"
@@ -339,20 +346,45 @@ def test_evaluate_corrupt_checkpoint_exits_three(trained, tmp_path, capsys, dama
         "truncated": lambda: good.read_bytes()[: good.stat().st_size // 2],
         "no-train-config": lambda: _with_meta(good, lambda m: m.pop("train_config")),
         "unknown-field": lambda: _with_meta(good, lambda m: m["train_config"].update(bogus=1)),
-        "nonfinite-param": lambda: _rewritten(
-            good, lambda a: a["param.eval.agent0.head.W"].fill(np.nan)),
+        "nonfinite-param": lambda: _rewritten(good, lambda a: a[HEAD_W].fill(np.nan)),
+        "meta-not-object": lambda: _rewritten(good, lambda a: a.update(meta_json=np.array("[]"))),
+        "meta-not-object-string": lambda: _rewritten(
+            good, lambda a: a.update(meta_json=np.array('"x"'))),
+        "version-not-integer": lambda: _rewritten(
+            good, lambda a: a.update(format_version=np.array(1.5))),
+        "version-not-integer-list": lambda: _rewritten(
+            good, lambda a: a.update(format_version=np.array([1, 2]))),
+        "version-not-integer-text": lambda: _rewritten(
+            good, lambda a: a.update(format_version=np.array("abc"))),
+        "param-not-float": lambda: _rewritten(
+            good, lambda a: a.update({HEAD_W: a[HEAD_W].astype(str)})),
+        "param-not-float-complex": lambda: _rewritten(
+            good, lambda a: a.update({HEAD_W: a[HEAD_W] + 1j})),
+        "previous-format": lambda: _rewritten(
+            good, lambda a: a.update(format_version=np.array(1))),
     }[damage]())
     assert main(["evaluate", "--checkpoint", str(ck), "--out", str(tmp_path)]) == 3
-    assert str(ck) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(ck) in err
+    assert {
+        "meta-not-object": "not an object",
+        "meta-not-object-string": "not an object",
+        "version-not-integer": "expected the integer 2",
+        "version-not-integer-list": "expected the integer 2",
+        "version-not-integer-text": "expected the integer 2",
+        "param-not-float": "eval.agents.head.W has dtype <U",
+        "param-not-float-complex": "eval.agents.head.W has dtype complex128, expected float64",
+        "previous-format": "format version 1, expected 2",
+    }.get(damage, "") in err
 
 
 def test_evaluate_checkpoint_missing_a_gate_entry_exits_three(trained, tmp_path, capsys):
     good = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
     ck = tmp_path / "checkpoint.npz"
-    ck.write_bytes(_rewritten(good, lambda a: a.pop("param.eval.agent1.gru.b_r")))
+    ck.write_bytes(_rewritten(good, lambda a: a.pop("param.eval.agents.gru.b")))
     assert main(["evaluate", "--checkpoint", str(ck), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "eval.agent1.gru.b_r" in err and str(ck) in err
+    assert "missing ['eval.agents.gru.b']" in err and str(ck) in err
     assert "Traceback" not in err
 
 

@@ -811,38 +811,37 @@ def test_trace_csv_bytes_match_the_cell_by_cell_writer_on_edge_floats(tmp_path):
         assert {k: v.hex() for k, v in row.items()} == dict.fromkeys(row, want.hex())
 
 
-def test_checkpoint_keeps_the_per_station_layout(tmp_path):
-    # names, shapes and entry order as when every station had its own agent
+def test_checkpoint_stores_the_banks_under_their_parameter_names(tmp_path):
+    # one entry per parameters(role) tensor, eval then target, with the bank's shape
     n, H, A = 3, 5, GRID.n_actions
     learner = build_learner("double_qmix", n, PARAMS, GRID, SCALES,
                             TrainConfig(episodes=1, batch_episodes=1, capacity=1,
                                         hidden_dim=H, embed_dim=4, hyper_hidden=6),
                             np.random.default_rng(0))
-    agent = [("enc.W", (OBS_DIM, H)), ("enc.b", (H,))]
-    for gate in "zrn":
-        agent += [(f"gru.W_{gate}", (H, H)), (f"gru.U_{gate}", (H, H)), (f"gru.b_{gate}", (H,))]
-    agent += [("head.W", (H, A)), ("head.b", (A,))]
-    mixer = []
-    for hyper, dims in (("hyper_w1", (n * OBS_DIM, 6, n * 4)), ("hyper_b1", (n * OBS_DIM, 4)),
-                        ("hyper_w2", (n * OBS_DIM, 6, 4)), ("hyper_b2", (n * OBS_DIM, 6, 1))):
-        layers = [f"{hyper}."] if len(dims) == 2 else [f"{hyper}.l{j}." for j in range(len(dims) - 1)]
-        for j, layer in enumerate(layers):
-            mixer += [(f"{layer}W", dims[j:j + 2]), (f"{layer}b", dims[j + 1:j + 2])]
-    per_role = [(f"agent{i}.{k}", s) for i in range(n) for k, s in agent]
-    per_role += [(f"{m}.{k}", s) for m in ("mixer_a", "mixer_b") for k, s in mixer]
-    want = [(f"param.{role}.{name}", s) for role in ("eval", "target") for name, s in per_role]
+    S = n * OBS_DIM
+    bank = [("agents.enc.W", (n, OBS_DIM, H)), ("agents.enc.b", (n, H)),
+            ("agents.gru.W", (n, H, 3 * H)), ("agents.gru.U_zr", (n, H, 2 * H)),
+            ("agents.gru.U_n", (n, H, H)), ("agents.gru.b", (n, 3 * H)),
+            ("agents.head.W", (n, H, A)), ("agents.head.b", (n, A))]
+    for layer, (d_in, d_out) in (("hyper_w1.l0", (S, 6)), ("hyper_w1.l1", (6, n * 4)),
+                                 ("hyper_b1", (S, 4)), ("hyper_w2.l0", (S, 6)),
+                                 ("hyper_w2.l1", (6, 4)), ("hyper_b2.l0", (S, 6)),
+                                 ("hyper_b2.l1", (6, 1))):
+        bank += [(f"mixers.{layer}.W", (2, d_in, d_out)), (f"mixers.{layer}.b", (2, d_out))]
+    for role in ("eval", "target"):
+        assert [(k, p.data.shape) for k, p in learner.parameters(role).items()] == bank
+    want = [(f"param.{role}.{name}", s) for role in ("eval", "target") for name, s in bank]
     path = tmp_path / "learner.npz"
     save_learner(path, learner)
     with zipfile.ZipFile(path) as archive:
         order = [name[:-len(".npy")] for name in archive.namelist()]
     with np.load(path) as archive:
         got = [(name, archive[name].shape) for name in order if name.startswith("param.")]
+        for role in ("eval", "target"):
+            for k, p in learner.parameters(role).items():
+                assert np.array_equal(archive[f"param.{role}.{k}"], p.data), k
     assert order[:2] == ["format_version", "meta_json"]
     assert got == want
-    bank = learner.parameters("eval")
-    with np.load(path) as archive:
-        assert np.array_equal(archive["param.eval.agent2.gru.U_r"],
-                              bank["agents.gru.U_zr"].data[2][:, H:])
     restored = load_learner(path)
     for role in ("eval", "target"):
         for k, p in restored.parameters(role).items():
@@ -866,8 +865,7 @@ def test_checkpoint_round_trips_each_mixer_slice(tmp_path):
     with np.load(path) as archive:
         for role in ("eval", "target"):
             for name, p in getattr(learner, f"mixers_{role}").parameters().items():
-                for j, mixer in enumerate(("mixer_a", "mixer_b")):
-                    assert np.array_equal(archive[f"param.{role}.{mixer}.{name}"], p.data[j])
+                assert np.array_equal(archive[f"param.{role}.mixers.{name}"], p.data)
     restored = load_learner(path)
     for role in ("eval", "target"):
         for k, p in restored.parameters(role).items():
@@ -890,9 +888,9 @@ def test_checkpoint_missing_gate_entry_is_named(tmp_path):
     save_learner(path, _learner("double_qmix"))
     with np.load(path) as archive:
         arrays = {name: archive[name] for name in archive.files}
-    del arrays["param.eval.agent1.gru.b_r"]
+    del arrays["param.eval.agents.gru.b"]
     np.savez(path, **arrays)
-    with pytest.raises(CheckpointError, match=r"missing \['eval\.agent1\.gru\.b_r'\]"):
+    with pytest.raises(CheckpointError, match=r"missing \['eval\.agents\.gru\.b'\]"):
         load_learner(path)
 
 
