@@ -300,6 +300,26 @@ def test_every_package_function_but_decode_table_runs_under_some_command():
     assert done.stdout.splitlines() == ["evcoop.marl.encoding.ActionGrid.decode_table"]
 
 
+# the settings tests/golden_digests.txt was written at; rewrite that file, and say
+# in CHANGES.md which lines changed and why, only when an artifact changes by design
+GOLDEN_ARGS = ("--episodes", "3", "--config", json.dumps(
+    {"train": {"hidden_dim": 4, "embed_dim": 4, "hyper_hidden": 4, "batch_episodes": 2,
+               "capacity": 4}}))
+
+
+def test_every_artifact_keeps_its_golden_digest():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(root / "scripts" / "artifact_digests.py"),
+                           *GOLDEN_ARGS], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = done.stdout.splitlines()
+    want = (root / "tests" / "golden_digests.txt").read_text().splitlines()
+    path = lambda line: line.split("  ", 1)[1]
+    assert [path(line) for line in got] == [path(line) for line in want]
+    changed = [path(a) for a, b in zip(got, want) if a != b]
+    assert not changed, f"these artifacts changed: {changed}"
+
+
 def test_evaluate_rejects_station_mismatch(trained, tmp_path):
     ck = trained / "out" / "double_qmix_seed0" / "checkpoint.npz"
     cfg = tmp_path / "cfg.json"
