@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Train, evaluate, run the oracle and print the sha256 of every deterministic artifact.
 
-Trains each algorithm for ``--episodes`` episodes at ``--seed``, evaluates
-each checkpoint with ``evcoop evaluate --seed <eval-seed>``, then does the
-same again under ``mixer_grad`` (``{"train": {"agent_loss_mode":
-"mixer_grad"}}``, the mode in which the mixer's gradient reaches the
-agents), writing that variant's runs under ``mixer_grad/``.  Each
-variant's training runs are summarized with ``evcoop compare``, and its
-``summary.csv`` and ``long.csv`` are digested, and so is the
-``resolved_config.json`` its last training run echoed.  It runs
+Trains each of ``evcoop.marl.ALGORITHMS`` for ``--episodes`` episodes at
+``--seed``, evaluates each checkpoint with ``evcoop evaluate --seed
+<eval-seed>``, then does the same again under ``mixer_grad``
+(``{"train": {"agent_loss_mode": "mixer_grad"}}``, the mode in which the
+mixer's gradient reaches the agents), writing that variant's runs under
+``mixer_grad/``.  Each variant's training runs are summarized with
+``evcoop compare``, and its ``summary.csv`` and ``long.csv`` are digested,
+and so is the ``resolved_config.json`` its last training run echoed.  It runs
 ``evcoop oracle --instances 20 --seed <seed>`` with full lookahead and with
 ``--lookahead 1``, and prints one ``<sha256>  <path>`` line per
 ``metrics.csv``, ``trace.csv`` and ``oracle_metrics.csv``.
@@ -75,9 +75,9 @@ import numpy as np  # noqa: E402
 
 from evcoop.cli import main as evcoop  # noqa: E402
 from evcoop.fuzz import fuzz_battery, fuzz_clearing, fuzz_profit  # noqa: E402
+from evcoop.marl import ALGORITHMS  # noqa: E402
 from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # noqa: E402
 
-DEFAULT_ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
 # (subdirectory, config merged into the run config) of each training variant
 VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}}))
 # the synthetic-mode runs: (subdirectory, station count) of each, their algorithm and episode count
@@ -257,13 +257,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--eval-seed", type=int, default=3)
     parser.add_argument("--algorithm", action="append",
-                        help=f"repeatable; default {', '.join(DEFAULT_ALGORITHMS)}")
+                        help=f"repeatable; default {', '.join(ALGORITHMS)}")
     parser.add_argument("--config", default="{}", help="JSON merged into the run config")
     parser.add_argument("--out", help="keep the runs here (default: a temporary directory)")
     parser.add_argument("--checkpoints", type=Path,
                         help="evaluate the checkpoints under this earlier --out instead")
     args = parser.parse_args(argv)
-    algorithms = args.algorithm or list(DEFAULT_ALGORITHMS)
+    algorithms = args.algorithm or list(ALGORITHMS)
     extra = json.loads(args.config)
     with contextlib.ExitStack() as stack:
         out = Path(args.out) if args.out else Path(stack.enter_context(tempfile.TemporaryDirectory()))

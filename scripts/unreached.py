@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print every function in ``src/evcoop`` that no ``evcoop`` command enters.
 
-Runs each command on tiny configs under ``sys.setprofile``:
-``train`` with all four algorithms on the bundled sample scenario, on a
-3-station synthetic one and under ``mixer_grad``; then ``evaluate``,
+Runs each command on tiny configs under ``sys.setprofile``: ``train``
+with every algorithm in ``evcoop.marl.ALGORITHMS`` on the bundled sample
+scenario, on a 3-station synthetic one and under ``mixer_grad``; then ``evaluate``,
 ``oracle`` at full lookahead and at ``--lookahead 1`` with ``--seed``,
 ``fuzz --seed``, ``compare`` and one bad argument.  The profiler starts
 before ``evcoop`` is imported, so a function called at import counts as
@@ -29,10 +29,9 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
 TINY_TRAIN = {"episodes": 2, "batch_episodes": 1, "capacity": 1, "target_period": 1,
               "hidden_dim": 2, "embed_dim": 2, "hyper_hidden": 2}
-# (name, config) of each training run; each trains all four algorithms
+# (name, config) of each training run; each trains every algorithm
 TRAIN_CONFIGS = (
     ("sample", {"train": TINY_TRAIN}),
     ("synthetic", {"train": TINY_TRAIN,
@@ -69,6 +68,7 @@ def defined_functions(root: Path) -> dict[tuple[str, int], str]:
 def run_commands(work: Path) -> None:
     """Every command once, on tiny inputs under ``work``; their output is discarded."""
     from evcoop.cli import main
+    from evcoop.marl import ALGORITHMS
 
     def run(*argv: str, expect: int = 0) -> None:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

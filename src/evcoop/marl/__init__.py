@@ -9,6 +9,7 @@ from .encoding import (
 )
 from .replay import EpisodeRecord, ReplayBuffer
 from .trainer import (
+    ALGORITHM_TRAITS,
     ALGORITHMS,
     DRQNAgent,
     EpisodeMetrics,
@@ -30,7 +31,7 @@ from .trainer import (
 )
 
 __all__ = [
-    "ALGORITHMS", "ActionGrid", "DRQNAgent", "EpisodeMetrics", "EpisodeRecord",
+    "ALGORITHM_TRAITS", "ALGORITHMS", "ActionGrid", "DRQNAgent", "EpisodeMetrics", "EpisodeRecord",
     "InfeasibleActionError", "LearnerState", "OBS_DIM", "ObsScales",
     "ReplayBuffer", "SlotLog", "Targets", "TrainConfig", "act_epsilon_greedy",
     "build_learner", "compute_targets", "encode_observation", "epsilon_at",

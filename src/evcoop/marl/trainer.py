@@ -7,20 +7,21 @@ eval and a target copy.  Training follows the recurrent pattern: whole
 episodes are replayed and hidden states re-unrolled from zero, one
 gradient step per training episode.
 
-``double_qmix`` bootstraps with the elementwise minimum of the two target
-mixers, evaluated at next-slot actions picked by the *eval* agents, which
-curbs the optimistic bias a single maximizing mixer accrues.  ``qmix`` is
-the single-mixer baseline with target-net action selection.
-``independent_dqn`` trains each agent on the shared reward with no mixer.
-``random`` never trains.  Every policy's episode, the learner's and the
-oracle's, runs through one slot loop, ``run_episode``, with its own chooser.
+Each algorithm is one row of ``ALGORITHM_TRAITS``.  ``double_qmix`` bootstraps
+with the elementwise minimum of the two target mixers, evaluated at next-slot
+actions picked by the *eval* agents, which curbs the optimistic bias a single
+maximizing mixer accrues.  ``qmix`` is the single-mixer baseline with
+target-net action selection.  ``independent_dqn`` trains each agent on the
+shared reward with no mixer.  ``random`` never trains.  Every policy's
+episode, the learner's and the oracle's, runs through one slot loop,
+``run_episode``, with its own chooser.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +32,20 @@ from ..nn.checkpoint import CheckpointError, read_checkpoint, restore_params, sa
 from .encoding import OBS_DIM, ActionGrid, ObsScales, encode_observation
 from .replay import EpisodeRecord, ReplayBuffer
 
-ALGORITHMS = ("double_qmix", "qmix", "independent_dqn", "random")
+
+class AlgorithmTraits(NamedTuple):
+    mixers: int  # the mixer bank's size: 0 (independent learners), 1 (mixer A) or 2 (A and B)
+    eval_selects: bool  # the eval agents pick next-slot actions, else the target agents
+    trains: bool
+
+
+ALGORITHM_TRAITS = {
+    "double_qmix": AlgorithmTraits(mixers=2, eval_selects=True, trains=True),
+    "qmix": AlgorithmTraits(mixers=1, eval_selects=False, trains=True),
+    "independent_dqn": AlgorithmTraits(mixers=0, eval_selects=False, trains=True),
+    "random": AlgorithmTraits(mixers=0, eval_selects=False, trains=False),
+}
+ALGORITHMS = tuple(ALGORITHM_TRAITS)
 
 
 @dataclass(frozen=True)
@@ -116,11 +130,6 @@ class DRQNAgent:
         return out
 
 
-def _mixer_count(algorithm: str) -> int:
-    """How many mixers an algorithm's bank holds: mixer A, then mixer B."""
-    return {"double_qmix": 2, "qmix": 1}.get(algorithm, 0)
-
-
 @dataclass
 class LearnerState:
     algorithm: str
@@ -139,6 +148,10 @@ class LearnerState:
     episodes_done: int = 0
     debug_violations: int = 0
 
+    @property
+    def traits(self) -> AlgorithmTraits:
+        return ALGORITHM_TRAITS[self.algorithm]
+
     def parameters(self, role: str) -> dict[str, Tensor]:
         """Every ``role`` ("eval" or "target") parameter: the agent bank's under ``agents.``,
         the mixer bank's under ``mixers.``."""
@@ -156,7 +169,7 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if n_agents < 1:
         raise ValueError("need at least one station")
-    state_dim = n_agents * OBS_DIM
+    state_dim, traits = n_agents * OBS_DIM, ALGORITHM_TRAITS[algorithm]
 
     def make_agents():
         return DRQNAgent(n_agents, OBS_DIM, grid.n_actions, config.hidden_dim, rng)
@@ -167,9 +180,9 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
     agents_eval = make_agents()
     agents_target = make_agents()
     mixers_eval = mixers_target = None
-    if _mixer_count(algorithm):
+    if traits.mixers:
         # drawn as mixer A's eval and target nets, then mixer B's
-        drawn = [make_mixer() for _ in range(2 * _mixer_count(algorithm))]
+        drawn = [make_mixer() for _ in range(2 * traits.mixers)]
         mixers_eval, mixers_target = stack_layers(drawn[0::2]), stack_layers(drawn[1::2])
 
     learner = LearnerState(
@@ -179,13 +192,10 @@ def build_learner(algorithm: str, n_agents: int, env_params: EssParams,
         mixers_eval=mixers_eval, mixers_target=mixers_target,
         opt_agents=None, opt_mixers=None,
     )
-    if algorithm != "random":
-        params = learner.parameters("eval")
-        learner.opt_agents = Adam({k: p for k, p in params.items() if k.startswith("agent")},
-                                  lr=config.lr_agent)
-        mixer_params = {k: p for k, p in params.items() if k.startswith("mixer")}
-        if mixer_params:
-            learner.opt_mixers = Adam(mixer_params, lr=config.lr_mixer)
+    if traits.trains:
+        learner.opt_agents = Adam(agents_eval.parameters("agents."), lr=config.lr_agent)
+        if traits.mixers:
+            learner.opt_mixers = Adam(mixers_eval.parameters("mixers."), lr=config.lr_mixer)
     for p in learner.parameters("target").values():
         p.requires_grad = False  # constants between syncs: they build no tape
     sync_targets(learner)
@@ -352,40 +362,37 @@ class Targets:
 def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
                     rewards: np.ndarray, q_eval: np.ndarray,
                     learner: LearnerState) -> Targets:
-    """Line-by-line bootstrap: next actions, target values, reward plus discounted tail.
+    """One bootstrap for every algorithm: next actions, target values, reward plus discounted tail.
 
-    Takes the stacked batch arrays and the eval agents' (B, T, I, A) Q-values,
-    which pick double_qmix's next-slot actions.  The target nets run the eval
+    Takes the stacked batch arrays and the eval agents' (B, T, I, A) Q-values.
+    The eval or the target agents, as the algorithm's row says, pick each
+    next-slot action by masked argmax.  With no mixer each agent's tail is the
+    target agents' value there; else the target mixer bank mixes those values
+    and the tail is the minimum over its mixers.  The target nets run the eval
     nets' own forward, ``_unroll`` and the mixer bank's ``forward``; no target
-    parameter requires a gradient, so neither is taped.  The minimum over
-    target mixers A and B is double_qmix's bootstrap.
+    parameter requires a gradient, so neither is taped.
     """
     B, T, n, _ = obs.shape
-    gamma = learner.config.gamma
+    gamma, traits = learner.config.gamma, learner.traits
 
     q_target = _values(_unroll(learner.agents_target, obs).data, B, T)
-
-    if learner.algorithm == "independent_dqn":
-        y = np.repeat(rewards[:, :, None], n, axis=2)
-        best_next = np.max(np.where(masks, q_target, -np.inf), axis=-1)  # (B,T,I)
-        y[:, :-1, :] += gamma * best_next[:, 1:, :]
-        return Targets(y=y)
-
-    # double_qmix: the eval agents pick next-slot actions (decoupled selection);
-    # qmix: target nets pick their own maximizing actions
-    selector = q_eval if learner.algorithm == "double_qmix" else q_target
-    next_actions = _masked_argmax(selector, masks)  # (B,T,I)
+    next_actions = _masked_argmax(q_eval if traits.eval_selects else q_target, masks)  # (B,T,I)
     chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]  # (B,T,I)
 
+    if not traits.mixers:
+        y = np.repeat(rewards[:, :, None], n, axis=2)
+        y[:, :-1] += gamma * chosen[:, 1:]
+        return Targets(y=y)
+
     y = rewards.astype(np.float64).copy()
-    k = _mixer_count(learner.algorithm)
+    k = traits.mixers
     mixes = np.full((k, B, T), np.nan)  # mixer A's values, then mixer B's
     if T > 1:
         mixes[:, :, :-1] = learner.mixers_target.forward(
             states[:, 1:, :].reshape(B * (T - 1), -1),
             Tensor(chosen[:, 1:, :].reshape(B * (T - 1), n))).data.reshape(k, B, T - 1)
         y[:, :-1] += gamma * mixes[:, :, :-1].min(axis=0)
-    return Targets(y=y, mix_a=mixes[0], mix_b=mixes[1] if k == 2 else None)
+    return Targets(y=y, mix_a=mixes[0], mix_b=mixes[1] if k > 1 else None)
 
 
 STEP_PHASES = ("targets_s", "forward_s", "backward_s", "optimizer_s")
@@ -400,9 +407,9 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     unroll, the mixer bank and the losses), the backward pass and the
     optimizer steps.
     """
-    if learner.algorithm == "random":
-        raise ValueError("the random baseline does not train")
-    cfg = learner.config
+    cfg, traits = learner.config, learner.traits
+    if not traits.trains:
+        raise ValueError(f"{learner.algorithm} does not train")
     obs, actions, masks, rewards = _stack_batch(batch)
     B, T = obs.shape[:2]
     states = obs.reshape(B, T, -1)  # the mixers' global state: every agent's observation
@@ -417,7 +424,7 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     if not np.all(np.isfinite(targets.y)):
         raise DivergenceError("non-finite bootstrap target")
 
-    if learner.algorithm == "double_qmix" and T > 1:
+    if traits.mixers == 2 and T > 1:
         # min-bootstrap property: the discounted tail never exceeds either mixer's value
         tail = targets.y[:, :-1] - rewards[:, :-1]
         for mix in (targets.mix_a, targets.mix_b):
@@ -427,7 +434,7 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     # each agent's Q-value at the actions actually taken, (I, B*T)
     chosen = q_eval.gather(actions.reshape(B * T, -1).T)
 
-    independent = learner.algorithm == "independent_dqn"
+    independent = not traits.mixers
     direct = cfg.agent_loss_mode == "direct"
     total: Tensor | None = None
     l_mix_value: float | None = None
@@ -503,7 +510,7 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
     metrics: list[EpisodeMetrics] = []
     for e in range(1, cfg.episodes + 1):
         t0 = time.perf_counter()
-        eps = 1.0 if learner.algorithm == "random" else epsilon_at(cfg, e - 1)
+        eps = epsilon_at(cfg, e - 1) if learner.traits.trains else 1.0
         episode = episode_factory()
         t_roll = time.perf_counter()
         record, _ = rollout_episode(episode, learner, eps, rng)
@@ -513,7 +520,7 @@ def train(learner: LearnerState, buffer: ReplayBuffer,
         l_mix = loss_mean = None
         train_step_s = sync_s = 0.0
         phases = dict.fromkeys(STEP_PHASES, 0.0)
-        if learner.algorithm != "random":
+        if learner.traits.trains:
             if len(buffer) >= cfg.batch_episodes:
                 batch = buffer.sample(cfg.batch_episodes)
                 t_step = time.perf_counter()

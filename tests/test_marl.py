@@ -27,6 +27,7 @@ from evcoop.core import (
 )
 from evcoop.data import DemandModel, build_episode, synth_demand, synth_price_series, synth_pv_series
 from evcoop.marl import (
+    ALGORITHM_TRAITS,
     ALGORITHMS,
     ActionGrid,
     DRQNAgent,
@@ -388,8 +389,9 @@ def test_double_qmix_mixers_are_drawn_independently():
         assert not np.array_equal(p.data[0], p.data[1]), name
 
 
-@pytest.mark.parametrize("algorithm", ["double_qmix", "qmix"])
+@pytest.mark.parametrize("algorithm", ["double_qmix", "qmix", "independent_dqn"])
 def test_target_mixes_match_composite_bit_for_bit(algorithm):
+    # independent_dqn has no mixer; its y, the target agents' masked max, is pinned too
     learner = _learner(algorithm)
     rng = np.random.default_rng(2)
     for p in learner.parameters("target").values():
@@ -397,9 +399,10 @@ def test_target_mixes_match_composite_bit_for_bit(algorithm):
     batch = _batch(learner)
     obs, states, _, masks, rewards = _stacked(batch)
     t = _targets(batch, learner)
-    _, want = _reference_targets(obs, states, masks, rewards, learner)
-    got = [t.mix_a] if t.mix_b is None else [t.mix_a, t.mix_b]
-    assert len(got) == len(want) == (2 if algorithm == "double_qmix" else 1)
+    y, want = _reference_targets(obs, states, masks, rewards, learner)
+    assert np.array_equal(_bits(t.y), _bits(y))
+    got = [mix for mix in (t.mix_a, t.mix_b) if mix is not None]
+    assert len(got) == len(want) == {"double_qmix": 2, "qmix": 1, "independent_dqn": 0}[algorithm]
     for mix, ref in zip(got, want):
         assert np.array_equal(_bits(mix[:, :-1]), _bits(ref))
         assert np.isnan(mix[:, -1]).all()
@@ -486,6 +489,20 @@ def test_independent_targets_per_agent():
     t = _targets(batch, learner)
     assert t.y.shape == (3, 4, 2)
     assert t.mix_a is None
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_learner_is_built_from_its_algorithm_row(algorithm):
+    traits = ALGORITHM_TRAITS[algorithm]
+    learner = _learner(algorithm)
+    for bank in (learner.mixers_eval, learner.mixers_target):
+        size = 0 if bank is None else bank.parameters()["hyper_b2.l1.b"].shape[0]
+        assert size == traits.mixers
+    assert (learner.opt_agents is not None) == traits.trains
+    assert (learner.opt_mixers is not None) == (traits.trains and traits.mixers > 0)
+    if not traits.trains:
+        with pytest.raises(ValueError, match="does not train"):
+            train_step(_batch(learner, n=2), learner)
 
 
 def test_sync_copies_eval_into_target():
