@@ -23,7 +23,10 @@ greedy at lookahead 1 and at full lookahead, each as its results or the
 repr of the error it raised.  ``oracle/three/oracle_api.txt`` does the
 same for 3-station, 2-slot instances, one line each with the optimum, its
 sequence and node count and the full-lookahead greedy, so the joint action
-order of more than two stations is pinned too.  Each
+order of more than two stations is pinned too.  ``oracle/wide/oracle_api.txt``
+holds tight-cap lines, as ``oracle/tight`` does, for 3-station, 1-slot
+instances on the default 15-action grid, whose one row has 3,375 joint
+actions, more than one block of the search holds.  Each
 ``checkpoint.npz`` gets two lines, ``<path> params`` over its parameter
 arrays and ``<path> meta`` over its format version and metadata JSON, so a
 metadata-only change does not look like a numeric one.  It runs the
@@ -76,6 +79,7 @@ import numpy as np  # noqa: E402
 from evcoop.cli import main as evcoop  # noqa: E402
 from evcoop.fuzz import fuzz_battery, fuzz_clearing, fuzz_profit  # noqa: E402
 from evcoop.marl import ALGORITHMS  # noqa: E402
+from evcoop.marl.encoding import ActionGrid  # noqa: E402
 from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # noqa: E402
 
 # (subdirectory, config merged into the run config) of each training variant
@@ -86,6 +90,7 @@ SYNTHETIC_ALGORITHM, SYNTHETIC_EPISODES = "double_qmix", 8
 ORACLE_INSTANCES = 20
 TIGHT_INSTANCES = 40
 THREE_STATION_INSTANCES = 10
+WIDE_INSTANCES = 8
 # (fuzzer, calls, seed offset), as ``evcoop fuzz`` runs them by default
 FUZZERS = ((fuzz_clearing, 100_000, 0), (fuzz_battery, 100_000, 1), (fuzz_profit, 10_000, 2))
 
@@ -162,13 +167,18 @@ def oracle_digests(out: Path, seed: int) -> list[str]:
         lines.append(_digest(run / "oracle_api.txt", out))
     tight = out / "oracle" / "tight" / "oracle_api.txt"
     tight.parent.mkdir(parents=True, exist_ok=True)
-    tight.write_text(_tight_oracle_rows(seed))
+    tight.write_text(_tight_oracle_rows([seed, 1], TIGHT_INSTANCES))
     lines.append(_digest(tight, out))
     three = out / "oracle" / "three" / "oracle_api.txt"
     three.parent.mkdir(parents=True, exist_ok=True)
     three.write_text(_oracle_api_rows([seed, 2], THREE_STATION_INSTANCES, None,
                                       station_count=3, horizon=2))
     lines.append(_digest(three, out))
+    wide = out / "oracle" / "wide" / "oracle_api.txt"
+    wide.parent.mkdir(parents=True, exist_ok=True)
+    wide.write_text(_tight_oracle_rows([seed, 3], WIDE_INSTANCES, station_count=3, horizon=1,
+                                       grid=ActionGrid()))
+    lines.append(_digest(wide, out))
     return lines
 
 
@@ -189,12 +199,16 @@ def _oracle_api_rows(entropy: list[int], count: int, lookahead: int | None, **sh
     return "\n".join(rows) + "\n"
 
 
-def _tight_oracle_rows(seed: int) -> str:
-    """One repr line per tight-cap instance: each search's results or its error."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+def _tight_oracle_rows(entropy: list[int], count: int, **shape) -> str:
+    """One repr line per tight-cap instance: each search's results or its error.
+
+    The instances are ``random_tiny_instance(rng, **shape)`` on the stream
+    ``entropy`` seeds, with the caps and batteries redrawn small.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
     rows = []
-    for k in range(TIGHT_INSTANCES):
-        instance = random_tiny_instance(rng)
+    for k in range(count):
+        instance = random_tiny_instance(rng, **shape)
         cap, export_cap, import_cap = rng.uniform((4.0, 0.5, 0.5), (12.0, 4.0, 4.0)).tolist()
         params = replace(instance.params, capacity_max=cap, export_cap=export_cap,
                          import_cap=import_cap)
