@@ -9,14 +9,21 @@ its own action, so for a block of frontier rows ``decode_batch`` decodes the
 ``core.advance_stations_batch`` turns it into next states; an entry the mask
 rejects holds a placeholder the search never picks.  A row's joint actions
 are numbered in a fixed radix over the grid, station 0 the most significant
-digit; a joint mask keeps the feasible ones (children) in that order.  Only
-clearing and pricing couple the stations: each block of children has its
-supplies and controls gathered and priced, and its next states gathered from
-the table.  Leaves, the children of a search's last slot, gather only supply
-and control for their profit, and only each block's best leaf builds its
-index sequence.  Blocks are expanded depth-first, so memory stays bounded
-and leaves arrive in lexicographic order of their index sequences; a leaf
-replaces the best only on strict improvement, so ties keep the first one.
+digit, and a block holds whole frontier rows with all their joint actions,
+or, where one row has more joint actions than a block, one row and a slice
+of them; a joint mask marks the feasible ones (children).  Only clearing and
+pricing couple the stations: an interior block compresses to its children
+in that order, and has their supplies and controls gathered and priced and
+their next states gathered from the table.  Leaves, the children of a
+search's last slot, need only their profit: a leaf block gathers every
+(row, joint action) pair's supply and control through an offset table
+built once per search, prices all of them in one call, sets the pairs the
+mask rejects to ``-inf`` (they are priced on their placeholders, never win
+and never count as nodes) and takes one ``argmax``, and only each block's
+best leaf builds its index sequence.  Blocks are expanded depth-first, so
+memory stays bounded and leaves arrive in lexicographic order of their
+index sequences; a leaf replaces the best only on strict improvement, so
+ties keep the first one.
 
 Each instance's full-horizon optimum is searched once and kept on the
 instance: ``brute_force`` returns it, and a rolling greedy whose lookahead
@@ -94,9 +101,9 @@ class OracleResult:
     wall_time_s: float
 
 
-# Joint actions per block.  The search runs depth-first over blocks of at most
-# this many children, so memory stays bounded at any enumeration size (the
-# sweep behind this value is in BENCH_oracle_factored.json).
+# (Row, joint action) pairs per block.  The search runs depth-first over blocks
+# of at most this many pairs, so memory stays bounded at any enumeration size
+# (the sweep behind this value is in BENCH_oracle_factored.json).
 _BLOCK_ROWS = 2048
 
 
@@ -131,18 +138,28 @@ def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state) 
     return _Slot(t, state, mask, np.stack((supply, control, *next_state)))
 
 
-def _children(episode: Episode, slot: _Slot, parents: np.ndarray, picks: np.ndarray,
-              leaf: bool = False):
-    """Next states and slot profit of rows ``parents`` taking their ``picks`` (N, n).
-
-    A ``leaf`` child needs only its profit: its next states are not
-    gathered, and the list of them comes back empty.
-    """
+def _children(episode: Episode, slot: _Slot, parents: np.ndarray, picks: np.ndarray):
+    """Next states and slot profit of rows ``parents`` taking their ``picks`` (N, n)."""
     _, actions, n = slot.mask.shape
     cells = (parents[:, None] * actions + picks) * n + np.arange(n)
-    columns = 2 if leaf else 5
-    supply, control, *next_state = slot.table[:columns].reshape(columns, -1).take(cells, axis=1)
+    supply, control, *next_state = slot.table.reshape(5, -1).take(cells, axis=1)
     return next_state, clear_and_price_batch(supply, control, episode.quotes[slot.t])
+
+
+def _leaves(episode: Episode, slot: _Slot, rows: slice, cells: np.ndarray,
+            feasible: np.ndarray) -> np.ndarray:
+    """``(R, J)`` slot profit of frontier ``rows`` (R of them) taking each of J joint actions.
+
+    ``cells`` holds each joint action's ``(J, n)`` offsets into a row's
+    flattened ``(A, n)`` table.  Every pair is priced, a masked one on its
+    placeholder entries; pairs ``feasible`` rejects come back ``-inf``.
+    """
+    supply, control = slot.table[:2, rows].reshape(2, len(feasible), -1).take(cells, axis=2)
+    n = cells.shape[1]
+    profit = clear_and_price_batch(supply.reshape(-1, n), control.reshape(-1, n),
+                                   episode.quotes[slot.t]).reshape(feasible.shape)
+    profit[~feasible] = -math.inf
+    return profit
 
 
 def _search(episode: Episode, params: EssParams, grid: ActionGrid,
@@ -150,14 +167,20 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
     """Best cumulative profit over ``depth`` slots from the one-row, expanded ``root``.
 
     Returns (profit, action index sequence, environment steps evaluated).
-    The module docstring gives the search order and the tie rule.
-    Infeasible branches (empty mask under tight caps) are pruned.
+    Frontier rows go in row-aligned blocks of at most ``_BLOCK_ROWS``
+    (row, joint action) pairs.  An interior block expands its feasible
+    children; a leaf block is priced whole by ``_leaves`` through the offset
+    table, its masked pairs discarded as ``-inf`` and never counted in
+    ``nodes``, and its first maximum is its best leaf.  The module docstring
+    gives the search order and the tie rule.  Infeasible branches (empty
+    mask under tight caps) are pruned.
     """
     _, actions, n = root.mask.shape
     # Row j of ``joint`` is the joint action numbered j: the grid index of
-    # each station, station 0 the most significant digit.
+    # each station, station 0 the most significant digit; row j of
+    # ``offsets`` is where its entries sit in a row's flattened (A, n) table.
     joint = np.indices((actions,) * n).reshape(n, -1).T
-    size = len(joint)
+    offsets = joint * n + np.arange(n)
     end = root.t + depth
     best_profit = -math.inf
     best_seq: tuple = ()
@@ -167,30 +190,36 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
         # acc: (rows,) profit so far; prefix: (rows, slot.t - root.t, n) grid
         # indices taken so far.
         nonlocal best_profit, best_seq, nodes
-        leaf = slot.t + 1 == end
-        for lo in range(0, len(acc) * size, _BLOCK_ROWS):
-            # Joint actions lo..hi of the frontier, numbered row by row; the
-            # joint mask of the rows they span keeps the feasible ones.
-            hi = min(lo + _BLOCK_ROWS, len(acc) * size)
-            mask = slot.mask[lo // size:(hi - 1) // size + 1]
+        # A block is ``step`` whole rows, or one row and ``width`` of its
+        # joint actions where a row has more than a block holds.
+        step, width = max(1, _BLOCK_ROWS // len(joint)), min(len(joint), _BLOCK_ROWS)
+        for top, left in itertools.product(range(0, len(acc), step), range(0, len(joint), width)):
+            rows, cols = slice(top, top + step), slice(left, left + width)
+            mask = slot.mask[rows]
             feasible = mask[:, :, 0]
             for i in range(1, n):
                 feasible = (feasible[:, :, None] & mask[:, None, :, i]).reshape(len(mask), -1)
-            child = lo + np.flatnonzero(feasible.reshape(-1)[lo % size:lo % size + hi - lo])
-            if not child.size:
+            feasible = feasible[:, cols]
+            count = int(np.count_nonzero(feasible))
+            if not count:
                 continue
-            parents, picks = child // size, joint[child % size]
-            nxt, profit = _children(episode, slot, parents, picks, leaf=leaf)
-            nodes += child.size
-            total = acc[parents] + profit
-            if not leaf:
-                expand(_slot(episode, params, grid, slot.t + 1, nxt), total,
+            nodes += count
+            if slot.t + 1 < end:
+                # Compress to the feasible children, in lexicographic order.
+                row, col = np.nonzero(feasible)
+                parents, picks = rows.start + row, joint[cols][col]
+                nxt, profit = _children(episode, slot, parents, picks)
+                expand(_slot(episode, params, grid, slot.t + 1, nxt), acc[parents] + profit,
                        np.concatenate((prefix[parents], picks[:, None, :]), axis=1))
                 continue
-            i = int(np.argmax(total))
-            if total[i] > best_profit:
-                best_profit = total[i]
-                best_seq = tuple(map(tuple, prefix[parents[i]].tolist() + [picks[i].tolist()]))
+            # Leaves: the first maximum of the row-major block is its
+            # lexicographically first best leaf.
+            total = acc[rows, None] + _leaves(episode, slot, rows, offsets[cols], feasible)
+            row, col = np.unravel_index(np.argmax(total), total.shape)
+            if total[row, col] > best_profit:
+                best_profit = total[row, col]
+                best_seq = tuple(map(tuple, prefix[rows.start + row].tolist()
+                                     + [joint[cols][col].tolist()]))
 
     expand(root, np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
     if not math.isfinite(best_profit):

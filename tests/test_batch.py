@@ -650,17 +650,22 @@ def test_oracle_blocks_keep_lexicographic_ties(monkeypatch, block_rows):
 @pytest.mark.parametrize("block_rows", [5, 64])
 def test_oracle_blocks_never_pass_more_rows_than_the_block_size(monkeypatch, block_rows):
     # One 3-station slot on the default 15-action grid gives its one row
-    # 3,375 joint actions, more than a block holds; no _children call may
-    # see more rows than a block, and the optimum must not change.
+    # 3,375 joint actions, more than a block holds; no _children or _leaves
+    # call may price more pairs than a block, and the optimum must not change.
     monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
     sizes = []
-    real = oracle._children
+    children, leaves = oracle._children, oracle._leaves
 
-    def recording(episode, slot, parents, picks, **leaf):
+    def recording_children(episode, slot, parents, picks):
         sizes.append(len(parents))
-        return real(episode, slot, parents, picks, **leaf)
+        return children(episode, slot, parents, picks)
 
-    monkeypatch.setattr(oracle, "_children", recording)
+    def recording_leaves(episode, slot, rows, cells, feasible):
+        sizes.append(feasible.size)
+        return leaves(episode, slot, rows, cells, feasible)
+
+    monkeypatch.setattr(oracle, "_children", recording_children)
+    monkeypatch.setattr(oracle, "_leaves", recording_leaves)
     wide = oracle.random_tiny_instance(np.random.default_rng(3), station_count=3, horizon=1,
                                        grid=ActionGrid())
     for inst in [wide] + _draws(4, seed=7):
@@ -695,16 +700,29 @@ def test_replaying_a_rollout_settles_the_same_episode_bit_for_bit():
 def test_oracle_evaluates_every_node_once(monkeypatch):
     # The same (slot, state, action) nodes as the depth-first search, each
     # as often, whatever the block size: no child dropped or duplicated.
+    # A leaf block prices masked pairs too; only its feasible ones are nodes.
     visited = []
-    real = oracle._children
+    children, leaves = oracle._children, oracle._leaves
 
-    def recording(episode, slot, parents, picks, **leaf):
-        cell = (parents[:, None], picks, np.arange(picks.shape[1]))
-        rows = zip(*(a[parents] for a in slot.state), slot.table[0][cell], slot.table[1][cell])
+    def record(slot, parents, supply, control):
+        rows = zip(*(a[parents] for a in slot.state), supply, control)
         visited.extend(_node(slot.t, *row) for row in rows)
-        return real(episode, slot, parents, picks, **leaf)
 
-    monkeypatch.setattr(oracle, "_children", recording)
+    def recording_children(episode, slot, parents, picks):
+        cell = (parents[:, None], picks, np.arange(picks.shape[1]))
+        record(slot, parents, slot.table[0][cell], slot.table[1][cell])
+        return children(episode, slot, parents, picks)
+
+    def recording_leaves(episode, slot, rows, cells, feasible):
+        row, col = np.nonzero(feasible)
+        supply, control = (slot.table[k, rows].reshape(len(feasible), -1)[row[:, None],
+                                                                          cells[col]]
+                           for k in (0, 1))
+        record(slot, rows.start + row, supply, control)
+        return leaves(episode, slot, rows, cells, feasible)
+
+    monkeypatch.setattr(oracle, "_children", recording_children)
+    monkeypatch.setattr(oracle, "_leaves", recording_leaves)
     for block_rows in (5, 64):
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
         for inst in _draws(4, seed=7):
@@ -737,6 +755,27 @@ def test_oracle_ties_keep_the_lexicographically_first_sequence(monkeypatch, bloc
     for tied in (((1, 1), (0, 0)), ((2, 0), (0, 0))):
         assert oracle.replay_sequence(inst, tied)[0] == exact.profit == 28.0
     ref = _dfs_search(episode, params, inst.grid, episode.initial_states, 0, 2)
+    assert (exact.profit, exact.actions, exact.nodes) == ref
+
+
+def test_oracle_never_picks_a_masked_leaf():
+    # One station at its battery floor with regular demand above its import
+    # cap: supplying all of it needs (1 - beta) * capacity_min + regular from
+    # the utility, so the full-supply block is masked, and its placeholder
+    # entries (supply 0, control 0) would earn 0.  Every feasible leaf buys
+    # at least (1 - beta) * capacity_min and earns less than 0, so a masked
+    # pair priced with the rest of its leaf block must never win.
+    params = EssParams(capacity_max=100.0, leakage_beta=0.9, import_cap=2.0)
+    quote = PriceQuote(utility=0.125, ev=0.25, trade=0.09375, buyback=0.0625)
+    episode = Episode(quotes=(quote,), renewables=((0.0,),), arrivals=(((0.0, 0.0),),),
+                      initial_states=(StationState(params.capacity_min, 0.0, 4.0),))
+    inst = oracle.TinyInstance(episode=episode, params=params,
+                               grid=ActionGrid(ev_fractions=(0.0, 1.0)))
+    _, _, mask = inst.grid.decode_table(episode.initial_states[0], 0.0, params)
+    assert mask.tolist() == [True] * 5 + [False] * 5
+    exact = oracle.brute_force(inst)
+    assert exact.profit < 0.0
+    ref = _dfs_search(episode, params, inst.grid, episode.initial_states, 0, 1)
     assert (exact.profit, exact.actions, exact.nodes) == ref
 
 
