@@ -38,7 +38,13 @@ Last, a short double_qmix run on a 3-station synthetic-mode scenario
 ``synthetic/``) digests its ``metrics.csv``, checkpoint and ``trace.csv``,
 so the scenario generators are covered too, and one more on 6 stations
 (under ``synthetic6/``) does the same for a market that clears six
-stations on every slot.
+stations on every slot.  Under ``sync/``, double_qmix, qmix and
+independent_dqn each train 12 episodes with a batch of 2 from a 4-episode
+buffer and a target sync every 2 episodes
+(``{"train": {"batch_episodes": 2, "capacity": 4, "target_period": 2}}``),
+and each run's ``metrics.csv`` and checkpoint are digested, so training
+that crosses several target syncs, and the eval agents drifting away
+from the target agents between them, is pinned too.
 Run it at two commits and diff the outputs to check that a change keeps
 every artifact byte-identical:
 
@@ -87,6 +93,9 @@ VARIANTS = (("", {}), ("mixer_grad", {"train": {"agent_loss_mode": "mixer_grad"}
 # the synthetic-mode runs: (subdirectory, station count) of each, their algorithm and episode count
 SYNTHETIC_RUNS = (("synthetic", 3), ("synthetic6", 6))
 SYNTHETIC_ALGORITHM, SYNTHETIC_EPISODES = "double_qmix", 8
+# the runs that cross target syncs: their algorithms, episode count and config
+SYNC_ALGORITHMS, SYNC_EPISODES = ("double_qmix", "qmix", "independent_dqn"), 12
+SYNC_CONFIG = {"train": {"batch_episodes": 2, "capacity": 4, "target_period": 2}}
 ORACLE_INSTANCES = 20
 TIGHT_INSTANCES = 40
 THREE_STATION_INSTANCES = 10
@@ -152,6 +161,23 @@ def synthetic_digests(out: Path, name: str, stations: int, seed: int, eval_seed:
     return [_digest(root / "train" / run / "metrics.csv", out),
             *_checkpoint_digests(root / "train" / run / "checkpoint.npz", out),
             _digest(root / "evaluate" / run / "trace.csv", out)]
+
+
+def sync_digests(out: Path, seed: int, extra: dict) -> list[str]:
+    """The metrics and checkpoint lines of each ``SYNC_ALGORITHMS`` run under ``sync/``."""
+    root = out / "sync"
+    root.mkdir(parents=True, exist_ok=True)
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(_merge(_merge({"train": {"episodes": SYNC_EPISODES}},
+                                            SYNC_CONFIG), extra)))
+    lines = []
+    for algorithm in SYNC_ALGORITHMS:
+        _run(["train", "--config", str(cfg), "--seed", str(seed), "--algorithm", algorithm,
+              "--out", str(root / "train")])
+        run = root / "train" / f"{algorithm}_seed{seed}"
+        lines += [_digest(run / "metrics.csv", out),
+                  *_checkpoint_digests(run / "checkpoint.npz", out)]
+    return lines
 
 
 def oracle_digests(out: Path, seed: int) -> list[str]:
@@ -288,6 +314,7 @@ def main(argv=None) -> int:
         lines += [line for name, stations in SYNTHETIC_RUNS
                   for line in synthetic_digests(out, name, stations, args.seed, args.eval_seed,
                                                 extra, args.checkpoints)]
+        lines += sync_digests(out, args.seed, extra)
         for line in lines:
             print(line)
     return 0
