@@ -5,7 +5,11 @@ axis, and for the mixer algorithms a mixer bank: mixer A and, for
 double_qmix, mixer B of the monotone mixer on one axis.  Each bank has an
 eval and a target copy.  Training follows the recurrent pattern: whole
 episodes are replayed and hidden states re-unrolled from zero, one
-gradient step per training episode.
+gradient step per training episode.  The target agents stay frozen between
+syncs, so each replayed episode's target-agent Q-values are computed once
+per target period and kept on the learner; reassigning any target agent
+array, as each sync does, empties that cache.  An episode unrolled alone
+takes two rows, since numpy's one-row product (gemv) rounds differently.
 
 Each algorithm is one row of ``ALGORITHM_TRAITS``.  ``double_qmix`` bootstraps
 with the elementwise minimum of the two target mixers, evaluated at next-slot
@@ -20,7 +24,7 @@ episode, the learner's and the oracle's, runs through one slot loop,
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -147,6 +151,15 @@ class LearnerState:
     train_steps: int = 0
     episodes_done: int = 0
     debug_violations: int = 0
+    # The target agents' (T, I, A) Q-values of every episode replayed since their
+    # parameter arrays were last reassigned (``sync_targets`` does so), under
+    # ``id(record)``; each entry holds its record, so no id is reused while
+    # cached.  ``target_arrays`` holds the arrays the values were computed from.
+    # An in-place write to those arrays goes unseen: only ``load_learner``'s
+    # ``restore_params`` makes one, into a learner that has cached nothing yet.
+    target_values: dict[int, tuple[EpisodeRecord, np.ndarray]] = field(
+        default_factory=dict, repr=False)
+    target_arrays: list[np.ndarray] = field(default_factory=list, repr=False)
 
     @property
     def traits(self) -> AlgorithmTraits:
@@ -359,23 +372,56 @@ class Targets:
     mix_b: np.ndarray | None = None
 
 
-def compute_targets(obs: np.ndarray, states: np.ndarray, masks: np.ndarray,
+def _target_values(batch: Sequence[EpisodeRecord], learner: LearnerState) -> np.ndarray:
+    """The target agents' (B, T, I, A) Q-values of ``batch``, each episode unrolled once
+    per target period.
+
+    The values live in ``learner.target_values`` until the target agents'
+    parameter arrays change, which empties it.  The episodes it does not hold
+    are unrolled once each, however often they were sampled, in one ``_unroll``.
+    A lone one takes two rows when the batch has more: numpy runs a one-row
+    recurrent product through gemv, whose sums round differently, while every
+    wider unroll gives each row the bits of the full batch's unroll.
+    """
+    arrays = [p.data for p in learner.agents_target.parameters().values()]
+    if list(map(id, arrays)) != list(map(id, learner.target_arrays)):
+        learner.target_values.clear()
+        learner.target_arrays = arrays
+    held = learner.target_values
+    missing = {id(r): r for r in batch if id(r) not in held}
+    if missing:
+        records = list(missing.values())
+        if len(records) == 1 < len(batch):
+            records *= 2
+        obs = np.stack([r.obs for r in records])
+        q = _values(_unroll(learner.agents_target, obs).data, *obs.shape[:2])
+        held.update((id(r), (r, values)) for r, values in zip(missing.values(), q))
+    return np.stack([held[id(r)][1] for r in batch])
+
+
+def compute_targets(batch: Sequence[EpisodeRecord], states: np.ndarray, masks: np.ndarray,
                     rewards: np.ndarray, q_eval: np.ndarray,
                     learner: LearnerState) -> Targets:
     """One bootstrap for every algorithm: next actions, target values, reward plus discounted tail.
 
-    Takes the stacked batch arrays and the eval agents' (B, T, I, A) Q-values.
-    The eval or the target agents, as the algorithm's row says, pick each
-    next-slot action by masked argmax.  With no mixer each agent's tail is the
-    target agents' value there; else the target mixer bank mixes those values
-    and the tail is the minimum over its mixers.  The target nets run the eval
-    nets' own forward, ``_unroll`` and the mixer bank's ``forward``; no target
-    parameter requires a gradient, so neither is taped.
+    Takes the batch's records, their stacked arrays and the eval agents'
+    (B, T, I, A) Q-values.  The target agents' values come from
+    ``_target_values``, computed once per episode per target period, kept
+    until a target agent array is reassigned, and from two rows for an
+    episode unrolled alone, so they equal the full batch's unroll bit for
+    bit.  The eval
+    or the target agents, as the algorithm's row says, pick each next-slot
+    action by masked argmax.  With no mixer each agent's tail is the target
+    agents' value there; else the target mixer bank mixes those values and the
+    tail is the minimum over its mixers, on every call, since its inputs follow
+    the eval agents' picks.  The target nets run the eval nets' own forward,
+    ``_unroll`` and the mixer bank's ``forward``; no target parameter requires
+    a gradient, so neither is taped.
     """
-    B, T, n, _ = obs.shape
+    B, T, n = masks.shape[:3]
     gamma, traits = learner.config.gamma, learner.traits
 
-    q_target = _values(_unroll(learner.agents_target, obs).data, B, T)
+    q_target = _target_values(batch, learner)
     next_actions = _masked_argmax(q_eval if traits.eval_selects else q_target, masks)  # (B,T,I)
     chosen = np.take_along_axis(q_target, next_actions[..., None], axis=-1)[..., 0]  # (B,T,I)
 
@@ -419,7 +465,7 @@ def train_step(batch: Sequence[EpisodeRecord], learner: LearnerState
     t_unroll = time.perf_counter()
     q_eval = _unroll(learner.agents_eval, obs)
     t_targets = time.perf_counter()
-    targets = compute_targets(obs, states, masks, rewards, _values(q_eval.data, B, T), learner)
+    targets = compute_targets(batch, states, masks, rewards, _values(q_eval.data, B, T), learner)
     t_forward = time.perf_counter()
     if not np.all(np.isfinite(targets.y)):
         raise DivergenceError("non-finite bootstrap target")

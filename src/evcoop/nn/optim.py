@@ -17,7 +17,9 @@ class Adam:
     """Standard Adam with bias correction.
 
     ``params`` is a flat name -> Tensor dict; first and second moments are
-    kept per name.
+    kept per name.  They start as ``np.zeros``, which leaves large fresh
+    allocations unwritten (``np.zeros_like`` writes every page), so a learner
+    that never steps, as in ``evaluate``, pages in no optimizer memory.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
@@ -26,8 +28,8 @@ class Adam:
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():

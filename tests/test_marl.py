@@ -50,6 +50,7 @@ from evcoop.marl import (
     train,
     train_step,
 )
+from evcoop.marl.trainer import _target_values, _unroll, _values
 from evcoop.nn import CheckpointError, Dense, GRUCell, MonotonicMixer, Tensor
 from evcoop.oracle import random_tiny_instance
 from evcoop.report import TRACE_HEADER, read_trace_csv, write_trace_csv
@@ -209,7 +210,7 @@ def _stacked(batch):
 def _targets(batch, learner):
     obs, states, _, masks, rewards = _stacked(batch)
     q_eval = _reference_unroll(_station_agents(learner.agents_eval), obs)
-    return compute_targets(obs, states, masks, rewards, q_eval, learner)
+    return compute_targets(batch, states, masks, rewards, q_eval, learner)
 
 
 def _station_agents(bank):
@@ -406,6 +407,59 @@ def test_target_mixes_match_composite_bit_for_bit(algorithm):
     for mix, ref in zip(got, want):
         assert np.array_equal(_bits(mix[:, :-1]), _bits(ref))
         assert np.isnan(mix[:, -1]).all()
+
+
+def _full_unroll(records, learner):
+    """The target agents' (B, T, I, A) values of ``records`` from one fresh unroll of them all."""
+    obs = np.stack([r.obs for r in records])
+    return _values(_unroll(learner.agents_target, obs).data, *obs.shape[:2])
+
+
+@pytest.mark.parametrize("uncached", range(1, 9))
+def test_cached_target_values_match_a_full_batch_unroll_bit_for_bit(uncached):
+    learner = _learner("double_qmix")
+    records = _batch(learner, n=8)
+    want = _full_unroll(records, learner)
+    cached = records[uncached:]
+    if cached:  # held from an earlier batch of 8 that sampled only these
+        _target_values((cached * 8)[:8], learner)
+    assert len(learner.target_values) == 8 - uncached
+    order = np.random.default_rng(uncached).permutation(8)
+    got = _target_values([records[b] for b in order], learner)
+    assert np.array_equal(_bits(got), _bits(want[order]))
+    assert len(learner.target_values) == 8
+
+
+def test_a_lone_uncached_episode_keeps_the_bits_of_its_batch():
+    learner = _learner("double_qmix")
+    records = _batch(learner, n=8)
+    want = _full_unroll(records, learner)
+    # sampled eight times: unrolled once, in two rows, as the batch of 8 would give it
+    got = _target_values([records[0]] * 8, learner)
+    assert np.array_equal(_bits(got), _bits(np.repeat(want[:1], 8, axis=0)))
+    assert len(learner.target_values) == 1
+    # a batch of one unrolls one row, as it did before any value was cached
+    alone = _learner("double_qmix")
+    got = _target_values(records[1:2], alone)
+    assert np.array_equal(_bits(got), _bits(_full_unroll(records[1:2], alone)))
+
+
+@pytest.mark.parametrize("change", ["sync", "reassign"])
+def test_no_cached_target_value_outlives_its_target_arrays(change):
+    learner = _learner("double_qmix")
+    records = _batch(learner, n=2)
+    before = _target_values(records, learner)
+    if change == "sync":  # the eval agents move, then the targets follow them
+        rng = np.random.default_rng(8)
+        for p in learner.agents_eval.parameters().values():
+            p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+        sync_targets(learner)
+    else:  # one target parameter alone, the last the bank lists
+        head_b = learner.agents_target.parameters()["head.b"]
+        head_b.data = head_b.data + 0.5
+    got = _target_values(records, learner)
+    assert np.array_equal(_bits(got), _bits(_full_unroll(records, learner)))
+    assert not np.any(got == before)
 
 
 def _tied_learners():
@@ -941,6 +995,12 @@ def test_train_step_unrolls_eval_agents_once_and_mixes_in_one_pass(monkeypatch):
     # sequence for the whole agent bank; one untaped target mixer bank for
     # the bootstrap and one taped eval mixer bank for the loss
     assert calls == {"GRUCell.sequence": 2, "GRUCell.step": 0, "MonotonicMixer.forward": 2}
+    # the same episodes again, before a sync: their target values are held,
+    # so only the eval agents unroll; the target mixers still run, since the
+    # eval agents, which moved, pick their inputs
+    calls.update(dict.fromkeys(calls, 0))
+    train_step(batch, learner)
+    assert calls == {"GRUCell.sequence": 1, "GRUCell.step": 0, "MonotonicMixer.forward": 2}
 
 
 def test_train_step_tape_stays_small(monkeypatch):
