@@ -154,7 +154,8 @@ class LearnerState:
     # The target agents' (T, I, A) Q-values of every episode replayed since their
     # parameter arrays were last reassigned (``sync_targets`` does so), under
     # ``id(record)``; each entry holds its record, so no id is reused while
-    # cached.  ``target_arrays`` holds the arrays the values were computed from.
+    # cached.  ``target_arrays`` holds the arrays the values were computed from,
+    # so their ids, the cache's key, cannot be reused either.
     # An in-place write to those arrays goes unseen: only ``load_learner``'s
     # ``restore_params`` makes one, into a learner that has cached nothing yet.
     target_values: dict[int, tuple[EpisodeRecord, np.ndarray]] = field(
@@ -406,17 +407,16 @@ def compute_targets(batch: Sequence[EpisodeRecord], states: np.ndarray, masks: n
 
     Takes the batch's records, their stacked arrays and the eval agents'
     (B, T, I, A) Q-values.  The target agents' values come from
-    ``_target_values``, computed once per episode per target period, kept
-    until a target agent array is reassigned, and from two rows for an
-    episode unrolled alone, so they equal the full batch's unroll bit for
-    bit.  The eval
-    or the target agents, as the algorithm's row says, pick each next-slot
-    action by masked argmax.  With no mixer each agent's tail is the target
-    agents' value there; else the target mixer bank mixes those values and the
-    tail is the minimum over its mixers, on every call, since its inputs follow
-    the eval agents' picks.  The target nets run the eval nets' own forward,
-    ``_unroll`` and the mixer bank's ``forward``; no target parameter requires
-    a gradient, so neither is taped.
+    ``_target_values``: computed once per episode per target period, kept
+    until a target agent array is reassigned, and unrolled in two rows for an
+    episode unrolled alone, so they equal the full batch's unroll bit for bit.
+    The eval or the target agents, as the algorithm's row says, pick each
+    next-slot action by masked argmax.  With no mixer each agent's tail is the
+    target agents' value there; else the target mixer bank mixes those values
+    and the tail is the minimum over its mixers, on every call, since its
+    inputs follow the eval agents' picks.  The target nets run the eval nets'
+    own forward, ``_unroll`` and the mixer bank's ``forward``; no target
+    parameter requires a gradient, so neither is taped.
     """
     B, T, n = masks.shape[:3]
     gamma, traits = learner.config.gamma, learner.traits
