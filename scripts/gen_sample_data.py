@@ -4,15 +4,22 @@
 Run from the repository root:
 
     python3 scripts/gen_sample_data.py
+
+The package is imported from the ``src`` next to this script, not from the
+environment.
 """
 
 import csv
+import sys
 from pathlib import Path
 
-from evcoop.config import SAMPLE_CSVS
-from evcoop.data import synth_price_series, synth_pv_series
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
-OUT = Path(__file__).resolve().parent.parent / "src" / "evcoop" / "sample_data"
+from evcoop.config import SAMPLE_CSVS  # noqa: E402
+from evcoop.data import synth_price_series, synth_pv_series  # noqa: E402
+
+OUT = SRC / "evcoop" / "sample_data"
 
 HORIZON = 48
 STATIONS = 2

@@ -300,17 +300,19 @@ def test_every_package_function_but_decode_table_runs_under_some_command():
     assert done.stdout.splitlines() == ["evcoop.marl.encoding.ActionGrid.decode_table"]
 
 
-# the settings tests/golden_digests.txt was written at; rewrite that file, and say
-# in CHANGES.md which lines changed and why, only when an artifact changes by design
+# the settings tests/golden_digests.txt was written at; rewrite that file, and say in
+# CHANGES.md which lines changed and why, only when an artifact changes by design or
+# scripts/artifact_digests.py gains a row
 GOLDEN_ARGS = ("--episodes", "3", "--config", json.dumps(
     {"train": {"hidden_dim": 4, "embed_dim": 4, "hyper_hidden": 4, "batch_episodes": 2,
                "capacity": 4}}))
 
 
-def test_every_artifact_keeps_its_golden_digest():
+def _golden_digest_stderr(*args):
+    """Run scripts/artifact_digests.py at GOLDEN_ARGS, check its lines, return its stderr."""
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, str(root / "scripts" / "artifact_digests.py"),
-                           *GOLDEN_ARGS], capture_output=True, text=True, timeout=120)
+                           *GOLDEN_ARGS, *args], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     got = done.stdout.splitlines()
     want = (root / "tests" / "golden_digests.txt").read_text().splitlines()
@@ -318,6 +320,19 @@ def test_every_artifact_keeps_its_golden_digest():
     assert [path(line) for line in got] == [path(line) for line in want]
     changed = [path(a) for a, b in zip(got, want) if a != b]
     assert not changed, f"these artifacts changed: {changed}"
+    return done.stderr
+
+
+def test_every_artifact_keeps_its_golden_digest(tmp_path):
+    a = tmp_path / "a"
+    assert _golden_digest_stderr("--out", str(a)) == ""
+    # the second run reads the first's checkpoints, as a later tree would; a run the first
+    # did not write is evaluated from the second's own checkpoint and named
+    missing = a / "sync" / "train" / "qmix_seed0" / "checkpoint.npz"
+    missing.unlink()
+    stderr = _golden_digest_stderr("--out", str(tmp_path / "b"), "--checkpoints", str(a))
+    assert stderr.splitlines() == [
+        f"sync/train/qmix_seed0: no {missing}; evaluating this tree's own"]
 
 
 def test_evaluate_rejects_station_mismatch(trained, tmp_path):
