@@ -68,6 +68,11 @@ TRAINING = (
     # between them: a batch of 2 from a 4-episode buffer, a sync every 2 episodes
     ("sync", {"train": {"batch_episodes": 2, "capacity": 4, "target_period": 2}},
      ("double_qmix", "qmix", "independent_dqn"), 12),
+    # the sync row at learning rates high enough that the three algorithms' greedy
+    # evaluations take different actions, so their traces tell them apart
+    ("sync_lr", {"train": {"batch_episodes": 2, "capacity": 4, "target_period": 2,
+                           "lr_agent": 0.05, "lr_mixer": 0.05}},
+     ("double_qmix", "qmix", "independent_dqn"), 12),
 )
 # the (low, high) bounds of the battery capacity, export and import caps a tight row redraws
 TIGHT = ((4.0, 0.5, 0.5), (12.0, 4.0, 4.0))
@@ -83,6 +88,11 @@ ORACLE = (
     ("three", (2,), 10, (None,), None, {"station_count": 3, "horizon": 2}),
     # one row holds 3,375 joint actions on the default 15-action grid, more than a search block
     ("wide", (3,), 8, (1, None), TIGHT, {"station_count": 3, "horizon": 1, "grid": ActionGrid()}),
+    # one station, so no two frontier rows share a state, over a search eight slots deep
+    ("deep", (4,), 4, (2, None), None,
+     {"station_count": 1, "horizon": 8, "grid": ActionGrid(ev_fractions=(0.0, 1.0), cs_levels=2)}),
+    # two stations over four slots: the interior frontiers span several search blocks
+    ("long", (5,), 4, (2, None), None, {"station_count": 2, "horizon": 4}),
 )
 # (fuzzer, calls, seed offset), as ``evcoop fuzz`` runs them by default
 FUZZERS = ((fuzz_clearing, 100_000, 0), (fuzz_battery, 100_000, 1), (fuzz_profit, 10_000, 2))

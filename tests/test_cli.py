@@ -326,6 +326,10 @@ def _golden_digest_stderr(*args):
 def test_every_artifact_keeps_its_golden_digest(tmp_path):
     a = tmp_path / "a"
     assert _golden_digest_stderr("--out", str(a)) == ""
+    # the sync_lr row's three evaluation traces tell its algorithms apart
+    pins = [line.split("  ", 1) for line in
+            Path(__file__).with_name("golden_digests.txt").read_text().splitlines()]
+    assert len({digest for digest, path in pins if path.startswith("sync_lr/evaluate/")}) == 3
     # the second run reads the first's checkpoints, as a later tree would; a run the first
     # did not write is evaluated from the second's own checkpoint and named
     missing = a / "sync" / "train" / "qmix_seed0" / "checkpoint.npz"
