@@ -418,8 +418,8 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
 # halves, split where the stations couple.  ``advance_stations_batch`` is
 # what a station's own action decides: its next state, from the decoded
 # flow.  ``clear_and_price_batch`` couples the stations: clearing and
-# pricing.  The oracle runs the first once per (row, station, action) and
-# the second once per joint action.  Neither path checks a decoded action
+# pricing.  The oracle runs the first once per distinct (station state,
+# action) in a block and the second once per (row, joint action) pair.  Neither path checks a decoded action
 # again (it lies in its interval by construction), only the arrivals.
 
 
@@ -495,31 +495,33 @@ def advance_stations_batch(
 
 def clear_and_price_batch(supply: np.ndarray, control: np.ndarray,
                           quote: PriceQuote) -> np.ndarray:
-    """The coupled half of settling: ``(N, n)`` actions to ``(N,)`` total profit.
+    """The coupled half of settling: ``(n, N)`` actions to ``(N,)`` total profit.
 
-    Clears each row as ``clear_trades`` does, on the parts ``buy = max(c, 0)``
-    and ``sell = max(-c, 0)``: the long side matches ``ratio * part``, the
-    short side all of it, and a utility flow is a part minus its match.
-    Prices as ``profit`` does, summing the stations left to right.
+    Station-major: row ``i`` holds station i's supply or control in each of
+    N joint actions.  Clears each column as ``clear_trades`` does, on the
+    parts ``buy = max(c, 0)`` and ``sell = max(-c, 0)``: the long side
+    matches ``ratio * part``, the short side all of it, and a utility flow
+    is a part minus its match.  Prices as ``profit`` does, summing the
+    stations left to right.
     """
-    rows, n = control.shape
+    n, columns = control.shape
     buy = np.maximum(control, 0.0)
     sell = buy - control
-    charge_total, discharge_total = np.zeros(rows), np.zeros(rows)
+    charge_total, discharge_total = np.zeros(columns), np.zeros(columns)
     for i in range(n):
-        charge_total = charge_total + buy[:, i]
-        discharge_total = discharge_total + sell[:, i]
+        charge_total = charge_total + buy[i]
+        discharge_total = discharge_total + sell[i]
     long_charge = charge_total > discharge_total
     long = np.maximum(charge_total, discharge_total)
-    ratio = np.divide(np.minimum(charge_total, discharge_total), long, out=np.zeros(rows),
+    ratio = np.divide(np.minimum(charge_total, discharge_total), long, out=np.zeros(columns),
                       where=long > 0.0)
-    matched_buy = buy * np.where(long_charge, ratio, 1.0)[:, None]
-    matched_sell = sell * np.where(long_charge, 1.0, ratio)[:, None]
+    matched_buy = buy * np.where(long_charge, ratio, 1.0)
+    matched_sell = sell * np.where(long_charge, 1.0, ratio)
 
     station_profit = (supply * quote.ev - (buy - matched_buy) * quote.utility
                       + (matched_sell - matched_buy) * quote.trade
                       + (sell - matched_sell) * quote.buyback)
-    total_profit = np.zeros(rows)
+    total_profit = np.zeros(columns)
     for i in range(n):
-        total_profit = total_profit + station_profit[:, i]
+        total_profit = total_profit + station_profit[i]
     return total_profit

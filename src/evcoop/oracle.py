@@ -4,20 +4,25 @@ The oracle enumerates the same discrete action grid the agents use, so its
 optimum is an exact upper bound on anything a policy over that grid can earn.
 The search is breadth-first within a slot and, like the rollouts, decodes
 and then settles on what it decoded.  A station's next state depends only on
-its own action, so for a block of frontier rows ``decode_batch`` decodes the
-``(rows, A, n)`` action table with each entry's internal flow, and
-``core.advance_stations_batch`` turns it into next states; an entry the mask
+its own action, so a slot keeps a table of each station's distinct states
+and a frontier row is one entry of it per station: ``decode_batch`` decodes
+the table's ``(U, A, n)`` actions with each entry's internal flow, and
+``core.advance_stations_batch`` turns them into next states, except at a
+search's last slot, whose next states nothing reads.  An entry the mask
 rejects holds a placeholder the search never picks.  A row's joint actions
 are numbered in a fixed radix over the grid, station 0 the most significant
 digit, and a block holds whole frontier rows with all their joint actions,
 or, where one row has more joint actions than a block, one row and a slice
 of them; a joint mask marks the feasible ones (children).  Only clearing and
-pricing couple the stations: an interior block compresses to its children
-in that order, and has their supplies and controls gathered and priced and
-their next states gathered from the table.  Leaves, the children of a
-search's last slot, need only their profit: a leaf block gathers every
-(row, joint action) pair's supply and control through an offset table
-built once per search, prices all of them in one call, sets the pairs the
+pricing couple the stations, and they run once per (row, joint action)
+pair: each pair's supplies and controls are gathered from the table into
+station-major ``(n, pairs)`` arrays and priced in one call.  An interior
+block compresses to its children in that order and has them priced;
+children that share a station's parent entry and action share its next
+state, so the next slot's table holds each such state once.  That table is
+built from one block's children, never more than the block's pairs, so no
+table outgrows its block.  Leaves, the children of a search's last slot,
+need only their profit: a leaf block prices every pair, sets the pairs the
 mask rejects to ``-inf`` (they are priced on their placeholders, never win
 and never count as nodes) and takes one ``argmax``, and only each block's
 best leaf builds its index sequence.  Blocks are expanded depth-first, so
@@ -82,7 +87,8 @@ class TinyInstance:
         # unsolved, and an error is raised again on every call, not kept.
         t0 = time.perf_counter()
         ep = self.episode
-        root = _slot(ep, self.params, self.grid, 0, _state_arrays(ep.initial_states))
+        root = _slot(ep, self.params, self.grid, 0, _state_arrays(ep.initial_states),
+                     ep.length == 1)
         profit, seq, nodes = _search(ep, self.params, self.grid, root, ep.length)
         return OracleResult(profit=float(profit), actions=seq, nodes=nodes,
                             wall_time_s=time.perf_counter() - t0)
@@ -114,13 +120,16 @@ def _state_arrays(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Slot(NamedTuple):
-    """A block of frontier rows at slot ``t`` with every (row, action, station) outcome.
+    """Slot ``t``'s table of each station's distinct states, with every action's outcome.
 
-    ``state`` holds the rows' (battery, urgent, regular), each ``(rows, n)``,
-    and ``mask`` the decoded grid's feasibility mask, ``(rows, A, n)``.
-    ``table`` stacks five ``(rows, A, n)`` arrays: the decoded supply and
-    control, and each station's next battery, urgent and regular demand
-    under that action.  Entries the mask rejects are placeholders.
+    ``state`` holds the table's (battery, urgent, regular), each ``(U, n)``:
+    column ``i`` lists states of station ``i``, and a frontier row is one
+    entry per station.  ``mask`` is the decoded grid's feasibility mask,
+    ``(U, n, A)`` as ``decode_batch`` returns it, so that a row's actions
+    gather as one run.  ``table`` stacks ``(U, A, n)`` arrays: the decoded
+    supply and control and, unless the slot is a search's last, each
+    station's next battery, urgent and regular demand under that action.
+    Entries the mask rejects, and a column's padding, are placeholders.
     """
 
     t: int
@@ -129,34 +138,51 @@ class _Slot(NamedTuple):
     table: np.ndarray
 
 
-def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state) -> _Slot:
-    """Decode the ``state`` rows' actions at slot ``t``; advance each station under each."""
-    supply, control, mask, flow = (a.transpose(0, 2, 1) for a in
-                                   grid.decode_batch(*state, episode.renewables[t], params))
-    next_state = advance_stations_batch(*(a[:, None, :] for a in state), supply, control, flow,
-                                        episode.arrivals[t], params)
-    return _Slot(t, state, mask, np.stack((supply, control, *next_state)))
+def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state,
+          last: bool) -> _Slot:
+    """Decode the ``state`` table's actions at slot ``t``; unless ``last``, advance under each."""
+    supply, control, mask, flow = grid.decode_batch(*state, episode.renewables[t], params)
+    supply, control, flow = (a.transpose(0, 2, 1) for a in (supply, control, flow))
+    outcomes = (supply, control)
+    if not last:
+        outcomes += advance_stations_batch(*(a[:, None, :] for a in state), supply, control,
+                                           flow, episode.arrivals[t], params)
+    return _Slot(t, state, mask, np.stack(outcomes))
 
 
-def _children(episode: Episode, slot: _Slot, parents: np.ndarray, picks: np.ndarray):
-    """Next states and slot profit of rows ``parents`` taking their ``picks`` (N, n)."""
-    _, actions, n = slot.mask.shape
-    cells = (parents[:, None] * actions + picks) * n + np.arange(n)
-    supply, control, *next_state = slot.table.reshape(5, -1).take(cells, axis=1)
-    return next_state, clear_and_price_batch(supply, control, episode.quotes[slot.t])
+def _children(episode: Episode, slot: _Slot, cells: np.ndarray):
+    """Slot profit of the N children at ``(n, N)`` table ``cells``, and their next table.
 
-
-def _leaves(episode: Episode, slot: _Slot, rows: slice, cells: np.ndarray,
-            feasible: np.ndarray) -> np.ndarray:
-    """``(R, J)`` slot profit of frontier ``rows`` (R of them) taking each of J joint actions.
-
-    ``cells`` holds each joint action's ``(J, n)`` offsets into a row's
-    flattened ``(A, n)`` table.  Every pair is priced, a masked one on its
-    placeholder entries; pairs ``feasible`` rejects come back ``-inf``.
+    A child's cell for station i is its parent's entry and its own action
+    there, flattened as ``(entry * A + action) * n + i``; two children with
+    the same cell reach the same next state.  Returns the next slot's state
+    table, one entry per distinct cell in ascending order, each column
+    padded to the widest with the state of its station's cell ``i``; the
+    children's ``(n, N)`` entries in it; and their ``(N,)`` profit.
     """
-    supply, control = slot.table[:2, rows].reshape(2, len(feasible), -1).take(cells, axis=2)
-    n = cells.shape[1]
-    profit = clear_and_price_batch(supply.reshape(-1, n), control.reshape(-1, n),
+    n = len(cells)
+    supply, control = slot.table[:2].reshape(2, -1).take(cells, axis=1)
+    seen = np.zeros(slot.mask.size, dtype=bool)
+    seen[cells] = True
+    # rank[c]: how many of station c % n's distinct cells are below c.
+    rank = seen.reshape(-1, n).cumsum(axis=0).reshape(-1) - 1
+    reached = np.flatnonzero(seen)
+    origin = np.tile(np.arange(n), (int(rank[-n:].max()) + 1, 1))
+    origin[rank[reached], reached % n] = reached
+    state = tuple(slot.table[2:].reshape(3, -1).take(origin, axis=1))
+    return state, rank[cells], clear_and_price_batch(supply, control, episode.quotes[slot.t])
+
+
+def _leaves(episode: Episode, slot: _Slot, cells: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """``(R, J)`` slot profit of R frontier rows taking each of J joint actions.
+
+    ``cells`` holds each pair's ``(n, R, J)`` cells in the slot's flattened
+    table, as ``_children`` numbers them.  Every pair is priced, a masked
+    one on its placeholder entries; pairs ``feasible`` rejects come back
+    ``-inf``.
+    """
+    supply, control = slot.table[:2].reshape(2, -1).take(cells.reshape(len(cells), -1), axis=1)
+    profit = clear_and_price_batch(supply, control,
                                    episode.quotes[slot.t]).reshape(feasible.shape)
     profit[~feasible] = -math.inf
     return profit
@@ -167,38 +193,43 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
     """Best cumulative profit over ``depth`` slots from the one-row, expanded ``root``.
 
     Returns (profit, action index sequence, environment steps evaluated).
-    Frontier rows go in row-aligned blocks of at most ``_BLOCK_ROWS``
-    (row, joint action) pairs.  An interior block expands its feasible
-    children; a leaf block is priced whole by ``_leaves`` through the offset
-    table, its masked pairs discarded as ``-inf`` and never counted in
-    ``nodes``, and its first maximum is its best leaf.  The module docstring
-    gives the search order and the tie rule.  Infeasible branches (empty
-    mask under tight caps) are pruned.
+    Each frontier row is an ``(n,)`` column of entries into its slot's
+    table of distinct station states.  Frontier rows go in row-aligned
+    blocks of at most ``_BLOCK_ROWS`` (row, joint action) pairs.  An
+    interior block expands its feasible children into one next table, so
+    no table holds more entries than its parent block has pairs; a leaf
+    block is priced whole by ``_leaves``, its masked pairs discarded as
+    ``-inf`` and never counted in ``nodes``, and its first maximum is its
+    best leaf.  The module docstring gives the search order and the tie
+    rule.  Infeasible branches (empty mask under tight caps) are pruned.
     """
-    _, actions, n = root.mask.shape
+    _, n, actions = root.mask.shape
     # Row j of ``joint`` is the joint action numbered j: the grid index of
-    # each station, station 0 the most significant digit; row j of
-    # ``offsets`` is where its entries sit in a row's flattened (A, n) table.
+    # each station, station 0 the most significant digit; column j of
+    # ``offsets`` is where its entries sit among a table entry's cells.
     joint = np.indices((actions,) * n).reshape(n, -1).T
-    offsets = joint * n + np.arange(n)
+    offsets = joint.T * n
+    stations = np.arange(n)[:, None]
     end = root.t + depth
     best_profit = -math.inf
     best_seq: tuple = ()
     nodes = 0
 
-    def expand(slot, acc, prefix):
-        # acc: (rows,) profit so far; prefix: (rows, slot.t - root.t, n) grid
-        # indices taken so far.
+    def expand(slot, index, acc, prefix):
+        # index: (n, rows) table entries of the frontier rows; acc: (rows,)
+        # profit so far; prefix: (rows, slot.t - root.t, n) grid indices taken.
         nonlocal best_profit, best_seq, nodes
+        cell = index * (actions * n) + stations         # (n, rows): the cells of action 0
+        masks = slot.mask.reshape(-1, actions).take(index * n + stations, axis=0)
         # A block is ``step`` whole rows, or one row and ``width`` of its
         # joint actions where a row has more than a block holds.
         step, width = max(1, _BLOCK_ROWS // len(joint)), min(len(joint), _BLOCK_ROWS)
         for top, left in itertools.product(range(0, len(acc), step), range(0, len(joint), width)):
             rows, cols = slice(top, top + step), slice(left, left + width)
-            mask = slot.mask[rows]
-            feasible = mask[:, :, 0]
+            feasible = masks[0, rows]
             for i in range(1, n):
-                feasible = (feasible[:, :, None] & mask[:, None, :, i]).reshape(len(mask), -1)
+                feasible = (feasible[:, :, None] & masks[i, rows, None, :]).reshape(
+                    len(feasible), -1)
             feasible = feasible[:, cols]
             count = int(np.count_nonzero(feasible))
             if not count:
@@ -207,21 +238,24 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
             if slot.t + 1 < end:
                 # Compress to the feasible children, in lexicographic order.
                 row, col = np.nonzero(feasible)
-                parents, picks = rows.start + row, joint[cols][col]
-                nxt, profit = _children(episode, slot, parents, picks)
-                expand(_slot(episode, params, grid, slot.t + 1, nxt), acc[parents] + profit,
-                       np.concatenate((prefix[parents], picks[:, None, :]), axis=1))
+                parents, col = rows.start + row, cols.start + col
+                state, entries, profit = _children(episode, slot,
+                                                   cell[:, parents] + offsets[:, col])
+                expand(_slot(episode, params, grid, slot.t + 1, state, slot.t + 2 == end),
+                       entries, acc[parents] + profit,
+                       np.concatenate((prefix[parents], joint[col, None, :]), axis=1))
                 continue
             # Leaves: the first maximum of the row-major block is its
             # lexicographically first best leaf.
-            total = acc[rows, None] + _leaves(episode, slot, rows, offsets[cols], feasible)
+            total = acc[rows, None] + _leaves(
+                episode, slot, cell[:, rows, None] + offsets[:, None, cols], feasible)
             row, col = np.unravel_index(np.argmax(total), total.shape)
             if total[row, col] > best_profit:
                 best_profit = total[row, col]
                 best_seq = tuple(map(tuple, prefix[rows.start + row].tolist()
                                      + [joint[cols][col].tolist()]))
 
-    expand(root, np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
+    expand(root, np.zeros((n, 1), dtype=np.intp), np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
     if not math.isfinite(best_profit):
         raise InfeasibleActionError("no feasible joint action sequence")
     return best_profit, best_seq, nodes
@@ -250,8 +284,8 @@ def rolling_greedy(instance: TinyInstance, lookahead: int
         # initial state: that is the instance's optimum, searched once.
         if depth == ep.length:
             return instance._optimum.actions[0]
-        return _search(ep, params, grid, _slot(ep, params, grid, t, _state_arrays(states)),
-                       depth)[1][0]
+        root = _slot(ep, params, grid, t, _state_arrays(states), depth == 1)
+        return _search(ep, params, grid, root, depth)[1][0]
 
     actions, _, totals, _, _ = run_episode(ep, params, grid, choose)
     return float(sum(totals)), tuple(map(tuple, actions.tolist()))

@@ -15,6 +15,7 @@ is conserved.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,7 +332,7 @@ def test_advance_and_clear_batch_match_step(data, params, grid, quote, rows, sta
                 for _ in range(stations)]
     nb, nu, nr = advance_stations_batch(battery, urgent, regular, supply, control, flow,
                                         arrivals, params)
-    total = clear_and_price_batch(supply, control, quote)
+    total = clear_and_price_batch(supply.T, control.T, quote)
     for r in range(rows):
         acts = [StationAction(supply[r, i], control[r, i]) for i in range(stations)]
         out = step(scalar_states(battery, urgent, regular, r), acts, list(renewable[r]),
@@ -350,7 +351,7 @@ def test_clear_and_price_batch_matches_step(data, params, grid, quote, rows, sta
     if actions is None:
         return
     supply, control, _ = actions
-    total = clear_and_price_batch(supply, control, quote)
+    total = clear_and_price_batch(supply.T, control.T, quote)
     assert total.shape == (rows,)
     for r in range(rows):
         acts = [StationAction(supply[r, i], control[r, i]) for i in range(stations)]
@@ -370,7 +371,7 @@ def test_clear_and_price_batch_matches_clear_trades_on_ties_idle_and_signed_zero
     for n in (1, 2, 3):
         control = np.array(list(itertools.product(values, repeat=n)))
         supply = np.resize(np.array([0.0, 2.5, 7.25, 1e-3, 4.0]), control.shape)
-        total = clear_and_price_batch(supply, control, quote)
+        total = clear_and_price_batch(supply.T, control.T, quote)
         for row_supply, row_control, got in zip(supply.tolist(), control.tolist(), total):
             trade = clear_trades(row_control)
             ties += trade.charge_total == trade.discharge_total > 0.0
@@ -453,7 +454,7 @@ def test_advance_and_clear_batch_all_charging_and_all_discharging_rows():
                         [-10.0, -30.0, -5.0],   # everyone sells: all to the utility
                         [0.0, 0.0, 0.0]])       # idle
     arrivals = [(0.0, 0.0)] * 3
-    total = clear_and_price_batch(zeros, control, QUOTE)
+    total = clear_and_price_batch(zeros.T, control.T, QUOTE)
     nb, _, _ = advance_stations_batch(battery, zeros, zeros, zeros, control, zeros, arrivals,
                                       params)
     for r in range(3):
@@ -651,28 +652,52 @@ def test_oracle_blocks_keep_lexicographic_ties(monkeypatch, block_rows):
 def test_oracle_blocks_never_pass_more_rows_than_the_block_size(monkeypatch, block_rows):
     # One 3-station slot on the default 15-action grid gives its one row
     # 3,375 joint actions, more than a block holds; no _children or _leaves
-    # call may price more pairs than a block, and the optimum must not change.
+    # call may price more pairs than a block, no _slot call may decode a
+    # larger table, and the optimum must not change.
     monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
-    sizes = []
-    children, leaves = oracle._children, oracle._leaves
+    sizes, tables = [], []
+    children, leaves, slot = oracle._children, oracle._leaves, oracle._slot
 
-    def recording_children(episode, slot, parents, picks):
-        sizes.append(len(parents))
-        return children(episode, slot, parents, picks)
+    def recording_children(episode, slot, cells):
+        sizes.append(cells.shape[1])
+        return children(episode, slot, cells)
 
-    def recording_leaves(episode, slot, rows, cells, feasible):
+    def recording_leaves(episode, slot, cells, feasible):
         sizes.append(feasible.size)
-        return leaves(episode, slot, rows, cells, feasible)
+        return leaves(episode, slot, cells, feasible)
+
+    def recording_slot(episode, params, grid, t, state, last):
+        tables.append(len(state[0]))
+        return slot(episode, params, grid, t, state, last)
 
     monkeypatch.setattr(oracle, "_children", recording_children)
     monkeypatch.setattr(oracle, "_leaves", recording_leaves)
+    monkeypatch.setattr(oracle, "_slot", recording_slot)
     wide = oracle.random_tiny_instance(np.random.default_rng(3), station_count=3, horizon=1,
                                        grid=ActionGrid())
     for inst in [wide] + _draws(4, seed=7):
         sizes.clear()
+        tables.clear()
         _assert_same_as_dfs(inst)
         assert sizes and max(sizes) <= block_rows
+        assert tables and max(tables) <= block_rows
     assert wide.grid.n_actions ** 3 > block_rows
+
+
+def test_brute_force_memory_stays_bounded_on_a_deep_search():
+    # One station over ten slots on a 4-action grid: about 1.4 million
+    # nodes, whose frontiers reach 262,144 rows.  The depth-first walk over
+    # blocks keeps the traced peak to a few MB (3.1 MB measured); a search
+    # that kept a whole slot's frontier or table at once peaks near 70 MB.
+    inst = oracle.random_tiny_instance(np.random.default_rng(5), station_count=1, horizon=10,
+                                       grid=ActionGrid((0.0, 1.0), 2))
+    tracemalloc.start()
+    try:
+        oracle.brute_force(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_replaying_a_rollout_settles_the_same_episode_bit_for_bit():
@@ -704,22 +729,21 @@ def test_oracle_evaluates_every_node_once(monkeypatch):
     visited = []
     children, leaves = oracle._children, oracle._leaves
 
-    def record(slot, parents, supply, control):
-        rows = zip(*(a[parents] for a in slot.state), supply, control)
-        visited.extend(_node(slot.t, *row) for row in rows)
+    def record(slot, cells):
+        # A cell is (table entry * A + action) * n + station.
+        _, n, actions = slot.mask.shape
+        entries, stations = cells // (actions * n), np.arange(n)[:, None]
+        columns = [field[entries, stations] for field in slot.state]
+        columns += list(slot.table[:2].reshape(2, -1)[:, cells])
+        visited.extend(_node(slot.t, *row) for row in zip(*(c.T for c in columns)))
 
-    def recording_children(episode, slot, parents, picks):
-        cell = (parents[:, None], picks, np.arange(picks.shape[1]))
-        record(slot, parents, slot.table[0][cell], slot.table[1][cell])
-        return children(episode, slot, parents, picks)
+    def recording_children(episode, slot, cells):
+        record(slot, cells)
+        return children(episode, slot, cells)
 
-    def recording_leaves(episode, slot, rows, cells, feasible):
-        row, col = np.nonzero(feasible)
-        supply, control = (slot.table[k, rows].reshape(len(feasible), -1)[row[:, None],
-                                                                          cells[col]]
-                           for k in (0, 1))
-        record(slot, rows.start + row, supply, control)
-        return leaves(episode, slot, rows, cells, feasible)
+    def recording_leaves(episode, slot, cells, feasible):
+        record(slot, cells[:, feasible])
+        return leaves(episode, slot, cells, feasible)
 
     monkeypatch.setattr(oracle, "_children", recording_children)
     monkeypatch.setattr(oracle, "_leaves", recording_leaves)
@@ -845,7 +869,7 @@ def test_permuting_advance_and_clear_batch_columns_permutes_each_row(data, param
     def slot(columns, arrivals):
         supply, control = columns[3:5]
         return (advance_stations_batch(*columns, arrivals, params),
-                clear_and_price_batch(supply, control, quote))
+                clear_and_price_batch(supply.T, control.T, quote))
 
     base, total = slot(columns, arrivals)
     got, got_total = slot([c[:, perm] for c in columns], [arrivals[j] for j in perm])
