@@ -480,17 +480,25 @@ def advance_stations_batch(
     dynamics; the actions are not checked again.  Returns the next battery,
     urgent and regular demand, each of the broadcast shape.
     """
-    arrivals = np.asarray(next_arrivals, dtype=float)
-    n = np.shape(battery)[-1]
-    if arrivals.shape != (n, 2):
-        raise ValueError(f"next_arrivals must be {n} (urgent, regular) pairs")
-    for i, arrival in enumerate(arrivals.tolist()):
-        _check_arrival(arrival, i)
+    arrivals = check_arrivals(next_arrivals, np.shape(battery)[-1])
     # Dynamics, as the tail of settle.
     next_battery = params.leakage_beta * battery + control + flow
     next_battery = np.minimum(np.maximum(next_battery, params.capacity_min), params.usable_max)
     next_urgent = arrivals[:, 0] + np.maximum((urgent + regular) - supply, 0.0)
     return next_battery, next_urgent, np.broadcast_to(arrivals[:, 1], next_urgent.shape).copy()
+
+
+def check_arrivals(next_arrivals, n: int) -> np.ndarray:
+    """``n`` stations' (urgent, regular) ``next_arrivals`` as an ``(n, 2)`` array.
+
+    Makes ``settle``'s arrival checks, with its messages.
+    """
+    arrivals = np.asarray(next_arrivals, dtype=float)
+    if arrivals.shape != (n, 2):
+        raise ValueError(f"next_arrivals must be {n} (urgent, regular) pairs")
+    for i, arrival in enumerate(arrivals.tolist()):
+        _check_arrival(arrival, i)
+    return arrivals
 
 
 def clear_and_price_batch(supply: np.ndarray, control: np.ndarray,

@@ -8,7 +8,8 @@ its own action, so a slot keeps a table of each station's distinct states
 and a frontier row is one entry of it per station: ``decode_batch`` decodes
 the table's ``(U, A, n)`` actions with each entry's internal flow, and
 ``core.advance_stations_batch`` turns them into next states, except at a
-search's last slot, whose next states nothing reads.  An entry the mask
+search's last slot, whose next states nothing reads and whose arrivals are
+only checked.  An entry the mask
 rejects holds a placeholder the search never picks.  A row's joint actions
 are numbered in a fixed radix over the grid, station 0 the most significant
 digit, and a block holds whole frontier rows with all their joint actions,
@@ -53,6 +54,7 @@ from .core import (
     EssParams,
     StationState,
     advance_stations_batch,
+    check_arrivals,
     clear_and_price_batch,
 )
 from .data import Episode, as_tuples
@@ -144,7 +146,10 @@ def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state,
     supply, control, mask, flow = grid.decode_batch(*state, episode.renewables[t], params)
     supply, control, flow = (a.transpose(0, 2, 1) for a in (supply, control, flow))
     outcomes = (supply, control)
-    if not last:
+    if last:
+        # Nothing reads the next states, but bad arrivals still fail here.
+        check_arrivals(episode.arrivals[t], len(episode.initial_states))
+    else:
         outcomes += advance_stations_batch(*(a[:, None, :] for a in state), supply, control,
                                            flow, episode.arrivals[t], params)
     return _Slot(t, state, mask, np.stack(outcomes))

@@ -700,6 +700,19 @@ def test_brute_force_memory_stays_bounded_on_a_deep_search():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_brute_force_checks_the_arrivals_of_its_last_slot(horizon):
+    # The search reads no next state of its last slot, but its arrivals are
+    # checked as settle checks them.
+    inst = oracle.random_tiny_instance(np.random.default_rng(1), horizon=horizon)
+    arrivals = list(inst.episode.arrivals)
+    arrivals[-1] = ((math.nan, 1.0),) + arrivals[-1][1:]
+    inst = dataclasses.replace(inst, episode=dataclasses.replace(inst.episode,
+                                                                 arrivals=tuple(arrivals)))
+    with pytest.raises(ConstraintViolation, match="station 0: arrival_urgent nan is not finite"):
+        oracle.brute_force(inst)
+
+
 def test_replaying_a_rollout_settles_the_same_episode_bit_for_bit():
     # The learner's rollout and replay_sequence are two choosers over one
     # episode loop: replaying the actions a rollout took must give its total
