@@ -6,11 +6,11 @@ The search is breadth-first within a slot and, like the rollouts, decodes
 and then settles on what it decoded.  A station's next state depends only on
 its own action, so a slot keeps a table of each station's distinct states
 and a frontier row is one entry of it per station: ``decode_batch`` decodes
-the table's ``(U, A, n)`` actions with each entry's internal flow, and
+every (entry, action) of the table with its internal flow, and
 ``core.advance_stations_batch`` turns them into next states, except at a
 search's last slot, whose next states nothing reads and whose arrivals are
-only checked.  An entry the mask
-rejects holds a placeholder the search never picks.  A row's joint actions
+only checked.  An entry the mask rejects holds a placeholder the search
+never picks.  A row's joint actions
 are numbered in a fixed radix over the grid, station 0 the most significant
 digit, and a block holds whole frontier rows with all their joint actions,
 or, where one row has more joint actions than a block, one row and a slice
@@ -127,11 +127,12 @@ class _Slot(NamedTuple):
     ``state`` holds the table's (battery, urgent, regular), each ``(U, n)``:
     column ``i`` lists states of station ``i``, and a frontier row is one
     entry per station.  ``mask`` is the decoded grid's feasibility mask,
-    ``(U, n, A)`` as ``decode_batch`` returns it, so that a row's actions
-    gather as one run.  ``table`` stacks ``(U, A, n)`` arrays: the decoded
+    ``(n, U, A)``.  ``table`` stacks ``(n, U, A)`` arrays: the decoded
     supply and control and, unless the slot is a search's last, each
     station's next battery, urgent and regular demand under that action.
     Entries the mask rejects, and a column's padding, are placeholders.
+    Station-major, so each station's cells ``(i * U + entry) * A + action``
+    form one run.
     """
 
     t: int
@@ -144,47 +145,50 @@ def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state,
           last: bool) -> _Slot:
     """Decode the ``state`` table's actions at slot ``t``; unless ``last``, advance under each."""
     supply, control, mask, flow = grid.decode_batch(*state, episode.renewables[t], params)
-    supply, control, flow = (a.transpose(0, 2, 1) for a in (supply, control, flow))
-    outcomes = (supply, control)
+    outcomes = [supply.transpose(1, 0, 2), control.transpose(1, 0, 2)]
     if last:
         # Nothing reads the next states, but bad arrivals still fail here.
         check_arrivals(episode.arrivals[t], len(episode.initial_states))
     else:
-        outcomes += advance_stations_batch(*(a[:, None, :] for a in state), supply, control,
-                                           flow, episode.arrivals[t], params)
-    return _Slot(t, state, mask, np.stack(outcomes))
+        # advance_stations_batch broadcasts the arrivals over a last, station axis.
+        supply, control, flow = (a.transpose(0, 2, 1) for a in (supply, control, flow))
+        next_state = advance_stations_batch(*(a[:, None, :] for a in state), supply, control,
+                                            flow, episode.arrivals[t], params)
+        outcomes += [a.transpose(2, 0, 1) for a in next_state]
+    return _Slot(t, state, np.ascontiguousarray(mask.transpose(1, 0, 2)), np.stack(outcomes))
 
 
 def _children(episode: Episode, slot: _Slot, cells: np.ndarray):
     """Slot profit of the N children at ``(n, N)`` table ``cells``, and their next table.
 
     A child's cell for station i is its parent's entry and its own action
-    there, flattened as ``(entry * A + action) * n + i``; two children with
-    the same cell reach the same next state.  Returns the next slot's state
-    table, one entry per distinct cell in ascending order, each column
-    padded to the widest with the state of its station's cell ``i``; the
-    children's ``(n, N)`` entries in it; and their ``(N,)`` profit.
+    there; two children with the same cell reach the same next state.
+    Returns the next slot's state table, one entry per distinct cell in
+    ascending order, each column padded to the widest with its last state;
+    the children's ``(n, N)`` entries in it; and their ``(N,)`` profit.
     """
-    n = len(cells)
+    n, entries, actions = slot.mask.shape
     supply, control = slot.table[:2].reshape(2, -1).take(cells, axis=1)
     seen = np.zeros(slot.mask.size, dtype=bool)
     seen[cells] = True
-    # rank[c]: how many of station c % n's distinct cells are below c.
-    rank = seen.reshape(-1, n).cumsum(axis=0).reshape(-1) - 1
+    # Station 0's distinct cells, ascending, then station 1's, ...
     reached = np.flatnonzero(seen)
-    origin = np.tile(np.arange(n), (int(rank[-n:].max()) + 1, 1))
-    origin[rank[reached], reached % n] = reached
+    start = np.searchsorted(reached, np.arange(n + 1) * (entries * actions))
+    position = np.empty(len(seen), dtype=np.intp)
+    position[reached] = np.arange(len(reached))
+    width = np.arange(np.diff(start).max())[:, None]
+    origin = reached[np.minimum(start[:-1] + width, start[1:] - 1)]
     state = tuple(slot.table[2:].reshape(3, -1).take(origin, axis=1))
-    return state, rank[cells], clear_and_price_batch(supply, control, episode.quotes[slot.t])
+    return (state, position[cells] - start[:-1, None],
+            clear_and_price_batch(supply, control, episode.quotes[slot.t]))
 
 
 def _leaves(episode: Episode, slot: _Slot, cells: np.ndarray, feasible: np.ndarray) -> np.ndarray:
     """``(R, J)`` slot profit of R frontier rows taking each of J joint actions.
 
     ``cells`` holds each pair's ``(n, R, J)`` cells in the slot's flattened
-    table, as ``_children`` numbers them.  Every pair is priced, a masked
-    one on its placeholder entries; pairs ``feasible`` rejects come back
-    ``-inf``.
+    table.  Every pair is priced, a masked one on its placeholder entries;
+    pairs ``feasible`` rejects come back ``-inf``.
     """
     supply, control = slot.table[:2].reshape(2, -1).take(cells.reshape(len(cells), -1), axis=1)
     profit = clear_and_price_batch(supply, control,
@@ -208,12 +212,11 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
     best leaf.  The module docstring gives the search order and the tie
     rule.  Infeasible branches (empty mask under tight caps) are pruned.
     """
-    _, n, actions = root.mask.shape
+    n, _, actions = root.mask.shape
     # Row j of ``joint`` is the joint action numbered j: the grid index of
-    # each station, station 0 the most significant digit; column j of
-    # ``offsets`` is where its entries sit among a table entry's cells.
+    # each station, station 0 the most significant digit.
     joint = np.indices((actions,) * n).reshape(n, -1).T
-    offsets = joint.T * n
+    picks = joint.T
     stations = np.arange(n)[:, None]
     end = root.t + depth
     best_profit = -math.inf
@@ -224,8 +227,9 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
         # index: (n, rows) table entries of the frontier rows; acc: (rows,)
         # profit so far; prefix: (rows, slot.t - root.t, n) grid indices taken.
         nonlocal best_profit, best_seq, nodes
-        cell = index * (actions * n) + stations         # (n, rows): the cells of action 0
-        masks = slot.mask.reshape(-1, actions).take(index * n + stations, axis=0)
+        row = stations * slot.mask.shape[1] + index     # (n, rows): table rows of the frontier
+        masks = slot.mask.reshape(-1, actions).take(row, axis=0)
+        cell = row * actions                            # the cells of action 0
         # A block is ``step`` whole rows, or one row and ``width`` of its
         # joint actions where a row has more than a block holds.
         step, width = max(1, _BLOCK_ROWS // len(joint)), min(len(joint), _BLOCK_ROWS)
@@ -245,7 +249,7 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
                 row, col = np.nonzero(feasible)
                 parents, col = rows.start + row, cols.start + col
                 state, entries, profit = _children(episode, slot,
-                                                   cell[:, parents] + offsets[:, col])
+                                                   cell[:, parents] + picks[:, col])
                 expand(_slot(episode, params, grid, slot.t + 1, state, slot.t + 2 == end),
                        entries, acc[parents] + profit,
                        np.concatenate((prefix[parents], joint[col, None, :]), axis=1))
@@ -253,7 +257,7 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
             # Leaves: the first maximum of the row-major block is its
             # lexicographically first best leaf.
             total = acc[rows, None] + _leaves(
-                episode, slot, cell[:, rows, None] + offsets[:, None, cols], feasible)
+                episode, slot, cell[:, rows, None] + picks[:, None, cols], feasible)
             row, col = np.unravel_index(np.argmax(total), total.shape)
             if total[row, col] > best_profit:
                 best_profit = total[row, col]

@@ -743,10 +743,11 @@ def test_oracle_evaluates_every_node_once(monkeypatch):
     children, leaves = oracle._children, oracle._leaves
 
     def record(slot, cells):
-        # A cell is (table entry * A + action) * n + station.
-        _, n, actions = slot.mask.shape
-        entries, stations = cells // (actions * n), np.arange(n)[:, None]
-        columns = [field[entries, stations] for field in slot.state]
+        # A cell is (station * U + table entry) * A + action.
+        n, entries, actions = slot.mask.shape
+        stations = np.arange(n)[:, None]
+        entry = cells // actions - stations * entries
+        columns = [field[entry, stations] for field in slot.state]
         columns += list(slot.table[:2].reshape(2, -1)[:, cells])
         visited.extend(_node(slot.t, *row) for row in zip(*(c.T for c in columns)))
 
