@@ -209,7 +209,9 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
     no table holds more entries than its parent block has pairs; a leaf
     block is priced whole by ``_leaves``, its masked pairs discarded as
     ``-inf`` and never counted in ``nodes``, and its first maximum is its
-    best leaf.  The module docstring gives the search order and the tie
+    best leaf.  A row keeps only a link to its parent row and joint action,
+    and a leaf that beats the best follows the links back to build its
+    sequence.  The module docstring gives the search order and the tie
     rule.  Infeasible branches (empty mask under tight caps) are pruned.
     """
     n, _, actions = root.mask.shape
@@ -223,13 +225,15 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
     best_seq: tuple = ()
     nodes = 0
 
-    def expand(slot, index, acc, prefix):
+    def expand(slot, index, acc, path):
         # index: (n, rows) table entries of the frontier rows; acc: (rows,)
-        # profit so far; prefix: (rows, slot.t - root.t, n) grid indices taken.
+        # profit so far; path: None at the root, else (parents, joints, path)
+        # of the slot before: row r came from its row parents[r] by the joint
+        # action numbered joints[r].
         nonlocal best_profit, best_seq, nodes
-        row = stations * slot.mask.shape[1] + index     # (n, rows): table rows of the frontier
-        masks = slot.mask.reshape(-1, actions).take(row, axis=0)
-        cell = row * actions                            # the cells of action 0
+        frontier = stations * slot.mask.shape[1] + index  # (n, rows): the table's rows
+        masks = slot.mask.reshape(-1, actions).take(frontier, axis=0)
+        cell = frontier * actions                         # the cells of action 0
         # A block is ``step`` whole rows, or one row and ``width`` of its
         # joint actions where a row has more than a block holds.
         step, width = max(1, _BLOCK_ROWS // len(joint)), min(len(joint), _BLOCK_ROWS)
@@ -251,8 +255,7 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
                 state, entries, profit = _children(episode, slot,
                                                    cell[:, parents] + picks[:, col])
                 expand(_slot(episode, params, grid, slot.t + 1, state, slot.t + 2 == end),
-                       entries, acc[parents] + profit,
-                       np.concatenate((prefix[parents], joint[col, None, :]), axis=1))
+                       entries, acc[parents] + profit, (parents, col, path))
                 continue
             # Leaves: the first maximum of the row-major block is its
             # lexicographically first best leaf.
@@ -261,10 +264,14 @@ def _search(episode: Episode, params: EssParams, grid: ActionGrid,
             row, col = np.unravel_index(np.argmax(total), total.shape)
             if total[row, col] > best_profit:
                 best_profit = total[row, col]
-                best_seq = tuple(map(tuple, prefix[rows.start + row].tolist()
-                                     + [joint[cols][col].tolist()]))
+                taken, r, before = [cols.start + col], rows.start + row, path
+                while before is not None:
+                    parents, joints, before = before
+                    taken.append(joints[r])
+                    r = parents[r]
+                best_seq = tuple(tuple(joint[j].tolist()) for j in reversed(taken))
 
-    expand(root, np.zeros((n, 1), dtype=np.intp), np.zeros(1), np.zeros((1, 0, n), dtype=np.intp))
+    expand(root, np.zeros((n, 1), dtype=np.intp), np.zeros(1), None)
     if not math.isfinite(best_profit):
         raise InfeasibleActionError("no feasible joint action sequence")
     return best_profit, best_seq, nodes
