@@ -176,8 +176,8 @@ def _children(episode: Episode, slot: _Slot, cells: np.ndarray):
     start = np.searchsorted(reached, np.arange(n + 1) * (entries * actions))
     position = np.empty(len(seen), dtype=np.intp)
     position[reached] = np.arange(len(reached))
-    width = np.arange(np.diff(start).max())[:, None]
-    origin = reached[np.minimum(start[:-1] + width, start[1:] - 1)]
+    rank = np.arange(np.diff(start).max())[:, None]     # (U', 1): the next table's entries
+    origin = reached[np.minimum(start[:-1] + rank, start[1:] - 1)]
     state = tuple(slot.table[2:].reshape(3, -1).take(origin, axis=1))
     return (state, position[cells] - start[:-1, None],
             clear_and_price_batch(supply, control, episode.quotes[slot.t]))
