@@ -687,8 +687,8 @@ def test_oracle_blocks_never_pass_more_rows_than_the_block_size(monkeypatch, blo
 def test_brute_force_memory_stays_bounded_on_a_deep_search():
     # One station over ten slots on a 4-action grid: about 1.4 million
     # nodes, whose frontiers reach 262,144 rows.  The depth-first walk over
-    # blocks keeps the traced peak to a few MB (3.1 MB measured); a search
-    # that kept a whole slot's frontier or table at once peaks near 70 MB.
+    # blocks keeps the traced peak to a few MB (2.5 MB measured); a search
+    # that kept a whole slot level's table at once peaked at 63 MB.
     inst = oracle.random_tiny_instance(np.random.default_rng(5), station_count=1, horizon=10,
                                        grid=ActionGrid((0.0, 1.0), 2))
     tracemalloc.start()
