@@ -16,7 +16,6 @@ from .core import (  # noqa: E402
     Multipliers,
     PriceOrderingError,
     PriceQuote,
-    ProfitBreakdown,
     StationAction,
     StationState,
     StepOutcome,
@@ -32,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstraintViolation", "EssParams", "InfeasibleIntervalError", "Multipliers",
-    "PriceOrderingError", "PriceQuote", "ProfitBreakdown", "StationAction",
-    "StationState", "StepOutcome", "TradeOutcome", "clear_trades",
-    "control_intervals", "profit", "soc", "step",
+    "PriceOrderingError", "PriceQuote", "StationAction", "StationState",
+    "StepOutcome", "TradeOutcome", "clear_trades", "control_intervals", "profit",
+    "soc", "step",
     "__version__",
 ]

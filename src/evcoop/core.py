@@ -119,9 +119,9 @@ class PriceQuote:
     def __post_init__(self) -> None:
         if self.buyback <= 0.0:
             raise PriceOrderingError(f"prices must be positive, got buyback={self.buyback}")
-        if not (self.buyback < self.trade < self.utility < self.ev):
+        if not (self.buyback < self.trade < self.utility < self.ev < math.inf):
             raise PriceOrderingError(
-                f"price ordering violated: need buyback < trade < utility < ev, "
+                f"price ordering violated: need buyback < trade < utility < ev < inf, "
                 f"got ({self.buyback}, {self.trade}, {self.utility}, {self.ev})"
             )
 
@@ -135,9 +135,9 @@ class Multipliers:
     buyback: float = 0.8
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.buyback < self.trade < 1.0 < self.ev):
+        if not (0.0 < self.buyback < self.trade < 1.0 < self.ev < math.inf):
             raise PriceOrderingError(
-                f"need 0 < buyback < trade < 1 < ev, "
+                f"need 0 < buyback < trade < 1 < ev < inf, "
                 f"got buyback={self.buyback}, trade={self.trade}, ev={self.ev}")
 
     def quote(self, utility: float) -> PriceQuote:
@@ -163,36 +163,28 @@ class TradeOutcome:
     For every station at most one of (matched_buy, matched_sell) and at most
     one of (utility_buy, utility_sell) is nonzero, and
     ``matched_buy + utility_buy == max(control, 0)``,
-    ``matched_sell + utility_sell == max(-control, 0)``.
+    ``matched_sell + utility_sell == max(-control, 0)``.  The matched
+    volumes of all stations sum to the same amount on both sides.
     """
 
     matched_buy: list[float]
     matched_sell: list[float]
     utility_buy: list[float]
     utility_sell: list[float]
-    charge_total: float
-    discharge_total: float
-
-
-@dataclass
-class ProfitBreakdown:
-    """Per-station profit components ($) for one slot and their total."""
-
-    ev_income: list[float]
-    utility_cost: list[float]
-    trade_net: list[float]
-    buyback_income: list[float]
-    station_profit: list[float]
-    total_profit: float
 
 
 @dataclass
 class StepOutcome:
-    """Everything produced by advancing all stations one slot."""
+    """Everything produced by advancing all stations one slot.
+
+    ``station_profit`` is each station's profit ($) from ``profit`` and
+    ``total_profit`` their sum, left to right.
+    """
 
     next_states: list[StationState]
     trade: TradeOutcome
-    profit: ProfitBreakdown
+    station_profit: list[float]
+    total_profit: float
     curtailed_kwh: list[float]
 
 
@@ -282,30 +274,23 @@ def clear_trades(ess_controls: list[float]) -> TradeOutcome:
                 matched_sell[i] = ratio * -c
                 utility_sell[i] = -c - matched_sell[i]
 
-    return TradeOutcome(matched_buy, matched_sell, utility_buy, utility_sell, charge_total, discharge_total)
+    return TradeOutcome(matched_buy, matched_sell, utility_buy, utility_sell)
 
 
-def profit(ev_supplies: list[float], trade: TradeOutcome, quote: PriceQuote) -> ProfitBreakdown:
-    """Profit of every station for one cleared slot.
+def profit(ev_supplies: list[float], trade: TradeOutcome, quote: PriceQuote) -> list[float]:
+    """Profit ($) of every station for one cleared slot.
 
-    Income from EVs plus buyback, minus utility purchases, plus the signed
-    internal-trade settlement ``(matched_sell - matched_buy) * trade price``.
-    The trade settlements of all stations sum to zero, so the total profit
-    does not depend on the trade price.
+    Income from EVs, minus utility purchases, plus the signed internal-trade
+    settlement ``(matched_sell - matched_buy) * trade price``, plus buyback
+    income, added in that order.  The trade settlements of all stations sum
+    to zero, so the stations' total does not depend on the trade price.
     """
-    n = len(ev_supplies)
-    if n != len(trade.matched_buy):
-        raise ValueError(f"station count mismatch: {n} supplies vs {len(trade.matched_buy)} cleared")
-    ev_income = [s * quote.ev for s in ev_supplies]
-    utility_cost = [b * quote.utility for b in trade.utility_buy]
-    trade_net = [(trade.matched_sell[i] - trade.matched_buy[i]) * quote.trade for i in range(n)]
-    buyback_income = [s * quote.buyback for s in trade.utility_sell]
-    station_profit = [
-        ev_income[i] - utility_cost[i] + trade_net[i] + buyback_income[i] for i in range(n)
-    ]
-    return ProfitBreakdown(
-        ev_income, utility_cost, trade_net, buyback_income, station_profit, sum(station_profit)
-    )
+    if len(ev_supplies) != len(trade.matched_buy):
+        raise ValueError(f"station count mismatch: {len(ev_supplies)} supplies vs "
+                         f"{len(trade.matched_buy)} cleared")
+    return [s * quote.ev - b * quote.utility + (ms - mb) * quote.trade + sb * quote.buyback
+            for s, b, ms, mb, sb in zip(ev_supplies, trade.utility_buy, trade.matched_sell,
+                                        trade.matched_buy, trade.utility_sell)]
 
 
 _STATION_FIELDS = ("battery_kwh", "urgent_demand", "regular_demand", "renewable",
@@ -377,8 +362,9 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
     """The rest of ``step`` once each station's ``control_intervals`` entry is known.
 
     Checks that the arrivals are finite and nonnegative; then clears the
-    internal market, prices the slot, applies the battery dynamics and
-    rolls unmet demand into next slot's urgent demand.  Each action must lie
+    internal market, prices each station's slot with ``profit`` and sums
+    the stations left to right, applies the battery dynamics and rolls
+    unmet demand into next slot's urgent demand.  Each action must lie
     in its interval: ``step`` checks that, and an action ``ActionGrid.action``
     decoded from the blocks that hold the intervals does by construction.
     """
@@ -389,7 +375,7 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
     controls = [a.ess_control for a in actions]
     supplies = [a.ev_supply for a in actions]
     trade = clear_trades(controls)
-    breakdown = profit(supplies, trade, quote)
+    station_profit = profit(supplies, trade, quote)
 
     beta, floor, ceiling = params.leakage_beta, params.capacity_min, params.usable_max
     next_states = []
@@ -400,7 +386,8 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
         battery = min(max(beta * st.battery_kwh + control + flow, floor), ceiling)
         carryover = max(st.total_demand - supply, 0.0)
         next_states.append(StationState(battery, arr_urgent + carryover, arr_regular))
-    return StepOutcome(next_states, trade, breakdown, [cut for _, cut, _, _ in intervals])
+    return StepOutcome(next_states, trade, station_profit, sum(station_profit),
+                       [cut for _, cut, _, _ in intervals])
 
 
 # -- array-native path ----------------------------------------------------

@@ -91,6 +91,8 @@ class DemandModel:
     urgent_fraction: float = 0.2
 
     def __post_init__(self) -> None:
+        if not self.profiles:
+            raise ScenarioDataError("profiles must hold at least one profile")
         for prof in self.profiles:
             if len(prof) != 24:
                 raise ScenarioDataError(f"profile must have 24 values, got {len(prof)}")

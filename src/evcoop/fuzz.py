@@ -6,9 +6,10 @@ Violation counts, not first-failure, make flakiness visible.  Inputs are drawn
 in blocks as arrays, and each identity is one array check around the calls under
 test: ``clear_trades`` per clearing call, one ``decode_batch`` per battery block,
 whose chosen actions the check settles itself, and one ``decode_batch`` per profit
-block with ``step`` and ``profit`` per profit call.  Each call's per-station lists
-go into one flat list of floats as soon as it returns, so a block keeps no outcome
-objects alive.
+block with ``step`` and ``profit`` per profit call.  Each call's per-station flows
+and profits go into one flat list of floats as soon as it returns, so a block keeps
+no outcome objects alive.  The checks read only what the market returns: the four
+flows of ``clear_trades``, and ``step``'s flows, station profits and total.
 """
 
 from __future__ import annotations
@@ -93,20 +94,16 @@ def fuzz_clearing(calls: int, seed: int) -> FuzzReport:
         idle = np.flatnonzero(mode == 3)
         controls[idle, rng.integers(n[idle])] = 0.0           # one idle station
         controls[np.arange(6) >= n[:, None]] = 0.0            # padding past n
-        flat, totals = [], []
+        flat = []
         for row, m in zip(controls.tolist(), n.tolist()):
             o = clear_trades(row[:m])
             flat += o.matched_buy + o.matched_sell + o.utility_buy + o.utility_sell
-            totals += o.charge_total, o.discharge_total
         matched_buy, matched_sell, utility_buy, utility_sell = flows = _padded(flat, n, 4, 6)
-        totals = np.array(totals).reshape(-1, 2).T
         buy, sell = np.maximum(controls, 0.0), np.maximum(-controls, 0.0)
         res = flows[2:].sum(axis=2)    # utility buy and sell of each call
         violations += _tally(k, {
             "matched volumes differ": ~_close(matched_buy.sum(axis=1), matched_sell.sum(axis=1)),
             "both sides left residuals": res.min(axis=0) > _REL * np.maximum(1.0, res.max(axis=0)),
-            "charge_total wrong": ~_close(totals[0], buy.sum(axis=1)),
-            "discharge_total wrong": ~_close(totals[1], sell.sum(axis=1)),
         }, {
             "buy split broken": ~_close(matched_buy + utility_buy, buy),
             "sell split broken": ~_close(matched_sell + utility_sell, sell),
@@ -185,7 +182,13 @@ def fuzz_battery(calls: int, seed: int) -> FuzzReport:
 
 
 def fuzz_profit(calls: int, seed: int) -> FuzzReport:
-    """Profit identities: recomputation, zero-sum trading, trade-price invariance.
+    """Profit identities of ``step``'s settled slots.
+
+    Each station's profit must equal its recomputation from the returned
+    flows, supply and prices, and the total the sum of the stations.  The
+    internal settlements ``(matched_sell - matched_buy) * trade price`` must
+    sum to zero, and so the stations' ``profit`` summed under another trade
+    price must equal the total.
 
     Each block of ``_PROFIT_BLOCK`` calls under fresh params has 2-4 stations a
     call.  One ``decode_batch`` over the block's stations as one-station rows
@@ -218,26 +221,25 @@ def fuzz_profit(calls: int, seed: int) -> FuzzReport:
             actions = list(map(StationAction, supply[lo:hi], control[lo:hi]))
             out = step(states[lo:hi], actions, renewable[lo:hi], q, [(0.0, 0.0)] * (hi - lo),
                        params)
-            alt = profit(supply[lo:hi], out.trade,   # must not move
+            alt = profit(supply[lo:hi], out.trade,   # its sum must not move
                          PriceQuote(q.utility, q.ev, 0.85 * q.utility, q.buyback))
-            t, br = out.trade, out.profit
+            t = out.trade
             flat += (supply[lo:hi] + t.matched_buy + t.matched_sell + t.utility_buy
-                     + t.utility_sell + br.ev_income + br.utility_cost + br.trade_net
-                     + br.buyback_income + br.station_profit)
-            totals += br.total_profit, alt.total_profit, q.ev, q.utility, q.trade, q.buyback
+                     + t.utility_sell + out.station_profit)
+            totals += out.total_profit, sum(alt), q.ev, q.utility, q.trade, q.buyback
             kept.append(hi - lo)
-        supply, m_buy, m_sell, u_buy, u_sell, *got = _padded(flat, kept, 10, 4)
+        supply, m_buy, m_sell, u_buy, u_sell, got = _padded(flat, kept, 6, 4)
         total, alt_total, *prices = np.array(totals).reshape(-1, 6).T
         ev, utility, trade, buyback = (p[:, None] for p in prices)
-        want = [supply * ev, u_buy * utility, (m_sell - m_buy) * trade, u_sell * buyback]
-        want.append(want[0] - want[1] + want[2] + want[3])   # the station's profit
+        trade_net = (m_sell - m_buy) * trade
+        want = supply * ev - u_buy * utility + trade_net + u_sell * buyback
         tol = _REL * np.maximum(1.0, np.abs(total))
         violations += _tally(k, {
-            "total != sum of stations": ~_close(total, got[4].sum(axis=1)),
-            "internal trading not zero-sum": np.abs(got[2].sum(axis=1)) > tol,
+            "total != sum of stations": ~_close(total, got.sum(axis=1)),
+            "internal trading not zero-sum": np.abs(trade_net.sum(axis=1)) > tol,
             "total profit moved with trade price": np.abs(alt_total - total) > tol,
         }, {
-            "breakdown mismatch": ~np.logical_and.reduce(list(map(_close, got, want))),
+            "station profit mismatch": ~_close(got, want),
         }, notes)
         k += len(kept)
     return FuzzReport("profit-identities", calls, violations, time.perf_counter() - t0, notes)

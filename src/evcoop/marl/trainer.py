@@ -23,6 +23,7 @@ episode, the learner's and the oracle's, runs through one slot loop,
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -73,8 +74,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.lr_agent <= 0 or self.lr_mixer <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_agent", "lr_mixer", "reward_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay_frac <= 1.0:
@@ -87,8 +89,6 @@ class TrainConfig:
             raise ValueError("capacity must hold at least one batch")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if self.reward_scale <= 0:
-            raise ValueError("reward_scale must be positive")
         if self.agent_loss_mode not in ("direct", "mixer_grad"):
             raise ValueError("agent_loss_mode must be 'direct' or 'mixer_grad'")
         for name in ("hidden_dim", "embed_dim", "hyper_hidden"):
@@ -296,8 +296,8 @@ def run_episode(episode: Episode, params: EssParams, grid: ActionGrid,
         chosen = [grid.action(bl, idx) for bl, idx in picked]
         intervals = [bl[idx // m][1] for bl, idx in picked]
         outcome = settle(states, chosen, intervals, quote, episode.arrivals[t], params)
-        totals[t] = outcome.profit.total_profit
-        station[t] = outcome.profit.station_profit
+        totals[t] = outcome.total_profit
+        station[t] = outcome.station_profit
         if trace is not None:
             trace.append(SlotLog(states, chosen, outcome, quote, renew))
         states = tuple(outcome.next_states)

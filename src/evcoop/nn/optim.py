@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -23,8 +25,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         self.params = params
         self.lr = lr
         self.t = 0

@@ -117,7 +117,7 @@ def write_trace_csv(path: str | Path, trace: list[SlotLog], params: EssParams) -
                 trade.matched_buy[i], trade.matched_sell[i],
                 trade.utility_buy[i], trade.utility_sell[i],
                 state.battery_kwh, state.battery_kwh / capacity,
-                outcome.profit.station_profit[i], outcome.curtailed_kwh[i])))))
+                outcome.station_profit[i], outcome.curtailed_kwh[i])))))
     write_csv(path, TRACE_HEADER, lines)
 
 
@@ -147,7 +147,7 @@ def replay_trace(rows: list[dict], params: EssParams, multipliers: Multipliers) 
         out = step(states, actions, renewables, quote,
                    [(0.0, 0.0)] * len(group), params)
         for i, row in enumerate(group):
-            worst = max(worst, abs(out.profit.station_profit[i] - row["profit"]))
+            worst = max(worst, abs(out.station_profit[i] - row["profit"]))
     return worst
 
 

@@ -211,8 +211,7 @@ def test_hand_worked_clearing_case():
     assert out.utility_buy == [5.0, 15.0, 0.0]
     assert out.utility_sell == [0.0, 0.0, 0.0]
     quote = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
-    br = profit([0.0, 0.0, 0.0], out, quote)
-    assert br.total_profit == pytest.approx(-2.0, abs=1e-12)
+    assert sum(profit([0.0, 0.0, 0.0], out, quote)) == pytest.approx(-2.0, abs=1e-12)
     _passline("hand-worked clearing case",
               "controls [+10,+30,-20] -> matched [5,15,|-20|], residual [5,15,0]")
 

@@ -340,7 +340,7 @@ def test_advance_and_clear_batch_match_step(data, params, grid, quote, rows, sta
         assert_bits(nb[r], [s.battery_kwh for s in out.next_states])
         assert_bits(nu[r], [s.urgent_demand for s in out.next_states])
         assert_bits(nr[r], [s.regular_demand for s in out.next_states])
-        assert_bits(total[r], out.profit.total_profit)
+        assert_bits(total[r], out.total_profit)
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,14 +357,14 @@ def test_clear_and_price_batch_matches_step(data, params, grid, quote, rows, sta
         acts = [StationAction(supply[r, i], control[r, i]) for i in range(stations)]
         out = step(scalar_states(battery, urgent, regular, r), acts, list(renewable[r]),
                    quote, [(0.0, 0.0)] * stations, params)
-        assert_bits(total[r], out.profit.total_profit)
+        assert_bits(total[r], out.total_profit)
 
 
 def test_clear_and_price_batch_matches_clear_trades_on_ties_idle_and_signed_zeros():
     # Decoded controls seldom tie or sit on a zero; these hand-built ones do.
     # Every row of up to three stations over values whose sums are exact, so
-    # charge_total == discharge_total happens often, next to idle stations
-    # and controls of +0.0 and -0.0.
+    # the charge and discharge totals tie often, next to idle stations and
+    # controls of +0.0 and -0.0.
     quote = PriceQuote(utility=0.13, ev=0.156, trade=0.117, buyback=0.104)
     values = (-3.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 0.1, -0.3)
     ties = 0
@@ -373,9 +373,9 @@ def test_clear_and_price_batch_matches_clear_trades_on_ties_idle_and_signed_zero
         supply = np.resize(np.array([0.0, 2.5, 7.25, 1e-3, 4.0]), control.shape)
         total = clear_and_price_batch(supply.T, control.T, quote)
         for row_supply, row_control, got in zip(supply.tolist(), control.tolist(), total):
-            trade = clear_trades(row_control)
-            ties += trade.charge_total == trade.discharge_total > 0.0
-            assert_bits(got, profit(row_supply, trade, quote).total_profit)
+            charge = sum(c for c in row_control if c > 0.0)
+            ties += charge == -sum(c for c in row_control if c < 0.0) > 0.0
+            assert_bits(got, sum(profit(row_supply, clear_trades(row_control), quote)))
     assert ties > 50
 
 
@@ -461,7 +461,7 @@ def test_advance_and_clear_batch_all_charging_and_all_discharging_rows():
         out = step(scalar_states(battery, zeros, zeros, r),
                    [StationAction(0.0, c) for c in control[r]], [0.0] * 3, QUOTE,
                    arrivals, params)
-        assert_bits(total[r], out.profit.total_profit)
+        assert_bits(total[r], out.total_profit)
         assert_bits(nb[r], [s.battery_kwh for s in out.next_states])
     assert total.tolist() == pytest.approx([-4.5, 3.6, 0.0])
 
@@ -559,7 +559,7 @@ def _dfs_search(episode, params, grid, start_states, t_start, depth, visited=Non
                                      [s.regular_demand for s in states],
                                      [a.ev_supply for a in actions],
                                      [a.ess_control for a in actions]))
-            recurse(t + 1, out.next_states, acc + out.profit.total_profit,
+            recurse(t + 1, out.next_states, acc + out.total_profit,
                     prefix + (tuple(int(a) for a in combo),))
 
     recurse(t_start, list(start_states), 0.0, ())
@@ -582,7 +582,7 @@ def _dfs_rolling_greedy(instance, lookahead):
                    for i, a in enumerate(seq[0])]
         out = step(states, actions, list(ep.renewables[t]), ep.quotes[t],
                    list(ep.arrivals[t]), params)
-        total += out.profit.total_profit
+        total += out.total_profit
         states = list(out.next_states)
         taken.append(seq[0])
     return total, tuple(taken)
@@ -857,8 +857,8 @@ def test_permuting_stations_permutes_the_slot_and_demand_is_conserved(data, para
         assert_bits(out.curtailed_kwh, permuted(base.curtailed_kwh))
         # ... but clearing sums the stations in order, so profits may move in
         # the last bits.
-        for got, want in zip([*out.profit.station_profit, out.profit.total_profit],
-                             [*permuted(base.profit.station_profit), base.profit.total_profit]):
+        for got, want in zip([*out.station_profit, out.total_profit],
+                             [*permuted(base.station_profit), base.total_profit]):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     for state, act, (arr_urgent, arr_regular), (_, next_urgent, next_regular) in zip(
             states, actions, arrivals, next_states(base)):

@@ -13,6 +13,7 @@ from evcoop.core import (
     ConstraintViolation,
     EssParams,
     InfeasibleIntervalError,
+    Multipliers,
     PriceOrderingError,
     PriceQuote,
     StationAction,
@@ -33,8 +34,6 @@ def test_clearing_worked_example():
     # Two buyers (+10, +30) against one seller (-20): the seller is short,
     # so it is fully matched and the buyers get a 0.5 pro-rata fill.
     out = clear_trades([10.0, 30.0, -20.0])
-    assert out.charge_total == pytest.approx(40.0)
-    assert out.discharge_total == pytest.approx(20.0)
     assert out.matched_buy == pytest.approx([5.0, 15.0, 0.0])
     assert out.utility_buy == pytest.approx([5.0, 15.0, 0.0])
     assert out.matched_sell == pytest.approx([0.0, 0.0, 20.0])
@@ -43,12 +42,13 @@ def test_clearing_worked_example():
 
 def test_profit_worked_example():
     out = clear_trades([10.0, 30.0, -20.0])
-    br = profit([0.0, 0.0, 0.0], out, QUOTE)
-    assert br.station_profit[0] == pytest.approx(-5 * 0.10 - 5 * 0.09)
-    assert br.station_profit[1] == pytest.approx(-15 * 0.10 - 15 * 0.09)
-    assert br.station_profit[2] == pytest.approx(20 * 0.09)
+    station_profit = profit([0.0, 0.0, 0.0], out, QUOTE)
+    assert len(station_profit) == 3
+    assert station_profit[0] == pytest.approx(-5 * 0.10 - 5 * 0.09)
+    assert station_profit[1] == pytest.approx(-15 * 0.10 - 15 * 0.09)
+    assert station_profit[2] == pytest.approx(20 * 0.09)
     # Net position is 20 kWh bought from the utility.
-    assert br.total_profit == pytest.approx(-20 * 0.10)
+    assert sum(station_profit) == pytest.approx(-20 * 0.10)
 
 
 def test_clearing_balanced_sides():
@@ -79,6 +79,18 @@ def test_price_ordering_enforced():
         PriceQuote(utility=0.10, ev=0.09, trade=0.09, buyback=0.08)
     with pytest.raises(PriceOrderingError):
         PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=-0.01)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: PriceQuote(0.1, math.inf, 0.09, 0.08), id="quote-ev-inf"),
+    pytest.param(lambda: PriceQuote(0.1, math.nan, 0.09, 0.08), id="quote-ev-nan"),
+    pytest.param(lambda: Multipliers(ev=math.inf), id="multipliers-ev-inf"),
+    pytest.param(lambda: Multipliers(ev=math.nan), id="multipliers-ev-nan"),
+])
+def test_price_classes_reject_a_non_finite_ev_price(make):
+    # An infinite EV price used to surface only as a non-finite reward.
+    with pytest.raises(PriceOrderingError, match="< ev < inf, got"):
+        make()
 
 
 def test_ess_params_derived_bounds():
@@ -275,11 +287,57 @@ def test_total_profit_invariant_to_trade_price(cs, utility, trade_frac):
     q1 = PriceQuote(utility, 1.2 * utility, 0.9 * utility, 0.8 * utility)
     trade2 = utility * (0.8 + 0.1 * trade_frac)  # anywhere in (buyback, utility)
     q2 = PriceQuote(utility, 1.2 * utility, trade2, 0.8 * utility)
-    b1 = profit(supplies, out, q1)
-    b2 = profit(supplies, out, q2)
-    assert sum(b1.trade_net) == pytest.approx(0.0, abs=1e-9)
-    scale = max(1.0, abs(b1.total_profit))
-    assert abs(b1.total_profit - b2.total_profit) <= 1e-9 * scale
+    trade_net = [(ms - mb) * q1.trade for ms, mb in zip(out.matched_sell, out.matched_buy)]
+    assert sum(trade_net) == pytest.approx(0.0, abs=1e-9)
+    total1, total2 = sum(profit(supplies, out, q1)), sum(profit(supplies, out, q2))
+    scale = max(1.0, abs(total1))
+    assert abs(total1 - total2) <= 1e-9 * scale
+
+
+def _profit_in_parts(ev_supplies, trade, quote):
+    """``profit`` through its four priced parts, each a list, then added in order.
+
+    The reference for ``profit``'s one-list form, which must keep every bit.
+    """
+    n = len(ev_supplies)
+    ev_income = [s * quote.ev for s in ev_supplies]
+    utility_cost = [b * quote.utility for b in trade.utility_buy]
+    trade_net = [(trade.matched_sell[i] - trade.matched_buy[i]) * quote.trade for i in range(n)]
+    buyback_income = [s * quote.buyback for s in trade.utility_sell]
+    return [ev_income[i] - utility_cost[i] + trade_net[i] + buyback_income[i] for i in range(n)]
+
+
+# Signed zeros, idle stations and exact halves, so that ties and zero flows come up.
+_edge_controls = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0])
+
+
+@st.composite
+def _settled_controls(draw):
+    """1-6 stations' controls: any floats, edge values, or buyers mirrored by sellers.
+
+    A mirrored draw lists positive controls, then their negatives in the same
+    order, so the charge and discharge totals tie bit for bit.
+    """
+    value = st.one_of(st.floats(-150.0, 150.0, allow_nan=False, allow_infinity=False),
+                      _edge_controls)
+    kind = draw(st.sampled_from(["any", "edge", "mirror"]))
+    if kind == "mirror":
+        half = draw(st.lists(st.floats(1e-3, 150.0), min_size=1, max_size=3))
+        return half + [-c for c in half]
+    return draw(st.lists(_edge_controls if kind == "edge" else value, min_size=1, max_size=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), _settled_controls(), st.floats(0.03, 0.5), st.floats(1.05, 2.0),
+       st.floats(0.85, 0.95), st.floats(0.5, 0.8))
+def test_profit_keeps_the_bits_of_its_four_part_form(data, cs, utility, ev, trade, buyback):
+    supplies = data.draw(st.lists(st.one_of(st.floats(0.0, 50.0), st.just(0.0)),
+                                  min_size=len(cs), max_size=len(cs)))
+    quote = PriceQuote(utility, ev * utility, trade * utility, buyback * utility)
+    out = clear_trades(cs)
+    got, want = profit(supplies, out, quote), _profit_in_parts(supplies, out, quote)
+    assert _bits(got) == _bits(want)
+    assert _bits(sum(got)) == _bits(sum(want))
 
 
 @settings(max_examples=200, deadline=None)
@@ -483,27 +541,30 @@ def test_fuzz_clearing_catches_a_broken_split(monkeypatch):
 
 
 def test_fuzz_profit_catches_a_total_that_moves_with_trade_price(monkeypatch):
+    # The fuzzer prices each call a second time under another trade price;
+    # a station profit that carries the trade price moves that sum.
     def priced(ev_supplies, trade, quote):
         out = profit(ev_supplies, trade, quote)
-        out.total_profit += sum(trade.matched_buy) * quote.trade
+        out[0] += quote.trade
         return out
 
     monkeypatch.setattr(fuzz, "profit", priced)
     report = fuzz.fuzz_profit(200, seed=2)
-    assert report.violations > 0
-    assert all(note.endswith(": total profit moved with trade price") for note in report.notes)
+    assert report.violations == report.calls == 200
+    assert report.notes == [f"call {k}: total profit moved with trade price" for k in range(5)]
 
 
-def test_fuzz_profit_catches_a_breakdown_that_step_gets_wrong(monkeypatch):
+def test_fuzz_profit_catches_a_station_profit_that_step_gets_wrong(monkeypatch):
     def off(*args):
         out = step(*args)
-        out.profit.ev_income[1] += 1.0
+        out.station_profit[1] += 1.0
         return out
 
     monkeypatch.setattr(fuzz, "step", off)
     report = fuzz.fuzz_profit(200, seed=2)
     assert report.violations == report.calls == 200
-    assert report.notes == [f"call {k}: breakdown mismatch at 1" for k in range(5)]
+    assert report.notes == [f"call {k}: total != sum of stations; station profit mismatch at 1"
+                            for k in range(5)]
 
 
 def test_fuzz_battery_catches_controls_past_the_upper_bound(monkeypatch):

@@ -136,6 +136,9 @@ def test_synth_series_accept_the_zero_the_schema_accepts():
 
 
 def test_demand_model_validation():
+    # synth_demand used to divide by len(profiles) == 0 and then index past it
+    with pytest.raises(ScenarioDataError, match="^profiles must hold at least one profile$"):
+        DemandModel(profiles=())
     with pytest.raises(ScenarioDataError):
         DemandModel(profiles=((1.0,) * 23,))
     with pytest.raises(ScenarioDataError):

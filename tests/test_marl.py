@@ -18,7 +18,6 @@ from evcoop.config import build_scenario, load_config_dict
 from evcoop.core import (
     ConstraintViolation,
     EssParams,
-    ProfitBreakdown,
     StationAction,
     StationState,
     StepOutcome,
@@ -129,6 +128,15 @@ def test_decode_table_rejects_non_finite_input_as_decode_batch_does(field, bad):
                                        state.regular_demand)]
     with pytest.raises(ConstraintViolation, match=f"^station 0: {field} {bad} is not finite"):
         GRID.decode_batch(*rows, [renewable], PARAMS)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("lr_agent", math.nan), ("lr_mixer", math.inf), ("reward_scale", math.nan),
+    ("reward_scale", math.inf),
+])
+def test_train_config_rejects_non_finite_rates_and_scale(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {bad}$"):
+        TrainConfig(**{field: bad})
 
 
 def test_epsilon_schedule_endpoints():
@@ -781,7 +789,7 @@ def _write_trace_one_cell_at_a_time(path, trace, params):
              log.outcome.trade.matched_buy[i], log.outcome.trade.matched_sell[i],
              log.outcome.trade.utility_buy[i], log.outcome.trade.utility_sell[i],
              state.battery_kwh, state.battery_kwh / params.capacity_max,
-             log.outcome.profit.station_profit[i], log.outcome.curtailed_kwh[i]]
+             log.outcome.station_profit[i], log.outcome.curtailed_kwh[i]]
             for t, log in enumerate(trace) for i, state in enumerate(log.states)]
     path.write_bytes(csv_writer_bytes(TRACE_HEADER, rows))
 
@@ -863,12 +871,11 @@ def test_trace_csv_bytes_match_the_cell_by_cell_writer_on_edge_floats(tmp_path):
     for t, v in enumerate(EDGE_FLOATS):
         a, b = v, EDGE_FLOATS[(t + 1) % len(EDGE_FLOATS)]
         pair = [a, b]
-        trade = TradeOutcome(pair, pair, pair, pair, a, b)
-        profits = ProfitBreakdown(pair, pair, pair, pair, pair, a)
+        trade = TradeOutcome(pair, pair, pair, pair)
         trace.append(SlotLog(
             states=(StationState(a, a, a), StationState(b, b, b)),
             actions=[StationAction(a, a), StationAction(b, b)],
-            outcome=StepOutcome([], trade, profits, pair),
+            outcome=StepOutcome([], trade, pair, a, pair),
             quote=SimpleNamespace(utility=v), renewables=(a, b)))
     write_trace_csv(tmp_path / "new.csv", trace, params)
     _write_trace_one_cell_at_a_time(tmp_path / "old.csv", trace, params)
