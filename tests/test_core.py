@@ -82,12 +82,10 @@ def test_price_ordering_enforced():
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: PriceQuote(0.1, math.inf, 0.09, 0.08), id="quote-ev-inf"),
-    pytest.param(lambda: PriceQuote(0.1, math.nan, 0.09, 0.08), id="quote-ev-nan"),
-    pytest.param(lambda: Multipliers(ev=math.inf), id="multipliers-ev-inf"),
-    pytest.param(lambda: Multipliers(ev=math.nan), id="multipliers-ev-nan"),
+    pytest.param(lambda: PriceQuote(0.1, math.inf, 0.09, 0.08), id="quote"),
+    pytest.param(lambda: Multipliers(ev=math.inf), id="multipliers"),
 ])
-def test_price_classes_reject_a_non_finite_ev_price(make):
+def test_price_classes_reject_an_infinite_ev_price(make):
     # An infinite EV price used to surface only as a non-finite reward.
     with pytest.raises(PriceOrderingError, match="< ev < inf, got"):
         make()
