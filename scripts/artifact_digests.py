@@ -48,9 +48,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from evcoop.cli import main as evcoop  # noqa: E402
+from evcoop.core import ActionGrid  # noqa: E402
 from evcoop.fuzz import fuzz_battery, fuzz_clearing, fuzz_profit  # noqa: E402
 from evcoop.marl import ALGORITHMS  # noqa: E402
-from evcoop.marl.encoding import ActionGrid  # noqa: E402
 from evcoop.oracle import brute_force, random_tiny_instance, rolling_greedy  # noqa: E402
 
 # (directory, config merged into the run config, algorithms, episodes) of each training row;

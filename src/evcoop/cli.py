@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, build_scenario, load_config, load_config_dict, resolved_dict
+from .core import InfeasibleActionError
 from .data import ScenarioDataError, build_episode, synth_demand
 from .fuzz import fuzz_battery, fuzz_clearing, fuzz_profit
 from .marl import (
     ALGORITHMS,
     EpisodeMetrics,
-    InfeasibleActionError,
     ReplayBuffer,
     build_learner,
     load_learner,

@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .core import EssParams, Multipliers
+from .core import ActionGrid, EssParams, Multipliers
 from .data import (
     DemandModel,
     PriceSeries,
@@ -42,7 +42,7 @@ from .data import (
     synth_price_series,
     synth_pv_series,
 )
-from .marl.encoding import ActionGrid, ObsScales
+from .marl.encoding import ObsScales
 from .marl.trainer import TrainConfig
 
 

@@ -7,6 +7,16 @@ other stations' charging requests by a coordinator (proportional clearing);
 residuals are bought from or sold back to the utility.  All functions here
 are pure: they take values and return values, no hidden state.
 
+Actions are a ``K_ev x K_cs`` grid, ``ActionGrid``: a supply fraction of
+regular demand crossed with battery control levels spaced linearly over that
+supply's feasible interval, so every decodable action respects the demand
+and battery constraints.  Each slot of ``run_episode``, every policy's
+episode loop, decodes each supply fraction's block once (``ActionGrid.blocks``),
+then only the chosen action (``ActionGrid.action``), and settles on the
+chosen blocks' control interval entries (``settle``).  ``ActionGrid.decode_table``
+is ``action`` at every index of one station's blocks; no command calls it, and
+the tests pin the array decode ``ActionGrid.decode_batch`` to it.
+
 Sign convention for ``ess_control``: positive means charging (energy bought
 from the market/utility), negative means discharging (energy sold).  The
 internal flow ``renewable - ev_supply`` charges or drains the battery
@@ -16,10 +26,14 @@ implicitly and is not traded.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # data imports this module
+    from .data import Episode
 
 
 class ConstraintViolation(ValueError):
@@ -32,6 +46,10 @@ class InfeasibleIntervalError(ConstraintViolation):
 
 class PriceOrderingError(ValueError):
     """Quote violates buyback < trade < utility < ev."""
+
+
+class InfeasibleActionError(ValueError):
+    """Raised when decoding an action index the current mask forbids."""
 
 
 # Tolerance for bound checks; discretized actions sit exactly on computed
@@ -388,6 +406,194 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
         next_states.append(StationState(battery, arr_urgent + carryover, arr_regular))
     return StepOutcome(next_states, trade, station_profit, sum(station_profit),
                        [cut for _, cut, _, _ in intervals])
+
+
+Block = tuple[float, tuple[float, float, float, float]]  # supply, (flow, cut, lo, hi)
+
+
+def linspace_at(lo: float, hi: float, m: int, k: int) -> float:
+    """``np.linspace(lo, hi, m)[k]`` for float endpoints, bit for bit.
+
+    numpy multiplies k by the step (or k / (m - 1) by the width when the
+    step is zero), adds lo, and puts hi exactly at the end.
+    """
+    width = hi - lo
+    if m == 1:
+        return 0.0 * width + lo
+    if k == m - 1:
+        return hi
+    step = width / (m - 1)
+    return (k / (m - 1)) * width + lo if step == 0 else k * step + lo
+
+
+def linspace_rows(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """``linspace_at`` at every k, per element of the endpoint arrays; adds a last axis of m.
+
+    ``np.linspace`` with array endpoints would switch every element to the
+    zero-step formula if any one had a zero step; this chooses per element.
+    """
+    k = np.arange(m, dtype=float)
+    lo, hi = lo[..., None], hi[..., None]
+    width = hi - lo
+    if m == 1:
+        return 0.0 * width + lo
+    step = width / (m - 1)
+    levels = np.where(step == 0, (k / (m - 1)) * width, k * step) + lo
+    levels[..., -1] = hi[..., 0]
+    return levels
+
+
+@dataclass(frozen=True)
+class ActionGrid:
+    """Joint discretization of per-station supply and battery control.
+
+    Flat index ``e * cs_levels + c`` selects supply fraction ``ev_fractions[e]``
+    and the ``c``-th of ``cs_levels`` control levels spaced inclusively over
+    the feasible interval for that supply.
+    """
+
+    ev_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)
+    cs_levels: int = 5
+
+    def __post_init__(self):
+        if not isinstance(self.cs_levels, int):
+            raise ValueError(f"cs_levels must be an int, got {self.cs_levels!r}")
+        if len(self.ev_fractions) == 0:
+            raise ValueError("need at least one supply fraction")
+        for f in self.ev_fractions:
+            if not 0.0 <= f <= 1.0:
+                raise ValueError(f"supply fraction {f} outside [0, 1]")
+        if self.cs_levels < 1:
+            raise ValueError("cs_levels must be >= 1")
+
+    @property
+    def n_actions(self) -> int:
+        return len(self.ev_fractions) * self.cs_levels
+
+    def blocks(self, state: StationState, renewable: float,
+               params: EssParams) -> list[Block | None]:
+        """Each supply fraction's ``(supply, (flow, cut, lo, hi))``, or None.
+
+        The pair is the supply and its ``control_intervals`` entry.  None
+        masks a block whose interval is empty (possible under tight
+        export/import caps); at least one block must survive.  A non-finite
+        input raises ConstraintViolation naming its field.
+        """
+        battery, urgent, regular = state.battery_kwh, state.urgent_demand, state.regular_demand
+        check_finite_station((battery, urgent, regular, renewable))
+        fraction_supplies = [urgent + frac * regular for frac in self.ev_fractions]
+        intervals = control_intervals(battery, renewable, fraction_supplies, params)
+        out = [None if interval[2] > interval[3] else (supply, interval)
+               for supply, interval in zip(fraction_supplies, intervals)]
+        if out.count(None) == len(out):
+            raise InfeasibleActionError(
+                "no feasible action: every supply fraction leaves an empty control interval")
+        return out
+
+    def action(self, blocks: list[Block | None], index: int) -> StationAction:
+        """The StationAction of flat ``index`` on one station's ``blocks``."""
+        if not 0 <= index < self.n_actions:
+            raise InfeasibleActionError(f"action index {index} outside grid of {self.n_actions}")
+        block = blocks[index // self.cs_levels]
+        if block is None:
+            raise InfeasibleActionError(f"action index {index} is masked infeasible at this step")
+        supply, (_, _, lo, hi) = block
+        return StationAction(ev_supply=supply,
+                             ess_control=linspace_at(lo, hi, self.cs_levels, index % self.cs_levels))
+
+    def decode_table(self, state: StationState, renewable: float,
+                     params: EssParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All decoded (supplies, controls, mask) for one station at one slot.
+
+        ``action`` at every index of ``blocks``; a masked block's entries are zero.
+        """
+        blocks = self.blocks(state, renewable, params)
+        mask = np.repeat([block is not None for block in blocks], self.cs_levels)
+        actions = [self.action(blocks, k) if feasible else StationAction(0.0, 0.0)
+                   for k, feasible in enumerate(mask)]
+        return (np.array([a.ev_supply for a in actions]),
+                np.array([a.ess_control for a in actions]), mask)
+
+    def decode_batch(self, battery: np.ndarray, urgent: np.ndarray, regular: np.ndarray,
+                     renewables, params: EssParams
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``decode_table`` for every station of ``(N, n)`` state arrays at once.
+
+        ``renewables`` has shape ``(n,)`` or ``(N, n)``.  Returns
+        ``(N, n, n_actions)`` supplies, controls, mask and internal flow:
+        the first three equal bit for bit to ``decode_table`` per station,
+        and each entry's flow is its block's ``control_intervals`` flow, the
+        one ``core.advance_stations_batch`` settles on.  A station with no
+        feasible block gets an all-false mask row instead of an error;
+        callers prune it.  A masked entry's supply, control and flow are zero.
+        """
+        renewables = np.broadcast_to(np.asarray(renewables, dtype=float), battery.shape)
+        state = {"urgent_demand": urgent, "regular_demand": regular, "renewable": renewables}
+        check_batch(lambda v: ~np.isfinite(v), "is not finite", battery_kwh=battery, **state)
+        check_batch(lambda v: v < 0.0, "is negative", **state)
+        m = self.cs_levels
+        # (N, n, fraction) blocks, then (N, n, fraction, level) entries flattened to actions
+        supply = urgent[..., None] + np.asarray(self.ev_fractions) * regular[..., None]
+        flow, lo, hi, feasible = control_bounds_batch(battery[..., None], renewables[..., None],
+                                                      supply, params)
+        controls = np.where(feasible[..., None], linspace_rows(lo, hi, m), 0.0)
+        return (np.repeat(np.where(feasible, supply, 0.0), m, axis=-1),
+                controls.reshape(*battery.shape, self.n_actions), np.repeat(feasible, m, axis=-1),
+                np.repeat(np.where(feasible, flow, 0.0), m, axis=-1))
+
+
+@dataclass
+class SlotLog:
+    """Everything observed at one slot of a rollout, for trace emission."""
+
+    states: tuple[StationState, ...]
+    actions: list[StationAction]
+    outcome: StepOutcome
+    quote: PriceQuote
+    renewables: tuple[float, ...]
+
+
+def _indices(chosen, n: int, t: int) -> np.ndarray:
+    """A chooser's ``chosen`` as n integer action indices, else a ValueError naming slot ``t``."""
+    try:
+        picks = np.asarray(chosen)
+    except ValueError:  # ragged
+        picks = np.empty(0)
+    if picks.shape != (n,) or picks.dtype.kind not in "iu":
+        raise ValueError(f"slot {t}: the chooser returned {chosen!r}, not {n} integer indices")
+    return picks
+
+
+def run_episode(episode: Episode, params: EssParams, grid: ActionGrid,
+                choose: Callable[..., Sequence[int]], collect_trace: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[SlotLog] | None]:
+    """One episode under any policy: actions, masks, total and station profit, trace.
+
+    At slot t each station's ``grid.blocks`` fill its row of ``masks[t]`` (n, A),
+    ``choose(t, states, masks[t])`` returns one action index per station, and
+    ``core.settle`` settles the chosen blocks' intervals."""
+    T, n, m = episode.length, episode.station_count, grid.cs_levels
+    actions, masks = np.zeros((T, n), dtype=np.int64), np.zeros((T, n, grid.n_actions), dtype=bool)
+    mask_blocks = masks.reshape(T, n, len(grid.ev_fractions), m)  # a view
+    totals, station = np.zeros(T), np.zeros((T, n))
+    trace: list[SlotLog] | None = [] if collect_trace else None
+
+    states = episode.initial_states
+    for t in range(T):
+        quote, renew = episode.quotes[t], episode.renewables[t]
+        blocks = [grid.blocks(states[i], renew[i], params) for i in range(n)]
+        mask_blocks[t] = np.array([b is not None for bl in blocks for b in bl]).reshape(n, -1, 1)
+        actions[t] = picks = _indices(choose(t, states, masks[t]), n, t)
+        picked = list(zip(blocks, picks.tolist()))
+        chosen = [grid.action(bl, idx) for bl, idx in picked]
+        intervals = [bl[idx // m][1] for bl, idx in picked]
+        outcome = settle(states, chosen, intervals, quote, episode.arrivals[t], params)
+        totals[t] = outcome.total_profit
+        station[t] = outcome.station_profit
+        if trace is not None:
+            trace.append(SlotLog(states, chosen, outcome, quote, renew))
+        states = tuple(outcome.next_states)
+    return actions, masks, totals, station, trace
 
 
 # -- array-native path ----------------------------------------------------

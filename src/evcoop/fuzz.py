@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_MULTIPLIERS, EssParams, PriceQuote, StationAction, StationState,
-                   clear_trades, profit, step)
-from .marl.encoding import ActionGrid
+from .core import (DEFAULT_MULTIPLIERS, ActionGrid, EssParams, PriceQuote, StationAction,
+                   StationState, clear_trades, profit, step)
 
 _REL = 1e-9
 _CLEARING_BLOCK = 1000  # clearing calls drawn at once

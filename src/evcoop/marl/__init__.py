@@ -1,12 +1,6 @@
-"""Multi-agent learning engine: encoding, replay, and the mixer trainer."""
+"""Multi-agent learning engine: observation encoding, replay, and the mixer trainer."""
 
-from .encoding import (
-    OBS_DIM,
-    ActionGrid,
-    InfeasibleActionError,
-    ObsScales,
-    encode_observation,
-)
+from .encoding import OBS_DIM, ObsScales, encode_observation
 from .replay import EpisodeRecord, ReplayBuffer
 from .trainer import (
     ALGORITHM_TRAITS,
@@ -14,7 +8,6 @@ from .trainer import (
     DRQNAgent,
     EpisodeMetrics,
     LearnerState,
-    SlotLog,
     Targets,
     TrainConfig,
     act_epsilon_greedy,
@@ -23,7 +16,6 @@ from .trainer import (
     epsilon_at,
     load_learner,
     rollout_episode,
-    run_episode,
     save_learner,
     sync_targets,
     train,
@@ -31,10 +23,8 @@ from .trainer import (
 )
 
 __all__ = [
-    "ALGORITHM_TRAITS", "ALGORITHMS", "ActionGrid", "DRQNAgent", "EpisodeMetrics", "EpisodeRecord",
-    "InfeasibleActionError", "LearnerState", "OBS_DIM", "ObsScales",
-    "ReplayBuffer", "SlotLog", "Targets", "TrainConfig", "act_epsilon_greedy",
-    "build_learner", "compute_targets", "encode_observation", "epsilon_at",
-    "load_learner", "rollout_episode", "run_episode", "save_learner", "sync_targets",
-    "train", "train_step",
+    "ALGORITHM_TRAITS", "ALGORITHMS", "DRQNAgent", "EpisodeMetrics", "EpisodeRecord",
+    "LearnerState", "OBS_DIM", "ObsScales", "ReplayBuffer", "Targets", "TrainConfig",
+    "act_epsilon_greedy", "build_learner", "compute_targets", "encode_observation", "epsilon_at",
+    "load_learner", "rollout_episode", "save_learner", "sync_targets", "train", "train_step",
 ]

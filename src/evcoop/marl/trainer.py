@@ -18,7 +18,8 @@ maximizing mixer accrues.  ``qmix`` is the single-mixer baseline with
 target-net action selection.  ``independent_dqn`` trains each agent on the
 shared reward with no mixer.  ``random`` never trains.  Every policy's
 episode, the learner's and the oracle's, runs through one slot loop,
-``run_episode``, with its own chooser.
+``core.run_episode``, with its own chooser; ``rollout_episode`` is the
+learner's.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..core import EssParams, PriceQuote, StationAction, StationState, StepOutcome, settle
+from ..core import ActionGrid, EssParams, SlotLog, run_episode
 from ..data import Episode
 from ..nn import Adam, Dense, DivergenceError, GRUCell, MonotonicMixer, Tensor, stack_layers
 from ..nn.checkpoint import CheckpointError, read_checkpoint, restore_params, save_checkpoint
-from .encoding import OBS_DIM, ActionGrid, ObsScales, encode_observation
+from .encoding import OBS_DIM, ObsScales, encode_observation
 from .replay import EpisodeRecord, ReplayBuffer
 
 
@@ -72,6 +73,10 @@ class TrainConfig:
     hyper_hidden: int = 64
 
     def __post_init__(self):
+        for name in ("episodes", "target_period", "batch_episodes", "capacity", "hidden_dim",
+                     "embed_dim", "hyper_hidden"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         for name in ("lr_agent", "lr_mixer", "reward_scale"):
@@ -81,19 +86,14 @@ class TrainConfig:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay_frac <= 1.0:
             raise ValueError("epsilon_decay_frac must lie in (0, 1]")
-        if self.target_period < 1:
-            raise ValueError("target_period must be >= 1")
-        if self.batch_episodes < 1:
-            raise ValueError("batch_episodes must be >= 1")
-        if self.capacity < self.batch_episodes:
-            raise ValueError("capacity must hold at least one batch")
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        if self.agent_loss_mode not in ("direct", "mixer_grad"):
-            raise ValueError("agent_loss_mode must be 'direct' or 'mixer_grad'")
-        for name in ("hidden_dim", "embed_dim", "hyper_hidden"):
+        for name in ("target_period", "batch_episodes", "episodes", "hidden_dim", "embed_dim",
+                     "hyper_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.capacity < self.batch_episodes:
+            raise ValueError("capacity must hold at least one batch")
+        if self.agent_loss_mode not in ("direct", "mixer_grad"):
+            raise ValueError("agent_loss_mode must be 'direct' or 'mixer_grad'")
 
 
 def epsilon_at(config: TrainConfig, episode_index: int) -> float:
@@ -248,60 +248,6 @@ def act_epsilon_greedy(q: np.ndarray, epsilon: float, masks: np.ndarray,
             if rng.random() < epsilon:
                 actions[i] = np.flatnonzero(masks[i])[rng.integers(count)]
     return actions
-
-
-@dataclass
-class SlotLog:
-    """Everything observed at one slot of a rollout, for trace emission."""
-
-    states: tuple[StationState, ...]
-    actions: list[StationAction]
-    outcome: StepOutcome
-    quote: PriceQuote
-    renewables: tuple[float, ...]
-
-
-def _indices(chosen, n: int, t: int) -> np.ndarray:
-    """A chooser's ``chosen`` as n integer action indices, else a ValueError naming slot ``t``."""
-    try:
-        picks = np.asarray(chosen)
-    except ValueError:  # ragged
-        picks = np.empty(0)
-    if picks.shape != (n,) or picks.dtype.kind not in "iu":
-        raise ValueError(f"slot {t}: the chooser returned {chosen!r}, not {n} integer indices")
-    return picks
-
-
-def run_episode(episode: Episode, params: EssParams, grid: ActionGrid,
-                choose: Callable[..., Sequence[int]], collect_trace: bool = False
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[SlotLog] | None]:
-    """One episode under any policy: actions, masks, total and station profit, trace.
-
-    At slot t each station's ``grid.blocks`` fill its row of ``masks[t]`` (n, A),
-    ``choose(t, states, masks[t])`` returns one action index per station, and
-    ``core.settle`` settles the chosen blocks' intervals."""
-    T, n, m = episode.length, episode.station_count, grid.cs_levels
-    actions, masks = np.zeros((T, n), dtype=np.int64), np.zeros((T, n, grid.n_actions), dtype=bool)
-    mask_blocks = masks.reshape(T, n, len(grid.ev_fractions), m)  # a view
-    totals, station = np.zeros(T), np.zeros((T, n))
-    trace: list[SlotLog] | None = [] if collect_trace else None
-
-    states = episode.initial_states
-    for t in range(T):
-        quote, renew = episode.quotes[t], episode.renewables[t]
-        blocks = [grid.blocks(states[i], renew[i], params) for i in range(n)]
-        mask_blocks[t] = np.array([b is not None for bl in blocks for b in bl]).reshape(n, -1, 1)
-        actions[t] = picks = _indices(choose(t, states, masks[t]), n, t)
-        picked = list(zip(blocks, picks.tolist()))
-        chosen = [grid.action(bl, idx) for bl, idx in picked]
-        intervals = [bl[idx // m][1] for bl, idx in picked]
-        outcome = settle(states, chosen, intervals, quote, episode.arrivals[t], params)
-        totals[t] = outcome.total_profit
-        station[t] = outcome.station_profit
-        if trace is not None:
-            trace.append(SlotLog(states, chosen, outcome, quote, renew))
-        states = tuple(outcome.next_states)
-    return actions, masks, totals, station, trace
 
 
 def rollout_episode(episode: Episode, learner: LearnerState, epsilon: float,

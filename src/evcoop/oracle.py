@@ -35,7 +35,8 @@ Each instance's full-horizon optimum is searched once and kept on the
 instance: ``brute_force`` returns it, and a rolling greedy whose lookahead
 spans the episode takes its slot-0 plan from it, since that plan is the
 same search.  Later re-plans search from the realized state.  The greedy
-and ``replay_sequence`` are choosers over the rollouts' ``run_episode``.
+and ``replay_sequence`` are choosers over the rollouts' ``core.run_episode``;
+the oracle imports nothing of the learner it grades.
 """
 
 from __future__ import annotations
@@ -51,15 +52,16 @@ import numpy as np
 
 from .core import (
     DEFAULT_MULTIPLIERS,
+    ActionGrid,
     EssParams,
+    InfeasibleActionError,
     StationState,
     advance_stations_batch,
     check_arrivals,
     clear_and_price_batch,
+    run_episode,
 )
 from .data import Episode, as_tuples
-from .marl.encoding import ActionGrid, InfeasibleActionError
-from .marl.trainer import run_episode
 
 ENUMERATION_BUDGET = 10_000_000
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EssParams, Multipliers, StationAction, StationState, step
-from .marl.trainer import STEP_PHASES, EpisodeMetrics, SlotLog
+from .core import EssParams, Multipliers, SlotLog, StationAction, StationState, step
+from .marl.trainer import STEP_PHASES, EpisodeMetrics
 
 
 def _fmt(value) -> str:

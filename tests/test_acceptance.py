@@ -15,7 +15,7 @@ import pytest
 
 from evcoop.cli import main
 from evcoop.config import build_scenario, load_config_dict
-from evcoop.core import PriceQuote, clear_trades, profit
+from evcoop.core import PriceQuote, clear_trades, profit, run_episode
 from evcoop.data import build_episode, synth_demand
 from evcoop.fuzz import fuzz_battery, fuzz_clearing, fuzz_profit
 from evcoop.marl import (
@@ -24,7 +24,6 @@ from evcoop.marl import (
     TrainConfig,
     build_learner,
     rollout_episode,
-    run_episode,
     train,
 )
 from evcoop.nn import Tensor

@@ -24,21 +24,24 @@ from hypothesis import strategies as st
 
 from evcoop import oracle
 from evcoop.core import (
+    ActionGrid,
     ConstraintViolation,
     EssParams,
+    InfeasibleActionError,
     PriceQuote,
     StationAction,
     StationState,
     advance_stations_batch,
     clear_and_price_batch,
     clear_trades,
+    linspace_at,
+    linspace_rows,
     profit,
     settle,
     step,
 )
 from evcoop.data import Episode
-from evcoop.marl import ActionGrid, ObsScales, TrainConfig, build_learner, rollout_episode
-from evcoop.marl.encoding import InfeasibleActionError, linspace_at, linspace_rows
+from evcoop.marl import ObsScales, TrainConfig, build_learner, rollout_episode
 
 
 def assert_bits(actual, expected):

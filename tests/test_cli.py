@@ -297,7 +297,7 @@ def test_every_package_function_but_decode_table_runs_under_some_command():
     script = Path(__file__).resolve().parents[1] / "scripts" / "unreached.py"
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["evcoop.marl.encoding.ActionGrid.decode_table"]
+    assert done.stdout.splitlines() == ["evcoop.core.ActionGrid.decode_table"]
 
 
 # the settings tests/golden_digests.txt was written at; rewrite that file, and say in

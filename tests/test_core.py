@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from evcoop import core, fuzz
 from evcoop.core import (
+    ActionGrid,
     ConstraintViolation,
     EssParams,
+    InfeasibleActionError,
     InfeasibleIntervalError,
     Multipliers,
     PriceOrderingError,
@@ -24,8 +26,6 @@ from evcoop.core import (
     soc,
     step,
 )
-from evcoop.marl import ActionGrid, encoding
-from evcoop.marl.encoding import InfeasibleActionError
 
 QUOTE = PriceQuote(utility=0.10, ev=0.12, trade=0.09, buyback=0.08)
 
@@ -590,7 +590,6 @@ def test_fuzz_battery_catches_bounds_that_forget_leakage(monkeypatch):
     namespace = dict(vars(core))
     exec(source.replace(leaky, "carried = battery"), namespace)
     monkeypatch.setattr(core, "control_bounds_batch", namespace["control_bounds_batch"])
-    monkeypatch.setattr(encoding, "control_bounds_batch", namespace["control_bounds_batch"])
     report = fuzz.fuzz_battery(2000, seed=1)
     assert report.violations > 0
     assert "outside" in report.notes[0]

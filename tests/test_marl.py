@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 from evcoop import core
 from evcoop.config import build_scenario, load_config_dict
 from evcoop.core import (
+    ActionGrid,
     ConstraintViolation,
     EssParams,
+    InfeasibleActionError,
+    SlotLog,
     StationAction,
     StationState,
     StepOutcome,
@@ -28,14 +31,11 @@ from evcoop.data import DemandModel, build_episode, synth_demand, synth_price_se
 from evcoop.marl import (
     ALGORITHM_TRAITS,
     ALGORITHMS,
-    ActionGrid,
     DRQNAgent,
     EpisodeRecord,
-    InfeasibleActionError,
     OBS_DIM,
     ObsScales,
     ReplayBuffer,
-    SlotLog,
     TrainConfig,
     act_epsilon_greedy,
     build_learner,
@@ -137,6 +137,25 @@ def test_decode_table_rejects_non_finite_input_as_decode_batch_does(field, bad):
 def test_train_config_rejects_non_finite_rates_and_scale(field, bad):
     with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {bad}$"):
         TrainConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(ObsScales)])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_obs_scales_reject_a_non_finite_scale(field, bad):
+    # An infinite divisor would read every observation's feature as 0.0.
+    with pytest.raises(ValueError, match=f"^scale {field} must be positive and finite, got {bad}$"):
+        ObsScales(**{field: bad})
+
+
+@pytest.mark.parametrize("build, field, bad", [
+    (ActionGrid, "cs_levels", 2.5),
+    *[(TrainConfig, name, bad) for name, bad in (
+        ("episodes", 2.5), ("target_period", 1.5), ("batch_episodes", 8.0), ("capacity", 8.5),
+        ("hidden_dim", 3.5), ("embed_dim", "32"), ("hyper_hidden", None))],
+])
+def test_integer_fields_reject_values_that_are_not_ints(build, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got {bad!r}$"):
+        build(**{field: bad})
 
 
 def test_epsilon_schedule_endpoints():
@@ -600,7 +619,7 @@ def test_rollout_computes_each_control_interval_once(monkeypatch):
     holders = [(name, attr) for name, module in list(sys.modules.items())
                if name.split(".")[0] == "evcoop" for attr, value in vars(module).items()
                if value is real]
-    assert {name for name, _ in holders} >= {"evcoop.core", "evcoop.marl.encoding"}
+    assert {name for name, _ in holders} == {"evcoop", "evcoop.core"}  # the package re-exports it
     for name, attr in holders:
         monkeypatch.setattr(sys.modules[name], attr, counting)
     T, n = 8, 6

@@ -1,14 +1,24 @@
 """Exhaustive planner: exact optimum, rolling greedy, instance hygiene."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evcoop import oracle
-from evcoop.core import EssParams, PriceQuote, StationState
+from evcoop.core import (
+    ActionGrid,
+    EssParams,
+    InfeasibleActionError,
+    PriceQuote,
+    StationState,
+    run_episode,
+)
 from evcoop.data import Episode
-from evcoop.marl import ActionGrid, InfeasibleActionError, run_episode
 from evcoop.oracle import (
     BudgetExceededError,
     TinyInstance,
@@ -38,6 +48,18 @@ def _arbitrage_instance():
     )
     grid = ActionGrid(ev_fractions=(0.0,), cs_levels=3)
     return TinyInstance(episode=episode, params=params, grid=grid)
+
+
+def test_oracle_and_fuzzers_load_no_learner_module():
+    # The ground truth for any policy must not depend on the learner it grades.
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    code = ("import sys; import evcoop.oracle, evcoop.fuzz; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'evcoop')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["evcoop", "evcoop.core", "evcoop.data", "evcoop.fuzz",
+                                   "evcoop.oracle"]
 
 
 def test_brute_force_finds_arbitrage_optimum():
