@@ -232,18 +232,17 @@ def cmd_fuzz(args) -> int:
 
 
 def _collect_metric_files(paths: list[str]) -> list[Path]:
-    found: list[Path] = []
+    """Each metrics file under ``paths`` once, however it is named, in the order first seen."""
+    found: dict[Path, Path] = {}  # resolved path -> the path as first named
     for raw in paths:
         p = Path(raw)
-        if p.is_dir():
-            found.extend(sorted(p.rglob("metrics.csv")))
-        elif p.exists():
-            found.append(p)
-        else:
+        if not p.exists():
             raise ConfigError(f"no such file or directory: {raw}")
+        for f in sorted(p.rglob("metrics.csv")) if p.is_dir() else [p]:
+            found.setdefault(f.resolve(), f)
     if not found:
         raise ConfigError(f"no metrics.csv found under {', '.join(paths)}")
-    return found
+    return list(found.values())
 
 
 def cmd_compare(args) -> int:

@@ -331,7 +331,7 @@ def check_finite_station(values: Sequence[float], station: int | None = None,
             raise ConstraintViolation(f"{where}{name} {value} is not finite")
 
 
-def _check_arrival(arrival: Sequence[float], station: int) -> None:
+def check_arrival(arrival: Sequence[float], station: int) -> None:
     """Raise ConstraintViolation naming the station of a non-finite or negative arrival."""
     check_finite_station(arrival, station, _STATION_FIELDS[6:])
     if arrival[0] < 0.0 or arrival[1] < 0.0:
@@ -348,7 +348,8 @@ def step(states: Sequence[StationState], actions: Sequence[StationAction],
     supply against the demand bound, computes the control interval of that
     supply, then checks that every interval is nonempty and holds its
     control (a small float tolerance admits actions decoded exactly onto a
-    bound), and hands the rest to ``settle``.
+    bound), then that every arrival is finite and nonnegative, and hands
+    the rest to ``settle``.
     """
     n = len(states)
     if not (n == len(actions) == len(renewables) == len(next_arrivals)):
@@ -371,6 +372,8 @@ def step(states: Sequence[StationState], actions: Sequence[StationAction],
         if control < lower - _TOL or control > upper + _TOL:
             raise ConstraintViolation(
                 f"station {i}: ess_control {control} outside [{lower}, {upper}]")
+    for i, arrival in enumerate(next_arrivals):
+        check_arrival(arrival, i)
     return settle(states, actions, intervals, quote, next_arrivals, params)
 
 
@@ -379,17 +382,13 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
            next_arrivals: Sequence[tuple[float, float]], params: EssParams) -> StepOutcome:
     """The rest of ``step`` once each station's ``control_intervals`` entry is known.
 
-    Checks that the arrivals are finite and nonnegative; then clears the
-    internal market, prices each station's slot with ``profit`` and sums
-    the stations left to right, applies the battery dynamics and rolls
-    unmet demand into next slot's urgent demand.  Each action must lie
-    in its interval: ``step`` checks that, and an action ``ActionGrid.action``
-    decoded from the blocks that hold the intervals does by construction.
+    Clears the internal market, prices each station's slot with ``profit``
+    and sums the stations left to right, applies the battery dynamics and
+    rolls unmet demand into next slot's urgent demand.  Nothing is checked:
+    ``step`` checks each action against its interval and each arrival, an
+    action ``ActionGrid.action`` decodes from the blocks lies in its interval,
+    and an ``Episode`` checked its arrivals when it was built.
     """
-    for i, (_, _, _, arrival) in enumerate(zip(states, actions, intervals, next_arrivals,
-                                               strict=True)):
-        _check_arrival(arrival, i)
-
     controls = [a.ess_control for a in actions]
     supplies = [a.ev_supply for a in actions]
     trade = clear_trades(controls)
@@ -398,7 +397,7 @@ def settle(states: Sequence[StationState], actions: Sequence[StationAction],
     beta, floor, ceiling = params.leakage_beta, params.capacity_min, params.usable_max
     next_states = []
     for st, control, supply, (flow, _, _, _), (arr_urgent, arr_regular) in zip(
-            states, controls, supplies, intervals, next_arrivals):
+            states, controls, supplies, intervals, next_arrivals, strict=True):
         # Clamp float rounding back onto the physical band; an action in its
         # interval keeps any excursion within _TOL of a bound.
         battery = min(max(beta * st.battery_kwh + control + flow, floor), ceiling)
@@ -612,8 +611,8 @@ def run_episode(episode: Episode, params: EssParams, grid: ActionGrid,
 # what a station's own action decides: its next state, from the decoded
 # flow.  ``clear_and_price_batch`` couples the stations: clearing and
 # pricing.  The oracle runs the first once per distinct (station state,
-# action) in a block and the second once per (row, joint action) pair.  Neither path checks a decoded action
-# again (it lies in its interval by construction), only the arrivals.
+# action) in a block and the second once per (row, joint action) pair.  Neither
+# path checks a decoded action or an arrival again: the decode and the ``Episode`` did.
 
 
 def check_batch(flag, what: str, **fields: np.ndarray) -> None:
@@ -668,30 +667,17 @@ def advance_stations_batch(
     The state arrays (``battery``, ``urgent``, ``regular``) and the decoded
     ``supply``, ``control`` and internal ``flow`` of ``decode_batch``
     broadcast together to one shape whose last axis is the station;
-    ``next_arrivals`` is one (urgent, regular) pair per station.  Makes
-    ``settle``'s arrival checks, with its messages, and applies its
-    dynamics; the actions are not checked again.  Returns the next battery,
+    ``next_arrivals`` is one (urgent, regular) pair per station, as an
+    ``Episode`` checked it.  Applies ``settle``'s dynamics; neither the
+    actions nor the arrivals are checked again.  Returns the next battery,
     urgent and regular demand, each of the broadcast shape.
     """
-    arrivals = check_arrivals(next_arrivals, np.shape(battery)[-1])
+    arrivals = np.asarray(next_arrivals, dtype=float)
     # Dynamics, as the tail of settle.
     next_battery = params.leakage_beta * battery + control + flow
     next_battery = np.minimum(np.maximum(next_battery, params.capacity_min), params.usable_max)
     next_urgent = arrivals[:, 0] + np.maximum((urgent + regular) - supply, 0.0)
     return next_battery, next_urgent, np.broadcast_to(arrivals[:, 1], next_urgent.shape).copy()
-
-
-def check_arrivals(next_arrivals, n: int) -> np.ndarray:
-    """``n`` stations' (urgent, regular) ``next_arrivals`` as an ``(n, 2)`` array.
-
-    Makes ``settle``'s arrival checks, with its messages.
-    """
-    arrivals = np.asarray(next_arrivals, dtype=float)
-    if arrivals.shape != (n, 2):
-        raise ValueError(f"next_arrivals must be {n} (urgent, regular) pairs")
-    for i, arrival in enumerate(arrivals.tolist()):
-        _check_arrival(arrival, i)
-    return arrivals
 
 
 def clear_and_price_batch(supply: np.ndarray, control: np.ndarray,

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_MULTIPLIERS, EssParams, Multipliers, PriceQuote, StationState
+from .core import (DEFAULT_MULTIPLIERS, ConstraintViolation, EssParams, Multipliers, PriceQuote,
+                   StationState, check_arrival)
 
 
 class ScenarioDataError(ValueError):
@@ -105,7 +106,9 @@ class DemandModel:
 
 @dataclass(frozen=True)
 class Episode:
-    """Aligned per-slot scenario data plus initial station states."""
+    """Aligned per-slot scenario data plus initial station states.
+
+    Each arrival is checked here, once, so the episode loops settle it unchecked."""
 
     quotes: tuple[PriceQuote, ...]
     renewables: tuple[tuple[float, ...], ...]  # [t][station]
@@ -125,6 +128,14 @@ class Episode:
         for t in range(T):
             if len(self.renewables[t]) != n or len(self.arrivals[t]) != n:
                 raise ScenarioDataError(f"slot {t}: station count differs from {n}")
+            for i, arrival in enumerate(self.arrivals[t]):
+                if np.shape(arrival) != (2,):
+                    raise ScenarioDataError(f"slot {t}: station {i}: arrival {arrival!r} "
+                                            f"is not one (urgent, regular) pair")
+                try:
+                    check_arrival(arrival, i)
+                except ConstraintViolation as exc:
+                    raise ConstraintViolation(f"slot {t}: {exc}") from None
 
     @property
     def length(self) -> int:
@@ -142,6 +153,8 @@ def _parse_hour(text: str, path: str, line: int) -> datetime:
         raise ScenarioDataError(f"{path}:{line}: bad timestamp {text!r}: {exc}") from None
     if ts.minute or ts.second or ts.microsecond:
         raise ScenarioDataError(f"{path}:{line}: timestamp {text!r} is not on the hour")
+    if ts.tzinfo is not None:
+        raise ScenarioDataError(f"{path}:{line}: timestamp {text!r} has a UTC offset")
     return ts
 
 

@@ -8,9 +8,9 @@ its own action, so a slot keeps a table of each station's distinct states
 and a frontier row is one entry of it per station: ``decode_batch`` decodes
 every (entry, action) of the table with its internal flow, and
 ``core.advance_stations_batch`` turns them into next states, except at a
-search's last slot, whose next states nothing reads and whose arrivals are
-only checked.  An entry the mask rejects holds a placeholder the search
-never picks.  A row's joint actions
+search's last slot, whose next states nothing reads.  The arrivals were
+checked when the ``Episode`` was built.  An entry the mask rejects holds a
+placeholder the search never picks.  A row's joint actions
 are numbered in a fixed radix over the grid, station 0 the most significant
 digit, and a block holds whole frontier rows with all their joint actions,
 or, where one row has more joint actions than a block, one row and a slice
@@ -57,7 +57,6 @@ from .core import (
     InfeasibleActionError,
     StationState,
     advance_stations_batch,
-    check_arrivals,
     clear_and_price_batch,
     run_episode,
 )
@@ -145,13 +144,12 @@ class _Slot(NamedTuple):
 
 def _slot(episode: Episode, params: EssParams, grid: ActionGrid, t: int, state,
           last: bool) -> _Slot:
-    """Decode the ``state`` table's actions at slot ``t``; unless ``last``, advance under each."""
+    """Decode the ``state`` table's actions at slot ``t``; unless ``last``, advance under each.
+
+    The arrivals are the episode's, checked when it was built, so none is checked here."""
     supply, control, mask, flow = grid.decode_batch(*state, episode.renewables[t], params)
     outcomes = [supply.transpose(1, 0, 2), control.transpose(1, 0, 2)]
-    if last:
-        # Nothing reads the next states, but bad arrivals still fail here.
-        check_arrivals(episode.arrivals[t], len(episode.initial_states))
-    else:
+    if not last:  # nothing reads a last slot's next states
         # advance_stations_batch broadcasts the arrivals over a last, station axis.
         supply, control, flow = (a.transpose(0, 2, 1) for a in (supply, control, flow))
         next_state = advance_stations_batch(*(a[:, None, :] for a in state), supply, control,

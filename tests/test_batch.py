@@ -32,6 +32,7 @@ from evcoop.core import (
     StationAction,
     StationState,
     advance_stations_batch,
+    check_arrival,
     clear_and_price_batch,
     clear_trades,
     linspace_at,
@@ -40,7 +41,14 @@ from evcoop.core import (
     settle,
     step,
 )
-from evcoop.data import Episode
+from evcoop.data import (
+    DemandModel,
+    Episode,
+    build_episode,
+    synth_demand,
+    synth_price_series,
+    synth_pv_series,
+)
 from evcoop.marl import ObsScales, TrainConfig, build_learner, rollout_episode
 
 
@@ -199,7 +207,9 @@ def check_rollout_decode(params, grid, states, renewables, seed, arrivals=None):
     every station also goes through ``ActionGrid.action`` on its own.  The
     slot's StepOutcome must be scalar ``step``'s on the same states,
     actions, renewables, quote and ``arrivals`` (zero by default), bit for
-    bit; where ``step`` raises, the rollout raises the same error.
+    bit.  Where ``step`` would reject an arrival, building the one-slot
+    ``Episode`` raises its message after ``slot 0: ``, ahead of any decode
+    error, and the rest runs on zero arrivals.
     """
     n = len(states)
     zero = [(0.0, 0.0)] * n
@@ -220,6 +230,12 @@ def check_rollout_decode(params, grid, states, renewables, seed, arrivals=None):
         assert type(raised.value) is type(exc)
         assert str(raised.value) == str(exc)
 
+    try:
+        for i, arrival in enumerate(arrivals):
+            check_arrival(arrival, i)   # step's check of its caller's arrivals
+    except ConstraintViolation as exc:
+        assert_same_error(ConstraintViolation(f"slot 0: {exc}"), arrivals)
+        arrivals = zero
     try:
         tables = [grid.decode_table(s, r, params) for s, r in zip(states, renewables)]
     except (ConstraintViolation, InfeasibleActionError) as exc:
@@ -242,11 +258,7 @@ def check_rollout_decode(params, grid, states, renewables, seed, arrivals=None):
             action = grid.action(blocks, index)
             assert_bits([action.ev_supply, action.ess_control],
                         [supplies[index], controls[index]])
-    try:
-        want = step(states, trace[0].actions, renewables, quote, arrivals, params)
-    except ConstraintViolation as exc:
-        assert_same_error(exc, arrivals)
-        return
+    want = step(states, trace[0].actions, renewables, quote, arrivals, params)
     _, trace = rollout(arrivals)
     assert_bits(outcome_floats(trace[0].outcome), outcome_floats(want))
 
@@ -423,8 +435,7 @@ def test_advance_stations_batch_on_masked_tables_matches_step(data, params, grid
 @settings(max_examples=200, deadline=None)
 @given(st.data(), ess_params(), grids, st.integers(1, 4),
        st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0]))
-def test_advance_stations_batch_rejects_the_arrivals_settle_rejects(data, params, grid,
-                                                                    stations, bad):
+def test_an_episode_rejects_the_arrivals_step_rejects(data, params, grid, stations, bad):
     battery, urgent, regular, renewable = data.draw(state_block(params, 1, stations))
     states = scalar_states(battery, urgent, regular, 0)
     try:
@@ -436,17 +447,21 @@ def test_advance_stations_batch_rejects_the_arrivals_settle_rejects(data, params
     for _ in range(data.draw(st.integers(1, 2))):
         arrivals[data.draw(st.integers(0, stations - 1))][data.draw(st.integers(0, 1))] = bad
     first = [next(e * grid.cs_levels for e, b in enumerate(bl) if b is not None) for bl in blocks]
+
+    def episode():
+        return Episode(quotes=(QUOTE,), renewables=(tuple(renewable[0].tolist()),),
+                       arrivals=(tuple(map(tuple, arrivals)),), initial_states=tuple(states))
+
     try:
-        settle(states, [grid.action(bl, a) for bl, a in zip(blocks, first)],
-               [bl[a // grid.cs_levels][1] for bl, a in zip(blocks, first)], QUOTE, arrivals,
-               params)
+        step(states, [grid.action(bl, a) for bl, a in zip(blocks, first)],
+             renewable[0].tolist(), QUOTE, arrivals, params)
     except ConstraintViolation as exc:
         with pytest.raises(type(exc)) as raised:
-            oracle_table(grid, params, battery, urgent, regular, renewable, arrivals)
-        assert str(raised.value) == str(exc)
+            episode()
+        assert str(raised.value) == f"slot 0: {exc}"
     else:
         assert bad == 0.0           # -0.0 is a valid arrival
-        oracle_table(grid, params, battery, urgent, regular, renewable, arrivals)
+        episode()
 
 
 def test_advance_and_clear_batch_all_charging_and_all_discharging_rows():
@@ -469,39 +484,19 @@ def test_advance_and_clear_batch_all_charging_and_all_discharging_rows():
     assert total.tolist() == pytest.approx([-4.5, 3.6, 0.0])
 
 
-@pytest.mark.parametrize("case", ["arrival"])
-def test_advance_stations_batch_rejects_what_step_rejects(case):
-    # Station 1 is bad, station 0 fine.  Of the array path's inputs only the
-    # arrivals can still be bad: an action it settles is one decode_batch built.
-    params = EssParams(capacity_max=100.0, import_cap=5.0)
-    arrival = {"arrival": (-1.0, 0.0)}[case]
-    with pytest.raises(ConstraintViolation, match="station 1") as scalar:
-        step([StationState(50.0, 5.0, 5.0)] * 2, [StationAction(5.0, 0.0)] * 2, [0.0, 0.0],
-             QUOTE, [(0.0, 0.0), arrival], params)
-    block = np.array([[50.0, 50.0], [50.0, 50.0]])
-    with pytest.raises(type(scalar.value)) as batch:
-        oracle_table(ActionGrid(), params, block, block / 10, block / 10, [0.0, 0.0],
-                     [(0.0, 0.0), arrival])
-    assert str(batch.value) == str(scalar.value)
-
-
 @pytest.mark.parametrize("field, where", [
     ("battery_kwh", "battery"), ("urgent_demand", "urgent"), ("regular_demand", "regular"),
-    ("renewable", "renewable"), ("arrival_urgent", "arrival"),
+    ("renewable", "renewable"),
 ])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_decode_and_advance_batch_reject_non_finite_inputs(field, where, bad):
-    # decode_batch rejects a bad state, advance_stations_batch a bad arrival.
+    # decode_batch rejects a bad state; an arrival was checked by its Episode.
     arrays = {"battery": np.full((2, 2), 100.0), "urgent": np.zeros((2, 2)),
               "regular": np.zeros((2, 2)), "renewable": np.zeros((2, 2))}
-    arrivals = np.zeros((2, 2))
-    if where == "arrival":
-        arrivals[1, 0] = bad
-    else:
-        arrays[where][1, 1] = bad
+    arrays[where][1, 1] = bad
     with pytest.raises(ConstraintViolation, match=f"station 1: {field}"):
         oracle_table(ActionGrid(), EssParams(), arrays["battery"], arrays["urgent"],
-                     arrays["regular"], arrays["renewable"], arrivals)
+                     arrays["regular"], arrays["renewable"], np.zeros((2, 2)))
 
 
 def test_decode_batch_rejects_non_finite_state():
@@ -706,14 +701,39 @@ def test_brute_force_memory_stays_bounded_on_a_deep_search():
 @pytest.mark.parametrize("horizon", [1, 3])
 def test_brute_force_checks_the_arrivals_of_its_last_slot(horizon):
     # The search reads no next state of its last slot, but its arrivals are
-    # checked as settle checks them.
+    # checked with all the others, when the episode is built.
     inst = oracle.random_tiny_instance(np.random.default_rng(1), horizon=horizon)
     arrivals = list(inst.episode.arrivals)
     arrivals[-1] = ((math.nan, 1.0),) + arrivals[-1][1:]
-    inst = dataclasses.replace(inst, episode=dataclasses.replace(inst.episode,
-                                                                 arrivals=tuple(arrivals)))
-    with pytest.raises(ConstraintViolation, match="station 0: arrival_urgent nan is not finite"):
+    with pytest.raises(ConstraintViolation) as raised:
+        inst = dataclasses.replace(inst, episode=dataclasses.replace(inst.episode,
+                                                                     arrivals=tuple(arrivals)))
         oracle.brute_force(inst)
+    assert str(raised.value) == f"slot {horizon - 1}: station 0: arrival_urgent nan is not finite"
+
+
+def test_only_building_an_episode_checks_its_arrivals(monkeypatch):
+    # Each arrival is checked once, when its Episode is built; a rollout and
+    # a search over built episodes check none again.
+    calls = []
+
+    def counted(arrival, station):
+        calls.append(station)
+        return check_arrival(arrival, station)
+
+    monkeypatch.setattr("evcoop.core.check_arrival", counted)
+    monkeypatch.setattr("evcoop.data.check_arrival", counted)
+    params, rng = EssParams(), np.random.default_rng(0)
+    episode = build_episode(synth_price_series(48, seed=1), synth_pv_series(48, 2, seed=2),
+                            synth_demand(DemandModel(), 48, 2, rng), 0.5, params)
+    assert len(calls) == 96
+    learner = build_learner("independent_dqn", 2, params, ActionGrid(), ObsScales(),
+                            TrainConfig(hidden_dim=4), rng)
+    inst = oracle.random_tiny_instance(np.random.default_rng(3))
+    calls.clear()
+    rollout_episode(episode, learner, 0.0, rng)
+    oracle.brute_force(inst)
+    assert calls == []
 
 
 def test_replaying_a_rollout_settles_the_same_episode_bit_for_bit():

@@ -17,6 +17,7 @@ from csv_reference import csv_writer_bytes
 from evcoop import cli
 from evcoop.cli import main
 from evcoop.config import load_config_dict
+from evcoop.data import sample_data_path
 from evcoop.report import read_csv, read_metrics_csv, read_trace_csv, replay_trace
 
 
@@ -148,6 +149,18 @@ def test_compare_aggregates_runs(trained, tmp_path):
     long_rows = (tmp_path / "long.csv").read_text().splitlines()
     assert long_rows[0] == "algorithm,seed,episode,total_profit"
     assert len(long_rows) == 1 + 4 * 8
+
+
+def test_compare_counts_a_run_named_twice_once(trained, tmp_path, capsys):
+    # The directory holds the file named after it: one run, not two seeds.
+    run = trained / "out" / "double_qmix_seed0"
+    assert main(["compare", "--runs", str(run), str(run / "metrics.csv"), "--window", "4",
+                 "--out", str(tmp_path)]) == 0
+    with (tmp_path / "summary.csv").open(newline="") as fh:
+        assert [(r["algorithm"], r["seeds"]) for r in csv.DictReader(fh)] == [("double_qmix", "1")]
+    with (tmp_path / "long.csv").open(newline="") as fh:
+        episodes = [r["episode"] for r in csv.DictReader(fh)]
+    assert episodes == [str(e) for e in range(1, 9)]
 
 
 @pytest.mark.parametrize("cell", ['"q,mix"', '"q""mix"', '"q\rmix"', '"q\nmix"'],
@@ -464,3 +477,26 @@ def test_evaluate_accepts_a_config_restating_the_checkpoint_grid_and_scales(trai
     assert main(["evaluate", "--checkpoint", str(ck), "--config", str(cfg),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["two_station_48h_price.csv", "two_station_48h_pv.csv"])
+def test_train_rejects_a_csv_timestamp_with_a_utc_offset(tmp_path, capsys, name):
+    # The CSVs hold local hours; an offset row exits 1 naming its line.
+    paths = {}
+    for sample in ("two_station_48h_price.csv", "two_station_48h_pv.csv"):
+        paths[sample] = tmp_path / sample
+        paths[sample].write_bytes(sample_data_path(sample).read_bytes())
+    lines = paths[name].read_text().splitlines()
+    line = next(k for k, text in enumerate(lines) if text.startswith("2024-06-01T05:00:00"))
+    lines[line] = lines[line].replace("2024-06-01T05:00:00", "2024-06-01T05:00+00:00")
+    paths[name].write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"mode": "csv", "price_csv": str(paths["two_station_48h_price.csv"]),
+                     "pv_csv": str(paths["two_station_48h_pv.csv"])},
+        "train": {"episodes": 1}, "out_dir": str(tmp_path / "out"),
+    }))
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{paths[name]}:{line + 1}: timestamp '2024-06-01T05:00+00:00' has a UTC offset" in err
+    assert "Traceback" not in err

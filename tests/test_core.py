@@ -202,8 +202,8 @@ def test_step_rejects_out_of_bounds_control():
 
 
 def test_step_checks_every_control_before_any_arrival():
-    # step checks each station's interval and control, then settle checks
-    # the arrivals: a control outside its interval at station 1 is reported
+    # step checks each station's interval and control, then the arrivals:
+    # a control outside its interval at station 1 is reported
     # ahead of a negative arrival at station 0.
     states = [StationState(100.0, 0.0, 0.0)] * 2
     with pytest.raises(ConstraintViolation, match="^station 1: ess_control 500.0 outside"):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from evcoop.config import SAMPLE_CSVS, ScenarioConfig
-from evcoop.core import EssParams, Multipliers, PriceOrderingError
+from evcoop.core import (ConstraintViolation, EssParams, Multipliers, PriceOrderingError,
+                         StationState)
 from evcoop.data import (
     DemandModel,
     Episode,
@@ -213,6 +214,36 @@ def test_episode_rejects_station_mismatch():
             arrivals=(((0.0, 0.0),), ((0.0, 0.0),)),
             initial_states=(StationState(100.0, 0.0, 0.0),),
         )
+
+
+def _episode_with_arrival(t, arrival, T=5):
+    """A 2-station, ``T``-slot episode whose station 1 gets ``arrival`` at slot ``t``."""
+    arrivals = [[(1.0, 2.0), (1.0, 2.0)] for _ in range(T)]
+    arrivals[t][1] = arrival
+    return Episode(quotes=tuple(synth_price_series(T, seed=1).quote(s) for s in range(T)),
+                   renewables=((0.0, 0.0),) * T, arrivals=tuple(map(tuple, arrivals)),
+                   initial_states=(StationState(100.0, 0.0, 0.0),) * 2)
+
+
+@pytest.mark.parametrize("t", [0, 2, 4])
+@pytest.mark.parametrize("field", [0, 1])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_episode_rejects_a_bad_arrival_naming_its_slot(t, field, bad):
+    arrival = [1.0, 2.0]
+    arrival[field] = bad
+    name = ("arrival_urgent", "arrival_regular")[field]
+    want = (f"slot {t}: station 1: negative arrivals ({arrival[0]}, {arrival[1]})" if bad < 0.0
+            else f"slot {t}: station 1: {name} {bad} is not finite")
+    with pytest.raises(ConstraintViolation) as raised:
+        _episode_with_arrival(t, tuple(arrival))
+    assert str(raised.value) == want
+    _episode_with_arrival(t, (-0.0, -0.0))   # -0.0 is a valid arrival
+
+
+def test_episode_rejects_an_arrival_that_is_not_a_pair():
+    with pytest.raises(ScenarioDataError) as raised:
+        _episode_with_arrival(2, (1.0, 2.0, 3.0))
+    assert str(raised.value).startswith("slot 2: station 1: arrival (1.0, 2.0, 3.0) is not")
 
 
 def test_bundled_sample_data_loads():
